@@ -19,17 +19,17 @@
 //	c3check -test MP -unsynced -replay 1,0,2
 //	c3check -statusz :8080           # watch a long exploration live
 //	c3check -test MP+3W -max 10000   # reductions let this complete
-//	c3check -canon=off -por=off      # legacy raw-dump hashing, no reductions
+//	c3check -test MP+3W -max 10000 -por off   # without POR it stops at 10,000 states
 //	c3check -crosscheck -test MP     # audit the reductions' soundness
 //	c3check -outcomes -test MP       # print the terminal-outcome set
 //
-// State-space reduction: the checker hashes a canonicalized state dump
-// (bookkeeping excluded, interchangeable hosts and addresses renamed to
-// a canonical form) and prunes interleavings of independent deliveries
-// (partial-order reduction). -canon=off and -por=off disable the layers
-// individually — with both off the checker reproduces the pre-reduction
-// state counts exactly. -crosscheck runs every test both ways and fails
-// on any disagreement; -outcomes prints the outcome sets it compares.
+// State-space reduction: the checker fingerprints each state with its
+// bookkeeping excluded and interchangeable hosts and addresses renamed
+// to a canonical form (symmetry reduction), and prunes interleavings of
+// independent deliveries (partial-order reduction, off with -por=off).
+// -crosscheck runs every test reduced and again with symmetry and POR
+// off, and fails unless the outcome sets and verdicts are equal;
+// -outcomes prints a test's outcome set.
 //
 // Observability: -statusz serves live exploration counters (states,
 // frontier, depth) as JSON plus pprof/expvar, -heartbeat prints a
@@ -92,11 +92,9 @@ func main() {
 		"re-execute a comma-separated witness path against -test instead of exploring")
 	replayRoot := flag.Bool("replay-from-root", false,
 		"explore by prefix re-execution instead of snapshot cloning (cross-check mode)")
-	canon := flag.String("canon", "on",
-		"canonical hashing + symmetry reduction: on|off (off = legacy raw-dump hashing, exact seed state counts)")
 	por := flag.String("por", "on", "partial-order reduction: on|off")
 	crossCheck := flag.Bool("crosscheck", false,
-		"run each test reduced AND unreduced and fail unless verdicts agree and the reduced outcome set covers the unreduced one (soundness audit; slow)")
+		"run each test reduced AND unreduced and fail unless the verdicts and outcome sets agree (soundness audit; slow)")
 	outcomes := flag.Bool("outcomes", false,
 		"print each test's sorted terminal-outcome set, one 'outcome:' line per outcome (for reduction-soundness diffs)")
 	taskTimeout := flag.Duration("task-timeout", 0, "wall-clock bound per test exploration (0 = none); expired attempts retry, then the test records TIMEOUT")
@@ -115,8 +113,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "c3check: -task-timeout, -retries and -mem-budget-mb must be non-negative")
 		os.Exit(obs.ExitUsage)
 	}
-	if (*canon != "on" && *canon != "off") || (*por != "on" && *por != "off") {
-		fmt.Fprintln(os.Stderr, "c3check: -canon and -por take on|off")
+	if *por != "on" && *por != "off" {
+		fmt.Fprintln(os.Stderr, "c3check: -por takes on|off")
 		os.Exit(obs.ExitUsage)
 	}
 
@@ -135,7 +133,6 @@ func main() {
 		Unsynced:       *unsynced,
 		CheckForbidden: *unsynced,
 		ReplayFromRoot: *replayRoot,
-		CanonOff:       *canon == "off",
 		POROff:         *por == "off",
 		CrossCheck:     *crossCheck,
 		OnProgress:     co.progress,

@@ -181,19 +181,14 @@ type VerifyConfig struct {
 	// ReplayFromRoot reconstructs every state by re-executing its delivery
 	// prefix instead of snapshot cloning (cross-check / low-memory mode).
 	ReplayFromRoot bool
-	// CanonOff disables canonical hashing and symmetry reduction, falling
-	// back to the raw state dump the pre-reduction checker hashed
-	// (c3check -canon=off). State counts then match the legacy checker
-	// exactly.
-	CanonOff bool
 	// POROff disables the partial-order reduction (c3check -por=off):
 	// every enabled delivery is expanded at every state.
 	POROff bool
-	// CrossCheck runs the exploration twice — reduced, then with both
-	// reductions off — and fails unless the violation verdicts agree and
-	// every unreduced outcome appears in the reduced outcome set. The
-	// returned report is the reduced run's (with both runs' build/clone
-	// costs folded in). Expensive; a soundness audit, not a normal mode.
+	// CrossCheck runs the exploration twice — reduced, then with symmetry
+	// and POR off — and fails unless the violation verdicts and the
+	// outcome sets agree. The returned report is the reduced run's (with
+	// both runs' build/clone costs folded in). Expensive; a soundness
+	// audit, not a normal mode.
 	CrossCheck bool
 	// OnProgress, when non-nil, receives a periodic exploration snapshot
 	// (roughly every couple thousand states) from the checker loop — the
@@ -331,7 +326,6 @@ func Verify(test string, cfg VerifyConfig) (*VerifyReport, error) {
 		MaxDepth:       cfg.MaxDepth,
 		Workers:        cfg.Workers,
 		ReplayFromRoot: cfg.ReplayFromRoot,
-		CanonOff:       cfg.CanonOff,
 		POROff:         cfg.POROff,
 		CrossCheck:     cfg.CrossCheck,
 		CheckForbidden: cfg.CheckForbidden,
@@ -381,9 +375,9 @@ func verifyReport(test string, rep *verif.Report) *VerifyReport {
 		Outcomes: len(rep.Outcomes), Truncated: rep.Truncated,
 		ForbiddenSkipped: rep.ForbiddenSkipped,
 		Builds:           rep.Builds, Clones: rep.Clones,
-		MemSheds:         rep.MemSheds, SnapshotBudgetEnd: rep.SnapshotBudgetEnd,
-		SymmetryMerges:   rep.SymmetryMerges, PORSkips: rep.PORSkips,
-		OutcomeList:      outs,
+		MemSheds: rep.MemSheds, SnapshotBudgetEnd: rep.SnapshotBudgetEnd,
+		SymmetryMerges: rep.SymmetryMerges, PORSkips: rep.PORSkips,
+		OutcomeList: outs,
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"c3/internal/fp"
 	"c3/internal/mem"
 )
 
@@ -168,11 +169,6 @@ func (c *Cache) materialize() {
 		putSlab(s)
 	}
 }
-
-// Materialize forces a private copy of the frame slab now, as if a write
-// occurred. The checker's deep-copy cross-check mode uses it to turn a
-// COW clone into an eager one.
-func (c *Cache) Materialize() { c.materialize() }
 
 // Shared reports whether the frame slab is currently shared with a clone
 // (ie. a write would copy). For tests.
@@ -346,6 +342,32 @@ func (c *Cache) forEach(fn func(*Entry)) {
 			fn(&es[i])
 		}
 	}
+}
+
+// Fingerprint writes the valid frames into h as a bag of (line under rn,
+// state, data-valid flag, payload if valid). Stale payloads are left
+// out, and when skipInvalid is set, so are frames in state 0: the
+// caller has proven set conflicts impossible, so a frame invalidated in
+// place and a frame never installed cannot behave differently.
+// Read-only: it never materializes a shared slab.
+func (c *Cache) Fingerprint(h *fp.Hasher, rn fp.Renamer, skipInvalid bool) {
+	var frames fp.Bag
+	es := c.s.entries
+	for i := range es {
+		e := &es[i]
+		if !e.Valid || skipInvalid && e.State == 0 {
+			continue
+		}
+		f := fp.New()
+		f.Line(e.Addr, rn)
+		f.Int(e.State)
+		f.Bool(e.DataValid)
+		if e.DataValid {
+			f.Data(&e.Data)
+		}
+		frames.Add(f)
+	}
+	h.Bag(frames)
 }
 
 // Count returns the number of valid entries.

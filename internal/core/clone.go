@@ -58,8 +58,3 @@ func (c *C3) Clone(k *sim.Kernel, local, global network.Fabric) *C3 {
 // The controller must not be used afterwards; the model checker calls
 // it when retiring a snapshot.
 func (c *C3) ReleaseLLC() { c.llc.Release() }
-
-// MaterializeLLC forces a private copy of the CXL cache's frame slab,
-// turning a COW clone into an eager one (the checker's deep-copy
-// cross-check mode).
-func (c *C3) MaterializeLLC() { c.llc.Materialize() }

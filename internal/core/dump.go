@@ -6,16 +6,15 @@ import (
 	"sort"
 
 	"c3/internal/cache"
+	"c3/internal/fp"
 	"c3/internal/mem"
 	"c3/internal/msg"
 	"c3/internal/ssp"
 )
 
-// DumpState writes a canonical rendering of the controller state for the
-// model checker's hashing. Read-only: it uses the RO cache accessors so
-// hashing a freshly cloned snapshot never materializes its slab, and
-// NodeSet vectors render in ascending id order like the sorted int
-// slices the pre-NodeSet code produced.
+// DumpState writes a readable rendering of the controller state for the
+// hang watchdog's reports. Read-only: it uses the RO cache accessors, so
+// dumping a freshly cloned snapshot never materializes its slab.
 func (c *C3) DumpState(w io.Writer) {
 	fmt.Fprintf(w, "C3[%d]", c.cfg.ID)
 	type ent struct {
@@ -55,69 +54,46 @@ func (c *C3) DumpState(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// DumpCanon writes the canonical (reduction-aware) rendering of the C3
-// for the model checker's canonical hash: line addresses render through
-// rnLine and host ids through rnNode (entries re-sorted by renamed
-// address so symmetric renamings fingerprint identically), stale LLC
-// payloads are masked, and pure default entries — an untouched local
+// Fingerprint writes the C3's state into the model checker's state hash,
+// with line addresses and host ids renamed by rn. Stale LLC payloads are
+// left out, and so are pure default entries: an untouched local
 // directory line, or (when skipInvalid allows) an LLC frame invalidated
-// back to state 0 — are dropped so "absent" and "present but reset"
-// merge. The controller's own id stays literal: C3s are per-cluster and
-// never permute.
-func (c *C3) DumpCanon(w io.Writer, rnLine func(mem.LineAddr) mem.LineAddr, rnNode func(msg.NodeID) msg.NodeID, skipInvalid bool) {
-	fmt.Fprintf(w, "C3[%d]", c.cfg.ID)
-	type ent struct {
-		a mem.LineAddr
-		s int
-		d mem.Data
-		v bool
-	}
-	var es []ent
-	c.llc.ForEachRO(func(e *cache.Entry) {
-		if skipInvalid && e.State == 0 {
-			return
-		}
-		d := e.Data
-		if !e.DataValid {
-			d = mem.Data{}
-		}
-		es = append(es, ent{rnLine(e.Addr), e.State, d, e.DataValid})
-	})
-	sort.Slice(es, func(i, j int) bool { return es[i].a < es[j].a })
-	for _, e := range es {
-		fmt.Fprintf(w, "l%x:%d:%v:%v;", uint64(e.a), e.s, e.d, e.v)
-	}
-	lines := make([]mem.LineAddr, 0, len(c.dirs))
-	orig := make(map[mem.LineAddr]mem.LineAddr, len(c.dirs))
+// back to state 0, so "absent" and "present but reset" merge. The
+// controller's own id is left out: C3s are per-cluster, never permute,
+// and the checker hashes them in a fixed order.
+func (c *C3) Fingerprint(h *fp.Hasher, rn fp.Renamer, skipInvalid bool) {
+	c.llc.Fingerprint(h, rn, skipInvalid)
+	initial := c.initialLocal()
+	var dirs fp.Bag
 	for a, d := range c.dirs {
-		if d.class == c.initialLocal() && d.owner == msg.None && d.fwd == msg.None &&
-			d.sharers.Empty() {
+		if d.class == initial && d.owner == msg.None && d.fwd == msg.None && d.sharers.Empty() {
 			continue
 		}
-		r := rnLine(a)
-		lines = append(lines, r)
-		orig[r] = a
+		e := fp.New()
+		e.Line(a, rn)
+		e.String(string(d.class))
+		e.Node(d.owner, rn)
+		e.Node(d.fwd, rn)
+		e.Nodes(d.sharers, rn)
+		dirs.Add(e)
 	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, r := range lines {
-		d := c.dirs[orig[r]]
-		fmt.Fprintf(w, "d%x:%s:%d:%d:%v;", uint64(r), d.class, rnNode(d.owner),
-			rnNode(d.fwd), d.sharers.Rename(rnNode))
+	h.Bag(dirs)
+	var tbes fp.Bag
+	for a, t := range c.tbes {
+		e := fp.New()
+		e.Line(a, rn)
+		e.Int(int(t.kind))
+		e.Int(int(t.ph))
+		e.Int(t.pendingRsp)
+		e.Int(t.pendingAcks)
+		e.Bool(t.conflict != nil)
+		e.Bool(t.heldCmp != nil)
+		e.Int(t.haveAcks)
+		e.Int(t.needAcks)
+		e.Int(len(t.stalled))
+		tbes.Add(e)
 	}
-	lines = lines[:0]
-	for a := range c.tbes {
-		r := rnLine(a)
-		lines = append(lines, r)
-		orig[r] = a
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, r := range lines {
-		t := c.tbes[orig[r]]
-		fmt.Fprintf(w, "t%x:%d:%d:%d:%d:%v:%v:%d:%d:%d;", uint64(r), t.kind, t.ph,
-			t.pendingRsp, t.pendingAcks, t.conflict != nil, t.heldCmp != nil,
-			t.haveAcks, t.needAcks, len(t.stalled))
-	}
-	fmt.Fprintln(w)
+	h.Bag(tbes)
 }
 
 // CompoundOf reports the stable compound state of a line (local class,

@@ -110,6 +110,25 @@ func TestCrashCampaignDeterministic(t *testing.T) {
 	}
 }
 
+// TestCrashSoakLateAbortedRequestor sweeps seeds where the dead host's
+// read is still open at the DCOH, NAKed but awaiting a surviving snoop
+// response, when the isolation check runs. That is no reference to the
+// dead host, so every row must pass.
+func TestCrashSoakLateAbortedRequestor(t *testing.T) {
+	rep, err := RunSoak(SoakConfig{
+		Tests:   []string{"R", "SB"},
+		Plans:   CrashPlans(),
+		Seeds:   []int64{5, 9},
+		Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("crash soak broke the contract:\n%s", rep.Render())
+	}
+}
+
 // TestCrashSoakPresets: the crash presets resolve by name, sweep cleanly,
 // and render byte-identically for any worker count (the c3soak contract
 // extended to host crashes).

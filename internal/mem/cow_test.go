@@ -2,21 +2,24 @@ package mem
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"c3/internal/sim"
 )
 
-func dumpDRAM(d *DRAM) string {
-	var b strings.Builder
-	d.DumpState(&b)
-	return b.String()
+// contents reads, through the read-only Peek, every line the tests
+// write.
+func contents(d *DRAM) [6]Data {
+	var out [6]Data
+	for i := range out {
+		out[i] = d.Peek(LineAddr(i * LineBytes))
+	}
+	return out
 }
 
 // TestDRAMCOWIsolation drives random interleaved Pokes on a DRAM and
 // its clone: after the clone, no write on one side may show through the
-// other's Peek or DumpState.
+// other's Peek.
 func TestDRAMCOWIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for round := 0; round < 50; round++ {
@@ -31,27 +34,27 @@ func TestDRAMCOWIsolation(t *testing.T) {
 		if !p.Shared() || !c.Shared() {
 			t.Fatal("store not shared right after Clone")
 		}
-		if dumpDRAM(p) != dumpDRAM(c) {
-			t.Fatal("clone dumps differently from parent")
+		if contents(p) != contents(c) {
+			t.Fatal("clone reads differently from parent")
 		}
 		for step := 0; step < 16; step++ {
 			m, other := p, c
 			if rng.Intn(2) == 1 {
 				m, other = c, p
 			}
-			before := dumpDRAM(other)
+			before := contents(other)
 			var d Data
 			d.SetWord(1, uint64(step+1))
 			m.Poke(LineAddr(rng.Intn(6)*LineBytes), d)
-			if dumpDRAM(other) != before {
+			if contents(other) != before {
 				t.Fatalf("round %d step %d: Poke leaked to the other DRAM", round, step)
 			}
 		}
 	}
 }
 
-// TestDRAMCOWReadsDoNotMaterialize: Peek and DumpState on a fresh clone
-// must keep the store shared; the first write unshares it.
+// TestDRAMCOWReadsDoNotMaterialize: Peek on a fresh clone must keep the
+// store shared; the first write unshares it.
 func TestDRAMCOWReadsDoNotMaterialize(t *testing.T) {
 	k := &sim.Kernel{}
 	p := NewDRAM(k, DefaultDRAMConfig())
@@ -60,8 +63,7 @@ func TestDRAMCOWReadsDoNotMaterialize(t *testing.T) {
 	p.Poke(0, d)
 	c := p.Clone(k)
 
-	_ = c.Peek(0)
-	_ = dumpDRAM(c)
+	_ = contents(c)
 	if !c.Shared() {
 		t.Fatal("read-only access materialized the store")
 	}

@@ -1,9 +1,6 @@
 package mem
 
 import (
-	"fmt"
-	"io"
-	"sort"
 	"sync/atomic"
 
 	"c3/internal/sim"
@@ -91,10 +88,6 @@ func (d *DRAM) materialize() {
 	s.refs.Add(-1)
 }
 
-// Materialize forces a private copy of the line store now, as if a write
-// occurred (the checker's deep-copy cross-check mode).
-func (d *DRAM) Materialize() { d.materialize() }
-
 // Release drops the DRAM's reference to its store; the DRAM must not be
 // used afterwards. Optional — unreleased stores are garbage collected.
 func (d *DRAM) Release() {
@@ -159,20 +152,4 @@ func (d *DRAM) Peek(addr LineAddr) Data { return d.store.m[addr] }
 func (d *DRAM) Poke(addr LineAddr, data Data) {
 	d.materialize()
 	d.store.m[addr] = data
-}
-
-// DumpState writes a canonical rendering of memory contents for
-// model-checker hashing. Read-only: it never materializes a shared
-// store.
-func (d *DRAM) DumpState(w io.Writer) {
-	var lines []LineAddr
-	for a := range d.store.m {
-		lines = append(lines, a)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	fmt.Fprint(w, "DRAM")
-	for _, a := range lines {
-		fmt.Fprintf(w, "%x:%v;", uint64(a), d.store.m[a])
-	}
-	fmt.Fprintln(w)
 }

@@ -72,16 +72,6 @@ func (s NodeSet) IDs() []NodeID {
 	return out
 }
 
-// Rename returns the set with every member id replaced by rn(id). The
-// model checker's symmetry reduction uses it to fingerprint sharer
-// vectors under a canonical host renaming; rn must be injective on the
-// members (a permutation), or sharers would silently merge.
-func (s NodeSet) Rename(rn func(NodeID) NodeID) NodeSet {
-	var out NodeSet
-	s.ForEach(func(id NodeID) { out.Add(rn(id)) })
-	return out
-}
-
 // String renders like a sorted int slice ("[2 5]"), matching what the
 // pre-NodeSet dump code produced from sorted map keys.
 func (s NodeSet) String() string {

@@ -96,18 +96,17 @@ func Benchmarks() []Benchmark {
 			},
 		},
 		{
-			// One bounded exhaustive exploration of the CXL MP shape by
-			// snapshot cloning (mirrors internal/verif
-			// BenchmarkCheckerExpand at a smaller state budget). Both
-			// reductions are pinned off so the measurement tracks the raw
-			// expansion engine across baselines — the reduced path has its
-			// own micro below.
+			// One exhaustive exploration of the CXL MP shape by snapshot
+			// cloning (mirrors internal/verif BenchmarkCheckerExpand). POR
+			// is pinned off so every enabled delivery is expanded; MP
+			// admits no symmetry, so the fingerprint hashes each state
+			// once. The reduced path has its own micro below.
 			Name: "checker-expand", Ops: 1,
 			Setup: func(int) func() {
 				mcfg := mpModel()
 				return func() {
 					if _, err := verif.Check(mcfg, verif.CheckerConfig{
-						MaxStates: 20_000, Workers: 1, CanonOff: true, POROff: true,
+						MaxStates: 20_000, Workers: 1, POROff: true,
 					}); err != nil {
 						panic(fmt.Sprintf("perf: checker-expand: %v", err))
 					}

@@ -465,13 +465,16 @@ func (d *DCOH) ReclaimHost(h msg.NodeID) Reclaim {
 }
 
 // ReferencesHost reports whether any directory state still names h —
-// the post-reclamation isolation invariant must find none.
+// the post-reclamation isolation invariant must find none. The requestor
+// of an aborted transaction does not count: ReclaimHost has already
+// NAKed it, and the transaction stays open only to collect the
+// surviving snoop responses, never to grant.
 func (d *DCOH) ReferencesHost(h msg.NodeID) bool {
 	for _, l := range d.lines {
 		if l.owner == h || l.sharers.Has(h) {
 			return true
 		}
-		if l.cur != nil && (l.cur.pending.Has(h) || l.cur.req.Src == h) {
+		if l.cur != nil && (l.cur.pending.Has(h) || l.cur.req.Src == h && !l.cur.aborted) {
 			return true
 		}
 		for _, m := range l.queue {

@@ -403,6 +403,31 @@ func TestReclaimAbortsDeadRequestor(t *testing.T) {
 	}
 }
 
+// TestAbortedRequestorIsNotAReference: between ReclaimHost and the
+// surviving snoop response, the dead host's transaction is still open
+// but already NAKed. It must not count as a reference to the dead host,
+// or the isolation invariant fails whenever it is checked before the
+// transaction retires.
+func TestAbortedRequestorIsNotAReference(t *testing.T) {
+	k, _, d, h1, h2 := setup(t)
+	h2.send(&msg.Msg{Type: msg.MemRdS, Addr: lineA, Dst: 100, VNet: msg.VReq})
+	k.Run(nil)
+	h2.last(t, msg.CmpE)
+	h1.send(&msg.Msg{Type: msg.MemRdS, Addr: lineA, Dst: 100, VNet: msg.VReq})
+	k.Run(nil)
+	d.ReclaimHost(1)
+	k.Run(nil)
+	if !d.Busy(lineA) {
+		t.Fatal("the aborted transaction should stay open until h2 answers its snoop")
+	}
+	if d.ReferencesHost(1) {
+		t.Fatal("isolation invariant: the NAKed requestor of an open transaction counted as a reference")
+	}
+	if !d.ReferencesHost(2) {
+		t.Fatal("the surviving owner must still be referenced")
+	}
+}
+
 func TestReviveHostReadmitsCold(t *testing.T) {
 	k, _, d, h1, _ := setup(t)
 	h1.send(&msg.Msg{Type: msg.MemRdA, Addr: lineA, Dst: 100, VNet: msg.VReq})

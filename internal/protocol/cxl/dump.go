@@ -5,13 +5,13 @@ import (
 	"io"
 	"sort"
 
+	"c3/internal/fp"
 	"c3/internal/mem"
 	"c3/internal/msg"
 )
 
-// DumpState writes a canonical rendering for model-checker hashing.
-// NodeSet vectors render in ascending id order, like the sorted int
-// slices the pre-NodeSet code produced.
+// DumpState writes a readable rendering of the directory for the hang
+// watchdog's reports, lines in address order.
 func (d *DCOH) DumpState(w io.Writer) {
 	fmt.Fprint(w, "DCOH")
 	var lines []mem.LineAddr
@@ -30,35 +30,30 @@ func (d *DCOH) DumpState(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// DumpCanon writes the canonical (reduction-aware) rendering for the
-// model checker's canonical hash: line addresses render through rnLine
-// and host ids through rnNode (entries re-sorted by renamed address so
-// symmetric renamings fingerprint identically), and untouched default
-// lines (invalid, unowned, no transaction, empty queue) are dropped so
+// Fingerprint writes the directory into the model checker's state hash,
+// with line addresses and host ids renamed by rn. Untouched default
+// lines (invalid, unowned, no transaction, empty queue) are left out, so
 // "never referenced" and "referenced then fully released" merge.
-func (d *DCOH) DumpCanon(w io.Writer, rnLine func(mem.LineAddr) mem.LineAddr, rnNode func(msg.NodeID) msg.NodeID) {
-	fmt.Fprint(w, "DCOH")
-	lines := make([]mem.LineAddr, 0, len(d.lines))
-	orig := make(map[mem.LineAddr]mem.LineAddr, len(d.lines))
+func (d *DCOH) Fingerprint(h *fp.Hasher, rn fp.Renamer) {
+	var lines fp.Bag
 	for a, l := range d.lines {
 		if l.state == dI && l.owner == msg.None && l.sharers.Empty() && l.cur == nil &&
 			len(l.queue) == 0 {
 			continue
 		}
-		r := rnLine(a)
-		lines = append(lines, r)
-		orig[r] = a
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, r := range lines {
-		l := d.lines[orig[r]]
-		fmt.Fprintf(w, "%x:%d:%d:%v", uint64(r), l.state, rnNode(l.owner),
-			l.sharers.Rename(rnNode))
+		e := fp.New()
+		e.Line(a, rn)
+		e.Int(l.state)
+		e.Node(l.owner, rn)
+		e.Nodes(l.sharers, rn)
+		e.Bool(l.cur != nil)
 		if l.cur != nil {
-			fmt.Fprintf(w, ":tx%d:%v:%v", rnNode(l.cur.req.Src), l.cur.pending.Rename(rnNode),
-				l.cur.dirty)
+			e.Node(l.cur.req.Src, rn)
+			e.Nodes(l.cur.pending, rn)
+			e.Bool(l.cur.dirty)
 		}
-		fmt.Fprintf(w, ":q%d;", len(l.queue))
+		e.Int(len(l.queue))
+		lines.Add(e)
 	}
-	fmt.Fprintln(w)
+	h.Bag(lines)
 }

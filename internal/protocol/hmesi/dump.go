@@ -5,13 +5,13 @@ import (
 	"io"
 	"sort"
 
+	"c3/internal/fp"
 	"c3/internal/mem"
 	"c3/internal/msg"
 )
 
-// DumpState writes a canonical rendering for model-checker hashing.
-// NodeSet vectors render in ascending id order, like the sorted int
-// slices the pre-NodeSet code produced.
+// DumpState writes a readable rendering of the directory for the hang
+// watchdog's reports, lines in address order.
 func (d *Dir) DumpState(w io.Writer) {
 	fmt.Fprint(w, "HDIR")
 	var lines []mem.LineAddr
@@ -27,32 +27,28 @@ func (d *Dir) DumpState(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// DumpCanon writes the canonical (reduction-aware) rendering for the
-// model checker's canonical hash: line addresses render through rnLine
-// and host ids through rnNode (entries re-sorted by renamed address so
-// symmetric renamings fingerprint identically), and untouched default
-// lines are dropped so "never referenced" and "referenced then fully
-// released" merge. lastFwdFrom stays excluded, matching DumpState: it is
-// a crash-recovery breadcrumb, not protocol-visible state.
-func (d *Dir) DumpCanon(w io.Writer, rnLine func(mem.LineAddr) mem.LineAddr, rnNode func(msg.NodeID) msg.NodeID) {
-	fmt.Fprint(w, "HDIR")
-	lines := make([]mem.LineAddr, 0, len(d.lines))
-	orig := make(map[mem.LineAddr]mem.LineAddr, len(d.lines))
+// Fingerprint writes the directory into the model checker's state hash,
+// with line addresses and host ids renamed by rn. Untouched default
+// lines are left out, so "never referenced" and "referenced then fully
+// released" merge. lastFwdFrom stays out too: it is a crash-recovery
+// breadcrumb, not protocol-visible state.
+func (d *Dir) Fingerprint(h *fp.Hasher, rn fp.Renamer) {
+	var lines fp.Bag
 	for a, l := range d.lines {
 		if l.state == hI && l.owner == msg.None && l.sharers.Empty() && !l.busy &&
 			l.copyBackFrom == msg.None && l.pendingReq == msg.None && len(l.queue) == 0 {
 			continue
 		}
-		r := rnLine(a)
-		lines = append(lines, r)
-		orig[r] = a
+		e := fp.New()
+		e.Line(a, rn)
+		e.Int(l.state)
+		e.Node(l.owner, rn)
+		e.Nodes(l.sharers, rn)
+		e.Bool(l.busy)
+		e.Node(l.copyBackFrom, rn)
+		e.Node(l.pendingReq, rn)
+		e.Int(len(l.queue))
+		lines.Add(e)
 	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, r := range lines {
-		l := d.lines[orig[r]]
-		fmt.Fprintf(w, "%x:%d:%d:%v:%v:%d:%d:q%d;", uint64(r), l.state, rnNode(l.owner),
-			l.sharers.Rename(rnNode), l.busy, rnNode(l.copyBackFrom),
-			rnNode(l.pendingReq), len(l.queue))
-	}
-	fmt.Fprintln(w)
+	h.Bag(lines)
 }

@@ -6,13 +6,13 @@ import (
 	"sort"
 
 	"c3/internal/cache"
+	"c3/internal/fp"
 	"c3/internal/mem"
-	"c3/internal/msg"
 )
 
-// DumpState writes a canonical rendering of all architectural state, used
-// by the model checker to hash and deduplicate global states. Map
-// iteration is sorted so equal states dump identically.
+// DumpState writes a readable rendering of all architectural state for
+// the hang watchdog's reports. Map iteration is sorted so equal states
+// dump identically.
 func (l *L1) DumpState(w io.Writer) {
 	fmt.Fprintf(w, "L1[%d]", l.id)
 	dumpCache(w, l.c)
@@ -38,43 +38,37 @@ func (l *L1) DumpState(w io.Writer) {
 	fmt.Fprintf(w, "d%d\n", len(l.deferred))
 }
 
-// DumpCanon writes the canonical (reduction-aware) rendering of the L1
-// for the model checker's canonical hash. The header carries the
-// caller's canonical slot id instead of the node id, line addresses
-// render through rnLine (sorted by renamed address, so symmetric
-// renamings fingerprint identically), payloads of frames whose data is
-// stale (!DataValid) are masked, and — when skipInvalid is set, i.e. the
-// caller has proven set conflicts impossible — frames invalidated back
-// to state I are dropped, merging "invalid frame present" with "frame
-// absent" (the protocol treats both as a miss).
-func (l *L1) DumpCanon(w io.Writer, slot msg.NodeID, rnLine func(mem.LineAddr) mem.LineAddr, skipInvalid bool) {
-	fmt.Fprintf(w, "L1[%d]", slot)
-	dumpCacheCanon(w, l.c, rnLine, skipInvalid)
-	lines := make([]mem.LineAddr, 0, len(l.reqs))
-	orig := make(map[mem.LineAddr]mem.LineAddr, len(l.reqs))
-	for a := range l.reqs {
-		r := rnLine(a)
-		lines = append(lines, r)
-		orig[r] = a
+// Fingerprint writes the L1's state into the model checker's state hash,
+// with line addresses renamed by rn. The node id is left out: the
+// checker hashes L1s in canonical slot order. Stale payloads are left
+// out, and when skipInvalid is set (the caller has proven set conflicts
+// impossible) so are frames invalidated back to state I, merging
+// "invalid frame present" with "frame absent": the protocol treats both
+// as a miss.
+func (l *L1) Fingerprint(h *fp.Hasher, rn fp.Renamer, skipInvalid bool) {
+	l.c.Fingerprint(h, rn, skipInvalid)
+	var reqs fp.Bag
+	for a, t := range l.reqs {
+		e := fp.New()
+		e.Line(a, rn)
+		e.Bool(t.wantM)
+		e.Int(len(t.ops))
+		e.Bool(t.invalidated)
+		e.Int(t.opsAtInv)
+		e.Int(len(t.stalledSnps))
+		reqs.Add(e)
 	}
-	sortLines(lines)
-	for _, r := range lines {
-		t := l.reqs[orig[r]]
-		fmt.Fprintf(w, "R%x:%v:%d:%v:%d:%d;", uint64(r), t.wantM, len(t.ops), t.invalidated,
-			t.opsAtInv, len(t.stalledSnps))
+	h.Bag(reqs)
+	var evs fp.Bag
+	for a, t := range l.evs {
+		e := fp.New()
+		e.Line(a, rn)
+		e.Int(t.state)
+		e.Data(&t.data)
+		evs.Add(e)
 	}
-	lines = lines[:0]
-	for a := range l.evs {
-		r := rnLine(a)
-		lines = append(lines, r)
-		orig[r] = a
-	}
-	sortLines(lines)
-	for _, r := range lines {
-		t := l.evs[orig[r]]
-		fmt.Fprintf(w, "E%x:%d:%v;", uint64(r), t.state, t.data)
-	}
-	fmt.Fprintf(w, "d%d\n", len(l.deferred))
+	h.Bag(evs)
+	h.Int(len(l.deferred))
 }
 
 // DumpState for RCC caches.
@@ -113,33 +107,6 @@ func dumpCache(w io.Writer, c *cache.Cache) {
 	var es []ent
 	c.ForEachRO(func(e *cache.Entry) {
 		es = append(es, ent{e.Addr, e.State, e.Data, e.DataValid})
-	})
-	sort.Slice(es, func(i, j int) bool { return es[i].a < es[j].a })
-	for _, e := range es {
-		fmt.Fprintf(w, "c%x:%d:%v:%v;", uint64(e.a), e.s, e.d, e.v)
-	}
-}
-
-// dumpCacheCanon is dumpCache under a line renaming: entries sort by
-// renamed address, stale payloads are masked, and state-I frames are
-// dropped when the caller allows it.
-func dumpCacheCanon(w io.Writer, c *cache.Cache, rnLine func(mem.LineAddr) mem.LineAddr, skipInvalid bool) {
-	type ent struct {
-		a mem.LineAddr
-		s int
-		d mem.Data
-		v bool
-	}
-	var es []ent
-	c.ForEachRO(func(e *cache.Entry) {
-		if skipInvalid && e.State == 0 {
-			return
-		}
-		d := e.Data
-		if !e.DataValid {
-			d = mem.Data{}
-		}
-		es = append(es, ent{rnLine(e.Addr), e.State, d, e.DataValid})
 	})
 	sort.Slice(es, func(i, j int) bool { return es[i].a < es[j].a })
 	for _, e := range es {

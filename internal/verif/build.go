@@ -2,20 +2,12 @@ package verif
 
 import (
 	"fmt"
-	"io"
 
 	"c3/internal/msg"
-	"c3/internal/network"
 	"c3/internal/protocol/cxl"
 	"c3/internal/protocol/hmesi"
 	"c3/internal/protocol/hostproto"
 )
-
-// portDumper is a network endpoint the checker can hash.
-type portDumper interface {
-	network.Port
-	DumpState(io.Writer)
-}
 
 func newDCOH(id msg.NodeID, m *Model) *cxl.DCOH {
 	d := cxl.New(id, m.K, m.Fabric, m.dram)

@@ -1,23 +1,20 @@
 package verif
 
 import (
-	"fmt"
-	"hash/fnv"
-	"io"
-	"sort"
-
 	"c3/internal/cpu"
+	"c3/internal/fp"
 	"c3/internal/litmus"
 	"c3/internal/mem"
 	"c3/internal/msg"
 )
 
-// This file implements the checker's state-space reductions: canonical
-// hashing (states differing only in transient bookkeeping merge) and
-// symmetry reduction (states differing only by a renaming of
-// interchangeable hosts and line addresses merge). Both act purely at
-// fingerprint time — the explored models are untouched, so witnesses,
-// invariant messages, and replays always describe concrete states.
+// This file implements the checker's state fingerprint and the two
+// reductions it carries: canonical hashing (states differing only in
+// transient bookkeeping merge) and symmetry reduction (states differing
+// only by a renaming of interchangeable hosts and line addresses merge).
+// Both act purely at fingerprint time — the explored models are
+// untouched, so witnesses, invariant messages, and replays always
+// describe concrete states.
 //
 // Soundness of the symmetry group (see DESIGN.md §14): a candidate
 // renaming pairs a permutation of threads with a permutation of
@@ -37,13 +34,14 @@ import (
 // automorphism group of the labeled program structure), so taking the
 // minimum fingerprint over it picks one canonical representative per
 // orbit. Variable permutations (and the invalid-frame dropping in the
-// canonical dumps) additionally require that distinct variables can
+// fingerprint) additionally require that distinct variables can
 // never contend for a cache set — guaranteed when the test has at most
 // 16 variables (the L1 set count; LLC has 64 sets) and the LLC is not
 // shrunk by TinyLLC; otherwise variables stay pinned.
 
 // symPerm is one admitted renaming. perms[0] is always the identity.
 type symPerm struct {
+	sym      *symmetry // line tables the renaming indexes by
 	identity bool
 	tperm    []int // original thread -> canonical slot
 	threadAt []int // canonical slot -> original thread
@@ -56,7 +54,7 @@ type symPerm struct {
 type symmetry struct {
 	perms    []symPerm
 	lineIdx  map[mem.LineAddr]int // variable line -> var index
-	varLines []mem.LineAddr      // var index -> line
+	varLines []mem.LineAddr       // var index -> line
 	vars     []litmus.Var
 	nThreads int
 	// porOK gates the partial-order reduction and the invalid-frame /
@@ -149,6 +147,7 @@ func newSymmetry(mcfg ModelConfig) *symmetry {
 
 	identPerm := func() symPerm {
 		p := symPerm{
+			sym:   s,
 			tperm: make([]int, n), threadAt: make([]int, n),
 			vperm: make([]int, len(t.Vars)), varAt: make([]int, len(t.Vars)),
 		}
@@ -224,6 +223,14 @@ func newSymmetry(mcfg ModelConfig) *symmetry {
 	return s
 }
 
+// identityOnly returns the group cut down to the identity renaming: the
+// same fingerprint, with no symmetric states folded together.
+func (s *symmetry) identityOnly() *symmetry {
+	id := *s
+	id.perms = s.perms[:1]
+	return &id
+}
+
 func fact(n int) int {
 	f := 1
 	for i := 2; i <= n; i++ {
@@ -255,115 +262,96 @@ func permutations(n int) [][]int {
 	return out
 }
 
-// identityNode and identityLine avoid per-dump closure allocations for
-// the (overwhelmingly common) identity renaming.
-func identityNode(id msg.NodeID) msg.NodeID   { return id }
-func identityLine(a mem.LineAddr) mem.LineAddr { return a }
-
-func (s *symmetry) rnNodeFn(p *symPerm) func(msg.NodeID) msg.NodeID {
-	if p.identity {
-		return identityNode
+// Node implements fp.Renamer: thread t's L1 (node 4+t) becomes the L1
+// of the slot t takes; every other node stays put.
+func (p *symPerm) Node(id msg.NodeID) msg.NodeID {
+	if t := int(id) - 4; !p.identity && t >= 0 && t < len(p.tperm) {
+		return msg.NodeID(4 + p.tperm[t])
 	}
-	return func(id msg.NodeID) msg.NodeID {
-		if t := int(id) - 4; t >= 0 && t < s.nThreads {
-			return msg.NodeID(4 + p.tperm[t])
-		}
-		return id
-	}
+	return id
 }
 
-func (s *symmetry) rnLineFn(p *symPerm) func(mem.LineAddr) mem.LineAddr {
-	if p.identity {
-		return identityLine
-	}
-	return func(a mem.LineAddr) mem.LineAddr {
-		if i, ok := s.lineIdx[a]; ok {
-			return s.varLines[p.vperm[i]]
+// Line implements fp.Renamer: a variable's line becomes the line of the
+// variable it renames to; every other line stays put.
+func (p *symPerm) Line(a mem.LineAddr) mem.LineAddr {
+	if !p.identity {
+		if i, ok := p.sym.lineIdx[a]; ok {
+			return p.sym.varLines[p.vperm[i]]
 		}
-		return a
 	}
+	return a
 }
 
-// HashCanon fingerprints the canonical representative of the model's
-// symmetry orbit: the minimum canonical-dump hash over the admitted
-// renaming group. The second return reports whether the minimum came
-// from a non-identity renaming — i.e. whether this state folded onto a
-// symmetric sibling rather than hashing as its own canonical form.
-func (m *Model) HashCanon(s *symmetry) (uint64, bool) {
-	h := fnv.New64a()
-	m.dumpCanon(h, s, &s.perms[0])
-	best := h.Sum64()
+// fingerprint hashes the canonical representative of the model's
+// symmetry orbit: the minimum state hash over the admitted renaming
+// group. The second return reports whether the minimum came from a
+// non-identity renaming, i.e. whether this state folds onto a symmetric
+// sibling rather than hashing as its own canonical form. Which renaming
+// attains the minimum depends on the hash function, so the fold report
+// does too; which states merge does not.
+func (m *Model) fingerprint(s *symmetry) (uint64, bool) {
+	best := m.fingerprintAs(s, &s.perms[0])
 	renamed := false
 	for i := 1; i < len(s.perms); i++ {
-		h := fnv.New64a()
-		m.dumpCanon(h, s, &s.perms[i])
-		if v := h.Sum64(); v < best {
+		if v := m.fingerprintAs(s, &s.perms[i]); v < best {
 			best, renamed = v, true
 		}
 	}
 	return best, renamed
 }
 
-// dumpCanon renders the model's canonical dump under one renaming, in
-// Build's component order. Differences from the raw DumpState path:
+// fingerprintAs hashes the model under one renaming, in Build's
+// component order:
 //
-//   - components render through the renaming (thread slots, node ids in
+//   - components hash through the renaming (thread slots, node ids in
 //     sharer vectors and messages, line addresses);
-//   - pure bookkeeping is excluded (default directory entries,
-//     invalid cache frames where set conflicts are impossible, stale
-//     payloads of !DataValid frames);
-//   - protocol-relevant state the raw dump omits is ADDED — register
-//     files, source fetch positions, message VNet/Word/Mask/Acq/Rel/
-//     Poisoned — so the canonical hash is never coarser than real
-//     state where it matters.
-func (m *Model) dumpCanon(w io.Writer, s *symmetry, p *symPerm) {
-	rnLine := s.rnLineFn(p)
-	rnNode := s.rnNodeFn(p)
-	rnAddr := func(a mem.Addr) mem.Addr {
-		l := a.Line()
-		return mem.Addr(rnLine(l)) + (a - mem.Addr(l))
-	}
+//   - pure bookkeeping is left out (default directory entries, invalid
+//     cache frames where set conflicts are impossible, stale payloads of
+//     !DataValid frames, sequence numbers, statistics);
+//   - register files and fetch positions are in, so states that differ
+//     only in loaded values never merge.
+func (m *Model) fingerprintAs(s *symmetry, p *symPerm) uint64 {
 	// Invalid-frame dropping is per-level: L1s have 16 sets, the LLC 64
 	// (unless TinyLLC shrinks it), so each gate needs set conflicts
 	// impossible at that level.
 	skipL1 := len(s.vars) <= 16
 	skipLLC := !m.cfg.TinyLLC && len(s.vars) <= 16
+	h := fp.New()
 	for slot := 0; slot < s.nThreads; slot++ {
 		ti := p.threadAt[slot]
-		m.cores[ti].DumpCanon(w, slot, rnAddr)
+		m.cores[ti].Fingerprint(&h, p)
 		src := m.srcs[ti]
-		regs := make([]int, 0, len(src.Regs))
-		for r := range src.Regs {
-			regs = append(regs, r)
+		var regs fp.Bag
+		for r, v := range src.Regs {
+			e := fp.New()
+			e.Int(r)
+			e.Word(v)
+			regs.Add(e)
 		}
-		sort.Ints(regs)
-		fmt.Fprintf(w, "REG[%d]", slot)
-		for _, r := range regs {
-			fmt.Fprintf(w, "r%d=%d;", r, src.Regs[r])
-		}
-		fmt.Fprintf(w, "p%d\n", src.Pos())
+		h.Bag(regs)
+		h.Int(src.Pos())
 	}
 	for slot := 0; slot < s.nThreads; slot++ {
-		m.l1s[p.threadAt[slot]].l1.DumpCanon(w, msg.NodeID(4+slot), rnLine, skipL1)
+		m.l1s[p.threadAt[slot]].l1.Fingerprint(&h, p, skipL1)
 	}
 	for _, c3 := range m.c3s {
-		c3.DumpCanon(w, rnLine, rnNode, skipLLC)
+		c3.Fingerprint(&h, p, skipLLC)
 	}
 	if m.dcoh != nil {
-		m.dcoh.DumpCanon(w, rnLine, rnNode)
+		m.dcoh.Fingerprint(&h, p)
 	}
 	if m.hdir != nil {
-		m.hdir.DumpCanon(w, rnLine, rnNode)
+		m.hdir.Fingerprint(&h, p)
 	}
-	// DRAM renders per canonical variable slot via Peek, which
-	// normalizes "line absent" and "line holding zeroes" — the raw dump
-	// distinguishes them even though reads cannot.
-	fmt.Fprint(w, "DRAM")
+	// DRAM hashes per canonical variable slot via Peek, which does not
+	// distinguish "line absent" from "line holding zeroes"; reads cannot
+	// either.
 	for slot := range s.varLines {
-		fmt.Fprintf(w, "%d:%v;", slot, m.dram.Peek(s.varLines[p.varAt[slot]]))
+		d := m.dram.Peek(s.varLines[p.varAt[slot]])
+		h.Data(&d)
 	}
-	fmt.Fprintln(w)
-	m.Fabric.DumpCanon(w, rnLine, rnNode)
+	m.Fabric.Fingerprint(&h, p)
+	return h.Sum()
 }
 
 // outcomeOrbit returns the images of a terminal outcome under every

@@ -55,7 +55,9 @@ type Report struct {
 	SnapshotBudgetEnd int
 	// SymmetryMerges counts successor states that folded onto an
 	// already-visited state through a non-identity symmetry renaming —
-	// the observable yield of the symmetry reduction.
+	// the observable yield of the symmetry reduction. It records which
+	// renaming attains the orbit's minimum fingerprint, so it moves with
+	// the hash function; States, which count orbits, do not.
 	SymmetryMerges uint64
 	// PORSkips counts successor expansions the partial-order reduction
 	// skipped (enabled deliveries proven independent of the chosen
@@ -97,11 +99,6 @@ type CheckerConfig struct {
 	OnProgress func(Progress)
 	// ProgressEvery is the OnProgress period in states (0 -> 2048).
 	ProgressEvery uint64
-	// DeepCopySnapshots forces every successor clone to materialize all
-	// copy-on-write backings eagerly (Model.Materialize), reproducing the
-	// pre-COW checker's deep copies. Kept as a cross-check: COW and
-	// deep-copy exploration must produce identical Reports.
-	DeepCopySnapshots bool
 	// Deadline bounds the exploration's wall clock (zero = none). When it
 	// passes, Check returns the partial Report with an error wrapping
 	// ErrCheckDeadline.
@@ -122,17 +119,13 @@ type CheckerConfig struct {
 	// (0 -> 256). Sampling stops the world, so it is strided; small
 	// values are for tests and tiny state spaces.
 	MemSampleEvery int
-	// CanonOff disables canonical hashing and symmetry reduction,
-	// fingerprinting states with the raw DumpState hash exactly as the
-	// pre-reduction checker did (the -canon=off escape hatch).
-	CanonOff bool
 	// POROff disables the partial-order reduction, expanding every
 	// enabled delivery at every state.
 	POROff bool
-	// CrossCheck runs the reduced and unreduced explorations back to
-	// back and errors unless their Outcomes and violation verdicts
-	// match — the DeepCopySnapshots-style proof harness for the
-	// reduction layer. Cost: both explorations run in full.
+	// CrossCheck runs the reduced exploration and an unreduced reference
+	// (identity renaming only, POR off) back to back and errors unless
+	// their Outcomes and violation verdicts match — the proof harness for
+	// the reduction layer. Cost: both explorations run in full.
 	CrossCheck bool
 }
 
@@ -158,11 +151,23 @@ type Progress struct {
 // whose Path replays the failure via Replay (witnesses other than
 // livelocks are first minimized by delta-debugging).
 //
-// States are expanded by deep-copying the frontier snapshot
+// States are expanded by copy-on-write cloning the frontier snapshot
 // (Model.Clone) and delivering one message to each copy; the delivery
 // prefix is re-executed from the root only for entries whose snapshot
 // was dropped (SnapshotBudget) or when ReplayFromRoot is set.
 func Check(mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
+	// sym is the admitted renaming group (identity-only for asymmetric
+	// tests); the POR shares its line index and set-conflict gate.
+	sym := newSymmetry(mcfg)
+	if ccfg.CrossCheck {
+		return crossCheck(mcfg, ccfg, sym)
+	}
+	return check(mcfg, ccfg, sym)
+}
+
+// check explores mcfg's state space, merging states whose fingerprints
+// agree under the renaming group sym.
+func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (*Report, error) {
 	if ccfg.MaxStates == 0 {
 		ccfg.MaxStates = 200_000
 	}
@@ -172,27 +177,12 @@ func Check(mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
 	if ccfg.SnapshotBudget == 0 {
 		ccfg.SnapshotBudget = 4096
 	}
-	if ccfg.CrossCheck {
-		return crossCheck(mcfg, ccfg)
-	}
-	// sym is the admitted renaming group (identity-only for asymmetric
-	// tests); the POR shares its line index and set-conflict gate.
-	sym := newSymmetry(mcfg)
-	// hashOf fingerprints a state: the canonical orbit-minimum hash, or
-	// the raw DumpState hash under -canon=off. The second return reports
-	// a non-identity renaming produced the minimum (a symmetry fold).
-	hashOf := func(m *Model) (uint64, bool) {
-		if ccfg.CanonOff {
-			return m.Hash(), false
-		}
-		return m.HashCanon(sym)
-	}
 	rep := &Report{Outcomes: map[string]bool{}}
-	// visited dedups states by their 64-bit FNV-1a fingerprint. Caveat:
-	// two distinct states that collide in 64 bits would silently merge,
+	// visited dedups states by their 64-bit fingerprint. Caveat: two
+	// distinct states that collide in 64 bits would silently merge,
 	// pruning part of the space — with ~10^6 states the collision odds
 	// are ~(states^2)/2^65 ≈ 10^-8, accepted for the memory savings of
-	// not retaining canonical state strings.
+	// not retaining whole states.
 	visited := make(map[uint64]struct{})
 
 	checkForbidden := mcfg.Test.Forbidden != nil &&
@@ -259,7 +249,7 @@ func Check(mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
 		return nil, err
 	}
 	rep.Builds++
-	h0, _ := hashOf(m0)
+	h0, _ := m0.fingerprint(sym)
 	visited[h0] = struct{}{}
 	rep.States++
 	if err := m0.checkInvariants(); err != nil {
@@ -381,11 +371,7 @@ func Check(mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
 			// terminal in its orbit: record the orbit images too, so the
 			// outcome set (and the Forbidden verdict) matches an
 			// unreduced exploration.
-			outs := []litmus.Outcome{o}
-			if !ccfg.CanonOff {
-				outs = append(outs, sym.outcomeOrbit(o)...)
-			}
-			for _, oo := range outs {
+			for _, oo := range append([]litmus.Outcome{o}, sym.outcomeOrbit(o)...) {
 				rep.Outcomes[oo.String()] = true
 				if checkForbidden && mcfg.Test.Forbidden(oo) {
 					return rep, fail(VForbidden, oo.String(), path)
@@ -412,12 +398,9 @@ func Check(mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
 		if !ccfg.POROff && len(acts) > 1 {
 			if ample := base.ampleAction(sym, acts); ample >= 0 {
 				probe := base.Clone()
-				if ccfg.DeepCopySnapshots {
-					probe.Materialize()
-				}
 				rep.Clones++
 				probe.Step(acts[ample])
-				h, _ := hashOf(probe)
+				h, _ := probe.fingerprint(sym)
 				if _, seen := visited[h]; !seen {
 					rep.PORSkips += uint64(len(acts) - 1)
 					visited[h] = struct{}{}
@@ -477,13 +460,10 @@ func Check(mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
 					}
 				} else {
 					m = base.Clone()
-					if ccfg.DeepCopySnapshots {
-						m.Materialize()
-					}
 				}
 				m.Step(m.Fabric.Enabled()[ai])
 				s := successor{invErr: m.checkInvariants()}
-				s.hash, s.renamed = hashOf(m)
+				s.hash, s.renamed = m.fingerprint(sym)
 				if ccfg.ReplayFromRoot {
 					m.Release()
 				} else {
@@ -565,25 +545,21 @@ func Check(mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
 	return rep, nil
 }
 
-// crossCheck runs the reduced and unreduced explorations back to back
-// and verifies the reduction lost nothing: every unreduced outcome must
-// appear in the reduced outcome set, and violations must agree in kind.
-// The reduced set may be a strict superset — the raw fingerprint omits
-// register files and fetch positions, so the unreduced checker can
-// merge states that differ only in loaded values and lose their
-// terminals (CoRR2 is the canonical example: 8 raw outcomes vs 18
-// real ones); the canonical hash includes both and recovers them.
-// Truncated runs are not comparable (the two checkers truncate at
-// different points of the space) and skip the comparison. The returned
-// Report is the reduced one with the unreduced run's build/clone costs
-// folded in.
-func crossCheck(mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
-	red := ccfg
-	red.CrossCheck = false
-	unred := red
-	unred.CanonOff, unred.POROff = true, true
-	repR, errR := Check(mcfg, red)
-	repU, errU := Check(mcfg, unred)
+// crossCheck runs the reduced exploration and an unreduced reference
+// back to back and verifies the reduction lost nothing: the two must
+// agree on the violation kind and reach the same outcome set. The
+// reference hashes states with the same fingerprint under the identity
+// renaming alone, with POR off, so it merges only states that agree on
+// everything but bookkeeping; being sound, it must match the reduced
+// outcome set exactly. Truncated runs are not comparable (the two
+// explorations truncate at different points of the space) and skip the
+// comparison. The returned Report is the reduced one with the
+// reference's build/clone costs folded in.
+func crossCheck(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (*Report, error) {
+	unred := ccfg
+	unred.POROff = true
+	repR, errR := check(mcfg, ccfg, sym)
+	repU, errU := check(mcfg, unred, sym.identityOnly())
 	if repR != nil && repU != nil {
 		repR.Builds += repU.Builds
 		repR.Clones += repU.Clones
@@ -618,6 +594,12 @@ func crossCheck(mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
 	for o := range repU.Outcomes {
 		if !repR.Outcomes[o] {
 			return repR, fmt.Errorf("verif: cross-check mismatch on %s: unreduced outcome %q missing from reduced set",
+				mcfg.Test.Name, o)
+		}
+	}
+	for o := range repR.Outcomes {
+		if !repU.Outcomes[o] {
+			return repR, fmt.Errorf("verif: cross-check mismatch on %s: reduced outcome %q not reached unreduced",
 				mcfg.Test.Name, o)
 		}
 	}

@@ -14,10 +14,12 @@
 //   - data-value agreement among valid copies, and at terminal states the
 //     absence of litmus-forbidden outcomes.
 //
-// Exploration uses breadth-first search with state-hash deduplication;
-// states are reconstructed by deterministic re-execution of the delivery
-// prefix (components are event-driven and single-threaded, so a prefix
-// uniquely determines the state).
+// Exploration is breadth-first with state-fingerprint deduplication. A
+// frontier state is kept as a copy-on-write snapshot (Model.Clone) and
+// expanded by cloning it once per enabled delivery. A state whose
+// snapshot was dropped to bound memory is rebuilt by re-executing its
+// delivery prefix on a fresh model: components are event-driven and
+// single-threaded, so a prefix determines the state.
 package verif
 
 import (
@@ -25,7 +27,7 @@ import (
 	"sort"
 	"strings"
 
-	"c3/internal/mem"
+	"c3/internal/fp"
 	"c3/internal/msg"
 	"c3/internal/network"
 )
@@ -48,8 +50,8 @@ func (k chKey) less(o chKey) bool {
 
 // channel is one ordered FIFO. Channels live in a slice kept sorted by
 // key; a drained channel keeps its slot (the set of channels a litmus
-// system ever uses is tiny and stable), so Enabled and DumpState walk
-// an already-canonical order with no per-call sort.
+// system ever uses is tiny and stable), so Enabled walks an
+// already-canonical order with no per-call sort.
 type channel struct {
 	key chKey
 	q   []*msg.Msg
@@ -144,10 +146,9 @@ func (f *ChoiceFabric) Clone() *ChoiceFabric {
 	return n
 }
 
-// CrossPair, when non-nil, identifies directed pairs whose ordered
-// vnets share one FIFO is the *inverse*: intra-cluster pairs (not
-// cross-fabric) are point-to-point ordered across vnets, mirroring the
-// timed network.
+// channelOf returns the ordered channel m travels on. Cross-fabric
+// messages get one FIFO per vnet; an intra-cluster pair shares one FIFO
+// across all vnets, point-to-point ordered like the timed network.
 func (f *ChoiceFabric) channelOf(m *msg.Msg) chKey {
 	if f.CrossFabric != nil && f.CrossFabric(m) {
 		// Cross-fabric ordered channel (the FIFO response vnet).
@@ -259,66 +260,36 @@ func (f *ChoiceFabric) Empty() bool {
 	return true
 }
 
-// DumpState renders in-flight messages canonically for hashing. Drained
-// channels are skipped, so the rendering matches the pre-slice code
-// that deleted them.
-func (f *ChoiceFabric) DumpState(w writerTo) {
-	fmt.Fprint(w, "NET")
+// Fingerprint writes the in-flight messages into the model checker's
+// state hash, with line addresses and node ids renamed by rn. Drained
+// channels are left out. The non-empty channels hash as a bag keyed by
+// their renamed endpoints, each queue in FIFO order, and the reorderable
+// bag hashes as a bag of messages.
+func (f *ChoiceFabric) Fingerprint(h *fp.Hasher, rn fp.Renamer) {
+	var chans fp.Bag
 	for i := range f.chans {
 		c := &f.chans[i]
 		if len(c.q) == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "[%d>%d.%d", c.key.src, c.key.dst, c.key.vnet)
+		e := fp.New()
+		e.Node(c.key.src, rn)
+		e.Node(c.key.dst, rn)
+		e.Int(int(c.key.vnet))
+		e.Int(len(c.q))
 		for _, m := range c.q {
-			dumpMsg(w, m)
+			fingerprintMsg(&e, m, rn)
 		}
-		fmt.Fprint(w, "]")
+		chans.Add(e)
 	}
-	// The bag is order-insensitive: dump sorted renderings.
-	var rs []string
+	h.Bag(chans)
+	var bag fp.Bag
 	for _, m := range f.bag {
-		rs = append(rs, m.String())
+		e := fp.New()
+		fingerprintMsg(&e, m, rn)
+		bag.Add(e)
 	}
-	sort.Strings(rs)
-	fmt.Fprintf(w, "bag%v\n", rs)
-}
-
-// DumpCanon renders in-flight messages for the canonical hash: line
-// addresses go through rnLine and node ids through rnNode, channels are
-// re-sorted by their renamed key, and every protocol-visible field is
-// included (VNet, Word, Mask, Acq/Rel, Poisoned — fields the raw dump
-// omits; the canonical hash must be at least as fine as real state).
-func (f *ChoiceFabric) DumpCanon(w writerTo, rnLine func(mem.LineAddr) mem.LineAddr, rnNode func(msg.NodeID) msg.NodeID) {
-	fmt.Fprint(w, "NET")
-	type rch struct {
-		key chKey
-		q   []*msg.Msg
-	}
-	rcs := make([]rch, 0, len(f.chans))
-	for i := range f.chans {
-		c := &f.chans[i]
-		if len(c.q) == 0 {
-			continue
-		}
-		rcs = append(rcs, rch{chKey{rnNode(c.key.src), rnNode(c.key.dst), c.key.vnet}, c.q})
-	}
-	sort.Slice(rcs, func(i, j int) bool { return rcs[i].key.less(rcs[j].key) })
-	for _, c := range rcs {
-		fmt.Fprintf(w, "[%d>%d.%d", c.key.src, c.key.dst, c.key.vnet)
-		for _, m := range c.q {
-			dumpMsgCanon(w, m, rnLine, rnNode)
-		}
-		fmt.Fprint(w, "]")
-	}
-	var rs []string
-	for _, m := range f.bag {
-		var b strings.Builder
-		dumpMsgCanon(&b, m, rnLine, rnNode)
-		rs = append(rs, b.String())
-	}
-	sort.Strings(rs)
-	fmt.Fprintf(w, "bag%v\n", rs)
+	h.Bag(bag)
 }
 
 // ForEachInFlight visits every in-flight message (channel entries and
@@ -334,24 +305,25 @@ func (f *ChoiceFabric) ForEachInFlight(fn func(m *msg.Msg)) {
 	}
 }
 
-func dumpMsgCanon(w writerTo, m *msg.Msg, rnLine func(mem.LineAddr) mem.LineAddr, rnNode func(msg.NodeID) msg.NodeID) {
-	fmt.Fprintf(w, "{%d %x %d>%d.%d", m.Type, uint64(rnLine(m.Addr)), rnNode(m.Src),
-		rnNode(m.Dst), m.VNet)
+// fingerprintMsg writes every protocol-visible field of m under rn.
+// Serial and Seq are transport bookkeeping and stay out.
+func fingerprintMsg(h *fp.Hasher, m *msg.Msg, rn fp.Renamer) {
+	h.Int(int(m.Type))
+	h.Line(m.Addr, rn)
+	h.Node(m.Src, rn)
+	h.Node(m.Dst, rn)
+	h.Int(int(m.VNet))
+	h.Bool(m.Data != nil)
 	if m.Data != nil {
-		fmt.Fprintf(w, " %v %v", *m.Data, m.Dirty)
+		h.Data(m.Data)
+		h.Bool(m.Dirty)
 	}
-	fmt.Fprintf(w, " r%d a%d v%d w%d m%x %v%v %v}", rnNode(m.Req), m.Acks, m.Val,
-		m.Word, m.Mask, m.Acq, m.Rel, m.Poisoned)
-}
-
-type writerTo interface {
-	Write(p []byte) (int, error)
-}
-
-func dumpMsg(w writerTo, m *msg.Msg) {
-	fmt.Fprintf(w, "{%d %x %d>%d", m.Type, uint64(m.Addr), m.Src, m.Dst)
-	if m.Data != nil {
-		fmt.Fprintf(w, " %v %v", *m.Data, m.Dirty)
-	}
-	fmt.Fprintf(w, " r%d a%d v%d}", m.Req, m.Acks, m.Val)
+	h.Node(m.Req, rn)
+	h.Int(m.Acks)
+	h.Word(m.Val)
+	h.Int(m.Word)
+	h.Int(int(m.Mask))
+	h.Bool(m.Acq)
+	h.Bool(m.Rel)
+	h.Bool(m.Poisoned)
 }

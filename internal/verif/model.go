@@ -2,8 +2,6 @@ package verif
 
 import (
 	"fmt"
-	"hash/fnv"
-	"io"
 	"sort"
 
 	"c3/internal/cache"
@@ -45,8 +43,6 @@ type Model struct {
 	// one of:
 	dcoh *cxl.DCOH
 	hdir *hmesi.Dir
-
-	dumpers []interface{ DumpState(io.Writer) }
 
 	// addrLines caches the sorted line addresses of the test's variables.
 	// Computed once at Build and shared (read-only) by every clone: the
@@ -121,7 +117,6 @@ func Build(cfg ModelConfig) (*Model, error) {
 		})
 		m.Fabric.Register(msg.NodeID(2+ci), c3)
 		m.c3s = append(m.c3s, c3)
-		_ = next
 	}
 	// Threads round-robin across clusters, one L1 + core each.
 	for ti, th := range cfg.Test.Threads {
@@ -144,22 +139,6 @@ func Build(cfg ModelConfig) (*Model, error) {
 		m.l1s = append(m.l1s, &hostL1{l1: l1, cache: l1.Cache(), cluster: ci})
 	}
 
-	for _, c := range m.cores {
-		m.dumpers = append(m.dumpers, c)
-	}
-	for _, l := range m.l1s {
-		m.dumpers = append(m.dumpers, l.l1)
-	}
-	for _, c3 := range m.c3s {
-		m.dumpers = append(m.dumpers, c3)
-	}
-	if m.dcoh != nil {
-		m.dumpers = append(m.dumpers, m.dcoh)
-	}
-	if m.hdir != nil {
-		m.dumpers = append(m.dumpers, m.hdir)
-	}
-	m.dumpers = append(m.dumpers, m.dram)
 	for _, v := range cfg.Test.Vars {
 		m.addrLines = append(m.addrLines, varAddrOf(cfg.Test, v).Line())
 	}
@@ -199,16 +178,6 @@ func (m *Model) AllFinished() bool {
 		}
 	}
 	return true
-}
-
-// Hash fingerprints the full architectural state.
-func (m *Model) Hash() uint64 {
-	h := fnv.New64a()
-	for _, d := range m.dumpers {
-		d.DumpState(h)
-	}
-	m.Fabric.DumpState(h)
-	return h.Sum64()
 }
 
 // Outcome gathers thread registers and final memory values. An error
@@ -261,8 +230,7 @@ func (m *Model) finalValue(a mem.LineAddr) (mem.Data, error) {
 	}
 	// Next: a dirty CXL-cache copy.
 	for _, c3 := range m.c3s {
-		l, g, busy := c3.CompoundOf(a)
-		_ = l
+		_, g, busy := c3.CompoundOf(a)
 		if busy {
 			return mem.Data{}, fmt.Errorf("verif: line %v busy at terminal state", a)
 		}

@@ -28,9 +28,9 @@ func wmoCXL(t testing.TB, name string, sync litmus.SyncMode) ModelConfig {
 
 // TestReductionEquivalenceCorpus runs the cross-check mode over the full
 // litmus corpus on the canonical configuration: the reduced checker
-// (canonical hashing + symmetry + POR) must reach a superset of the
-// unreduced checker's outcomes and agree on every violation verdict.
-// CrossCheck performs both runs and the comparison internally.
+// (canonical hashing + symmetry + POR) must reach exactly the unreduced
+// reference's outcomes and agree on every violation verdict. CrossCheck
+// performs both runs and the comparison internally.
 func TestReductionEquivalenceCorpus(t *testing.T) {
 	for _, lt := range litmus.Tests() {
 		lt := lt
@@ -92,26 +92,37 @@ func TestReductionEquivalenceVariants(t *testing.T) {
 	}
 }
 
-// TestCanonOffReproducesLegacyCounts pins the -canon=off -por=off escape
-// hatch: with both reductions disabled the checker must reproduce the
-// pre-reduction state counts exactly — same hash function, same visit
-// order, same truncation behavior as the seed checker.
-func TestCanonOffReproducesLegacyCounts(t *testing.T) {
-	want := map[string]uint64{
-		"MP":    198,
-		"SB":    219,
-		"WRC":   1180,
-		"IRIW":  6245,
-		"CoRR2": 1589,
+// unreduced explores mcfg the way CrossCheck's reference does: the same
+// fingerprint under the identity renaming alone, with POR off.
+func unreduced(mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
+	ccfg.POROff = true
+	return check(mcfg, ccfg, newSymmetry(mcfg).identityOnly())
+}
+
+// TestUnreducedReferenceCounts pins the unreduced reference's merge
+// partition. CoRR2 must reach all 18 of its outcomes: a fingerprint that
+// leaves out register files merges states differing only in loaded
+// values and loses terminals.
+func TestUnreducedReferenceCounts(t *testing.T) {
+	want := map[string]struct {
+		states   uint64
+		outcomes int
+	}{
+		"MP":    {198, 3},
+		"SB":    {219, 3},
+		"WRC":   {1180, 7},
+		"IRIW":  {6245, 15},
+		"CoRR2": {1599, 18},
+		"MP+3W": {22014, 3},
 	}
-	for name, states := range want {
-		mcfg := wmoCXL(t, name, litmus.SyncFull)
-		rep, err := Check(mcfg, CheckerConfig{Workers: 1, MaxStates: 100_000, CanonOff: true, POROff: true})
+	for name, w := range want {
+		rep, err := unreduced(wmoCXL(t, name, litmus.SyncFull), CheckerConfig{Workers: 1, MaxStates: 100_000})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if rep.States != states {
-			t.Errorf("%s: canon=off por=off visited %d states, want legacy count %d", name, rep.States, states)
+		if rep.States != w.states || len(rep.Outcomes) != w.outcomes {
+			t.Errorf("%s: unreduced run visited %d states with %d outcomes, want %d and %d",
+				name, rep.States, len(rep.Outcomes), w.states, w.outcomes)
 		}
 		if rep.SymmetryMerges != 0 || rep.PORSkips != 0 {
 			t.Errorf("%s: reduction counters nonzero with reductions off: symm=%d por=%d",
@@ -120,16 +131,65 @@ func TestCanonOffReproducesLegacyCounts(t *testing.T) {
 	}
 }
 
-// TestReductionCompletesFormerlyTruncated is the acceptance check from
-// the issue: MP+3W under a 10k-state budget truncates unreduced (22014
-// states exist) but completes exhaustively reduced, with both symmetry
-// and POR contributing, and the reduced run still reaches every outcome
-// the truncated unreduced run saw.
+// TestCorpusGoldens pins the reduced checker's report on every corpus
+// test in the benchmark's configuration (MESI-CXL-MESI, WMO cores, full
+// synchronization, default budgets, one worker). A fingerprint change
+// that merges a different set of states moves these counts.
+func TestCorpusGoldens(t *testing.T) {
+	type golden struct {
+		states, terminals uint64
+		outcomes          int
+		depth             int
+		porSkips          uint64
+	}
+	want := map[string]golden{
+		"MP":     {152, 3, 3, 28, 25},
+		"SB":     {161, 3, 3, 28, 31},
+		"LB":     {148, 3, 3, 26, 22},
+		"R":      {163, 3, 3, 28, 31},
+		"S":      {154, 3, 3, 28, 25},
+		"2_2W":   {165, 3, 3, 28, 31},
+		"IRIW":   {5727, 15, 15, 44, 1681},
+		"CoRR":   {46, 2, 2, 14, 0},
+		"CoRR2":  {1599, 18, 18, 34, 0},
+		"CoWW":   {5, 1, 1, 4, 0},
+		"WRC":    {1096, 7, 7, 36, 171},
+		"RWC":    {1089, 7, 7, 36, 189},
+		"WWC":    {1028, 9, 9, 38, 154},
+		"WRW+2W": {1049, 9, 9, 38, 177},
+		"MP+3W":  {2094, 3, 3, 40, 1295},
+	}
+	tests := litmus.Tests()
+	if len(tests) != len(want) {
+		t.Fatalf("corpus has %d tests, goldens cover %d", len(tests), len(want))
+	}
+	for _, lt := range tests {
+		w, ok := want[lt.Name]
+		if !ok {
+			t.Errorf("%s: no golden", lt.Name)
+			continue
+		}
+		rep, err := Check(wmoCXL(t, lt.Name, litmus.SyncFull), CheckerConfig{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", lt.Name, err)
+		}
+		got := golden{rep.States, rep.Terminals, len(rep.Outcomes), rep.MaxDepth, rep.PORSkips}
+		if got != w || rep.Truncated {
+			t.Errorf("%s: got %+v (truncated=%v), want %+v", lt.Name, got, rep.Truncated, w)
+		}
+	}
+}
+
+// TestReductionCompletesFormerlyTruncated: MP+3W under a 10k-state
+// budget truncates unreduced (22014 states exist) but completes
+// exhaustively reduced, with both symmetry and POR contributing, and the
+// reduced run still reaches every outcome the truncated unreduced run
+// saw.
 func TestReductionCompletesFormerlyTruncated(t *testing.T) {
 	mcfg := wmoCXL(t, "MP+3W", litmus.SyncFull)
 	const budget = 10_000
 
-	raw, err := Check(mcfg, CheckerConfig{Workers: 1, MaxStates: budget, CanonOff: true, POROff: true})
+	raw, err := unreduced(mcfg, CheckerConfig{Workers: 1, MaxStates: budget})
 	if err != nil {
 		t.Fatalf("unreduced: %v", err)
 	}

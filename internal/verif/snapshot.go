@@ -1,7 +1,6 @@
 package verif
 
 import (
-	"io"
 	"sync/atomic"
 
 	"c3/internal/core"
@@ -73,25 +72,6 @@ func (m *Model) Clone() *Model {
 		hls[i] = hostL1{l1: l1, cache: l1.Cache(), cluster: m.l1s[i].cluster}
 		n.l1s = append(n.l1s, &hls[i])
 	}
-	// Dumpers in Build's order, so Hash sees states identically whether a
-	// model was built or cloned.
-	n.dumpers = make([]interface{ DumpState(io.Writer) }, 0, len(m.dumpers))
-	for _, c := range n.cores {
-		n.dumpers = append(n.dumpers, c)
-	}
-	for _, l := range n.l1s {
-		n.dumpers = append(n.dumpers, l.l1)
-	}
-	for _, c3 := range n.c3s {
-		n.dumpers = append(n.dumpers, c3)
-	}
-	if n.dcoh != nil {
-		n.dumpers = append(n.dumpers, n.dcoh)
-	}
-	if n.hdir != nil {
-		n.dumpers = append(n.dumpers, n.hdir)
-	}
-	n.dumpers = append(n.dumpers, n.dram)
 	modelsLive.Add(1)
 	return n
 }
@@ -115,18 +95,4 @@ func (m *Model) Release() {
 		c3.ReleaseLLC()
 	}
 	m.dram.Release()
-}
-
-// Materialize forces private copies of every COW backing now, turning a
-// copy-on-write clone into the eager deep copy the pre-COW checker
-// made. The deep-copy cross-check mode uses it to demonstrate the two
-// strategies produce identical Reports.
-func (m *Model) Materialize() {
-	for _, l := range m.l1s {
-		l.cache.Materialize()
-	}
-	for _, c3 := range m.c3s {
-		c3.MaterializeLLC()
-	}
-	m.dram.Materialize()
 }

@@ -22,6 +22,13 @@ func mpCXL(t testing.TB, sync litmus.SyncMode) ModelConfig {
 	}
 }
 
+// fingerprintOf returns the model's state fingerprint under the
+// identity renaming alone, so no symmetric sibling can mask a difference.
+func fingerprintOf(m *Model) uint64 {
+	h, _ := m.fingerprint(newSymmetry(m.cfg).identityOnly())
+	return h
+}
+
 // TestCloneIsolation: a clone hashes identically to its parent, and
 // stepping either one leaves the other untouched.
 func TestCloneIsolation(t *testing.T) {
@@ -30,9 +37,9 @@ func TestCloneIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Start()
-	h0 := m.Hash()
+	h0 := fingerprintOf(m)
 	c := m.Clone()
-	if c.Hash() != h0 {
+	if fingerprintOf(c) != h0 {
 		t.Fatal("clone hash differs from parent")
 	}
 	acts := c.Fabric.Enabled()
@@ -40,11 +47,14 @@ func TestCloneIsolation(t *testing.T) {
 		t.Fatal("no enabled actions at root")
 	}
 	c.Step(acts[0])
-	if m.Hash() != h0 {
+	if fingerprintOf(m) != h0 {
 		t.Fatal("stepping the clone mutated the parent")
 	}
+	if fingerprintOf(c) == h0 {
+		t.Fatal("stepping the clone left its fingerprint unchanged")
+	}
 	m.Step(m.Fabric.Enabled()[0])
-	if m.Hash() != c.Hash() {
+	if fingerprintOf(m) != fingerprintOf(c) {
 		t.Fatal("same delivery on parent and clone diverged")
 	}
 }
@@ -80,7 +90,7 @@ func TestCloneMatchesReplayDeepPath(t *testing.T) {
 		for _, pi := range path {
 			fresh.Step(fresh.Fabric.Enabled()[pi])
 		}
-		if next.Hash() != fresh.Hash() {
+		if fingerprintOf(next) != fingerprintOf(fresh) {
 			t.Fatalf("step %d (path %v): clone hash != replay hash", step, path)
 		}
 		cur = next
@@ -134,10 +144,6 @@ func TestSnapshotMatchesReplayFromRoot(t *testing.T) {
 			{MaxStates: c.max, Workers: 4, ReplayFromRoot: true},
 			{MaxStates: c.max, Workers: 4},
 			{MaxStates: c.max, Workers: 1, SnapshotBudget: 1},
-			// Deep-copy cross-check: eagerly materializing every COW
-			// backing must change nothing but cost.
-			{MaxStates: c.max, Workers: 1, DeepCopySnapshots: true},
-			{MaxStates: c.max, Workers: 8, DeepCopySnapshots: true},
 			// COW under maximum sharing pressure: many workers cloning
 			// the same parent concurrently.
 			{MaxStates: c.max, Workers: 8},
@@ -204,6 +210,40 @@ func benchCheck(b *testing.B, ccfg CheckerConfig) {
 		b.ReportMetric(float64(rep.States), "states")
 	}
 }
+
+// BenchmarkFingerprint measures the state fingerprint on its own: once
+// per state on a mid-protocol MP model (MP admits only the identity
+// renaming) and once per renaming on a mid-protocol MP+3W model, whose
+// group has two. The fingerprint writes fixed-width words straight into
+// the hasher, so it allocates nothing.
+func BenchmarkFingerprint(b *testing.B) {
+	for _, name := range []string{"MP", "MP+3W"} {
+		b.Run(name, func(b *testing.B) {
+			mcfg := wmoCXL(b, name, litmus.SyncFull)
+			sym := newSymmetry(mcfg)
+			m, err := Build(mcfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m.Start()
+			for i := 0; i < 6; i++ {
+				acts := m.Fabric.Enabled()
+				if len(acts) == 0 {
+					break
+				}
+				m.Step(acts[0])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fingerprintSink, _ = m.fingerprint(sym)
+			}
+			b.ReportMetric(float64(len(sym.perms)), "renamings")
+		})
+	}
+}
+
+var fingerprintSink uint64
 
 // BenchmarkCloneSnapshot measures the clone+step+release primitive in
 // isolation (the unit BenchmarkCheckerExpand multiplies). With COW
