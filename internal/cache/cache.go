@@ -11,11 +11,18 @@
 // # Storage layout and copy-on-write
 //
 // All frames live in one flat []Entry slab (set s occupies
-// entries[s*ways : (s+1)*ways]), so building a cache is a single
-// allocation and cloning one is a single copy. The slab sits behind an
-// atomic reference count and is shared copy-on-write between a cache and
-// its Clones: Clone bumps the count and shares the slab; the first
-// mutating access on either side materializes a private copy. Every
+// entries[s*ways : (s+1)*ways]), so Lookup and Probe index it directly.
+// Beside the frames the slab keeps a touched-set bitmap: Install marks
+// its set, and every frame outside a marked set is all-zero. Whole-cache
+// walks — ForEach, Fingerprint, materialize's copy, and the clear before
+// a slab is pooled — visit only marked sets, so building, copying,
+// hashing and retiring a cache cost O(sets it touched), not O(capacity):
+// a litmus iteration touches a handful of lines of two 4 MiB CXL caches.
+//
+// The slab sits behind an atomic reference count and is shared
+// copy-on-write between a cache and its Clones: Clone bumps the count
+// and shares the slab; the first mutating access on either side
+// materializes a private copy. Every
 // accessor that hands out an *Entry the caller may write through
 // (Lookup, Probe, Victim, VictimFunc, Install, ForEach) materializes
 // first; the RO variants (ProbeRO, ForEachRO) read the shared slab
@@ -24,13 +31,17 @@
 // of accessor are invalidated by the next cache call and must not be
 // retained across calls.
 //
-// Retired slabs are recycled through per-geometry sync.Pools (Release);
-// under the model checker's clone churn the steady state allocates
-// almost nothing.
+// Retired slabs are recycled through per-geometry sync.Pools (Release).
+// A pooled slab is all-zero, frames and bitmap alike: the last reference
+// to drop clears the marked sets before pooling, so New takes a slab
+// from the pool without touching it. Under the model checker's clone
+// churn and the litmus runner's per-iteration machines the steady state
+// allocates almost nothing.
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -38,13 +49,12 @@ import (
 	"c3/internal/mem"
 )
 
-// Entry is one cache line frame.
+// Entry is one cache line frame. The three flags share one word, so a
+// frame is 96 bytes, and they sit beside Addr, so a probe reads one
+// CPU cache line per way.
 type Entry struct {
 	Addr  mem.LineAddr
 	Valid bool
-	// State is protocol-specific; controllers define their own encoding.
-	State int
-	Data  mem.Data
 	// DataValid distinguishes frames whose payload is current from frames
 	// tracked for state only (e.g. C3 lines whose dirty data lives in an
 	// L1 owner).
@@ -54,9 +64,11 @@ type Entry struct {
 	// usable for coherence but its data is untrustworthy, and loads that
 	// consume it surface the flag in their results.
 	Poisoned bool
+	// State is protocol-specific; controllers define their own encoding.
+	State int
+	Data  mem.Data
 
 	lru uint64
-	set int
 }
 
 // slab is the refcounted backing store shared copy-on-write between a
@@ -65,31 +77,62 @@ type Entry struct {
 // they copy first (materialize). refs is the only cross-goroutine state:
 // concurrent Clones of one parent share it via atomic increments while
 // each resulting model stays single-goroutine-owned.
+//
+// touched has one bit per set; a frame in an unmarked set is all-zero.
 type slab struct {
 	refs    atomic.Int32
 	entries []Entry
+	touched []uint64
+	ways    int
 }
 
-// slabPools recycles retired slabs per entry count (sync.Map of
-// nlines -> *sync.Pool). Different cache geometries never mix.
+// geometry keys the slab pools: different cache geometries never mix.
+type geometry struct{ lines, ways int }
+
+// slabPools recycles retired, all-zero slabs (sync.Map of geometry ->
+// *sync.Pool).
 var slabPools sync.Map
 
-func getSlab(nlines int) *slab {
-	pi, ok := slabPools.Load(nlines)
+func getSlab(g geometry) *slab {
+	pi, ok := slabPools.Load(g)
 	if !ok {
-		pi, _ = slabPools.LoadOrStore(nlines, &sync.Pool{})
+		pi, _ = slabPools.LoadOrStore(g, &sync.Pool{})
 	}
 	s, _ := pi.(*sync.Pool).Get().(*slab)
 	if s == nil {
-		s = &slab{entries: make([]Entry, nlines)}
+		nsets := g.lines / g.ways
+		s = &slab{
+			entries: make([]Entry, g.lines),
+			touched: make([]uint64, (nsets+63)/64),
+			ways:    g.ways,
+		}
 	}
 	s.refs.Store(1)
 	return s
 }
 
+// putSlab zeroes the marked sets and the bitmap, restoring the pool's
+// all-zero invariant, and pools the slab.
 func putSlab(s *slab) {
-	if pi, ok := slabPools.Load(len(s.entries)); ok {
+	s.eachSet(func(lo, hi int) { clear(s.entries[lo:hi]) })
+	clear(s.touched)
+	if pi, ok := slabPools.Load(geometry{len(s.entries), s.ways}); ok {
 		pi.(*sync.Pool).Put(s)
+	}
+}
+
+// mark records that set si may hold a non-zero frame.
+func (s *slab) mark(si int) { s.touched[si>>6] |= 1 << (si & 63) }
+
+// eachSet calls fn with the frame range [lo, hi) of every marked set,
+// in ascending set order.
+func (s *slab) eachSet(fn func(lo, hi int)) {
+	for w, word := range s.touched {
+		for word != 0 {
+			lo := (w<<6 + bits.TrailingZeros64(word)) * s.ways
+			word &= word - 1
+			fn(lo, lo+s.ways)
+		}
 	}
 }
 
@@ -106,8 +149,8 @@ type Cache struct {
 
 // New builds a cache of the given total size in bytes and associativity.
 // Size must be a multiple of ways*mem.LineBytes and the set count a
-// power of two. The frame array is one pooled slab, so construction
-// costs at most one allocation.
+// power of two. The frame array is one pooled, all-zero slab, so
+// construction costs O(1) and at most one allocation.
 func New(sizeBytes, ways int) *Cache {
 	if sizeBytes <= 0 || ways <= 0 {
 		panic("cache: size and ways must be positive")
@@ -120,11 +163,7 @@ func New(sizeBytes, ways int) *Cache {
 	if nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", nsets))
 	}
-	c := &Cache{s: getSlab(lines), setMask: uint64(nsets - 1), ways: ways}
-	for i := range c.s.entries {
-		c.s.entries[i] = Entry{set: i / ways}
-	}
-	return c
+	return &Cache{s: getSlab(geometry{lines, ways}), setMask: uint64(nsets - 1), ways: ways}
 }
 
 // Clone returns a copy of the array, including LRU ordering and hit/miss
@@ -155,15 +194,17 @@ func (c *Cache) Release() {
 // materialize gives the cache a private slab before a write. With a sole
 // reference the slab is already private and writes happen in place — the
 // no-clone fast path (litmus/soak) pays one atomic load. Shared slabs
-// are copied; the reference drop may race another clone's release, so
-// the loser of the decrement recycles.
+// are copied, marked sets only (the pooled target is all-zero); the
+// reference drop may race another clone's release, so the loser of the
+// decrement recycles.
 func (c *Cache) materialize() {
 	s := c.s
 	if s.refs.Load() == 1 {
 		return
 	}
-	ns := getSlab(len(s.entries))
-	copy(ns.entries, s.entries)
+	ns := getSlab(geometry{len(s.entries), s.ways})
+	s.eachSet(func(lo, hi int) { copy(ns.entries[lo:hi], s.entries[lo:hi]) })
+	copy(ns.touched, s.touched)
 	c.s = ns
 	if s.refs.Add(-1) == 0 {
 		putSlab(s)
@@ -292,9 +333,9 @@ func (c *Cache) VictimFunc(addr mem.LineAddr, ok func(*Entry) bool) *Entry {
 	return victim
 }
 
-// Install claims a free frame for addr and returns it. It panics if the
-// set is full (the controller must have evicted first) or if addr is
-// already present.
+// Install claims a free frame for addr, marks its set touched, and
+// returns the frame. It panics if the set is full (the controller must
+// have evicted first) or if addr is already present.
 func (c *Cache) Install(addr mem.LineAddr) *Entry {
 	c.materialize()
 	set := c.setOf(addr)
@@ -305,8 +346,9 @@ func (c *Cache) Install(addr mem.LineAddr) *Entry {
 	}
 	for i := range set {
 		if !set[i].Valid {
+			c.s.mark(c.setIndex(addr))
 			e := &set[i]
-			*e = Entry{Addr: addr, Valid: true, set: e.set}
+			*e = Entry{Addr: addr, Valid: true}
 			c.Touch(e)
 			return e
 		}
@@ -314,10 +356,10 @@ func (c *Cache) Install(addr mem.LineAddr) *Entry {
 	panic(fmt.Sprintf("cache: install of %v into full set", addr))
 }
 
-// Remove frees e's frame. e must come from an accessor that materializes.
+// Remove frees e's frame, zeroing it; its set stays marked until the
+// slab is retired. e must come from an accessor that materializes.
 func (c *Cache) Remove(e *Entry) {
-	set := e.set
-	*e = Entry{set: set}
+	*e = Entry{}
 }
 
 // ForEach visits every valid entry; the caller may write through the
@@ -337,11 +379,13 @@ func (c *Cache) ForEachRO(fn func(*Entry)) {
 
 func (c *Cache) forEach(fn func(*Entry)) {
 	es := c.s.entries
-	for i := range es {
-		if es[i].Valid {
-			fn(&es[i])
+	c.s.eachSet(func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if es[i].Valid {
+				fn(&es[i])
+			}
 		}
-	}
+	})
 }
 
 // Fingerprint writes the valid frames into h as a bag of (line under rn,
@@ -352,11 +396,9 @@ func (c *Cache) forEach(fn func(*Entry)) {
 // Read-only: it never materializes a shared slab.
 func (c *Cache) Fingerprint(h *fp.Hasher, rn fp.Renamer, skipInvalid bool) {
 	var frames fp.Bag
-	es := c.s.entries
-	for i := range es {
-		e := &es[i]
-		if !e.Valid || skipInvalid && e.State == 0 {
-			continue
+	c.forEach(func(e *Entry) {
+		if skipInvalid && e.State == 0 {
+			return
 		}
 		f := fp.New()
 		f.Line(e.Addr, rn)
@@ -366,7 +408,7 @@ func (c *Cache) Fingerprint(h *fp.Hasher, rn fp.Renamer, skipInvalid bool) {
 			f.Data(&e.Data)
 		}
 		frames.Add(f)
-	}
+	})
 	h.Bag(frames)
 }
 

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"c3/internal/mem"
 )
@@ -111,14 +112,29 @@ func TestForEachAndCount(t *testing.T) {
 func TestSetMapping(t *testing.T) {
 	c := New(4096, 4) // 16 sets
 	// Lines 0 and 16 map to the same set; 0 and 1 to different sets.
-	e0 := c.Install(line(0))
-	e16 := c.Install(line(16))
-	e1 := c.Install(line(1))
-	if e0.set != e16.set {
+	if c.setIndex(line(0)) != c.setIndex(line(16)) {
 		t.Fatal("lines 0 and 16 should share a set in a 16-set cache")
 	}
-	if e0.set == e1.set {
+	if c.setIndex(line(0)) == c.setIndex(line(1)) {
 		t.Fatal("lines 0 and 1 should map to different sets")
+	}
+	// Install places each line in the frames of its own set.
+	for _, i := range []int{0, 16, 1} {
+		e, set, found := c.Install(line(i)), c.setOf(line(i)), false
+		for w := range set {
+			found = found || &set[w] == e
+		}
+		if !found {
+			t.Fatalf("line %d installed outside set %d", i, c.setIndex(line(i)))
+		}
+	}
+}
+
+// TestEntrySize pins the frame layout: the three flags share one word,
+// so a 4 MiB, 65,536-frame LLC slab is 6 MiB.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 96 {
+		t.Fatalf("sizeof(Entry) = %d, want 96", got)
 	}
 }
 

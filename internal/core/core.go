@@ -640,9 +640,11 @@ func (c *C3) PeerDead(dead msg.NodeID) int {
 // Reset cold-starts the controller for a host rejoin: every TBE, local
 // directory record and CXL-cache line is dropped. Safe only when the
 // cluster's caches restart empty too (the crash already discarded their
-// contents) and the global side has reclaimed this node.
+// contents) and the global side has reclaimed this node. The old
+// CXL cache's slab returns to the pool.
 func (c *C3) Reset() {
 	c.tbes = make(map[mem.LineAddr]*tbe)
 	c.dirs = make(map[mem.LineAddr]*ldir)
+	c.llc.Release()
 	c.llc = cache.New(c.cfg.LLCSize, c.cfg.LLCWays)
 }

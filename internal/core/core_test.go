@@ -1,9 +1,12 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"c3/internal/cache"
 	"c3/internal/gen"
 	"c3/internal/mem"
 	"c3/internal/msg"
@@ -74,6 +77,34 @@ func newC3(t *testing.T, local, global string) (*C3, *loopback, *sim.Kernel) {
 }
 
 func drain(k *sim.Kernel) { k.RunLimit(100_000) }
+
+// TestResetRecyclesLLC: a rejoin's Reset hands the old CXL-cache slab
+// back to the pool, so resets of a Table III 4 MiB LLC reuse slabs
+// instead of allocating one each. The budget of half a slab per reset
+// leaves room for the race detector, under which sync.Pool drops a
+// random quarter of its Puts.
+func TestResetRecyclesLLC(t *testing.T) {
+	fab := newLoopback()
+	c := New(Config{
+		ID: c3ID, GlobalDir: dirID, Kernel: &sim.Kernel{},
+		LocalNet: fab, GlobalNet: fab, Table: mustTable(t, "mesi", "cxl"),
+	})
+	slab := uint64(c.LLC().Sets()*c.LLC().Ways()) * uint64(unsafe.Sizeof(cache.Entry{}))
+	const resets = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < resets; i++ {
+		c.LLC().Install(lineX).State = gM
+		c.Reset()
+	}
+	runtime.ReadMemStats(&after)
+	if got, budget := after.TotalAlloc-before.TotalAlloc, resets*slab/2; got >= budget {
+		t.Fatalf("%d resets allocated %d B, want < %d B (half a %d B slab each)", resets, got, budget, slab)
+	}
+	if c.LLC().Count() != 0 {
+		t.Fatal("Reset left lines in the CXL cache")
+	}
+}
 
 func TestColdGetSDelegates(t *testing.T) {
 	c, fab, k := newC3(t, "mesi", "cxl")

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"c3/internal/msg"
 	"c3/internal/ssp"
@@ -178,6 +179,50 @@ func localRightsOK(l, g ssp.Class, selfInv bool) bool {
 		return g != ssp.ClsI
 	}
 	return false
+}
+
+// shared memoizes Shared by spec text, so spellings of one protocol
+// ("mesi", "MESI") share one parse and one table.
+var shared = struct {
+	sync.Mutex
+	specs  map[string]*ssp.Spec // embedded text -> its parse
+	tables map[[2]string]*Table // (local text, global text) -> table
+}{specs: map[string]*ssp.Spec{}, tables: map[[2]string]*Table{}}
+
+// Shared returns the compound table for the named local and global
+// protocols (the names ssp.Local and ssp.Global accept). Each embedded
+// spec is parsed, and each pair generated, at most once per process;
+// every caller, on any goroutine, receives the same table, so the table
+// and its specs are read-only. Generate synthesizes a private table.
+func Shared(local, global string) (*Table, error) {
+	gt, ok := ssp.GlobalText(global)
+	if !ok {
+		return nil, fmt.Errorf("gen: unknown global protocol %q", global)
+	}
+	lt, ok := ssp.LocalText(local)
+	if !ok {
+		return nil, fmt.Errorf("gen: unknown local protocol %q", local)
+	}
+	key := [2]string{lt, gt}
+	shared.Lock()
+	defer shared.Unlock()
+	if t := shared.tables[key]; t != nil {
+		return t, nil
+	}
+	spec := func(text string) *ssp.Spec {
+		s := shared.specs[text]
+		if s == nil {
+			s = ssp.MustParse(text)
+			shared.specs[text] = s
+		}
+		return s
+	}
+	t, err := Generate(spec(lt), spec(gt))
+	if err != nil {
+		return nil, err
+	}
+	shared.tables[key] = t
+	return t, nil
 }
 
 // Generate merges local and global specs into a compound table.

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"c3/internal/msg"
@@ -33,6 +34,53 @@ func TestGenerateAllCombinations(t *testing.T) {
 				t.Errorf("%s-%s: empty table", l, g)
 			}
 		}
+	}
+}
+
+// TestSharedOncePerPair: Shared hands every caller — any spelling of
+// the names, any goroutine — the same table per protocol pair, built
+// from one parse per embedded spec, and with the content Generate
+// synthesizes.
+func TestSharedOncePerPair(t *testing.T) {
+	const callers = 8
+	got := make([]*Table, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			local, global := "mesi", "cxl"
+			if i%2 == 1 {
+				local, global = "MESI", "CXL"
+			}
+			tab, err := Shared(local, global)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = tab
+		}(i)
+	}
+	wg.Wait()
+	for i, tab := range got {
+		if tab != got[0] {
+			t.Fatalf("caller %d got a different table", i)
+		}
+	}
+	if got[0].Render() != mustTable(t, "mesi", "cxl").Render() {
+		t.Error("shared table differs from a fresh Generate")
+	}
+	moesi, err := Shared("moesi", "cxl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moesi == got[0] || moesi.Global != got[0].Global {
+		t.Error("pairs with one global spec must differ but share its parse")
+	}
+	if _, err := Shared("bogus", "cxl"); err == nil {
+		t.Error("unknown local protocol should fail")
+	}
+	if _, err := Shared("mesi", "bogus"); err == nil {
+		t.Error("unknown global protocol should fail")
 	}
 }
 

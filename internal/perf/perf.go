@@ -1,11 +1,11 @@
 // Package perf is the self-contained micro-benchmark harness behind the
 // checked-in perf-trajectory baseline (BENCH_c3.json): it re-runs the
-// repo's four load-bearing hot paths — the event kernel, the checker's
-// snapshot expansion, the network send path, and the soak inner loop —
-// from a normal binary (c3bench -exp micro) rather than `go test
-// -bench`, measures wall time and allocation cost per op, and compares
-// the result against a committed baseline so every PR sees its perf
-// trajectory.
+// repo's load-bearing hot paths — the event kernel, the checker's
+// snapshot expansion, the network send path, machine set-up, and the
+// soak inner loop — from a normal binary (c3bench -exp micro) rather
+// than `go test -bench`, measures wall time and allocation cost per op,
+// and compares the result against a committed baseline so every PR sees
+// its perf trajectory.
 //
 // The harness deliberately avoids the testing package's auto-scaling:
 // each benchmark runs a fixed op count chosen to finish in well under a
@@ -24,6 +24,7 @@ import (
 	"c3/internal/msg"
 	"c3/internal/network"
 	"c3/internal/sim"
+	"c3/internal/system"
 	"c3/internal/verif"
 )
 
@@ -168,6 +169,34 @@ func Benchmarks() []Benchmark {
 							c.Step(acts[0])
 						}
 						c.Release()
+					}
+				}
+			},
+		},
+		{
+			// Machine set-up (mirrors internal/system
+			// BenchmarkSystemBuild): New + Release of the litmus-size
+			// machine, two one-core MESI clusters under CXL with Table III
+			// caches, which the litmus runner pays once per iteration.
+			// Pooled all-zero cache slabs and shared compound tables keep
+			// it O(state touched), not O(cache capacity).
+			Name: "system-build", Ops: 2_000,
+			Setup: func(ops int) func() {
+				cfg := system.Config{Global: "cxl", Clusters: []system.ClusterConfig{
+					{Protocol: "mesi", Cores: 1}, {Protocol: "mesi", Cores: 1},
+				}}
+				build := func(seed int64) {
+					cfg.Seed = seed
+					s, err := system.New(cfg)
+					if err != nil {
+						panic(fmt.Sprintf("perf: system-build: %v", err))
+					}
+					s.Release()
+				}
+				build(-1) // fill the slab pools and the shared tables
+				return func() {
+					for i := 0; i < ops; i++ {
+						build(int64(i))
 					}
 				}
 			},

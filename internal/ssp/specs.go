@@ -155,31 +155,52 @@ gsnp GFwdGetS access=load
 gsnp GInv     access=store
 `
 
-// Local returns the parsed local spec for name ("mesi", "moesi", "mesif",
-// "rcc"); ok is false for unknown names.
-func Local(name string) (*Spec, bool) {
+// LocalText returns the embedded text of the local spec named name
+// ("mesi", "moesi", "mesif", "rcc"); ok is false for unknown names.
+func LocalText(name string) (text string, ok bool) {
 	switch name {
 	case "mesi", "MESI":
-		return MustParse(MESIText), true
+		return MESIText, true
 	case "moesi", "MOESI":
-		return MustParse(MOESIText), true
+		return MOESIText, true
 	case "mesif", "MESIF":
-		return MustParse(MESIFText), true
+		return MESIFText, true
 	case "rcc", "RCC":
-		return MustParse(RCCText), true
+		return RCCText, true
 	}
-	return nil, false
+	return "", false
 }
 
-// Global returns the parsed global spec for name ("cxl", "hmesi").
-func Global(name string) (*Spec, bool) {
+// GlobalText returns the embedded text of the global spec named name
+// ("cxl", "hmesi"); ok is false for unknown names.
+func GlobalText(name string) (text string, ok bool) {
 	switch name {
 	case "cxl", "CXL":
-		return MustParse(CXLText), true
+		return CXLText, true
 	case "hmesi", "HMESI", "mesi", "MESI":
-		return MustParse(HMESIText), true
+		return HMESIText, true
 	}
-	return nil, false
+	return "", false
+}
+
+// Local returns a fresh parse of the local spec named name; ok is false
+// for unknown names.
+func Local(name string) (*Spec, bool) {
+	text, ok := LocalText(name)
+	if !ok {
+		return nil, false
+	}
+	return MustParse(text), true
+}
+
+// Global returns a fresh parse of the global spec named name; ok is
+// false for unknown names.
+func Global(name string) (*Spec, bool) {
+	text, ok := GlobalText(name)
+	if !ok {
+		return nil, false
+	}
+	return MustParse(text), true
 }
 
 // LocalNames and GlobalNames list the embedded protocols.

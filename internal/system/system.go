@@ -20,7 +20,6 @@ import (
 	"c3/internal/protocol/hmesi"
 	"c3/internal/protocol/hostproto"
 	"c3/internal/sim"
-	"c3/internal/ssp"
 	"c3/internal/trace"
 )
 
@@ -150,9 +149,13 @@ func New(cfg Config) (*System, error) {
 	if cfg.Global == "" {
 		cfg.Global = "cxl"
 	}
-	gspec, ok := ssp.Global(cfg.Global)
-	if !ok {
-		return nil, fmt.Errorf("system: unknown global protocol %q", cfg.Global)
+	tables := make([]*gen.Table, len(cfg.Clusters))
+	for ci, cc := range cfg.Clusters {
+		t, err := gen.Shared(cc.Protocol, cfg.Global)
+		if err != nil {
+			return nil, fmt.Errorf("system: cluster %d: %w", ci, err)
+		}
+		tables[ci] = t
 	}
 	k := &sim.Kernel{}
 	net := network.New(k, cfg.Seed)
@@ -203,7 +206,7 @@ func New(cfg Config) (*System, error) {
 	cross.Cross = true
 
 	const dirID = msg.NodeID(1)
-	if gspec.Params.ConflictHandshake {
+	if tables[0].Global.Params.ConflictHandshake {
 		s.DCOH = cxl.New(dirID, k, net, dram)
 		s.DCOH.Tracer = cfg.Tracer
 		net.Register(dirID, s.DCOH)
@@ -228,14 +231,6 @@ func New(cfg Config) (*System, error) {
 	next := msg.NodeID(2)
 	var c3IDs []msg.NodeID
 	for ci, cc := range cfg.Clusters {
-		lspec, ok := ssp.Local(cc.Protocol)
-		if !ok {
-			return nil, fmt.Errorf("system: unknown local protocol %q", cc.Protocol)
-		}
-		table, err := gen.Generate(lspec, gspec)
-		if err != nil {
-			return nil, fmt.Errorf("system: cluster %d: %w", ci, err)
-		}
 		c3ID := next
 		next++
 		var localMem *mem.DRAM
@@ -245,7 +240,7 @@ func New(cfg Config) (*System, error) {
 		s.LocalMems = append(s.LocalMems, localMem)
 		c3 := core.New(core.Config{
 			ID: c3ID, GlobalDir: dirID, Kernel: k,
-			LocalNet: net, GlobalNet: net, Table: table,
+			LocalNet: net, GlobalNet: net, Table: tables[ci],
 			LLCSize: cfg.LLCSize, LLCWays: cfg.LLCWays,
 			LocalRange: cc.LocalRange, LocalMem: localMem,
 		})

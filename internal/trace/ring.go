@@ -10,11 +10,13 @@ import (
 
 // RingSink keeps the most recent events in a fixed-capacity circular
 // buffer for post-mortem inspection: cheap enough to leave on for long
-// runs, and the history source for watchdog hang reports.
+// runs, and the history source for watchdog hang reports. The buffer
+// grows by append up to its capacity, so a short run pays for the
+// events it emits, not for the capacity.
 type RingSink struct {
-	buf  []Event
-	next int
-	full bool
+	buf      []Event
+	capacity int
+	next     int // oldest event, once the ring is full
 	// dropped counts events overwritten after the ring filled — history
 	// a post-mortem reader silently lost. Surfaced in the metrics
 	// registry as trace.dropped_events (see Tracer.DroppedEvents), so an
@@ -27,19 +29,20 @@ func NewRing(capacity int) *RingSink {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &RingSink{buf: make([]Event, capacity)}
+	return &RingSink{capacity: capacity}
 }
 
 // Emit implements Sink.
 func (r *RingSink) Emit(ev Event) {
-	if r.full {
-		r.dropped++
+	if len(r.buf) < r.capacity {
+		r.buf = append(r.buf, ev)
+		return
 	}
+	r.dropped++
 	r.buf[r.next] = ev
 	r.next++
 	if r.next == len(r.buf) {
 		r.next = 0
-		r.full = true
 	}
 }
 
@@ -47,21 +50,13 @@ func (r *RingSink) Emit(ev Event) {
 func (r *RingSink) Dropped() uint64 { return r.dropped }
 
 // Len reports how many events are retained.
-func (r *RingSink) Len() int {
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
-}
+func (r *RingSink) Len() int { return len(r.buf) }
 
 // Events returns the retained events in chronological order.
 func (r *RingSink) Events() []Event {
-	out := make([]Event, 0, r.Len())
-	if r.full {
-		out = append(out, r.buf[r.next:]...)
-	}
-	out = append(out, r.buf[:r.next]...)
-	return out
+	out := make([]Event, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
 }
 
 // History returns the retained events touching line addr, in order.

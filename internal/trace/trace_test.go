@@ -22,18 +22,31 @@ func deliverEv(t sim.Time, ty msg.Type, addr mem.LineAddr, src, dst msg.NodeID, 
 		MsgType: ty, VNet: msg.VRsp, Src: src, Dst: dst, Serial: serial}
 }
 
+// TestRingOverflow: while the ring grows toward its capacity and after
+// it wraps, any number of emits leaves the last min(n, capacity) events
+// retained in order and every older one counted as dropped.
 func TestRingOverflow(t *testing.T) {
-	r := trace.NewRing(4)
-	for i := 0; i < 7; i++ {
-		r.Emit(trace.Event{Kind: trace.KState, Time: sim.Time(i), Addr: mem.LineAddr(i * 64)})
-	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
-	}
-	evs := r.Events()
-	for i, ev := range evs {
-		if want := sim.Time(3 + i); ev.Time != want {
-			t.Errorf("event %d at t=%d, want %d (oldest evicted first)", i, ev.Time, want)
+	const capacity = 4
+	for n := 0; n <= 3*capacity+1; n++ {
+		r := trace.NewRing(capacity)
+		for i := 0; i < n; i++ {
+			r.Emit(trace.Event{Kind: trace.KState, Time: sim.Time(i), Addr: mem.LineAddr(i * 64)})
+		}
+		kept := min(n, capacity)
+		if r.Len() != kept {
+			t.Fatalf("n=%d: Len = %d, want %d", n, r.Len(), kept)
+		}
+		if want := uint64(n - kept); r.Dropped() != want {
+			t.Errorf("n=%d: Dropped = %d, want %d", n, r.Dropped(), want)
+		}
+		evs := r.Events()
+		if len(evs) != kept {
+			t.Fatalf("n=%d: %d events, want %d", n, len(evs), kept)
+		}
+		for i, ev := range evs {
+			if want := sim.Time(n - kept + i); ev.Time != want {
+				t.Errorf("n=%d: event %d at t=%d, want %d (oldest evicted first)", n, i, ev.Time, want)
+			}
 		}
 	}
 }

@@ -62,9 +62,13 @@ type hostL1 struct {
 
 // Build instantiates a fresh model (deterministic).
 func Build(cfg ModelConfig) (*Model, error) {
-	gspec, ok := ssp.Global(cfg.Global)
-	if !ok {
-		return nil, fmt.Errorf("verif: unknown global %q", cfg.Global)
+	var tables [2]*gen.Table
+	for ci := range tables {
+		t, err := gen.Shared(cfg.Locals[ci], cfg.Global)
+		if err != nil {
+			return nil, fmt.Errorf("verif: cluster %d: %w", ci, err)
+		}
+		tables[ci] = t
 	}
 	m := &Model{cfg: cfg, K: &sim.Kernel{}}
 
@@ -80,7 +84,7 @@ func Build(cfg ModelConfig) (*Model, error) {
 	}
 	m.dram = mem.NewDRAM(m.K, mem.DRAMConfig{AccessLatency: 1, BytesPerCycle: 64})
 
-	if gspec.Params.ConflictHandshake {
+	if tables[0].Global.Params.ConflictHandshake {
 		d := newDCOH(dirID, m)
 		m.dcoh = d
 	} else {
@@ -94,15 +98,7 @@ func Build(cfg ModelConfig) (*Model, error) {
 	for i := range cfg.Test.Threads {
 		perCluster[i%2]++
 	}
-	for ci := 0; ci < 2; ci++ {
-		lspec, ok := ssp.Local(cfg.Locals[ci])
-		if !ok {
-			return nil, fmt.Errorf("verif: unknown local %q", cfg.Locals[ci])
-		}
-		table, err := gen.Generate(lspec, gspec)
-		if err != nil {
-			return nil, err
-		}
+	for ci, table := range tables {
 		// Small structures keep replay cheap; litmus footprints are a
 		// couple of lines. TinyLLC shrinks further to force Fig. 7
 		// evictions into the explored space.

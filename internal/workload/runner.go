@@ -70,9 +70,13 @@ func observer(cfg *RunConfig, sys *system.System, cl, idx int, miss *stats.MissB
 	}
 }
 
-// Run executes one workload and returns its datapoint.
+// Run executes one workload and returns its datapoint. The machine is
+// released afterwards, so sweeps recycle its cache slabs.
 func Run(cfg RunConfig) (stats.Run, error) {
-	r, _, err := RunOn(cfg)
+	r, sys, err := RunOn(cfg)
+	if sys != nil {
+		sys.Release()
+	}
 	return r, err
 }
 
