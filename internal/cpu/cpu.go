@@ -143,17 +143,21 @@ type Request struct {
 	// Acq/Rel annotate acquire loads and release stores, which
 	// self-invalidating (RCC) caches act on directly.
 	Acq, Rel bool
-	// Token identifies the in-flight operation to the issuing core, so a
-	// cache snapshot (model-checker Clone) can rebuild its pending
-	// completion callbacks: the clone hands the token back through
-	// Core.Resume instead of holding a closure over the original core.
-	// 0 means untracked (non-binding prefetches, which complete inline).
+	// Token identifies the in-flight operation to the issuing core. The
+	// L1 echoes it in Response.Token, so one callback per core serves
+	// every access, and a cache snapshot (model-checker Clone) rebinds
+	// its pending completions to a cloned core by swapping that one
+	// callback. 0 means untracked (non-binding prefetches, which may
+	// complete inline).
 	Token uint64
 }
 
 // Response reports a finished L1 access.
 type Response struct {
-	Val uint64
+	// Token echoes Request.Token, so one callback per core can route
+	// every completion to the operation it finishes.
+	Token uint64
+	Val   uint64
 	// Missed is true when the access left the L1 (any coherence traffic).
 	Missed bool
 	// MissLatency is the L1 occupancy time of the access when Missed.
@@ -164,8 +168,11 @@ type Response struct {
 }
 
 // MemPort is the core's view of its private cache. Implementations must
-// invoke done exactly once, at a simulated time >= the call time, and
-// must preserve per-address request order from a single core.
+// invoke done exactly once per request and preserve per-address request
+// order from a single core. For tracked requests (Token != 0) done runs
+// from a later kernel event, never inside Access, and its Response.Token
+// equals Request.Token; the core passes the same done to every call.
+// Untracked prefetches may complete inline.
 type MemPort interface {
 	Access(req Request, done func(Response))
 	// NeedsSyncOps reports whether Fence/Acquire/Release must be sent to
@@ -223,14 +230,25 @@ type Core struct {
 	l1  MemPort
 	src Source
 
-	window  []*uop
-	sb      []*sbEntry
-	fetchOK bool // false while a CtrlDep op is outstanding
-	srcDone bool
-	halted  bool
+	window []*uop
+	sb     []*sbEntry
+	// freeU and freeSB recycle retired window records and drained
+	// store-buffer entries, so steady-state fetch and issue do not
+	// allocate.
+	freeU  []*uop
+	freeSB []*sbEntry
+	// respondFn is the core's one L1 completion callback (c.respond),
+	// passed to every tracked Access: the response token says which
+	// operation it finishes.
+	respondFn func(Response)
+
+	fetchOK  bool // false while a CtrlDep op is outstanding
+	srcDone  bool
+	halted   bool
+	pumpEvt  bool // an evaluate() is already scheduled
+	finished bool
 
 	nextSeq uint64
-	pumpEvt bool // an evaluate() is already scheduled
 
 	// Observe, when non-nil, sees every completed memory operation.
 	Observe func(OpStats)
@@ -240,17 +258,17 @@ type Core struct {
 	// Retired counts completed instructions (for MPKI).
 	Retired     uint64
 	FinishedAt  sim.Time
-	finished    bool
 	onFinish    func()
 	outstanding int // ops currently issued to L1 (loads/RMW/sync)
 }
 
 type uop struct {
+	core     *Core // for the closure-free local-completion event
 	in       Instr
 	seq      uint64
+	val      uint64
 	issued   bool
 	done     bool
-	val      uint64
 	forwards bool // load satisfied by store forwarding
 	warmed   bool // speculative prefetch issued while ordering blocks us
 }
@@ -283,6 +301,7 @@ func New(id int, k *sim.Kernel, cfg Config, l1 MemPort, src Source, onFinish fun
 		cfg.SpecDepth = 10
 	}
 	c := &Core{ID: id, cfg: cfg, k: k, l1: l1, src: src, fetchOK: true, onFinish: onFinish}
+	c.respondFn = c.respond
 	if cfg.IssueJitter > 0 || cfg.DrainJitter > 0 {
 		c.rng = rand.New(rand.NewPCG(uint64(cfg.Seed)^0x7f, uint64(id+1)*0x9e3779b97f4a7c15))
 	}
@@ -307,10 +326,15 @@ func (c *Core) pump() {
 		return
 	}
 	c.pumpEvt = true
-	c.k.After(1, func() {
-		c.pumpEvt = false
-		c.evaluate()
-	})
+	c.k.ScheduleArg(c.k.Now()+1, pumpEvent, c)
+}
+
+// pumpEvent is the pump's kernel callback: a package-level func with the
+// core as argument, so scheduling it allocates nothing.
+func pumpEvent(a any) {
+	c := a.(*Core)
+	c.pumpEvt = false
+	c.evaluate()
 }
 
 // evaluate advances fetch, issue, and store-buffer drain.
@@ -328,7 +352,14 @@ func (c *Core) fetch() {
 			c.srcDone = true
 			break
 		}
-		u := &uop{in: in, seq: c.nextSeq}
+		var u *uop
+		if n := len(c.freeU); n > 0 {
+			u = c.freeU[n-1]
+			c.freeU = c.freeU[:n-1]
+		} else {
+			u = new(uop)
+		}
+		*u = uop{core: c, in: in, seq: c.nextSeq}
 		c.nextSeq++
 		c.window = append(c.window, u)
 		if in.CtrlDep {
@@ -337,70 +368,113 @@ func (c *Core) fetch() {
 	}
 }
 
-// olderBlocks reports whether older (incomplete) op o must complete
-// before younger op y may proceed, per the core's MCM.
-func (c *Core) olderBlocks(o, y *uop) bool {
-	if o.done {
+// olderOps summarizes the incomplete operations older than the one the
+// issue pass is looking at, so deciding whether an op may issue is one
+// lookup rather than a rescan of the older window. The ordering rules,
+// for an incomplete older op o and a younger op y:
+//
+//   - fences, acquire/release barriers and RMWs (full fences on x86 and
+//     Arm lock primitives) block everything younger, on every model;
+//   - so does an acquire load;
+//   - same-line memory ops stay in program order (coherence);
+//   - SC: every incomplete op blocks everything younger;
+//   - TSO: loads block everything younger (LL, LS); stores do not block
+//     younger loads (SL relaxed through the store buffer), and
+//     store-store order is kept by the FIFO drain;
+//   - WMO: nothing else.
+//
+// All but the same-line rule ignore y, so they fold into blockAll; the
+// same-line rule needs the lines of older incomplete memory ops.
+type olderOps struct {
+	mcm        MCM
+	blockAll   bool   // an older incomplete op orders everything younger
+	incomplete bool   // some older op is incomplete
+	filter     uint64 // filterBit of every line held
+	// stores has the filterBit of every older store's address, complete
+	// or not: store-to-load forwarding scans the window only on a hit.
+	stores uint64
+	// The lines of older incomplete memory ops: a fixed array that
+	// covers the default window without allocating, then spill.
+	n     int
+	lines [32]mem.LineAddr
+	spill []mem.LineAddr
+}
+
+// blocks reports whether some older incomplete op must complete before u
+// may proceed.
+func (s *olderOps) blocks(u *uop) bool {
+	if s.blockAll {
+		return true
+	}
+	if !u.in.Kind.IsMem() {
 		return false
 	}
-	ok, yk := o.in.Kind, y.in.Kind
-	// Ordering ops block everything younger, on every model. RMWs are
-	// full fences (x86 semantics; lock primitives on Arm).
-	if ok == Fence || ok == Acquire || ok == Release || ok.IsRMW() {
-		return true
+	l := u.in.Addr.Line()
+	if s.filter&filterBit(uint64(l)) == 0 {
+		return false
 	}
-	// Same-address program order is sacred on all models (coherence).
-	if ok.IsMem() && yk.IsMem() && o.in.Addr.Line() == y.in.Addr.Line() {
-		return true
-	}
-	// An acquire load blocks all younger operations.
-	if o.in.Acq && ok == Load {
-		return true
-	}
-	switch c.cfg.MCM {
-	case SC:
-		return true
-	case TSO:
-		// Loads and RMWs enforce order against younger loads and stores
-		// (LL, LS). Stores do not block younger loads (SL relaxed via the
-		// store buffer); store-store order is preserved by FIFO drain.
-		if ok == Load || ok.IsRMW() {
+	for _, o := range s.lines[:s.n] {
+		if o == l {
 			return true
 		}
-		return false
-	default: // WMO
-		return false
+	}
+	for _, o := range s.spill {
+		if o == l {
+			return true
+		}
+	}
+	return false
+}
+
+// add folds u into the summary once it is older than the ops still to be
+// looked at.
+func (s *olderOps) add(u *uop) {
+	if u.in.Kind == Store {
+		s.stores |= filterBit(uint64(u.in.Addr))
+	}
+	if u.done {
+		return
+	}
+	s.incomplete = true
+	if s.blockAll {
+		return
+	}
+	switch k := u.in.Kind; {
+	case k == Fence || k == Acquire || k == Release || k.IsRMW(),
+		k == Load && u.in.Acq,
+		s.mcm == SC,
+		s.mcm == TSO && k == Load:
+		s.blockAll = true
+	case k.IsMem():
+		l := u.in.Addr.Line()
+		s.filter |= filterBit(uint64(l))
+		if s.n < len(s.lines) {
+			s.lines[s.n] = l
+			s.n++
+		} else {
+			s.spill = append(s.spill, l)
+		}
 	}
 }
 
-func (c *Core) ready(u *uop) bool {
-	for _, o := range c.window {
-		if o.seq >= u.seq {
-			break
-		}
-		if c.olderBlocks(o, u) {
-			return false
-		}
-	}
-	return true
-}
+// filterBit picks one of 64 bits by a multiplicative hash of an address,
+// so arrays at power-of-two distances do not share bits.
+func filterBit(a uint64) uint64 { return 1 << (a * 0x9e3779b97f4a7c15 >> 58) }
 
 // forwardFrom returns the youngest older store (in window or SB) to the
-// same address, for store-to-load forwarding.
-func (c *Core) forwardFrom(u *uop) (uint64, bool) {
+// same address, for store-to-load forwarding; older summarizes the
+// window ahead of u.
+func (c *Core) forwardFrom(u *uop, older *olderOps) (uint64, bool) {
+	if older.stores&filterBit(uint64(u.in.Addr)) != 0 {
+		// Youngest first; window seqs are consecutive.
+		for i := int(u.seq-c.window[0].seq) - 1; i >= 0; i-- {
+			if o := c.window[i]; o.in.Kind == Store && o.in.Addr == u.in.Addr {
+				return o.in.Val, true
+			}
+		}
+	}
 	var val uint64
 	found := false
-	for _, o := range c.window {
-		if o.seq >= u.seq {
-			break
-		}
-		if o.in.Kind == Store && o.in.Addr == u.in.Addr {
-			val, found = o.in.Val, true
-		}
-	}
-	if found {
-		return val, true
-	}
 	for _, s := range c.sb {
 		if s.addr == u.in.Addr {
 			val, found = s.val, true
@@ -409,117 +483,123 @@ func (c *Core) forwardFrom(u *uop) (uint64, bool) {
 	return val, found
 }
 
-// sbHasLine reports whether the store buffer holds an entry for the line
-// of addr (loads to a line with a pending non-same-address store still
-// forward conservatively at line granularity? No: forwarding is exact-
-// address; but same-line SB entries do not block loads).
-func (c *Core) olderUndrainedRelease() bool {
-	for _, s := range c.sb {
-		if s.rel {
-			return true
-		}
-	}
-	return false
-}
-
+// issue walks the window once in program order, issuing every op the
+// ordering rules and the store buffer allow. Nothing it issues completes
+// during the walk (tracked completions arrive from later events), so the
+// summary of older incomplete ops only grows.
 func (c *Core) issue() {
-	// Speculation budget for in-order-binding loads (TSO/SC).
-	specLeft := c.cfg.SpecDepth
-	for _, u := range c.window {
-		if u.in.Kind == Load && !u.done && (u.issued || u.warmed) {
-			specLeft--
+	// TSO/SC loads wait for older loads to complete (in-order binding),
+	// but hardware still brings the line in speculatively: a blocked load
+	// warms the cache so the binding access hits, up to a speculation
+	// budget. Non-binding, so legal across any ordering constraint.
+	warm := c.cfg.MCM != WMO && !c.l1.NeedsSyncOps()
+	specLeft := 0
+	if warm {
+		specLeft = c.cfg.SpecDepth
+		for _, u := range c.window {
+			if u.in.Kind == Load && !u.done && (u.issued || u.warmed) {
+				specLeft--
+			}
 		}
 	}
+	older := olderOps{mcm: c.cfg.MCM}
 	for _, u := range c.window {
+		if older.blockAll && specLeft <= 0 {
+			break // nothing younger may issue or warm
+		}
 		if u.issued || u.done {
+			older.add(u)
 			continue
 		}
-		if !c.ready(u) {
-			// TSO/SC loads wait for older loads to complete (in-order
-			// binding), but hardware still brings the line in
-			// speculatively; warm the cache so the binding access hits.
-			// Non-binding, so legal across any ordering constraint.
-			if u.in.Kind == Load && !u.warmed && specLeft > 0 && c.cfg.MCM != WMO && !c.l1.NeedsSyncOps() {
+		if older.blocks(u) {
+			if u.in.Kind == Load && !u.warmed && specLeft > 0 {
 				u.warmed = true
 				specLeft--
-				c.l1.Access(Request{Kind: PrefetchS, Addr: u.in.Addr}, func(Response) {})
+				c.l1.Access(Request{Kind: PrefetchS, Addr: u.in.Addr}, ignoreResponse)
 			}
+			older.add(u)
 			continue
 		}
-		switch u.in.Kind {
-		case Load:
-			// SC: a load may not bypass buffered stores; wait for drain
-			// unless the value forwards.
-			if c.cfg.MCM == SC && len(c.sb) > 0 {
-				if v, fwd := c.forwardFrom(u); fwd {
-					u.issued = true
-					u.forwards = true
-					c.completeLocal(u, v)
-				}
-				continue
-			}
-			if v, ok := c.forwardFrom(u); ok {
+		c.issueOne(u, &older)
+		older.add(u)
+	}
+}
+
+// ignoreResponse completes untracked prefetches.
+func ignoreResponse(Response) {}
+
+// issueOne issues u, which no older op blocks, if its kind's own
+// conditions (store-buffer room and drain, older completion) hold.
+func (c *Core) issueOne(u *uop, older *olderOps) {
+	switch u.in.Kind {
+	case Load:
+		// SC: a load may not bypass buffered stores; wait for drain
+		// unless the value forwards.
+		if c.cfg.MCM == SC && len(c.sb) > 0 {
+			if v, fwd := c.forwardFrom(u, older); fwd {
 				u.issued = true
 				u.forwards = true
 				c.completeLocal(u, v)
-				continue
 			}
+			return
+		}
+		if v, ok := c.forwardFrom(u, older); ok {
 			u.issued = true
-			c.issueToL1(u, Request{Kind: Load, Addr: u.in.Addr, Acq: u.in.Acq})
-		case Store:
-			// A store retires into the store buffer once ordering allows;
-			// it completes from the window's perspective immediately.
-			if len(c.sb) >= c.cfg.SBSize {
-				continue // SB full; retry on next pump
-			}
-			// A release store may not enter the SB ahead of undrained
-			// older (release-ordered) state: modelled by requiring the
-			// whole SB to drain first, plus a sync op for RCC caches.
-			if u.in.Rel && (len(c.sb) > 0 || c.anyOlderIncomplete(u)) {
-				continue
-			}
-			u.issued = true
-			c.sb = append(c.sb, &sbEntry{addr: u.in.Addr, val: u.in.Val, rel: u.in.Rel, seq: u.seq})
-			if c.cfg.MCM != WMO && !c.l1.NeedsSyncOps() {
-				// FIFO-draining models issue a non-binding ownership
-				// prefetch so store misses overlap (hardware RFO
-				// prefetching); the drain itself stays in order.
-				c.l1.Access(Request{Kind: Prefetch, Addr: u.in.Addr}, func(Response) {})
-			}
+			u.forwards = true
+			c.completeLocal(u, v)
+			return
+		}
+		u.issued = true
+		c.issueToL1(u, Request{Kind: Load, Addr: u.in.Addr, Acq: u.in.Acq})
+	case Store:
+		// A store retires into the store buffer once ordering allows;
+		// it completes from the window's perspective immediately.
+		if len(c.sb) >= c.cfg.SBSize {
+			return // SB full; retry on next pump
+		}
+		// A release store may not enter the SB ahead of undrained
+		// older (release-ordered) state: modelled by requiring the
+		// whole SB to drain first, plus a sync op for RCC caches.
+		if u.in.Rel && (len(c.sb) > 0 || older.incomplete) {
+			return
+		}
+		u.issued = true
+		var e *sbEntry
+		if n := len(c.freeSB); n > 0 {
+			e = c.freeSB[n-1]
+			c.freeSB = c.freeSB[:n-1]
+		} else {
+			e = new(sbEntry)
+		}
+		*e = sbEntry{addr: u.in.Addr, val: u.in.Val, rel: u.in.Rel, seq: u.seq}
+		c.sb = append(c.sb, e)
+		if c.cfg.MCM != WMO && !c.l1.NeedsSyncOps() {
+			// FIFO-draining models issue a non-binding ownership
+			// prefetch so store misses overlap (hardware RFO
+			// prefetching); the drain itself stays in order.
+			c.l1.Access(Request{Kind: Prefetch, Addr: u.in.Addr}, ignoreResponse)
+		}
+		c.completeLocal(u, 0)
+	case RMWAdd, RMWXchg:
+		// Atomics are full fences: all older ops complete and the
+		// store buffer drains before they issue.
+		if len(c.sb) > 0 || older.incomplete {
+			return
+		}
+		u.issued = true
+		c.issueToL1(u, Request{Kind: u.in.Kind, Addr: u.in.Addr, Val: u.in.Val})
+	case Fence, Acquire, Release:
+		// Ordering ops wait for every older op and an empty SB.
+		if older.incomplete || len(c.sb) > 0 {
+			return
+		}
+		u.issued = true
+		if c.l1.NeedsSyncOps() {
+			c.issueToL1(u, Request{Kind: u.in.Kind})
+		} else {
 			c.completeLocal(u, 0)
-		case RMWAdd, RMWXchg:
-			// Atomics are full fences: all older ops complete and the
-			// store buffer drains before they issue.
-			if len(c.sb) > 0 || c.anyOlderIncomplete(u) {
-				continue
-			}
-			u.issued = true
-			c.issueToL1(u, Request{Kind: u.in.Kind, Addr: u.in.Addr, Val: u.in.Val})
-		case Fence, Acquire, Release:
-			// Ordering ops wait for every older op and an empty SB.
-			if c.anyOlderIncomplete(u) || len(c.sb) > 0 {
-				continue
-			}
-			u.issued = true
-			if c.l1.NeedsSyncOps() {
-				c.issueToL1(u, Request{Kind: u.in.Kind})
-			} else {
-				c.completeLocal(u, 0)
-			}
 		}
 	}
-}
-
-func (c *Core) anyOlderIncomplete(u *uop) bool {
-	for _, o := range c.window {
-		if o.seq >= u.seq {
-			break
-		}
-		if !o.done {
-			return true
-		}
-	}
-	return false
 }
 
 func (c *Core) issueToL1(u *uop, req Request) {
@@ -540,16 +620,22 @@ func drainToken(seq uint64) uint64  { return seq<<1 + 2 }
 
 func (c *Core) accessL1(u *uop, req Request) {
 	req.Token = windowToken(u.seq)
-	tok := req.Token
-	c.l1.Access(req, func(r Response) { c.Resume(tok, r) })
+	c.l1.Access(req, c.respondFn)
 }
 
-// Resume finishes the in-flight operation identified by tok with the L1's
-// response. It is the single completion path for every tracked access —
-// the L1's callback merely forwards the token here — which is what lets a
-// cloned cache rebind its pending completions to a cloned core: the token
-// is data, not a closure. A token that matches nothing is a protocol bug.
-func (c *Core) Resume(tok uint64, r Response) {
+// Callback returns the core's L1 completion callback: the one func the
+// core passes to every tracked Access. A cloned cache hands it to its
+// pending operations (see hostproto.L1.Clone), so a snapshot's
+// completions reach the cloned core.
+func (c *Core) Callback() func(Response) { return c.respondFn }
+
+// respond finishes the in-flight operation named by the response's token.
+// It is the single completion path for every tracked access, which is
+// what lets a cloned cache rebind its pending completions to a cloned
+// core: the token is data, not a closure. A token that matches nothing
+// is a protocol bug.
+func (c *Core) respond(r Response) {
+	tok := r.Token
 	if tok == 0 {
 		return // untracked (prefetch)
 	}
@@ -560,9 +646,11 @@ func (c *Core) Resume(tok uint64, r Response) {
 		return
 	}
 	if tok&1 == 1 { // window op (load/RMW/sync)
+		// Window seqs are consecutive: fetch appends, retire trims the head.
 		seq := tok >> 1
-		for _, u := range c.window {
-			if u.seq == seq {
+		if len(c.window) > 0 {
+			if i := seq - c.window[0].seq; i < uint64(len(c.window)) && c.window[i].seq == seq {
+				u := c.window[i]
 				c.outstanding--
 				if c.Observe != nil {
 					c.Observe(OpStats{Kind: u.in.Kind, Addr: u.in.Addr, Missed: r.Missed, Latency: r.MissLatency, Poisoned: r.Poisoned})
@@ -589,16 +677,28 @@ func (c *Core) Resume(tok uint64, r Response) {
 }
 
 // completeLocal finishes ops that never left the core (SB retire,
-// forwarded loads, local fences) after a 1-cycle pipeline delay.
+// forwarded loads, local fences) after a 1-cycle pipeline delay. The
+// value rides in the uop until the event fires.
 func (c *Core) completeLocal(u *uop, val uint64) {
-	c.k.After(1, func() {
-		// Stores are observed when they drain from the SB, not here, to
-		// avoid double counting; forwarded loads count as hits.
-		if c.Observe != nil && u.in.Kind == Load {
-			c.Observe(OpStats{Kind: Load, Addr: u.in.Addr})
-		}
-		c.complete(u, val)
-	})
+	u.val = val
+	c.k.ScheduleArg(c.k.Now()+1, completeLocalEvent, u)
+}
+
+// completeLocalEvent is completeLocal's kernel callback. A core killed
+// since the op was scheduled has abandoned it: it is never observed and
+// never retired.
+func completeLocalEvent(a any) {
+	u := a.(*uop)
+	c := u.core
+	if c.halted {
+		return
+	}
+	// Stores are observed when they drain from the SB, not here, to
+	// avoid double counting; forwarded loads count as hits.
+	if c.Observe != nil && u.in.Kind == Load {
+		c.Observe(OpStats{Kind: Load, Addr: u.in.Addr})
+	}
+	c.complete(u, u.val)
 }
 
 func (c *Core) complete(u *uop, val uint64) {
@@ -613,13 +713,15 @@ func (c *Core) complete(u *uop, val uint64) {
 	c.pump()
 }
 
-// retire removes completed ops from the head of the window.
+// retire removes completed ops from the head of the window and recycles
+// their records.
 func (c *Core) retire() {
 	i := 0
 	for i < len(c.window) && c.window[i].done {
 		i++
 	}
 	if i > 0 {
+		c.freeU = append(c.freeU, c.window[:i]...)
 		c.window = append(c.window[:0], c.window[i:]...)
 	}
 }
@@ -649,17 +751,12 @@ func (c *Core) drainSB() {
 		}
 		s.draining = true
 		draining++
-		entry := s
 		c.outstanding++
-		tok := drainToken(entry.seq)
-		drain := func() {
-			c.l1.Access(Request{Kind: Store, Addr: entry.addr, Val: entry.val, Rel: entry.rel, Token: tok},
-				func(r Response) { c.Resume(tok, r) })
-		}
+		req := Request{Kind: Store, Addr: s.addr, Val: s.val, Rel: s.rel, Token: drainToken(s.seq)}
 		if j := c.jitter(c.cfg.DrainJitter); j > 0 {
-			c.k.After(j, drain)
+			c.k.After(j, func() { c.l1.Access(req, c.respondFn) })
 		} else {
-			drain()
+			c.l1.Access(req, c.respondFn)
 		}
 		if c.cfg.MCM != WMO {
 			break
@@ -683,6 +780,7 @@ func (c *Core) removeSB(e *sbEntry) {
 	for i, s := range c.sb {
 		if s == e {
 			c.sb = append(c.sb[:i], c.sb[i+1:]...)
+			c.freeSB = append(c.freeSB, e)
 			return
 		}
 	}
@@ -691,8 +789,8 @@ func (c *Core) removeSB(e *sbEntry) {
 // Clone returns a deep copy of the core for model-checker snapshots,
 // attached to kernel k and instruction source src (the caller clones the
 // source). The L1 port is left nil — call BindL1 once the matching cache
-// clone exists; the cache resumes this core's in-flight accesses by
-// token (see Resume). Cores with jitter enabled cannot be cloned (the
+// clone exists; the cache completes this core's in-flight accesses
+// through Callback, by token. Cores with jitter enabled cannot be cloned (the
 // checker explores orderings exhaustively and never uses jitter), nor
 // can cores with a pending pump event (non-quiescent).
 func (c *Core) Clone(k *sim.Kernel, src Source) *Core {
@@ -712,6 +810,7 @@ func (c *Core) Clone(k *sim.Kernel, src Source) *Core {
 		Retired: c.Retired, FinishedAt: c.FinishedAt, finished: c.finished,
 		outstanding: c.outstanding,
 	}
+	n.respondFn = n.respond
 	// Window and store-buffer records are value slabs: one allocation
 	// each instead of one per uop/entry. Identity comparisons elsewhere
 	// (e.g. removeSB) work on the slab pointers.
@@ -720,6 +819,7 @@ func (c *Core) Clone(k *sim.Kernel, src Source) *Core {
 		n.window = make([]*uop, len(c.window))
 		for i, u := range c.window {
 			us[i] = *u
+			us[i].core = n
 			n.window[i] = &us[i]
 		}
 	}
@@ -742,7 +842,8 @@ func (c *Core) BindL1(l1 MemPort) { c.l1 = l1 }
 // Kill halts the core immediately, modelling a host crash: all in-flight
 // and unfetched work is abandoned (never observed, never retired). The
 // core counts as finished so run loops waiting on completion unblock;
-// L1 completions still in flight are dropped by Resume's halted guard.
+// L1 and local completions still in flight are dropped by halted
+// guards.
 func (c *Core) Kill() {
 	if c.halted {
 		return

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"c3/internal/mem"
@@ -10,6 +11,8 @@ import (
 // fakeMem is a MemPort backed by a flat map with per-access fixed latency
 // and an optional per-address latency override. It records the order in
 // which accesses reach "memory", which is what the MCM tests assert on.
+// Like a real L1 it completes tracked requests from a later event with
+// the request's token echoed.
 type fakeMem struct {
 	k       *sim.Kernel
 	store   map[mem.Addr]uint64
@@ -51,7 +54,7 @@ func (f *fakeMem) Access(req Request, done func(Response)) {
 			v = f.store[req.Addr]
 			f.store[req.Addr] = req.Val
 		}
-		done(Response{Val: v, Missed: lat > 2, MissLatency: lat})
+		done(Response{Token: req.Token, Val: v, Missed: lat > 2, MissLatency: lat})
 	})
 }
 
@@ -462,6 +465,107 @@ func TestPrefetchSkippedForSyncCaches(t *testing.T) {
 	for _, r := range fm.arrived {
 		if r.Kind == Prefetch || r.Kind == PrefetchS {
 			t.Fatalf("prefetch sent to a sync cache: %v", r)
+		}
+	}
+}
+
+// TestKillDropsLocalCompletions: a store retires into the store buffer
+// with a one-cycle local completion; a crash in between must leave the
+// op never observed and never retired, like an in-flight L1 access.
+func TestKillDropsLocalCompletions(t *testing.T) {
+	k := &sim.Kernel{}
+	fm := newFakeMem(k, 5)
+	completed := 0
+	n := 0
+	src := &FuncSource{
+		NextFn: func() (Instr, bool) {
+			n++
+			return Instr{Kind: Store, Addr: 0x100, Val: 1}, n == 1
+		},
+		CompleteFn: func(Instr, uint64) { completed++ },
+	}
+	c := New(0, k, DefaultConfig(WMO), fm, src, nil)
+	observed := 0
+	c.Observe = func(OpStats) { observed++ }
+	c.Start()
+	k.Step() // the pump: fetch, issue into the SB, local completion queued
+	if k.Pending() == 0 {
+		t.Fatal("no local completion pending after the store issued")
+	}
+	c.Kill()
+	k.RunLimit(1000)
+	if c.Retired != 0 || completed != 0 || observed != 0 {
+		t.Fatalf("killed core retired %d, completed %d, observed %d ops; want none", c.Retired, completed, observed)
+	}
+}
+
+// olderBlocks is the pairwise ordering rule the one-pass summary
+// (olderOps) implements: whether older op o, while incomplete, must
+// complete before younger op y may proceed under model m.
+func olderBlocks(m MCM, o, y *uop) bool {
+	if o.done {
+		return false
+	}
+	ok, yk := o.in.Kind, y.in.Kind
+	if ok == Fence || ok == Acquire || ok == Release || ok.IsRMW() {
+		return true
+	}
+	if ok.IsMem() && yk.IsMem() && o.in.Addr.Line() == y.in.Addr.Line() {
+		return true
+	}
+	if o.in.Acq && ok == Load {
+		return true
+	}
+	switch m {
+	case SC:
+		return true
+	case TSO:
+		return ok == Load || ok.IsRMW()
+	}
+	return false
+}
+
+// TestOnePassReadinessMatchesPairwiseRule checks the issue stage's
+// summary of older ops against the pairwise rule on random windows: for
+// every op, "blocked" must equal "some older op blocks it", and
+// "incomplete" must equal "some older op is not done", under SC, TSO and
+// WMO. Windows longer than the summary's fixed line array exercise its
+// spill path.
+func TestOnePassReadinessMatchesPairwiseRule(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	kinds := []Kind{Load, Store, RMWAdd, RMWXchg, Fence, Acquire, Release}
+	for iter := 0; iter < 20000; iter++ {
+		m := []MCM{SC, TSO, WMO}[iter%3]
+		n := 1 + rng.IntN(48)
+		window := make([]*uop, n)
+		for i := range window {
+			u := &uop{seq: uint64(i)}
+			u.in.Kind = kinds[rng.IntN(len(kinds))]
+			if u.in.Kind.IsMem() {
+				// Few lines, several words each: same-line and
+				// same-address collisions are common.
+				u.in.Addr = mem.Addr(0x1000 + rng.IntN(6)*mem.LineBytes + rng.IntN(8)*8)
+			}
+			u.in.Acq = u.in.Kind == Load && rng.IntN(4) == 0
+			u.done = rng.IntN(3) == 0
+			u.issued = u.done || rng.IntN(2) == 0
+			window[i] = u
+		}
+		older := olderOps{mcm: m}
+		for i, u := range window {
+			wantBlocked, wantIncomplete := false, false
+			for _, o := range window[:i] {
+				wantBlocked = wantBlocked || olderBlocks(m, o, u)
+				wantIncomplete = wantIncomplete || !o.done
+			}
+			if got := older.blocks(u); got != wantBlocked {
+				t.Fatalf("%v window %d op %d (%v %#x): blocked=%v, pairwise rule says %v",
+					m, iter, i, u.in.Kind, u.in.Addr, got, wantBlocked)
+			}
+			if older.incomplete != wantIncomplete {
+				t.Fatalf("%v window %d op %d: incomplete=%v, want %v", m, iter, i, older.incomplete, wantIncomplete)
+			}
+			older.add(u)
 		}
 	}
 }

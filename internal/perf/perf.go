@@ -1,11 +1,11 @@
 // Package perf is the self-contained micro-benchmark harness behind the
 // checked-in perf-trajectory baseline (BENCH_c3.json): it re-runs the
 // repo's load-bearing hot paths — the event kernel, the checker's
-// snapshot expansion, the network send path, machine set-up, and the
-// soak inner loop — from a normal binary (c3bench -exp micro) rather
-// than `go test -bench`, measures wall time and allocation cost per op,
-// and compares the result against a committed baseline so every PR sees
-// its perf trajectory.
+// snapshot expansion, the network send path, the core/L1 hit path,
+// machine set-up, and the soak inner loop — from a normal binary
+// (c3bench -exp micro) rather than `go test -bench`, measures wall time
+// and allocation cost per op, and compares the result against a
+// committed baseline so every PR sees its perf trajectory.
 //
 // The harness deliberately avoids the testing package's auto-scaling:
 // each benchmark runs a fixed op count chosen to finish in well under a
@@ -21,8 +21,10 @@ import (
 	"c3/internal/cpu"
 	"c3/internal/faults"
 	"c3/internal/litmus"
+	"c3/internal/mem"
 	"c3/internal/msg"
 	"c3/internal/network"
+	"c3/internal/protocol/hostproto"
 	"c3/internal/sim"
 	"c3/internal/system"
 	"c3/internal/verif"
@@ -44,7 +46,8 @@ type Benchmark struct {
 	// Ops is the per-run op count; ns/op and allocs/op divide by it.
 	Ops int
 	// ZeroAlloc pins the steady state at 0 allocs/op (the CI alloc gates
-	// for the kernel and the fault-free network send path).
+	// for the kernel, the fault-free network send path and the core/L1
+	// hit path).
 	ZeroAlloc bool
 	// Setup builds run state once per measurement (excluded from the
 	// timed region) and returns the op loop.
@@ -94,6 +97,19 @@ func Benchmarks() []Benchmark {
 						k.Run(nil)
 					}
 				}
+			},
+		},
+		{
+			// The cpu issue/retire layer over a host L1: one core
+			// streaming loads and stores over private lines it already
+			// owns, so every op — one retired instruction — is fetch,
+			// issue, L1 hit, reply and retire, with store-buffer drains
+			// and pumps through the kernel. Steady state is
+			// allocation-free.
+			Name: "core-l1-hit", Ops: 500_000, ZeroAlloc: true,
+			Setup: func(ops int) func() {
+				run := coreL1Hit()
+				return func() { run(ops) }
 			},
 		},
 		{
@@ -237,6 +253,66 @@ func Benchmarks() []Benchmark {
 type nopPort struct{}
 
 func (nopPort) Recv(*msg.Msg) {}
+
+// coreL1Hit builds the core-l1-hit rig — a WMO core on a Table III
+// MESI L1 whose directory grants every request in M — warms it until
+// the core's 16 private lines are resident, and returns a function that
+// runs the core until it retires n more instructions.
+func coreL1Hit() (run func(n int)) {
+	k := &sim.Kernel{}
+	dir := &grantM{k: k}
+	l1 := hostproto.NewL1(2, 1, k, dir, hostproto.DefaultConfig(hostproto.MESI))
+	dir.l1 = l1
+	var prog []cpu.Instr
+	for i := 0; i < 16; i++ {
+		a := mem.Addr(0x10000 + i*mem.LineBytes)
+		prog = append(prog,
+			cpu.Instr{Kind: cpu.Store, Addr: a, Val: uint64(i)},
+			cpu.Instr{Kind: cpu.Load, Addr: a + 8, Reg: i})
+	}
+	c := cpu.New(0, k, cpu.DefaultConfig(cpu.WMO), l1, &loopSource{prog: prog}, nil)
+	c.Start()
+	run = func(n int) {
+		for end := c.Retired + uint64(n); c.Retired < end; {
+			k.Step()
+		}
+	}
+	run(4 * len(prog)) // fills, then the rings and free lists reach size
+	if l1.Misses != uint64(len(prog)/2) {
+		panic(fmt.Sprintf("perf: core-l1-hit: %d L1 misses warming 16 lines", l1.Misses))
+	}
+	return run
+}
+
+// grantM is the core-l1-hit rig's directory: it answers every request
+// with ownership one cycle later.
+type grantM struct {
+	k  *sim.Kernel
+	l1 *hostproto.L1
+}
+
+func (d *grantM) Send(m *msg.Msg) {
+	if m.Type != msg.GetS && m.Type != msg.GetM {
+		panic(fmt.Sprintf("perf: core-l1-hit: unexpected %v", m))
+	}
+	d.k.After(1, func() {
+		d.l1.Recv(&msg.Msg{Type: msg.DataM, Addr: m.Addr, Src: m.Dst, Dst: m.Src, Data: &mem.Data{}})
+	})
+}
+
+// loopSource replays a fixed program forever.
+type loopSource struct {
+	prog []cpu.Instr
+	pos  int
+}
+
+func (s *loopSource) Next() (cpu.Instr, bool) {
+	in := s.prog[s.pos]
+	s.pos = (s.pos + 1) % len(s.prog)
+	return in, true
+}
+
+func (s *loopSource) Complete(cpu.Instr, uint64) {}
 
 func mpModel() verif.ModelConfig {
 	tc, ok := litmus.ByName("MP")

@@ -11,12 +11,17 @@ import (
 // Clone returns a deep copy of the L1 for model-checker snapshots,
 // attached to kernel k and fabric net. Pending core completions are the
 // one piece of L1 state that is not plain data: each queued pendingOp
-// holds a done closure over the original core. The request token (see
-// cpu.Request.Token) identifies the operation, so the clone rebuilds
-// every callback as a call into resume — the cloned core's Resume method
-// — making the snapshot's completion path identical to the original's.
-// The tracer is not carried over (checker models are untraced).
-func (l *L1) Clone(k *sim.Kernel, net network.Fabric, resume func(tok uint64, r cpu.Response)) *L1 {
+// holds the original core's callback. The request token (see
+// cpu.Request.Token) identifies the operation and the reply echoes it,
+// so the clone points every pending op at done — the cloned core's
+// Callback — making the snapshot's completion path identical to the
+// original's. The reply queue is empty at quiescence, the only point a
+// model is cloned. The tracer is not carried over (checker models are
+// untraced).
+func (l *L1) Clone(k *sim.Kernel, net network.Fabric, done func(cpu.Response)) *L1 {
+	if l.replies.Len() != 0 {
+		panic("hostproto: Clone of L1 with queued replies")
+	}
 	n := &L1{
 		id: l.id, dir: l.dir, k: k, net: net,
 		c: l.c.Clone(), cfg: l.cfg,
@@ -28,8 +33,7 @@ func (l *L1) Clone(k *sim.Kernel, net network.Fabric, resume func(tok uint64, r 
 		if op.req.Token == 0 {
 			panic("hostproto: Clone of L1 with an untracked pending op")
 		}
-		tok := op.req.Token
-		op.done = func(r cpu.Response) { resume(tok, r) }
+		op.done = done
 		return op
 	}
 	for a, t := range l.reqs {

@@ -71,6 +71,31 @@ type pendingOp struct {
 	start sim.Time
 }
 
+// reply is a core response waiting out the hit latency.
+type reply struct {
+	done func(cpu.Response)
+	r    cpu.Response
+}
+
+// replyQueue is an L1's FIFO of replies in flight to its core. Every
+// reply is scheduled HitLatency ahead, so the replies' events fire in
+// queue order and each one pops the head: no closure per reply.
+type replyQueue struct{ sim.FIFO[reply] }
+
+// schedule queues op's response and its delivery event.
+func (q *replyQueue) schedule(k *sim.Kernel, lat sim.Time, op pendingOp, r cpu.Response) {
+	r.Token = op.req.Token
+	q.Push(reply{done: op.done, r: r})
+	k.ScheduleArg(k.Now()+lat, deliverReply, q)
+}
+
+// deliverReply is the reply event: it hands the queue's oldest response
+// to its core.
+func deliverReply(a any) {
+	r := a.(*replyQueue).Pop()
+	r.done(r.r)
+}
+
 // reqTBE tracks an outstanding GetS/GetM.
 type reqTBE struct {
 	addr    mem.LineAddr
@@ -129,6 +154,7 @@ type L1 struct {
 	// deferred holds ops stalled on set-conflict pressure (no frame and
 	// no evictable victim); retried on every completion.
 	deferred []pendingOp
+	replies  replyQueue
 
 	// Accesses/Misses drive MPKI accounting.
 	Accesses, Misses uint64
@@ -323,12 +349,11 @@ func (l *L1) tryHit(e *cache.Entry, op pendingOp) bool {
 }
 
 func (l *L1) reply(op pendingOp, val uint64, missed, poisoned bool) {
-	lat := l.cfg.HitLatency
 	r := cpu.Response{Val: val, Missed: missed, Poisoned: poisoned}
 	if missed {
 		r.MissLatency = l.k.Now() - op.start
 	}
-	l.k.After(lat, func() { op.done(r) })
+	l.replies.schedule(l.k, l.cfg.HitLatency, op, r)
 }
 
 // evictable approves replacement victims: stable lines with no request

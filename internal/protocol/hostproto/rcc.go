@@ -61,6 +61,7 @@ type RCCL1 struct {
 
 	cur      *seqOp
 	seqQueue []*seqOp
+	replies  replyQueue
 
 	Accesses, Misses uint64
 }
@@ -102,7 +103,7 @@ func (l *RCCL1) reply(op pendingOp, val uint64, missed, poisoned bool) {
 	if missed {
 		r.MissLatency = l.k.Now() - op.start
 	}
-	l.k.After(l.cfg.HitLatency, func() { op.done(r) })
+	l.replies.schedule(l.k, l.cfg.HitLatency, op, r)
 }
 
 // Access implements cpu.MemPort.

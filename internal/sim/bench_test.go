@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand/v2"
+	"testing"
+)
 
 // BenchmarkKernelSchedule pins the freelist's steady state: after warmup,
 // a schedule+fire round trip must not allocate (the event comes from the
@@ -59,6 +62,32 @@ func BenchmarkKernelScheduleArg(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.ScheduleArg(k.Now()+1, fn, arg)
+		k.Step()
+	}
+}
+
+// BenchmarkKernelMixed keeps about 50 events pending with the delay mix
+// measured on the timed workloads: about two thirds one cycle ahead (the
+// next-cycle lane), the rest 2-255 cycles out (the heap).
+func BenchmarkKernelMixed(b *testing.B) {
+	var k Kernel
+	rng := rand.New(rand.NewPCG(7, 7))
+	delays := make([]Time, 1024)
+	for i := range delays {
+		if rng.IntN(3) < 2 {
+			delays[i] = 1
+		} else {
+			delays[i] = Time(2 + rng.IntN(254))
+		}
+	}
+	fn := func(any) {}
+	for i := 0; i < 50; i++ {
+		k.ScheduleArg(k.Now()+delays[i], fn, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.ScheduleArg(k.Now()+delays[i&1023], fn, nil)
 		k.Step()
 	}
 }

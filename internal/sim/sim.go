@@ -13,7 +13,14 @@
 // events are recycled through a per-kernel freelist, and the binary heap
 // is sifted directly on []*event (no container/heap interface boxing).
 // Components that schedule at high rate can avoid the per-call closure
-// too, via ScheduleArg (see internal/network's delivery path).
+// too, via ScheduleArg (see internal/network's delivery path and the
+// cores' pump and local-completion events).
+//
+// Most events in a timed run are scheduled exactly one cycle ahead (core
+// pumps, local completions, L1 hit replies). Those bypass the heap: they
+// queue in a FIFO next-cycle lane, which is already in (time, seq) order
+// because the clock never runs backwards and seq only grows, and Step
+// pops the earlier of the lane head and the heap top.
 package sim
 
 // Time is a simulation timestamp in cycles of the global clock.
@@ -38,7 +45,20 @@ type event struct {
 
 	seq   uint64 // tie-break so equal-time events run in schedule order
 	gen   uint32 // bumped on recycle; Handles with an older gen are stale
-	index int32  // heap bookkeeping; -1 when not queued
+	index int32  // heap position, inLane, or -1 when not queued
+}
+
+// inLane marks an event queued in the next-cycle lane. A lane event that
+// is cancelled drops to index -1 but stays in the ring until Step
+// reaches it, so Cancel never has to search the ring.
+const inLane = -2
+
+// before reports whether a runs before b: the kernel's total order.
+func before(a, b *event) bool {
+	if a.when != b.when {
+		return a.when < b.when
+	}
+	return a.seq < b.seq
 }
 
 // Handle identifies a scheduled event for Cancel. The zero Handle is
@@ -55,12 +75,7 @@ func (h Handle) Valid() bool { return h.e != nil }
 
 type eventHeap []*event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
-}
+func (h eventHeap) less(i, j int) bool { return before(h[i], h[j]) }
 
 func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
@@ -136,12 +151,55 @@ func (h *eventHeap) remove(i int) {
 	e.index = -1
 }
 
+// FIFO is a first-in first-out queue on a power-of-two ring that doubles
+// when full. The kernel's next-cycle lane is one; a component whose
+// events all fire at one fixed delay keeps their payloads in another,
+// since those events fire in the order it scheduled them, so each event
+// pops the head and needs no closure of its own.
+type FIFO[T any] struct {
+	buf     []T
+	head, n int32
+}
+
+// Len reports how many values are queued.
+func (q *FIFO[T]) Len() int { return int(q.n) }
+
+// Push appends v.
+func (q *FIFO[T]) Push(v T) {
+	if int(q.n) == len(q.buf) {
+		nb := make([]T, max(2*len(q.buf), 2))
+		for i := range q.n {
+			nb[i] = q.buf[(q.head+i)&int32(len(q.buf)-1)]
+		}
+		q.buf, q.head = nb, 0
+	}
+	q.buf[(q.head+q.n)&int32(len(q.buf)-1)] = v
+	q.n++
+}
+
+// Front returns the oldest value; the queue must not be empty.
+func (q *FIFO[T]) Front() T { return q.buf[q.head] }
+
+// Pop removes and returns the oldest value; the queue must not be empty.
+func (q *FIFO[T]) Pop() T {
+	var zero T
+	v := q.buf[q.head]
+	q.buf[q.head] = zero
+	q.head = (q.head + 1) & int32(len(q.buf)-1)
+	q.n--
+	return v
+}
+
 // Kernel is the event loop. The zero value is ready to use.
 type Kernel struct {
 	now    Time
 	nextSq uint64
 	events eventHeap
-	free   []*event
+	// lane holds the events scheduled for now+1 at the time they were
+	// scheduled, in schedule order; laneLive counts those not cancelled.
+	lane     FIFO[*event]
+	laneLive int32
+	free     []*event
 	// Stepped counts processed events; useful as a progress/limit guard.
 	Stepped uint64
 }
@@ -155,14 +213,14 @@ func (k *Kernel) Now() Time { return k.now }
 // cannot be rebound, so the model checker snapshots states only at
 // quiescent points where the queue has drained.
 func (k *Kernel) Clone() *Kernel {
-	if len(k.events) != 0 {
+	if k.Pending() != 0 {
 		panic("sim: Clone of kernel with pending events")
 	}
 	return &Kernel{now: k.now, nextSq: k.nextSq, Stepped: k.Stepped}
 }
 
-// Pending reports how many events are queued.
-func (k *Kernel) Pending() int { return len(k.events) }
+// Pending reports how many events are queued (cancelled ones excluded).
+func (k *Kernel) Pending() int { return len(k.events) + int(k.laneLive) }
 
 // alloc takes an event from the freelist, or makes one.
 func (k *Kernel) alloc(t Time) *event {
@@ -191,25 +249,38 @@ func (k *Kernel) recycle(e *event) {
 	k.free = append(k.free, e)
 }
 
+// queue files e in the next-cycle lane or the heap. Lane events carry
+// when = now+1 with now never decreasing and seq always increasing, so
+// appending keeps the lane sorted by (when, seq).
+func (k *Kernel) queue(e *event) {
+	if e.when == k.now+1 {
+		e.index = inLane
+		k.lane.Push(e)
+		k.laneLive++
+		return
+	}
+	k.events.push(e)
+}
+
 // Schedule queues fn to run at absolute time t. Scheduling in the past is
 // a programming error and panics (it would silently reorder causality).
 func (k *Kernel) Schedule(t Time, fn func()) Handle {
 	e := k.alloc(t)
 	e.fn = fn
-	k.events.push(e)
+	k.queue(e)
 	return Handle{e: e, gen: e.gen}
 }
 
 // ScheduleArg is Schedule without the per-call closure: fn is typically a
 // long-lived method value shared across many events, and arg carries the
 // per-event state (a pointer, so boxing it into any does not allocate).
-// The network delivery path uses it to stay allocation-free in steady
-// state.
+// The network delivery path, the cores and the L1 reply queues use it
+// to stay allocation-free in steady state.
 func (k *Kernel) ScheduleArg(t Time, fn func(any), arg any) Handle {
 	e := k.alloc(t)
 	e.afn = fn
 	e.arg = arg
-	k.events.push(e)
+	k.queue(e)
 	return Handle{e: e, gen: e.gen}
 }
 
@@ -221,22 +292,52 @@ func (k *Kernel) After(d Time, fn func()) Handle {
 // Cancel removes a queued event. Cancelling an already-fired, cancelled,
 // or zero handle is a no-op — the generation counter makes stale handles
 // safe even though the underlying event may have been recycled for an
-// unrelated schedule.
+// unrelated schedule. A cancelled lane event is marked dead in place and
+// recycled when Step reaches it.
 func (k *Kernel) Cancel(h Handle) {
 	e := h.e
-	if e == nil || e.gen != h.gen || e.index < 0 {
+	if e == nil || e.gen != h.gen || e.index == -1 {
+		return
+	}
+	if e.index == inLane {
+		e.index = -1
+		e.gen++
+		e.fn, e.afn, e.arg = nil, nil, nil
+		k.laneLive--
 		return
 	}
 	k.events.remove(int(e.index))
 	k.recycle(e)
 }
 
+// next dequeues the earliest live event, or returns nil.
+func (k *Kernel) next() *event {
+	for k.lane.Len() > 0 {
+		l := k.lane.Front()
+		if l.index != inLane { // cancelled
+			k.recycle(k.lane.Pop())
+			continue
+		}
+		if len(k.events) > 0 && before(k.events[0], l) {
+			break
+		}
+		k.lane.Pop()
+		k.laneLive--
+		l.index = -1
+		return l
+	}
+	if len(k.events) == 0 {
+		return nil
+	}
+	return k.events.popMin()
+}
+
 // Step runs the next event. It reports false when the queue is empty.
 func (k *Kernel) Step() bool {
-	if len(k.events) == 0 {
+	e := k.next()
+	if e == nil {
 		return false
 	}
-	e := k.events.popMin()
 	k.now = e.when
 	k.Stepped++
 	fn, afn, arg := e.fn, e.afn, e.arg
@@ -255,7 +356,7 @@ func (k *Kernel) Step() bool {
 // returns true. It returns the number of events processed.
 func (k *Kernel) Run(until func() bool) uint64 {
 	start := k.Stepped
-	for len(k.events) > 0 {
+	for k.Pending() > 0 {
 		if until != nil && until() {
 			break
 		}
@@ -267,7 +368,7 @@ func (k *Kernel) Run(until func() bool) uint64 {
 // RunLimit processes at most limit events; it reports whether the queue
 // drained. A zero limit means no limit.
 func (k *Kernel) RunLimit(limit uint64) bool {
-	for n := uint64(0); len(k.events) > 0; n++ {
+	for n := uint64(0); k.Pending() > 0; n++ {
 		if limit != 0 && n >= limit {
 			return false
 		}

@@ -264,6 +264,134 @@ func TestScheduleArg(t *testing.T) {
 	}
 }
 
+// TestRandomizedAgainstReference drives Schedule, ScheduleArg, Cancel
+// and Step with the delay mix of a timed run (0, 1 — the next-cycle
+// lane — and 2..300 cycles), including callbacks that schedule, and
+// double and stale cancels of fired and cancelled events. A reference
+// list sorted by (when, seq) must fire in the same order, Pending must
+// be exact after every call, and Clone must panic exactly while an
+// event (lane or heap) is live.
+func TestRandomizedAgainstReference(t *testing.T) {
+	type refEv struct {
+		when Time
+		seq  uint64
+		id   int
+		lane bool // scheduled one cycle ahead
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 99))
+		var k Kernel
+		var live []refEv // reference queue, unsorted
+		var handles []Handle
+		state := map[int]string{} // id -> live | fired | cancelled
+		var fired []int
+		var seq uint64
+		var sched func()
+		onFire := func(id int) {
+			fired = append(fired, id)
+			if rng.IntN(3) == 0 {
+				sched() // callbacks schedule too, reusing the freed slot
+			}
+		}
+		argFn := func(a any) { onFire(*a.(*int)) }
+		sched = func() {
+			var d Time
+			switch r := rng.IntN(10); {
+			case r < 2:
+				d = 0
+			case r < 7:
+				d = 1
+			default:
+				d = Time(2 + rng.IntN(299))
+			}
+			id := len(handles)
+			var h Handle
+			if rng.IntN(2) == 0 {
+				h = k.Schedule(k.Now()+d, func() { onFire(id) })
+			} else {
+				v := id
+				h = k.ScheduleArg(k.Now()+d, argFn, &v)
+			}
+			handles = append(handles, h)
+			live = append(live, refEv{when: k.Now() + d, seq: seq, id: id, lane: d == 1})
+			seq++
+			state[id] = "live"
+		}
+		checkPending := func(op string) {
+			t.Helper()
+			if k.Pending() != len(live) {
+				t.Fatalf("seed %d: after %s Pending() = %d, reference %d", seed, op, k.Pending(), len(live))
+			}
+		}
+		for step := 0; step < 4000; step++ {
+			switch r := rng.IntN(10); {
+			case r < 4:
+				sched()
+				checkPending("schedule")
+			case r < 6 && len(handles) > 0:
+				// Any handle: live, fired or already cancelled (stale and
+				// double cancels must be no-ops).
+				id := rng.IntN(len(handles))
+				k.Cancel(handles[id])
+				if state[id] == "live" {
+					state[id] = "cancelled"
+					for i, e := range live {
+						if e.id == id {
+							live = append(live[:i], live[i+1:]...)
+							break
+						}
+					}
+				}
+				checkPending("cancel")
+			case r < 9:
+				if len(live) == 0 {
+					if k.Step() {
+						t.Fatalf("seed %d: Step fired with an empty reference", seed)
+					}
+					continue
+				}
+				sort.Slice(live, func(i, j int) bool {
+					if live[i].when != live[j].when {
+						return live[i].when < live[j].when
+					}
+					return live[i].seq < live[j].seq
+				})
+				want := live[0]
+				live = live[1:]
+				state[want.id] = "fired"
+				n := len(fired)
+				if !k.Step() {
+					t.Fatalf("seed %d: Step reported an empty queue, reference has %d", seed, len(live)+1)
+				}
+				if len(fired) <= n || fired[n] != want.id || k.Now() != want.when {
+					t.Fatalf("seed %d: fired %v at %d, want event %d at %d", seed, fired[n:], k.Now(), want.id, want.when)
+				}
+				checkPending("step")
+			default:
+				laneLive := false
+				for _, e := range live {
+					laneLive = laneLive || e.lane
+				}
+				panicked := func() (p bool) {
+					defer func() { p = recover() != nil }()
+					c := k.Clone()
+					if c.Now() != k.Now() || c.Pending() != 0 {
+						t.Fatalf("seed %d: clone at %d with %d pending", seed, c.Now(), c.Pending())
+					}
+					return false
+				}()
+				if panicked != (len(live) > 0) || (laneLive && !panicked) {
+					t.Fatalf("seed %d: Clone panicked=%v with %d live events (lane live %v)", seed, panicked, len(live), laneLive)
+				}
+			}
+		}
+		k.Run(nil)
+		if k.Pending() != 0 || k.Step() {
+			t.Fatalf("seed %d: kernel not drained", seed)
+		}
+	}
+}
+
 func BenchmarkKernelScheduleStep(b *testing.B) {
 	var k Kernel
 	b.ReportAllocs()

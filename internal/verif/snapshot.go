@@ -35,7 +35,8 @@ func ModelsLive() int64 { return modelsLive.Load() }
 // checker visits): the kernel queue must be empty, which guarantees no
 // event closures reference the old graph. The one cross-component link
 // that outlives quiescence — an L1's pending core completions — is
-// rebuilt from request tokens (see cpu.Request.Token and cpu.Core.Resume).
+// rebound to the cloned core by request token (see cpu.Request.Token and
+// cpu.Core.Callback).
 //
 // Clone is read-only on the receiver except for the COW refcounts, so
 // several successors of the same parent may be cloned concurrently.
@@ -64,7 +65,7 @@ func (m *Model) Clone() *Model {
 	for i, c := range m.cores {
 		src := m.srcs[i].Clone()
 		nc := c.Clone(n.K, src)
-		l1 := m.l1s[i].l1.Clone(n.K, n.Fabric, nc.Resume)
+		l1 := m.l1s[i].l1.Clone(n.K, n.Fabric, nc.Callback())
 		nc.BindL1(l1)
 		n.Fabric.Register(l1.ID(), l1)
 		n.cores = append(n.cores, nc)
