@@ -52,14 +52,6 @@ const (
 // instead of silently defaulting.
 func ParseMCM(s string) (MCM, error) { return cpu.ParseMCM(s) }
 
-// ValidLocalProtocol reports whether name is an embedded local protocol
-// spec ("mesi", "moesi", "mesif", "rcc"; case-insensitive).
-func ValidLocalProtocol(name string) bool { _, ok := ssp.Local(name); return ok }
-
-// ValidGlobalProtocol reports whether name is an embedded global
-// protocol spec ("cxl", "hmesi").
-func ValidGlobalProtocol(name string) bool { _, ok := ssp.Global(name); return ok }
-
 // Cluster describes one compute node of the machine.
 type Cluster struct {
 	// Protocol is the host coherence protocol: "mesi", "moesi",

@@ -60,16 +60,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"c3"
 	"c3/internal/obs"
+	"c3/internal/system"
 	"c3/internal/trace"
 )
 
@@ -117,15 +116,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "c3check: -por takes on|off")
 		os.Exit(obs.ExitUsage)
 	}
+	machine, err := system.ParseMachine(*local0, *local1, *global, *mcm0, *mcm1)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "c3check:", err)
+		os.Exit(obs.ExitUsage)
+	}
 
 	// Live exploration counters: Verify's OnProgress callback stores into
 	// atomics, the statusz registry reads them — the checker itself never
 	// blocks on an HTTP reader.
 	co := newCheckObserver()
 	cfg := c3.VerifyConfig{
-		Locals:         [2]string{*local0, *local1},
-		Global:         *global,
-		MCMs:           [2]c3.MCM{mcm(*mcm0), mcm(*mcm1)},
+		Locals:         machine.Locals,
+		Global:         machine.Global,
+		MCMs:           machine.MCMs,
 		TinyLLC:        *tiny,
 		MaxStates:      *maxStates,
 		MaxDepth:       *maxDepth,
@@ -150,22 +154,8 @@ func main() {
 
 	// Graceful shutdown: the first SIGINT/SIGTERM closes the interrupt
 	// channel — the exploration stops at its next poll and the partial
-	// result prints. signal.Stop restores default disposition, so a
-	// second signal kills.
-	interruptc := make(chan struct{})
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		sig, ok := <-sigc
-		if !ok {
-			return
-		}
-		fmt.Fprintf(os.Stderr, "c3check: %v: stopping gracefully (send again to kill)\n", sig)
-		signal.Stop(sigc)
-		close(interruptc)
-	}()
-	defer signal.Stop(sigc)
-	cfg.Interrupt = interruptc
+	// result prints. A second signal kills.
+	cfg.Interrupt = obs.Interrupt("c3check", "stopping gracefully")
 
 	if *replay != "" {
 		if *test == "" {
@@ -314,15 +304,16 @@ func main() {
 	// Verdict precedence: a found violation outranks the shutdown that
 	// may have followed it; an interrupt outranks a timeout because its
 	// result is deliberately partial, not a budget failure.
-	verdict, exit := obs.VerdictPass, obs.ExitPass
+	verdict := obs.VerdictPass
 	switch {
 	case !ok:
-		verdict, exit = obs.VerdictViolation, obs.ExitFail
+		verdict = obs.VerdictViolation
 	case interrupted:
-		verdict, exit = obs.VerdictInterrupted, obs.ExitResumable
+		verdict = obs.VerdictInterrupted
 	case timedOut:
-		verdict, exit = obs.VerdictTimeout, obs.ExitFail
+		verdict = obs.VerdictTimeout
 	}
+	exit := obs.ExitCode(verdict)
 	if *ledger != "" {
 		var metrics bytes.Buffer
 		if err := co.registry.RenderJSON(&metrics); err != nil {
@@ -462,15 +453,4 @@ func parseWitness(s string) ([]uint16, error) {
 		path = append(path, uint16(v))
 	}
 	return path, nil
-}
-
-func mcm(s string) c3.MCM {
-	switch s {
-	case "tso":
-		return c3.TSO
-	case "sc":
-		return c3.SC
-	default:
-		return c3.ARM
-	}
 }

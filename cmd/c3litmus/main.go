@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"c3"
+	"c3/internal/system"
 )
 
 // sortedKeys renders map output deterministically.
@@ -68,24 +69,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "c3litmus: -test, -table or -list required")
 		os.Exit(2)
 	}
-	if !c3.ValidGlobalProtocol(*global) {
-		fmt.Fprintf(os.Stderr, "c3litmus: unknown global protocol %q (want cxl|hmesi)\n", *global)
-		os.Exit(2)
-	}
-	for _, l := range []struct{ flag, val string }{{"-local0", *local0}, {"-local1", *local1}} {
-		if !c3.ValidLocalProtocol(l.val) {
-			fmt.Fprintf(os.Stderr, "c3litmus: unknown %s protocol %q (want mesi|moesi|mesif|rcc)\n", l.flag, l.val)
-			os.Exit(2)
-		}
-	}
-	m0, err := c3.ParseMCM(*mcm0)
-	failUsage(err)
-	m1, err := c3.ParseMCM(*mcm1)
+	machine, err := system.ParseMachine(*local0, *local1, *global, *mcm0, *mcm1)
 	failUsage(err)
 	res, err := c3.RunLitmus(*test, c3.LitmusConfig{
-		Locals:    [2]string{*local0, *local1},
-		Global:    *global,
-		MCMs:      [2]c3.MCM{m0, m1},
+		Locals:    machine.Locals,
+		Global:    machine.Global,
+		MCMs:      machine.MCMs,
 		Iters:     *iters,
 		Unsynced:  *unsynced,
 		Seed:      *seed,

@@ -2,22 +2,26 @@
 // expands a sweep spec (litmus tests × fault plans × seeds) into a
 // shard-by-seed job queue, hands shards to c3worker processes under
 // time-bounded leases, tracks worker liveness via heartbeats, requeues
-// shards whose workers die (capped backoff, quarantine after repeated
-// failures), journals every accepted result to the c3-run/v1 ledger,
-// and — when every shard is terminal — prints a report byte-identical
-// to a single-process `c3soak` run of the same spec.
+// shards whose workers die or whose attempts fail (capped backoff, an
+// error row once -retries is spent), journals every accepted result to
+// the c3-run/v1 ledger, and — when every shard is terminal — prints a
+// report byte-identical to a single-process `c3soak` run of the same
+// spec. It takes c3soak's sweep flags and schedules them on the same
+// lease queue c3soak drains in process.
 //
 // Usage:
 //
 //	c3serve -addr 127.0.0.1:8423 -tests MP,SB -plans light -seeds 1,2,3
 //	c3worker -coordinator http://127.0.0.1:8423 &   # × N, any machines
-//	c3serve -addr :8423 -lease 10s -max-failures 3  # fleet tuning
+//	c3serve -addr :8423 -lease 10s -retries 3       # fleet tuning
 //	c3serve -resume                                 # finish a dead coordinator's campaign
 //
 // Fault tolerance: a worker that is killed, hangs, or partitions simply
 // stops heartbeating; its lease expires and the shard requeues with
-// capped exponential backoff, quarantining as a loud error row after
-// -max-failures expiries. Execution is at-least-once — a slow worker's
+// capped exponential backoff. A worker hands back an attempt that hit
+// -task-timeout or panicked the same way. Both spend the shard's one
+// budget, -retries; the next failure leaves a loud error row (TIMEOUT,
+// the panic, or "quarantined" for expiries). Execution is at-least-once — a slow worker's
 // late result is deduplicated through the content-addressed row key
 // (spec, seed, code version), and seed determinism makes duplicates
 // byte-identical, so correctness never depends on exactly-once
@@ -29,6 +33,11 @@
 // snapshot), /spec, /lease, /heartbeat, /result, /release, /results
 // (streaming JSONL of accepted rows), /report.
 //
+// Shutdown: after the report prints, c3serve keeps answering "campaign
+// complete" for -drain so idle workers exit 0; a SIGINT/SIGTERM then
+// ends the drain early, and the run record and exit code are the
+// campaign's own.
+//
 // Exit status: 0 campaign passed; 1 a silent violation, an aborted or
 // quarantined shard, or a sweep timeout; 2 usage error; 3 interrupted
 // by SIGINT/SIGTERM with accepted rows journaled — rerun with -resume.
@@ -38,187 +47,88 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"strconv"
-	"syscall"
 	"time"
 
-	"c3"
 	"c3/internal/campaign"
-	"c3/internal/litmus"
 	"c3/internal/obs"
 )
 
 func main() {
+	var sweep campaign.SweepFlags
+	sweep.Register(flag.CommandLine)
 	addr := flag.String("addr", "127.0.0.1:8423", "coordinator listen address")
-	tests := flag.String("tests", "", "litmus tests, comma-separated (default: the Table IV set)")
-	plans := flag.String("plans", "", "fault plans, ';'-separated: preset names and/or drop=..,dup=.. specs (default: all presets)")
-	seeds := flag.String("seeds", "1", "campaign base seeds, comma-separated")
-	iters := flag.Int("iters", 25, "iterations per campaign")
-	local0 := flag.String("local0", "mesi", "cluster 0 protocol")
-	local1 := flag.String("local1", "mesi", "cluster 1 protocol")
-	global := flag.String("global", "cxl", "global protocol: cxl|hmesi")
-	mcm0 := flag.String("mcm0", "arm", "cluster 0 MCM: arm|tso|sc")
-	mcm1 := flag.String("mcm1", "arm", "cluster 1 MCM")
-	taskTimeout := flag.Duration("task-timeout", 0, "per-shard attempt budget applied by workers (0 = none)")
-	retries := flag.Int("retries", 2, "extra attempts a timed-out or panicked shard gets on its worker")
 	lease := flag.Duration("lease", campaign.DefaultLeaseTTL, "lease TTL: a worker silent this long loses its shard")
-	maxFailures := flag.Int("max-failures", campaign.DefaultMaxFailures, "lease failures before a shard is quarantined as an error row")
-	timeout := flag.Duration("timeout", 0, "wall-clock bound for the whole campaign (0 = none)")
-	drain := flag.Duration("drain", 2*time.Second, "after completion, keep answering \"campaign complete\" this long so idle workers exit 0 instead of \"coordinator lost\"")
-	ledger := flag.String("ledger", obs.DefaultLedgerPath(), "journal accepted rows and the run record to this file (empty = off)")
-	resume := flag.Bool("resume", false, "replay the journal and queue only shards without checkpointed rows")
+	drain := flag.Duration("drain", 2*time.Second, "after completion, keep answering \"campaign complete\" this long so idle workers exit 0 instead of \"coordinator lost\" (a signal ends it early)")
 	flag.Parse()
 
-	if *lease <= 0 || *maxFailures <= 0 {
-		fmt.Fprintln(os.Stderr, "c3serve: -lease and -max-failures must be positive")
+	if *lease <= 0 {
+		fmt.Fprintln(os.Stderr, "c3serve: -lease must be positive")
 		os.Exit(obs.ExitUsage)
 	}
-	if *timeout < 0 || *taskTimeout < 0 || *retries < 0 {
-		fmt.Fprintln(os.Stderr, "c3serve: -timeout, -task-timeout and -retries must be non-negative")
-		os.Exit(obs.ExitUsage)
-	}
-	if *resume && *ledger == "" {
-		fmt.Fprintln(os.Stderr, "c3serve: -resume needs a ledger (-ledger)")
-		os.Exit(obs.ExitUsage)
-	}
-	if !c3.ValidGlobalProtocol(*global) {
-		fmt.Fprintf(os.Stderr, "c3serve: unknown global protocol %q (want cxl|hmesi)\n", *global)
-		os.Exit(obs.ExitUsage)
-	}
-	for _, l := range []struct{ flag, val string }{{"-local0", *local0}, {"-local1", *local1}} {
-		if !c3.ValidLocalProtocol(l.val) {
-			fmt.Fprintf(os.Stderr, "c3serve: unknown %s protocol %q (want mesi|moesi|mesif|rcc)\n", l.flag, l.val)
-			os.Exit(obs.ExitUsage)
-		}
-	}
-	m0, err := c3.ParseMCM(*mcm0)
-	failUsage(err)
-	m1, err := c3.ParseMCM(*mcm1)
-	failUsage(err)
-
-	var seedVals []int64
-	for _, s := range csv(*seeds) {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "c3serve: bad seed %q\n", s)
-			os.Exit(obs.ExitUsage)
-		}
-		seedVals = append(seedVals, v)
-	}
-
-	spec, err := campaign.NewSpec(csv(*tests), split(*plans, ";"), seedVals, *iters,
-		[2]string{*local0, *local1}, *global, [2]c3.MCM{m0, m1}, *taskTimeout, *retries)
-	failUsage(err)
-	suffix, err := spec.Suffix()
+	spec, err := sweep.Spec()
 	failUsage(err)
 
 	// Journal replay: shards with checkpointed rows (from a previous
 	// coordinator, or from a single-process c3soak of the same spec) are
 	// born done and never leased.
-	var completed map[string]litmus.SoakRun
-	if *resume {
-		var stats obs.LedgerStats
-		completed, stats, err = campaign.LoadCheckpoints(*ledger, suffix)
-		if err != nil {
-			if os.IsNotExist(err) {
-				fmt.Fprintf(os.Stderr, "c3serve: resume: no ledger at %s, starting fresh\n", *ledger)
-			} else {
-				fmt.Fprintf(os.Stderr, "c3serve: resume: %v\n", err)
-				os.Exit(obs.ExitUsage)
-			}
-		}
-		for _, w := range stats.Warnings {
-			fmt.Fprintln(os.Stderr, "c3serve: resume:", w)
-		}
-		if stats.Skipped > 0 {
-			fmt.Fprintf(os.Stderr, "c3serve: resume: %d torn/corrupt ledger record(s) skipped\n", stats.Skipped)
-		}
-		fmt.Fprintf(os.Stderr, "c3serve: resume: %d completed rows loaded from %s\n", len(completed), *ledger)
-	}
+	completed, err := sweep.Completed("c3serve", spec)
+	failUsage(err)
 
 	srv, err := campaign.StartServer(*addr, campaign.ServerConfig{
-		Spec:        spec,
-		LeaseTTL:    *lease,
-		MaxFailures: *maxFailures,
-		LedgerPath:  *ledger,
-		Completed:   completed,
+		Spec:       spec,
+		LeaseTTL:   *lease,
+		LedgerPath: sweep.Ledger,
+		Completed:  completed,
 	})
 	failUsage(err)
 	fmt.Fprintf(os.Stderr, "c3serve: coordinating on http://%s (healthz/statusz/results), %d shards, lease %v\n",
-		srv.Addr(), len(mustJobs(spec)), *lease)
+		srv.Addr(), srv.Queue().Snapshot().Total, *lease)
 
-	// Graceful shutdown: first SIGINT/SIGTERM stops handing out work and
-	// flushes the partial report; accepted rows are already journaled, so
-	// -resume finishes the campaign. A second signal kills.
-	interrupt := make(chan struct{})
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		sig, ok := <-sigc
-		if !ok {
-			return
-		}
-		fmt.Fprintf(os.Stderr, "c3serve: %v: stopping gracefully; accepted rows are journaled (send again to kill)\n", sig)
-		signal.Stop(sigc)
-		close(interrupt)
-	}()
+	// Graceful shutdown: the first SIGINT/SIGTERM stops handing out work
+	// and flushes the partial report; accepted rows are already
+	// journaled, so -resume finishes the campaign. After completion it
+	// only cuts the drain short. A second signal kills.
+	interrupt := obs.Interrupt("c3serve", "stopping gracefully; accepted rows are journaled")
 
 	var timeoutC <-chan time.Time
-	if *timeout > 0 {
-		t := time.NewTimer(*timeout)
+	if sweep.Timeout > 0 {
+		t := time.NewTimer(sweep.Timeout)
 		defer t.Stop()
 		timeoutC = t.C
 	}
 
 	start := time.Now()
-	campaignDone, timedOut := false, false
+	campaignDone := false
 	select {
 	case <-srv.Done():
 		campaignDone = true
 	case <-interrupt:
-		// Queue.Rows marks unfinished shards INTERRUPTED; the report
-		// verdict (and exit 3) follow from that.
+		// Rows marks unfinished shards INTERRUPTED; the report verdict
+		// (and exit 3) follow from that.
 	case <-timeoutC:
-		timedOut = true
-		fmt.Fprintf(os.Stderr, "c3serve: campaign exceeded %v; flushing partial report\n", *timeout)
+		// Stopped by the bound, unfinished shards read TIMEOUT.
+		srv.Queue().Stop(sweep.Timeout)
+		fmt.Fprintf(os.Stderr, "c3serve: campaign exceeded %v; flushing partial report\n", sweep.Timeout)
 	}
 	rep := srv.Report()
-	signal.Stop(sigc)
-	close(sigc)
-
-	if timedOut {
-		// Unfinished shards read TIMEOUT rather than INTERRUPTED: the
-		// bound expired, nothing was gracefully stopped.
-		for i := range rep.Runs {
-			if rep.Runs[i].Interrupted {
-				rep.Runs[i].Interrupted = false
-				rep.Runs[i].TimedOut = true
-				rep.Runs[i].Err = fmt.Sprintf("timeout: campaign exceeded %v before shard completed", *timeout)
-			}
-		}
-	}
-
 	fmt.Print(rep.Render())
+	verdict := rep.Verdict()
+	exit := obs.ExitCode(verdict)
 	if campaignDone && *drain > 0 {
 		// Linger with the campaign complete so idle workers see the
 		// "done" answer (410) at their next lease poll and exit 0.
-		time.Sleep(*drain)
+		t := time.NewTimer(*drain)
+		select {
+		case <-t.C:
+		case <-interrupt:
+			t.Stop()
+		}
 	}
 	srv.Close()
-	verdict := rep.Verdict()
-	exit := obs.ExitPass
-	switch verdict {
-	case "pass":
-	case obs.VerdictInterrupted:
-		exit = obs.ExitResumable
-	default:
-		exit = obs.ExitFail
-	}
-	if *ledger != "" {
+	if sweep.Ledger != "" {
 		rec := &obs.Record{
 			Tool:    "c3serve",
-			Spec:    obs.SpecFromFlags("addr", "ledger", "resume", "lease", "max-failures"),
+			Spec:    obs.SpecFromFlags("addr", "ledger", "resume", "lease"),
 			Seeds:   spec.Seeds,
 			Version: obs.Version(),
 			Start:   start,
@@ -227,51 +137,11 @@ func main() {
 			Exit:    exit,
 			Extra:   map[string]any{"shards": len(rep.Runs)},
 		}
-		if err := obs.AppendLedger(*ledger, rec); err != nil {
+		if err := obs.AppendLedger(sweep.Ledger, rec); err != nil {
 			fmt.Fprintf(os.Stderr, "c3serve: ledger: %v\n", err)
 		}
 	}
 	os.Exit(exit)
-}
-
-func mustJobs(spec *campaign.Spec) []campaign.Job {
-	jobs, err := spec.Jobs()
-	failUsage(err)
-	return jobs
-}
-
-func csv(s string) []string { return split(s, ",") }
-
-func split(s, sep string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, f := range splitTrim(s, sep) {
-		if f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-func splitTrim(s, sep string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i:i+len(sep)] == sep {
-			f := s[start:i]
-			for len(f) > 0 && (f[0] == ' ' || f[0] == '\t') {
-				f = f[1:]
-			}
-			for len(f) > 0 && (f[len(f)-1] == ' ' || f[len(f)-1] == '\t') {
-				f = f[:len(f)-1]
-			}
-			out = append(out, f)
-			start = i + len(sep)
-		}
-	}
-	return out
 }
 
 func failUsage(err error) {

@@ -25,6 +25,7 @@ import (
 	"c3"
 	"c3/internal/parallel"
 	"c3/internal/sim"
+	"c3/internal/system"
 	"c3/internal/trace"
 	"c3/internal/workload"
 )
@@ -62,24 +63,9 @@ func main() {
 	}
 
 	// Reject configuration typos before spending a run on them.
-	if !c3.ValidGlobalProtocol(*global) {
-		fmt.Fprintf(os.Stderr, "c3sim: unknown global protocol %q (want cxl|hmesi)\n", *global)
-		os.Exit(2)
-	}
-	for _, l := range []struct{ flag, val string }{{"-local0", *local0}, {"-local1", *local1}} {
-		if !c3.ValidLocalProtocol(l.val) {
-			fmt.Fprintf(os.Stderr, "c3sim: unknown %s protocol %q (want mesi|moesi|mesif|rcc)\n", l.flag, l.val)
-			os.Exit(2)
-		}
-	}
-	m0, err := c3.ParseMCM(*mcm0)
+	machine, err := system.ParseMachine(*local0, *local1, *global, *mcm0, *mcm1)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "c3sim: -mcm0: %v\n", err)
-		os.Exit(2)
-	}
-	m1, err := c3.ParseMCM(*mcm1)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "c3sim: -mcm1: %v\n", err)
+		fmt.Fprintln(os.Stderr, "c3sim:", err)
 		os.Exit(2)
 	}
 	if *metrics != "text" && *metrics != "json" {
@@ -134,9 +120,9 @@ func main() {
 			func(i int) (stats, error) {
 				run, err := workload.Run(workload.RunConfig{
 					Spec:            specs[i],
-					Global:          *global,
-					Locals:          [2]string{*local0, *local1},
-					MCMs:            [2]c3.MCM{m0, m1},
+					Global:          machine.Global,
+					Locals:          machine.Locals,
+					MCMs:            machine.MCMs,
 					CoresPerCluster: *cores,
 					OpsScale:        *scale,
 					Seed:            *seed,
@@ -167,9 +153,9 @@ func main() {
 
 	cfg := workload.RunConfig{
 		Spec:            spec,
-		Global:          *global,
-		Locals:          [2]string{*local0, *local1},
-		MCMs:            [2]c3.MCM{m0, m1},
+		Global:          machine.Global,
+		Locals:          machine.Locals,
+		MCMs:            machine.MCMs,
 		CoresPerCluster: *cores,
 		OpsScale:        *scale,
 		Seed:            *seed,

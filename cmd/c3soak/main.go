@@ -26,10 +26,15 @@
 // uninterrupted run. SIGINT/SIGTERM shut down gracefully: in-flight
 // campaigns stop at their next poll, the partial report and ledger
 // checkpoint flush, and the process exits 3 (resumable); a second
-// signal kills immediately. -task-timeout bounds each campaign attempt,
-// with -retries extra attempts under capped exponential backoff before
-// the row is recorded as TIMEOUT. By default a failing campaign never
-// cancels its siblings; -fail-fast restores first-error-cancel.
+// signal kills immediately. -task-timeout bounds each campaign attempt;
+// -retries is the one failure budget, spent by timed-out and panicked
+// attempts under capped exponential backoff before the row is recorded
+// as TIMEOUT or ERROR. A failing campaign never cancels its siblings.
+//
+// c3soak is c3serve without a listener: both take the same sweep flags
+// into the same campaign spec, schedule it on the same lease queue, and
+// run every attempt through the same executor, so a c3soak ledger and a
+// c3serve journal resume each other.
 //
 // Observability: -statusz serves a JSON run snapshot (plus pprof and
 // expvar) while the sweep runs, -heartbeat prints a progress line to
@@ -52,11 +57,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"strconv"
-	"strings"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"c3"
@@ -67,26 +68,13 @@ import (
 )
 
 func main() {
-	tests := flag.String("tests", "", "litmus tests, comma-separated (default: the Table IV set)")
-	plans := flag.String("plans", "", "fault plans, ';'-separated: preset names and/or drop=..,dup=.. specs (default: all presets)")
-	seeds := flag.String("seeds", "1", "campaign base seeds, comma-separated")
-	iters := flag.Int("iters", 25, "iterations per campaign")
-	local0 := flag.String("local0", "mesi", "cluster 0 protocol")
-	local1 := flag.String("local1", "mesi", "cluster 1 protocol")
-	global := flag.String("global", "cxl", "global protocol: cxl|hmesi")
-	mcm0 := flag.String("mcm0", "arm", "cluster 0 MCM: arm|tso|sc")
-	mcm1 := flag.String("mcm1", "arm", "cluster 1 MCM")
+	var sweep campaign.SweepFlags
+	sweep.Register(flag.CommandLine)
 	workers := flag.Int("j", 0, "worker goroutines (0 = GOMAXPROCS; reports are identical for any count)")
 	flag.IntVar(workers, "workers", 0, "alias for -j")
-	timeout := flag.Duration("timeout", 0, "wall-clock bound for the whole sweep, e.g. 5m (0 = none)")
-	taskTimeout := flag.Duration("task-timeout", 0, "wall-clock bound per campaign attempt (0 = none); expired attempts retry, then the row records TIMEOUT")
-	retries := flag.Int("retries", 2, "extra attempts a timed-out or panicked campaign gets (capped exponential backoff between attempts)")
-	failFast := flag.Bool("fail-fast", false, "first campaign abort cancels the sweep (default: isolate failures as report rows)")
-	resume := flag.Bool("resume", false, "skip campaigns already checkpointed in the ledger (same spec, seed and code version)")
 	listPlans := flag.Bool("list-plans", false, "list the named fault-plan presets")
 	statusz := flag.String("statusz", "", "serve live introspection (/statusz JSON, /metricsz, pprof, expvar) on this address, e.g. :8080 or 127.0.0.1:0")
 	heartbeat := flag.Duration("heartbeat", 0, "print a progress line to stderr at this interval (0 = off)")
-	ledger := flag.String("ledger", obs.DefaultLedgerPath(), "append JSONL run and row-checkpoint records to this file (empty = off)")
 	compact := flag.Bool("compact-ledger", false, "rewrite the ledger keeping only the latest record per row key, then exit (resume output is unchanged)")
 	flag.Parse()
 
@@ -99,122 +87,50 @@ func main() {
 	}
 
 	if *compact {
-		if *ledger == "" {
+		if sweep.Ledger == "" {
 			fmt.Fprintln(os.Stderr, "c3soak: -compact-ledger needs a ledger (-ledger)")
 			os.Exit(obs.ExitUsage)
 		}
-		stats, err := obs.CompactLedger(*ledger)
+		stats, err := obs.CompactLedger(sweep.Ledger)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "c3soak: compact:", err)
 			os.Exit(obs.ExitFail)
 		}
 		fmt.Fprintf(os.Stderr, "c3soak: compact: %s: %d records -> %d (%d superseded row checkpoints dropped, %d torn)\n",
-			*ledger, stats.In, stats.Out, stats.DroppedRows, stats.Torn)
+			sweep.Ledger, stats.In, stats.Out, stats.DroppedRows, stats.Torn)
 		return
 	}
 
-	if *timeout < 0 || *taskTimeout < 0 {
-		fmt.Fprintln(os.Stderr, "c3soak: -timeout and -task-timeout must be non-negative")
-		os.Exit(obs.ExitUsage)
-	}
-	if *retries < 0 {
-		fmt.Fprintln(os.Stderr, "c3soak: -retries must be non-negative")
-		os.Exit(obs.ExitUsage)
-	}
-	if *resume && *ledger == "" {
-		fmt.Fprintln(os.Stderr, "c3soak: -resume needs a ledger (-ledger)")
-		os.Exit(obs.ExitUsage)
-	}
-
-	if !c3.ValidGlobalProtocol(*global) {
-		fmt.Fprintf(os.Stderr, "c3soak: unknown global protocol %q (want cxl|hmesi)\n", *global)
-		os.Exit(obs.ExitUsage)
-	}
-	for _, l := range []struct{ flag, val string }{{"-local0", *local0}, {"-local1", *local1}} {
-		if !c3.ValidLocalProtocol(l.val) {
-			fmt.Fprintf(os.Stderr, "c3soak: unknown %s protocol %q (want mesi|moesi|mesif|rcc)\n", l.flag, l.val)
-			os.Exit(obs.ExitUsage)
-		}
-	}
-	m0, err := c3.ParseMCM(*mcm0)
+	spec, err := sweep.Spec()
 	failUsage(err)
-	m1, err := c3.ParseMCM(*mcm1)
+	cfg, err := spec.SoakConfig()
 	failUsage(err)
-
-	cfg := c3.SoakConfig{
-		Tests:       csv(*tests),
-		Plans:       split(*plans, ";"),
-		Iters:       *iters,
-		Locals:      [2]string{*local0, *local1},
-		Global:      *global,
-		MCMs:        [2]c3.MCM{m0, m1},
-		Workers:     *workers,
-		Timeout:     *timeout,
-		TaskTimeout: *taskTimeout,
-		Retries:     *retries,
-		FailFast:    *failFast,
-	}
-	for _, s := range csv(*seeds) {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "c3soak: bad seed %q\n", s)
-			os.Exit(obs.ExitUsage)
-		}
-		cfg.Seeds = append(cfg.Seeds, v)
-	}
+	cfg.Workers = *workers
+	cfg.Timeout = sweep.Timeout
 
 	// The row-checkpoint suffix scopes checkpoint keys to everything that
 	// shapes a row's result: the run configuration and the code version.
 	// A resumed sweep only trusts rows whose suffix matches its own, so
 	// changing a flag or rebuilding at a different revision invalidates
-	// the cache naturally. Shared with c3serve so coordinator journals
-	// and c3soak checkpoint ledgers resume each other.
-	suffix := campaign.RowSuffix(cfg.Locals, cfg.Global, cfg.MCMs, cfg.Iters)
+	// the cache naturally. c3serve computes the same suffix, so
+	// coordinator journals and c3soak checkpoint ledgers resume each
+	// other.
+	suffix, err := spec.Suffix()
+	failUsage(err)
 
 	// Graceful shutdown: the first SIGINT/SIGTERM closes the interrupt
 	// channel — in-flight campaigns stop at their next poll, the partial
 	// report and checkpoints flush, and the exit code says "resumable".
-	// signal.Stop restores default disposition, so a second signal kills.
-	interrupt := make(chan struct{})
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		sig, ok := <-sigc
-		if !ok {
-			return
-		}
-		fmt.Fprintf(os.Stderr, "c3soak: %v: stopping gracefully, checkpointing completed rows (send again to kill)\n", sig)
-		signal.Stop(sigc)
-		close(interrupt)
-	}()
-	cfg.Interrupt = interrupt
+	cfg.Interrupt = obs.Interrupt("c3soak", "stopping gracefully, checkpointing completed rows")
+	cfg.Completed, err = sweep.Completed("c3soak", spec)
+	failUsage(err)
 
-	if *resume {
-		completed, stats, err := campaign.LoadCheckpoints(*ledger, suffix)
-		if err != nil {
-			if os.IsNotExist(err) {
-				fmt.Fprintf(os.Stderr, "c3soak: resume: no ledger at %s, starting fresh\n", *ledger)
-			} else {
-				fmt.Fprintf(os.Stderr, "c3soak: -resume: %v\n", err)
-				os.Exit(obs.ExitUsage)
-			}
-		}
-		for _, w := range stats.Warnings {
-			fmt.Fprintln(os.Stderr, "c3soak: resume:", w)
-		}
-		if stats.Skipped > 0 {
-			fmt.Fprintf(os.Stderr, "c3soak: resume: %d torn/corrupt ledger record(s) skipped\n", stats.Skipped)
-		}
-		fmt.Fprintf(os.Stderr, "c3soak: resume: %d completed rows loaded from %s\n", len(completed), *ledger)
-		cfg.Completed = completed
-	}
-
-	// Live introspection: the tracker follows the campaign pool, the
+	// Live introspection: the tracker follows the campaign slots, the
 	// registry aggregates atomically maintained sweep counters (safe to
 	// render from HTTP goroutines mid-run), and the optional server and
 	// heartbeat read both. None of it touches the report. The observer
 	// also checkpoints each completed row to the ledger as it finishes.
-	so := newSoakObserver(*ledger, suffix)
+	so := newSoakObserver(sweep.Ledger, suffix)
 	cfg.Observer = so
 	var server *obs.Server
 	if *statusz != "" {
@@ -229,37 +145,28 @@ func main() {
 	}
 
 	start := time.Now()
-	rep, err := c3.RunSoak(cfg)
+	rep, err := litmus.RunSoak(cfg)
 	if stopHeartbeat != nil {
 		stopHeartbeat()
 	}
 	if server != nil {
 		server.Close()
 	}
-	signal.Stop(sigc)
-	close(sigc)
 	if err != nil {
-		appendLedger(*ledger, so, cfg, start, obs.VerdictError, obs.ExitUsage, map[string]any{"error": err.Error()})
+		appendLedger(sweep.Ledger, so, cfg, start, obs.VerdictError, obs.ExitUsage, map[string]any{"error": err.Error()})
 		failUsage(err)
 	}
 
 	fmt.Print(rep.Render())
 	verdict := rep.Verdict()
-	exit := obs.ExitPass
-	switch verdict {
-	case "pass":
-	case obs.VerdictInterrupted:
-		exit = obs.ExitResumable
-	default:
-		exit = obs.ExitFail
-	}
+	exit := obs.ExitCode(verdict)
 	resumed := 0
 	for _, r := range rep.Runs {
 		if r.Resumed {
 			resumed++
 		}
 	}
-	appendLedger(*ledger, so, cfg, start, verdict, exit, map[string]any{
+	appendLedger(sweep.Ledger, so, cfg, start, verdict, exit, map[string]any{
 		"campaigns": len(rep.Runs),
 		"resumed":   resumed,
 		"forbidden": so.forbidden.Load(),
@@ -272,7 +179,7 @@ func main() {
 }
 
 // soakObserver aggregates the sweep live: the embedded Tracker follows
-// pool scheduling, and the atomic tallies (fed by CampaignDone, read by
+// the campaign slots, and the atomic tallies (fed by CampaignDone, read by
 // the statusz registry) expose the robustness counters — including the
 // watchdog firings — while the sweep runs. When a ledger is configured
 // it also checkpoints every completed row as a c3-run/v1 record, which
@@ -307,7 +214,7 @@ func newSoakObserver(ledgerPath, rowSuffix string) *soakObserver {
 }
 
 // CampaignDone implements litmus.SoakRowObserver; it runs concurrently
-// from pool workers (AppendLedger's single O_APPEND write keeps
+// from the campaign slots (AppendLedger's single O_APPEND write keeps
 // concurrent checkpoints whole).
 func (o *soakObserver) CampaignDone(_ int, row litmus.SoakRun) {
 	o.forbidden.Add(uint64(row.Forbidden))
@@ -333,7 +240,7 @@ func (o *soakObserver) CampaignDone(_ int, row litmus.SoakRun) {
 // appendLedger writes this invocation's run-ledger record; ledger
 // failures warn but never change the exit status (the sweep's verdict
 // must not depend on a full disk).
-func appendLedger(path string, so *soakObserver, cfg c3.SoakConfig, start time.Time, verdict string, exit int, extra map[string]any) {
+func appendLedger(path string, so *soakObserver, cfg litmus.SoakConfig, start time.Time, verdict string, exit int, extra map[string]any) {
 	if path == "" {
 		return
 	}
@@ -357,21 +264,6 @@ func appendLedger(path string, so *soakObserver, cfg c3.SoakConfig, start time.T
 	if err := obs.AppendLedger(path, rec); err != nil {
 		fmt.Fprintf(os.Stderr, "c3soak: ledger: %v\n", err)
 	}
-}
-
-func csv(s string) []string { return split(s, ",") }
-
-func split(s, sep string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, f := range strings.Split(s, sep) {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 func failUsage(err error) {

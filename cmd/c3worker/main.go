@@ -3,7 +3,9 @@
 // spec, verifies its own code fingerprint matches (a mismatched binary
 // must not contribute rows), then loops — lease a shard, run the
 // (test, plan, seed) campaign in-process, stream the result row back —
-// while a background heartbeat keeps its leases alive. Run as many
+// while a background heartbeat keeps its leases alive. Each lease is one
+// attempt: a failed one (a -task-timeout cut or a panic) goes back to
+// the coordinator, whose -retries budget decides what happens next. Run as many
 // workers as you like, on as many machines as reach the coordinator;
 // the merged report is byte-identical at any worker count.
 //
@@ -29,8 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"c3/internal/campaign"
@@ -53,18 +53,7 @@ func main() {
 	// Graceful shutdown: the first SIGINT/SIGTERM interrupts in-flight
 	// shards at their next poll and releases held leases (no penalty);
 	// a second signal kills.
-	interrupt := make(chan struct{})
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		sig, ok := <-sigc
-		if !ok {
-			return
-		}
-		fmt.Fprintf(os.Stderr, "c3worker: %v: releasing leases and stopping (send again to kill)\n", sig)
-		signal.Stop(sigc)
-		close(interrupt)
-	}()
+	interrupt := obs.Interrupt("c3worker", "releasing leases and stopping")
 
 	err := campaign.RunWorker(campaign.WorkerConfig{
 		Coordinator:  *coordinator,
@@ -77,8 +66,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "c3worker: "+format+"\n", args...)
 		},
 	})
-	signal.Stop(sigc)
-	close(sigc)
 	switch {
 	case err == nil:
 		os.Exit(obs.ExitPass)

@@ -6,13 +6,16 @@
 //
 // The robustness argument, end to end:
 //
-//   - At-least-once execution. A lease that expires (worker killed,
-//     hung, or partitioned) requeues its shard with capped exponential
-//     backoff; after MaxFailures expiries the shard is quarantined as a
-//     loud error row instead of looping forever. A worker that was
-//     merely slow may still finish and submit — duplicates are safe
-//     because every shard is seed-deterministic: any executor produces
-//     the same row bytes, and the coordinator keeps only the first.
+//   - At-least-once execution. The coordinator serves the same
+//     litmus.Queue RunSoak drains in process. A lease that expires
+//     (worker killed, hung, or partitioned) requeues its shard with
+//     capped exponential backoff, and so does an attempt the worker
+//     hands back failed (a task-deadline cut, a panic); both spend the
+//     spec's one retry budget, after which the shard becomes a loud
+//     error row instead of looping forever. A worker that was merely
+//     slow may still finish and submit — duplicates are safe because
+//     every shard is seed-deterministic: any executor produces the same
+//     row bytes, and the coordinator keeps only the first.
 //
 //   - Content-addressed dedup. Results are keyed by the c3-run/v1
 //     row_key — "<test>/<plan>/seed<seed>|<config+code fingerprint>" —
@@ -29,11 +32,12 @@
 //     sweep a dead coordinator started, and vice versa.
 //
 //   - Byte-identical merge. Shards are expanded by litmus.Campaigns in
-//     the same canonical order RunSoak uses, results are slotted by job
-//     ID, and the final table is rendered by the same SoakReport.Render
-//     — so at any worker count, any kill schedule, and across
-//     coordinator restarts, a completed campaign's report is
-//     byte-identical to an uninterrupted single-process run.
+//     the same canonical order RunSoak uses, every attempt runs through
+//     the same litmus.Campaign.Attempt, results are slotted by job ID,
+//     and the final table is rendered by the same SoakReport.Render — so
+//     at any worker count, any kill schedule, and across coordinator
+//     restarts, a completed campaign's report is byte-identical to an
+//     uninterrupted single-process run.
 package campaign
 
 import (
@@ -66,8 +70,9 @@ type Spec struct {
 	Locals [2]string `json:"locals"`
 	Global string    `json:"global"`
 	MCMs   [2]string `json:"mcms"`
-	// TaskTimeoutMS / Retries are the per-attempt budget every worker
-	// applies (see litmus.SoakConfig); milliseconds so the JSON is
+	// TaskTimeoutMS bounds each attempt on whichever worker runs it, and
+	// Retries is each shard's failure budget, which the queue applies
+	// (see litmus.SoakConfig); milliseconds so the JSON is
 	// human-auditable.
 	TaskTimeoutMS int64 `json:"task_timeout_ms,omitempty"`
 	Retries       int   `json:"retries,omitempty"`
@@ -90,15 +95,11 @@ func NewSpec(tests []string, planSpecs []string, seeds []int64, iters int,
 		}
 	}
 	for _, s := range planSpecs {
-		if p, ok := litmus.PlanByName(s); ok {
-			plans = append(plans, PlanRef{Name: p.Name, Spec: p.Plan.String()})
-			continue
-		}
-		p, err := faults.ParsePlan(s)
+		p, err := litmus.ResolvePlan(s)
 		if err != nil {
-			return nil, fmt.Errorf("campaign: fault plan %q: %w", s, err)
+			return nil, fmt.Errorf("campaign: %w", err)
 		}
-		plans = append(plans, PlanRef{Name: s, Spec: p.String()})
+		plans = append(plans, PlanRef{Name: p.Name, Spec: p.Plan.String()})
 	}
 
 	spec := &Spec{
@@ -133,24 +134,15 @@ func (s *Spec) parseMCMs() ([2]cpu.MCM, error) {
 	return out, nil
 }
 
-// parsePlanRef decodes one wire plan back to litmus form.
-func parsePlanRef(p PlanRef) (litmus.NamedPlan, error) {
-	plan, err := faults.ParsePlan(p.Spec)
-	if err != nil {
-		return litmus.NamedPlan{}, fmt.Errorf("campaign: plan %q (%q): %w", p.Name, p.Spec, err)
-	}
-	return litmus.NamedPlan{Name: p.Name, Plan: plan}, nil
-}
-
 // namedPlans decodes the wire plans back to litmus form.
 func (s *Spec) namedPlans() ([]litmus.NamedPlan, error) {
 	var out []litmus.NamedPlan
 	for _, p := range s.Plans {
-		np, err := parsePlanRef(p)
+		plan, err := faults.ParsePlan(p.Spec)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("campaign: plan %q (%q): %w", p.Name, p.Spec, err)
 		}
-		out = append(out, np)
+		out = append(out, litmus.NamedPlan{Name: p.Name, Plan: plan})
 	}
 	return out, nil
 }
@@ -200,11 +192,7 @@ func (j Job) Label() string { return litmus.RowLabel(j.Test, j.Plan.Name, j.Seed
 
 // Jobs expands the spec into the canonical shard list.
 func (s *Spec) Jobs() ([]Job, error) {
-	cfg, err := s.SoakConfig()
-	if err != nil {
-		return nil, err
-	}
-	camps, err := litmus.Campaigns(cfg)
+	_, camps, err := s.campaigns()
 	if err != nil {
 		return nil, err
 	}
@@ -218,6 +206,17 @@ func (s *Spec) Jobs() ([]Job, error) {
 		}
 	}
 	return jobs, nil
+}
+
+// campaigns materializes the spec's sweep config and its campaigns in
+// canonical job order — what the queue schedules and workers execute.
+func (s *Spec) campaigns() (litmus.SoakConfig, []litmus.Campaign, error) {
+	cfg, err := s.SoakConfig()
+	if err != nil {
+		return cfg, nil, err
+	}
+	camps, err := litmus.Campaigns(cfg)
+	return cfg, camps, err
 }
 
 // RowSuffix renders the configuration-and-code fingerprint appended to

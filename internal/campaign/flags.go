@@ -1,0 +1,115 @@
+package campaign
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"strconv"
+	"strings"
+	"time"
+
+	"c3/internal/litmus"
+	"c3/internal/obs"
+	"c3/internal/system"
+)
+
+// SweepFlags are the flags c3soak and c3serve share: the sweep (tests ×
+// plans × seeds on one machine), its budgets, and the ledger it
+// checkpoints into and resumes from. Both tools parse them into the
+// same Spec, so one flag line names the same campaign in either.
+type SweepFlags struct {
+	tests, plans, seeds                string
+	iters                              int
+	local0, local1, global, mcm0, mcm1 string
+	taskTimeout                        time.Duration
+	retries                            int
+	resume                             bool
+
+	// Timeout bounds the whole sweep's wall clock (0 = none).
+	Timeout time.Duration
+	// Ledger is the row-checkpoint ledger ("" = off) -resume replays.
+	Ledger string
+}
+
+// Register defines the sweep flags on fs.
+func (f *SweepFlags) Register(fs *flag.FlagSet) {
+	fs.StringVar(&f.tests, "tests", "", "litmus tests, comma-separated (default: the Table IV set)")
+	fs.StringVar(&f.plans, "plans", "", "fault plans, ';'-separated: preset names and/or drop=..,dup=.. specs (default: all presets)")
+	fs.StringVar(&f.seeds, "seeds", "1", "campaign base seeds, comma-separated")
+	fs.IntVar(&f.iters, "iters", 25, "iterations per campaign")
+	fs.StringVar(&f.local0, "local0", "mesi", "cluster 0 protocol")
+	fs.StringVar(&f.local1, "local1", "mesi", "cluster 1 protocol")
+	fs.StringVar(&f.global, "global", "cxl", "global protocol: cxl|hmesi")
+	fs.StringVar(&f.mcm0, "mcm0", "arm", "cluster 0 MCM: arm|tso|sc")
+	fs.StringVar(&f.mcm1, "mcm1", "arm", "cluster 1 MCM")
+	fs.DurationVar(&f.Timeout, "timeout", 0, "wall-clock bound for the whole sweep, e.g. 5m (0 = none); unfinished campaigns record TIMEOUT")
+	fs.DurationVar(&f.taskTimeout, "task-timeout", 0, "wall-clock bound per campaign attempt (0 = none); an expired attempt spends a retry")
+	fs.IntVar(&f.retries, "retries", 2, "failed attempts a campaign may retry — task-deadline cuts, panics, lease expiries and failed hand-backs alike — under capped exponential backoff; the next failure records the row")
+	fs.StringVar(&f.Ledger, "ledger", obs.DefaultLedgerPath(), "checkpoint every finished row and append the run record to this JSONL file (empty = off)")
+	fs.BoolVar(&f.resume, "resume", false, "skip campaigns already checkpointed in the ledger (same spec, seed and code version)")
+}
+
+// Spec validates the flags into the normalized sweep spec; every error
+// is a usage error.
+func (f *SweepFlags) Spec() (*Spec, error) {
+	if f.Timeout < 0 || f.taskTimeout < 0 || f.retries < 0 {
+		return nil, errors.New("-timeout, -task-timeout and -retries must be non-negative")
+	}
+	if f.resume && f.Ledger == "" {
+		return nil, errors.New("-resume needs a ledger (-ledger)")
+	}
+	m, err := system.ParseMachine(f.local0, f.local1, f.global, f.mcm0, f.mcm1)
+	if err != nil {
+		return nil, err
+	}
+	var seeds []int64
+	for _, s := range split(f.seeds, ",") {
+		v, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad seed %q", s)
+		}
+		seeds = append(seeds, v)
+	}
+	return NewSpec(split(f.tests, ","), split(f.plans, ";"), seeds, f.iters,
+		m.Locals, m.Global, m.MCMs, f.taskTimeout, f.retries)
+}
+
+// Completed loads the rows -resume skips: every checkpoint in the ledger
+// whose key matches spec (nil without -resume). A missing ledger starts
+// fresh; warnings and the loaded count go to stderr under tool's name.
+func (f *SweepFlags) Completed(tool string, spec *Spec) (map[string]litmus.SoakRun, error) {
+	if !f.resume {
+		return nil, nil
+	}
+	suffix, err := spec.Suffix()
+	if err != nil {
+		return nil, err
+	}
+	completed, stats, err := LoadCheckpoints(f.Ledger, suffix)
+	switch {
+	case os.IsNotExist(err):
+		fmt.Fprintf(os.Stderr, "%s: resume: no ledger at %s, starting fresh\n", tool, f.Ledger)
+	case err != nil:
+		return nil, fmt.Errorf("-resume: %w", err)
+	}
+	for _, w := range stats.Warnings {
+		fmt.Fprintf(os.Stderr, "%s: resume: %s\n", tool, w)
+	}
+	if stats.Skipped > 0 {
+		fmt.Fprintf(os.Stderr, "%s: resume: %d torn/corrupt ledger record(s) skipped\n", tool, stats.Skipped)
+	}
+	fmt.Fprintf(os.Stderr, "%s: resume: %d completed rows loaded from %s\n", tool, len(completed), f.Ledger)
+	return completed, nil
+}
+
+// split returns the non-empty, space-trimmed fields of s.
+func split(s, sep string) []string {
+	var out []string
+	for _, f := range strings.Split(s, sep) {
+		if f = strings.TrimSpace(f); f != "" {
+			out = append(out, f)
+		}
+	}
+	return out
+}

@@ -10,7 +10,9 @@ import (
 )
 
 // fakeClock is a mutable clock for driving the lease state machine
-// deterministically.
+// deterministically. The queue lives in internal/litmus, beside RunSoak,
+// which drains it in process; these tests drive it the way the
+// coordinator does.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -30,34 +32,33 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
-func testJobs(n int) []Job {
-	jobs := make([]Job, n)
+func testJobs(n int) []litmus.Campaign {
+	jobs := make([]litmus.Campaign, n)
 	for i := range jobs {
-		jobs[i] = Job{
-			ID:   i,
-			Test: "MP",
-			Plan: PlanRef{Name: "light", Spec: "drop=0.01"},
+		jobs[i] = litmus.Campaign{
+			Test: litmus.Test{Name: "MP"},
+			Plan: litmus.NamedPlan{Name: "light"},
 			Seed: int64(i + 1),
 		}
 	}
 	return jobs
 }
 
-func doneRow(j Job) litmus.SoakRun {
-	return litmus.SoakRun{Test: j.Test, Plan: j.Plan.Name, Seed: j.Seed, Iters: 4}
+func doneRow(j litmus.Campaign) litmus.SoakRun {
+	return litmus.SoakRun{Test: j.Test.Name, Plan: j.Plan.Name, Seed: j.Seed, Iters: 4}
 }
 
 func TestQueueLeaseOrder(t *testing.T) {
 	clk := newFakeClock()
-	q := NewQueue(testJobs(3), nil, time.Minute, 3, clk.Now)
+	q := litmus.NewQueue(testJobs(3), nil, time.Minute, 3, clk.Now)
 
 	for want := 0; want < 3; want++ {
-		job, lease, ok, done := q.Lease("w1")
+		id, lease, ok, done := q.Lease("w1")
 		if !ok || done {
 			t.Fatalf("lease %d: ok=%v done=%v", want, ok, done)
 		}
-		if job.ID != want {
-			t.Fatalf("lease %d: got job %d (leases must hand out the lowest eligible ID)", want, job.ID)
+		if id != want {
+			t.Fatalf("lease %d: got job %d (leases must hand out the lowest eligible ID)", want, id)
 		}
 		if lease.ID == "" || lease.TTL != time.Minute {
 			t.Fatalf("lease %d: bad lease %+v", want, lease)
@@ -72,11 +73,11 @@ func TestQueueLeaseOrder(t *testing.T) {
 func TestQueueExpiryRequeueAndBackoff(t *testing.T) {
 	clk := newFakeClock()
 	ttl := 10 * time.Second
-	q := NewQueue(testJobs(2), nil, ttl, 3, clk.Now)
+	q := litmus.NewQueue(testJobs(2), nil, ttl, 3, clk.Now)
 
-	job0, _, ok, _ := q.Lease("w1")
-	if !ok || job0.ID != 0 {
-		t.Fatalf("initial lease: ok=%v job=%+v", ok, job0)
+	id0, _, ok, _ := q.Lease("w1")
+	if !ok || id0 != 0 {
+		t.Fatalf("initial lease: ok=%v job=%d", ok, id0)
 	}
 
 	// Expire the lease: the shard requeues under a backoff gate, so the
@@ -85,16 +86,16 @@ func TestQueueExpiryRequeueAndBackoff(t *testing.T) {
 	if n := q.ExpireStale(); n != 1 {
 		t.Fatalf("ExpireStale = %d, want 1", n)
 	}
-	job, _, ok, _ := q.Lease("w2")
-	if !ok || job.ID != 1 {
-		t.Fatalf("post-expiry lease: ok=%v job %d, want job 1 (job 0 is backoff-gated)", ok, job.ID)
+	id, _, ok, _ := q.Lease("w2")
+	if !ok || id != 1 {
+		t.Fatalf("post-expiry lease: ok=%v job %d, want job 1 (job 0 is backoff-gated)", ok, id)
 	}
 
 	// Past the first-failure gate (250ms) job 0 is leasable again.
-	clk.Advance(requeueBackoffBase + time.Millisecond)
-	job, _, ok, _ = q.Lease("w2")
-	if !ok || job.ID != 0 {
-		t.Fatalf("post-backoff lease: ok=%v job %d, want job 0", ok, job.ID)
+	clk.Advance(litmus.RetryBackoffBase + time.Millisecond)
+	id, _, ok, _ = q.Lease("w2")
+	if !ok || id != 0 {
+		t.Fatalf("post-backoff lease: ok=%v job %d, want job 0", ok, id)
 	}
 
 	snap := q.Snapshot()
@@ -106,16 +107,16 @@ func TestQueueExpiryRequeueAndBackoff(t *testing.T) {
 func TestQueueQuarantine(t *testing.T) {
 	clk := newFakeClock()
 	ttl := 5 * time.Second
-	maxFailures := 2
-	q := NewQueue(testJobs(1), nil, ttl, maxFailures, clk.Now)
+	retries := 2
+	q := litmus.NewQueue(testJobs(1), nil, ttl, retries, clk.Now)
 
 	// Burn through the failure budget: each expiry requeues until
-	// failures exceed maxFailures, then the shard quarantines.
-	for i := 0; i < maxFailures+1; i++ {
-		clk.Advance(requeueBackoffCap + time.Second) // past any gate
-		job, _, ok, done := q.Lease("flaky")
-		if !ok || done || job.ID != 0 {
-			t.Fatalf("attempt %d: ok=%v done=%v job=%+v", i, ok, done, job)
+	// failures exceed retries, then the shard quarantines.
+	for i := 0; i < retries+1; i++ {
+		clk.Advance(litmus.RetryBackoffCap + time.Second) // past any gate
+		id, _, ok, done := q.Lease("flaky")
+		if !ok || done || id != 0 {
+			t.Fatalf("attempt %d: ok=%v done=%v job=%d", i, ok, done, id)
 		}
 		clk.Advance(ttl + time.Second)
 		q.ExpireStale()
@@ -146,7 +147,7 @@ func TestQueueQuarantine(t *testing.T) {
 func TestQueueHeartbeatRenewal(t *testing.T) {
 	clk := newFakeClock()
 	ttl := 10 * time.Second
-	q := NewQueue(testJobs(1), nil, ttl, 3, clk.Now)
+	q := litmus.NewQueue(testJobs(1), nil, ttl, 3, clk.Now)
 
 	_, lease, ok, _ := q.Lease("w1")
 	if !ok {
@@ -182,15 +183,15 @@ func TestQueueCompleteIdempotentAndLate(t *testing.T) {
 	clk := newFakeClock()
 	ttl := 5 * time.Second
 	jobs := testJobs(2)
-	q := NewQueue(jobs, nil, ttl, 3, clk.Now)
+	q := litmus.NewQueue(jobs, nil, ttl, 3, clk.Now)
 
-	job, _, _, _ := q.Lease("w1")
-	first, err := q.Complete(job.ID, doneRow(job))
+	id, _, _, _ := q.Lease("w1")
+	first, err := q.Complete(id, doneRow(jobs[id]))
 	if err != nil || !first {
 		t.Fatalf("Complete = %v, %v; want first=true", first, err)
 	}
 	// Duplicate submission (at-least-once): acknowledged, not first.
-	first, err = q.Complete(job.ID, doneRow(job))
+	first, err = q.Complete(id, doneRow(jobs[id]))
 	if err != nil || first {
 		t.Fatalf("duplicate Complete = %v, %v; want first=false", first, err)
 	}
@@ -198,10 +199,10 @@ func TestQueueCompleteIdempotentAndLate(t *testing.T) {
 	// Late result: lease job 1, let it expire, then the original worker
 	// finishes anyway. The result is accepted — whoever finishes,
 	// finishes.
-	job1, _, _, _ := q.Lease("w1")
+	id1, _, _, _ := q.Lease("w1")
 	clk.Advance(ttl + time.Second)
 	q.ExpireStale()
-	first, err = q.Complete(job1.ID, doneRow(job1))
+	first, err = q.Complete(id1, doneRow(jobs[id1]))
 	if err != nil || !first {
 		t.Fatalf("late Complete = %v, %v; want first=true", first, err)
 	}
@@ -219,10 +220,10 @@ func TestQueueCompleteIdempotentAndLate(t *testing.T) {
 func TestQueueCompleteUnquarantines(t *testing.T) {
 	clk := newFakeClock()
 	ttl := 5 * time.Second
-	q := NewQueue(testJobs(1), nil, ttl, 1, clk.Now)
+	q := litmus.NewQueue(testJobs(1), nil, ttl, 1, clk.Now)
 
 	for i := 0; i < 2; i++ {
-		clk.Advance(requeueBackoffCap + time.Second)
+		clk.Advance(litmus.RetryBackoffCap + time.Second)
 		if _, _, ok, _ := q.Lease("w1"); !ok {
 			t.Fatalf("attempt %d: lease failed", i)
 		}
@@ -251,32 +252,33 @@ func TestQueueCompleteUnquarantines(t *testing.T) {
 
 func TestQueueReleasePenalty(t *testing.T) {
 	clk := newFakeClock()
-	q := NewQueue(testJobs(1), nil, time.Minute, 3, clk.Now)
+	q := litmus.NewQueue(testJobs(1), nil, time.Minute, 3, clk.Now)
 
 	// Graceful release: immediate requeue, no gate, no failure count.
 	_, lease, _, _ := q.Lease("w1")
-	if !q.Release(lease.ID, false) {
+	if _, found := q.Release(lease.ID, nil); !found {
 		t.Fatal("Release(no penalty) did not find the lease")
 	}
-	job, lease, ok, _ := q.Lease("w1")
-	if !ok || job.ID != 0 {
-		t.Fatalf("lease after graceful release: ok=%v job=%+v, want immediate regrant", ok, job)
+	id, lease, ok, _ := q.Lease("w1")
+	if !ok || id != 0 {
+		t.Fatalf("lease after graceful release: ok=%v job=%d, want immediate regrant", ok, id)
 	}
 
 	// Penalty release: counts toward quarantine and gates the shard.
-	if !q.Release(lease.ID, true) {
+	failed := litmus.SoakRun{Test: "MP", Plan: "light", Seed: 1, TimedOut: true, Err: "task deadline exceeded"}
+	if _, found := q.Release(lease.ID, &failed); !found {
 		t.Fatal("Release(penalty) did not find the lease")
 	}
 	if _, _, ok, done := q.Lease("w1"); ok || done {
 		t.Fatalf("lease during penalty backoff: ok=%v done=%v, want gated", ok, done)
 	}
-	clk.Advance(requeueBackoffBase + time.Millisecond)
+	clk.Advance(litmus.RetryBackoffBase + time.Millisecond)
 	if _, _, ok, _ := q.Lease("w1"); !ok {
 		t.Fatal("lease after penalty backoff elapsed: want regrant")
 	}
 
 	// Unknown lease: not found.
-	if q.Release("L999", false) {
+	if _, found := q.Release("L999", nil); found {
 		t.Fatal("Release(unknown lease) reported found")
 	}
 }
@@ -287,12 +289,12 @@ func TestQueueSeededCompleted(t *testing.T) {
 		jobs[0].Label(): doneRow(jobs[0]),
 	}
 	clk := newFakeClock()
-	q := NewQueue(jobs, completed, time.Minute, 3, clk.Now)
+	q := litmus.NewQueue(jobs, completed, time.Minute, 3, clk.Now)
 
 	// The replayed shard is born done and never leased.
-	job, _, ok, _ := q.Lease("w1")
-	if !ok || job.ID != 1 {
-		t.Fatalf("lease from seeded queue: ok=%v job %d, want job 1", ok, job.ID)
+	id, _, ok, _ := q.Lease("w1")
+	if !ok || id != 1 {
+		t.Fatalf("lease from seeded queue: ok=%v job %d, want job 1", ok, id)
 	}
 	rows := q.Rows()
 	if !rows[0].Resumed {
@@ -313,7 +315,7 @@ func TestQueueSeededCompleted(t *testing.T) {
 		jobs[0].Label(): doneRow(jobs[0]),
 		jobs[1].Label(): doneRow(jobs[1]),
 	}
-	q2 := NewQueue(jobs, all, time.Minute, 3, clk.Now)
+	q2 := litmus.NewQueue(jobs, all, time.Minute, 3, clk.Now)
 	select {
 	case <-q2.Done():
 	default:
@@ -324,7 +326,7 @@ func TestQueueSeededCompleted(t *testing.T) {
 func TestQueueRowsInterrupted(t *testing.T) {
 	clk := newFakeClock()
 	jobs := testJobs(2)
-	q := NewQueue(jobs, nil, time.Minute, 3, clk.Now)
+	q := litmus.NewQueue(jobs, nil, time.Minute, 3, clk.Now)
 	if _, err := q.Complete(0, doneRow(jobs[0])); err != nil {
 		t.Fatal(err)
 	}
@@ -336,13 +338,13 @@ func TestQueueRowsInterrupted(t *testing.T) {
 
 func TestQueueWaitResultShutdown(t *testing.T) {
 	clk := newFakeClock()
-	q := NewQueue(testJobs(1), nil, time.Minute, 3, clk.Now)
+	q := litmus.NewQueue(testJobs(1), nil, time.Minute, 3, clk.Now)
 	released := make(chan struct{})
 	go func() {
 		defer close(released)
-		q.WaitResult(0) // would block forever without Shutdown
+		q.WaitResult(0) // would block forever without Stop
 	}()
-	q.Shutdown()
+	q.Stop(0)
 	select {
 	case <-released:
 	case <-time.After(5 * time.Second):

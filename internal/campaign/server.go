@@ -33,11 +33,13 @@ type LeaseRequest struct {
 }
 
 // LeaseResponse answers a granted lease. TTLMS is the renewal deadline:
-// heartbeat well before it (the worker uses TTL/3).
+// heartbeat well before it (the worker uses TTL/3). Attempt numbers the
+// execution the lease is for, from 1.
 type LeaseResponse struct {
-	Job   Job    `json:"job"`
-	Lease string `json:"lease"`
-	TTLMS int64  `json:"ttl_ms"`
+	Job     Job    `json:"job"`
+	Lease   string `json:"lease"`
+	TTLMS   int64  `json:"ttl_ms"`
+	Attempt int    `json:"attempt"`
 }
 
 // HeartbeatRequest is POST /heartbeat: the worker's active leases.
@@ -62,13 +64,15 @@ type ResultRequest struct {
 	Row    litmus.SoakRun `json:"row"`
 }
 
-// ReleaseRequest is POST /release: return a lease early. Penalty marks
-// an internal worker error (counts toward quarantine); a graceful
-// shutdown releases without penalty.
+// ReleaseRequest is POST /release: return a lease early. Failure is the
+// failed attempt's row (a task-deadline cut, a panic, a worker-side
+// error), which spends one of the shard's retries and is its final row
+// once they run out; a graceful shutdown releases without one, at no
+// cost.
 type ReleaseRequest struct {
-	Worker  string `json:"worker"`
-	Lease   string `json:"lease"`
-	Penalty bool   `json:"penalty"`
+	Worker  string          `json:"worker"`
+	Lease   string          `json:"lease"`
+	Failure *litmus.SoakRun `json:"failure,omitempty"`
 }
 
 // ResultEvent is one line of the GET /results JSONL stream: every
@@ -90,28 +94,29 @@ type WorkerStatus struct {
 
 // Statusz is the coordinator's GET /statusz document.
 type Statusz struct {
-	Tool     string          `json:"tool"`
-	PID      int             `json:"pid"`
-	Version  obs.VersionInfo `json:"version"`
-	Start    time.Time       `json:"start"`
-	UptimeMS int64           `json:"uptime_ms"`
-	Suffix   string          `json:"suffix"`
-	Spec     Spec            `json:"spec"`
-	Jobs     QueueSnapshot   `json:"jobs"`
-	Workers  []WorkerStatus  `json:"workers"`
-	Done     bool            `json:"done"`
+	Tool     string               `json:"tool"`
+	PID      int                  `json:"pid"`
+	Version  obs.VersionInfo      `json:"version"`
+	Start    time.Time            `json:"start"`
+	UptimeMS int64                `json:"uptime_ms"`
+	Suffix   string               `json:"suffix"`
+	Spec     Spec                 `json:"spec"`
+	Jobs     litmus.QueueSnapshot `json:"jobs"`
+	Workers  []WorkerStatus       `json:"workers"`
+	Done     bool                 `json:"done"`
 }
 
-// ServerConfig parameterizes the coordinator.
+// DefaultLeaseTTL is the coordinator's default lease lifetime.
+const DefaultLeaseTTL = 30 * time.Second
+
+// ServerConfig parameterizes the coordinator. A shard's failure budget
+// is the spec's Retries: lease expiries and failed attempts alike, and
+// the next failure leaves a loud error row instead of looping forever.
 type ServerConfig struct {
 	Spec *Spec
-	// LeaseTTL bounds each lease (default 30s): a worker that neither
-	// heartbeats nor submits within it loses the shard.
+	// LeaseTTL bounds each lease (default DefaultLeaseTTL): a worker
+	// that neither heartbeats nor submits within it loses the shard.
 	LeaseTTL time.Duration
-	// MaxFailures is the quarantine budget (default 3): a shard whose
-	// lease expires (or is penalty-released) more than this many times
-	// becomes a loud error row instead of looping forever.
-	MaxFailures int
 	// LedgerPath, when non-empty, journals every accepted row as a
 	// c3-run/v1 checkpoint record (the resume format) and the run record
 	// on Close.
@@ -134,7 +139,7 @@ type Server struct {
 	spec   Spec
 	suffix string
 	jobs   []Job
-	queue  *Queue
+	queue  *litmus.Queue
 	start  time.Time
 
 	ln     net.Listener
@@ -172,6 +177,9 @@ func StartServer(addr string, cfg ServerConfig) (*Server, error) {
 			fmt.Fprintf(os.Stderr, "c3serve: "+format+"\n", args...)
 		}
 	}
+	if cfg.LeaseTTL <= 0 {
+		cfg.LeaseTTL = DefaultLeaseTTL
+	}
 	suffix, err := cfg.Spec.Suffix()
 	if err != nil {
 		return nil, err
@@ -180,12 +188,16 @@ func StartServer(addr string, cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	_, camps, err := cfg.Spec.campaigns()
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
 		cfg:         cfg,
 		spec:        *cfg.Spec,
 		suffix:      suffix,
 		jobs:        jobs,
-		queue:       NewQueue(jobs, cfg.Completed, cfg.LeaseTTL, cfg.MaxFailures, cfg.Now),
+		queue:       litmus.NewQueue(camps, cfg.Completed, cfg.LeaseTTL, cfg.Spec.Retries, cfg.Now),
 		start:       time.Now(),
 		served:      make(chan struct{}),
 		janitorStop: make(chan struct{}),
@@ -217,13 +229,9 @@ func StartServer(addr string, cfg ServerConfig) (*Server, error) {
 	// Janitor: expire stale leases even when no request traffic arrives
 	// (all workers dead). Quarter-TTL keeps requeue latency well under
 	// one TTL without busy-polling.
-	ttl := cfg.LeaseTTL
-	if ttl <= 0 {
-		ttl = DefaultLeaseTTL
-	}
 	go func() {
 		defer close(s.janitorDead)
-		tick := time.NewTicker(ttl / 4)
+		tick := time.NewTicker(cfg.LeaseTTL / 4)
 		defer tick.Stop()
 		for {
 			select {
@@ -240,8 +248,8 @@ func StartServer(addr string, cfg ServerConfig) (*Server, error) {
 // Addr reports the bound address ("127.0.0.1:43817").
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Queue exposes the underlying queue (tests, Wait loops).
-func (s *Server) Queue() *Queue { return s.queue }
+// Queue exposes the underlying queue (tests; Stop on a sweep timeout).
+func (s *Server) Queue() *litmus.Queue { return s.queue }
 
 // Suffix is the coordinator's row-key fingerprint.
 func (s *Server) Suffix() string { return s.suffix }
@@ -256,12 +264,14 @@ func (s *Server) Report() *litmus.SoakReport {
 	return &litmus.SoakReport{Runs: s.queue.Rows()}
 }
 
-// Close stops serving and joins the accept and janitor goroutines.
-// Result streamers blocked on an unfinished campaign are unblocked
-// first, so a shutdown leaks nothing. Safe to call more than once.
+// Close stops the queue (unfinished shards read INTERRUPTED unless a
+// sweep timeout stopped it first), stops serving, and joins the accept
+// and janitor goroutines. Result streamers blocked on an unfinished
+// campaign are unblocked first, so a shutdown leaks nothing. Safe to
+// call more than once.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
-		s.queue.Shutdown()
+		s.queue.Stop(0)
 		close(s.janitorStop)
 		s.closeErr = s.srv.Close()
 		<-s.served
@@ -314,7 +324,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	job, lease, ok, done := s.queue.Lease(req.Worker)
+	id, lease, ok, done := s.queue.Lease(req.Worker)
 	if done {
 		// 410: the campaign is over; workers exit.
 		http.Error(w, "campaign complete", http.StatusGone)
@@ -327,7 +337,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.touchWorker(req.Worker, func(wi *workerInfo) { wi.leases[lease.ID] = struct{}{} })
-	writeJSON(w, LeaseResponse{Job: job, Lease: lease.ID, TTLMS: lease.TTL.Milliseconds()})
+	writeJSON(w, LeaseResponse{Job: s.jobs[id], Lease: lease.ID, TTLMS: lease.TTL.Milliseconds(), Attempt: lease.Attempt})
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -373,7 +383,16 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "interrupted rows carry no verdict; release the lease instead", http.StatusBadRequest)
 		return
 	}
+	// The completion and its /results event land under one lock, so a
+	// stream that sees the campaign end already holds every row.
+	s.mu.Lock()
 	first, err := s.queue.Complete(req.JobID, req.Row)
+	if first {
+		s.accepted = append(s.accepted, ResultEvent{
+			JobID: req.JobID, Label: job.Label(), RowKey: want, Row: req.Row,
+		})
+	}
+	s.mu.Unlock()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -382,20 +401,13 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		delete(wi.leases, req.Lease)
 		wi.results++
 	})
-	if first {
-		// Journal before acknowledging: once the worker sees 200 the row
-		// must survive a coordinator restart. (Losing the append on a
-		// crash is safe the other way — the shard just re-runs.)
-		if s.cfg.LedgerPath != "" {
-			if err := AppendRowRecord(s.cfg.LedgerPath, "c3serve", want, req.Row); err != nil {
-				s.cfg.Warnf("journal: %v", err)
-			}
+	// Journal before acknowledging: once the worker sees 200 the row
+	// must survive a coordinator restart. (Losing the append on a crash
+	// is safe the other way — the shard just re-runs.)
+	if first && s.cfg.LedgerPath != "" {
+		if err := AppendRowRecord(s.cfg.LedgerPath, "c3serve", want, req.Row); err != nil {
+			s.cfg.Warnf("journal: %v", err)
 		}
-		s.mu.Lock()
-		s.accepted = append(s.accepted, ResultEvent{
-			JobID: req.JobID, Label: job.Label(), RowKey: want, Row: req.Row,
-		})
-		s.mu.Unlock()
 	}
 	writeJSON(w, map[string]bool{"accepted": true, "first": first})
 }
@@ -405,7 +417,12 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	found := s.queue.Release(req.Lease, req.Penalty)
+	if f := req.Failure; f != nil && (f.Err == "" || f.Interrupted) {
+		// It may become the shard's final row: it must be a failure.
+		http.Error(w, "a failure row carries its error; release an interrupted attempt without one", http.StatusBadRequest)
+		return
+	}
+	_, found := s.queue.Release(req.Lease, req.Failure)
 	s.touchWorker(req.Worker, func(wi *workerInfo) { delete(wi.leases, req.Lease) })
 	writeJSON(w, map[string]bool{"released": found})
 }

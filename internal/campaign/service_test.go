@@ -146,10 +146,10 @@ func TestAbandonedLeaseReassignment(t *testing.T) {
 	spec := testSpec(t, []string{"MP"}, []int64{1})
 	want := singleProcessReport(t, spec).Render()
 
+	spec.Retries = 5
 	srv := startTestServer(t, ServerConfig{
-		Spec:        spec,
-		LeaseTTL:    100 * time.Millisecond,
-		MaxFailures: 5,
+		Spec:     spec,
+		LeaseTTL: 100 * time.Millisecond,
 	})
 	base := "http://" + srv.Addr()
 
@@ -186,10 +186,10 @@ func TestAbandonedLeaseReassignment(t *testing.T) {
 // and the shard lands in the report as a loud error row.
 func TestQuarantineErrorRow(t *testing.T) {
 	spec := testSpec(t, []string{"MP"}, []int64{1})
+	spec.Retries = 1
 	srv := startTestServer(t, ServerConfig{
-		Spec:        spec,
-		LeaseTTL:    50 * time.Millisecond,
-		MaxFailures: 1,
+		Spec:     spec,
+		LeaseTTL: 50 * time.Millisecond,
 	})
 	base := "http://" + srv.Addr()
 
@@ -461,5 +461,109 @@ func TestStatuszWorkers(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("statusz workers %+v, want w0 with 1 result", st.Workers)
+	}
+}
+
+// TestFailedAttemptRetriesOnAnotherWorker: one worker hands its attempt
+// back failed (a task-deadline cut); the shard spends one retry, waits
+// out the backoff, and succeeds on another worker. The row reads
+// Attempts 2 and renders byte-identically to a first-try row.
+func TestFailedAttemptRetriesOnAnotherWorker(t *testing.T) {
+	spec := testSpec(t, []string{"MP"}, []int64{1})
+	want := singleProcessReport(t, spec).Render()
+	srv := startTestServer(t, ServerConfig{Spec: spec})
+	base := "http://" + srv.Addr()
+
+	resp, body := postJSON(t, base+"/lease", &LeaseRequest{Worker: "slow"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/lease: %d %s", resp.StatusCode, body)
+	}
+	var lease LeaseResponse
+	if err := json.Unmarshal(body, &lease); err != nil {
+		t.Fatal(err)
+	}
+	if lease.Attempt != 1 {
+		t.Fatalf("first lease is for attempt %d, want 1", lease.Attempt)
+	}
+	// A "failure" without an error could become the shard's final row as
+	// if it had passed: rejected.
+	resp, _ = postJSON(t, base+"/release", &ReleaseRequest{Worker: "slow", Lease: lease.Lease,
+		Failure: &litmus.SoakRun{Test: "MP", Plan: "light", Seed: 1, Iters: 4}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("release with an error-free failure row: status %d, want 400", resp.StatusCode)
+	}
+	failed := litmus.SoakRun{Test: "MP", Plan: "light", Seed: 1, Attempts: 1,
+		TimedOut: true, Err: "litmus MP: iteration 0: task deadline exceeded"}
+	resp, body = postJSON(t, base+"/release", &ReleaseRequest{Worker: "slow", Lease: lease.Lease, Failure: &failed})
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"released":true`) {
+		t.Fatalf("/release: %d %s", resp.StatusCode, body)
+	}
+
+	runWorkers(t, base, 1)
+	select {
+	case <-srv.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("campaign did not complete after the failed attempt")
+	}
+	rep := srv.Report()
+	if got := rep.Runs[0].Attempts; got != 2 {
+		t.Errorf("row reads Attempts %d, want 2", got)
+	}
+	if got := rep.Render(); got != want {
+		t.Errorf("retried report differs from first-try report:\n--- want\n%s\n--- got\n%s", want, got)
+	}
+	if snap := srv.Queue().Snapshot(); snap.Requeues != 1 || snap.Expiries != 0 {
+		t.Errorf("snapshot %+v, want one requeue and no expiry", snap)
+	}
+}
+
+// TestJournalResumesSingleProcess is the Go-level twin of the CI
+// cross-tool resume leg: rows a coordinator journaled through /result
+// load through LoadCheckpoints into RunSoak's Completed, nothing
+// executes, and the report renders byte-identically.
+func TestJournalResumesSingleProcess(t *testing.T) {
+	spec := testSpec(t, []string{"MP", "SB"}, []int64{1, 2})
+	ref := singleProcessReport(t, spec)
+	ledger := filepath.Join(t.TempDir(), "journal.jsonl")
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv := startTestServer(t, ServerConfig{Spec: spec, LedgerPath: ledger})
+	base := "http://" + srv.Addr()
+	for i, job := range jobs {
+		resp, body := postJSON(t, base+"/result", &ResultRequest{
+			Worker: "w0", JobID: job.ID, RowKey: job.RowKey(srv.Suffix()), Row: ref.Runs[i],
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit row %d: %d %s", i, resp.StatusCode, body)
+		}
+	}
+	srv.Close()
+
+	completed, stats, err := LoadCheckpoints(ledger, srv.Suffix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Skipped != 0 || len(completed) != len(jobs) {
+		t.Fatalf("journal replay: %d rows, %d skipped; want %d rows", len(completed), stats.Skipped, len(jobs))
+	}
+	cfg, err := spec.SoakConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Completed = completed
+	rep, err := litmus.RunSoak(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rep.Runs {
+		if !r.Resumed {
+			t.Errorf("row %s/%s/seed%d executed instead of resuming from the journal", r.Test, r.Plan, r.Seed)
+		}
+	}
+	if got, want := rep.Render(), ref.Render(); got != want {
+		t.Errorf("journal-resumed report differs:\n--- want\n%s\n--- got\n%s", want, got)
 	}
 }

@@ -51,12 +51,14 @@ var ErrWorkerInterrupted = errors.New("campaign: worker interrupted")
 // interrupted (ErrWorkerInterrupted), or the coordinator stays
 // unreachable past its liveness grace (error).
 //
-// The loop, per slot: lease a shard, run it as a fresh deterministic
-// litmus campaign (exactly the single-process engine — same seeds, same
-// bytes), submit the row under its content-addressed key, repeat. A
-// heartbeat goroutine renews all held leases at TTL/3; if the
-// coordinator dies mid-shard the submit fails, the worker retries
-// against /healthz, and gives up after ProbeTimeout.
+// The loop, per slot: lease a shard, run one attempt of it through
+// litmus.Campaign.Attempt (the single-process executor — same seeds,
+// same bytes), submit the row under its content-addressed key — or hand
+// a failed attempt back for the coordinator's queue to retry — repeat.
+// The worker keeps no retry budget of its own. A heartbeat goroutine
+// renews all held leases at TTL/3; if the coordinator dies mid-shard
+// the submit fails, the worker retries against /healthz, and gives up
+// after ProbeTimeout.
 func RunWorker(cfg WorkerConfig) error {
 	if cfg.Name == "" {
 		host, _ := os.Hostname()
@@ -99,11 +101,12 @@ func RunWorker(cfg WorkerConfig) error {
 		return fmt.Errorf("campaign: version mismatch: worker fingerprint %q != coordinator %q (rebuild the worker from the coordinator's code)",
 			localSuffix, spec.Suffix)
 	}
-	soakCfg, err := spec.Spec.SoakConfig()
+	soakCfg, camps, err := spec.Spec.campaigns()
 	if err != nil {
 		return err
 	}
-	w.spec, w.suffix, w.soakCfg = spec.Spec, spec.Suffix, soakCfg
+	soakCfg.Interrupt = cfg.Interrupt
+	w.suffix, w.soakCfg, w.camps = spec.Suffix, soakCfg, camps
 	cfg.Logf("joined %s: %d jobs, suffix %q, %d slot(s)", cfg.Coordinator, spec.Jobs, spec.Suffix, cfg.Slots)
 
 	// One heartbeat loop for all slots. TTL arrives with the first
@@ -134,9 +137,9 @@ func RunWorker(cfg WorkerConfig) error {
 type worker struct {
 	cfg     WorkerConfig
 	client  *http.Client
-	spec    Spec
 	suffix  string
 	soakCfg litmus.SoakConfig
+	camps   []litmus.Campaign // the spec's campaigns, indexed by job ID
 
 	mu     sync.Mutex
 	leases map[string]struct{}
@@ -321,42 +324,30 @@ func (w *worker) slotLoop() error {
 	}
 }
 
-// runAndSubmit executes one leased shard and submits its row. The shard
-// runs through the exact single-process engine (litmus.RunSoak with one
-// job) so its row is byte-identical to what an uninterrupted c3soak
-// would put in the same report slot.
+// runAndSubmit executes one attempt of a leased shard and submits its
+// row, or hands the lease back: without penalty when the attempt was
+// interrupted, with the failed row when a rerun may cure it (the
+// coordinator's queue then retries it or records it). The row is
+// byte-identical to what an uninterrupted c3soak puts in the same
+// report slot.
 func (w *worker) runAndSubmit(lease LeaseResponse) error {
 	job := lease.Job
-	cfg := w.soakCfg
-	cfg.Tests = []string{job.Test}
-	plan, err := parsePlanRef(job.Plan)
-	if err != nil {
-		// A job this binary cannot even parse: penalty-release so the
-		// shard counts a failure and eventually quarantines.
-		w.release(lease, true)
-		return err
+	if job.ID < 0 || job.ID >= len(w.camps) || w.camps[job.ID].Label() != job.Label() {
+		failed := litmus.SoakRun{Test: job.Test, Plan: job.Plan.Name, Seed: job.Seed, Attempts: lease.Attempt,
+			Err: fmt.Sprintf("campaign: worker has no job %d (%s)", job.ID, job.Label())}
+		w.release(lease, &failed)
+		return errors.New(failed.Err)
 	}
-	cfg.Plans = []litmus.NamedPlan{plan}
-	cfg.Seeds = []int64{job.Seed}
-	cfg.Workers = 1
-	cfg.Interrupt = w.cfg.Interrupt
-	cfg.Observer = nil
-	cfg.Completed = nil
-
-	rep, err := litmus.RunSoak(cfg)
-	if err != nil {
-		w.release(lease, true)
-		return err
-	}
-	if len(rep.Runs) != 1 {
-		w.release(lease, true)
-		return fmt.Errorf("campaign: shard %s produced %d rows, want 1", job.Label(), len(rep.Runs))
-	}
-	row := rep.Runs[0]
-	if row.Interrupted {
+	row, retry := w.camps[job.ID].Attempt(w.soakCfg, lease.Attempt)
+	switch {
+	case row.Interrupted:
 		// No verdict: hand the shard back untouched and shut down.
-		w.release(lease, false)
+		w.release(lease, nil)
 		return ErrWorkerInterrupted
+	case retry:
+		w.release(lease, &row)
+		w.cfg.Logf("shard %s: attempt %d failed: %s", job.Label(), lease.Attempt, row.Err)
+		return nil
 	}
 	defer w.dropLease(lease.Lease)
 	var resp map[string]bool
@@ -373,11 +364,11 @@ func (w *worker) runAndSubmit(lease LeaseResponse) error {
 	return nil
 }
 
-func (w *worker) release(lease LeaseResponse, penalty bool) {
+func (w *worker) release(lease LeaseResponse, failure *litmus.SoakRun) {
 	defer w.dropLease(lease.Lease)
 	var resp map[string]bool
 	if _, err := w.postJSON("/release", &ReleaseRequest{
-		Worker: w.cfg.Name, Lease: lease.Lease, Penalty: penalty,
+		Worker: w.cfg.Name, Lease: lease.Lease, Failure: failure,
 	}, &resp); err != nil {
 		w.cfg.Logf("release %s: %v", lease.Job.Label(), err)
 	}

@@ -273,18 +273,12 @@ func TestSoakInterruptPrecedence(t *testing.T) {
 	}
 }
 
-// TestSoakFailFast: with -fail-fast semantics an error row cancels the
-// sweep and RunSoak surfaces the error instead of a report.
+// TestSoakFailFast: a failing campaign never fails fast — the failure
+// isolates as its own row and every sibling still reports.
 func TestSoakFailFast(t *testing.T) {
 	cfg := resilienceSoakConfig()
-	cfg.FailFast = true
 	boom := errors.New("boom")
 	cfg.failAttempt = func(label string, attempt int) error { return boom }
-	if _, err := RunSoak(cfg); err == nil {
-		t.Fatal("fail-fast sweep with erroring campaigns returned no error")
-	}
-	// Without FailFast the same failure isolates: every row reports.
-	cfg.FailFast = false
 	rep, err := RunSoak(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -327,5 +321,55 @@ func TestRunnerInterrupt(t *testing.T) {
 	})
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+}
+
+// TestSoakInProcessLeaseNeverExpires: RunSoak's slots lease with no TTL.
+// One slot holds the first campaign's lease while the queue clock jumps
+// a day per attempt and the other slot, leasing the rest, sweeps for
+// expired leases on every lease; a retry budget would let an expired
+// campaign run again, yet nothing executes twice.
+func TestSoakInProcessLeaseNeverExpires(t *testing.T) {
+	base, err := RunSoak(resilienceSoakConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	clock := time.Unix(1000, 0)
+	executed := make(map[string]int)
+	release := make(chan struct{})
+	cfg := resilienceSoakConfig()
+	cfg.Workers = 2
+	cfg.Retries = 2
+	cfg.retryBackoff = time.Millisecond
+	cfg.failAttempt = func(label string, attempt int) error {
+		mu.Lock()
+		executed[label]++
+		clock = clock.Add(24 * time.Hour)
+		mu.Unlock()
+		switch {
+		case label == "MP/light/seed1" && attempt == 1:
+			<-release
+		case label == "SB/light/seed2":
+			close(release)
+		}
+		return nil
+	}
+	rep, err := runSoak(cfg, func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return clock
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rep.Runs {
+		label := RowLabel(r.Test, r.Plan, r.Seed)
+		if n := executed[label]; n != 1 || r.Attempts != 1 {
+			t.Errorf("%s executed %d times (row reads %d attempts), want once", label, n, r.Attempts)
+		}
+	}
+	if got, want := rep.Render(), base.Render(); got != want {
+		t.Fatalf("report differs:\n--- want ---\n%s--- got ---\n%s", want, got)
 	}
 }

@@ -1,11 +1,11 @@
 package litmus
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"c3/internal/cpu"
@@ -72,6 +72,20 @@ func PlanByName(name string) (NamedPlan, bool) {
 	return NamedPlan{}, false
 }
 
+// ResolvePlan resolves one plan spec, as every tool's -plans or -faults
+// flag takes it: a preset name (PlanByName) or a raw fault spec such as
+// "drop=0.01,dup=0.01", which then also names the plan in reports.
+func ResolvePlan(spec string) (NamedPlan, error) {
+	if p, ok := PlanByName(spec); ok {
+		return p, nil
+	}
+	p, err := faults.ParsePlan(spec)
+	if err != nil {
+		return NamedPlan{}, fmt.Errorf("fault plan %q: %w", spec, err)
+	}
+	return NamedPlan{Name: spec, Plan: p}, nil
+}
+
 // SoakConfig describes one soak campaign: the cross product of litmus
 // tests x fault plans x base seeds, each run as a full (synced) campaign
 // on the unreliable fabric with per-iteration hang watchdogs armed.
@@ -90,36 +104,33 @@ type SoakConfig struct {
 	Locals [2]string
 	Global string
 	MCMs   [2]cpu.MCM
-	// Workers fans campaigns across goroutines (0 = GOMAXPROCS,
-	// 1 = serial). Reports are byte-identical for every worker count.
+	// Workers is the number of in-process slots draining the sweep's
+	// queue (0 = GOMAXPROCS, 1 = serial). Reports are byte-identical for
+	// every worker count; a failing campaign never cancels its siblings.
 	Workers int
 	// Timeout bounds the sweep's wall clock (0 = none). Campaigns that
-	// have not started when it expires become "timeout" error rows; the
-	// cut point depends on the host machine, so reports are only
-	// byte-identical across worker counts when the sweep finishes in
-	// time — the timeout is a failure path, not a schedule. The report
-	// is still produced in full (completed rows plus timeout rows) and
-	// SoakReport.TimedOut flags the abort, so callers can flush the
-	// partial result and record a "timeout" verdict instead of exiting
-	// silently.
+	// have not completed when it expires become "timeout" error rows
+	// (attempts already running finish); the cut point depends on the
+	// host machine, so reports are only byte-identical across worker
+	// counts when the sweep finishes in time — the timeout is a failure
+	// path, not a schedule. The report is still produced in full
+	// (completed rows plus timeout rows) and SoakReport.TimedOut flags
+	// the abort, so callers can flush the partial result and record a
+	// "timeout" verdict instead of exiting silently.
 	Timeout time.Duration
 	// TaskTimeout bounds each campaign attempt's wall clock (0 = none):
 	// a single wedged seed then burns its own budget, not the sweep's.
-	// Expired attempts are retried (see Retries) and finally recorded as
-	// TIMEOUT rows.
+	// An expired attempt spends a retry (see Retries); the last one
+	// leaves a TIMEOUT row.
 	TaskTimeout time.Duration
-	// Retries is how many extra attempts a timed-out or panicked
-	// campaign gets before its row is recorded as TIMEOUT/ERROR, with
-	// capped exponential backoff between attempts. Deterministic
-	// failures (wedges, silent violations) are never retried — rerunning
-	// the same seeds reproduces them exactly. Default 0.
+	// Retries is the one failure budget: how many failed attempts a
+	// campaign may retry — task-deadline cuts and panics here, plus
+	// lease expiries and failed hand-backs under a coordinator — each
+	// after a capped exponential backoff (see RetryBackoffBase). The next
+	// failure records the row as TIMEOUT/ERROR. Deterministic failures
+	// (wedges, silent violations) are never retried — rerunning the same
+	// seeds reproduces them exactly. Default 0.
 	Retries int
-	// FailFast restores first-error-cancel pool semantics: the first
-	// campaign abort (non-timeout error row) cancels unstarted siblings
-	// and RunSoak returns the error. The default (false) is isolation
-	// mode — a failing campaign becomes a report row and every sibling
-	// still runs.
-	FailFast bool
 	// Interrupt, when non-nil, requests graceful shutdown once closed:
 	// in-flight campaigns stop at their next poll, unstarted ones never
 	// run, and both become INTERRUPTED rows in the flushed partial
@@ -133,26 +144,18 @@ type SoakConfig struct {
 	Completed map[string]SoakRun
 	// Observer, when non-nil, receives the campaign plan and per-campaign
 	// lifecycle events for live introspection (c3soak -statusz). Start/
-	// done events arrive concurrently from pool workers (see
-	// parallel.Observer); the observer can never affect the report.
+	// done events arrive concurrently from the slots; the observer can
+	// never affect the report.
 	Observer SoakObserver
 
-	// retryBackoff overrides the inter-attempt backoff base (tests; 0 =
-	// retryBackoffBase).
+	// retryBackoff overrides the queue's retry backoff base (tests; 0 =
+	// RetryBackoffBase).
 	retryBackoff time.Duration
 	// failAttempt, when non-nil, injects an abort into campaign attempts
 	// before they execute — the deterministic stand-in for a wall-clock
 	// cut in retry tests. Attempts are numbered from 1.
 	failAttempt func(label string, attempt int) error
 }
-
-// Retry backoff: base * 2^(attempt-1), capped. The backoff only delays
-// the retry (timing is not part of any result), so the cap can be
-// generous without risking determinism.
-const (
-	retryBackoffBase = 100 * time.Millisecond
-	retryBackoffCap  = 5 * time.Second
-)
 
 // RowLabel renders the stable identity of one campaign row within a
 // sweep ("MP/light/seed1") — the key the observer plan, the report,
@@ -162,17 +165,23 @@ func RowLabel(test, plan string, seed int64) string {
 }
 
 // SoakObserver observes a soak sweep from the outside: Plan announces
-// the campaign labels ("test/plan/seed") in pool-item order before the
-// sweep starts, then the pool's parallel.Observer callbacks track each
-// campaign. obs.Tracker implements it.
+// the campaign labels ("test/plan/seed") in job order before the sweep
+// starts; then every report row — executed, resumed from a checkpoint,
+// or cut by a shutdown — reaches TaskStarted and TaskDone exactly once
+// each (TaskStarted when its first attempt starts, TaskDone when its
+// row is final). Calls arrive concurrently from the slots, so
+// implementations must be concurrency-safe. TaskDone's err is always
+// nil: a failed campaign is a row, not an error. obs.Tracker implements
+// it.
 type SoakObserver interface {
-	parallel.Observer
 	Plan(labels []string)
+	TaskStarted(i int)
+	TaskDone(i int, err error)
 }
 
 // SoakRowObserver is optionally implemented by a SoakObserver to
-// additionally receive each completed row (concurrently, from pool
-// workers) — the feed for live hang/poison/forbidden tallies.
+// additionally receive each final row, right after its TaskDone — the
+// feed for live hang/poison/forbidden tallies and checkpoints.
 type SoakRowObserver interface {
 	CampaignDone(i int, row SoakRun)
 }
@@ -192,7 +201,7 @@ type SoakRun struct {
 	Classes   string
 	Err       string // campaign abort (wedge or captured panic)
 	// TimedOut marks a campaign a wall-clock bound cut off — either the
-	// sweep's Timeout before it started, or its own TaskTimeout after
+	// sweep's Timeout before it completed, or its own TaskTimeout after
 	// exhausting Retries (Err carries the detail).
 	TimedOut bool
 	// Interrupted marks a row a graceful shutdown cut off before it
@@ -360,8 +369,7 @@ func (cfg SoakConfig) WithDefaults() SoakConfig {
 }
 
 // Campaign identifies one shard of a soak sweep: a (test, plan, seed)
-// cell, the unit the worker pool — and the distributed campaign
-// service's job queue — schedules.
+// cell, the unit the Queue schedules — in process or across a fleet.
 type Campaign struct {
 	Test Test
 	Plan NamedPlan
@@ -373,10 +381,10 @@ func (c Campaign) Label() string { return RowLabel(c.Test.Name, c.Plan.Name, c.S
 
 // Campaigns expands a (defaults-applied) config into the sweep's job
 // list in canonical report order: tests outermost, then plans, then
-// seeds. Every consumer of the sweep — the in-process pool, the
-// distributed coordinator's queue, the report merge — must share this
-// order; it is what makes a merged distributed report byte-identical to
-// a single-process run.
+// seeds. Every consumer of the sweep — RunSoak's queue, the distributed
+// coordinator's queue, its workers — must share this order; it is what
+// makes a merged distributed report byte-identical to a single-process
+// run.
 func Campaigns(cfg SoakConfig) ([]Campaign, error) {
 	cfg = cfg.WithDefaults()
 	var jobs []Campaign
@@ -394,220 +402,225 @@ func Campaigns(cfg SoakConfig) ([]Campaign, error) {
 	return jobs, nil
 }
 
-// RunSoak executes the soak sweep. Campaign-level failures (wedges,
-// captured panics) become report rows, never process crashes; the
-// returned error is reserved for configuration mistakes (unknown test
-// names).
-func RunSoak(cfg SoakConfig) (*SoakReport, error) {
+// RunSoak executes the soak sweep: its campaigns become jobs on a
+// Queue, and Workers in-process slot loops drain it, running every
+// attempt through Campaign.Attempt — the queue and executor the
+// distributed coordinator and its workers use, minus the HTTP. Rows in
+// cfg.Completed are born done and never run. Campaign-level failures
+// (wedges, spent retries, captured panics) become report rows, never
+// process crashes; the returned error is reserved for configuration
+// mistakes (unknown test names).
+func RunSoak(cfg SoakConfig) (*SoakReport, error) { return runSoak(cfg, time.Now) }
+
+// localRun drains one queue with in-process slots.
+type localRun struct {
+	q        *Queue
+	cfg      SoakConfig
+	deadline time.Time // sweep bound (zero: none)
+	rowObs   SoakRowObserver
+	// started and reported track each job's observer events (a job is
+	// held by one slot at a time; the queue's lock orders the hand-off).
+	started, reported []bool
+}
+
+// runSoak is RunSoak with the queue reading the clock now (tests push a
+// fake one past any lease lifetime).
+func runSoak(cfg SoakConfig, now func() time.Time) (*SoakReport, error) {
 	cfg = cfg.WithDefaults()
 	jobs, err := Campaigns(cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	var deadline time.Time
-	if cfg.Timeout > 0 {
-		deadline = time.Now().Add(cfg.Timeout)
+	// No lease TTL: an in-process slot cannot go silent, so its lease
+	// never expires and nothing runs twice.
+	q := NewQueue(jobs, cfg.Completed, 0, cfg.Retries, now)
+	if cfg.retryBackoff > 0 {
+		q.backoff = cfg.retryBackoff
 	}
-
-	// Live introspection: announce the plan and attach the observer to
-	// the pool's context. The observer sees scheduling, never results.
-	ctx := context.Background()
-	var rowObs SoakRowObserver
+	n := len(jobs)
+	l := &localRun{q: q, cfg: cfg, started: make([]bool, n), reported: make([]bool, n)}
+	if cfg.Timeout > 0 {
+		l.deadline = time.Now().Add(cfg.Timeout)
+	}
 	if cfg.Observer != nil {
-		labels := make([]string, len(jobs))
+		labels := make([]string, n)
 		for i, j := range jobs {
-			labels[i] = RowLabel(j.Test.Name, j.Plan.Name, j.Seed)
+			labels[i] = j.Label()
 		}
 		cfg.Observer.Plan(labels)
-		ctx = parallel.WithObserver(ctx, cfg.Observer)
-		rowObs, _ = cfg.Observer.(SoakRowObserver)
-	}
-	report := func(i int, row SoakRun) SoakRun {
-		if rowObs != nil {
-			rowObs.CampaignDone(i, row)
-		}
-		return row
-	}
-
-	// Graceful shutdown: the interrupt channel cancels the pool context
-	// so unstarted campaigns are skipped instantly; in-flight campaigns
-	// see the same channel through RunnerConfig.Interrupt and stop at
-	// their next step-loop poll. The watcher goroutine is joined by the
-	// deferred close, never leaked.
-	if cfg.Interrupt != nil {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(ctx)
-		stopc := make(chan struct{})
-		defer close(stopc)
-		go func() {
-			select {
-			case <-cfg.Interrupt:
-				cancel()
-			case <-stopc:
-				cancel()
-			}
-		}()
-	}
-
-	interrupted := func() bool {
-		if cfg.Interrupt == nil {
-			return false
-		}
-		select {
-		case <-cfg.Interrupt:
-			return true
-		default:
-			return false
-		}
-	}
-
-	backoffBase := cfg.retryBackoff
-	if backoffBase <= 0 {
-		backoffBase = retryBackoffBase
-	}
-
-	// runCampaign produces one row, retrying wall-clock and panic aborts
-	// with capped exponential backoff. Every attempt is a full, fresh,
-	// deterministic campaign, so a success on attempt k is byte-identical
-	// to a first-try success.
-	runCampaign := func(i int) SoakRun {
-		job := jobs[i]
-		label := RowLabel(job.Test.Name, job.Plan.Name, job.Seed)
-		row := SoakRun{Test: job.Test.Name, Plan: job.Plan.Name, Seed: job.Seed}
-		if cached, ok := cfg.Completed[label]; ok {
-			// Checkpointed by a previous run: the ledger row is the
-			// verdict; nothing executes.
-			cached.Resumed = true
-			return cached
-		}
-		if interrupted() {
-			row.Interrupted = true
-			row.Err = "interrupted before campaign started"
-			return row
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			row.TimedOut = true
-			row.Err = fmt.Sprintf("timeout: sweep exceeded %v before campaign started", cfg.Timeout)
-			return row
-		}
-		for attempt := 1; ; attempt++ {
-			row.Attempts = attempt
-			var res *Result
-			err := error(nil)
-			if cfg.failAttempt != nil {
-				err = cfg.failAttempt(label, attempt)
-			}
-			if err == nil {
-				rcfg := RunnerConfig{
-					Locals:    cfg.Locals,
-					Global:    cfg.Global,
-					MCMs:      cfg.MCMs,
-					Iters:     cfg.Iters,
-					Sync:      SyncFull,
-					BaseSeed:  job.Seed,
-					Workers:   1,
-					Faults:    &job.Plan.Plan,
-					HangWatch: true,
-					Interrupt: cfg.Interrupt,
-				}
-				if cfg.TaskTimeout > 0 {
-					rcfg.Deadline = time.Now().Add(cfg.TaskTimeout)
-				}
-				res, err = runSoakCampaign(job.Test, rcfg)
-			}
-			if err == nil {
-				row.Iters = res.Iters
-				row.Distinct = res.Distinct()
-				row.Forbidden = res.Forbidden
-				row.Poisoned = res.Poisoned
-				row.Crashed = res.Crashed
-				row.Hangs = res.Hangs
-				row.Classes = classesString(res.HangClasses)
-				return row
-			}
-			if errors.Is(err, ErrInterrupted) {
-				row.Interrupted = true
-				row.Err = err.Error()
-				return row
-			}
-			// Only nondeterministic aborts retry: a wall-clock cut or a
-			// panic. Wedges and violations are reproduced exactly by the
-			// same seeds, so rerunning them is pure waste.
-			retryable := errors.Is(err, ErrTaskDeadline) || errors.Is(err, errCampaignPanic)
-			if !retryable || attempt > cfg.Retries {
-				if errors.Is(err, ErrTaskDeadline) {
-					row.TimedOut = true
-					row.Err = fmt.Sprintf("%v (attempt %d of %d)", err, attempt, cfg.Retries+1)
-				} else {
-					row.Err = err.Error()
-				}
-				return row
-			}
-			backoff := backoffBase << (attempt - 1)
-			if backoff > retryBackoffCap {
-				backoff = retryBackoffCap
-			}
-			timer := time.NewTimer(backoff)
-			if cfg.Interrupt != nil {
-				select {
-				case <-timer.C:
-				case <-cfg.Interrupt:
-					timer.Stop()
-					row.Interrupted = true
-					row.Err = "interrupted during retry backoff"
-					return row
-				}
-			} else {
-				<-timer.C
+		l.rowObs, _ = cfg.Observer.(SoakRowObserver)
+		for i, row := range q.Rows() {
+			if row.Resumed {
+				l.report(i, row)
 			}
 		}
 	}
 
 	// Parallelism lives at the campaign level; each campaign runs its
-	// iterations serially (Workers: 1) so the worker budget is not
-	// oversubscribed and every row is independent of scheduling.
-	workers := parallel.Workers(cfg.Workers)
-	var runs []SoakRun
-	if cfg.FailFast {
-		// First-error-cancel: a campaign abort (error row) fails the
-		// pool, unstarted siblings never run, and RunSoak surfaces the
-		// lowest-index error.
-		var err error
-		runs, err = parallel.Map(ctx, workers, len(jobs), func(i int) (SoakRun, error) {
-			row := runCampaign(i)
-			if row.Err != "" && !row.Interrupted {
-				return row, fmt.Errorf("soak %s/%s/seed%d: %s", row.Test, row.Plan, row.Seed, row.Err)
-			}
-			return report(i, row), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// Isolation mode (default): every campaign runs no matter what
-		// its siblings do; pool-level failures (panics escaping the
-		// campaign recover, context cancellation) become rows.
-		results, errs := parallel.MapAll(ctx, workers, len(jobs), func(i int) (SoakRun, error) {
-			return report(i, runCampaign(i)), nil
-		})
-		runs = results
-		for i, err := range errs {
-			if err == nil {
-				continue
-			}
-			job := jobs[i]
-			row := SoakRun{Test: job.Test.Name, Plan: job.Plan.Name, Seed: job.Seed}
-			if errors.Is(err, context.Canceled) {
-				row.Interrupted = true
-				row.Err = "interrupted before campaign started"
-			} else {
-				row.Err = err.Error()
-			}
-			runs[i] = report(i, row)
+	// iterations serially (Workers: 1 in Attempt) so the worker budget
+	// is not oversubscribed and every row is independent of scheduling.
+	var wg sync.WaitGroup
+	for k := range min(parallel.Workers(cfg.Workers), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l.slot(fmt.Sprintf("slot%d", k))
+		}()
+	}
+	wg.Wait()
+
+	rows := q.Rows()
+	for i, row := range rows {
+		if !l.reported[i] { // cut short by an interrupt or the sweep bound
+			l.report(i, row)
 		}
 	}
-	return &SoakReport{Runs: runs}, nil
+	return &SoakReport{Runs: rows}, nil
+}
+
+// slot is one in-process lease loop: lease a job, run one attempt, hand
+// the result to the queue, repeat until the queue has nothing left for
+// it.
+func (l *localRun) slot(name string) {
+	for {
+		select {
+		case <-l.cfg.Interrupt:
+			l.q.Stop(0)
+		default:
+			if !l.deadline.IsZero() && !time.Now().Before(l.deadline) {
+				l.q.Stop(l.cfg.Timeout)
+			}
+		}
+		id, lease, ok, done := l.q.Lease(name)
+		if done {
+			return
+		}
+		if !ok {
+			if !l.idle() {
+				return
+			}
+			continue
+		}
+		if !l.started[id] {
+			l.started[id] = true
+			if l.cfg.Observer != nil {
+				l.cfg.Observer.TaskStarted(id)
+			}
+		}
+		row, retry := l.q.jobs[id].Attempt(l.cfg, lease.Attempt)
+		switch {
+		case row.Interrupted:
+			l.q.Release(lease.ID, nil)
+		case retry:
+			if final, _ := l.q.Release(lease.ID, &row); final != nil {
+				l.report(id, *final)
+			}
+		default:
+			l.q.Complete(id, row) //nolint:errcheck // id came from Lease
+			l.report(id, row)
+		}
+	}
+}
+
+// idle parks a slot that found nothing leasable until the earliest
+// backoff gate among pending jobs opens — never on a poll interval —
+// or the sweep is interrupted, stopped, or past its bound. It reports
+// false, and the slot exits, when no job is pending: whatever is left
+// is running on other slots, which retry their own failures.
+func (l *localRun) idle() bool {
+	wait, ok := l.q.untilGate()
+	if !ok {
+		return false
+	}
+	if !l.deadline.IsZero() {
+		wait = min(wait, time.Until(l.deadline))
+	}
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-l.cfg.Interrupt:
+	case <-l.q.stopCh:
+	}
+	return true
+}
+
+// report hands job i's final row to the observer.
+func (l *localRun) report(i int, row SoakRun) {
+	l.reported[i] = true
+	o := l.cfg.Observer
+	if o == nil {
+		return
+	}
+	if !l.started[i] {
+		l.started[i] = true
+		o.TaskStarted(i)
+	}
+	o.TaskDone(i, nil)
+	if l.rowObs != nil {
+		l.rowObs.CampaignDone(i, row)
+	}
+}
+
+// Attempt runs one attempt of campaign c: a full, fresh, seed-determined
+// litmus campaign on cfg's machine under its per-attempt budget
+// (TaskTimeout, Interrupt), shielded by a recover so one poisoned code
+// path can never take down a sweep. Because every attempt is
+// seed-determined, a success on attempt k is byte-identical to a
+// first-try success. The row carries the verdict; retry reports a
+// failure a rerun may cure — a task-deadline cut or a panic — which the
+// caller hands back to the queue (Queue.Release) instead of recording,
+// so the queue alone decides between another attempt and the final
+// row. An interrupted attempt returns an Interrupted row. RunSoak's
+// slots and the distributed workers both run every attempt through
+// here.
+func (c Campaign) Attempt(cfg SoakConfig, attempt int) (row SoakRun, retry bool) {
+	row = SoakRun{Test: c.Test.Name, Plan: c.Plan.Name, Seed: c.Seed, Attempts: attempt}
+	var res *Result
+	var err error
+	if cfg.failAttempt != nil {
+		err = cfg.failAttempt(c.Label(), attempt)
+	}
+	if err == nil {
+		rcfg := RunnerConfig{
+			Locals:    cfg.Locals,
+			Global:    cfg.Global,
+			MCMs:      cfg.MCMs,
+			Iters:     cfg.Iters,
+			Sync:      SyncFull,
+			BaseSeed:  c.Seed,
+			Workers:   1,
+			Faults:    &c.Plan.Plan,
+			HangWatch: true,
+			Interrupt: cfg.Interrupt,
+		}
+		if cfg.TaskTimeout > 0 {
+			rcfg.Deadline = time.Now().Add(cfg.TaskTimeout)
+		}
+		res, err = runSoakCampaign(c.Test, rcfg)
+	}
+	switch {
+	case err == nil:
+		row.Iters = res.Iters
+		row.Distinct = res.Distinct()
+		row.Forbidden = res.Forbidden
+		row.Poisoned = res.Poisoned
+		row.Crashed = res.Crashed
+		row.Hangs = res.Hangs
+		row.Classes = classesString(res.HangClasses)
+	case errors.Is(err, ErrInterrupted):
+		row.Interrupted, row.Err = true, err.Error()
+	case errors.Is(err, ErrTaskDeadline):
+		row.TimedOut, row.Err = true, err.Error()
+		retry = true
+	default:
+		// Only nondeterministic aborts retry: a wall-clock cut or a
+		// panic. Wedges and violations are reproduced exactly by the
+		// same seeds, so rerunning them is pure waste.
+		row.Err = err.Error()
+		retry = errors.Is(err, errCampaignPanic)
+	}
+	return row, retry
 }
 
 // errCampaignPanic classifies a panic captured inside a campaign; it is

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"c3/internal/faults"
+	"c3/internal/obs"
 )
 
 // recordingObserver implements SoakObserver + SoakRowObserver and
@@ -148,5 +149,100 @@ func TestSoakVerdictPrecedence(t *testing.T) {
 	}}
 	if v := mixed.Verdict(); v != "fail" {
 		t.Errorf("mixed verdict = %q, want fail (forbidden beats timeout)", v)
+	}
+}
+
+// trackedObserver feeds an obs.Tracker, as c3soak's observer does, and
+// counts every event per row.
+type trackedObserver struct {
+	*obs.Tracker
+	mu                  sync.Mutex
+	started, done, rows map[int]int
+	resumed             int
+	doneOrder           []int
+}
+
+func newTrackedObserver() *trackedObserver {
+	return &trackedObserver{Tracker: obs.NewTracker(),
+		started: map[int]int{}, done: map[int]int{}, rows: map[int]int{}}
+}
+
+func (o *trackedObserver) TaskStarted(i int) {
+	o.Tracker.TaskStarted(i)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.started[i]++
+}
+
+func (o *trackedObserver) TaskDone(i int, err error) {
+	o.Tracker.TaskDone(i, err)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.done[i]++
+	o.doneOrder = append(o.doneOrder, i)
+}
+
+func (o *trackedObserver) CampaignDone(i int, row SoakRun) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.rows[i]++
+	if row.Resumed {
+		o.resumed++
+	}
+}
+
+// TestSoakResumedRowsReachObserver: rows resumed from checkpoints reach
+// the observer once each — TaskStarted, TaskDone, CampaignDone — exactly
+// like executed rows, so a Tracker reaches 100% after -resume and row
+// tallies (c3soak's counters) still count every row. They arrive before
+// any executed row finishes, so live progress counts them from the
+// start.
+func TestSoakResumedRowsReachObserver(t *testing.T) {
+	base, err := RunSoak(resilienceSoakConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make(map[string]SoakRun)
+	partial := make(map[string]SoakRun)
+	for _, r := range base.Runs {
+		all[RowLabel(r.Test, r.Plan, r.Seed)] = r
+		if r.Test == "MP" {
+			partial[RowLabel(r.Test, r.Plan, r.Seed)] = r
+		}
+	}
+	for _, workers := range []int{1, 3} {
+		for _, completed := range []map[string]SoakRun{partial, all} {
+			cfg := resilienceSoakConfig()
+			cfg.Workers = workers
+			cfg.Completed = completed
+			o := newTrackedObserver()
+			cfg.Observer = o
+			rep, err := RunSoak(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.Render(); got != base.Render() {
+				t.Fatalf("workers=%d, %d resumed: report differs:\n%s", workers, len(completed), got)
+			}
+			for i := range rep.Runs {
+				if o.started[i] != 1 || o.done[i] != 1 || o.rows[i] != 1 {
+					t.Errorf("workers=%d, %d resumed: row %d saw %d/%d/%d started/done/row events, want 1/1/1",
+						workers, len(completed), i, o.started[i], o.done[i], o.rows[i])
+				}
+			}
+			if o.resumed != len(completed) {
+				t.Errorf("workers=%d: observer saw %d resumed rows, want %d", workers, o.resumed, len(completed))
+			}
+			for _, i := range o.doneOrder[:len(completed)] {
+				if !rep.Runs[i].Resumed {
+					t.Errorf("workers=%d: executed row %d finished before the resumed rows were reported (order %v)",
+						workers, i, o.doneOrder)
+				}
+			}
+			if snap := o.Snapshot(); snap.Done != len(rep.Runs) || snap.Percent != 100 || len(snap.InFlight) != 0 {
+				t.Errorf("workers=%d, %d resumed: tracker %+v, want %d/%d done at 100%%",
+					workers, len(completed), snap, len(rep.Runs), len(rep.Runs))
+			}
+		}
 	}
 }

@@ -34,6 +34,18 @@ const (
 	ExitResumable = 3 // interrupted by SIGINT/SIGTERM; rerun with -resume
 )
 
+// ExitCode maps a run's final verdict onto the shared exit codes: pass
+// exits 0, interrupted 3 (resumable), every other verdict 1.
+func ExitCode(verdict string) int {
+	switch verdict {
+	case VerdictPass:
+		return ExitPass
+	case VerdictInterrupted:
+		return ExitResumable
+	}
+	return ExitFail
+}
+
 // Record is one invocation's ledger entry: enough to re-run the sweep
 // exactly (spec + seeds + version) and to diff what it did (metrics +
 // verdict + wall time). Records append as single JSON lines, so a ledger

@@ -1,15 +1,17 @@
 // Package obs is the run-level observability layer for the long-running
-// commands (c3soak, c3check, c3bench): live introspection of a sweep in
-// flight and a durable record of every invocation.
+// commands (c3soak, c3serve, c3worker, c3check, c3bench): live
+// introspection of a sweep in flight, a durable record of every
+// invocation, and the shutdown and exit-code conventions they share
+// (Interrupt, ExitCode).
 //
 // It adds three facilities on top of internal/trace (which observes one
 // simulated system from the inside):
 //
 //   - Tracker: a concurrency-safe progress model of a sweep — total and
 //     completed item counts, in-flight item labels, failure count, ETA.
-//     It implements parallel.Observer, so the worker pool feeds it
-//     directly, and it is the data source for both the statusz server
-//     and the stderr heartbeat.
+//     It implements litmus.SoakObserver, so a soak sweep's slots feed it
+//     directly (c3check drives it per test), and it is the data source
+//     for both the statusz server and the stderr heartbeat.
 //
 //   - Server: an opt-in HTTP endpoint (-statusz :port) serving a JSON
 //     snapshot of the run (/statusz), the aggregate metrics registry

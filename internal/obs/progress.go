@@ -11,12 +11,11 @@ import (
 )
 
 // Tracker is the concurrency-safe progress model of one sweep: it knows
-// the job plan (item labels in pool order), which items are in flight,
-// and how many completed or failed. It implements parallel.Observer, so
-// passing it through parallel.WithObserver (or litmus.SoakConfig's
-// Observer field) keeps it current with zero coupling to the sweep's
-// own code. All methods are safe for concurrent use; none of them can
-// affect the observed run.
+// the job plan (item labels in job order), which items are in flight,
+// and how many completed or failed. It implements litmus.SoakObserver,
+// so passing it as litmus.SoakConfig's Observer keeps it current with
+// zero coupling to the sweep's own code. All methods are safe for
+// concurrent use; none of them can affect the observed run.
 type Tracker struct {
 	mu       sync.Mutex
 	labels   []string
@@ -55,14 +54,14 @@ func (t *Tracker) SetTotal(n int) {
 	t.started = time.Now()
 }
 
-// TaskStarted implements parallel.Observer.
+// TaskStarted records item i as in flight.
 func (t *Tracker) TaskStarted(i int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.inflight[i] = time.Now()
 }
 
-// TaskDone implements parallel.Observer.
+// TaskDone records item i as finished, and failed when err is non-nil.
 func (t *Tracker) TaskDone(i int, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

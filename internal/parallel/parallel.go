@@ -20,7 +20,9 @@
 //
 // Workers <= 0 defaults to GOMAXPROCS; Workers == 1 runs inline on the
 // caller's goroutine (no pool, no locks), which is also the degenerate
-// case the determinism tests compare against.
+// case the determinism tests compare against. Soak sweeps, whose rows
+// must outlive their siblings' failures and be retried, resumed and
+// distributed, are not pool work: they run on litmus's lease queue.
 package parallel
 
 import (
@@ -39,35 +41,6 @@ func Workers(n int) int {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// Observer receives item lifecycle callbacks from the pool, for live
-// introspection (obs.Tracker feeds the -statusz endpoint through this).
-// Callbacks fire concurrently from worker goroutines in claim order, not
-// completion order, so implementations must be concurrency-safe. An
-// observer never influences scheduling, results, or errors: reports from
-// an observed run are byte-identical to an unobserved one.
-type Observer interface {
-	// TaskStarted fires when a worker claims item i, before fn runs.
-	TaskStarted(i int)
-	// TaskDone fires when item i's fn returns (err non-nil on failure,
-	// including captured panics).
-	TaskDone(i int, err error)
-}
-
-// observerKey carries an Observer through a context.
-type observerKey struct{}
-
-// WithObserver returns a context that makes every Map/MapOrdered/ForEach
-// call under it report item lifecycle events to o.
-func WithObserver(ctx context.Context, o Observer) context.Context {
-	return context.WithValue(ctx, observerKey{}, o)
-}
-
-// observerFrom extracts the context's observer, if any.
-func observerFrom(ctx context.Context) Observer {
-	o, _ := ctx.Value(observerKey{}).(Observer)
-	return o
 }
 
 // PanicError wraps a panic captured from a pool item.
@@ -112,12 +85,7 @@ func MapOrdered[T any](ctx context.Context, workers, n int, fn func(i int) (T, e
 	}
 	results := make([]T, n)
 	errs := make([]error, n)
-	obs := observerFrom(ctx)
 	call := func(i int) (err error) {
-		if obs != nil {
-			obs.TaskStarted(i)
-			defer func() { obs.TaskDone(i, err) }()
-		}
 		defer func() {
 			if r := recover(); r != nil {
 				err = &PanicError{Item: i, Value: r, Stack: debug.Stack()}
@@ -206,88 +174,4 @@ func MapOrdered[T any](ctx context.Context, workers, n int, fn func(i int) (T, e
 		return nil, err
 	}
 	return results, nil
-}
-
-// ForEach runs fn(i) for every i in [0, n) with Map's claiming, error,
-// and panic semantics, for callers that need no result values.
-func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
-	_, err := Map(ctx, workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
-// MapAll is Map's isolation mode: a failing (or panicking) item never
-// cancels its siblings. Every item runs to completion and per-item
-// errors come back in a slice parallel to the results — errs[i] is nil
-// iff results[i] is valid. The only thing that stops the pool early is
-// ctx cancellation, which stops claiming new items; items it prevented
-// from starting report ctx.Err() (their fn never ran, and no observer
-// events fire for them). Long campaign sweeps use this so one wedged or
-// panicking row becomes a report row instead of killing the sweep;
-// first-error-cancel semantics stay available through Map.
-func MapAll[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, []error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	results := make([]T, n)
-	errs := make([]error, n)
-	obs := observerFrom(ctx)
-	call := func(i int) (err error) {
-		if obs != nil {
-			obs.TaskStarted(i)
-			defer func() { obs.TaskDone(i, err) }()
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				err = &PanicError{Item: i, Value: r, Stack: debug.Stack()}
-			}
-		}()
-		v, err := fn(i)
-		if err == nil {
-			results[i] = v
-		}
-		return err
-	}
-
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				continue
-			}
-			errs[i] = call(i)
-		}
-		return results, errs
-	}
-
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				// A cancelled context drains the remaining indexes without
-				// running them, so every item is accounted for in errs.
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				errs[i] = call(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return results, errs
 }

@@ -204,24 +204,3 @@ func TestMapContextCancel(t *testing.T) {
 		t.Fatal("cancel did not stop the pool")
 	}
 }
-
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEach(context.Background(), 4, 100, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 4950 {
-		t.Fatalf("sum = %d, want 4950", sum.Load())
-	}
-	if err := ForEach(context.Background(), 4, 10, func(i int) error {
-		if i == 2 {
-			return errors.New("nope")
-		}
-		return nil
-	}); err == nil || err.Error() != "nope" {
-		t.Fatalf("err = %v, want nope", err)
-	}
-}

@@ -20,10 +20,8 @@ type FaultPlan = faults.Plan
 // "drop=0.01,dup=0.01,delay=0.1,delaymax=200,stall=100:900,
 // retries=8,seed=7,crash=1@2500" (crash values are host@tick[:rejoin]).
 func ParseFaultPlan(spec string) (FaultPlan, error) {
-	if p, ok := litmus.PlanByName(spec); ok {
-		return p.Plan, nil
-	}
-	return faults.ParsePlan(spec)
+	p, err := litmus.ResolvePlan(spec)
+	return p.Plan, err
 }
 
 // FaultPlans lists the named fault-plan presets.
@@ -68,12 +66,10 @@ type SoakConfig struct {
 	TaskTimeout time.Duration
 	// Retries is how many extra attempts a timed-out or panicked campaign
 	// gets before its row is recorded as TIMEOUT/ERROR. Attempts are
-	// separated by capped exponential backoff.
+	// separated by capped exponential backoff. A failing campaign never
+	// cancels its siblings: every campaign runs and errors become report
+	// rows.
 	Retries int
-	// FailFast restores first-error-cancel semantics: the first campaign
-	// abort cancels the sweep and RunSoak returns the error. The default
-	// is isolation — every campaign runs and errors become report rows.
-	FailFast bool
 	// Interrupt, when non-nil, requests graceful shutdown once closed:
 	// running campaigns stop at their next poll, unstarted ones are
 	// skipped, and the report marks the cut rows INTERRUPTED.
@@ -99,8 +95,8 @@ func RowLabel(test, plan string, seed int64) string {
 }
 
 // SoakObserver observes a soak sweep for live introspection: the
-// campaign label plan up front, then concurrent start/done events from
-// the worker pool.
+// campaign label plan up front, then concurrent start/done events, one
+// pair per report row.
 type SoakObserver = litmus.SoakObserver
 
 // SoakReport is the campaign result table: Render() is byte-identical
@@ -112,15 +108,11 @@ type SoakReport = litmus.SoakReport
 func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	var plans []litmus.NamedPlan
 	for _, spec := range cfg.Plans {
-		if p, ok := litmus.PlanByName(spec); ok {
-			plans = append(plans, p)
-			continue
-		}
-		plan, err := faults.ParsePlan(spec)
+		p, err := litmus.ResolvePlan(spec)
 		if err != nil {
-			return nil, fmt.Errorf("c3: fault plan %q: %w", spec, err)
+			return nil, fmt.Errorf("c3: %w", err)
 		}
-		plans = append(plans, litmus.NamedPlan{Name: spec, Plan: plan})
+		plans = append(plans, p)
 	}
 	return litmus.RunSoak(litmus.SoakConfig{
 		Tests:       cfg.Tests,
@@ -134,7 +126,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		Timeout:     cfg.Timeout,
 		TaskTimeout: cfg.TaskTimeout,
 		Retries:     cfg.Retries,
-		FailFast:    cfg.FailFast,
 		Interrupt:   cfg.Interrupt,
 		Completed:   cfg.Completed,
 		Observer:    cfg.Observer,
