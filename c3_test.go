@@ -101,6 +101,18 @@ func TestVerifyAPI(t *testing.T) {
 	if _, err := c3.Verify("nope", c3.VerifyConfig{}); err == nil {
 		t.Fatal("unknown test should fail")
 	}
+	// The checker builds MESI-family clusters only: an RCC cluster, even
+	// one no thread runs on (CoWW has a single thread), is a returned
+	// error naming the family, not a panic.
+	for _, tc := range []struct {
+		test   string
+		locals [2]string
+	}{{"MP", [2]string{"rcc", "mesi"}}, {"CoWW", [2]string{"mesi", "RCC"}}} {
+		_, err := c3.Verify(tc.test, c3.VerifyConfig{Locals: tc.locals})
+		if err == nil || !strings.Contains(err.Error(), "MESI family") {
+			t.Errorf("%s on %v: err = %v, want the MESI-family error", tc.test, tc.locals, err)
+		}
+	}
 }
 
 // TestVerifyWitnessRoundTrip: a violation surfaces as a *VerifyError

@@ -70,6 +70,7 @@ import (
 	"c3/internal/obs"
 	"c3/internal/system"
 	"c3/internal/trace"
+	"c3/internal/verif"
 )
 
 func main() {
@@ -115,6 +116,12 @@ func main() {
 	if *por != "on" && *por != "off" {
 		fmt.Fprintln(os.Stderr, "c3check: -por takes on|off")
 		os.Exit(obs.ExitUsage)
+	}
+	for i, name := range [2]string{*local0, *local1} {
+		if err := verif.CheckLocal(name); err != nil {
+			fmt.Fprintf(os.Stderr, "c3check: -local%d: %v\n", i, err)
+			os.Exit(obs.ExitUsage)
+		}
 	}
 	machine, err := system.ParseMachine(*local0, *local1, *global, *mcm0, *mcm1)
 	if err != nil {

@@ -158,7 +158,7 @@ func RunLitmus(test string, cfg LitmusConfig) (*LitmusResult, error) {
 
 // VerifyConfig parameterizes exhaustive model checking.
 type VerifyConfig struct {
-	Locals [2]string // MESI-family protocols (default mesi/mesi)
+	Locals [2]string // MESI-family protocols (default mesi/mesi); rcc is an error
 	Global string    // "cxl" (default) or "hmesi"
 	MCMs   [2]MCM
 	// TinyLLC forces CXL-cache evictions (Fig. 7 flows) into the

@@ -201,7 +201,7 @@ func ParsePlan(s string) (Plan, error) {
 		switch k {
 		case "drop", "dup", "delay":
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 || f > 1 {
+			if err != nil || !(f >= 0 && f <= 1) { // NaN fails both
 				return p, fmt.Errorf("faults: %s=%q: want probability in [0,1]", k, v)
 			}
 			switch k {

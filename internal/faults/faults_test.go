@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"reflect"
 	"testing"
 
 	"c3/internal/msg"
@@ -64,19 +65,44 @@ func TestRetriesDefault(t *testing.T) {
 	}
 }
 
+// roundTripSpecs are valid plan specs; badSpecs must be rejected. Both
+// seed FuzzParsePlan.
+var roundTripSpecs = []string{
+	"drop=0.01,dup=0.01",
+	"drop=0.05,dup=0.05,delay=0.1,delaymax=200",
+	"drop=1,stall=0:60000",
+	"drop=0.02,stall=2000:12000,retries=4,seed=9",
+	"crash=1@2500",
+	"crash=1@2500:40000",
+	"drop=0.02,crash=1@2500,crash=2@3000:9000",
+	"none",
+	"",
+}
+
+var badSpecs = []string{
+	"drop",            // no value
+	"drop=2",          // out of [0,1]
+	"drop=-0.1",       // negative
+	"drop=NaN",        // not a probability
+	"delay=nan",       // not a probability
+	"dup=x",           // not a number
+	"stall=5",         // no colon
+	"stall=9:9",       // empty window
+	"stall=10:5",      // inverted
+	"retries=0",       // must be positive
+	"retries=-1",      // negative
+	"warp=0.5",        // unknown key
+	"delaymax=-3",     // negative cycles
+	"crash=1",         // no @tick
+	"crash=x@100",     // bad host
+	"crash=-1@100",    // negative host
+	"crash=1@0",       // crash tick must be positive
+	"crash=1@100:100", // rejoin must follow crash
+	"crash=1@100:50",  // rejoin before crash
+}
+
 func TestParsePlanRoundTrip(t *testing.T) {
-	specs := []string{
-		"drop=0.01,dup=0.01",
-		"drop=0.05,dup=0.05,delay=0.1,delaymax=200",
-		"drop=1,stall=0:60000",
-		"drop=0.02,stall=2000:12000,retries=4,seed=9",
-		"crash=1@2500",
-		"crash=1@2500:40000",
-		"drop=0.02,crash=1@2500,crash=2@3000:9000",
-		"none",
-		"",
-	}
-	for _, s := range specs {
+	for _, s := range roundTripSpecs {
 		p, err := ParsePlan(s)
 		if err != nil {
 			t.Fatalf("ParsePlan(%q): %v", s, err)
@@ -94,30 +120,34 @@ func TestParsePlanRoundTrip(t *testing.T) {
 }
 
 func TestParsePlanErrors(t *testing.T) {
-	bad := []string{
-		"drop",            // no value
-		"drop=2",          // out of [0,1]
-		"drop=-0.1",       // negative
-		"dup=x",           // not a number
-		"stall=5",         // no colon
-		"stall=9:9",       // empty window
-		"stall=10:5",      // inverted
-		"retries=0",       // must be positive
-		"retries=-1",      // negative
-		"warp=0.5",        // unknown key
-		"delaymax=-3",     // negative cycles
-		"crash=1",         // no @tick
-		"crash=x@100",     // bad host
-		"crash=-1@100",    // negative host
-		"crash=1@0",       // crash tick must be positive
-		"crash=1@100:100", // rejoin must follow crash
-		"crash=1@100:50",  // rejoin before crash
-	}
-	for _, s := range bad {
+	for _, s := range badSpecs {
 		if _, err := ParsePlan(s); err == nil {
 			t.Fatalf("ParsePlan(%q) accepted, want error", s)
 		}
 	}
+}
+
+// FuzzParsePlan: every spec ParsePlan accepts must reparse from its
+// String() rendering to a structurally equal plan. Comparing String()
+// forms alone cannot catch a value String() drops: a NaN rate renders
+// as nothing, so "drop=NaN" once round-tripped as "none" == "none".
+func FuzzParsePlan(f *testing.F) {
+	for _, s := range append(append([]string(nil), roundTripSpecs...), badSpecs...) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePlan(spec)
+		if err != nil {
+			return
+		}
+		q, err := ParsePlan(p.String())
+		if err != nil {
+			t.Fatalf("ParsePlan(%q).String() = %q does not parse: %v", spec, p.String(), err)
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("ParsePlan(%q) = %+v, but its String() %q parses to %+v", spec, p, p.String(), q)
+		}
+	})
 }
 
 // fates drains n decisions from one directed link of a fresh injector.

@@ -224,10 +224,20 @@ func Tests() []Test {
 				{Ld("x", 0), Ld("x", 1)},
 			},
 			Forbidden: func(o Outcome) bool {
-				// Reader 2 sees 1 then 2; reader 3 sees 2 then 1: the
-				// coherence order of x is contradicted.
-				return o[Key(2, 0)] == 1 && o[Key(2, 1)] == 2 &&
-					o[Key(3, 0)] == 2 && o[Key(3, 1)] == 1
+				// The coherence order of x is 0, then the write the final
+				// value overwrote, then final x; no reader's two loads may
+				// go backwards in it.
+				rank := func(v uint64) int {
+					switch v {
+					case 0:
+						return 0
+					case o["x"]:
+						return 2
+					}
+					return 1
+				}
+				return rank(o[Key(2, 0)]) > rank(o[Key(2, 1)]) ||
+					rank(o[Key(3, 0)]) > rank(o[Key(3, 1)])
 			},
 			Observable: func(m []cpu.MCM) bool { return false },
 		},
@@ -405,6 +415,59 @@ func Strip(th Thread) Thread {
 	}
 	return out
 }
+
+// Layout is a litmus test placed on the two-cluster machine that both
+// the runner and the model checker build.
+type Layout struct {
+	// Threads holds each thread's placement, in thread order.
+	Threads []Placement
+	// Cores counts the thread slots of each cluster.
+	Cores [2]int
+	// Addrs is each variable's address, in Test.Vars order.
+	Addrs []mem.Addr
+}
+
+// Placement is one thread's core slot and the program it runs there:
+// the thread refined for its cluster's MCM under SyncFull, or stripped
+// under SyncNone, as core instructions over Layout.Addrs.
+type Placement struct {
+	Cluster, Slot int
+	Prog          []cpu.Instr
+}
+
+// Place lays t out for clusters running mcms: threads go round-robin
+// across the clusters (Sec. VI-A), each into its cluster's next core
+// slot, and every variable gets its own line.
+func Place(t Test, mcms [2]cpu.MCM, sync SyncMode) Layout {
+	lay := Layout{Threads: make([]Placement, len(t.Threads)), Addrs: make([]mem.Addr, len(t.Vars))}
+	for i, v := range t.Vars {
+		lay.Addrs[i] = varAddr(t.Vars, v)
+	}
+	for i, th := range t.Threads {
+		cl := clusterOf(i)
+		eff := th
+		switch sync {
+		case SyncFull:
+			eff = Refine(th, mcms[cl])
+		case SyncNone:
+			eff = Strip(th)
+		}
+		prog := make([]cpu.Instr, 0, len(eff))
+		for _, op := range eff {
+			in := cpu.Instr{Kind: op.Kind, Val: op.Val, Reg: op.Reg, Acq: op.Acq, Rel: op.Rel}
+			if op.Kind.IsMem() {
+				in.Addr = varAddr(t.Vars, op.V)
+			}
+			prog = append(prog, in)
+		}
+		lay.Threads[i] = Placement{Cluster: cl, Slot: lay.Cores[cl], Prog: prog}
+		lay.Cores[cl]++
+	}
+	return lay
+}
+
+// clusterOf is the round-robin thread -> cluster assignment.
+func clusterOf(thread int) int { return thread % 2 }
 
 // RelaxedObservable reports whether the forbidden outcome of t can be
 // produced once synchronization is stripped, given the MCM of the core

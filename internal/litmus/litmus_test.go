@@ -419,3 +419,41 @@ func TestCoherenceOnlyShapes(t *testing.T) {
 		}
 	}
 }
+
+// TestCoRR2Forbidden: a reader's two loads of x may not go backwards in
+// the coherence order 0 < (the other write) < final x, in either write
+// order, whether one reader or both contradict it.
+func TestCoRR2Forbidden(t *testing.T) {
+	tc, _ := ByName("CoRR2")
+	out := func(r20, r21, r30, r31, x uint64) Outcome {
+		return Outcome{Key(2, 0): r20, Key(2, 1): r21, Key(3, 0): r30, Key(3, 1): r31, "x": x}
+	}
+	for _, c := range []struct {
+		o         Outcome
+		forbidden bool
+	}{
+		// The two readers disagree on the write order (both orientations,
+		// under either final value).
+		{out(1, 2, 2, 1, 2), true},
+		{out(1, 2, 2, 1, 1), true},
+		{out(2, 1, 1, 2, 2), true},
+		{out(2, 1, 1, 2, 1), true},
+		// One reader contradicts the order the final value fixes.
+		{out(2, 1, 0, 0, 2), true},
+		{out(0, 0, 1, 2, 1), true},
+		{out(1, 0, 0, 0, 1), true},
+		{out(0, 0, 2, 0, 2), true},
+		{out(1, 1, 2, 0, 1), true},
+		// Allowed: every reader moves forward or stays put.
+		{out(0, 0, 0, 0, 1), false},
+		{out(0, 1, 0, 2, 2), false},
+		{out(1, 2, 0, 1, 2), false},
+		{out(2, 1, 0, 1, 1), false},
+		{out(2, 2, 1, 1, 1), false},
+		{out(0, 2, 2, 2, 2), false},
+	} {
+		if got := tc.Forbidden(c.o); got != c.forbidden {
+			t.Errorf("%s: forbidden = %v, want %v", c.o, got, c.forbidden)
+		}
+	}
+}

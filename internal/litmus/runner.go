@@ -136,10 +136,6 @@ type Result struct {
 // Distinct reports how many distinct outcomes appeared.
 func (r *Result) Distinct() int { return len(r.Outcomes) }
 
-// assignment: threads are distributed equally across the two clusters
-// (Sec. VI-A), round-robin.
-func clusterOf(thread int) int { return thread % 2 }
-
 // ThreadMCMs returns the MCM each thread of t runs under in cfg.
 func ThreadMCMs(t Test, cfg RunnerConfig) []cpu.MCM {
 	out := make([]cpu.MCM, len(t.Threads))
@@ -147,18 +143,6 @@ func ThreadMCMs(t Test, cfg RunnerConfig) []cpu.MCM {
 		out[i] = cfg.MCMs[clusterOf(i)]
 	}
 	return out
-}
-
-func toProgram(t Test, th Thread) []cpu.Instr {
-	prog := make([]cpu.Instr, 0, len(th))
-	for _, op := range th {
-		in := cpu.Instr{Kind: op.Kind, Val: op.Val, Reg: op.Reg, Acq: op.Acq, Rel: op.Rel}
-		if op.Kind.IsMem() {
-			in.Addr = varAddr(t.Vars, op.V)
-		}
-		prog = append(prog, in)
-	}
-	return prog
 }
 
 // Run executes one litmus campaign, sharding iterations across
@@ -183,6 +167,9 @@ func Run(t Test, cfg RunnerConfig) (*Result, error) {
 	for i := range offsets {
 		offsets[i] = sim.Time(rng.IntN(800))
 	}
+	// Every iteration runs the same programs; the shards share them
+	// read-only.
+	lay := Place(t, cfg.MCMs, cfg.Sync)
 
 	workers := parallel.Workers(cfg.Workers)
 	if workers > cfg.Iters {
@@ -212,7 +199,7 @@ func Run(t Test, cfg RunnerConfig) (*Result, error) {
 			if err := pollAbort(t, &cfg, it); err != nil {
 				return sr, err
 			}
-			o, info, err := runIteration(t, &cfg, it, offsets[it*nt:(it+1)*nt])
+			o, info, err := runIteration(t, &cfg, &lay, it, offsets[it*nt:(it+1)*nt])
 			if err != nil {
 				return sr, err
 			}
@@ -278,10 +265,10 @@ type iterInfo struct {
 	hangClass string
 }
 
-// runIteration executes one randomized execution on a private system and
-// returns its outcome. starts carries the per-thread staggered start
-// offsets for this iteration.
-func runIteration(t Test, cfg *RunnerConfig, it int, starts []sim.Time) (Outcome, iterInfo, error) {
+// runIteration executes one randomized execution of t, laid out as lay,
+// on a private system and returns its outcome. starts carries the
+// per-thread staggered start offsets for this iteration.
+func runIteration(t Test, cfg *RunnerConfig, lay *Layout, it int, starts []sim.Time) (Outcome, iterInfo, error) {
 	seed := cfg.BaseSeed + int64(it)*7919
 	mkCore := func(m cpu.MCM) cpu.Config {
 		cc := cpu.DefaultConfig(m)
@@ -297,10 +284,7 @@ func runIteration(t Test, cfg *RunnerConfig, it int, starts []sim.Time) (Outcome
 		return cc
 	}
 
-	perCluster := [2]int{0, 0}
-	for i := range t.Threads {
-		perCluster[clusterOf(i)]++
-	}
+	perCluster := lay.Cores
 	perCluster[0]++ // collector slot
 
 	// Tracing is first-iteration-only and therefore confined to the
@@ -356,21 +340,11 @@ func runIteration(t Test, cfg *RunnerConfig, it int, starts []sim.Time) (Outcome
 		}
 	}
 
-	slot := [2]int{0, 0}
 	srcs := make([]*cpu.SliceSource, len(t.Threads))
 	cores := make([]*cpu.Core, len(t.Threads))
-	for i, th := range t.Threads {
-		eff := th
-		switch cfg.Sync {
-		case SyncFull:
-			eff = Refine(th, cfg.MCMs[clusterOf(i)])
-		case SyncNone:
-			eff = Strip(th)
-		}
-		srcs[i] = cpu.NewSliceSource(toProgram(t, eff))
-		cl := clusterOf(i)
-		cores[i] = sys.AttachSource(cl, slot[cl], srcs[i])
-		slot[cl]++
+	for i, p := range lay.Threads {
+		srcs[i] = cpu.NewSliceSource(p.Prog)
+		cores[i] = sys.AttachSource(p.Cluster, p.Slot, srcs[i])
 	}
 	for i, c := range cores {
 		c := c
@@ -394,16 +368,16 @@ func runIteration(t Test, cfg *RunnerConfig, it int, starts []sim.Time) (Outcome
 	// system (cluster 0's spare core).
 	var colProg []cpu.Instr
 	colProg = append(colProg, cpu.Instr{Kind: cpu.Fence})
-	for vi, v := range t.Vars {
-		colProg = append(colProg, cpu.Instr{Kind: cpu.Load, Addr: varAddr(t.Vars, v), Reg: vi, Acq: vi == 0})
+	for vi, a := range lay.Addrs {
+		colProg = append(colProg, cpu.Instr{Kind: cpu.Load, Addr: a, Reg: vi, Acq: vi == 0})
 	}
 	col := cpu.NewSliceSource(colProg)
 	cc := sys.AttachSource(0, perCluster[0]-1, col)
 	// The collector's loads carry the poison flag end to end: record
 	// which variables came back flagged (line lost with a crashed host).
 	varByAddr := make(map[mem.Addr]string, len(t.Vars))
-	for _, v := range t.Vars {
-		varByAddr[varAddr(t.Vars, v)] = string(v)
+	for vi, v := range t.Vars {
+		varByAddr[lay.Addrs[vi]] = string(v)
 	}
 	cc.Observe = func(st cpu.OpStats) {
 		if st.Kind == cpu.Load && st.Poisoned {

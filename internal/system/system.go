@@ -140,45 +140,37 @@ func (s *System) Proto() string {
 	return fmt.Sprintf("%v-%s", names, g)
 }
 
-// New assembles a machine. Node ids: 1 = global directory, then one id
-// per C3, then one per L1.
+// Fabric is the interconnect a machine is wired onto: controllers send
+// through it, and the assembler registers every node on it and connects
+// every link with its network.LinkConfig. The timed network.Network is
+// one; the model checker's choice fabric, which takes each link's
+// ordering from the same LinkConfig, is the other.
+type Fabric interface {
+	network.Fabric
+	Register(id msg.NodeID, p network.Port)
+	Connect(a, b msg.NodeID, cfg network.LinkConfig)
+}
+
+// New assembles a machine on a timed network.Network. Node ids: 1 =
+// global directory, then each cluster's C3 followed by that cluster's
+// L1s.
 func New(cfg Config) (*System, error) {
-	if len(cfg.Clusters) == 0 {
-		return nil, fmt.Errorf("system: no clusters")
-	}
-	if cfg.Global == "" {
-		cfg.Global = "cxl"
-	}
-	tables := make([]*gen.Table, len(cfg.Clusters))
-	for ci, cc := range cfg.Clusters {
-		t, err := gen.Shared(cc.Protocol, cfg.Global)
-		if err != nil {
-			return nil, fmt.Errorf("system: cluster %d: %w", ci, err)
-		}
-		tables[ci] = t
-	}
 	k := &sim.Kernel{}
 	net := network.New(k, cfg.Seed)
 	if cfg.Faults != nil {
 		net.EnableFaults(*cfg.Faults)
 	}
-	if cfg.DRAM == (mem.DRAMConfig{}) {
-		cfg.DRAM = mem.DefaultDRAMConfig()
-	}
-	dram := mem.NewDRAM(k, cfg.DRAM)
-	s := &System{K: k, Net: net, DRAM: dram, Tracer: cfg.Tracer}
+	s := &System{K: k, Net: net, Tracer: cfg.Tracer}
 	net.Tracer = cfg.Tracer
-
-	var dog *trace.Watchdog
 	if cfg.Tracer != nil && cfg.WatchdogAge != 0 {
-		dog = trace.NewWatchdog(k, cfg.WatchdogAge, 0)
-		cfg.Tracer.SetWatchdog(dog)
+		s.dog = trace.NewWatchdog(k, cfg.WatchdogAge, 0)
+		cfg.Tracer.SetWatchdog(s.dog)
 		if net.Injector() != nil {
 			// With an unreliable fabric a silent line is not necessarily
 			// a protocol deadlock: classify recovery-in-progress,
 			// poisoned lines and dead hosts so reports (and the soak
 			// harness) can tell them apart.
-			dog.Classify = func(a mem.LineAddr) string {
+			s.dog.Classify = func(a mem.LineAddr) string {
 				switch {
 				case net.Injector().Poisoned(a):
 					return "poisoned-line"
@@ -191,7 +183,58 @@ func New(cfg Config) (*System, error) {
 			}
 		}
 	}
-	s.dog = dog
+	if err := s.wire(cfg, net); err != nil {
+		return nil, err
+	}
+	if err := net.Validate(); err != nil {
+		return nil, fmt.Errorf("system: %w", err)
+	}
+	if cfg.Faults != nil && len(cfg.Faults.Crashes) > 0 {
+		if err := validateCrashes(cfg.Faults.Crashes, len(cfg.Clusters)); err != nil {
+			return nil, err
+		}
+		s.armCrashes(cfg.Faults.Crashes)
+	}
+	return s, nil
+}
+
+// Assemble wires cfg's machine onto fabric f, driven by kernel k: the
+// controllers, node numbering and links New builds, with no timed
+// network under them (the model checker's machine). Seed, Faults,
+// Tracer and WatchdogAge configure the timed network, so Assemble
+// rejects the last three and leaves Net nil.
+func Assemble(cfg Config, k *sim.Kernel, f Fabric) (*System, error) {
+	if cfg.Faults != nil || cfg.Tracer != nil || cfg.WatchdogAge != 0 {
+		return nil, fmt.Errorf("system: faults, tracing and the watchdog need the timed network")
+	}
+	s := &System{K: k}
+	if err := s.wire(cfg, f); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// wire builds cfg's controllers on s.K and connects them on f.
+func (s *System) wire(cfg Config, f Fabric) error {
+	if len(cfg.Clusters) == 0 {
+		return fmt.Errorf("system: no clusters")
+	}
+	if cfg.Global == "" {
+		cfg.Global = "cxl"
+	}
+	tables := make([]*gen.Table, len(cfg.Clusters))
+	for ci, cc := range cfg.Clusters {
+		t, err := gen.Shared(cc.Protocol, cfg.Global)
+		if err != nil {
+			return fmt.Errorf("system: cluster %d: %w", ci, err)
+		}
+		tables[ci] = t
+	}
+	k, dog := s.K, s.dog
+	if cfg.DRAM == (mem.DRAMConfig{}) {
+		cfg.DRAM = mem.DefaultDRAMConfig()
+	}
+	s.DRAM = mem.NewDRAM(k, cfg.DRAM)
 
 	intra := cfg.Intra
 	if intra == (network.LinkConfig{}) {
@@ -207,9 +250,9 @@ func New(cfg Config) (*System, error) {
 
 	const dirID = msg.NodeID(1)
 	if tables[0].Global.Params.ConflictHandshake {
-		s.DCOH = cxl.New(dirID, k, net, dram)
+		s.DCOH = cxl.New(dirID, k, f, s.DRAM)
 		s.DCOH.Tracer = cfg.Tracer
-		net.Register(dirID, s.DCOH)
+		f.Register(dirID, s.DCOH)
 		if cfg.Tracer != nil {
 			cfg.Tracer.Name(dirID, "DCOH")
 			if dog != nil {
@@ -217,9 +260,9 @@ func New(cfg Config) (*System, error) {
 			}
 		}
 	} else {
-		s.HDir = hmesi.New(dirID, k, net, dram)
+		s.HDir = hmesi.New(dirID, k, f, s.DRAM)
 		s.HDir.Tracer = cfg.Tracer
-		net.Register(dirID, s.HDir)
+		f.Register(dirID, s.HDir)
 		if cfg.Tracer != nil {
 			cfg.Tracer.Name(dirID, "HDir")
 			if dog != nil {
@@ -240,23 +283,23 @@ func New(cfg Config) (*System, error) {
 		s.LocalMems = append(s.LocalMems, localMem)
 		c3 := core.New(core.Config{
 			ID: c3ID, GlobalDir: dirID, Kernel: k,
-			LocalNet: net, GlobalNet: net, Table: tables[ci],
+			LocalNet: f, GlobalNet: f, Table: tables[ci],
 			LLCSize: cfg.LLCSize, LLCWays: cfg.LLCWays,
 			LocalRange: cc.LocalRange, LocalMem: localMem,
 		})
 		c3.Tracer = cfg.Tracer
-		net.Register(c3ID, c3)
+		f.Register(c3ID, c3)
 		if cfg.Tracer != nil {
 			cfg.Tracer.Name(c3ID, fmt.Sprintf("C3[%d]", ci))
 			if dog != nil {
 				dog.AddDumper(fmt.Sprintf("C3[%d]", ci), c3)
 			}
 		}
-		net.Connect(c3ID, dirID, cross)
+		f.Connect(c3ID, dirID, cross)
 		// Peer links for 3-hop data responses (hierarchical MESI); the
 		// star topology routes them through the same fabric.
 		for _, peer := range c3IDs {
-			net.Connect(c3ID, peer, cross)
+			f.Connect(c3ID, peer, cross)
 		}
 		c3IDs = append(c3IDs, c3ID)
 
@@ -267,7 +310,7 @@ func New(cfg Config) (*System, error) {
 			var l1 L1Port
 			switch cc.Protocol {
 			case "rcc", "RCC":
-				l1 = hostproto.NewRCC(l1ID, c3ID, k, net, cc.L1)
+				l1 = hostproto.NewRCC(l1ID, c3ID, k, f, cc.L1)
 			default:
 				l1cfg := cc.L1
 				switch cc.Protocol {
@@ -278,12 +321,12 @@ func New(cfg Config) (*System, error) {
 				default:
 					l1cfg.Variant = hostproto.MESI
 				}
-				l1 = hostproto.NewL1(l1ID, c3ID, k, net, l1cfg)
+				l1 = hostproto.NewL1(l1ID, c3ID, k, f, l1cfg)
 			}
 			if mesiL1, ok := l1.(*hostproto.L1); ok {
 				mesiL1.Tracer = cfg.Tracer
 			}
-			net.Register(l1ID, l1)
+			f.Register(l1ID, l1)
 			if cfg.Tracer != nil {
 				cfg.Tracer.Name(l1ID, fmt.Sprintf("L1[%d.%d]", ci, i))
 				if dog != nil {
@@ -292,21 +335,12 @@ func New(cfg Config) (*System, error) {
 					}
 				}
 			}
-			net.Connect(l1ID, c3ID, intra)
+			f.Connect(l1ID, c3ID, intra)
 			cl.L1s = append(cl.L1s, l1)
 		}
 		s.Clusters = append(s.Clusters, cl)
 	}
-	if err := net.Validate(); err != nil {
-		return nil, fmt.Errorf("system: %w", err)
-	}
-	if cfg.Faults != nil && len(cfg.Faults.Crashes) > 0 {
-		if err := validateCrashes(cfg.Faults.Crashes, len(cfg.Clusters)); err != nil {
-			return nil, err
-		}
-		s.armCrashes(cfg.Faults.Crashes)
-	}
-	return s, nil
+	return nil
 }
 
 // PoisonedLines reports the lines whose data was poisoned by retry

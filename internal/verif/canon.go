@@ -50,13 +50,15 @@ type symPerm struct {
 }
 
 // symmetry carries the admitted renaming group plus the line-address
-// tables the renamings (and the partial-order reduction) index by.
+// and node tables the renamings (and the partial-order reduction) index
+// by.
 type symmetry struct {
 	perms    []symPerm
 	lineIdx  map[mem.LineAddr]int // variable line -> var index
 	varLines []mem.LineAddr       // var index -> line
 	vars     []litmus.Var
 	nThreads int
+	l1Of     []msg.NodeID // thread -> its L1's node id
 	// porOK gates the partial-order reduction and the invalid-frame /
 	// variable-permutation reductions: false when set conflicts could
 	// couple distinct lines (TinyLLC, or more variables than L1 sets).
@@ -67,8 +69,10 @@ type symmetry struct {
 // the group degenerates to the identity (correct, just unreduced).
 const maxSymCandidates = 4096
 
-// newSymmetry computes the admitted renaming group for a model config.
-func newSymmetry(mcfg ModelConfig) *symmetry {
+// newSymmetry computes the admitted renaming group for m's config, with
+// the node ids of m's L1s (every build of a config numbers them alike).
+func newSymmetry(m *Model) *symmetry {
+	mcfg := m.cfg
 	t := mcfg.Test
 	n := len(t.Threads)
 	s := &symmetry{
@@ -76,38 +80,26 @@ func newSymmetry(mcfg ModelConfig) *symmetry {
 		vars:     t.Vars,
 		lineIdx:  make(map[mem.LineAddr]int, len(t.Vars)),
 	}
-	for i, v := range t.Vars {
-		l := varAddrOf(t, v).Line()
-		s.varLines = append(s.varLines, l)
-		s.lineIdx[l] = i
+	for _, l := range m.l1s {
+		s.l1Of = append(s.l1Of, l.l1.ID())
+	}
+	// Programs exactly as Build instantiates them — symmetry must hold
+	// on what runs, not on the nominal test.
+	lay := litmus.Place(t, mcfg.MCMs, mcfg.Sync)
+	for i, a := range lay.Addrs {
+		s.varLines = append(s.varLines, a.Line())
+		s.lineIdx[a.Line()] = i
 	}
 	s.porOK = !mcfg.TinyLLC && len(t.Vars) <= 16
 
-	// Effective programs exactly as Build instantiates them — symmetry
-	// must hold on what runs, not on the nominal test.
-	eff := make([]litmus.Thread, n)
-	for ti, th := range t.Threads {
-		switch mcfg.Sync {
-		case litmus.SyncFull:
-			eff[ti] = litmus.Refine(th, mcfg.MCMs[ti%2])
-		case litmus.SyncNone:
-			eff[ti] = litmus.Strip(th)
-		default:
-			eff[ti] = th
-		}
-	}
 	pinned := make([]bool, n)
-	for ti, th := range eff {
-		for _, op := range th {
-			if op.Kind == cpu.Load || op.Kind.IsRMW() {
+	for ti, p := range lay.Threads {
+		for _, in := range p.Prog {
+			if in.Kind == cpu.Load || in.Kind.IsRMW() {
 				pinned[ti] = true
 				break
 			}
 		}
-	}
-	vidx := make(map[litmus.Var]int, len(t.Vars))
-	for i, v := range t.Vars {
-		vidx[v] = i
 	}
 	// Free variables may permute: referenced by no pinned thread (a
 	// pinned thread's program could never match under the renaming
@@ -117,22 +109,22 @@ func newSymmetry(mcfg ModelConfig) *symmetry {
 		for i := range varFree {
 			varFree[i] = true
 		}
-		for ti, th := range eff {
+		for ti, p := range lay.Threads {
 			if !pinned[ti] {
 				continue
 			}
-			for _, op := range th {
-				if op.Kind.IsMem() {
-					varFree[vidx[op.V]] = false
+			for _, in := range p.Prog {
+				if in.Kind.IsMem() {
+					varFree[s.lineIdx[in.Addr.Line()]] = false
 				}
 			}
 		}
 	}
 
 	var uc [2][]int // unpinned threads per cluster
-	for ti := 0; ti < n; ti++ {
+	for ti, p := range lay.Threads {
 		if !pinned[ti] {
-			uc[ti%2] = append(uc[ti%2], ti)
+			uc[p.Cluster] = append(uc[p.Cluster], ti)
 		}
 	}
 	var freeV []int
@@ -198,17 +190,17 @@ func newSymmetry(mcfg ModelConfig) *symmetry {
 				valid := true
 			check:
 				for ti := 0; ti < n; ti++ {
-					a, b := eff[ti], eff[cand.tperm[ti]]
+					a, b := lay.Threads[ti].Prog, lay.Threads[cand.tperm[ti]].Prog
 					if len(a) != len(b) {
 						valid = false
 						break
 					}
 					for oi := range a {
-						op := a[oi]
-						if op.Kind.IsMem() {
-							op.V = t.Vars[cand.vperm[vidx[op.V]]]
+						in := a[oi]
+						if in.Kind.IsMem() {
+							in.Addr = lay.Addrs[cand.vperm[s.lineIdx[in.Addr.Line()]]]
 						}
-						if op != b[oi] {
+						if in != b[oi] {
 							valid = false
 							break check
 						}
@@ -262,11 +254,15 @@ func permutations(n int) [][]int {
 	return out
 }
 
-// Node implements fp.Renamer: thread t's L1 (node 4+t) becomes the L1
-// of the slot t takes; every other node stays put.
+// Node implements fp.Renamer: thread t's L1 becomes the L1 of the slot
+// t takes; every other node stays put.
 func (p *symPerm) Node(id msg.NodeID) msg.NodeID {
-	if t := int(id) - 4; !p.identity && t >= 0 && t < len(p.tperm) {
-		return msg.NodeID(4 + p.tperm[t])
+	if !p.identity {
+		for t, l1 := range p.sym.l1Of {
+			if l1 == id {
+				return p.sym.l1Of[p.tperm[t]]
+			}
+		}
 	}
 	return id
 }

@@ -157,8 +157,15 @@ type Progress struct {
 // was dropped (SnapshotBudget) or when ReplayFromRoot is set.
 func Check(mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
 	// sym is the admitted renaming group (identity-only for asymmetric
-	// tests); the POR shares its line index and set-conflict gate.
-	sym := newSymmetry(mcfg)
+	// tests); the POR shares its line index and set-conflict gate. It
+	// reads the L1 node ids off a model, so a config the checker cannot
+	// build fails here.
+	root, err := Build(mcfg)
+	if err != nil {
+		return nil, err
+	}
+	sym := newSymmetry(root)
+	root.Release()
 	if ccfg.CrossCheck {
 		return crossCheck(mcfg, ccfg, sym)
 	}

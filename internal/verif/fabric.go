@@ -57,30 +57,22 @@ type channel struct {
 	q   []*msg.Msg
 }
 
-// ChoiceFabric is a network.Fabric whose delivery order is chosen by the
-// explorer rather than by timestamps. Ordered channels (response vnets,
-// intra-cluster links) expose only their head; unordered channels (the
-// CXL fabric's request and snoop vnets) expose every in-flight message —
-// exactly the reordering CXL's conflict handshake exists to survive.
+// ChoiceFabric is a system.Fabric whose delivery order is chosen by the
+// explorer rather than by timestamps. Ordered channels expose only their
+// head; traffic on a reorderable link's request and snoop vnets waits
+// in one bag that exposes every message, exactly the reordering CXL's
+// conflict handshake exists to survive.
 type ChoiceFabric struct {
 	// ports is indexed by NodeID (small and dense by construction).
 	ports []network.Port
+	// links maps each directed {src, dst} pair to its link's config.
+	// Connect fills it at Build and it never changes afterwards, so
+	// clones share it.
+	links map[[2]msg.NodeID]network.LinkConfig
 	chans []channel
 	bag   []*msg.Msg
-	// Unordered reports whether a message travels on an unordered
-	// channel.
-	Unordered func(m *msg.Msg) bool
-	// CrossFabric marks messages on the global fabric; its ordered
-	// channels (responses) stay per-vnet, while intra-cluster pairs
-	// share one FIFO across vnets.
-	CrossFabric func(m *msg.Msg) bool
 
 	Delivered uint64
-}
-
-// NewChoiceFabric builds an empty fabric.
-func NewChoiceFabric(unordered func(m *msg.Msg) bool) *ChoiceFabric {
-	return &ChoiceFabric{Unordered: unordered}
 }
 
 // Register attaches a receiver.
@@ -91,11 +83,13 @@ func (f *ChoiceFabric) Register(id msg.NodeID, p network.Port) {
 	f.ports[id] = p
 }
 
-func (f *ChoiceFabric) port(id msg.NodeID) network.Port {
-	if int(id) < 0 || int(id) >= len(f.ports) {
-		return nil
+// Connect links a and b, both directions, ordered as cfg says.
+func (f *ChoiceFabric) Connect(a, b msg.NodeID, cfg network.LinkConfig) {
+	if f.links == nil {
+		f.links = make(map[[2]msg.NodeID]network.LinkConfig)
 	}
-	return f.ports[id]
+	f.links[[2]msg.NodeID{a, b}] = cfg
+	f.links[[2]msg.NodeID{b, a}] = cfg
 }
 
 // findChan returns the channel for k, or nil if it does not exist.
@@ -110,8 +104,7 @@ func (f *ChoiceFabric) findChan(k chKey) *channel {
 // Clone returns a copy of the fabric's in-flight messages for
 // model-checker snapshots. Ports are NOT carried over — they reference
 // the original component graph; the caller re-Registers the cloned
-// components. The Unordered/CrossFabric classifiers are stateless pure
-// functions of the message and are shared.
+// components. The link table is fixed at Build and shared.
 //
 // Messages are immutable after Send (see msg.Msg), so the *msg.Msg
 // pointers are shared with the original; only the slice backings are
@@ -120,10 +113,9 @@ func (f *ChoiceFabric) findChan(k chKey) *channel {
 // the bag gets its own backing because Deliver compacts it in place.
 func (f *ChoiceFabric) Clone() *ChoiceFabric {
 	n := &ChoiceFabric{
-		ports:       make([]network.Port, len(f.ports)),
-		Unordered:   f.Unordered,
-		CrossFabric: f.CrossFabric,
-		Delivered:   f.Delivered,
+		ports:     make([]network.Port, len(f.ports)),
+		links:     f.links,
+		Delivered: f.Delivered,
 	}
 	total := 0
 	for i := range f.chans {
@@ -146,28 +138,23 @@ func (f *ChoiceFabric) Clone() *ChoiceFabric {
 	return n
 }
 
-// channelOf returns the ordered channel m travels on. Cross-fabric
-// messages get one FIFO per vnet; an intra-cluster pair shares one FIFO
-// across all vnets, point-to-point ordered like the timed network.
-func (f *ChoiceFabric) channelOf(m *msg.Msg) chKey {
-	if f.CrossFabric != nil && f.CrossFabric(m) {
-		// Cross-fabric ordered channel (the FIFO response vnet).
-		return chKey{m.Src, m.Dst, m.VNet}
-	}
-	// Intra-cluster: one physical channel for all vnets.
-	return chKey{m.Src, m.Dst, 0}
-}
-
-// Send implements network.Fabric.
+// Send implements network.Fabric. m's link orders it exactly as the
+// timed network does: a CrossVNetOrder link is one physical channel, so
+// all its vnets share one FIFO; otherwise an Unordered link lets
+// requests and snoops overtake one another (the bag) while responses
+// keep a FIFO per vnet, and any other link is FIFO per vnet.
 func (f *ChoiceFabric) Send(m *msg.Msg) {
-	if f.port(m.Dst) == nil {
-		panic(fmt.Sprintf("verif: no port for %v", m))
-	}
-	if f.Unordered != nil && f.Unordered(m) {
+	cfg, ok := f.links[[2]msg.NodeID{m.Src, m.Dst}]
+	k := chKey{m.Src, m.Dst, m.VNet}
+	switch {
+	case !ok:
+		panic(fmt.Sprintf("verif: no link for %v", m))
+	case cfg.CrossVNetOrder:
+		k.vnet = 0
+	case cfg.Unordered && m.VNet != msg.VRsp:
 		f.bag = append(f.bag, m)
 		return
 	}
-	k := f.channelOf(m)
 	if c := f.findChan(k); c != nil {
 		c.q = append(c.q, m)
 		return

@@ -3,19 +3,19 @@ package verif
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"c3/internal/cache"
 	"c3/internal/core"
 	"c3/internal/cpu"
-	"c3/internal/gen"
 	"c3/internal/litmus"
 	"c3/internal/mem"
-	"c3/internal/msg"
 	"c3/internal/protocol/cxl"
 	"c3/internal/protocol/hmesi"
 	"c3/internal/protocol/hostproto"
 	"c3/internal/sim"
 	"c3/internal/ssp"
+	"c3/internal/system"
 )
 
 // ModelConfig describes the (small) system under verification.
@@ -44,9 +44,11 @@ type Model struct {
 	dcoh *cxl.DCOH
 	hdir *hmesi.Dir
 
-	// addrLines caches the sorted line addresses of the test's variables.
-	// Computed once at Build and shared (read-only) by every clone: the
-	// invariant checks walk it for each expanded state.
+	// addrs is each variable's address (Test.Vars order) and addrLines
+	// their sorted lines. Computed once at Build and shared (read-only)
+	// by every clone: the invariant checks walk addrLines for each
+	// expanded state.
+	addrs     []mem.Addr
 	addrLines []mem.LineAddr
 
 	// released makes Release idempotent and keeps the modelsLive pool
@@ -55,88 +57,73 @@ type Model struct {
 }
 
 type hostL1 struct {
-	l1      *hostproto.L1
-	cache   *cache.Cache
-	cluster int
+	l1    *hostproto.L1
+	cache *cache.Cache
 }
 
-// Build instantiates a fresh model (deterministic).
+// mesiFamily lists the local protocols the checker builds clusters of.
+// RCC hosts keep intentionally stale copies, which the SWMR invariant
+// would flag, so RCC is covered by the litmus runner instead.
+var mesiFamily = []string{"mesi", "moesi", "mesif"}
+
+// CheckLocal returns an error unless the checker can build clusters
+// running local protocol name (the MESI family).
+func CheckLocal(name string) error {
+	for _, f := range mesiFamily {
+		if strings.EqualFold(name, f) {
+			return nil
+		}
+	}
+	return fmt.Errorf("local protocol %q: the model checker covers the MESI family (%s) only",
+		name, strings.Join(mesiFamily, "|"))
+}
+
+// Build instantiates a fresh model (deterministic): the machine
+// system.Assemble wires for the test's litmus.Place layout, on a
+// ChoiceFabric. Small caches keep replay cheap (litmus footprints are a
+// couple of lines): a 4 KiB 4-way L1, whose 16 sets the fingerprint's
+// set-conflict gates assume, and an 8 KiB 2-way LLC, shrunk under
+// TinyLLC to 2 sets x 2 ways to force Fig. 7 evictions into the
+// explored space.
 func Build(cfg ModelConfig) (*Model, error) {
-	var tables [2]*gen.Table
-	for ci := range tables {
-		t, err := gen.Shared(cfg.Locals[ci], cfg.Global)
-		if err != nil {
+	for ci, name := range cfg.Locals {
+		if err := CheckLocal(name); err != nil {
 			return nil, fmt.Errorf("verif: cluster %d: %w", ci, err)
 		}
-		tables[ci] = t
 	}
-	m := &Model{cfg: cfg, K: &sim.Kernel{}}
-
-	const dirID = msg.NodeID(1)
-	crossNode := func(id msg.NodeID) bool { return id == dirID || id == 2 || id == 3 }
-	m.Fabric = NewChoiceFabric(func(mm *msg.Msg) bool {
-		// The CXL fabric reorders requests and snoops between C3s and
-		// the directory; responses and intra-cluster links stay FIFO.
-		return mm.VNet != msg.VRsp && crossNode(mm.Src) && crossNode(mm.Dst)
-	})
-	m.Fabric.CrossFabric = func(mm *msg.Msg) bool {
-		return crossNode(mm.Src) && crossNode(mm.Dst)
+	lay := litmus.Place(cfg.Test, cfg.MCMs, cfg.Sync)
+	llcSize := 8 * 1024
+	if cfg.TinyLLC {
+		llcSize = 2 * mem.LineBytes * 2
 	}
-	m.dram = mem.NewDRAM(m.K, mem.DRAMConfig{AccessLatency: 1, BytesPerCycle: 64})
-
-	if tables[0].Global.Params.ConflictHandshake {
-		d := newDCOH(dirID, m)
-		m.dcoh = d
-	} else {
-		d := newHDir(dirID, m)
-		m.hdir = d
+	l1 := hostproto.DefaultConfig(hostproto.MESI) // system sets each cluster's variant
+	l1.SizeBytes, l1.Ways = 4096, 4
+	m := &Model{cfg: cfg, K: &sim.Kernel{}, Fabric: &ChoiceFabric{}}
+	sys, err := system.Assemble(system.Config{
+		Global: cfg.Global, LLCSize: llcSize, LLCWays: 2,
+		Clusters: []system.ClusterConfig{
+			{Protocol: cfg.Locals[0], MCM: cfg.MCMs[0], Cores: lay.Cores[0], L1: l1},
+			{Protocol: cfg.Locals[1], MCM: cfg.MCMs[1], Cores: lay.Cores[1], L1: l1},
+		},
+	}, m.K, m.Fabric)
+	if err != nil {
+		return nil, fmt.Errorf("verif: %w", err)
 	}
-
-	// Node ids: 1 dir, 2..3 the two C3s, 4.. the L1s.
-	next := msg.NodeID(4)
-	perCluster := [2]int{}
-	for i := range cfg.Test.Threads {
-		perCluster[i%2]++
+	m.dram, m.dcoh, m.hdir = sys.DRAM, sys.DCOH, sys.HDir
+	for _, cl := range sys.Clusters {
+		m.c3s = append(m.c3s, cl.C3)
 	}
-	for ci, table := range tables {
-		// Small structures keep replay cheap; litmus footprints are a
-		// couple of lines. TinyLLC shrinks further to force Fig. 7
-		// evictions into the explored space.
-		llcSize := 8 * 1024
-		if cfg.TinyLLC {
-			llcSize = 2 * mem.LineBytes * 2 // 2 sets x 2 ways
-		}
-		c3 := core.New(core.Config{
-			ID: msg.NodeID(2 + ci), GlobalDir: dirID, Kernel: m.K,
-			LocalNet: m.Fabric, GlobalNet: m.Fabric, Table: table,
-			LLCSize: llcSize, LLCWays: 2, Lat: 1,
-		})
-		m.Fabric.Register(msg.NodeID(2+ci), c3)
-		m.c3s = append(m.c3s, c3)
-	}
-	// Threads round-robin across clusters, one L1 + core each.
-	for ti, th := range cfg.Test.Threads {
-		ci := ti % 2
-		l1 := newL1For(cfg.Locals[ci], next, msg.NodeID(2+ci), m)
-		m.Fabric.Register(next, l1)
-		next++
-		eff := th
-		switch cfg.Sync {
-		case litmus.SyncFull:
-			eff = litmus.Refine(th, cfg.MCMs[ci])
-		case litmus.SyncNone:
-			eff = litmus.Strip(th)
-		}
-		src := cpu.NewSliceSource(toProgram(cfg.Test, eff))
-		ccfg := cpu.DefaultConfig(cfg.MCMs[ci])
-		c := cpu.New(ti, m.K, ccfg, l1, src, nil)
+	for ti, p := range lay.Threads {
+		l1 := sys.Clusters[p.Cluster].L1s[p.Slot].(*hostproto.L1)
+		src := cpu.NewSliceSource(p.Prog)
+		c := cpu.New(ti, m.K, cpu.DefaultConfig(cfg.MCMs[p.Cluster]), l1, src, nil)
 		m.cores = append(m.cores, c)
 		m.srcs = append(m.srcs, src)
-		m.l1s = append(m.l1s, &hostL1{l1: l1, cache: l1.Cache(), cluster: ci})
+		m.l1s = append(m.l1s, &hostL1{l1: l1, cache: l1.Cache()})
 	}
-
-	for _, v := range cfg.Test.Vars {
-		m.addrLines = append(m.addrLines, varAddrOf(cfg.Test, v).Line())
+	m.addrs = lay.Addrs
+	for _, a := range lay.Addrs {
+		m.addrLines = append(m.addrLines, a.Line())
 	}
 	sort.Slice(m.addrLines, func(i, j int) bool { return m.addrLines[i] < m.addrLines[j] })
 	modelsLive.Add(1)
@@ -187,8 +174,8 @@ func (m *Model) Outcome() (litmus.Outcome, error) {
 			o[litmus.Key(i, reg)] = val
 		}
 	}
-	for _, v := range m.cfg.Test.Vars {
-		addr := varAddrOf(m.cfg.Test, v)
+	for vi, v := range m.cfg.Test.Vars {
+		addr := m.addrs[vi]
 		val, err := m.finalValue(addr.Line())
 		if err != nil {
 			return nil, err
@@ -245,27 +232,6 @@ func (m *Model) finalValue(a mem.LineAddr) (mem.Data, error) {
 		return shared[0], nil
 	}
 	return m.dram.Peek(a), nil
-}
-
-func toProgram(t litmus.Test, th litmus.Thread) []cpu.Instr {
-	prog := make([]cpu.Instr, 0, len(th))
-	for _, op := range th {
-		in := cpu.Instr{Kind: op.Kind, Val: op.Val, Reg: op.Reg, Acq: op.Acq, Rel: op.Rel}
-		if op.Kind.IsMem() {
-			in.Addr = varAddrOf(t, op.V)
-		}
-		prog = append(prog, in)
-	}
-	return prog
-}
-
-func varAddrOf(t litmus.Test, v litmus.Var) mem.Addr {
-	for i, x := range t.Vars {
-		if x == v {
-			return mem.Addr(0x40000 + i*mem.LineBytes)
-		}
-	}
-	panic("verif: unknown var")
 }
 
 // lines returns the sorted line addresses of interest (the test's

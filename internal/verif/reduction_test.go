@@ -47,8 +47,11 @@ func TestReductionEquivalenceCorpus(t *testing.T) {
 
 // TestReductionEquivalenceVariants cross-checks the reduction on
 // configurations that exercise its gating and fallback logic: an hmesi
-// global directory with mixed host protocols and MCMs (pre-existing
-// invariant violations — both sides must report the same kind), a
+// global directory with mixed host protocols and MCMs (both sides must
+// report the same violation kind: MP trips the H-MESI baseline's open
+// IS^D_I race, where a C3 with a pending GGetS acks a nested GInv, then
+// installs gS from the late peer GDataS and grants DataS beside the new
+// M copy; SB verifies), a
 // TinyLLC host (variable permutations and POR must disable themselves;
 // thread symmetry stays sound), and unsynchronized runs with forbidden
 // checking on (forbidden verdicts must agree). Both serial and parallel
@@ -92,11 +95,22 @@ func TestReductionEquivalenceVariants(t *testing.T) {
 	}
 }
 
+// symmetryOf computes mcfg's renaming group from a throwaway model.
+func symmetryOf(t testing.TB, mcfg ModelConfig) *symmetry {
+	t.Helper()
+	m, err := Build(mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	return newSymmetry(m)
+}
+
 // unreduced explores mcfg the way CrossCheck's reference does: the same
 // fingerprint under the identity renaming alone, with POR off.
-func unreduced(mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
+func unreduced(t testing.TB, mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
 	ccfg.POROff = true
-	return check(mcfg, ccfg, newSymmetry(mcfg).identityOnly())
+	return check(mcfg, ccfg, symmetryOf(t, mcfg).identityOnly())
 }
 
 // TestUnreducedReferenceCounts pins the unreduced reference's merge
@@ -116,7 +130,7 @@ func TestUnreducedReferenceCounts(t *testing.T) {
 		"MP+3W": {22014, 3},
 	}
 	for name, w := range want {
-		rep, err := unreduced(wmoCXL(t, name, litmus.SyncFull), CheckerConfig{Workers: 1, MaxStates: 100_000})
+		rep, err := unreduced(t, wmoCXL(t, name, litmus.SyncFull), CheckerConfig{Workers: 1, MaxStates: 100_000})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -134,7 +148,9 @@ func TestUnreducedReferenceCounts(t *testing.T) {
 // TestCorpusGoldens pins the reduced checker's report on every corpus
 // test in the benchmark's configuration (MESI-CXL-MESI, WMO cores, full
 // synchronization, default budgets, one worker). A fingerprint change
-// that merges a different set of states moves these counts.
+// that merges a different set of states moves these counts, and so does
+// a change of node numbering: POR's singleton ample set is the first
+// eligible delivery in channel order, and channels sort by node id.
 func TestCorpusGoldens(t *testing.T) {
 	type golden struct {
 		states, terminals uint64
@@ -149,15 +165,15 @@ func TestCorpusGoldens(t *testing.T) {
 		"R":      {163, 3, 3, 28, 31},
 		"S":      {154, 3, 3, 28, 25},
 		"2_2W":   {165, 3, 3, 28, 31},
-		"IRIW":   {5727, 15, 15, 44, 1681},
+		"IRIW":   {5754, 15, 15, 44, 1666},
 		"CoRR":   {46, 2, 2, 14, 0},
 		"CoRR2":  {1599, 18, 18, 34, 0},
 		"CoWW":   {5, 1, 1, 4, 0},
-		"WRC":    {1096, 7, 7, 36, 171},
-		"RWC":    {1089, 7, 7, 36, 189},
-		"WWC":    {1028, 9, 9, 38, 154},
-		"WRW+2W": {1049, 9, 9, 38, 177},
-		"MP+3W":  {2094, 3, 3, 40, 1295},
+		"WRC":    {1078, 7, 7, 36, 183},
+		"RWC":    {1059, 7, 7, 36, 192},
+		"WWC":    {1011, 9, 9, 38, 168},
+		"WRW+2W": {1032, 9, 9, 38, 187},
+		"MP+3W":  {2128, 3, 3, 40, 1222},
 	}
 	tests := litmus.Tests()
 	if len(tests) != len(want) {
@@ -189,7 +205,7 @@ func TestReductionCompletesFormerlyTruncated(t *testing.T) {
 	mcfg := wmoCXL(t, "MP+3W", litmus.SyncFull)
 	const budget = 10_000
 
-	raw, err := unreduced(mcfg, CheckerConfig{Workers: 1, MaxStates: budget})
+	raw, err := unreduced(t, mcfg, CheckerConfig{Workers: 1, MaxStates: budget})
 	if err != nil {
 		t.Fatalf("unreduced: %v", err)
 	}
@@ -270,7 +286,7 @@ func TestSymmetryGroups(t *testing.T) {
 	} {
 		mcfg := wmoCXL(t, tc.name, litmus.SyncFull)
 		mcfg.TinyLLC = tc.tiny
-		sym := newSymmetry(mcfg)
+		sym := symmetryOf(t, mcfg)
 		if len(sym.perms) != tc.perms {
 			t.Errorf("%s (tiny=%v): %d admitted renamings, want %d", tc.name, tc.tiny, len(sym.perms), tc.perms)
 		}
@@ -303,7 +319,11 @@ func TestCheckReleasesAllModels(t *testing.T) {
 	// Forbidden-outcome counterexample (VForbidden early return).
 	run("forbidden", wmoCXL(t, "MP", litmus.SyncNone),
 		CheckerConfig{Workers: 4, MaxStates: 100_000, CheckForbidden: true})
-	// Invariant violation mid-exploration (hmesi mixed config).
+	// Invariant violation mid-exploration: the hmesi mixed config trips
+	// the H-MESI baseline's open IS^D_I race (finishSubSnoop acks a GInv
+	// nested in a pending GGetS and rolls the frame to I, then
+	// completeAcquire installs gS from the late peer GDataS and grants
+	// DataS, leaving an S copy beside the new M).
 	run("invariant", ModelConfig{Test: mustTest(t, "MP"), Locals: [2]string{"moesi", "mesif"},
 		Global: "hmesi", MCMs: [2]cpu.MCM{cpu.TSO, cpu.WMO}, Sync: litmus.SyncFull},
 		CheckerConfig{Workers: 4, MaxStates: 100_000})

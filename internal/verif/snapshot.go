@@ -41,7 +41,7 @@ func ModelsLive() int64 { return modelsLive.Load() }
 // Clone is read-only on the receiver except for the COW refcounts, so
 // several successors of the same parent may be cloned concurrently.
 func (m *Model) Clone() *Model {
-	n := &Model{cfg: m.cfg, K: m.K.Clone(), addrLines: m.addrLines}
+	n := &Model{cfg: m.cfg, K: m.K.Clone(), addrs: m.addrs, addrLines: m.addrLines}
 	n.Fabric = m.Fabric.Clone()
 	n.dram = m.dram.Clone(n.K)
 	if m.dcoh != nil {
@@ -70,7 +70,7 @@ func (m *Model) Clone() *Model {
 		n.Fabric.Register(l1.ID(), l1)
 		n.cores = append(n.cores, nc)
 		n.srcs = append(n.srcs, src)
-		hls[i] = hostL1{l1: l1, cache: l1.Cache(), cluster: m.l1s[i].cluster}
+		hls[i] = hostL1{l1: l1, cache: l1.Cache()}
 		n.l1s = append(n.l1s, &hls[i])
 	}
 	modelsLive.Add(1)

@@ -25,7 +25,7 @@ func mpCXL(t testing.TB, sync litmus.SyncMode) ModelConfig {
 // fingerprintOf returns the model's state fingerprint under the
 // identity renaming alone, so no symmetric sibling can mask a difference.
 func fingerprintOf(m *Model) uint64 {
-	h, _ := m.fingerprint(newSymmetry(m.cfg).identityOnly())
+	h, _ := m.fingerprint(newSymmetry(m).identityOnly())
 	return h
 }
 
@@ -220,11 +220,11 @@ func BenchmarkFingerprint(b *testing.B) {
 	for _, name := range []string{"MP", "MP+3W"} {
 		b.Run(name, func(b *testing.B) {
 			mcfg := wmoCXL(b, name, litmus.SyncFull)
-			sym := newSymmetry(mcfg)
 			m, err := Build(mcfg)
 			if err != nil {
 				b.Fatal(err)
 			}
+			sym := newSymmetry(m)
 			m.Start()
 			for i := 0; i < 6; i++ {
 				acts := m.Fabric.Enabled()

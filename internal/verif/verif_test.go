@@ -1,6 +1,7 @@
 package verif
 
 import (
+	"strings"
 	"testing"
 
 	"c3/internal/cpu"
@@ -31,6 +32,25 @@ func TestCheckMPCXL(t *testing.T) {
 		rep.States, rep.Terminals, len(rep.Outcomes), rep.Truncated)
 	if rep.Terminals == 0 && !rep.Truncated {
 		t.Fatal("no terminal states reached")
+	}
+}
+
+// TestCheckRejectsRCC: Check returns Build's error for a local protocol
+// outside the MESI family, before exploring and without leaking models.
+func TestCheckRejectsRCC(t *testing.T) {
+	base := ModelsLive()
+	_, err := Check(ModelConfig{
+		Test:   mp(t),
+		Locals: [2]string{"mesi", "rcc"},
+		Global: "cxl",
+		MCMs:   [2]cpu.MCM{cpu.WMO, cpu.WMO},
+		Sync:   litmus.SyncFull,
+	}, CheckerConfig{Workers: 1})
+	if err == nil || !strings.Contains(err.Error(), "MESI family") {
+		t.Fatalf("err = %v, want the MESI-family error", err)
+	}
+	if n := ModelsLive(); n != base {
+		t.Errorf("%d models leaked", n-base)
 	}
 }
 
