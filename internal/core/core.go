@@ -28,7 +28,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"c3/internal/cache"
 	"c3/internal/gen"
@@ -75,10 +75,6 @@ type ldir struct {
 	sharers msg.NodeSet
 }
 
-func newLdir(initial ssp.Class) *ldir {
-	return &ldir{class: initial, owner: msg.None, fwd: msg.None}
-}
-
 // TBE phases.
 type phase uint8
 
@@ -98,6 +94,8 @@ const (
 	tEvict              // replacing a CXL-cache line
 )
 
+// tbe is a line's transaction buffer, held by value in the C3's TBE
+// table. Its message pointers name sent, immutable messages.
 type tbe struct {
 	addr  mem.LineAddr
 	kind  tKind
@@ -136,6 +134,9 @@ type tbe struct {
 	resume *msg.Msg
 }
 
+// Clip implements mem.Clipper.
+func (t *tbe) Clip() { t.stalled = slices.Clip(t.stalled) }
+
 // Stats aggregates C3 telemetry.
 type Stats struct {
 	LocalReqs         uint64 // host requests received
@@ -163,7 +164,9 @@ type Config struct {
 	Table     *gen.Table
 	LLCSize   int // bytes (Table III: 4 MiB)
 	LLCWays   int
-	Lat       sim.Time // controller occupancy per outgoing message
+	// Lat is the controller occupancy per outgoing message, the same on
+	// both fabrics, so the outbox's messages leave in the order sent.
+	Lat sim.Time
 
 	// Hybrid memory (Sec. IV-D4): when LocalRange reports true for a
 	// line, the line is homed in this cluster's local memory — C3 serves
@@ -175,14 +178,25 @@ type Config struct {
 	LocalMem   *mem.DRAM
 }
 
+// outMsg is a message waiting out the controller latency, and the
+// fabric it leaves on.
+type outMsg struct {
+	m      *msg.Msg
+	global bool
+}
+
 // C3 is one coherence controller instance.
 type C3 struct {
 	cfg   Config
 	k     *sim.Kernel
 	table *gen.Table
 	llc   *cache.Cache
-	dirs  map[mem.LineAddr]*ldir
-	tbes  map[mem.LineAddr]*tbe
+	// dirs and tbes are the per-line local directory and transaction
+	// buffers (see mem.Table for the pointer rules).
+	dirs mem.Table[ldir]
+	tbes mem.Table[tbe]
+	// out holds the messages waiting out cfg.Lat, oldest first.
+	out sim.FIFO[outMsg]
 
 	// Tracer, when non-nil, observes compound-state commits. Set before
 	// the simulation starts; nil keeps every hook a single branch.
@@ -219,8 +233,6 @@ func New(cfg Config) *C3 {
 		k:     cfg.Kernel,
 		table: cfg.Table,
 		llc:   cache.New(cfg.LLCSize, cfg.LLCWays),
-		dirs:  make(map[mem.LineAddr]*ldir),
-		tbes:  make(map[mem.LineAddr]*tbe),
 	}
 }
 
@@ -241,18 +253,20 @@ func (c *C3) isLocalLine(a mem.LineAddr) bool {
 	return c.cfg.LocalRange != nil && c.cfg.LocalMem != nil && c.cfg.LocalRange(a)
 }
 
+// dir returns a's local directory record, creating an untouched one if
+// absent. The pointer is valid until the next dir call.
 func (c *C3) dir(a mem.LineAddr) *ldir {
-	d := c.dirs[a]
+	d := c.dirs.Get(a)
 	if d == nil {
-		d = newLdir(c.initialLocal())
-		c.dirs[a] = d
+		d = c.dirs.Put(a)
+		*d = ldir{class: c.initialLocal(), owner: msg.None, fwd: msg.None}
 	}
 	return d
 }
 
 // lclass reports the local stable class of a line.
 func (c *C3) lclass(a mem.LineAddr) ssp.Class {
-	if d := c.dirs[a]; d != nil {
+	if d := c.dirs.Peek(a); d != nil {
 		return d.class
 	}
 	return c.initialLocal()
@@ -269,7 +283,7 @@ func (c *C3) gclass(a mem.LineAddr) ssp.Class {
 
 func (c *C3) sendLocal(m *msg.Msg) {
 	m.Src = c.cfg.ID
-	c.k.After(c.cfg.Lat, func() { c.cfg.LocalNet.Send(m) })
+	c.send(outMsg{m: m})
 }
 
 func (c *C3) sendGlobal(m *msg.Msg) {
@@ -277,7 +291,26 @@ func (c *C3) sendGlobal(m *msg.Msg) {
 	if m.Dst == 0 {
 		m.Dst = c.cfg.GlobalDir
 	}
-	c.k.After(c.cfg.Lat, func() { c.cfg.GlobalNet.Send(m) })
+	c.send(outMsg{m: m, global: true})
+}
+
+// send queues o on the outbox; it leaves cfg.Lat cycles later. Every
+// message waits the same Lat, so the events fire in push order and
+// each pops the head: no closure per message.
+func (c *C3) send(o outMsg) {
+	c.out.Push(o)
+	c.k.ScheduleArg(c.k.Now()+c.cfg.Lat, sendNext, c)
+}
+
+// sendNext is the outbox event: the oldest queued message leaves.
+func sendNext(a any) {
+	c := a.(*C3)
+	o := c.out.Pop()
+	if o.global {
+		c.cfg.GlobalNet.Send(o.m)
+	} else {
+		c.cfg.LocalNet.Send(o.m)
+	}
 }
 
 // Recv implements network.Port for both fabrics.
@@ -338,7 +371,7 @@ func trigOf(t msg.Type) gen.Trigger {
 // localRequest handles a host cache request (the left column of the
 // compound table).
 func (c *C3) localRequest(m *msg.Msg) {
-	if t := c.tbes[m.Addr]; t != nil {
+	if t := c.tbes.Get(m.Addr); t != nil {
 		// Rule II: the line is mid-transaction; stall.
 		c.Stats.Stalled++
 		t.stalled = append(t.stalled, m)
@@ -359,15 +392,15 @@ func (c *C3) localRequest(m *msg.Msg) {
 			e = c.llc.Install(m.Addr)
 			e.State = gI
 		}
-		t := &tbe{addr: m.Addr, kind: tLocal, entry: ent, ph: phGlobal, req: m}
-		c.tbes[m.Addr] = t
+		*c.tbes.Put(m.Addr) = tbe{addr: m.Addr, kind: tLocal, entry: ent, ph: phGlobal, req: m}
 		if c.isLocalLine(m.Addr) {
 			// Hybrid configuration: this cluster is the line's home.
 			// Fetch from local memory and self-complete with exclusive
-			// rights — no global protocol traffic.
+			// rights — no global protocol traffic. The completion looks
+			// the TBE up again by line.
 			c.Stats.LocalMemReads++
 			c.cfg.LocalMem.Read(m.Addr, func(data mem.Data) {
-				c.completeAcquire(t, &msg.Msg{Type: msg.CmpM, Addr: m.Addr,
+				c.completeAcquire(c.tbes.Get(m.Addr), &msg.Msg{Type: msg.CmpM, Addr: m.Addr,
 					Data: msg.WithData(data)})
 			})
 			return
@@ -386,9 +419,9 @@ func (c *C3) localRequest(m *msg.Msg) {
 		panic(fmt.Sprintf("core: local serve of %v with no CXL-cache entry", m))
 	}
 	c.llc.Touch(e)
-	t := &tbe{addr: m.Addr, kind: tLocal, entry: ent, ph: phLocal, req: m}
+	t := c.tbes.Put(m.Addr)
+	*t = tbe{addr: m.Addr, kind: tLocal, entry: ent, ph: phLocal, req: m}
 	if c.startLocalFlow(t, ent.Plan, m.Src) {
-		c.tbes[m.Addr] = t
 		return
 	}
 	c.grant(t)
@@ -509,15 +542,11 @@ func (c *C3) grant(t *tbe) {
 // starve the global domain, or the remote cluster's unlock — and with it
 // the whole system — would never make progress.
 func (c *C3) retire(t *tbe) {
-	if c.tbes[t.addr] == t {
-		delete(c.tbes, t.addr)
-	}
-	msgs := t.stalled
-	t.stalled = nil
+	msgs, resume := t.stalled, t.resume
+	c.tbes.Delete(t.addr)
 	var local []*msg.Msg
-	if t.resume != nil {
-		local = append(local, t.resume)
-		t.resume = nil
+	if resume != nil {
+		local = append(local, resume)
 	}
 	for _, m := range msgs {
 		if c.isGlobalSnoopType(m.Type) {
@@ -549,7 +578,7 @@ func (c *C3) isGlobalSnoopType(t msg.Type) bool {
 // never delegated (clean and dirty data both stay in the inclusive CXL
 // cache; global writebacks happen only on CXL-cache evictions).
 func (c *C3) localPut(m *msg.Msg) {
-	if t := c.tbes[m.Addr]; t != nil {
+	if t := c.tbes.Get(m.Addr); t != nil {
 		c.Stats.Stalled++
 		t.stalled = append(t.stalled, m)
 		return
@@ -615,16 +644,11 @@ func (c *C3) PeerDead(dead msg.NodeID) int {
 	if c.isCXL() {
 		return 0
 	}
-	// Sorted walk: completing a wait sends grants, whose order must not
-	// depend on map iteration (determinism across -j shards).
-	addrs := make([]mem.LineAddr, 0, len(c.tbes))
-	for a := range c.tbes {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	// Address-order walk: completing a wait sends grants, and the walk
+	// re-dispatches stalled messages, so the order is observable.
 	n := 0
-	for _, a := range addrs {
-		t := c.tbes[a]
+	for _, a := range c.tbes.Lines(nil) {
+		t := c.tbes.Get(a)
 		if t == nil || t.kind != tLocal || t.ph != phGlobal {
 			continue
 		}
@@ -643,8 +667,8 @@ func (c *C3) PeerDead(dead msg.NodeID) int {
 // contents) and the global side has reclaimed this node. The old
 // CXL cache's slab returns to the pool.
 func (c *C3) Reset() {
-	c.tbes = make(map[mem.LineAddr]*tbe)
-	c.dirs = make(map[mem.LineAddr]*ldir)
+	c.tbes.Release()
+	c.dirs.Release()
 	c.llc.Release()
 	c.llc = cache.New(c.cfg.LLCSize, c.cfg.LLCWays)
 }

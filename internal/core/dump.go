@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"c3/internal/cache"
@@ -31,22 +32,13 @@ func (c *C3) DumpState(w io.Writer) {
 	for _, e := range es {
 		fmt.Fprintf(w, "l%x:%d:%v:%v;", uint64(e.a), e.s, e.d, e.v)
 	}
-	var lines []mem.LineAddr
-	for a := range c.dirs {
-		lines = append(lines, a)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	lines := c.dirs.Lines(nil)
 	for _, a := range lines {
-		d := c.dirs[a]
+		d := c.dirs.Peek(a)
 		fmt.Fprintf(w, "d%x:%s:%d:%d:%v;", uint64(a), d.class, d.owner, d.fwd, d.sharers)
 	}
-	lines = lines[:0]
-	for a := range c.tbes {
-		lines = append(lines, a)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, a := range lines {
-		t := c.tbes[a]
+	for _, a := range c.tbes.Lines(lines[:0]) {
+		t := c.tbes.Peek(a)
 		fmt.Fprintf(w, "t%x:%d:%d:%d:%d:%v:%v:%d:%d:%d;", uint64(a), t.kind, t.ph,
 			t.pendingRsp, t.pendingAcks, t.conflict != nil, t.heldCmp != nil,
 			t.haveAcks, t.needAcks, len(t.stalled))
@@ -65,9 +57,9 @@ func (c *C3) Fingerprint(h *fp.Hasher, rn fp.Renamer, skipInvalid bool) {
 	c.llc.Fingerprint(h, rn, skipInvalid)
 	initial := c.initialLocal()
 	var dirs fp.Bag
-	for a, d := range c.dirs {
+	c.dirs.ForEachRO(func(a mem.LineAddr, d *ldir) {
 		if d.class == initial && d.owner == msg.None && d.fwd == msg.None && d.sharers.Empty() {
-			continue
+			return
 		}
 		e := fp.New()
 		e.Line(a, rn)
@@ -76,10 +68,10 @@ func (c *C3) Fingerprint(h *fp.Hasher, rn fp.Renamer, skipInvalid bool) {
 		e.Node(d.fwd, rn)
 		e.Nodes(d.sharers, rn)
 		dirs.Add(e)
-	}
+	})
 	h.Bag(dirs)
 	var tbes fp.Bag
-	for a, t := range c.tbes {
+	c.tbes.ForEachRO(func(a mem.LineAddr, t *tbe) {
 		e := fp.New()
 		e.Line(a, rn)
 		e.Int(int(t.kind))
@@ -92,7 +84,7 @@ func (c *C3) Fingerprint(h *fp.Hasher, rn fp.Renamer, skipInvalid bool) {
 		e.Int(t.needAcks)
 		e.Int(len(t.stalled))
 		tbes.Add(e)
-	}
+	})
 	h.Bag(tbes)
 }
 
@@ -101,28 +93,21 @@ func (c *C3) Fingerprint(h *fp.Hasher, rn fp.Renamer, skipInvalid bool) {
 // model checker uses to assert that Rule I's forbidden state pairs are
 // never reachable.
 func (c *C3) CompoundOf(a mem.LineAddr) (l, g ssp.Class, busy bool) {
-	return c.lclass(a), c.gclass(a), c.tbes[a] != nil
+	return c.lclass(a), c.gclass(a), c.tbes.Peek(a) != nil
 }
 
 // Lines lists every line the controller currently tracks.
 func (c *C3) Lines() []mem.LineAddr {
-	seen := map[mem.LineAddr]bool{}
-	c.llc.ForEachRO(func(e *cache.Entry) { seen[e.Addr] = true })
-	for a := range c.dirs {
-		seen[a] = true
-	}
-	var out []mem.LineAddr
-	for a := range seen {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := c.dirs.Lines(nil)
+	c.llc.ForEachRO(func(e *cache.Entry) { out = append(out, e.Addr) })
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // OwnerView reports the local directory's owner and sharer view, for
 // cross-checking inclusion in tests.
 func (c *C3) OwnerView(a mem.LineAddr) (owner msg.NodeID, sharers []msg.NodeID) {
-	d := c.dirs[a]
+	d := c.dirs.Peek(a)
 	if d == nil {
 		return msg.None, nil
 	}

@@ -11,7 +11,7 @@ import (
 // then re-dispatch the request that needed the frame.
 func (c *C3) evictFor(resume *msg.Msg) {
 	victim := c.llc.VictimFunc(resume.Addr, func(e *cache.Entry) bool {
-		return c.tbes[e.Addr] == nil
+		return c.tbes.Peek(e.Addr) == nil
 	})
 	if victim == nil {
 		// Every way is mid-transaction; retry shortly (transactions are
@@ -22,8 +22,8 @@ func (c *C3) evictFor(resume *msg.Msg) {
 	}
 	c.Stats.Evictions++
 	ent := c.table.Lookup(gen.TrigEvict, c.lclass(victim.Addr), gclassOf(victim.State))
-	t := &tbe{addr: victim.Addr, kind: tEvict, entry: ent, ph: phLocal, resume: resume}
-	c.tbes[victim.Addr] = t
+	t := c.tbes.Put(victim.Addr)
+	*t = tbe{addr: victim.Addr, kind: tEvict, entry: ent, ph: phLocal, resume: resume}
 	if c.startLocalFlow(t, ent.Plan, msg.None) {
 		return
 	}
@@ -57,10 +57,10 @@ func (c *C3) evictReclaimed(t *tbe) {
 		// memory; no global messages.
 		if dirty {
 			c.Stats.LocalMemWrites++
-			data := e.Data
+			data, a := e.Data, t.addr
 			c.removeLine(e)
 			t.ph = phWB
-			c.cfg.LocalMem.Write(t.addr, data, func() { c.retire(t) })
+			c.cfg.LocalMem.Write(a, data, func() { c.retire(c.tbes.Get(a)) })
 			return
 		}
 		c.removeLine(e)

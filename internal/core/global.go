@@ -26,7 +26,7 @@ func (c *C3) snpTrig(t msg.Type) gen.Trigger {
 // handshake, nested service, stall, or eviction-race response, depending
 // on the line's transaction state.
 func (c *C3) globalSnoop(m *msg.Msg) {
-	t := c.tbes[m.Addr]
+	t := c.tbes.Get(m.Addr)
 	if t == nil {
 		c.freshSnoop(m)
 		return
@@ -70,8 +70,8 @@ func (c *C3) globalSnoop(m *msg.Msg) {
 func (c *C3) freshSnoop(m *msg.Msg) {
 	ent := c.table.Lookup(c.snpTrig(m.Type), c.lclass(m.Addr), c.gclass(m.Addr))
 	c.Stats.SnoopsServed++
-	t := &tbe{addr: m.Addr, kind: tSnoop, entry: ent, snp: m, ph: phLocal}
-	c.tbes[m.Addr] = t
+	t := c.tbes.Put(m.Addr)
+	*t = tbe{addr: m.Addr, kind: tSnoop, entry: ent, snp: m, ph: phLocal}
 	if c.startLocalFlow(t, ent.Plan, msg.None) {
 		return
 	}
@@ -141,7 +141,7 @@ func (c *C3) commitSnoopG(t *tbe) {
 }
 
 func (c *C3) removeLine(e *cache.Entry) {
-	delete(c.dirs, e.Addr)
+	c.dirs.Delete(e.Addr)
 	c.llc.Remove(e)
 }
 
@@ -201,7 +201,7 @@ func (c *C3) hmesiEvictRace(t *tbe, m *msg.Msg) {
 
 // cxlCmp handles CmpS/CmpE/CmpM.
 func (c *C3) cxlCmp(m *msg.Msg) {
-	t := c.tbes[m.Addr]
+	t := c.tbes.Get(m.Addr)
 	if t == nil || t.kind != tLocal {
 		panic(fmt.Sprintf("core: C3 %d completion with no request TBE: %v", c.cfg.ID, m))
 	}
@@ -220,7 +220,7 @@ func (c *C3) cxlCmp(m *msg.Msg) {
 // cmpWr handles CmpWr and GPutAck: completion of a writeback, either a
 // snoop's nested CXL WB or an eviction.
 func (c *C3) cmpWr(m *msg.Msg) {
-	t := c.tbes[m.Addr]
+	t := c.tbes.Get(m.Addr)
 	if t == nil {
 		panic(fmt.Sprintf("core: C3 %d CmpWr with no TBE: %v", c.cfg.ID, m))
 	}
@@ -239,7 +239,7 @@ func (c *C3) cmpWr(m *msg.Msg) {
 // first — finish it, then serve the snoop fresh. Otherwise the snoop was
 // first — serve it nested inside the wait.
 func (c *C3) cxlConflictAck(m *msg.Msg) {
-	t := c.tbes[m.Addr]
+	t := c.tbes.Get(m.Addr)
 	if t == nil || t.conflict == nil {
 		panic(fmt.Sprintf("core: BIConflictAck with no handshake: %v", m))
 	}
@@ -342,7 +342,7 @@ func (c *C3) completeAcquire(t *tbe, m *msg.Msg) {
 // --- hierarchical-MESI completion plumbing ---
 
 func (c *C3) hmesiData(m *msg.Msg) {
-	t := c.tbes[m.Addr]
+	t := c.tbes.Get(m.Addr)
 	if t == nil || t.kind != tLocal {
 		// A duplicate peer response from an eviction race; the bytes are
 		// identical to what we already received — drop.
@@ -358,7 +358,7 @@ func (c *C3) hmesiData(m *msg.Msg) {
 }
 
 func (c *C3) hmesiInvAck(m *msg.Msg) {
-	t := c.tbes[m.Addr]
+	t := c.tbes.Get(m.Addr)
 	if t == nil || t.kind != tLocal {
 		panic(fmt.Sprintf("core: GInvAck with no request TBE: %v", m))
 	}

@@ -60,7 +60,7 @@ func (c *C3) startLocalFlow(t *tbe, plan ssp.Plan, except msg.NodeID) bool {
 
 // localRsp routes InvAck/SnpRsp* to the line's TBE.
 func (c *C3) localRsp(m *msg.Msg) {
-	t := c.tbes[m.Addr]
+	t := c.tbes.Get(m.Addr)
 	if t == nil {
 		panic(fmt.Sprintf("core: C3 %d local response with no TBE: %v", c.cfg.ID, m))
 	}

@@ -80,8 +80,8 @@ func TestSingleCoreSequence(t *testing.T) {
 	})
 	c := New(0, k, DefaultConfig(TSO), fm, src, nil)
 	run(t, k, c)
-	if src.Regs[1] != 7 {
-		t.Fatalf("load after store to same addr read %d, want 7 (forwarding)", src.Regs[1])
+	if src.Regs[1].Val != 7 {
+		t.Fatalf("load after store to same addr read %d, want 7 (forwarding)", src.Regs[1].Val)
 	}
 	if c.Retired != 2 {
 		t.Fatalf("Retired = %d, want 2", c.Retired)
@@ -97,8 +97,8 @@ func TestStoreForwardingFromSB(t *testing.T) {
 	})
 	c := New(0, k, DefaultConfig(TSO), fm, src, nil)
 	run(t, k, c)
-	if src.Regs[1] != 9 {
-		t.Fatalf("SB forwarding returned %d, want 9", src.Regs[1])
+	if src.Regs[1].Val != 9 {
+		t.Fatalf("SB forwarding returned %d, want 9", src.Regs[1].Val)
 	}
 }
 
@@ -256,8 +256,8 @@ func TestRMWDrainsSBAndBlocks(t *testing.T) {
 	if fm.arrived[0].Addr != 0x100 || fm.arrived[1].Kind != RMWAdd || fm.arrived[2].Addr != 0x300 {
 		t.Fatalf("RMW fencing violated: %+v", fm.arrived)
 	}
-	if src.Regs[1] != 0 {
-		t.Fatalf("RMWAdd returned %d, want old value 0", src.Regs[1])
+	if src.Regs[1].Val != 0 {
+		t.Fatalf("RMWAdd returned %d, want old value 0", src.Regs[1].Val)
 	}
 	if fm.store[0x200] != 5 {
 		t.Fatalf("RMWAdd stored %d, want 5", fm.store[0x200])
@@ -271,8 +271,8 @@ func TestRMWXchg(t *testing.T) {
 	src := NewSliceSource([]Instr{{Kind: RMWXchg, Addr: 0x200, Val: 9, Reg: 1}})
 	c := New(0, k, DefaultConfig(TSO), fm, src, nil)
 	run(t, k, c)
-	if src.Regs[1] != 3 || fm.store[0x200] != 9 {
-		t.Fatalf("xchg got %d/mem %d, want 3/9", src.Regs[1], fm.store[0x200])
+	if src.Regs[1].Val != 3 || fm.store[0x200] != 9 {
+		t.Fatalf("xchg got %d/mem %d, want 3/9", src.Regs[1].Val, fm.store[0x200])
 	}
 }
 

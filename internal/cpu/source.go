@@ -1,18 +1,42 @@
 package cpu
 
-import "c3/internal/mem"
+import (
+	"slices"
+
+	"c3/internal/mem"
+)
 
 // SliceSource is a Source over a fixed program, recording loaded values
 // into a register file. It is the execution vehicle for litmus threads.
 type SliceSource struct {
 	Prog []Instr
-	Regs map[int]uint64
+	// Regs is the register file, indexed by register number and sized by
+	// the program's highest load or RMW destination. A litmus thread's
+	// few registers live in buf, so a clone is one allocation.
+	Regs []Reg
+	buf  [4]Reg
 	pos  int
+}
+
+// Reg is one register: the value last loaded into it, and whether any
+// load has completed into it yet (a register that loaded zero differs
+// from one not yet loaded).
+type Reg struct {
+	Val    uint64
+	Loaded bool
 }
 
 // NewSliceSource wraps prog.
 func NewSliceSource(prog []Instr) *SliceSource {
-	return &SliceSource{Prog: prog, Regs: make(map[int]uint64)}
+	n := 0
+	for _, in := range prog {
+		if in.Kind == Load || in.Kind.IsRMW() {
+			n = max(n, in.Reg+1)
+		}
+	}
+	s := &SliceSource{Prog: prog}
+	s.Regs = slices.Grow(s.buf[:0], n)[:n]
+	return s
 }
 
 // Next implements Source.
@@ -28,7 +52,16 @@ func (s *SliceSource) Next() (Instr, bool) {
 // Complete implements Source.
 func (s *SliceSource) Complete(in Instr, loaded uint64) {
 	if in.Kind == Load || in.Kind.IsRMW() {
-		s.Regs[in.Reg] = loaded
+		s.Regs[in.Reg] = Reg{Val: loaded, Loaded: true}
+	}
+}
+
+// EachReg calls fn with every loaded register, in register order.
+func (s *SliceSource) EachReg(fn func(reg int, val uint64)) {
+	for r, v := range s.Regs {
+		if v.Loaded {
+			fn(r, v.Val)
+		}
 	}
 }
 
@@ -51,10 +84,8 @@ func (s *SliceSource) FutureLines(visit func(mem.LineAddr)) {
 // Clone returns a deep copy for model-checker snapshots. The program is
 // immutable and shared; the register file and position are copied.
 func (s *SliceSource) Clone() *SliceSource {
-	n := &SliceSource{Prog: s.Prog, Regs: make(map[int]uint64, len(s.Regs)), pos: s.pos}
-	for r, v := range s.Regs {
-		n.Regs[r] = v
-	}
+	n := &SliceSource{Prog: s.Prog, pos: s.pos}
+	n.Regs = append(n.buf[:0], s.Regs...)
 	return n
 }
 

@@ -403,12 +403,10 @@ func runIteration(t Test, cfg *RunnerConfig, lay *Layout, it int, starts []sim.T
 
 	o := Outcome{}
 	for i, src := range srcs {
-		for reg, val := range src.Regs {
-			o[Key(i, reg)] = val
-		}
+		src.EachReg(func(reg int, val uint64) { o[Key(i, reg)] = val })
 	}
 	for vi, v := range t.Vars {
-		o[string(v)] = col.Regs[vi]
+		o[string(v)] = col.Regs[vi].Val
 	}
 	info.poisoned = len(sys.PoisonedLines()) > 0
 	info.crashed = sys.Recovery.HostsCrashed > 0

@@ -2,48 +2,27 @@ package cxl
 
 import (
 	"c3/internal/mem"
-	"c3/internal/msg"
 	"c3/internal/network"
 	"c3/internal/sim"
 )
 
-// Clone returns a deep copy of the DCOH for model-checker snapshots,
+// Clone returns a copy of the DCOH for model-checker snapshots,
 // attached to kernel k, fabric net, and an already-cloned dram. All DCOH
-// state is plain data (line directory, open transactions, stalled
-// queues); DRAM read/write continuations live as kernel events and must
-// have drained before cloning. The tracer is not carried over.
-//
-// Messages are immutable after Send (see msg.Msg), so queued *msg.Msg
-// pointers are shared with the original rather than deep-copied; queue
-// slice headers are still private, so post-clone appends never touch the
-// original's backing array. Directory records are allocated as one slab,
-// and sharer/pending vectors are NodeSet values that copy with their
-// struct — a clone costs O(lines) flat copies, not O(lines) maps.
+// state is plain data in one line table, shared copy-on-write with the
+// original (see mem.Table); DRAM read/write continuations live as
+// kernel events and the outbox drains with them, so both must be empty
+// (the checker clones only quiescent states). The tracer is not carried
+// over.
 func (d *DCOH) Clone(k *sim.Kernel, net network.Fabric, dram *mem.DRAM) *DCOH {
-	n := &DCOH{
+	if d.out.Len() != 0 {
+		panic("cxl: Clone of DCOH with queued sends")
+	}
+	return &DCOH{
 		id: d.id, k: k, net: net, dram: dram, Lat: d.Lat,
-		lines:    make(map[mem.LineAddr]*dline, len(d.lines)),
-		dead:     d.dead,
-		poisoned: make(map[mem.LineAddr]bool, len(d.poisoned)),
-		Stats:    d.Stats,
+		lines: d.lines.Clone(), dead: d.dead, Stats: d.Stats,
 	}
-	for a, v := range d.poisoned {
-		n.poisoned[a] = v
-	}
-	slab := make([]dline, len(d.lines))
-	i := 0
-	for a, l := range d.lines {
-		nl := &slab[i]
-		i++
-		*nl = *l
-		if l.cur != nil {
-			cur := *l.cur
-			nl.cur = &cur
-		}
-		if len(l.queue) > 0 {
-			nl.queue = append([]*msg.Msg(nil), l.queue...)
-		}
-		n.lines[a] = nl
-	}
-	return n
 }
+
+// Release drops the DCOH's reference to its line table (see
+// mem.Table.Release); the DCOH must not be used afterwards.
+func (d *DCOH) Release() { d.lines.Release() }

@@ -21,7 +21,7 @@ package cxl
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"c3/internal/mem"
 	"c3/internal/msg"
@@ -40,6 +40,8 @@ const (
 
 func dname(s int) string { return [...]string{"I", "S", "E", "M"}[s] }
 
+// tx is a line's open read transaction, held inline in its dline; the
+// zero tx (req == nil) means none is open.
 type tx struct {
 	req     *msg.Msg    // request being serviced
 	pending msg.NodeSet // hosts whose snoop responses are due
@@ -56,9 +58,19 @@ type dline struct {
 	state   int
 	owner   msg.NodeID
 	sharers msg.NodeSet
-	cur     *tx
+	cur     tx
 	queue   []*msg.Msg
+	// poisoned marks a line whose only copy died with a host: grants
+	// carry msg.Poisoned from then on (sticky: a lost line stays
+	// flagged, the CXL data-poison contract).
+	poisoned bool
 }
+
+// busy reports whether a transaction is open on the line.
+func (l *dline) busy() bool { return l.cur.req != nil }
+
+// Clip implements mem.Clipper.
+func (l *dline) Clip() { l.queue = slices.Clip(l.queue) }
 
 // Stats aggregates DCOH telemetry.
 type Stats struct {
@@ -74,18 +86,18 @@ type DCOH struct {
 	k    *sim.Kernel
 	net  network.Fabric
 	dram *mem.DRAM
-	// Lat is the controller occupancy added to each outgoing message.
+	// Lat is the controller occupancy added to each outgoing message. It
+	// must not change while messages are in flight: the outbox relies on
+	// them leaving in the order they were sent.
 	Lat sim.Time
 
-	lines map[mem.LineAddr]*dline
+	lines mem.Table[dline]
+	// out holds the messages waiting out Lat, oldest first.
+	out sim.FIFO[*msg.Msg]
 
 	// dead is the set of isolated (crashed) hosts; late messages from
-	// them are dropped instead of panicking the FSM. poisoned marks lines
-	// whose only copy died with a host — grants carry msg.Poisoned from
-	// then on (sticky: a lost line stays flagged, the CXL data-poison
-	// contract).
-	dead     msg.NodeSet
-	poisoned map[mem.LineAddr]bool
+	// them are dropped instead of panicking the FSM.
+	dead msg.NodeSet
 
 	// Tracer, when non-nil, observes directory state transitions.
 	Tracer *trace.Tracer
@@ -95,7 +107,7 @@ type DCOH struct {
 
 // traceState emits a directory transition. Callers guard on d.Tracer.
 func (d *DCOH) traceState(a mem.LineAddr, old int, note string) {
-	l := d.lines[a]
+	l := d.lines.Peek(a)
 	new := dI
 	if l != nil {
 		new = l.state
@@ -105,9 +117,7 @@ func (d *DCOH) traceState(a mem.LineAddr, old int, note string) {
 
 // New builds a DCOH with its backing device memory.
 func New(id msg.NodeID, k *sim.Kernel, net network.Fabric, dram *mem.DRAM) *DCOH {
-	return &DCOH{id: id, k: k, net: net, dram: dram, Lat: 4,
-		lines:    make(map[mem.LineAddr]*dline),
-		poisoned: make(map[mem.LineAddr]bool)}
+	return &DCOH{id: id, k: k, net: net, dram: dram, Lat: 4}
 }
 
 // ID returns the DCOH's network id.
@@ -116,18 +126,30 @@ func (d *DCOH) ID() msg.NodeID { return d.id }
 // DRAM exposes the device memory for initialization and checks.
 func (d *DCOH) DRAM() *mem.DRAM { return d.dram }
 
+// line returns a's record, creating an untouched one if absent. The
+// pointer is valid until the next line call or kernel event.
 func (d *DCOH) line(a mem.LineAddr) *dline {
-	l := d.lines[a]
+	l := d.lines.Get(a)
 	if l == nil {
-		l = &dline{state: dI, owner: msg.None}
-		d.lines[a] = l
+		l = d.lines.Put(a)
+		l.owner = msg.None
 	}
 	return l
 }
 
+// send queues m on the outbox; it leaves Lat cycles later. Every
+// message waits the same Lat, so the events fire in push order and
+// each pops the head: no closure per message.
 func (d *DCOH) send(m *msg.Msg) {
 	m.Src = d.id
-	d.k.After(d.Lat, func() { d.net.Send(m) })
+	d.out.Push(m)
+	d.k.ScheduleArg(d.k.Now()+d.Lat, sendNext, d)
+}
+
+// sendNext is the outbox event: the oldest queued message leaves.
+func sendNext(a any) {
+	d := a.(*DCOH)
+	d.net.Send(d.out.Pop())
 }
 
 // Recv implements network.Port.
@@ -146,7 +168,7 @@ func (d *DCOH) Recv(m *msg.Msg) {
 		d.send(&msg.Msg{Type: msg.BIConflictAck, Addr: m.Addr, Dst: m.Src, VNet: msg.VRsp})
 	case msg.MemRdA, msg.MemRdS:
 		l := d.line(m.Addr)
-		if l.cur != nil {
+		if l.busy() {
 			d.Stats.Stalls++
 			l.queue = append(l.queue, m)
 			return
@@ -164,7 +186,7 @@ func (d *DCOH) Recv(m *msg.Msg) {
 
 func (d *DCOH) startRead(l *dline, m *msg.Msg) {
 	d.Stats.Reads++
-	l.cur = &tx{req: m}
+	l.cur = tx{req: m}
 	want := msg.BISnpData
 	if m.Type == msg.MemRdA {
 		want = msg.BISnpInv
@@ -198,8 +220,8 @@ func (d *DCOH) startRead(l *dline, m *msg.Msg) {
 }
 
 func (d *DCOH) handleSnpRsp(m *msg.Msg) {
-	l := d.lines[m.Addr]
-	if l == nil || l.cur == nil || !l.cur.pending.Has(m.Src) {
+	l := d.lines.Get(m.Addr)
+	if l == nil || !l.busy() || !l.cur.pending.Has(m.Src) {
 		panic(fmt.Sprintf("cxl: unexpected snoop response %v", m))
 	}
 	l.cur.pending.Remove(m.Src)
@@ -207,7 +229,7 @@ func (d *DCOH) handleSnpRsp(m *msg.Msg) {
 		l.cur.data = *m.Data
 		l.cur.dirty = true
 		if m.Poisoned {
-			d.poisoned[m.Addr] = true
+			l.poisoned = true
 		}
 	}
 	if m.Type == msg.BISnpRspS {
@@ -229,13 +251,13 @@ func (d *DCOH) handleWrite(m *msg.Msg) {
 	// Only the registered owner's data is authoritative; a stale write
 	// (the host was invalidated while its eviction was in flight) is
 	// acknowledged and dropped.
-	snoopedWB := l.cur != nil && l.cur.pending.Has(m.Src)
+	snoopedWB := l.busy() && l.cur.pending.Has(m.Src)
 	if l.owner == m.Src || snoopedWB {
 		d.dram.Write(m.Addr, *m.Data, nil)
 		if m.Poisoned {
 			// Poison follows the data home: the device memory copy is now
 			// the poisoned one.
-			d.poisoned[m.Addr] = true
+			l.poisoned = true
 		}
 		if !snoopedWB {
 			// Standalone eviction: update directory state now.
@@ -257,10 +279,12 @@ func (d *DCOH) handleWrite(m *msg.Msg) {
 }
 
 // settle runs when all snoop responses are in: commit dirty data, then
-// finish from device memory.
+// finish from device memory. The write's completion looks the line up
+// again: the record may have moved while the write was in flight.
 func (d *DCOH) settle(l *dline) {
 	if l.cur.dirty {
-		d.dram.Write(l.cur.req.Addr, l.cur.data, func() { d.finishRead(l) })
+		a := l.cur.req.Addr
+		d.dram.Write(a, l.cur.data, func() { d.finishRead(d.lines.Get(a)) })
 		return
 	}
 	d.finishRead(l)
@@ -269,7 +293,8 @@ func (d *DCOH) settle(l *dline) {
 // abortRead retires a transaction whose requestor died: snoop results
 // are already committed (settle), so record what the snoops left behind
 // and move on without granting.
-func (d *DCOH) abortRead(l *dline, cur *tx) {
+func (d *DCOH) abortRead(l *dline) {
+	cur := l.cur
 	oldState := l.state
 	l.owner = msg.None
 	l.sharers = 0
@@ -283,31 +308,35 @@ func (d *DCOH) abortRead(l *dline, cur *tx) {
 	} else {
 		l.state = dI
 	}
-	l.cur = nil
+	l.cur = tx{}
 	if d.Tracer != nil {
 		d.traceState(cur.req.Addr, oldState, "aborted "+cur.req.Type.String())
 	}
 	d.drain(l)
 }
 
-// finishRead reads device memory and grants.
+// finishRead reads device memory and grants. The read's completion
+// looks the line up again by address.
 func (d *DCOH) finishRead(l *dline) {
-	cur := l.cur
-	if cur.aborted {
-		d.abortRead(l, cur)
+	if l.cur.aborted {
+		d.abortRead(l)
 		return
 	}
-	d.dram.Read(cur.req.Addr, func(data mem.Data) {
+	a := l.cur.req.Addr
+	d.dram.Read(a, func(data mem.Data) {
+		l := d.lines.Get(a)
+		cur := &l.cur
 		h := cur.req.Src
 		if cur.aborted || d.dead.Has(h) {
 			// The requestor crashed while the memory read was in flight.
-			d.abortRead(l, cur)
+			d.abortRead(l)
 			return
 		}
 		oldState := l.state
-		rsp := &msg.Msg{Addr: cur.req.Addr, Dst: h, VNet: msg.VRsp,
-			Data: msg.WithData(data), Poisoned: d.poisoned[cur.req.Addr]}
-		if cur.req.Type == msg.MemRdA {
+		req := cur.req
+		rsp := &msg.Msg{Addr: a, Dst: h, VNet: msg.VRsp,
+			Data: msg.WithData(data), Poisoned: l.poisoned}
+		if req.Type == msg.MemRdA {
 			rsp.Type = msg.CmpM
 			l.state = dM
 			l.owner = h
@@ -334,9 +363,9 @@ func (d *DCOH) finishRead(l *dline) {
 				l.state = dS
 			}
 		}
-		l.cur = nil
+		l.cur = tx{}
 		if d.Tracer != nil {
-			d.traceState(cur.req.Addr, oldState, cur.req.Type.String())
+			d.traceState(a, oldState, req.Type.String())
 		}
 		d.send(rsp)
 		d.drain(l)
@@ -346,7 +375,7 @@ func (d *DCOH) finishRead(l *dline) {
 // drain re-dispatches requests that queued behind the finished
 // transaction.
 func (d *DCOH) drain(l *dline) {
-	if len(l.queue) == 0 || l.cur != nil {
+	if len(l.queue) == 0 || l.busy() {
 		return
 	}
 	next := l.queue[0]
@@ -359,7 +388,7 @@ func (d *DCOH) drain(l *dline) {
 // StateOf reports the directory view of a line, for tests and the model
 // checker's invariants.
 func (d *DCOH) StateOf(a mem.LineAddr) (state string, owner msg.NodeID, sharers []msg.NodeID) {
-	l := d.lines[a]
+	l := d.lines.Peek(a)
 	if l == nil {
 		return "I", msg.None, nil
 	}
@@ -368,8 +397,8 @@ func (d *DCOH) StateOf(a mem.LineAddr) (state string, owner msg.NodeID, sharers 
 
 // Busy reports whether a transaction is in flight for line a.
 func (d *DCOH) Busy(a mem.LineAddr) bool {
-	l := d.lines[a]
-	return l != nil && l.cur != nil
+	l := d.lines.Peek(a)
+	return l != nil && l.busy()
 }
 
 // Reclaim summarizes one host-isolation walk.
@@ -395,22 +424,17 @@ type Reclaim struct {
 func (d *DCOH) ReclaimHost(h msg.NodeID) Reclaim {
 	d.dead.Add(h)
 	var r Reclaim
-	poison := func(a mem.LineAddr) {
-		if d.poisoned[a] {
+	poison := func(a mem.LineAddr, l *dline) {
+		if l.poisoned {
 			return
 		}
-		d.poisoned[a] = true
+		l.poisoned = true
 		r.Poisoned++
 		r.PoisonedLines = append(r.PoisonedLines, a)
 	}
-	addrs := make([]mem.LineAddr, 0, len(d.lines))
-	for a := range d.lines {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		l := d.lines[a]
-		if l.cur != nil {
+	for _, a := range d.lines.Lines(nil) {
+		l := d.lines.Get(a)
+		if l.busy() {
 			if l.cur.req.Src == h {
 				// The requestor died. Keep the transaction open until the
 				// surviving snoop responses land (their data still needs
@@ -424,7 +448,7 @@ func (d *DCOH) ReclaimHost(h msg.NodeID) Reclaim {
 				// only current copy died with it.
 				l.cur.pending.Remove(h)
 				if (l.state == dE || l.state == dM) && l.owner == h && !l.cur.dirty {
-					poison(a)
+					poison(a, l)
 				}
 				if l.cur.pending.Empty() {
 					d.settle(l)
@@ -434,22 +458,23 @@ func (d *DCOH) ReclaimHost(h msg.NodeID) Reclaim {
 		if l.sharers.Has(h) {
 			l.sharers.Remove(h)
 			r.Reclaimed++
-			if l.sharers.Empty() && l.state == dS && l.cur == nil {
+			if l.sharers.Empty() && l.state == dS && !l.busy() {
 				l.state = dI
 			}
 		}
 		if l.owner == h {
 			r.Reclaimed++
 			if l.state == dE || l.state == dM {
-				poison(a)
+				poison(a, l)
 			}
 			l.owner = msg.None
-			if l.cur == nil && (l.state == dE || l.state == dM) {
+			if !l.busy() && (l.state == dE || l.state == dM) {
 				l.state = dI
 			}
 		}
 		if len(l.queue) > 0 {
-			kept := l.queue[:0]
+			// A fresh array: a clone may share this one (mem.Clipper).
+			var kept []*msg.Msg
 			for _, m := range l.queue {
 				if m.Src == h {
 					r.NAKed++
@@ -460,7 +485,7 @@ func (d *DCOH) ReclaimHost(h msg.NodeID) Reclaim {
 			l.queue = kept
 		}
 	}
-	sort.Slice(r.PoisonedLines, func(i, j int) bool { return r.PoisonedLines[i] < r.PoisonedLines[j] })
+	slices.Sort(r.PoisonedLines)
 	return r
 }
 
@@ -470,24 +495,28 @@ func (d *DCOH) ReclaimHost(h msg.NodeID) Reclaim {
 // NAKed it, and the transaction stays open only to collect the
 // surviving snoop responses, never to grant.
 func (d *DCOH) ReferencesHost(h msg.NodeID) bool {
-	for _, l := range d.lines {
+	found := false
+	d.lines.ForEachRO(func(_ mem.LineAddr, l *dline) {
 		if l.owner == h || l.sharers.Has(h) {
-			return true
+			found = true
 		}
-		if l.cur != nil && (l.cur.pending.Has(h) || l.cur.req.Src == h && !l.cur.aborted) {
-			return true
+		if l.busy() && (l.cur.pending.Has(h) || l.cur.req.Src == h && !l.cur.aborted) {
+			found = true
 		}
 		for _, m := range l.queue {
 			if m.Src == h {
-				return true
+				found = true
 			}
 		}
-	}
-	return false
+	})
+	return found
 }
 
 // PoisonedLine reports whether a's data has been lost to a crash.
-func (d *DCOH) PoisonedLine(a mem.LineAddr) bool { return d.poisoned[a] }
+func (d *DCOH) PoisonedLine(a mem.LineAddr) bool {
+	l := d.lines.Peek(a)
+	return l != nil && l.poisoned
+}
 
 // ReviveHost re-admits a previously reclaimed host (crash rejoin): its
 // messages are accepted again. The host must come back cold — its state

@@ -3,7 +3,6 @@ package cxl
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"c3/internal/fp"
 	"c3/internal/mem"
@@ -14,15 +13,10 @@ import (
 // watchdog's reports, lines in address order.
 func (d *DCOH) DumpState(w io.Writer) {
 	fmt.Fprint(w, "DCOH")
-	var lines []mem.LineAddr
-	for a := range d.lines {
-		lines = append(lines, a)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, a := range lines {
-		l := d.lines[a]
+	for _, a := range d.lines.Lines(nil) {
+		l := d.lines.Peek(a)
 		fmt.Fprintf(w, "%x:%d:%d:%v", uint64(a), l.state, l.owner, l.sharers)
-		if l.cur != nil {
+		if l.busy() {
 			fmt.Fprintf(w, ":tx%d:%v:%v", l.cur.req.Src, l.cur.pending, l.cur.dirty)
 		}
 		fmt.Fprintf(w, ":q%d;", len(l.queue))
@@ -36,24 +30,24 @@ func (d *DCOH) DumpState(w io.Writer) {
 // "never referenced" and "referenced then fully released" merge.
 func (d *DCOH) Fingerprint(h *fp.Hasher, rn fp.Renamer) {
 	var lines fp.Bag
-	for a, l := range d.lines {
-		if l.state == dI && l.owner == msg.None && l.sharers.Empty() && l.cur == nil &&
+	d.lines.ForEachRO(func(a mem.LineAddr, l *dline) {
+		if l.state == dI && l.owner == msg.None && l.sharers.Empty() && !l.busy() &&
 			len(l.queue) == 0 {
-			continue
+			return
 		}
 		e := fp.New()
 		e.Line(a, rn)
 		e.Int(l.state)
 		e.Node(l.owner, rn)
 		e.Nodes(l.sharers, rn)
-		e.Bool(l.cur != nil)
-		if l.cur != nil {
+		e.Bool(l.busy())
+		if l.busy() {
 			e.Node(l.cur.req.Src, rn)
 			e.Nodes(l.cur.pending, rn)
 			e.Bool(l.cur.dirty)
 		}
 		e.Int(len(l.queue))
 		lines.Add(e)
-	}
+	})
 	h.Bag(lines)
 }

@@ -2,44 +2,27 @@ package hmesi
 
 import (
 	"c3/internal/mem"
-	"c3/internal/msg"
 	"c3/internal/network"
 	"c3/internal/sim"
 )
 
-// Clone returns a deep copy of the directory for model-checker
-// snapshots, attached to kernel k, fabric net, and an already-cloned
-// dram. All directory state is plain data; memory-access continuations
-// live as kernel events and must have drained before cloning. The
-// tracer is not carried over.
-//
-// Messages are immutable after Send (see msg.Msg), so queued *msg.Msg
-// pointers are shared with the original rather than deep-copied; queue
-// slice headers are still private, so post-clone appends never touch
-// the original's backing array. Directory records are allocated as one
-// slab, and sharer/dead vectors are NodeSet values that copy with their
-// struct — a clone costs O(lines) flat copies, not O(lines) maps.
+// Clone returns a copy of the directory for model-checker snapshots,
+// attached to kernel k, fabric net, and an already-cloned dram. All
+// directory state is plain data in one line table, shared copy-on-write
+// with the original (see mem.Table); memory-access continuations live
+// as kernel events and the outbox drains with them, so both must be
+// empty (the checker clones only quiescent states). The tracer is not
+// carried over.
 func (d *Dir) Clone(k *sim.Kernel, net network.Fabric, dram *mem.DRAM) *Dir {
-	n := &Dir{
+	if d.out.Len() != 0 {
+		panic("hmesi: Clone of directory with queued sends")
+	}
+	return &Dir{
 		id: d.id, k: k, net: net, dram: dram, Lat: d.Lat,
-		lines:    make(map[mem.LineAddr]*hline, len(d.lines)),
-		dead:     d.dead,
-		poisoned: make(map[mem.LineAddr]bool, len(d.poisoned)),
-		Stats:    d.Stats,
+		lines: d.lines.Clone(), dead: d.dead, Stats: d.Stats,
 	}
-	for a, v := range d.poisoned {
-		n.poisoned[a] = v
-	}
-	slab := make([]hline, len(d.lines))
-	i := 0
-	for a, l := range d.lines {
-		nl := &slab[i]
-		i++
-		*nl = *l
-		if len(l.queue) > 0 {
-			nl.queue = append([]*msg.Msg(nil), l.queue...)
-		}
-		n.lines[a] = nl
-	}
-	return n
 }
+
+// Release drops the directory's reference to its line table (see
+// mem.Table.Release); the directory must not be used afterwards.
+func (d *Dir) Release() { d.lines.Release() }

@@ -12,7 +12,7 @@ package hmesi
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"c3/internal/mem"
 	"c3/internal/msg"
@@ -48,7 +48,13 @@ type hline struct {
 	// GCopyBack).
 	lastFwdFrom msg.NodeID
 	queue       []*msg.Msg
+	// poisoned marks a line whose only current copy died with a host
+	// (sticky — see the DCOH's equivalent).
+	poisoned bool
 }
+
+// Clip implements mem.Clipper.
+func (l *hline) Clip() { l.queue = slices.Clip(l.queue) }
 
 // Stats aggregates directory telemetry.
 type Stats struct {
@@ -61,16 +67,17 @@ type Dir struct {
 	k    *sim.Kernel
 	net  network.Fabric
 	dram *mem.DRAM
-	// Lat is the controller occupancy added to outgoing messages.
+	// Lat is the controller occupancy added to outgoing messages. It
+	// must not change while messages are in flight: the outbox relies on
+	// them leaving in the order they were sent.
 	Lat sim.Time
 
-	lines map[mem.LineAddr]*hline
+	lines mem.Table[hline]
+	// out holds the messages waiting out Lat, oldest first.
+	out sim.FIFO[*msg.Msg]
 
-	// dead is the set of isolated (crashed) hosts; poisoned marks lines
-	// whose only current copy died with one (sticky — see the DCOH's
-	// equivalent).
-	dead     msg.NodeSet
-	poisoned map[mem.LineAddr]bool
+	// dead is the set of isolated (crashed) hosts.
+	dead msg.NodeSet
 
 	// Tracer, when non-nil, observes directory state transitions.
 	Tracer *trace.Tracer
@@ -80,7 +87,7 @@ type Dir struct {
 
 // traceState emits a directory transition. Callers guard on d.Tracer.
 func (d *Dir) traceState(a mem.LineAddr, old int, note string) {
-	l := d.lines[a]
+	l := d.lines.Peek(a)
 	new := hI
 	if l != nil {
 		new = l.state
@@ -90,9 +97,7 @@ func (d *Dir) traceState(a mem.LineAddr, old int, note string) {
 
 // New builds the directory with its backing memory.
 func New(id msg.NodeID, k *sim.Kernel, net network.Fabric, dram *mem.DRAM) *Dir {
-	return &Dir{id: id, k: k, net: net, dram: dram, Lat: 4,
-		lines:    make(map[mem.LineAddr]*hline),
-		poisoned: make(map[mem.LineAddr]bool)}
+	return &Dir{id: id, k: k, net: net, dram: dram, Lat: 4}
 }
 
 // ID returns the directory's network id.
@@ -101,19 +106,30 @@ func (d *Dir) ID() msg.NodeID { return d.id }
 // DRAM exposes the backing memory.
 func (d *Dir) DRAM() *mem.DRAM { return d.dram }
 
+// line returns a's record, creating an untouched one if absent. The
+// pointer is valid until the next line call or kernel event.
 func (d *Dir) line(a mem.LineAddr) *hline {
-	l := d.lines[a]
+	l := d.lines.Get(a)
 	if l == nil {
-		l = &hline{owner: msg.None, copyBackFrom: msg.None, pendingReq: msg.None,
-			lastFwdFrom: msg.None}
-		d.lines[a] = l
+		l = d.lines.Put(a)
+		l.owner, l.copyBackFrom, l.pendingReq, l.lastFwdFrom = msg.None, msg.None, msg.None, msg.None
 	}
 	return l
 }
 
+// send queues m on the outbox; it leaves Lat cycles later. Every
+// message waits the same Lat, so the events fire in push order and
+// each pops the head: no closure per message.
 func (d *Dir) send(m *msg.Msg) {
 	m.Src = d.id
-	d.k.After(d.Lat, func() { d.net.Send(m) })
+	d.out.Push(m)
+	d.k.ScheduleArg(d.k.Now()+d.Lat, sendNext, d)
+}
+
+// sendNext is the outbox event: the oldest queued message leaves.
+func sendNext(a any) {
+	d := a.(*Dir)
+	d.net.Send(d.out.Pop())
 }
 
 // Recv implements network.Port.
@@ -150,6 +166,7 @@ func (d *Dir) getS(m *msg.Msg) {
 	case hI:
 		l.busy = true
 		d.dram.Read(m.Addr, func(data mem.Data) {
+			l := d.lines.Get(m.Addr)
 			l.busy = false
 			if d.dead.Has(m.Src) {
 				// The requestor crashed while memory was read: do not
@@ -164,12 +181,13 @@ func (d *Dir) getS(m *msg.Msg) {
 				d.traceState(m.Addr, hI, "GGetS")
 			}
 			d.send(&msg.Msg{Type: msg.GDataE, Addr: m.Addr, Dst: m.Src, VNet: msg.VRsp,
-				Data: msg.WithData(data), Poisoned: d.poisoned[m.Addr]})
+				Data: msg.WithData(data), Poisoned: l.poisoned})
 			d.drain(m.Addr, l)
 		})
 	case hS:
 		l.busy = true
 		d.dram.Read(m.Addr, func(data mem.Data) {
+			l := d.lines.Get(m.Addr)
 			l.busy = false
 			if d.dead.Has(m.Src) {
 				d.drain(m.Addr, l)
@@ -177,7 +195,7 @@ func (d *Dir) getS(m *msg.Msg) {
 			}
 			l.sharers.Add(m.Src)
 			d.send(&msg.Msg{Type: msg.GData, Addr: m.Addr, Dst: m.Src, VNet: msg.VRsp,
-				Data: msg.WithData(data), Poisoned: d.poisoned[m.Addr]})
+				Data: msg.WithData(data), Poisoned: l.poisoned})
 			d.drain(m.Addr, l)
 		})
 	case hE, hM:
@@ -207,6 +225,7 @@ func (d *Dir) getM(m *msg.Msg) {
 	case hI:
 		l.busy = true
 		d.dram.Read(m.Addr, func(data mem.Data) {
+			l := d.lines.Get(m.Addr)
 			l.busy = false
 			if d.dead.Has(m.Src) {
 				d.drain(m.Addr, l)
@@ -218,7 +237,7 @@ func (d *Dir) getM(m *msg.Msg) {
 				d.traceState(m.Addr, hI, "GGetM")
 			}
 			d.send(&msg.Msg{Type: msg.GDataM, Addr: m.Addr, Dst: m.Src, VNet: msg.VRsp,
-				Data: msg.WithData(data), Poisoned: d.poisoned[m.Addr]})
+				Data: msg.WithData(data), Poisoned: l.poisoned})
 			d.drain(m.Addr, l)
 		})
 	case hS:
@@ -250,9 +269,10 @@ func (d *Dir) getM(m *msg.Msg) {
 		acks := n
 		l.busy = true
 		d.dram.Read(m.Addr, func(data mem.Data) {
+			l := d.lines.Get(m.Addr)
 			l.busy = false
 			d.send(&msg.Msg{Type: msg.GDataM, Addr: m.Addr, Dst: m.Src, Acks: acks,
-				VNet: msg.VRsp, Data: msg.WithData(data), Poisoned: d.poisoned[m.Addr]})
+				VNet: msg.VRsp, Data: msg.WithData(data), Poisoned: l.poisoned})
 			d.drain(m.Addr, l)
 		})
 	case hE, hM:
@@ -282,7 +302,7 @@ func (d *Dir) putM(m *msg.Msg) {
 	if m.Poisoned && m.Data != nil {
 		// Poison follows the writeback home: memory's copy is now the
 		// poisoned one.
-		d.poisoned[m.Addr] = true
+		l.poisoned = true
 	}
 	if l.owner == m.Src {
 		// An eviction from the current owner proves it holds data: the
@@ -367,7 +387,7 @@ func (d *Dir) putS(m *msg.Msg) {
 func (d *Dir) copyBack(m *msg.Msg) {
 	l := d.line(m.Addr)
 	if m.Poisoned && m.Data != nil {
-		d.poisoned[m.Addr] = true
+		l.poisoned = true
 	}
 	if l.lastFwdFrom != msg.None && (l.owner == m.Src || l.copyBackFrom == m.Src) {
 		// The downgrading owner demonstrably holds data.
@@ -443,21 +463,16 @@ type Reclaim struct {
 func (d *Dir) ReclaimHost(h msg.NodeID) Reclaim {
 	d.dead.Add(h)
 	var r Reclaim
-	poison := func(a mem.LineAddr) {
-		if d.poisoned[a] {
+	poison := func(a mem.LineAddr, l *hline) {
+		if l.poisoned {
 			return
 		}
-		d.poisoned[a] = true
+		l.poisoned = true
 		r.Poisoned++
 		r.PoisonedLines = append(r.PoisonedLines, a)
 	}
-	addrs := make([]mem.LineAddr, 0, len(d.lines))
-	for a := range d.lines {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		l := d.lines[a]
+	for _, a := range d.lines.Lines(nil) {
+		l := d.lines.Get(a)
 		if l.busy && l.copyBackFrom == h {
 			// The downgrading owner died owing GDataS to the requestor and
 			// GCopyBack to us: data lost. Synthesize a poisoned grant from
@@ -473,7 +488,7 @@ func (d *Dir) ReclaimHost(h msg.NodeID) Reclaim {
 			if l.sharers.Empty() {
 				l.state = hI
 			}
-			poison(a)
+			poison(a, l)
 			if req != msg.None && !d.dead.Has(req) {
 				r.NAKed++
 				d.synthGrant(msg.GData, a, req)
@@ -497,7 +512,7 @@ func (d *Dir) ReclaimHost(h msg.NodeID) Reclaim {
 			// drops the duplicate.
 			l.lastFwdFrom = msg.None
 			if l.owner != msg.None && l.owner != h && !d.dead.Has(l.owner) {
-				poison(a)
+				poison(a, l)
 				r.NAKed++
 				d.synthGrant(msg.GDataM, a, l.owner)
 			}
@@ -517,7 +532,7 @@ func (d *Dir) ReclaimHost(h msg.NodeID) Reclaim {
 			r.Reclaimed++
 			old := l.state
 			if l.state == hE || l.state == hM {
-				poison(a)
+				poison(a, l)
 			}
 			l.owner = msg.None
 			l.state = hI
@@ -526,7 +541,8 @@ func (d *Dir) ReclaimHost(h msg.NodeID) Reclaim {
 			}
 		}
 		if len(l.queue) > 0 {
-			kept := l.queue[:0]
+			// A fresh array: a clone may share this one (mem.Clipper).
+			var kept []*msg.Msg
 			for _, m := range l.queue {
 				if m.Src == h {
 					r.NAKed++
@@ -537,7 +553,7 @@ func (d *Dir) ReclaimHost(h msg.NodeID) Reclaim {
 			l.queue = kept
 		}
 	}
-	sort.Slice(r.PoisonedLines, func(i, j int) bool { return r.PoisonedLines[i] < r.PoisonedLines[j] })
+	slices.Sort(r.PoisonedLines)
 	return r
 }
 
@@ -553,22 +569,26 @@ func (d *Dir) synthGrant(t msg.Type, a mem.LineAddr, dst msg.NodeID) {
 
 // ReferencesHost reports whether any directory state still names h.
 func (d *Dir) ReferencesHost(h msg.NodeID) bool {
-	for _, l := range d.lines {
+	found := false
+	d.lines.ForEachRO(func(_ mem.LineAddr, l *hline) {
 		if l.owner == h || l.sharers.Has(h) || l.copyBackFrom == h ||
 			l.pendingReq == h || l.lastFwdFrom == h {
-			return true
+			found = true
 		}
 		for _, m := range l.queue {
 			if m.Src == h {
-				return true
+				found = true
 			}
 		}
-	}
-	return false
+	})
+	return found
 }
 
 // PoisonedLine reports whether a's data has been lost to a crash.
-func (d *Dir) PoisonedLine(a mem.LineAddr) bool { return d.poisoned[a] }
+func (d *Dir) PoisonedLine(a mem.LineAddr) bool {
+	l := d.lines.Peek(a)
+	return l != nil && l.poisoned
+}
 
 // ReviveHost re-admits a previously reclaimed host (crash rejoin): its
 // messages are accepted again. The host must come back cold — its state
@@ -577,7 +597,7 @@ func (d *Dir) ReviveHost(h msg.NodeID) { d.dead.Remove(h) }
 
 // StateOf reports the directory view for tests and invariants.
 func (d *Dir) StateOf(a mem.LineAddr) (state string, owner msg.NodeID, sharers []msg.NodeID) {
-	l := d.lines[a]
+	l := d.lines.Peek(a)
 	if l == nil {
 		return "I", msg.None, nil
 	}

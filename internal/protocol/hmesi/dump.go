@@ -3,7 +3,6 @@ package hmesi
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"c3/internal/fp"
 	"c3/internal/mem"
@@ -14,13 +13,8 @@ import (
 // watchdog's reports, lines in address order.
 func (d *Dir) DumpState(w io.Writer) {
 	fmt.Fprint(w, "HDIR")
-	var lines []mem.LineAddr
-	for a := range d.lines {
-		lines = append(lines, a)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, a := range lines {
-		l := d.lines[a]
+	for _, a := range d.lines.Lines(nil) {
+		l := d.lines.Peek(a)
 		fmt.Fprintf(w, "%x:%d:%d:%v:%v:%d:%d:q%d;", uint64(a), l.state, l.owner,
 			l.sharers, l.busy, l.copyBackFrom, l.pendingReq, len(l.queue))
 	}
@@ -34,10 +28,10 @@ func (d *Dir) DumpState(w io.Writer) {
 // breadcrumb, not protocol-visible state.
 func (d *Dir) Fingerprint(h *fp.Hasher, rn fp.Renamer) {
 	var lines fp.Bag
-	for a, l := range d.lines {
+	d.lines.ForEachRO(func(a mem.LineAddr, l *hline) {
 		if l.state == hI && l.owner == msg.None && l.sharers.Empty() && !l.busy &&
 			l.copyBackFrom == msg.None && l.pendingReq == msg.None && len(l.queue) == 0 {
-			continue
+			return
 		}
 		e := fp.New()
 		e.Line(a, rn)
@@ -49,6 +43,6 @@ func (d *Dir) Fingerprint(h *fp.Hasher, rn fp.Renamer) {
 		e.Node(l.pendingReq, rn)
 		e.Int(len(l.queue))
 		lines.Add(e)
-	}
+	})
 	h.Bag(lines)
 }

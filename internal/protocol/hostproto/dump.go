@@ -11,28 +11,19 @@ import (
 )
 
 // DumpState writes a readable rendering of all architectural state for
-// the hang watchdog's reports. Map iteration is sorted so equal states
+// the hang watchdog's reports, lines in address order, so equal states
 // dump identically.
 func (l *L1) DumpState(w io.Writer) {
 	fmt.Fprintf(w, "L1[%d]", l.id)
 	dumpCache(w, l.c)
-	var lines []mem.LineAddr
-	for a := range l.reqs {
-		lines = append(lines, a)
-	}
-	sortLines(lines)
+	lines := l.reqs.Lines(nil)
 	for _, a := range lines {
-		t := l.reqs[a]
+		t := l.reqs.Peek(a)
 		fmt.Fprintf(w, "R%x:%v:%d:%v:%d:%d;", uint64(a), t.wantM, len(t.ops), t.invalidated,
 			t.opsAtInv, len(t.stalledSnps))
 	}
-	lines = lines[:0]
-	for a := range l.evs {
-		lines = append(lines, a)
-	}
-	sortLines(lines)
-	for _, a := range lines {
-		t := l.evs[a]
+	for _, a := range l.evs.Lines(lines[:0]) {
+		t := l.evs.Peek(a)
 		fmt.Fprintf(w, "E%x:%d:%v;", uint64(a), t.state, t.data)
 	}
 	fmt.Fprintf(w, "d%d\n", len(l.deferred))
@@ -48,7 +39,7 @@ func (l *L1) DumpState(w io.Writer) {
 func (l *L1) Fingerprint(h *fp.Hasher, rn fp.Renamer, skipInvalid bool) {
 	l.c.Fingerprint(h, rn, skipInvalid)
 	var reqs fp.Bag
-	for a, t := range l.reqs {
+	l.reqs.ForEachRO(func(a mem.LineAddr, t *reqTBE) {
 		e := fp.New()
 		e.Line(a, rn)
 		e.Bool(t.wantM)
@@ -57,16 +48,16 @@ func (l *L1) Fingerprint(h *fp.Hasher, rn fp.Renamer, skipInvalid bool) {
 		e.Int(t.opsAtInv)
 		e.Int(len(t.stalledSnps))
 		reqs.Add(e)
-	}
+	})
 	h.Bag(reqs)
 	var evs fp.Bag
-	for a, t := range l.evs {
+	l.evs.ForEachRO(func(a mem.LineAddr, t *evictTBE) {
 		e := fp.New()
 		e.Line(a, rn)
 		e.Int(t.state)
 		e.Data(&t.data)
 		evs.Add(e)
-	}
+	})
 	h.Bag(evs)
 	h.Int(len(l.deferred))
 }
@@ -75,21 +66,12 @@ func (l *L1) Fingerprint(h *fp.Hasher, rn fp.Renamer, skipInvalid bool) {
 func (l *RCCL1) DumpState(w io.Writer) {
 	fmt.Fprintf(w, "RCC[%d]", l.id)
 	dumpCache(w, l.c)
-	var lines []mem.LineAddr
-	for a := range l.mask {
-		lines = append(lines, a)
-	}
-	sortLines(lines)
+	lines := l.mask.Lines(nil)
 	for _, a := range lines {
-		fmt.Fprintf(w, "m%x:%x;", uint64(a), l.mask[a])
+		fmt.Fprintf(w, "m%x:%x;", uint64(a), *l.mask.Peek(a))
 	}
-	lines = lines[:0]
-	for a := range l.pend {
-		lines = append(lines, a)
-	}
-	sortLines(lines)
-	for _, a := range lines {
-		fmt.Fprintf(w, "p%x:%d;", uint64(a), len(l.pend[a].ops))
+	for _, a := range l.pend.Lines(lines[:0]) {
+		fmt.Fprintf(w, "p%x:%d;", uint64(a), len(l.pend.Peek(a).ops))
 	}
 	if l.cur != nil {
 		fmt.Fprintf(w, "cur:%d:%d:%d;", l.cur.kind, l.cur.stage, l.cur.pendingAcks)
@@ -112,8 +94,4 @@ func dumpCache(w io.Writer, c *cache.Cache) {
 	for _, e := range es {
 		fmt.Fprintf(w, "c%x:%d:%v:%v;", uint64(e.a), e.s, e.d, e.v)
 	}
-}
-
-func sortLines(ls []mem.LineAddr) {
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
 }

@@ -19,6 +19,7 @@ package hostproto
 
 import (
 	"fmt"
+	"slices"
 
 	"c3/internal/cache"
 	"c3/internal/cpu"
@@ -64,7 +65,9 @@ func stateName(s int) string {
 	return [...]string{"?", "S", "E", "M", "O", "F", "Pend"}[s]
 }
 
-// pendingOp is a core request queued on a line transaction.
+// pendingOp is a core request queued on a line transaction. done is
+// nil for a tracked request (Token != 0) at an L1: its reply goes to the
+// L1's one core callback, so queued ops hold no closure.
 type pendingOp struct {
 	req   cpu.Request
 	done  func(cpu.Response)
@@ -96,7 +99,8 @@ func deliverReply(a any) {
 	r.done(r.r)
 }
 
-// reqTBE tracks an outstanding GetS/GetM.
+// reqTBE tracks an outstanding GetS/GetM, held by value in the L1's
+// request table.
 type reqTBE struct {
 	addr    mem.LineAddr
 	wantM   bool // GetM outstanding (else GetS)
@@ -110,6 +114,12 @@ type reqTBE struct {
 	// ISI_D), then the line dies.
 	invalidated bool
 	opsAtInv    int
+}
+
+// Clip implements mem.Clipper.
+func (t *reqTBE) Clip() {
+	t.ops = slices.Clip(t.ops)
+	t.stalledSnps = slices.Clip(t.stalledSnps)
 }
 
 // Evict TBE states.
@@ -143,18 +153,24 @@ func DefaultConfig(v Variant) Config {
 
 // L1 is one private MESI-family cache.
 type L1 struct {
-	id   msg.NodeID
-	dir  msg.NodeID
-	k    *sim.Kernel
-	net  network.Fabric
-	c    *cache.Cache
-	cfg  Config
-	reqs map[mem.LineAddr]*reqTBE
-	evs  map[mem.LineAddr]*evictTBE
+	id  msg.NodeID
+	dir msg.NodeID
+	k   *sim.Kernel
+	net network.Fabric
+	c   *cache.Cache
+	cfg Config
+	// reqs and evs are the per-line request and eviction TBEs (see
+	// mem.Table for the pointer rules).
+	reqs mem.Table[reqTBE]
+	evs  mem.Table[evictTBE]
 	// deferred holds ops stalled on set-conflict pressure (no frame and
 	// no evictable victim); retried on every completion.
 	deferred []pendingOp
 	replies  replyQueue
+	// done is the core's completion callback, kept from its tracked
+	// Accesses (cpu.MemPort: the core passes the same one to every
+	// call); replies to tracked ops go to it.
+	done func(cpu.Response)
 
 	// Accesses/Misses drive MPKI accounting.
 	Accesses, Misses uint64
@@ -184,10 +200,8 @@ func NewL1(id, dir msg.NodeID, k *sim.Kernel, net network.Fabric, cfg Config) *L
 	}
 	return &L1{
 		id: id, dir: dir, k: k, net: net,
-		c:    cache.New(cfg.SizeBytes, cfg.Ways),
-		cfg:  cfg,
-		reqs: make(map[mem.LineAddr]*reqTBE),
-		evs:  make(map[mem.LineAddr]*evictTBE),
+		c:   cache.New(cfg.SizeBytes, cfg.Ways),
+		cfg: cfg,
 	}
 }
 
@@ -217,6 +231,9 @@ func (l *L1) Access(req cpu.Request, done func(cpu.Response)) {
 	}
 	l.Accesses++
 	op := pendingOp{req: req, done: done, start: l.k.Now()}
+	if req.Token != 0 {
+		l.done, op.done = done, nil
+	}
 	l.start(op)
 }
 
@@ -226,7 +243,7 @@ func (l *L1) Access(req cpu.Request, done func(cpu.Response)) {
 // transaction.
 func (l *L1) prefetch(line mem.LineAddr, wantM bool, done func(cpu.Response)) {
 	defer done(cpu.Response{})
-	if l.reqs[line] != nil || l.evs[line] != nil {
+	if l.reqs.Peek(line) != nil || l.evs.Peek(line) != nil {
 		return
 	}
 	ty := msg.GetS
@@ -238,8 +255,7 @@ func (l *L1) prefetch(line mem.LineAddr, wantM bool, done func(cpu.Response)) {
 			return // already good enough
 		}
 		// Upgrade in place.
-		t := &reqTBE{addr: line, wantM: true, started: l.k.Now()}
-		l.reqs[line] = t
+		*l.reqs.Put(line) = reqTBE{addr: line, wantM: true, started: l.k.Now()}
 		l.send(&msg.Msg{Type: msg.GetM, Addr: line, VNet: msg.VReq})
 		return
 	}
@@ -252,14 +268,13 @@ func (l *L1) prefetch(line mem.LineAddr, wantM bool, done func(cpu.Response)) {
 	}
 	f := l.c.Install(line)
 	f.State = stPend
-	t := &reqTBE{addr: line, wantM: wantM, started: l.k.Now()}
-	l.reqs[line] = t
+	*l.reqs.Put(line) = reqTBE{addr: line, wantM: wantM, started: l.k.Now()}
 	l.send(&msg.Msg{Type: ty, Addr: line, VNet: msg.VReq})
 }
 
 func (l *L1) start(op pendingOp) {
 	line := op.req.Addr.Line()
-	if t := l.reqs[line]; t != nil {
+	if t := l.reqs.Get(line); t != nil {
 		// A transaction is already in flight; ride it.
 		if op.req.Kind.IsWrite() && !t.wantM {
 			// The pending GetS cannot satisfy a write; the replay loop
@@ -276,8 +291,7 @@ func (l *L1) start(op pendingOp) {
 		}
 		// Upgrade path: S/F/O + write.
 		l.Misses++
-		t := &reqTBE{addr: line, wantM: true, ops: []pendingOp{op}, started: l.k.Now()}
-		l.reqs[line] = t
+		*l.reqs.Put(line) = reqTBE{addr: line, wantM: true, ops: []pendingOp{op}, started: l.k.Now()}
 		l.send(&msg.Msg{Type: msg.GetM, Addr: line, VNet: msg.VReq})
 		return
 	}
@@ -299,10 +313,10 @@ func (l *L1) start(op pendingOp) {
 	}
 	f := l.c.Install(line)
 	f.State = stPend
-	t := &reqTBE{addr: line, wantM: op.req.Kind.IsWrite(), ops: []pendingOp{op}, started: l.k.Now()}
-	l.reqs[line] = t
+	wantM := op.req.Kind.IsWrite()
+	*l.reqs.Put(line) = reqTBE{addr: line, wantM: wantM, ops: []pendingOp{op}, started: l.k.Now()}
 	ty := msg.GetS
-	if t.wantM {
+	if wantM {
 		ty = msg.GetM
 	}
 	l.send(&msg.Msg{Type: ty, Addr: line, VNet: msg.VReq})
@@ -353,17 +367,24 @@ func (l *L1) reply(op pendingOp, val uint64, missed, poisoned bool) {
 	if missed {
 		r.MissLatency = l.k.Now() - op.start
 	}
+	if op.done == nil {
+		op.done = l.done
+	}
 	l.replies.schedule(l.k, l.cfg.HitLatency, op, r)
 }
 
 // evictable approves replacement victims: stable lines with no request
 // or eviction transaction in flight.
 func (l *L1) evictable(e *cache.Entry) bool {
-	return e.State != stPend && l.reqs[e.Addr] == nil && l.evs[e.Addr] == nil
+	return e.State != stPend && l.reqs.Peek(e.Addr) == nil && l.evs.Peek(e.Addr) == nil
 }
 
 func (l *L1) evictEntry(e *cache.Entry) {
-	t := &evictTBE{addr: e.Addr, data: e.Data, poisoned: e.Poisoned}
+	if l.evs.Peek(e.Addr) != nil {
+		panic("hostproto: double eviction")
+	}
+	t := l.evs.Put(e.Addr)
+	*t = evictTBE{addr: e.Addr, data: e.Data, poisoned: e.Poisoned}
 	var ty msg.Type
 	withData := false
 	switch e.State {
@@ -380,13 +401,9 @@ func (l *L1) evictEntry(e *cache.Entry) {
 	default:
 		panic(fmt.Sprintf("hostproto: evicting entry in state %s", stateName(e.State)))
 	}
-	if old := l.evs[e.Addr]; old != nil {
-		panic("hostproto: double eviction")
-	}
 	if l.Tracer != nil {
 		l.traceState(e.Addr, e.State, 0, "evict "+ty.String())
 	}
-	l.evs[e.Addr] = t
 	l.c.Remove(e)
 	m := &msg.Msg{Type: ty, Addr: t.addr, VNet: msg.VReq}
 	if withData {
@@ -409,8 +426,8 @@ func (l *L1) Recv(m *msg.Msg) {
 	case msg.SnpInv:
 		l.snoopInv(m)
 	case msg.PutAck:
-		if t := l.evs[m.Addr]; t != nil {
-			delete(l.evs, m.Addr)
+		if l.evs.Peek(m.Addr) != nil {
+			l.evs.Delete(m.Addr)
 			l.retryDeferred()
 		}
 	default:
@@ -419,18 +436,21 @@ func (l *L1) Recv(m *msg.Msg) {
 }
 
 func (l *L1) fill(m *msg.Msg) {
-	t := l.reqs[m.Addr]
-	if t == nil {
+	p := l.reqs.Peek(m.Addr)
+	if p == nil {
 		panic(fmt.Sprintf("hostproto: fill with no TBE: %v", m))
 	}
-	delete(l.reqs, m.Addr)
+	// The transaction retires: keep a copy, since replaying its ops may
+	// open the line's next one.
+	t := *p
+	l.reqs.Delete(m.Addr)
 
 	if m.Type == msg.DataS && t.invalidated {
 		// An Inv overtook this grant: the data is valid exactly at our
 		// transaction's serialization point. Serve the loads that were
 		// queued when the Inv arrived, drop the line, and re-request for
 		// anything else.
-		l.fillUseOnce(m, t)
+		l.fillUseOnce(m, &t)
 		l.retryDeferred()
 		return
 	}
@@ -466,7 +486,7 @@ func (l *L1) fill(m *msg.Msg) {
 	}
 	// Our transaction's queued ops complete against the granted state
 	// first; owner snoops that raced ahead are serialized after it.
-	l.replay(t, e)
+	l.replay(&t, e)
 	for _, snp := range t.stalledSnps {
 		l.Recv(snp)
 	}
@@ -542,14 +562,13 @@ func (l *L1) replyMiss(op pendingOp, val uint64, poisoned bool) {
 
 // upgrade issues a GetM for remaining ops after a shared fill.
 func (l *L1) upgrade(old *reqTBE, e *cache.Entry, rest []pendingOp) {
-	t := &reqTBE{addr: old.addr, wantM: true, started: l.k.Now()}
-	t.ops = append(t.ops, rest...)
-	l.reqs[old.addr] = t
+	*l.reqs.Put(old.addr) = reqTBE{addr: old.addr, wantM: true, started: l.k.Now(),
+		ops: append([]pendingOp(nil), rest...)}
 	l.send(&msg.Msg{Type: msg.GetM, Addr: old.addr, VNet: msg.VReq})
 }
 
 func (l *L1) invalidate(m *msg.Msg) {
-	if t := l.evs[m.Addr]; t != nil {
+	if t := l.evs.Get(m.Addr); t != nil {
 		t.state = evIIA
 		l.send(&msg.Msg{Type: msg.InvAck, Addr: m.Addr, Dst: m.Src, VNet: msg.VRsp})
 		return
@@ -559,7 +578,7 @@ func (l *L1) invalidate(m *msg.Msg) {
 		// We hold no data: ack immediately so the directory's count
 		// balances. If a shared grant is in flight it becomes use-once
 		// (see fillUseOnce).
-		if t := l.reqs[m.Addr]; t != nil && !t.invalidated {
+		if t := l.reqs.Get(m.Addr); t != nil && !t.invalidated {
 			t.invalidated = true
 			t.opsAtInv = len(t.ops)
 		}
@@ -582,7 +601,7 @@ func (l *L1) snoopData(m *msg.Msg) {
 	if l.stallOwnerSnoop(m) {
 		return
 	}
-	if t := l.evs[m.Addr]; t != nil {
+	if t := l.evs.Get(m.Addr); t != nil {
 		dirty := t.state == evMIA || t.state == evOIA
 		rsp := &msg.Msg{Type: msg.SnpRspData, Addr: m.Addr, Dst: m.Src, VNet: msg.VRsp,
 			Data: msg.WithData(t.data), Dirty: dirty, Poisoned: t.poisoned}
@@ -631,13 +650,13 @@ func (l *L1) snoopData(m *msg.Msg) {
 // data yet: the grant is in flight and guaranteed to arrive). A snoop
 // against a stable entry is answered from it directly.
 func (l *L1) stallOwnerSnoop(m *msg.Msg) bool {
-	t := l.reqs[m.Addr]
-	if t == nil || l.evs[m.Addr] != nil {
+	if l.reqs.Peek(m.Addr) == nil || l.evs.Peek(m.Addr) != nil {
 		return false
 	}
 	if e := l.c.Probe(m.Addr); e != nil && e.State != stPend {
 		return false
 	}
+	t := l.reqs.Get(m.Addr)
 	t.stalledSnps = append(t.stalledSnps, m)
 	return true
 }
@@ -646,7 +665,7 @@ func (l *L1) snoopInv(m *msg.Msg) {
 	if l.stallOwnerSnoop(m) {
 		return
 	}
-	if t := l.evs[m.Addr]; t != nil {
+	if t := l.evs.Get(m.Addr); t != nil {
 		dirty := t.state == evMIA || t.state == evOIA
 		rsp := &msg.Msg{Type: msg.SnpRspInv, Addr: m.Addr, Dst: m.Src, VNet: msg.VRsp}
 		if dirty {

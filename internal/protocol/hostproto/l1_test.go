@@ -181,7 +181,7 @@ func TestEvictionWritesBackDirty(t *testing.T) {
 	// PutAck retires the evict TBE.
 	l1.Recv(&msg.Msg{Type: msg.PutAck, Addr: put.Addr, Src: dirID})
 	drain(k)
-	if l1.evs[put.Addr] != nil {
+	if l1.evs.Peek(put.Addr) != nil {
 		t.Fatal("evict TBE not retired")
 	}
 }
@@ -319,7 +319,7 @@ func TestSnpInvDuringEviction(t *testing.T) {
 	// The stale PutAck still retires the TBE.
 	l1.Recv(&msg.Msg{Type: msg.PutAck, Addr: lineX, Src: dirID})
 	drain(k)
-	if l1.evs[lineX] != nil {
+	if l1.evs.Peek(lineX) != nil {
 		t.Fatal("evict TBE leaked")
 	}
 }

@@ -2,6 +2,7 @@ package hostproto
 
 import (
 	"fmt"
+	"slices"
 
 	"c3/internal/cache"
 	"c3/internal/cpu"
@@ -17,10 +18,14 @@ const (
 	rD            // valid with dirty words
 )
 
-// rccTBE tracks an outstanding GetV.
+// rccTBE tracks an outstanding GetV, held by value in the pending
+// table.
 type rccTBE struct {
 	ops []pendingOp
 }
+
+// Clip implements mem.Clipper.
+func (t *rccTBE) Clip() { t.ops = slices.Clip(t.ops) }
 
 // seqKind classifies the serialized synchronization operations.
 type seqKind uint8
@@ -48,16 +53,17 @@ type seqOp struct {
 // acquires self-invalidate clean lines (Sec. IV-D2, Fig. 8). It receives
 // no snoops — C3 answers device snoops from the CXL cache directly.
 type RCCL1 struct {
-	id   msg.NodeID
-	dir  msg.NodeID
-	k    *sim.Kernel
-	net  network.Fabric
-	c    *cache.Cache
-	cfg  Config
-	mask map[mem.LineAddr]uint8
-	pend map[mem.LineAddr]*rccTBE
-	// evAcks counts outstanding eviction write-throughs per line.
-	evAcks map[mem.LineAddr]int
+	id  msg.NodeID
+	dir msg.NodeID
+	k   *sim.Kernel
+	net network.Fabric
+	c   *cache.Cache
+	cfg Config
+	// mask holds each dirty line's dirty-word mask, pend its outstanding
+	// GetV, and evAcks its outstanding eviction write-throughs.
+	mask   mem.Table[uint8]
+	pend   mem.Table[rccTBE]
+	evAcks mem.Table[int]
 
 	cur      *seqOp
 	seqQueue []*seqOp
@@ -73,11 +79,8 @@ func NewRCC(id, dir msg.NodeID, k *sim.Kernel, net network.Fabric, cfg Config) *
 	}
 	return &RCCL1{
 		id: id, dir: dir, k: k, net: net,
-		c:      cache.New(cfg.SizeBytes, cfg.Ways),
-		cfg:    cfg,
-		mask:   make(map[mem.LineAddr]uint8),
-		pend:   make(map[mem.LineAddr]*rccTBE),
-		evAcks: make(map[mem.LineAddr]int),
+		c:   cache.New(cfg.SizeBytes, cfg.Ways),
+		cfg: cfg,
 	}
 }
 
@@ -86,6 +89,15 @@ func (l *RCCL1) ID() msg.NodeID { return l.id }
 
 // Cache exposes the array for tests.
 func (l *RCCL1) Cache() *cache.Cache { return l.c }
+
+// Release recycles the cache slab and the per-line stores; the cache
+// must not be used afterwards.
+func (l *RCCL1) Release() {
+	l.c.Release()
+	l.mask.Release()
+	l.pend.Release()
+	l.evAcks.Release()
+}
 
 // NeedsSyncOps implements cpu.MemPort: RCC caches act on fences.
 func (l *RCCL1) NeedsSyncOps() bool { return true }
@@ -136,7 +148,7 @@ func (l *RCCL1) Access(req cpu.Request, done func(cpu.Response)) {
 
 func (l *RCCL1) load(op pendingOp) {
 	line := op.req.Addr.Line()
-	if t := l.pend[line]; t != nil {
+	if t := l.pend.Get(line); t != nil {
 		t.ops = append(t.ops, op)
 		return
 	}
@@ -151,7 +163,7 @@ func (l *RCCL1) load(op pendingOp) {
 
 func (l *RCCL1) store(op pendingOp) {
 	line := op.req.Addr.Line()
-	if t := l.pend[line]; t != nil {
+	if t := l.pend.Get(line); t != nil {
 		t.ops = append(t.ops, op)
 		return
 	}
@@ -170,12 +182,12 @@ func (l *RCCL1) writeLocal(e *cache.Entry, req cpu.Request) {
 	w := req.Addr.WordIndex()
 	e.Data.SetWord(w, req.Val)
 	e.State = rD
-	l.mask[e.Addr] |= 1 << w
+	*l.mask.Put(e.Addr) |= 1 << w
 }
 
 func (l *RCCL1) getV(line mem.LineAddr, op pendingOp) {
 	if !l.c.HasSpace(line) {
-		v := l.c.VictimFunc(line, func(e *cache.Entry) bool { return l.pend[e.Addr] == nil })
+		v := l.c.VictimFunc(line, func(e *cache.Entry) bool { return l.pend.Peek(e.Addr) == nil })
 		if v == nil {
 			// Pathological set pressure; retry shortly.
 			l.k.After(10, func() { l.Access(op.req, op.done) })
@@ -184,20 +196,28 @@ func (l *RCCL1) getV(line mem.LineAddr, op pendingOp) {
 		l.evict(v)
 	}
 	f := l.c.Install(line)
-	f.State = rV // placeholder until DataV; pend map guards it
-	l.pend[line] = &rccTBE{ops: []pendingOp{op}}
+	f.State = rV // placeholder until DataV; the pend table guards it
+	*l.pend.Put(line) = rccTBE{ops: []pendingOp{op}}
 	l.send(&msg.Msg{Type: msg.GetV, Addr: line, VNet: msg.VReq})
+}
+
+// dirtyMask reports the dirty words of line a (0 when clean).
+func (l *RCCL1) dirtyMask(a mem.LineAddr) uint8 {
+	if m := l.mask.Peek(a); m != nil {
+		return *m
+	}
+	return 0
 }
 
 // evict drops a line, writing dirty words through first.
 func (l *RCCL1) evict(e *cache.Entry) {
 	if e.State == rD {
-		m := l.mask[e.Addr]
-		l.evAcks[e.Addr]++
+		m := l.dirtyMask(e.Addr)
+		*l.evAcks.Put(e.Addr)++
 		l.send(&msg.Msg{Type: msg.WrThrough, Addr: e.Addr, VNet: msg.VReq,
 			Data: msg.WithData(e.Data), Mask: m, Dirty: true})
 	}
-	delete(l.mask, e.Addr)
+	l.mask.Delete(e.Addr)
 	l.c.Remove(e)
 }
 
@@ -225,9 +245,9 @@ func (l *RCCL1) flushDirty(except mem.LineAddr, haveExcept bool) int {
 		}
 		n++
 		l.send(&msg.Msg{Type: msg.WrThrough, Addr: e.Addr, VNet: msg.VReq,
-			Data: msg.WithData(e.Data), Mask: l.mask[e.Addr], Dirty: true})
+			Data: msg.WithData(e.Data), Mask: l.dirtyMask(e.Addr), Dirty: true})
 		e.State = rV
-		delete(l.mask, e.Addr)
+		l.mask.Delete(e.Addr)
 	})
 	return n
 }
@@ -236,7 +256,7 @@ func (l *RCCL1) flushDirty(except mem.LineAddr, haveExcept bool) int {
 func (l *RCCL1) invalidateClean() {
 	var drop []*cache.Entry
 	l.c.ForEach(func(e *cache.Entry) {
-		if e.State == rV && l.pend[e.Addr] == nil {
+		if e.State == rV && l.pend.Peek(e.Addr) == nil {
 			drop = append(drop, e)
 		}
 	})
@@ -297,9 +317,10 @@ func (l *RCCL1) seqFlushed() {
 		if e := l.c.Probe(s.relLine); e != nil {
 			e.Data.SetWord(w, s.op.req.Val)
 			e.State = rD
-			l.mask[s.relLine] |= 1 << w
+			m := l.mask.Put(s.relLine)
+			*m |= 1 << w
 			data = e.Data
-			mask = l.mask[s.relLine]
+			mask = *m
 		} else {
 			data.SetWord(w, s.op.req.Val)
 			mask = 1 << w
@@ -332,11 +353,12 @@ func (l *RCCL1) seqDone(val uint64, poisoned bool) {
 func (l *RCCL1) Recv(m *msg.Msg) {
 	switch m.Type {
 	case msg.DataV:
-		t := l.pend[m.Addr]
-		if t == nil {
+		p := l.pend.Peek(m.Addr)
+		if p == nil {
 			panic(fmt.Sprintf("hostproto: DataV with no TBE at RCC L1 %d", l.id))
 		}
-		delete(l.pend, m.Addr)
+		ops := p.ops
+		l.pend.Delete(m.Addr)
 		e := l.c.Probe(m.Addr)
 		if e == nil {
 			panic("hostproto: DataV with no frame")
@@ -346,7 +368,7 @@ func (l *RCCL1) Recv(m *msg.Msg) {
 		old := e.Data
 		e.Data = *m.Data
 		e.Poisoned = m.Poisoned
-		if dm := l.mask[m.Addr]; dm != 0 {
+		if dm := l.dirtyMask(m.Addr); dm != 0 {
 			for w := 0; w < mem.LineWords; w++ {
 				if dm&(1<<w) != 0 {
 					e.Data.SetWord(w, old.Word(w))
@@ -356,7 +378,7 @@ func (l *RCCL1) Recv(m *msg.Msg) {
 		} else {
 			e.State = rV
 		}
-		for _, op := range t.ops {
+		for _, op := range ops {
 			switch op.req.Kind {
 			case cpu.Load:
 				l.reply(op, e.Data.Word(op.req.Addr.WordIndex()), true, e.Poisoned)
@@ -369,11 +391,11 @@ func (l *RCCL1) Recv(m *msg.Msg) {
 		}
 	case msg.PutAck:
 		// Ack for a WrThrough: eviction, sync flush, or release store.
-		if n := l.evAcks[m.Addr]; n > 0 {
-			if n == 1 {
-				delete(l.evAcks, m.Addr)
+		if n := l.evAcks.Get(m.Addr); n != nil {
+			if *n == 1 {
+				l.evAcks.Delete(m.Addr)
 			} else {
-				l.evAcks[m.Addr] = n - 1
+				*n--
 			}
 			return
 		}

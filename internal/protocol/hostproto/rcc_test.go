@@ -176,7 +176,7 @@ func TestRCCEvictionFlushesDirty(t *testing.T) {
 		i := i
 		l1.Access(cpu.Request{Kind: cpu.Store, Addr: mk(i), Val: uint64(i + 1)}, func(cpu.Response) {})
 		drain(k)
-		if t2 := l1.pend[mk(i).Line()]; t2 != nil {
+		if t2 := l1.pend.Peek(mk(i).Line()); t2 != nil {
 			l1.Recv(&msg.Msg{Type: msg.DataV, Addr: mk(i).Line(), Src: dirID, Data: data(0, 0)})
 			drain(k)
 		}

@@ -316,6 +316,9 @@ func (s *Spec) parseLine(line string) error {
 		}
 		s.Name = fields[1]
 	case "role":
+		if len(fields) != 2 {
+			return fmt.Errorf("role wants local or global")
+		}
 		switch fields[1] {
 		case "local":
 			s.Role = RoleLocal
@@ -430,6 +433,9 @@ func (s *Spec) parseLine(line string) error {
 		s.Evts = append(s.Evts, r)
 	case "acq":
 		// acq S send=MemRd,S  /  acq M send=MemRd,A
+		if len(fields) < 2 {
+			return fmt.Errorf("acq wants: acq S|M k=v...")
+		}
 		m, err := kvs(fields[2:])
 		if err != nil {
 			return err
@@ -456,6 +462,9 @@ func (s *Spec) parseLine(line string) error {
 		}
 	case "gsnp":
 		// gsnp BISnpInv access=store
+		if len(fields) < 2 {
+			return fmt.Errorf("gsnp wants: gsnp MSG access=load|store")
+		}
 		m, err := kvs(fields[2:])
 		if err != nil {
 			return err

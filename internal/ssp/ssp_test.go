@@ -142,6 +142,9 @@ func TestParseErrors(t *testing.T) {
 		{"global needs acq", "protocol X\nrole global\nclasses I\ngsnp A access=load", "needs acq"},
 		{"bad access", "protocol X\nrole global\nclasses I\nacq S send=a\nacq M send=b\nwb dirty=c\ngsnp A access=jump", "access=load|store"},
 		{"bad param", "protocol X\nparams zoom=true", "unknown param"},
+		{"bare role", "role", "role wants"},
+		{"bare acq", "acq", "acq wants"},
+		{"bare gsnp", "gsnp", "gsnp wants"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.text)
@@ -149,6 +152,24 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("%s: err = %v, want containing %q", c.name, err, c.wantErr)
 		}
 	}
+}
+
+// FuzzParseSpec feeds Parse arbitrary spec text, seeded with the six
+// embedded specs: it must return an error rather than panic, and a spec
+// it accepts must pass validate.
+func FuzzParseSpec(f *testing.F) {
+	for _, text := range []string{MESIText, MOESIText, MESIFText, RCCText, CXLText, HMESIText} {
+		f.Add(text)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		s, err := Parse(text)
+		if err != nil {
+			return
+		}
+		if err := s.validate(); err != nil {
+			t.Fatalf("Parse accepted a spec that fails validate: %v", err)
+		}
+	})
 }
 
 func TestCommentsAndBlankLines(t *testing.T) {

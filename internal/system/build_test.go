@@ -49,9 +49,7 @@ func TestConcurrentBuildsShareTables(t *testing.T) {
 				}
 				tickets := map[uint64]int{}
 				for _, src := range srcs {
-					for reg, v := range src.Regs {
-						tickets[uint64(reg%2)<<32|v]++
-					}
+					src.EachReg(func(reg int, v uint64) { tickets[uint64(reg%2)<<32|v]++ })
 				}
 				if len(tickets) != 2*incs {
 					t.Errorf("worker %d build %d: %d distinct RMW tickets, want %d", w, i, len(tickets), 2*incs)

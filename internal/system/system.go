@@ -8,7 +8,6 @@ package system
 import (
 	"fmt"
 
-	"c3/internal/cache"
 	"c3/internal/core"
 	"c3/internal/cpu"
 	"c3/internal/faults"
@@ -393,18 +392,25 @@ func (s *System) Start() {
 func (s *System) Done() bool { return s.finished == s.total }
 
 // Release retires the system, dropping its references to the pooled
-// cache frame slabs and the DRAM line stores so they recycle (see
-// cache.Release). The system must not be used afterwards. The litmus
-// runner releases each iteration's private system, which removes the
-// dominant per-iteration allocation (the multi-MiB CXL-cache arrays).
+// cache frame slabs and per-line tables so they recycle (see
+// cache.Release and mem.Table.Release). The system must not be used
+// afterwards. The litmus runner releases each iteration's private
+// system, which removes the dominant per-iteration allocation (the
+// multi-MiB CXL-cache arrays).
 func (s *System) Release() {
 	for _, cl := range s.Clusters {
-		cl.C3.ReleaseLLC()
+		cl.C3.Release()
 		for _, l1 := range cl.L1s {
-			if c, ok := l1.(interface{ Cache() *cache.Cache }); ok {
-				c.Cache().Release()
+			if r, ok := l1.(interface{ Release() }); ok {
+				r.Release()
 			}
 		}
+	}
+	if s.DCOH != nil {
+		s.DCOH.Release()
+	}
+	if s.HDir != nil {
+		s.HDir.Release()
 	}
 	s.DRAM.Release()
 	for _, lm := range s.LocalMems {

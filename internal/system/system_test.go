@@ -43,8 +43,8 @@ func TestSingleCoreStoreLoad(t *testing.T) {
 	})
 	s.AttachSource(0, 0, src)
 	mustRun(t, s)
-	if src.Regs[1] != 123 || src.Regs[2] != 0 {
-		t.Fatalf("regs = %v, want r1=123 r2=0", src.Regs)
+	if src.Regs[1].Val != 123 || src.Regs[2].Val != 0 {
+		t.Fatalf("regs = %+v, want r1=123 r2=0", src.Regs)
 	}
 }
 
@@ -116,12 +116,12 @@ func TestSharedCounterRMW(t *testing.T) {
 				// every RMW returned a distinct old value 0..N-1.
 				seen := map[uint64]bool{}
 				for _, src := range srcs {
-					for _, v := range src.Regs {
+					src.EachReg(func(_ int, v uint64) {
 						if seen[v] {
 							t.Fatalf("duplicate RMW ticket %d — atomicity violated", v)
 						}
 						seen[v] = true
-					}
+					})
 				}
 				if len(seen) != 2*cores*incs {
 					t.Fatalf("saw %d distinct tickets, want %d", len(seen), 2*cores*incs)
@@ -163,8 +163,8 @@ func TestDisjointLinesIntegrity(t *testing.T) {
 			mustRun(t, s)
 			for id, src := range srcs {
 				for n := 0; n < lines; n++ {
-					if src.Regs[n] != uint64(id*1000+n) {
-						t.Fatalf("core %d line %d read %d, want %d", id, n, src.Regs[n], id*1000+n)
+					if src.Regs[n].Val != uint64(id*1000+n) {
+						t.Fatalf("core %d line %d read %d, want %d", id, n, src.Regs[n].Val, id*1000+n)
 					}
 				}
 			}
@@ -236,8 +236,8 @@ func TestLLCEvictionPressure(t *testing.T) {
 			s.AttachSource(0, 0, src)
 			mustRun(t, s)
 			for n := 0; n < lines; n++ {
-				if src.Regs[n] != uint64(n+1) {
-					t.Fatalf("line %d read %d, want %d", n, src.Regs[n], n+1)
+				if src.Regs[n].Val != uint64(n+1) {
+					t.Fatalf("line %d read %d, want %d", n, src.Regs[n].Val, n+1)
 				}
 			}
 			if s.Clusters[0].C3.Stats.Evictions == 0 {
@@ -323,12 +323,12 @@ func TestRCCAtomics(t *testing.T) {
 	mustRun(t, s)
 	seen := map[uint64]bool{}
 	for _, src := range srcs {
-		for _, v := range src.Regs {
+		src.EachReg(func(_ int, v uint64) {
 			if seen[v] {
 				t.Fatalf("duplicate ticket %d", v)
 			}
 			seen[v] = true
-		}
+		})
 	}
 	if len(seen) != 4*incs {
 		t.Fatalf("got %d tickets, want %d", len(seen), 4*incs)
@@ -391,8 +391,8 @@ func TestHybridLocalLinesBypassGlobalProtocol(t *testing.T) {
 	s.AttachSource(1, 0, cpu.NewSliceSource(nil))
 	mustRun(t, s)
 	for i := 0; i < 16; i++ {
-		if src.Regs[i] != uint64(i+1) {
-			t.Fatalf("local line %d read %d", i, src.Regs[i])
+		if src.Regs[i].Val != uint64(i+1) {
+			t.Fatalf("local line %d read %d", i, src.Regs[i].Val)
 		}
 	}
 	c3 := s.Clusters[0].C3
@@ -439,8 +439,8 @@ func TestHybridEvictionWritesLocalMemory(t *testing.T) {
 	s.AttachSource(1, 0, cpu.NewSliceSource(nil))
 	mustRun(t, s)
 	for i := 0; i < lines; i++ {
-		if src.Regs[i] != uint64(i+1) {
-			t.Fatalf("line %d read %d after eviction round trip", i, src.Regs[i])
+		if src.Regs[i].Val != uint64(i+1) {
+			t.Fatalf("line %d read %d after eviction round trip", i, src.Regs[i].Val)
 		}
 	}
 	c3 := s.Clusters[0].C3
@@ -480,12 +480,12 @@ func TestThreeClusterCoherence(t *testing.T) {
 	mustRun(t, s)
 	seen := map[uint64]bool{}
 	for _, src := range srcs {
-		for _, v := range src.Regs {
+		src.EachReg(func(_ int, v uint64) {
 			if seen[v] {
 				t.Fatalf("duplicate ticket %d across three hosts", v)
 			}
 			seen[v] = true
-		}
+		})
 	}
 	if len(seen) != 3*incs {
 		t.Fatalf("tickets %d, want %d", len(seen), 3*incs)
@@ -523,7 +523,7 @@ func TestFourClusterIRIW(t *testing.T) {
 		s.AttachSource(2, 0, r1)
 		s.AttachSource(3, 0, r2)
 		mustRun(t, s)
-		if r1.Regs[0] == 1 && r1.Regs[1] == 0 && r2.Regs[0] == 1 && r2.Regs[1] == 0 {
+		if r1.Regs[0].Val == 1 && r1.Regs[1].Val == 0 && r2.Regs[0].Val == 1 && r2.Regs[1].Val == 0 {
 			t.Fatalf("seed %d: IRIW forbidden outcome across four hosts", seed)
 		}
 	}

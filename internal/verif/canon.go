@@ -80,8 +80,8 @@ func newSymmetry(m *Model) *symmetry {
 		vars:     t.Vars,
 		lineIdx:  make(map[mem.LineAddr]int, len(t.Vars)),
 	}
-	for _, l := range m.l1s {
-		s.l1Of = append(s.l1Of, l.l1.ID())
+	for _, t := range m.threads {
+		s.l1Of = append(s.l1Of, t.l1.ID())
 	}
 	// Programs exactly as Build instantiates them — symmetry must hold
 	// on what runs, not on the nominal test.
@@ -315,20 +315,20 @@ func (m *Model) fingerprintAs(s *symmetry, p *symPerm) uint64 {
 	h := fp.New()
 	for slot := 0; slot < s.nThreads; slot++ {
 		ti := p.threadAt[slot]
-		m.cores[ti].Fingerprint(&h, p)
-		src := m.srcs[ti]
+		m.threads[ti].core.Fingerprint(&h, p)
+		src := m.threads[ti].src
 		var regs fp.Bag
-		for r, v := range src.Regs {
+		src.EachReg(func(r int, v uint64) {
 			e := fp.New()
 			e.Int(r)
 			e.Word(v)
 			regs.Add(e)
-		}
+		})
 		h.Bag(regs)
 		h.Int(src.Pos())
 	}
 	for slot := 0; slot < s.nThreads; slot++ {
-		m.l1s[p.threadAt[slot]].l1.Fingerprint(&h, p, skipL1)
+		m.threads[p.threadAt[slot]].l1.Fingerprint(&h, p, skipL1)
 	}
 	for _, c3 := range m.c3s {
 		c3.Fingerprint(&h, p, skipLLC)

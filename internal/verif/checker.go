@@ -626,8 +626,8 @@ func (m *Model) checkInvariants() error {
 func (m *Model) checkSWMR() error {
 	for _, a := range m.lines() {
 		writers, readers := 0, 0
-		for _, l := range m.l1s {
-			e := l.cache.ProbeRO(a)
+		for _, t := range m.threads {
+			e := t.l1.Cache().ProbeRO(a)
 			if e == nil {
 				continue
 			}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"c3/internal/cache"
 	"c3/internal/core"
 	"c3/internal/cpu"
 	"c3/internal/litmus"
@@ -29,17 +28,22 @@ type ModelConfig struct {
 	TinyLLC bool
 }
 
+// thread is one litmus thread's core, program and host cache.
+type thread struct {
+	core *cpu.Core
+	src  *cpu.SliceSource
+	l1   *hostproto.L1
+}
+
 // Model is one instantiated system plus the handles the explorer needs.
 type Model struct {
 	cfg    ModelConfig
 	K      *sim.Kernel
 	Fabric *ChoiceFabric
 
-	cores []*cpu.Core
-	srcs  []*cpu.SliceSource
-	l1s   []*hostL1 // per thread
-	c3s   []*core.C3
-	dram  *mem.DRAM
+	threads []thread
+	c3s     [2]*core.C3 // per cluster
+	dram    *mem.DRAM
 	// one of:
 	dcoh *cxl.DCOH
 	hdir *hmesi.Dir
@@ -54,11 +58,6 @@ type Model struct {
 	// released makes Release idempotent and keeps the modelsLive pool
 	// accounting exact even if a model reaches two release paths.
 	released bool
-}
-
-type hostL1 struct {
-	l1    *hostproto.L1
-	cache *cache.Cache
 }
 
 // mesiFamily lists the local protocols the checker builds clusters of.
@@ -110,16 +109,14 @@ func Build(cfg ModelConfig) (*Model, error) {
 		return nil, fmt.Errorf("verif: %w", err)
 	}
 	m.dram, m.dcoh, m.hdir = sys.DRAM, sys.DCOH, sys.HDir
-	for _, cl := range sys.Clusters {
-		m.c3s = append(m.c3s, cl.C3)
+	for ci, cl := range sys.Clusters {
+		m.c3s[ci] = cl.C3
 	}
 	for ti, p := range lay.Threads {
 		l1 := sys.Clusters[p.Cluster].L1s[p.Slot].(*hostproto.L1)
 		src := cpu.NewSliceSource(p.Prog)
 		c := cpu.New(ti, m.K, cpu.DefaultConfig(cfg.MCMs[p.Cluster]), l1, src, nil)
-		m.cores = append(m.cores, c)
-		m.srcs = append(m.srcs, src)
-		m.l1s = append(m.l1s, &hostL1{l1: l1, cache: l1.Cache()})
+		m.threads = append(m.threads, thread{c, src, l1})
 	}
 	m.addrs = lay.Addrs
 	for _, a := range lay.Addrs {
@@ -132,8 +129,8 @@ func Build(cfg ModelConfig) (*Model, error) {
 
 // Start launches cores and quiesces internal events.
 func (m *Model) Start() {
-	for _, c := range m.cores {
-		c.Start()
+	for _, t := range m.threads {
+		t.core.Start()
 	}
 	m.Quiesce()
 }
@@ -155,8 +152,8 @@ func (m *Model) Step(a Action) {
 
 // AllFinished reports whether every core retired its program.
 func (m *Model) AllFinished() bool {
-	for _, c := range m.cores {
-		if !c.Finished() {
+	for _, t := range m.threads {
+		if !t.core.Finished() {
 			return false
 		}
 	}
@@ -169,10 +166,8 @@ func (m *Model) AllFinished() bool {
 // surfaces it as a VInvariant counterexample rather than panicking.
 func (m *Model) Outcome() (litmus.Outcome, error) {
 	o := litmus.Outcome{}
-	for i, src := range m.srcs {
-		for reg, val := range src.Regs {
-			o[litmus.Key(i, reg)] = val
-		}
+	for i, t := range m.threads {
+		t.src.EachReg(func(reg int, val uint64) { o[litmus.Key(i, reg)] = val })
 	}
 	for vi, v := range m.cfg.Test.Vars {
 		addr := m.addrs[vi]
@@ -191,8 +186,8 @@ func (m *Model) finalValue(a mem.LineAddr) (mem.Data, error) {
 	// An exclusive host copy is authoritative.
 	var owners []mem.Data
 	var shared []mem.Data
-	for _, l := range m.l1s {
-		if e := l.cache.ProbeRO(a); e != nil {
+	for _, t := range m.threads {
+		if e := t.l1.Cache().ProbeRO(a); e != nil {
 			switch e.State {
 			case 3, 4: // stM, stO (hostproto encoding)
 				owners = append(owners, e.Data)

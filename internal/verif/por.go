@@ -59,9 +59,9 @@ func (m *Model) ampleAction(sym *symmetry, acts []Action) int {
 	}
 	// Per-core future-line masks: window and store-buffer entries plus
 	// unfetched program (nv ≤ 16, so a word of bits suffices).
-	masks := make([]uint32, len(m.cores))
+	masks := make([]uint32, len(m.threads))
 	bad := false
-	for ci, c := range m.cores {
+	for ci, t := range m.threads {
 		var mask uint32
 		add := func(a mem.LineAddr) {
 			if i, found := sym.lineIdx[a]; found {
@@ -70,8 +70,8 @@ func (m *Model) ampleAction(sym *symmetry, acts []Action) int {
 				bad = true
 			}
 		}
-		c.FutureLines(add)
-		m.srcs[ci].FutureLines(add)
+		t.core.FutureLines(add)
+		t.src.FutureLines(add)
 		if bad {
 			return -1
 		}

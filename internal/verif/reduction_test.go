@@ -368,7 +368,7 @@ func TestOutcomeConflictIsInvariantNotPanic(t *testing.T) {
 	addr := mem.LineAddr(0x40000)
 	setRootMutate(t, func(m *Model) {
 		for i := 0; i < 2; i++ {
-			e := m.l1s[i].cache.Install(addr)
+			e := m.threads[i].l1.Cache().Install(addr)
 			e.State = 1 // stS: two shared copies keep SWMR happy...
 			e.Data = mem.Data{uint64(i + 1)}
 			e.DataValid = true // ...but their payloads disagree.

@@ -1,11 +1,6 @@
 package verif
 
-import (
-	"sync/atomic"
-
-	"c3/internal/core"
-	"c3/internal/cpu"
-)
+import "sync/atomic"
 
 // modelsLive counts models built or cloned and not yet released — the
 // pool-accounting signal behind the leak regression tests: after a
@@ -24,19 +19,21 @@ func ModelsLive() int64 { return modelsLive.Load() }
 // original untouched. The checker uses it to expand a frontier state's
 // successors without re-executing the delivery prefix from the root.
 //
-// The big flat arrays — cache frame slabs and the DRAM line store —
-// clone copy-on-write: the clone shares the parent's backing under a
-// refcount and a private copy materializes only on the first mutating
-// access (see cache.Cache and mem.DRAM). A successor that hashes to an
-// already-visited state is therefore cloned, stepped, hashed, and
-// discarded without ever copying the arrays its step left untouched.
+// All per-line state — cache frame slabs, every controller's line
+// tables and the DRAM line store — clones copy-on-write: the clone
+// shares the parent's backing under a refcount and a private copy
+// materializes only on the first mutating access (see cache.Cache and
+// mem.Table), so a clone allocates once per component. A successor that
+// hashes to an already-visited state is therefore cloned, stepped,
+// hashed, and discarded without copying any table its step left
+// untouched.
 //
 // Cloning is only defined at quiescent points (the only states the
 // checker visits): the kernel queue must be empty, which guarantees no
 // event closures reference the old graph. The one cross-component link
-// that outlives quiescence — an L1's pending core completions — is
-// rebound to the cloned core by request token (see cpu.Request.Token and
-// cpu.Core.Callback).
+// that outlives quiescence — an L1's pending core completions — goes
+// through the L1's core callback, which the clone takes from the cloned
+// core (see cpu.Request.Token and cpu.Core.Callback).
 //
 // Clone is read-only on the receiver except for the COW refcounts, so
 // several successors of the same parent may be cloned concurrently.
@@ -52,34 +49,27 @@ func (m *Model) Clone() *Model {
 		n.hdir = m.hdir.Clone(n.K, n.Fabric, n.dram)
 		n.Fabric.Register(n.hdir.ID(), n.hdir)
 	}
-	n.c3s = make([]*core.C3, 0, len(m.c3s))
-	for _, c3 := range m.c3s {
+	for ci, c3 := range m.c3s {
 		nc := c3.Clone(n.K, n.Fabric, n.Fabric)
 		n.Fabric.Register(nc.ID(), nc)
-		n.c3s = append(n.c3s, nc)
+		n.c3s[ci] = nc
 	}
-	n.cores = make([]*cpu.Core, 0, len(m.cores))
-	n.srcs = make([]*cpu.SliceSource, 0, len(m.srcs))
-	n.l1s = make([]*hostL1, 0, len(m.l1s))
-	hls := make([]hostL1, len(m.l1s))
-	for i, c := range m.cores {
-		src := m.srcs[i].Clone()
-		nc := c.Clone(n.K, src)
-		l1 := m.l1s[i].l1.Clone(n.K, n.Fabric, nc.Callback())
+	n.threads = make([]thread, len(m.threads))
+	for i, t := range m.threads {
+		src := t.src.Clone()
+		nc := t.core.Clone(n.K, src)
+		l1 := t.l1.Clone(n.K, n.Fabric, nc.Callback())
 		nc.BindL1(l1)
 		n.Fabric.Register(l1.ID(), l1)
-		n.cores = append(n.cores, nc)
-		n.srcs = append(n.srcs, src)
-		hls[i] = hostL1{l1: l1, cache: l1.Cache()}
-		n.l1s = append(n.l1s, &hls[i])
+		n.threads[i] = thread{nc, src, l1}
 	}
 	modelsLive.Add(1)
 	return n
 }
 
 // Release retires the model, dropping its references to the COW slabs
-// behind every cache and the DRAM store so sole-owned backings recycle
-// through their pools. The model must not be used afterwards. Calling
+// behind every cache and the per-line tables of every controller and
+// the DRAM, so sole-owned backings recycle through their pools. The model must not be used afterwards. Calling
 // Release is optional (unreleased backings are garbage collected); the
 // checker releases expanded bases, duplicate successors, and
 // budget-dropped snapshots to keep the clone hot path allocation-free.
@@ -89,11 +79,17 @@ func (m *Model) Release() {
 	}
 	m.released = true
 	modelsLive.Add(-1)
-	for _, l := range m.l1s {
-		l.cache.Release()
+	for _, t := range m.threads {
+		t.l1.Release()
 	}
 	for _, c3 := range m.c3s {
-		c3.ReleaseLLC()
+		c3.Release()
+	}
+	if m.dcoh != nil {
+		m.dcoh.Release()
+	}
+	if m.hdir != nil {
+		m.hdir.Release()
 	}
 	m.dram.Release()
 }
