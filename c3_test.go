@@ -149,6 +149,20 @@ func TestVerifyWitnessRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVerifyViolationCarriesReport: a violation comes back with the
+// report of the exploration that found it, so a caller can account for
+// the work done (c3check folds it into its run ledger).
+func TestVerifyViolationCarriesReport(t *testing.T) {
+	rep, err := c3.Verify("MP", c3.VerifyConfig{Unsynced: true, CheckForbidden: true})
+	var ve *c3.VerifyError
+	if !errors.As(err, &ve) {
+		t.Fatalf("want a *VerifyError, got %v", err)
+	}
+	if rep == nil || rep.States == 0 || rep.Builds == 0 || rep.Clones == 0 {
+		t.Fatalf("violation report shows no work: %+v", rep)
+	}
+}
+
 // TestFig10Shape asserts the headline result at reduced scale: CXL costs
 // a few percent on insensitive kernels, tens of percent on hot ones, and
 // every combo's geomean slowdown stays modest.

@@ -61,9 +61,8 @@ import (
 	"fmt"
 	"os"
 	"runtime/debug"
-	"strconv"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"c3"
@@ -129,9 +128,9 @@ func main() {
 		os.Exit(obs.ExitUsage)
 	}
 
-	// Live exploration counters: Verify's OnProgress callback stores into
-	// atomics, the statusz registry reads them — the checker itself never
-	// blocks on an HTTP reader.
+	// Live exploration counters: Verify's OnProgress callback stores a
+	// sample under a short lock, the statusz registry reads it — the
+	// checker itself never waits on an HTTP reader.
 	co := newCheckObserver()
 	cfg := c3.VerifyConfig{
 		Locals:         machine.Locals,
@@ -169,7 +168,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "c3check: -replay requires -test")
 			os.Exit(2)
 		}
-		path, err := parseWitness(*replay)
+		path, err := verif.ParseWitness(*replay)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "c3check: bad -replay path: %v\n", err)
 			os.Exit(2)
@@ -245,15 +244,7 @@ func main() {
 			}
 			break
 		}
-		if rep != nil {
-			// Small explorations finish under the progress stride — and
-			// aborted ones stop between strides; fold the final (possibly
-			// partial) counts so the ledger's totals are never stale.
-			co.progress(c3.CheckProgress{States: rep.States, Terminals: rep.Terminals,
-				Builds: rep.Builds, Clones: rep.Clones,
-				SymmetryMerges: rep.SymmetryMerges, PORSkips: rep.PORSkips})
-		}
-		co.TaskDone(i, err)
+		co.done(i, rep, err)
 		switch {
 		case err == nil:
 			status := "verified"
@@ -292,9 +283,9 @@ func main() {
 			ok = false
 			fmt.Printf("%-8s FAIL: %v\n", name, err)
 			if ve, isVE := err.(*c3.VerifyError); isVE {
-				fmt.Printf("witness: %s\n", formatWitness(ve.Witness))
+				fmt.Printf("witness: %s\n", verif.FormatWitness(ve.Witness))
 				fmt.Printf("  (%s; %d steps, minimized from %d; replay with: c3check -test %s%s -replay %s)\n",
-					ve.Kind, len(ve.Witness), ve.OriginalLen, name, replayFlags(cfg), formatWitness(ve.Witness))
+					ve.Kind, len(ve.Witness), ve.OriginalLen, name, replayFlags(cfg), verif.FormatWitness(ve.Witness))
 				if *witness {
 					printSteps(name, cfg, ve.Witness)
 				}
@@ -322,6 +313,7 @@ func main() {
 	}
 	exit := obs.ExitCode(verdict)
 	if *ledger != "" {
+		total, _ := co.snapshot()
 		var metrics bytes.Buffer
 		if err := co.registry.RenderJSON(&metrics); err != nil {
 			metrics.Reset()
@@ -338,9 +330,9 @@ func main() {
 			Metrics: json.RawMessage(metrics.Bytes()),
 			Extra: map[string]any{
 				"tests":           tests,
-				"states":          co.states.Load(),
-				"symmetry_merges": co.symmMerges.Load(),
-				"por_skips":       co.porSkips.Load(),
+				"states":          total.States,
+				"symmetry_merges": total.SymmetryMerges,
+				"por_skips":       total.PORSkips,
 			},
 		}
 		if err := obs.AppendLedger(*ledger, rec); err != nil {
@@ -350,58 +342,72 @@ func main() {
 	os.Exit(exit)
 }
 
-// checkObserver mirrors the checker's progress callbacks into atomics so
-// the statusz registry can render them from HTTP goroutines while the
-// exploration runs. Counters accumulate across the per-test runs (total
-// work this invocation did); frontier and depth are instantaneous.
+// checkObserver keeps the checker's progress for the statusz registry,
+// which renders it from HTTP goroutines while the exploration runs.
+// Counters accumulate across the per-test runs (total work this
+// invocation did); frontier and depth are instantaneous.
 type checkObserver struct {
 	*obs.Tracker
 	registry *trace.Registry
 
-	states, terminals, builds, clones atomic.Uint64
-	symmMerges, porSkips              atomic.Uint64
-	frontier, depth                   atomic.Int64
-	// base* carry the totals of completed tests, since each Verify call's
-	// Progress counts restart from zero.
-	baseStates, baseTerminals, baseBuilds, baseClones atomic.Uint64
-	baseSymmMerges, basePorSkips                      atomic.Uint64
+	mu sync.Mutex
+	// total sums the finished tests; cur is the running test's latest
+	// sample, whose counts restart with each Verify call.
+	total c3.CheckCounts
+	cur   c3.CheckProgress
 }
 
 func newCheckObserver() *checkObserver {
 	o := &checkObserver{Tracker: obs.NewTracker(), registry: trace.NewRegistry()}
-	o.registry.Counter("check.states", o.states.Load)
-	o.registry.Counter("check.terminals", o.terminals.Load)
-	o.registry.Counter("check.builds", o.builds.Load)
-	o.registry.Counter("check.clones", o.clones.Load)
-	o.registry.Counter("check.symmetry_merges", o.symmMerges.Load)
-	o.registry.Counter("check.por_skips", o.porSkips.Load)
-	o.registry.Gauge("check.frontier", func() float64 { return float64(o.frontier.Load()) })
-	o.registry.Gauge("check.depth", func() float64 { return float64(o.depth.Load()) })
+	for i, c := range o.total.Counters() {
+		o.registry.Counter("check."+c.Name, func() uint64 {
+			total, _ := o.snapshot()
+			return *total.Counters()[i].N
+		})
+	}
+	o.registry.Gauge("check.frontier", func() float64 { _, cur := o.snapshot(); return float64(cur.Frontier) })
+	o.registry.Gauge("check.depth", func() float64 { _, cur := o.snapshot(); return float64(cur.Depth) })
 	return o
 }
 
 func (o *checkObserver) progress(p c3.CheckProgress) {
-	o.states.Store(o.baseStates.Load() + p.States)
-	o.terminals.Store(o.baseTerminals.Load() + p.Terminals)
-	o.builds.Store(o.baseBuilds.Load() + p.Builds)
-	o.clones.Store(o.baseClones.Load() + p.Clones)
-	o.symmMerges.Store(o.baseSymmMerges.Load() + p.SymmetryMerges)
-	o.porSkips.Store(o.basePorSkips.Load() + p.PORSkips)
-	o.frontier.Store(int64(p.Frontier))
-	o.depth.Store(int64(p.Depth))
+	o.mu.Lock()
+	o.cur = p
+	o.mu.Unlock()
 }
 
-// TaskDone folds the finished test's counts into the bases so the next
-// test's restarted Progress values keep the totals monotonic.
-func (o *checkObserver) TaskDone(i int, err error) {
-	o.baseStates.Store(o.states.Load())
-	o.baseTerminals.Store(o.terminals.Load())
-	o.baseBuilds.Store(o.builds.Load())
-	o.baseClones.Store(o.clones.Load())
-	o.baseSymmMerges.Store(o.symmMerges.Load())
-	o.basePorSkips.Store(o.porSkips.Load())
-	o.frontier.Store(0)
+// snapshot returns the invocation's counts so far and the running
+// test's latest sample.
+func (o *checkObserver) snapshot() (c3.CheckCounts, c3.CheckProgress) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	total := o.total
+	add(&total, o.cur.Counts)
+	return total, o.cur
+}
+
+// done folds test i's final counts into the total and marks the task
+// done. Small explorations finish under the progress stride, and cut or
+// failed ones stop between strides, so the report (when there is one)
+// is fresher than the last sample.
+func (o *checkObserver) done(i int, rep *c3.VerifyReport, err error) {
+	o.mu.Lock()
+	last := o.cur.Counts
+	if rep != nil {
+		last = rep.CheckCounts
+	}
+	add(&o.total, last)
+	o.cur = c3.CheckProgress{}
+	o.mu.Unlock()
 	o.Tracker.TaskDone(i, err)
+}
+
+// add folds b into a, counter by counter.
+func add(a *c3.CheckCounts, b c3.CheckCounts) {
+	bc := b.Counters()
+	for i, c := range a.Counters() {
+		*c.N += *bc[i].N
+	}
 }
 
 // printSteps decodes a witness by replaying it.
@@ -414,14 +420,6 @@ func printSteps(test string, cfg c3.VerifyConfig, path []uint16) {
 	for i, s := range rr.Steps {
 		fmt.Printf("  step %3d  %s\n", i, s)
 	}
-}
-
-func formatWitness(path []uint16) string {
-	parts := make([]string, len(path))
-	for i, p := range path {
-		parts[i] = strconv.Itoa(int(p))
-	}
-	return strings.Join(parts, ",")
 }
 
 // replayFlags renders the non-default flags a -replay invocation needs
@@ -444,20 +442,4 @@ func replayFlags(cfg c3.VerifyConfig) string {
 		b.WriteString(" -unsynced")
 	}
 	return b.String()
-}
-
-func parseWitness(s string) ([]uint16, error) {
-	var path []uint16
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseUint(f, 10, 16)
-		if err != nil {
-			return nil, err
-		}
-		path = append(path, uint16(v))
-	}
-	return path, nil
 }

@@ -217,47 +217,34 @@ var (
 	ErrCheckInterrupted = verif.ErrCheckInterrupted
 )
 
+// CheckCounts are the exploration counters of a Verify run: distinct
+// States visited, Terminals reached, full model Builds and snapshot
+// Clones (the checker's cost profile), and the state-space reduction
+// counters — SymmetryMerges (successors folded onto a visited state by
+// a non-identity host/address renaming) and PORSkips (successor
+// expansions the partial-order reduction proved redundant), both zero
+// when the reduction is disabled. Counters lists them under their
+// registry names.
+type CheckCounts = verif.Counts
+
 // CheckProgress is a mid-exploration snapshot (VerifyConfig.OnProgress):
-// states visited, terminals, snapshot builds/clones, frontier size, and
-// the deepest expanded path so far.
-type CheckProgress struct {
-	States    uint64
-	Terminals uint64
-	Builds    uint64
-	Clones    uint64
-	Frontier  int
-	Depth     int
-	// SymmetryMerges / PORSkips are the state-space reduction counters so
-	// far (zero when the reductions are disabled).
-	SymmetryMerges uint64
-	PORSkips       uint64
-}
+// the counts so far, the frontier size, and the deepest expanded path.
+type CheckProgress = verif.Progress
 
 // VerifyReport summarizes an exhaustive exploration.
 type VerifyReport struct {
-	Test      string
-	States    uint64
-	Terminals uint64
+	Test string
+	CheckCounts
 	Outcomes  int
 	Truncated bool
 	// ForbiddenSkipped records that the shape declares a forbidden-outcome
 	// predicate but it was not evaluated (Unsynced without CheckForbidden).
 	ForbiddenSkipped bool
-	// Builds counts full model constructions; Clones counts snapshot deep
-	// copies (the snapshot checker's cost profile).
-	Builds uint64
-	Clones uint64
 	// MemSheds counts memory-pressure degradation events (see
 	// VerifyConfig.MemBudget); SnapshotBudgetEnd is the snapshot budget in
 	// force when exploration ended (0 = the tail ran replay-from-root).
 	MemSheds          uint64
 	SnapshotBudgetEnd int
-	// SymmetryMerges counts successors that folded onto a visited state
-	// through a non-identity host/address renaming; PORSkips counts
-	// successor expansions the partial-order reduction proved redundant.
-	// Both are zero when the corresponding reduction is disabled.
-	SymmetryMerges uint64
-	PORSkips       uint64
 	// OutcomeList is the sorted set of terminal litmus outcomes — the
 	// basis of reduction-soundness diffs (c3check -outcomes).
 	OutcomeList []string
@@ -315,13 +302,14 @@ func modelConfig(test string, cfg *VerifyConfig) (verif.ModelConfig, error) {
 // Verify exhaustively model-checks the named litmus shape on a small C3
 // system, checking deadlock freedom, SWMR, Rule I's forbidden compound
 // states, and the absence of forbidden outcomes. Violations come back as
-// a *VerifyError carrying a minimized, replayable witness.
+// a *VerifyError carrying a minimized, replayable witness, alongside the
+// report of the exploration that found it.
 func Verify(test string, cfg VerifyConfig) (*VerifyReport, error) {
 	mcfg, err := modelConfig(test, &cfg)
 	if err != nil {
 		return nil, err
 	}
-	ccfg := verif.CheckerConfig{
+	rep, err := verif.Check(mcfg, verif.CheckerConfig{
 		MaxStates:      cfg.MaxStates,
 		MaxDepth:       cfg.MaxDepth,
 		Workers:        cfg.Workers,
@@ -329,39 +317,25 @@ func Verify(test string, cfg VerifyConfig) (*VerifyReport, error) {
 		POROff:         cfg.POROff,
 		CrossCheck:     cfg.CrossCheck,
 		CheckForbidden: cfg.CheckForbidden,
+		OnProgress:     cfg.OnProgress,
 		Deadline:       cfg.Deadline,
 		Interrupt:      cfg.Interrupt,
 		MemBudget:      cfg.MemBudget,
-	}
-	if cfg.OnProgress != nil {
-		hook := cfg.OnProgress
-		ccfg.OnProgress = func(p verif.Progress) {
-			hook(CheckProgress{
-				States: p.States, Terminals: p.Terminals,
-				Builds: p.Builds, Clones: p.Clones,
-				Frontier: p.Frontier, Depth: p.Depth,
-				SymmetryMerges: p.SymmetryMerges, PORSkips: p.PORSkips,
-			})
+	})
+	// Violations, deadline and interrupt aborts carry the exploration so
+	// far, so callers can still account for and render what was covered.
+	var cex *verif.Counterexample
+	switch {
+	case errors.As(err, &cex):
+		err = &VerifyError{
+			Test: test, Kind: cex.Kind.String(), Msg: cex.Msg,
+			Witness: cex.Path, OriginalLen: cex.OriginalLen,
+			Minimized: cex.Minimized, cex: cex,
 		}
-	}
-	rep, err := verif.Check(mcfg, ccfg)
-	if err != nil {
-		var cex *verif.Counterexample
-		if errors.As(err, &cex) {
-			return nil, &VerifyError{
-				Test: test, Kind: cex.Kind.String(), Msg: cex.Msg,
-				Witness: cex.Path, OriginalLen: cex.OriginalLen,
-				Minimized: cex.Minimized, cex: cex,
-			}
-		}
-		// Deadline and interrupt aborts carry the partial exploration so
-		// callers can still render what was covered before the cut.
-		if rep != nil && (errors.Is(err, ErrCheckDeadline) || errors.Is(err, ErrCheckInterrupted)) {
-			return verifyReport(test, rep), err
-		}
+	case err != nil && !errors.Is(err, ErrCheckDeadline) && !errors.Is(err, ErrCheckInterrupted):
 		return nil, err
 	}
-	return verifyReport(test, rep), nil
+	return verifyReport(test, rep), err
 }
 
 func verifyReport(test string, rep *verif.Report) *VerifyReport {
@@ -371,13 +345,14 @@ func verifyReport(test string, rep *verif.Report) *VerifyReport {
 	}
 	sort.Strings(outs)
 	return &VerifyReport{
-		Test: test, States: rep.States, Terminals: rep.Terminals,
-		Outcomes: len(rep.Outcomes), Truncated: rep.Truncated,
-		ForbiddenSkipped: rep.ForbiddenSkipped,
-		Builds:           rep.Builds, Clones: rep.Clones,
-		MemSheds: rep.MemSheds, SnapshotBudgetEnd: rep.SnapshotBudgetEnd,
-		SymmetryMerges: rep.SymmetryMerges, PORSkips: rep.PORSkips,
-		OutcomeList: outs,
+		Test:              test,
+		CheckCounts:       rep.Counts,
+		Outcomes:          len(rep.Outcomes),
+		Truncated:         rep.Truncated,
+		ForbiddenSkipped:  rep.ForbiddenSkipped,
+		MemSheds:          rep.MemSheds,
+		SnapshotBudgetEnd: rep.SnapshotBudgetEnd,
+		OutcomeList:       outs,
 	}
 }
 

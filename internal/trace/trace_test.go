@@ -393,6 +393,27 @@ func TestWatchdogStructuredReport(t *testing.T) {
 	}
 }
 
+// TestWatchdogFiresOnLowestLine: when several open lines fall silent
+// together, the report names the lowest-addressed one on every run,
+// whatever order the lines opened in.
+func TestWatchdogFiresOnLowestLine(t *testing.T) {
+	for run := 0; run < 50; run++ {
+		k := &sim.Kernel{}
+		tr := trace.New()
+		w := trace.NewWatchdog(k, 100, 0)
+		tr.SetWatchdog(w)
+		var got trace.HangReport
+		w.OnHangReport = func(r trace.HangReport) { got = r }
+		for i, addr := range []mem.LineAddr{0x100, 0x40, 0x140, 0x80, 0xc0} {
+			tr.MsgSend(k.Now(), &msg.Msg{Type: msg.GetM, Addr: addr, Src: 3, Dst: 2, VNet: msg.VReq, Serial: uint64(i + 1)})
+		}
+		k.Run(nil)
+		if got.Line != 0x40 {
+			t.Fatalf("run %d: watchdog named line %v, want the lowest stale line 0x40", run, got.Line)
+		}
+	}
+}
+
 // disabledTracer is package-level so the compiler cannot fold the nil
 // checks away: this is exactly the shape of every hook site.
 var disabledTracer *trace.Tracer

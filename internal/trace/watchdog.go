@@ -177,8 +177,9 @@ func (w *Watchdog) disarm() {
 	}
 }
 
-// check fires the report for any silent open line, or re-arms for the
-// least recently active one.
+// check fires the report for the lowest-addressed silent open line, so
+// a run names the same hung line every time, or re-arms for the least
+// recently active one.
 func (w *Watchdog) check() {
 	w.armed = false
 	if w.fired || len(w.open) == 0 {
@@ -186,16 +187,21 @@ func (w *Watchdog) check() {
 	}
 	now := w.k.Now()
 	var stalest sim.Time
+	var hung *atxn
+	var hungAddr mem.LineAddr
 	first := true
 	for addr, t := range w.open {
-		if now-t.last > w.MaxAge {
-			w.fire(addr, t)
-			return
+		if now-t.last > w.MaxAge && (hung == nil || addr < hungAddr) {
+			hung, hungAddr = t, addr
 		}
 		if first || t.last < stalest {
 			stalest = t.last
 			first = false
 		}
+	}
+	if hung != nil {
+		w.fire(hungAddr, hung)
+		return
 	}
 	w.timer = w.k.Schedule(stalest+w.MaxAge+1, w.check)
 	w.armed = true

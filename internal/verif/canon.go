@@ -350,17 +350,15 @@ func (m *Model) fingerprintAs(s *symmetry, p *symPerm) uint64 {
 	return h.Sum()
 }
 
-// outcomeOrbit returns the images of a terminal outcome under every
+// outcomeOrbit returns o followed by its images under every
 // non-identity renaming in the group. When the checker merges symmetric
 // states it visits only one representative terminal per orbit; recording
 // the orbit images keeps Report.Outcomes (and the Forbidden evaluation)
 // identical to an unreduced exploration. Register keys are invariant —
 // only register-free threads permute — so only variable keys move.
 func (s *symmetry) outcomeOrbit(o litmus.Outcome) []litmus.Outcome {
-	if len(s.perms) == 1 {
-		return nil
-	}
-	out := make([]litmus.Outcome, 0, len(s.perms)-1)
+	out := make([]litmus.Outcome, 1, len(s.perms))
+	out[0] = o
 	for i := 1; i < len(s.perms); i++ {
 		p := &s.perms[i]
 		no := make(litmus.Outcome, len(o))

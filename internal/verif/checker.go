@@ -1,6 +1,7 @@
 package verif
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -23,19 +24,11 @@ var (
 	ErrCheckInterrupted = errors.New("check interrupted")
 )
 
-// Report summarizes one exhaustive exploration.
-type Report struct {
+// Counts are the exploration counters a Report totals and a Progress
+// samples. A new counter is one field here plus its entry in Counters.
+type Counts struct {
 	States    uint64 // distinct states visited
 	Terminals uint64 // terminal (all-retired, fabric-empty) states
-	Outcomes  map[string]bool
-	Truncated bool // MaxStates reached before exhaustion
-	MaxDepth  int
-	// ForbiddenSkipped records that the test declares a Forbidden
-	// predicate but the checker did not evaluate it because the model ran
-	// with relaxed synchronization (Sync != SyncFull) — relaxed outcomes
-	// the predicate names are then architecturally legal. Set
-	// CheckerConfig.CheckForbidden to evaluate it anyway.
-	ForbiddenSkipped bool
 	// Builds counts full model constructions (Build + Start + prefix
 	// re-execution); Clones counts snapshot deep copies. Together they
 	// expose the cost profile: snapshot exploration does O(states) cheap
@@ -43,16 +36,6 @@ type Report struct {
 	// through Builds.
 	Builds uint64
 	Clones uint64
-	// MemSheds counts memory-pressure degradation events: each time the
-	// sampled heap crossed CheckerConfig.MemBudget the checker halved its
-	// snapshot budget and released frontier snapshots instead of risking
-	// an OOM kill. Shedding trades CPU (prefix replays) for memory; the
-	// exploration result is unaffected.
-	MemSheds uint64
-	// SnapshotBudgetEnd is the snapshot budget in force when exploration
-	// ended — equal to the configured budget unless shedding tightened it
-	// (0 = the tail ran in replay-from-root mode).
-	SnapshotBudgetEnd int
 	// SymmetryMerges counts successor states that folded onto an
 	// already-visited state through a non-identity symmetry renaming —
 	// the observable yield of the symmetry reduction. It records which
@@ -64,6 +47,62 @@ type Report struct {
 	// ample delivery).
 	PORSkips uint64
 }
+
+// Counter is one exploration counter under its registry name.
+type Counter struct {
+	Name string
+	N    *uint64
+}
+
+// Counters lists c's counters under their registry names, in field
+// order.
+func (c *Counts) Counters() []Counter {
+	return []Counter{
+		{"states", &c.States},
+		{"terminals", &c.Terminals},
+		{"builds", &c.Builds},
+		{"clones", &c.Clones},
+		{"symmetry_merges", &c.SymmetryMerges},
+		{"por_skips", &c.PORSkips},
+	}
+}
+
+// Report summarizes one exhaustive exploration.
+type Report struct {
+	Counts
+	Outcomes  map[string]bool
+	Truncated bool // MaxStates reached before exhaustion
+	MaxDepth  int
+	// ForbiddenSkipped records that the test declares a Forbidden
+	// predicate but the checker did not evaluate it because the model ran
+	// with relaxed synchronization (Sync != SyncFull) — relaxed outcomes
+	// the predicate names are then architecturally legal. Set
+	// CheckerConfig.CheckForbidden to evaluate it anyway.
+	ForbiddenSkipped bool
+	// MemSheds counts memory-pressure degradation events: each time the
+	// sampled heap crossed CheckerConfig.MemBudget the checker halved its
+	// snapshot budget and released frontier snapshots instead of risking
+	// an OOM kill. Shedding trades CPU (prefix replays) for memory; the
+	// exploration result is unaffected.
+	MemSheds uint64
+	// SnapshotBudgetEnd is the snapshot budget in force when exploration
+	// ended — the 4096 default unless shedding tightened it (0 = the tail
+	// ran in replay-from-root mode).
+	SnapshotBudgetEnd int
+}
+
+// Internal strides and budgets, each with a test seam in CheckerConfig.
+const (
+	// defaultSnapshotBudget caps live frontier snapshots. Frontier
+	// entries beyond it drop their model and are rebuilt by prefix
+	// replay when popped, bounding memory on wide state spaces.
+	defaultSnapshotBudget = 4096
+	// defaultProgressEvery is the OnProgress period in visited states.
+	defaultProgressEvery = 2048
+	// defaultMemSampleEvery is the heap sampling period in frontier
+	// pops. Sampling stops the world, so it is strided.
+	defaultMemSampleEvery = 256
+)
 
 // CheckerConfig bounds the exploration.
 type CheckerConfig struct {
@@ -81,24 +120,18 @@ type CheckerConfig struct {
 	// exploration must produce identical Reports) and as a low-memory
 	// fallback.
 	ReplayFromRoot bool
-	// SnapshotBudget caps live frontier snapshots (0 -> 4096). Frontier
-	// entries beyond the budget drop their model and are rebuilt by prefix
-	// replay when popped, bounding memory on wide state spaces.
-	SnapshotBudget int
 	// CheckForbidden evaluates the test's Forbidden predicate even under
 	// relaxed synchronization, where it is normally skipped (see
 	// Report.ForbiddenSkipped). Used to demonstrate witness extraction on
 	// outcomes that are reachable by design.
 	CheckForbidden bool
 	// OnProgress, when non-nil, receives a periodic exploration snapshot
-	// about every ProgressEvery visited states — the live-introspection
-	// feed behind c3check -statusz. It runs serially on the exploration
+	// about every 2048 visited states — the live-introspection feed
+	// behind c3check -statusz. It runs serially on the exploration
 	// goroutine between expansions (never concurrently); implementations
 	// that republish to other goroutines must synchronize. The hook
 	// cannot influence exploration.
 	OnProgress func(Progress)
-	// ProgressEvery is the OnProgress period in states (0 -> 2048).
-	ProgressEvery uint64
 	// Deadline bounds the exploration's wall clock (zero = none). When it
 	// passes, Check returns the partial Report with an error wrapping
 	// ErrCheckDeadline.
@@ -108,17 +141,13 @@ type CheckerConfig struct {
 	// error wrapping ErrCheckInterrupted.
 	Interrupt <-chan struct{}
 	// MemBudget is a soft heap budget in bytes (0 = none). The checker
-	// samples the heap periodically; over budget it degrades instead of
-	// OOMing — halving SnapshotBudget, releasing frontier snapshots from
-	// the tail, and falling back to replay-from-root when the budget
-	// reaches zero. Degradation is recorded in Report.MemSheds and never
-	// changes States/Terminals/Outcomes, only the Builds/Clones cost
-	// profile.
+	// samples the heap every 256 frontier pops; over budget it degrades
+	// instead of OOMing — halving the snapshot budget, releasing frontier
+	// snapshots from the tail, and falling back to replay-from-root when
+	// the budget reaches zero. Degradation is recorded in
+	// Report.MemSheds and never changes States/Terminals/Outcomes, only
+	// the Builds/Clones cost profile.
 	MemBudget uint64
-	// MemSampleEvery is the heap sampling period in frontier pops
-	// (0 -> 256). Sampling stops the world, so it is strided; small
-	// values are for tests and tiny state spaces.
-	MemSampleEvery int
 	// POROff disables the partial-order reduction, expanding every
 	// enabled delivery at every state.
 	POROff bool
@@ -127,23 +156,20 @@ type CheckerConfig struct {
 	// their Outcomes and violation verdicts match — the proof harness for
 	// the reduction layer. Cost: both explorations run in full.
 	CrossCheck bool
+
+	// Test seams overriding the defaults above (0 = default).
+	snapshotBudget int
+	progressEvery  uint64
+	memSampleEvery int
 }
 
-// Progress is a mid-exploration snapshot for live introspection.
+// Progress is a mid-exploration snapshot for live introspection: the
+// Report's counters so far, the current BFS queue length, and the
+// deepest path expanded yet.
 type Progress struct {
-	// States / Terminals / Builds / Clones mirror the Report counters so
-	// far; Frontier is the current BFS queue length; Depth the deepest
-	// path expanded yet.
-	States    uint64
-	Terminals uint64
-	Builds    uint64
-	Clones    uint64
-	Frontier  int
-	Depth     int
-	// SymmetryMerges / PORSkips mirror the Report's reduction counters so
-	// far (zero when the reductions are disabled).
-	SymmetryMerges uint64
-	PORSkips       uint64
+	Counts
+	Frontier int
+	Depth    int
 }
 
 // Check exhaustively explores mcfg's state space and verifies all
@@ -154,7 +180,7 @@ type Progress struct {
 // States are expanded by copy-on-write cloning the frontier snapshot
 // (Model.Clone) and delivering one message to each copy; the delivery
 // prefix is re-executed from the root only for entries whose snapshot
-// was dropped (SnapshotBudget) or when ReplayFromRoot is set.
+// was dropped (the snapshot budget) or when ReplayFromRoot is set.
 func Check(mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
 	// sym is the admitted renaming group (identity-only for asymmetric
 	// tests); the POR shares its line index and set-conflict gate. It
@@ -172,19 +198,45 @@ func Check(mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
 	return check(mcfg, ccfg, sym)
 }
 
+// errTruncated ends an exploration that reached MaxStates; check
+// returns it as a bounded Report, not as an error.
+var errTruncated = errors.New("verif: state budget reached")
+
+// successor is a state one delivery past a frontier state, measured:
+// its orbit fingerprint, whether a non-identity renaming attained it,
+// and its invariant verdict. m is its model, which the frontier may
+// keep as a snapshot.
+type successor struct {
+	hash    uint64
+	renamed bool
+	invErr  error
+	m       *Model
+}
+
+// step delivers a to m, a copy of a frontier state (a clone, or a
+// replay of its prefix), and measures the successor under sym.
+// Invariants are pure functions of the state, so measuring a successor
+// the frontier already holds changes nothing observable.
+func (m *Model) step(sym *symmetry, a Action) successor {
+	m.Step(a)
+	s := successor{m: m, invErr: m.checkInvariants()}
+	s.hash, s.renamed = m.fingerprint(sym)
+	return s
+}
+
 // check explores mcfg's state space, merging states whose fingerprints
 // agree under the renaming group sym.
-func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (*Report, error) {
-	if ccfg.MaxStates == 0 {
-		ccfg.MaxStates = 200_000
+func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, err error) {
+	ccfg.MaxStates = cmp.Or(ccfg.MaxStates, 200_000)
+	ccfg.MaxDepth = cmp.Or(ccfg.MaxDepth, 400)
+	ccfg.snapshotBudget = cmp.Or(ccfg.snapshotBudget, defaultSnapshotBudget)
+	ccfg.progressEvery = cmp.Or(ccfg.progressEvery, defaultProgressEvery)
+	ccfg.memSampleEvery = cmp.Or(ccfg.memSampleEvery, defaultMemSampleEvery)
+	m0, err := replay(mcfg, nil, nil)
+	if err != nil {
+		return nil, err
 	}
-	if ccfg.MaxDepth == 0 {
-		ccfg.MaxDepth = 400
-	}
-	if ccfg.SnapshotBudget == 0 {
-		ccfg.SnapshotBudget = 4096
-	}
-	rep := &Report{Outcomes: map[string]bool{}}
+	rep = &Report{Outcomes: map[string]bool{}}
 	// visited dedups states by their 64-bit fingerprint. Caveat: two
 	// distinct states that collide in 64 bits would silently merge,
 	// pruning part of the space — with ~10^6 states the collision odds
@@ -214,47 +266,70 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (*Report, error)
 		return cex
 	}
 
-	// replayPath reconstructs the state after a delivery prefix. Callers
-	// account rep.Builds serially (this also runs inside parallel.Map).
-	replayPath := func(path []uint16) (*Model, error) {
-		m, err := newModel(mcfg)
-		if err != nil {
-			return nil, err
-		}
-		for _, ai := range path {
-			acts := m.Fabric.Enabled()
-			if int(ai) >= len(acts) {
-				return nil, fmt.Errorf("verif: replay diverged (action %d of %d)", ai, len(acts))
-			}
-			m.Step(acts[ai])
-		}
-		return m, nil
-	}
-
 	// The frontier carries each state's path always and its snapshot when
-	// the budget allows; live tracks retained snapshots.
+	// the budget allows; live counts retained snapshots.
 	type frontierEntry struct {
 		path []uint16
 		m    *Model
 	}
 	var frontier []frontierEntry
 	live := 0
-	// Pool accounting: whatever path Check returns on — violation,
-	// truncation, deadline, interrupt — the snapshots still parked in
-	// the frontier must go back to their pools (frontier is captured by
-	// reference, so the closure sees the final slice).
+	// Whatever path check returns on — violation, truncation, deadline,
+	// interrupt — the snapshots still parked in the frontier go back to
+	// their pools (frontier is captured by reference, so the closure sees
+	// the final slice), SnapshotBudgetEnd reports the budget in force,
+	// and a truncation becomes a bounded Report.
 	defer func() {
-		for i := range frontier {
-			if frontier[i].m != nil {
-				frontier[i].m.Release()
-			}
+		for _, ent := range frontier {
+			ent.m.Release()
+		}
+		rep.SnapshotBudgetEnd = ccfg.snapshotBudget
+		if err == errTruncated {
+			rep.Truncated, err = true, nil
 		}
 	}()
 
-	m0, err := replayPath(nil)
-	if err != nil {
-		return nil, err
+	// push parks the state at path in the frontier, keeping m as its
+	// snapshot while the budget allows and releasing it otherwise (the
+	// entry then replays its prefix when popped).
+	push := func(path []uint16, m *Model) {
+		ent := frontierEntry{path: path}
+		if !ccfg.ReplayFromRoot && live < ccfg.snapshotBudget {
+			ent.m = m
+			live++
+		} else {
+			m.Release()
+		}
+		frontier = append(frontier, ent)
 	}
+
+	// admit takes successor s, reached by delivering the ai-th enabled
+	// action at path, into the frontier unless its state was visited
+	// before, and reports whether it was new. s's model is parked or
+	// released either way. An error ends the exploration: a
+	// counterexample, or errTruncated at MaxStates.
+	admit := func(path []uint16, ai int, s successor) (bool, error) {
+		if _, seen := visited[s.hash]; seen {
+			s.m.Release()
+			return false, nil
+		}
+		visited[s.hash] = struct{}{}
+		rep.States++
+		np := make([]uint16, len(path)+1)
+		copy(np, path)
+		np[len(path)] = uint16(ai)
+		if s.invErr != nil {
+			s.m.Release()
+			return true, fail(VInvariant, s.invErr.Error(), np)
+		}
+		if rep.States >= ccfg.MaxStates {
+			s.m.Release()
+			return true, errTruncated
+		}
+		push(np, s.m)
+		return true, nil
+	}
+
 	rep.Builds++
 	h0, _ := m0.fingerprint(sym)
 	visited[h0] = struct{}{}
@@ -263,31 +338,12 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (*Report, error)
 		m0.Release()
 		return rep, fail(VInvariant, err.Error(), nil)
 	}
-	if ccfg.ReplayFromRoot {
-		m0.Release()
-		frontier = append(frontier, frontierEntry{})
-	} else {
-		frontier = append(frontier, frontierEntry{m: m0})
-		live++
-	}
+	push(nil, m0)
 
-	progressEvery := ccfg.ProgressEvery
-	if progressEvery == 0 {
-		progressEvery = 2048
-	}
 	var lastProgress uint64
-
-	// SnapshotBudgetEnd reflects the budget in force at exit on every
-	// return path, including violations and aborts.
-	defer func() { rep.SnapshotBudgetEnd = ccfg.SnapshotBudget }()
-
 	// Memory pressure is sampled on a stride because ReadMemStats stops
 	// the world; deadline and interrupt polls are O(ns) per pop (vDSO
 	// clock read + non-blocking select), negligible next to an expansion.
-	memSampleStride := ccfg.MemSampleEvery
-	if memSampleStride <= 0 {
-		memSampleStride = 256
-	}
 	popsSinceSample := 0
 
 	for len(frontier) > 0 {
@@ -304,7 +360,7 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (*Report, error)
 				mcfg.Test.Name, ErrCheckDeadline, rep.States)
 		}
 		if ccfg.MemBudget > 0 {
-			if popsSinceSample++; popsSinceSample >= memSampleStride {
+			if popsSinceSample++; popsSinceSample >= ccfg.memSampleEvery {
 				popsSinceSample = 0
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
@@ -314,13 +370,13 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (*Report, error)
 				// snapshots from the tail, where entries wait longest
 				// before being popped. The exploration itself is untouched:
 				// stripped entries rebuild by prefix replay when popped.
-				if ms.HeapAlloc > ccfg.MemBudget && (ccfg.SnapshotBudget > 0 || live > 0) {
+				if ms.HeapAlloc > ccfg.MemBudget && (ccfg.snapshotBudget > 0 || live > 0) {
 					rep.MemSheds++
-					ccfg.SnapshotBudget /= 2
-					if ccfg.SnapshotBudget < 32 {
-						ccfg.SnapshotBudget = 0
+					ccfg.snapshotBudget /= 2
+					if ccfg.snapshotBudget < 32 {
+						ccfg.snapshotBudget = 0
 					}
-					for i := len(frontier) - 1; i >= 0 && live > ccfg.SnapshotBudget; i-- {
+					for i := len(frontier) - 1; i >= 0 && live > ccfg.snapshotBudget; i-- {
 						if frontier[i].m != nil {
 							frontier[i].m.Release()
 							frontier[i].m = nil
@@ -331,14 +387,9 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (*Report, error)
 				}
 			}
 		}
-		if ccfg.OnProgress != nil && rep.States-lastProgress >= progressEvery {
+		if ccfg.OnProgress != nil && rep.States-lastProgress >= ccfg.progressEvery {
 			lastProgress = rep.States
-			ccfg.OnProgress(Progress{
-				States: rep.States, Terminals: rep.Terminals,
-				Builds: rep.Builds, Clones: rep.Clones,
-				Frontier: len(frontier), Depth: rep.MaxDepth,
-				SymmetryMerges: rep.SymmetryMerges, PORSkips: rep.PORSkips,
-			})
+			ccfg.OnProgress(Progress{Counts: rep.Counts, Frontier: len(frontier), Depth: rep.MaxDepth})
 		}
 		ent := frontier[0]
 		frontier[0] = frontierEntry{}
@@ -351,34 +402,26 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (*Report, error)
 		if base != nil {
 			live--
 		} else {
-			base, err = replayPath(path)
-			if err != nil {
+			if base, err = replay(mcfg, path, nil); err != nil {
 				return rep, err
 			}
 			rep.Builds++
 		}
 		acts := base.Fabric.Enabled()
 		if len(acts) == 0 {
-			if !base.AllFinished() {
-				base.Release()
-				return rep, fail(VDeadlock, "cores stuck with empty fabric", path)
-			}
-			rep.Terminals++
-			o, oerr := base.Outcome()
-			if oerr != nil {
-				// An incoherent terminal (conflicting exclusive owners,
-				// busy line, disagreeing copies) is an invariant breach
-				// the per-state checks cannot see — witness it instead
-				// of panicking.
-				base.Release()
-				return rep, fail(VInvariant, oerr.Error(), path)
-			}
+			o, kind, msg := base.settle()
 			base.Release()
+			if kind != VDeadlock { // every core retired: a terminal, coherent or not
+				rep.Terminals++
+			}
+			if kind != VNone {
+				return rep, fail(kind, msg, path)
+			}
 			// Under symmetry reduction this terminal stands in for every
 			// terminal in its orbit: record the orbit images too, so the
 			// outcome set (and the Forbidden verdict) matches an
 			// unreduced exploration.
-			for _, oo := range append([]litmus.Outcome{o}, sym.outcomeOrbit(o)...) {
+			for _, oo := range sym.outcomeOrbit(o) {
 				rep.Outcomes[oo.String()] = true
 				if checkForbidden && mcfg.Test.Forbidden(oo) {
 					return rep, fail(VForbidden, oo.String(), path)
@@ -404,79 +447,37 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (*Report, error)
 		// byte-identical at every worker count.
 		if !ccfg.POROff && len(acts) > 1 {
 			if ample := base.ampleAction(sym, acts); ample >= 0 {
-				probe := base.Clone()
 				rep.Clones++
-				probe.Step(acts[ample])
-				h, _ := probe.fingerprint(sym)
-				if _, seen := visited[h]; !seen {
+				fresh, err := admit(path, ample, base.Clone().step(sym, acts[ample]))
+				if fresh {
 					rep.PORSkips += uint64(len(acts) - 1)
-					visited[h] = struct{}{}
-					rep.States++
-					np := make([]uint16, len(path)+1)
-					copy(np, path)
-					np[len(path)] = uint16(ample)
-					if err := probe.checkInvariants(); err != nil {
-						probe.Release()
-						base.Release()
-						return rep, fail(VInvariant, err.Error(), np)
-					}
-					if rep.States >= ccfg.MaxStates {
-						probe.Release()
-						base.Release()
-						rep.Truncated = true
-						return rep, nil
-					}
-					ent := frontierEntry{path: np}
-					if !ccfg.ReplayFromRoot && live < ccfg.SnapshotBudget {
-						ent.m = probe
-						live++
-					} else {
-						probe.Release()
-					}
-					frontier = append(frontier, ent)
 					base.Release()
+					if err != nil {
+						return rep, err
+					}
 					continue
 				}
-				probe.Release()
 			}
 		}
-		// Expand all successors in parallel: each branch deep-copies the
-		// frontier snapshot (or, under ReplayFromRoot, re-executes the
-		// prefix on a fresh model) and delivers one message. Clone is
-		// read-only on the parent, so branches are independent. The merge
-		// below runs serially in canonical action order, so visited-set
-		// updates, state counts, truncation, and the frontier are
-		// byte-identical to a serial exploration — and identical between
-		// the snapshot and replay strategies, which reach the same states.
-		// Invariants are pure functions of the state, so checking them
-		// eagerly here (even for states the merge will skip as already
-		// visited) changes nothing observable.
-		type successor struct {
-			hash    uint64
-			renamed bool
-			invErr  error
-			m       *Model
-		}
+		// Expand all successors in parallel: each branch copies the
+		// frontier state — a snapshot clone, or under ReplayFromRoot a
+		// re-execution of the prefix on a fresh model — and delivers one
+		// message. Clone is read-only on the parent, so branches are
+		// independent. The merge below runs serially in canonical action
+		// order, so visited-set updates, state counts, truncation, and
+		// the frontier are byte-identical to a serial exploration — and
+		// identical between the snapshot and replay strategies, which
+		// reach the same states.
 		kids, err := parallel.Map(context.Background(), ccfg.Workers, len(acts),
 			func(ai int) (successor, error) {
-				var m *Model
-				if ccfg.ReplayFromRoot {
-					var err error
-					if m, err = replayPath(path); err != nil {
-						return successor{}, err
-					}
-				} else {
-					m = base.Clone()
+				if !ccfg.ReplayFromRoot {
+					return base.Clone().step(sym, acts[ai]), nil
 				}
-				m.Step(m.Fabric.Enabled()[ai])
-				s := successor{invErr: m.checkInvariants()}
-				s.hash, s.renamed = m.fingerprint(sym)
-				if ccfg.ReplayFromRoot {
-					m.Release()
-				} else {
-					s.m = m
+				m, err := replay(mcfg, path, nil)
+				if err != nil {
+					return successor{}, err
 				}
-				return s, nil
+				return m.step(sym, acts[ai]), nil
 			})
 		if err != nil {
 			base.Release()
@@ -491,62 +492,19 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (*Report, error)
 		// holds its own references, so releasing the parent never frees
 		// a slab a successor still shares.
 		base.Release()
-		// releaseKids drains un-merged successors on an early return;
-		// merged entries hand their snapshot to the frontier (or release
-		// it themselves) and are nilled out, so the sweep is exact.
-		releaseKids := func(from int) {
-			for i := from; i < len(kids); i++ {
-				if kids[i].m != nil {
-					kids[i].m.Release()
-				}
+		for ai, s := range kids {
+			fresh, err := admit(path, ai, s)
+			if !fresh && s.renamed {
+				// The fold came from a non-identity renaming: this
+				// successor merged with a symmetric sibling.
+				rep.SymmetryMerges++
 			}
-		}
-		for ai := range kids {
-			kid := kids[ai]
-			kids[ai].m = nil
-			if _, seen := visited[kid.hash]; seen {
-				if kid.renamed {
-					// The fold came from a non-identity renaming: this
-					// successor merged with a symmetric sibling.
-					rep.SymmetryMerges++
+			if err != nil {
+				for _, k := range kids[ai+1:] {
+					k.m.Release()
 				}
-				if kid.m != nil {
-					kid.m.Release()
-				}
-				continue
+				return rep, err
 			}
-			visited[kid.hash] = struct{}{}
-			rep.States++
-			np := make([]uint16, len(path)+1)
-			copy(np, path)
-			np[len(path)] = uint16(ai)
-			if kid.invErr != nil {
-				if kid.m != nil {
-					kid.m.Release()
-				}
-				releaseKids(ai + 1)
-				return rep, fail(VInvariant, kid.invErr.Error(), np)
-			}
-			if rep.States >= ccfg.MaxStates {
-				if kid.m != nil {
-					kid.m.Release()
-				}
-				releaseKids(ai + 1)
-				rep.Truncated = true
-				return rep, nil
-			}
-			ent := frontierEntry{path: np}
-			if kid.m != nil {
-				if live < ccfg.SnapshotBudget {
-					ent.m = kid.m
-					live++
-				} else {
-					// Over budget: drop the snapshot (the entry replays
-					// its prefix when popped) and recycle its backings.
-					kid.m.Release()
-				}
-			}
-			frontier = append(frontier, ent)
 		}
 	}
 	return rep, nil

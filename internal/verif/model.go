@@ -160,10 +160,25 @@ func (m *Model) AllFinished() bool {
 	return true
 }
 
+// settle classifies a state with no enabled delivery: VDeadlock when
+// cores are stuck, VInvariant for an incoherent terminal (see Outcome),
+// and otherwise VNone with the terminal's outcome. A new end-state
+// violation kind is one more case here.
+func (m *Model) settle() (litmus.Outcome, ViolationKind, string) {
+	if !m.AllFinished() {
+		return nil, VDeadlock, "cores stuck with empty fabric"
+	}
+	o, err := m.Outcome()
+	if err != nil {
+		return nil, VInvariant, err.Error()
+	}
+	return o, VNone, ""
+}
+
 // Outcome gathers thread registers and final memory values. An error
 // means the terminal state is incoherent (conflicting exclusive owners,
-// a line still busy, or disagreeing shared copies) — the checker
-// surfaces it as a VInvariant counterexample rather than panicking.
+// a line still busy, or disagreeing shared copies) — settle surfaces
+// it as a VInvariant verdict rather than panicking.
 func (m *Model) Outcome() (litmus.Outcome, error) {
 	o := litmus.Outcome{}
 	for i, t := range m.threads {

@@ -20,7 +20,7 @@ func TestCheckerProgress(t *testing.T) {
 	var last Progress
 	rep, err := Check(mcfg, CheckerConfig{
 		Workers:       1,
-		ProgressEvery: 64,
+		progressEvery: 64,
 		OnProgress: func(p Progress) {
 			if p.States < last.States {
 				t.Fatalf("states went backwards: %d after %d", p.States, last.States)
@@ -46,7 +46,7 @@ func TestCheckerProgress(t *testing.T) {
 	}
 }
 
-// TestCheckerProgressDefaultStride: a zero ProgressEvery gets the
+// TestCheckerProgressDefaultStride: a zero progressEvery gets the
 // default stride rather than firing per state.
 func TestCheckerProgressDefaultStride(t *testing.T) {
 	mcfg := mpCXL(t, litmus.SyncFull)

@@ -30,7 +30,7 @@ func TestCheckerMemShedEquivalence(t *testing.T) {
 
 	// 1 byte: every heap sample is over budget, so the checker sheds at
 	// each sampling stride until the budget bottoms out at zero.
-	shed, err := Check(mcfg, CheckerConfig{MaxStates: 3_000, Workers: 1, MemBudget: 1, MemSampleEvery: 16})
+	shed, err := Check(mcfg, CheckerConfig{MaxStates: 3_000, Workers: 1, MemBudget: 1, memSampleEvery: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

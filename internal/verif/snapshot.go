@@ -69,12 +69,14 @@ func (m *Model) Clone() *Model {
 
 // Release retires the model, dropping its references to the COW slabs
 // behind every cache and the per-line tables of every controller and
-// the DRAM, so sole-owned backings recycle through their pools. The model must not be used afterwards. Calling
-// Release is optional (unreleased backings are garbage collected); the
-// checker releases expanded bases, duplicate successors, and
-// budget-dropped snapshots to keep the clone hot path allocation-free.
+// the DRAM, so sole-owned backings recycle through their pools. The
+// model must not be used afterwards. Calling Release is optional
+// (unreleased backings are garbage collected); the checker releases
+// expanded bases, duplicate successors, and budget-dropped snapshots to
+// keep the clone hot path allocation-free. Releasing a nil or already
+// released model does nothing.
 func (m *Model) Release() {
-	if m.released {
+	if m == nil || m.released {
 		return
 	}
 	m.released = true

@@ -115,7 +115,7 @@ func reportsEqual(t *testing.T, label string, a, b *Report) {
 // replay-from-root checker must produce identical Reports (everything
 // except the Builds/Clones cost counters) on the same configuration —
 // including under truncation, relaxed sync, eviction pressure, a
-// starved SnapshotBudget, and parallel expansion.
+// starved snapshot budget, and parallel expansion.
 func TestSnapshotMatchesReplayFromRoot(t *testing.T) {
 	configs := []struct {
 		name string
@@ -143,7 +143,7 @@ func TestSnapshotMatchesReplayFromRoot(t *testing.T) {
 			{MaxStates: c.max, Workers: 1, ReplayFromRoot: true},
 			{MaxStates: c.max, Workers: 4, ReplayFromRoot: true},
 			{MaxStates: c.max, Workers: 4},
-			{MaxStates: c.max, Workers: 1, SnapshotBudget: 1},
+			{MaxStates: c.max, Workers: 1, snapshotBudget: 1},
 			// COW under maximum sharing pressure: many workers cloning
 			// the same parent concurrently.
 			{MaxStates: c.max, Workers: 8},

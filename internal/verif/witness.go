@@ -3,6 +3,8 @@ package verif
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"c3/internal/litmus"
 )
@@ -70,13 +72,11 @@ func (c *Counterexample) Error() string {
 	return c.Msg
 }
 
-// newModel builds and starts a fresh model. testRootMutate, when
-// non-nil, perturbs every freshly built model after Start — a test seam
-// for forcing failure branches (deadlock, action-count overflow) that
-// well-formed configurations cannot reach. It must be deterministic:
-// exploration, minimization, and replay all rebuild through here and
-// must see the same root.
-func newModel(mcfg ModelConfig) (*Model, error) {
+// replay builds and starts a fresh model, applies testRootMutate, and
+// delivers path, calling each (when non-nil) with every action just
+// before its delivery. Exploration, minimization and witness replay all
+// build their roots here.
+func replay(mcfg ModelConfig, path []uint16, each func(m *Model, a Action)) (*Model, error) {
 	m, err := Build(mcfg)
 	if err != nil {
 		return nil, err
@@ -85,10 +85,30 @@ func newModel(mcfg ModelConfig) (*Model, error) {
 	if testRootMutate != nil {
 		testRootMutate(m)
 	}
+	for i, ai := range path {
+		acts := m.Fabric.Enabled()
+		if int(ai) >= len(acts) {
+			m.Release()
+			return nil, diverged(ai, len(acts), i)
+		}
+		if each != nil {
+			each(m, acts[ai])
+		}
+		m.Step(acts[ai])
+	}
 	return m, nil
 }
 
+// testRootMutate, when non-nil, perturbs every model replay builds,
+// after Start: a test seam for forcing failure branches (deadlock,
+// action-count overflow) that well-formed configurations cannot reach.
+// It must be deterministic, so that every root is the same.
 var testRootMutate func(*Model)
+
+// diverged reports a path index past the enabled-action list.
+func diverged(ai uint16, enabled, step int) error {
+	return fmt.Errorf("verif: replay diverged: action %d of %d enabled after step %d", ai, enabled, step)
+}
 
 // minimizeBudget caps model re-executions per minimization, keeping the
 // delta-debugging cost bounded on deep witnesses.
@@ -150,21 +170,15 @@ func minimizeWitness(mcfg ModelConfig, sym *symmetry, cex *Counterexample, rep *
 
 // pathKeys renders the message identity of each step of path.
 func pathKeys(mcfg ModelConfig, path []uint16, rep *Report) ([]string, error) {
-	m, err := newModel(mcfg)
+	keys := make([]string, 0, len(path))
+	m, err := replay(mcfg, path, func(m *Model, a Action) {
+		keys = append(keys, m.Fabric.ActionKey(a))
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer m.Release()
+	m.Release()
 	rep.Builds++
-	keys := make([]string, 0, len(path))
-	for i, ai := range path {
-		acts := m.Fabric.Enabled()
-		if int(ai) >= len(acts) {
-			return nil, fmt.Errorf("verif: witness diverged at step %d", i)
-		}
-		keys = append(keys, m.Fabric.ActionKey(acts[ai]))
-		m.Step(acts[ai])
-	}
 	return keys, nil
 }
 
@@ -178,7 +192,7 @@ func reproduces(mcfg ModelConfig, sym *symmetry, keys []string, cex *Counterexam
 		return nil, false
 	}
 	*budget--
-	m, err := newModel(mcfg)
+	m, err := replay(mcfg, nil, nil)
 	if err != nil {
 		return nil, false
 	}
@@ -205,40 +219,22 @@ func reproduces(mcfg ModelConfig, sym *symmetry, keys []string, cex *Counterexam
 			}
 		}
 	}
-	switch cex.Kind {
-	case VInvariant:
-		// Not reproduced mid-path above: the remaining VInvariant source
-		// is an incoherent terminal outcome (Model.Outcome error).
-		if len(m.Fabric.Enabled()) == 0 && m.AllFinished() {
-			if _, oerr := m.Outcome(); oerr != nil && oerr.Error() == cex.Msg {
-				return path, true
-			}
-		}
+	if len(m.Fabric.Enabled()) != 0 {
 		return nil, false
-	case VDeadlock:
-		return path, len(m.Fabric.Enabled()) == 0 && !m.AllFinished()
-	case VForbidden:
-		if len(m.Fabric.Enabled()) != 0 || !m.AllFinished() {
-			return nil, false
-		}
-		o, oerr := m.Outcome()
-		if oerr != nil {
-			return nil, false
-		}
+	}
+	o, kind, msg := m.settle()
+	switch {
+	case kind != VNone:
+		return path, kind == cex.Kind && msg == cex.Msg
+	case cex.Kind == VForbidden:
 		// The recorded outcome may be an orbit image of the one this
 		// path concretely produces (the checker records all images of a
 		// merged terminal), so match up to the symmetry group.
-		if o.String() == cex.Msg {
-			return path, true
-		}
-		if sym != nil {
-			for _, oo := range sym.outcomeOrbit(o) {
-				if oo.String() == cex.Msg {
-					return path, true
-				}
+		for _, oo := range sym.outcomeOrbit(o) {
+			if oo.String() == cex.Msg {
+				return path, true
 			}
 		}
-		return nil, false
 	}
 	return nil, false
 }
@@ -269,7 +265,7 @@ type ReplayResult struct {
 // c3check -replay backend and the reproduction guarantee behind every
 // witness Check returns.
 func Replay(mcfg ModelConfig, path []uint16) (*ReplayResult, error) {
-	m, err := newModel(mcfg)
+	m, err := replay(mcfg, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -282,8 +278,7 @@ func Replay(mcfg ModelConfig, path []uint16) (*ReplayResult, error) {
 	for _, ai := range path {
 		acts := m.Fabric.Enabled()
 		if int(ai) >= len(acts) {
-			return nil, fmt.Errorf("verif: replay diverged: action %d of %d enabled after step %d",
-				ai, len(acts), len(res.Steps))
+			return nil, diverged(ai, len(acts), len(res.Steps))
 		}
 		res.Steps = append(res.Steps, m.Fabric.Peek(acts[ai]).String())
 		m.Step(acts[ai])
@@ -295,20 +290,42 @@ func Replay(mcfg ModelConfig, path []uint16) (*ReplayResult, error) {
 	res.FailedAt = len(res.Steps)
 	res.EnabledAtEnd = len(m.Fabric.Enabled())
 	if res.EnabledAtEnd == 0 {
-		if !m.AllFinished() {
-			res.Kind, res.Msg = VDeadlock, "cores stuck with empty fabric"
-			return res, nil
-		}
-		o, oerr := m.Outcome()
-		if oerr != nil {
-			res.Kind, res.Msg, res.FailedAt = VInvariant, oerr.Error(), len(res.Steps)
-			return res, nil
-		}
-		res.Terminal = true
-		res.Outcome = o
-		if mcfg.Test.Forbidden != nil && mcfg.Test.Forbidden(res.Outcome) {
-			res.Kind, res.Msg = VForbidden, res.Outcome.String()
+		var o litmus.Outcome
+		o, res.Kind, res.Msg = m.settle()
+		if res.Kind == VNone {
+			res.Terminal, res.Outcome = true, o
+			if mcfg.Test.Forbidden != nil && mcfg.Test.Forbidden(o) {
+				res.Kind, res.Msg = VForbidden, o.String()
+			}
 		}
 	}
 	return res, nil
+}
+
+// FormatWitness renders a delivery path as c3check prints it: the
+// action indices, comma-separated.
+func FormatWitness(path []uint16) string {
+	parts := make([]string, len(path))
+	for i, p := range path {
+		parts[i] = strconv.Itoa(int(p))
+	}
+	return strings.Join(parts, ",")
+}
+
+// ParseWitness decodes a comma-separated delivery path (c3check
+// -replay). Spaces around an index and empty fields are ignored.
+func ParseWitness(s string) ([]uint16, error) {
+	var path []uint16
+	for _, f := range strings.Split(s, ",") {
+		f = strings.TrimSpace(f)
+		if f == "" {
+			continue
+		}
+		v, err := strconv.ParseUint(f, 10, 16)
+		if err != nil {
+			return nil, err
+		}
+		path = append(path, uint16(v))
+	}
+	return path, nil
 }
