@@ -25,11 +25,12 @@
 //
 // State-space reduction: the checker fingerprints each state with its
 // bookkeeping excluded and interchangeable hosts and addresses renamed
-// to a canonical form (symmetry reduction), and prunes interleavings of
-// independent deliveries (partial-order reduction, off with -por=off).
-// -crosscheck runs every test reduced and again with symmetry and POR
-// off, and fails unless the outcome sets and verdicts are equal;
-// -outcomes prints a test's outcome set.
+// to a canonical form (symmetry reduction), prunes interleavings of
+// independent deliveries (partial-order reduction), and skips
+// successors a sibling already generated (sleep sets); -por=off turns
+// the last two off. -crosscheck runs every test reduced and again with
+// all three off, and fails unless the outcome sets and verdicts are
+// equal; -outcomes prints a test's outcome set.
 //
 // Observability: -statusz serves live exploration counters (states,
 // frontier, depth) as JSON plus pprof/expvar, -heartbeat prints a
@@ -91,7 +92,7 @@ func main() {
 		"re-execute a comma-separated witness path against -test instead of exploring")
 	replayRoot := flag.Bool("replay-from-root", false,
 		"explore by prefix re-execution instead of snapshot cloning (cross-check mode)")
-	por := flag.String("por", "on", "partial-order reduction: on|off")
+	por := flag.String("por", "on", "partial-order reduction and sleep sets: on|off")
 	crossCheck := flag.Bool("crosscheck", false,
 		"run each test reduced AND unreduced and fail unless the verdicts and outcome sets agree (soundness audit; slow)")
 	outcomes := flag.Bool("outcomes", false,
@@ -259,9 +260,9 @@ func main() {
 				note += fmt.Sprintf(" [mem pressure: shed x%d, snapshot budget %d]",
 					rep.MemSheds, rep.SnapshotBudgetEnd)
 			}
-			if rep.SymmetryMerges > 0 || rep.PORSkips > 0 {
-				note += fmt.Sprintf(" [reduced: %d symmetry merges, %d POR skips]",
-					rep.SymmetryMerges, rep.PORSkips)
+			if rep.SymmetryMerges > 0 || rep.PORSkips > 0 || rep.SleepSkips > 0 {
+				note += fmt.Sprintf(" [reduced: %d symmetry merges, %d POR skips, %d sleep skips]",
+					rep.SymmetryMerges, rep.PORSkips, rep.SleepSkips)
 			}
 			fmt.Printf("%-8s %s: %d states, %d terminal, %d outcomes, %d builds + %d clones (%.1fs)%s\n",
 				name, status, rep.States, rep.Terminals, rep.Outcomes, rep.Builds, rep.Clones,
@@ -333,6 +334,7 @@ func main() {
 				"states":          total.States,
 				"symmetry_merges": total.SymmetryMerges,
 				"por_skips":       total.PORSkips,
+				"sleep_skips":     total.SleepSkips,
 			},
 		}
 		if err := obs.AppendLedger(*ledger, rec); err != nil {

@@ -181,14 +181,15 @@ type VerifyConfig struct {
 	// ReplayFromRoot reconstructs every state by re-executing its delivery
 	// prefix instead of snapshot cloning (cross-check / low-memory mode).
 	ReplayFromRoot bool
-	// POROff disables the partial-order reduction (c3check -por=off):
-	// every enabled delivery is expanded at every state.
+	// POROff disables the partial-order reduction and the sleep sets
+	// (c3check -por=off): every enabled delivery is expanded at every
+	// state.
 	POROff bool
-	// CrossCheck runs the exploration twice — reduced, then with symmetry
-	// and POR off — and fails unless the violation verdicts and the
-	// outcome sets agree. The returned report is the reduced run's (with
-	// both runs' build/clone costs folded in). Expensive; a soundness
-	// audit, not a normal mode.
+	// CrossCheck runs the exploration twice — reduced, then with
+	// symmetry, POR and sleep sets off — and fails unless the violation
+	// verdicts and the outcome sets agree. The returned report is the
+	// reduced run's (with both runs' build/clone costs folded in).
+	// Expensive; a soundness audit, not a normal mode.
 	CrossCheck bool
 	// OnProgress, when non-nil, receives a periodic exploration snapshot
 	// (roughly every couple thousand states) from the checker loop — the
@@ -220,10 +221,11 @@ var (
 // CheckCounts are the exploration counters of a Verify run: distinct
 // States visited, Terminals reached, full model Builds and snapshot
 // Clones (the checker's cost profile), and the state-space reduction
-// counters — SymmetryMerges (successors folded onto a visited state by
-// a non-identity host/address renaming) and PORSkips (successor
-// expansions the partial-order reduction proved redundant), both zero
-// when the reduction is disabled. Counters lists them under their
+// counters — SymmetryMerges (observed successors folded onto a visited
+// state by a non-identity host/address renaming), PORSkips (successor
+// expansions the partial-order reduction proved redundant) and
+// SleepSkips (successors the sleep sets proved already visited), all
+// zero when the reduction is disabled. Counters lists them under their
 // registry names.
 type CheckCounts = verif.Counts
 

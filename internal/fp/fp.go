@@ -1,10 +1,12 @@
 // Package fp is the model checker's state fingerprint. Each checked
 // component writes its protocol-visible state as fixed-width words into
-// a Hasher (64-bit FNV-1a over the bytes of each word), with node ids
-// and line addresses mapped through a Renamer, the symmetry renaming the
-// checker is canonicalizing under. Unordered collections (Go maps,
-// cache frames, the fabric's reorderable bag) hash as a Bag: the sum of
-// mixed per-entry hashes, which is independent of iteration order, so no
+// a Hasher, with node ids and line addresses mapped through a Renamer,
+// the symmetry renaming the checker is canonicalizing under. The Hasher
+// absorbs each word whole: it XORs the word into its 64-bit state and
+// passes the state through the MurmurHash3 finalizer, one bijective,
+// full-avalanche round per word. Unordered collections (Go maps, cache
+// frames, the fabric's reorderable bag) hash as a Bag: the sum of mixed
+// per-entry hashes, which is independent of iteration order, so no
 // caller sorts. Nothing here formats or allocates.
 package fp
 
@@ -15,29 +17,22 @@ import (
 	"c3/internal/msg"
 )
 
-const (
-	offset64 = 14695981039346656037
-	prime64  = 1099511628211
-)
+// seed is the state of an empty hasher (the FNV-1a offset basis; any
+// nonzero constant would do).
+const seed = 14695981039346656037
 
-// Hasher accumulates a 64-bit FNV-1a hash. Start one with New.
+// Hasher accumulates a 64-bit hash of a word stream. Start one with New.
 type Hasher struct{ h uint64 }
 
 // New returns an empty hasher.
-func New() Hasher { return Hasher{h: offset64} }
+func New() Hasher { return Hasher{h: seed} }
 
 // Sum returns the hash of everything written so far.
 func (h *Hasher) Sum() uint64 { return h.h }
 
-// Word writes the eight little-endian bytes of v.
-func (h *Hasher) Word(v uint64) {
-	x := h.h
-	for i := 0; i < 8; i++ {
-		x = (x ^ v&0xff) * prime64
-		v >>= 8
-	}
-	h.h = x
-}
+// Word writes v in one mix round, so every bit of v reaches every bit
+// of the state.
+func (h *Hasher) Word(v uint64) { h.h = mix(h.h ^ v) }
 
 // Int writes v as one word.
 func (h *Hasher) Int(v int) { h.Word(uint64(v)) }
@@ -51,14 +46,17 @@ func (h *Hasher) Bool(b bool) {
 	}
 }
 
-// String writes the length of s, then its bytes.
+// String writes the length of s, then its bytes packed little-endian
+// eight to a word (the last word zero-padded).
 func (h *Hasher) String(s string) {
 	h.Int(len(s))
-	x := h.h
-	for i := 0; i < len(s); i++ {
-		x = (x ^ uint64(s[i])) * prime64
+	for i := 0; i < len(s); i += 8 {
+		var w uint64
+		for j := i; j < len(s) && j < i+8; j++ {
+			w |= uint64(s[j]) << (8 * (j - i))
+		}
+		h.Word(w)
 	}
-	h.h = x
 }
 
 // Data writes the words of a line payload.

@@ -115,9 +115,10 @@ func Benchmarks() []Benchmark {
 		{
 			// One exhaustive exploration of the CXL MP shape by snapshot
 			// cloning (mirrors internal/verif BenchmarkCheckerExpand). POR
-			// is pinned off so every enabled delivery is expanded; MP
-			// admits no symmetry, so the fingerprint hashes each state
-			// once. The reduced path has its own micro below.
+			// (and with it the sleep sets) is pinned off so every enabled
+			// delivery is expanded; MP admits no symmetry, so the
+			// fingerprint hashes each state once. The reduced path has its
+			// own micro below.
 			Name: "checker-expand", Ops: 1,
 			Setup: func(int) func() {
 				mcfg := mpModel()
@@ -132,9 +133,10 @@ func Benchmarks() []Benchmark {
 		},
 		{
 			// The same exploration with the reduction layer on — canonical
-			// hashing, symmetry, and partial-order reduction — over the
-			// MP+3W shape, whose interchangeable writer threads and
-			// independent store lines give the reductions real structure.
+			// hashing, symmetry, partial-order reduction and sleep sets —
+			// over the MP+3W shape, whose interchangeable writer threads
+			// and independent store lines give the reductions real
+			// structure.
 			// Wall time pins the net win: the reduced run visits ~2k of the
 			// shape's ~22k raw states despite hashing every state up to
 			// |group| times.

@@ -280,20 +280,21 @@ func (p *symPerm) Line(a mem.LineAddr) mem.LineAddr {
 
 // fingerprint hashes the canonical representative of the model's
 // symmetry orbit: the minimum state hash over the admitted renaming
-// group. The second return reports whether the minimum came from a
-// non-identity renaming, i.e. whether this state folds onto a symmetric
-// sibling rather than hashing as its own canonical form. Which renaming
-// attains the minimum depends on the hash function, so the fold report
-// does too; which states merge does not.
-func (m *Model) fingerprint(s *symmetry) (uint64, bool) {
+// group. The second return is the index in s.perms of the first
+// renaming attaining it; a nonzero index means this state folds onto a
+// symmetric sibling rather than hashing as its own canonical form. Two
+// states with equal hashes and equal indices are equal under the
+// identity. Which renaming attains the minimum depends on the hash
+// function, so the index does too; which states merge does not.
+func (m *Model) fingerprint(s *symmetry) (uint64, int) {
 	best := m.fingerprintAs(s, &s.perms[0])
-	renamed := false
+	ren := 0
 	for i := 1; i < len(s.perms); i++ {
 		if v := m.fingerprintAs(s, &s.perms[i]); v < best {
-			best, renamed = v, true
+			best, ren = v, i
 		}
 	}
-	return best, renamed
+	return best, ren
 }
 
 // fingerprintAs hashes the model under one renaming, in Build's

@@ -46,6 +46,11 @@ type Counts struct {
 	// skipped (enabled deliveries proven independent of the chosen
 	// ample delivery).
 	PORSkips uint64
+	// SleepSkips counts successors the sleep sets skipped: deliveries a
+	// promise proved to reach an already-visited state, so they were
+	// neither cloned nor stepped. SymmetryMerges counts only the folds
+	// the checker observed, so it falls as SleepSkips rises.
+	SleepSkips uint64
 }
 
 // Counter is one exploration counter under its registry name.
@@ -64,6 +69,7 @@ func (c *Counts) Counters() []Counter {
 		{"clones", &c.Clones},
 		{"symmetry_merges", &c.SymmetryMerges},
 		{"por_skips", &c.PORSkips},
+		{"sleep_skips", &c.SleepSkips},
 	}
 }
 
@@ -148,19 +154,22 @@ type CheckerConfig struct {
 	// Report.MemSheds and never changes States/Terminals/Outcomes, only
 	// the Builds/Clones cost profile.
 	MemBudget uint64
-	// POROff disables the partial-order reduction, expanding every
-	// enabled delivery at every state.
+	// POROff disables the partial-order reduction and the sleep sets,
+	// expanding every enabled delivery at every state.
 	POROff bool
 	// CrossCheck runs the reduced exploration and an unreduced reference
-	// (identity renaming only, POR off) back to back and errors unless
-	// their Outcomes and violation verdicts match — the proof harness for
-	// the reduction layer. Cost: both explorations run in full.
+	// (identity renaming only, POR and sleep sets off) back to back and
+	// errors unless their Outcomes and violation verdicts match — the
+	// proof harness for the reduction layer. Cost: both explorations run
+	// in full.
 	CrossCheck bool
 
-	// Test seams overriding the defaults above (0 = default).
+	// Test seams overriding the defaults above (0 = default), and
+	// switching the sleep sets off alone.
 	snapshotBudget int
 	progressEvery  uint64
 	memSampleEvery int
+	sleepOff       bool
 }
 
 // Progress is a mid-exploration snapshot for live introspection: the
@@ -203,14 +212,25 @@ func Check(mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
 var errTruncated = errors.New("verif: state budget reached")
 
 // successor is a state one delivery past a frontier state, measured:
-// its orbit fingerprint, whether a non-identity renaming attained it,
-// and its invariant verdict. m is its model, which the frontier may
-// keep as a snapshot.
+// its orbit fingerprint, the index of the renaming that attained it (0
+// for the identity), and its invariant verdict. m is its model, which
+// the frontier may keep as a snapshot.
 type successor struct {
-	hash    uint64
-	renamed bool
-	invErr  error
-	m       *Model
+	hash   uint64
+	ren    int
+	invErr error
+	m      *Model
+}
+
+// frontierEntry is one state waiting in the BFS queue: its delivery
+// path, its snapshot when the budget allows, its entry id (admission
+// order), and how many promises it holds at the front of the sleep-set
+// queue.
+type frontierEntry struct {
+	path     []uint16
+	m        *Model
+	id       int
+	promises int
 }
 
 // step delivers a to m, a copy of a frontier state (a clone, or a
@@ -220,7 +240,7 @@ type successor struct {
 func (m *Model) step(sym *symmetry, a Action) successor {
 	m.Step(a)
 	s := successor{m: m, invErr: m.checkInvariants()}
-	s.hash, s.renamed = m.fingerprint(sym)
+	s.hash, s.ren = m.fingerprint(sym)
 	return s
 }
 
@@ -237,12 +257,13 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 		return nil, err
 	}
 	rep = &Report{Outcomes: map[string]bool{}}
-	// visited dedups states by their 64-bit fingerprint. Caveat: two
-	// distinct states that collide in 64 bits would silently merge,
-	// pruning part of the space — with ~10^6 states the collision odds
-	// are ~(states^2)/2^65 ≈ 10^-8, accepted for the memory savings of
-	// not retaining whole states.
-	visited := make(map[uint64]struct{})
+	// visited dedups states by their 64-bit fingerprint and maps each to
+	// its entry id. Caveat: two distinct states that collide in 64 bits
+	// would silently merge, pruning part of the space — with ~10^6
+	// states the collision odds are ~(states^2)/2^65 ≈ 10^-8, accepted
+	// for the memory savings of not retaining whole states.
+	visited := make(map[uint64]int)
+	z := newSleepSets(!ccfg.POROff && !ccfg.sleepOff, sym)
 
 	checkForbidden := mcfg.Test.Forbidden != nil &&
 		(mcfg.Sync == litmus.SyncFull || ccfg.CheckForbidden)
@@ -268,10 +289,6 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 
 	// The frontier carries each state's path always and its snapshot when
 	// the budget allows; live counts retained snapshots.
-	type frontierEntry struct {
-		path []uint16
-		m    *Model
-	}
 	var frontier []frontierEntry
 	live := 0
 	// Whatever path check returns on — violation, truncation, deadline,
@@ -289,11 +306,11 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 		}
 	}()
 
-	// push parks the state at path in the frontier, keeping m as its
-	// snapshot while the budget allows and releasing it otherwise (the
-	// entry then replays its prefix when popped).
-	push := func(path []uint16, m *Model) {
-		ent := frontierEntry{path: path}
+	// push parks entry id, the state at path, in the frontier, keeping m
+	// as its snapshot while the budget allows and releasing it otherwise
+	// (the entry then replays its prefix when popped).
+	push := func(id int, path []uint16, m *Model) {
+		ent := frontierEntry{path: path, id: id}
 		if !ccfg.ReplayFromRoot && live < ccfg.snapshotBudget {
 			ent.m = m
 			live++
@@ -305,15 +322,19 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 
 	// admit takes successor s, reached by delivering the ai-th enabled
 	// action at path, into the frontier unless its state was visited
-	// before, and reports whether it was new. s's model is parked or
-	// released either way. An error ends the exploration: a
-	// counterexample, or errTruncated at MaxStates.
+	// before, and reports whether it was new. Either way the sleep sets
+	// learn which entry holds it, and s's model is parked or released.
+	// An error ends the exploration: a counterexample, or errTruncated
+	// at MaxStates.
 	admit := func(path []uint16, ai int, s successor) (bool, error) {
-		if _, seen := visited[s.hash]; seen {
+		if e, seen := visited[s.hash]; seen {
 			s.m.Release()
+			z.cover(ai, z.folded(e, s.ren))
 			return false, nil
 		}
-		visited[s.hash] = struct{}{}
+		id := z.admitted(s.ren)
+		visited[s.hash] = id
+		z.cover(ai, id)
 		rep.States++
 		np := make([]uint16, len(path)+1)
 		copy(np, path)
@@ -326,19 +347,19 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 			s.m.Release()
 			return true, errTruncated
 		}
-		push(np, s.m)
+		push(id, np, s.m)
 		return true, nil
 	}
 
 	rep.Builds++
-	h0, _ := m0.fingerprint(sym)
-	visited[h0] = struct{}{}
+	h0, ren0 := m0.fingerprint(sym)
+	visited[h0] = z.admitted(ren0)
 	rep.States++
 	if err := m0.checkInvariants(); err != nil {
 		m0.Release()
 		return rep, fail(VInvariant, err.Error(), nil)
 	}
-	push(nil, m0)
+	push(0, nil, m0)
 
 	var lastProgress uint64
 	// Memory pressure is sampled on a stride because ReadMemStats stops
@@ -394,6 +415,7 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 		ent := frontier[0]
 		frontier[0] = frontierEntry{}
 		frontier = frontier[1:]
+		promises := z.pop(ent.promises)
 		path := ent.path
 		if len(path) > rep.MaxDepth {
 			rep.MaxDepth = len(path)
@@ -438,29 +460,39 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 			return rep, fmt.Errorf("verif: %d enabled actions at depth %d exceed the %d-entry path encoding",
 				len(acts), len(path), math.MaxUint16+1)
 		}
+		// Sleep sets: a delivery a promise proves already visited is
+		// neither cloned nor stepped (see sleep.go).
+		asleep := z.wake(base.Fabric, acts, promises)
 		// Partial-order reduction: when one enabled delivery provably
 		// commutes with every other (see ampleAction), expand it alone.
 		// The ample successor must be new — an already-visited successor
 		// would let a cycle ignore the other deliveries forever (the
-		// cycle proviso), so that case falls through to full expansion.
-		// The probe is serial and deterministic, so reports stay
-		// byte-identical at every worker count.
+		// cycle proviso), so that case falls through to full expansion,
+		// which reuses the probe; an asleep ample delivery is known to be
+		// visited and is not probed. The probe is serial and
+		// deterministic, so reports stay byte-identical at every worker
+		// count.
+		probeFolded := false
 		if !ccfg.POROff && len(acts) > 1 {
-			if ample := base.ampleAction(sym, acts); ample >= 0 {
+			// Until the probe, only asleep deliveries are covered.
+			if ample := base.ampleAction(sym, acts); ample >= 0 && !z.slots[ample].covered {
 				rep.Clones++
-				fresh, err := admit(path, ample, base.Clone().step(sym, acts[ample]))
+				s := base.Clone().step(sym, acts[ample])
+				fresh, err := admit(path, ample, s)
 				if fresh {
 					rep.PORSkips += uint64(len(acts) - 1)
 					base.Release()
 					if err != nil {
 						return rep, err
 					}
+					z.close(ent.id, frontier[len(frontier)-1:])
 					continue
 				}
+				probeFolded = s.ren != 0
 			}
 		}
-		// Expand all successors in parallel: each branch copies the
-		// frontier state — a snapshot clone, or under ReplayFromRoot a
+		// Expand the remaining successors in parallel: each branch copies
+		// the frontier state — a snapshot clone, or under ReplayFromRoot a
 		// re-execution of the prefix on a fresh model — and delivers one
 		// message. Clone is read-only on the parent, so branches are
 		// independent. The merge below runs serially in canonical action
@@ -468,44 +500,52 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 		// the frontier are byte-identical to a serial exploration — and
 		// identical between the snapshot and replay strategies, which
 		// reach the same states.
-		kids, err := parallel.Map(context.Background(), ccfg.Workers, len(acts),
-			func(ai int) (successor, error) {
+		todo := z.pending()
+		kids, err := parallel.Map(context.Background(), ccfg.Workers, len(todo),
+			func(k int) (successor, error) {
+				a := acts[todo[k]]
 				if !ccfg.ReplayFromRoot {
-					return base.Clone().step(sym, acts[ai]), nil
+					return base.Clone().step(sym, a), nil
 				}
 				m, err := replay(mcfg, path, nil)
 				if err != nil {
 					return successor{}, err
 				}
-				return m.step(sym, acts[ai]), nil
+				return m.step(sym, a), nil
 			})
 		if err != nil {
 			base.Release()
 			return rep, err
 		}
 		if ccfg.ReplayFromRoot {
-			rep.Builds += uint64(len(acts))
+			rep.Builds += uint64(len(todo))
 		} else {
-			rep.Clones += uint64(len(acts))
+			rep.Clones += uint64(len(todo))
+		}
+		rep.SleepSkips += uint64(asleep)
+		if probeFolded { // the probe's fold is an observed merge too
+			rep.SymmetryMerges++
 		}
 		// The base is fully expanded: recycle its COW backings. Each kid
 		// holds its own references, so releasing the parent never frees
 		// a slab a successor still shares.
 		base.Release()
-		for ai, s := range kids {
-			fresh, err := admit(path, ai, s)
-			if !fresh && s.renamed {
+		pushed := len(frontier)
+		for i, s := range kids {
+			fresh, err := admit(path, todo[i], s)
+			if !fresh && s.ren != 0 {
 				// The fold came from a non-identity renaming: this
 				// successor merged with a symmetric sibling.
 				rep.SymmetryMerges++
 			}
 			if err != nil {
-				for _, k := range kids[ai+1:] {
+				for _, k := range kids[i+1:] {
 					k.m.Release()
 				}
 				return rep, err
 			}
 		}
+		z.close(ent.id, frontier[pushed:])
 	}
 	return rep, nil
 }
@@ -514,9 +554,10 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 // back to back and verifies the reduction lost nothing: the two must
 // agree on the violation kind and reach the same outcome set. The
 // reference hashes states with the same fingerprint under the identity
-// renaming alone, with POR off, so it merges only states that agree on
-// everything but bookkeeping; being sound, it must match the reduced
-// outcome set exactly. Truncated runs are not comparable (the two
+// renaming alone, with POR and sleep sets off (POROff switches off
+// both), so it merges only states that agree on everything but
+// bookkeeping; being sound, it must match the reduced outcome set
+// exactly. Truncated runs are not comparable (the two
 // explorations truncate at different points of the space) and skip the
 // comparison. The returned Report is the reduced one with the
 // reference's build/clone costs folded in.

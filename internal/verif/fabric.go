@@ -203,6 +203,24 @@ func (f *ChoiceFabric) Peek(a Action) *msg.Msg {
 	return f.findChan(a.Channel).q[0]
 }
 
+// delivery names the delivery action a makes so that a later state can
+// find it again, and returns the node it delivers to. A FIFO head is
+// named by its channel key: deliveries to other nodes only append to
+// the channel, so its head stays the same message. A bag entry is named
+// by its message's hash under id, the identity renaming: equal messages
+// deliver to equal states. Bag names set the top bit, which channel
+// names (node ids are small) never do.
+func (f *ChoiceFabric) delivery(a Action, id fp.Renamer) (name uint64, dst msg.NodeID) {
+	if !a.FromBag {
+		k := a.Channel
+		return uint64(k.src)<<32 | uint64(k.dst)<<8 | uint64(k.vnet), k.dst
+	}
+	m := f.bag[a.Index]
+	h := fp.New()
+	fingerprintMsg(&h, m, id)
+	return h.Sum() | 1<<63, m.Dst
+}
+
 // ActionKey renders the protocol-visible identity of the message action
 // a would deliver. Witness minimization matches delivery choices across
 // different prefixes by this key (indices shift when steps are dropped;

@@ -28,9 +28,9 @@ func wmoCXL(t testing.TB, name string, sync litmus.SyncMode) ModelConfig {
 
 // TestReductionEquivalenceCorpus runs the cross-check mode over the full
 // litmus corpus on the canonical configuration: the reduced checker
-// (canonical hashing + symmetry + POR) must reach exactly the unreduced
-// reference's outcomes and agree on every violation verdict. CrossCheck
-// performs both runs and the comparison internally.
+// (canonical hashing + symmetry + POR + sleep sets) must reach exactly
+// the unreduced reference's outcomes and agree on every violation
+// verdict. CrossCheck performs both runs and the comparison internally.
 func TestReductionEquivalenceCorpus(t *testing.T) {
 	for _, lt := range litmus.Tests() {
 		lt := lt
@@ -107,7 +107,8 @@ func symmetryOf(t testing.TB, mcfg ModelConfig) *symmetry {
 }
 
 // unreduced explores mcfg the way CrossCheck's reference does: the same
-// fingerprint under the identity renaming alone, with POR off.
+// fingerprint under the identity renaming alone, with POR and sleep sets
+// off.
 func unreduced(t testing.TB, mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
 	ccfg.POROff = true
 	return check(mcfg, ccfg, symmetryOf(t, mcfg).identityOnly())
@@ -151,29 +152,32 @@ func TestUnreducedReferenceCounts(t *testing.T) {
 // that merges a different set of states moves these counts, and so does
 // a change of node numbering: POR's singleton ample set is the first
 // eligible delivery in channel order, and channels sort by node id.
+// Clones and SleepSkips are counted costs, deterministic like the rest:
+// a change to the sleep sets or the POR probe moves them.
 func TestCorpusGoldens(t *testing.T) {
 	type golden struct {
-		states, terminals uint64
-		outcomes          int
-		depth             int
-		porSkips          uint64
+		states, terminals  uint64
+		outcomes           int
+		depth              int
+		porSkips           uint64
+		clones, sleepSkips uint64
 	}
 	want := map[string]golden{
-		"MP":     {152, 3, 3, 28, 25},
-		"SB":     {161, 3, 3, 28, 31},
-		"LB":     {148, 3, 3, 26, 22},
-		"R":      {163, 3, 3, 28, 31},
-		"S":      {154, 3, 3, 28, 25},
-		"2_2W":   {165, 3, 3, 28, 31},
-		"IRIW":   {5754, 15, 15, 44, 1666},
-		"CoRR":   {46, 2, 2, 14, 0},
-		"CoRR2":  {1599, 18, 18, 34, 0},
-		"CoWW":   {5, 1, 1, 4, 0},
-		"WRC":    {1078, 7, 7, 36, 183},
-		"RWC":    {1059, 7, 7, 36, 192},
-		"WWC":    {1011, 9, 9, 38, 168},
-		"WRW+2W": {1032, 9, 9, 38, 187},
-		"MP+3W":  {2128, 3, 3, 40, 1222},
+		"MP":     {152, 3, 3, 28, 25, 160, 44},
+		"SB":     {161, 3, 3, 28, 31, 170, 44},
+		"LB":     {148, 3, 3, 26, 22, 156, 44},
+		"R":      {163, 3, 3, 28, 31, 172, 44},
+		"S":      {154, 3, 3, 28, 25, 162, 44},
+		"2_2W":   {165, 3, 3, 28, 31, 174, 44},
+		"IRIW":   {5754, 15, 15, 44, 1666, 7386, 5449},
+		"CoRR":   {46, 2, 2, 14, 0, 47, 15},
+		"CoRR2":  {1599, 18, 18, 34, 0, 1860, 1382},
+		"CoWW":   {5, 1, 1, 4, 0, 4, 0},
+		"WRC":    {1078, 7, 7, 36, 183, 1297, 733},
+		"RWC":    {1059, 7, 7, 36, 192, 1262, 726},
+		"WWC":    {1011, 9, 9, 38, 168, 1211, 682},
+		"WRW+2W": {1032, 9, 9, 38, 187, 1224, 689},
+		"MP+3W":  {2128, 3, 3, 40, 1222, 2722, 1858},
 	}
 	tests := litmus.Tests()
 	if len(tests) != len(want) {
@@ -189,7 +193,8 @@ func TestCorpusGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", lt.Name, err)
 		}
-		got := golden{rep.States, rep.Terminals, len(rep.Outcomes), rep.MaxDepth, rep.PORSkips}
+		got := golden{rep.States, rep.Terminals, len(rep.Outcomes), rep.MaxDepth, rep.PORSkips,
+			rep.Clones, rep.SleepSkips}
 		if got != w || rep.Truncated {
 			t.Errorf("%s: got %+v (truncated=%v), want %+v", lt.Name, got, rep.Truncated, w)
 		}
@@ -236,8 +241,8 @@ func TestReductionCompletesFormerlyTruncated(t *testing.T) {
 }
 
 // TestReducedCheckerWorkerIndependence: the reduced checker's Report —
-// including the new reduction counters — must be identical at any worker
-// count, exactly like the unreduced checker's.
+// including the reduction counters and the clone count — must be
+// identical at any worker count, exactly like the unreduced checker's.
 func TestReducedCheckerWorkerIndependence(t *testing.T) {
 	mcfg := wmoCXL(t, "MP+3W", litmus.SyncFull)
 	want, err := Check(mcfg, CheckerConfig{Workers: 1, MaxStates: 100_000})
@@ -251,10 +256,12 @@ func TestReducedCheckerWorkerIndependence(t *testing.T) {
 		}
 		if got.States != want.States || got.Terminals != want.Terminals ||
 			got.MaxDepth != want.MaxDepth || got.Truncated != want.Truncated ||
-			got.SymmetryMerges != want.SymmetryMerges || got.PORSkips != want.PORSkips {
-			t.Errorf("workers=%d diverged: got states=%d terminals=%d depth=%d symm=%d por=%d, want %d/%d/%d/%d/%d",
+			got.SymmetryMerges != want.SymmetryMerges || got.PORSkips != want.PORSkips ||
+			got.SleepSkips != want.SleepSkips || got.Clones != want.Clones {
+			t.Errorf("workers=%d diverged: got states=%d terminals=%d depth=%d symm=%d por=%d sleep=%d clones=%d, want %d/%d/%d/%d/%d/%d/%d",
 				workers, got.States, got.Terminals, got.MaxDepth, got.SymmetryMerges, got.PORSkips,
-				want.States, want.Terminals, want.MaxDepth, want.SymmetryMerges, want.PORSkips)
+				got.SleepSkips, got.Clones, want.States, want.Terminals, want.MaxDepth,
+				want.SymmetryMerges, want.PORSkips, want.SleepSkips, want.Clones)
 		}
 		if len(got.Outcomes) != len(want.Outcomes) {
 			t.Errorf("workers=%d: %d outcomes, want %d", workers, len(got.Outcomes), len(want.Outcomes))
