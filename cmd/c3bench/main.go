@@ -28,7 +28,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -129,20 +128,10 @@ func main() {
 	registry := trace.NewRegistry()
 	registry.Counter("bench.experiments_done", done.Load)
 
-	var server *obs.Server
-	if *statusz != "" {
-		var err error
-		server, err = obs.StartStatusz(*statusz, "c3bench", tracker)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "c3bench:", err)
-			os.Exit(2)
-		}
-		server.SetRegistry(registry)
-		fmt.Fprintf(os.Stderr, "c3bench: statusz on http://%s/statusz\n", server.Addr())
-	}
-	var stopHeartbeat func()
-	if *heartbeat > 0 {
-		stopHeartbeat = obs.Heartbeat(context.Background(), os.Stderr, *heartbeat, "c3bench", tracker)
+	stopWatch, err := obs.Watch("c3bench", *statusz, *heartbeat, tracker, registry)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "c3bench:", err)
+		os.Exit(2)
 	}
 
 	start := time.Now()
@@ -150,12 +139,7 @@ func main() {
 	// finish is the single exit path once observers are armed: it stops
 	// them, appends the ledger record, and exits.
 	finish := func(verdict string, exit int) {
-		if stopHeartbeat != nil {
-			stopHeartbeat()
-		}
-		if server != nil {
-			server.Close()
-		}
+		stopWatch()
 		if *ledger != "" {
 			var metrics bytes.Buffer
 			if err := registry.RenderJSON(&metrics); err != nil {

@@ -22,6 +22,12 @@
 //	c3check -test MP+3W -max 10000 -por off   # without POR it stops at 10,000 states
 //	c3check -crosscheck -test MP     # audit the reductions' soundness
 //	c3check -outcomes -test MP       # print the terminal-outcome set
+//	c3check -test MP,SB,IRIW -j 2    # explore two tests at a time
+//
+// Parallelism: -test takes a comma-separated list, and -j sets how many
+// of its tests explore at once (0 = GOMAXPROCS). Each exploration runs
+// on one goroutine and each test's lines print in test order, so the
+// output is the same at every -j.
 //
 // State-space reduction: the checker fingerprints each state with its
 // bookkeeping excluded and interchangeable hosts and addresses renamed
@@ -41,11 +47,13 @@
 // Resilience: -task-timeout bounds each test's exploration wall clock,
 // with -retries extra attempts before the test is recorded TIMEOUT
 // (partial state counts still print). -mem-budget-mb sets a soft heap
-// budget: the Go runtime gets it as a hard GC target
-// (debug.SetMemoryLimit) and the checker starts shedding frontier
-// snapshots at 80% of it — degrading to replay-from-root instead of
-// OOMing, with the degradation reported per test. SIGINT/SIGTERM stop
-// the exploration at its next poll, print the partial result, and exit
+// budget for the whole process: the Go runtime gets it as a hard GC
+// target (debug.SetMemoryLimit), and every running exploration starts
+// shedding frontier snapshots once the process heap crosses 80% of it —
+// degrading to replay-from-root instead of OOMing, with the degradation
+// reported per test. A panic in one test's exploration is that test's
+// FAIL; the other tests still run. SIGINT/SIGTERM stop the running
+// explorations at their next poll, print the partial results, and exit
 // 3; a second signal kills immediately.
 //
 // Exit status: 0 no violation (or -replay reproduced one), 1 violation
@@ -60,6 +68,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/debug"
 	"strings"
@@ -68,13 +77,14 @@ import (
 
 	"c3"
 	"c3/internal/obs"
+	"c3/internal/parallel"
 	"c3/internal/system"
 	"c3/internal/trace"
 	"c3/internal/verif"
 )
 
 func main() {
-	test := flag.String("test", "", "litmus shape to check (default: standard set)")
+	test := flag.String("test", "", "litmus shapes to check, comma-separated (default: MP,SB,LB,S,R,2_2W)")
 	local0 := flag.String("local0", "mesi", "cluster 0 protocol (MESI family)")
 	local1 := flag.String("local1", "mesi", "cluster 1 protocol (MESI family)")
 	global := flag.String("global", "cxl", "global protocol: cxl|hmesi")
@@ -83,7 +93,7 @@ func main() {
 	tiny := flag.Bool("tiny", false, "tiny CXL cache: explore eviction flows")
 	maxStates := flag.Uint64("max", 500_000, "state budget")
 	maxDepth := flag.Int("max-depth", 0, "depth bound before declaring livelock (0 = default 400)")
-	workers := flag.Int("j", 0, "worker goroutines for successor expansion (0 = GOMAXPROCS, 1 = serial)")
+	workers := flag.Int("j", 0, "tests explored at once, one goroutine each (0 = GOMAXPROCS, 1 = serial; output is identical)")
 	flag.IntVar(workers, "workers", 0, "alias for -j")
 	unsynced := flag.Bool("unsynced", false,
 		"strip fences and check the forbidden predicate anyway (witness demo on relaxed outcomes)")
@@ -99,7 +109,7 @@ func main() {
 		"print each test's sorted terminal-outcome set, one 'outcome:' line per outcome (for reduction-soundness diffs)")
 	taskTimeout := flag.Duration("task-timeout", 0, "wall-clock bound per test exploration (0 = none); expired attempts retry, then the test records TIMEOUT")
 	retries := flag.Int("retries", 1, "extra attempts a timed-out test exploration gets")
-	memBudgetMB := flag.Int("mem-budget-mb", 0, "soft heap budget in MiB (0 = none): sets the runtime memory limit and sheds checker snapshots at 80% of it instead of OOMing")
+	memBudgetMB := flag.Int("mem-budget-mb", 0, "soft heap budget in MiB for the whole process (0 = none): sets the runtime memory limit, and every running exploration sheds snapshots once the heap crosses 80% of it")
 	statusz := flag.String("statusz", "", "serve live introspection (/statusz JSON, /metricsz, pprof, expvar) on this address, e.g. :8080 or 127.0.0.1:0")
 	heartbeat := flag.Duration("heartbeat", 0, "print a progress line to stderr at this interval (0 = off)")
 	ledger := flag.String("ledger", obs.DefaultLedgerPath(), "append a JSONL run record to this file (empty = off)")
@@ -129,7 +139,7 @@ func main() {
 		os.Exit(obs.ExitUsage)
 	}
 
-	// Live exploration counters: Verify's OnProgress callback stores a
+	// Live exploration counters: each test's OnProgress callback stores a
 	// sample under a short lock, the statusz registry reads it — the
 	// checker itself never waits on an HTTP reader.
 	co := newCheckObserver()
@@ -140,13 +150,11 @@ func main() {
 		TinyLLC:        *tiny,
 		MaxStates:      *maxStates,
 		MaxDepth:       *maxDepth,
-		Workers:        *workers,
 		Unsynced:       *unsynced,
 		CheckForbidden: *unsynced,
 		ReplayFromRoot: *replayRoot,
 		POROff:         *por == "off",
 		CrossCheck:     *crossCheck,
-		OnProgress:     co.progress,
 	}
 
 	// Memory-pressure degradation: the runtime gets the budget as a hard
@@ -197,121 +205,21 @@ func main() {
 
 	tests := []string{"MP", "SB", "LB", "S", "R", "2_2W"}
 	if *test != "" {
-		tests = []string{*test}
+		tests = strings.Split(*test, ",")
 	}
 	co.Plan(tests)
 
-	var server *obs.Server
-	if *statusz != "" {
-		var err error
-		server, err = obs.StartStatusz(*statusz, "c3check", co.Tracker)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "c3check:", err)
-			os.Exit(2)
-		}
-		server.SetRegistry(co.registry)
-		fmt.Fprintf(os.Stderr, "c3check: statusz on http://%s/statusz\n", server.Addr())
-	}
-	var stopHeartbeat func()
-	if *heartbeat > 0 {
-		stopHeartbeat = obs.Heartbeat(context.Background(), os.Stderr, *heartbeat, "c3check", co.Tracker)
+	stopWatch, err := obs.Watch("c3check", *statusz, *heartbeat, co.Tracker, co.registry)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "c3check:", err)
+		os.Exit(2)
 	}
 
 	sweepStart := time.Now()
-	ok := true
-	timedOut := false
-	interrupted := false
-	for i, name := range tests {
-		if interrupted {
-			fmt.Printf("%-8s INTERRUPTED before start\n", name)
-			continue
-		}
-		co.TaskStarted(i)
-		start := time.Now()
-		var rep *c3.VerifyReport
-		var err error
-		// Per-test retry loop: only wall-clock cuts retry (violations and
-		// interrupts are deterministic or deliberate).
-		for attempt := 1; ; attempt++ {
-			tcfg := cfg
-			if *taskTimeout > 0 {
-				tcfg.Deadline = time.Now().Add(*taskTimeout)
-			}
-			rep, err = c3.Verify(name, tcfg)
-			if errors.Is(err, c3.ErrCheckDeadline) && attempt <= *retries {
-				fmt.Fprintf(os.Stderr, "c3check: %s: attempt %d hit the %v budget, retrying\n",
-					name, attempt, *taskTimeout)
-				continue
-			}
-			break
-		}
-		co.done(i, rep, err)
-		switch {
-		case err == nil:
-			status := "verified"
-			if rep.Truncated {
-				status = "bounded"
-			}
-			note := ""
-			if rep.ForbiddenSkipped {
-				note = " [forbidden predicate skipped: unsynced]"
-			}
-			if rep.MemSheds > 0 {
-				note += fmt.Sprintf(" [mem pressure: shed x%d, snapshot budget %d]",
-					rep.MemSheds, rep.SnapshotBudgetEnd)
-			}
-			if rep.SymmetryMerges > 0 || rep.PORSkips > 0 || rep.SleepSkips > 0 {
-				note += fmt.Sprintf(" [reduced: %d symmetry merges, %d POR skips, %d sleep skips]",
-					rep.SymmetryMerges, rep.PORSkips, rep.SleepSkips)
-			}
-			fmt.Printf("%-8s %s: %d states, %d terminal, %d outcomes, %d builds + %d clones (%.1fs)%s\n",
-				name, status, rep.States, rep.Terminals, rep.Outcomes, rep.Builds, rep.Clones,
-				time.Since(start).Seconds(), note)
-			if *outcomes {
-				for _, o := range rep.OutcomeList {
-					fmt.Printf("outcome: %s | %s\n", name, o)
-				}
-			}
-		case errors.Is(err, c3.ErrCheckInterrupted):
-			interrupted = true
-			fmt.Printf("%-8s INTERRUPTED after %d states (%.1fs): partial, no verdict\n",
-				name, rep.States, time.Since(start).Seconds())
-		case errors.Is(err, c3.ErrCheckDeadline):
-			timedOut = true
-			fmt.Printf("%-8s TIMEOUT after %d states: every attempt exceeded the %v budget (%d attempts)\n",
-				name, rep.States, *taskTimeout, *retries+1)
-		default:
-			ok = false
-			fmt.Printf("%-8s FAIL: %v\n", name, err)
-			if ve, isVE := err.(*c3.VerifyError); isVE {
-				fmt.Printf("witness: %s\n", verif.FormatWitness(ve.Witness))
-				fmt.Printf("  (%s; %d steps, minimized from %d; replay with: c3check -test %s%s -replay %s)\n",
-					ve.Kind, len(ve.Witness), ve.OriginalLen, name, replayFlags(cfg), verif.FormatWitness(ve.Witness))
-				if *witness {
-					printSteps(name, cfg, ve.Witness)
-				}
-			}
-		}
-	}
-	if stopHeartbeat != nil {
-		stopHeartbeat()
-	}
-	if server != nil {
-		server.Close()
-	}
-
-	// Verdict precedence: a found violation outranks the shutdown that
-	// may have followed it; an interrupt outranks a timeout because its
-	// result is deliberately partial, not a budget failure.
-	verdict := obs.VerdictPass
-	switch {
-	case !ok:
-		verdict = obs.VerdictViolation
-	case interrupted:
-		verdict = obs.VerdictInterrupted
-	case timedOut:
-		verdict = obs.VerdictTimeout
-	}
+	c := &checker{cfg: cfg, taskTimeout: *taskTimeout, retries: *retries,
+		outcomes: *outcomes, witness: *witness, co: co}
+	verdict := c.runAll(tests, *workers, os.Stdout)
+	stopWatch()
 	exit := obs.ExitCode(verdict)
 	if *ledger != "" {
 		total, _ := co.snapshot()
@@ -344,23 +252,162 @@ func main() {
 	os.Exit(exit)
 }
 
+// checker runs c3check's test explorations with the flags' settings and
+// renders each test's lines.
+type checker struct {
+	cfg               c3.VerifyConfig
+	taskTimeout       time.Duration
+	retries           int
+	outcomes, witness bool
+	co                *checkObserver
+}
+
+// testRun is one test's printed lines and its obs.Verdict* verdict.
+type testRun struct {
+	out     []byte
+	verdict string
+}
+
+// verify is the exploration a test runs; a test seam.
+var verify = c3.Verify
+
+// run explores test i, retrying only wall-clock cuts (violations and
+// interrupts are deterministic or deliberate), and renders its lines. A
+// panic in the exploration is the test's FAIL, so the other tests still
+// run.
+func (c *checker) run(i int, name string) testRun {
+	w := &bytes.Buffer{}
+	select {
+	case <-c.cfg.Interrupt:
+		fmt.Fprintf(w, "%-8s INTERRUPTED before start\n", name)
+		return testRun{w.Bytes(), obs.VerdictInterrupted}
+	default:
+	}
+	c.co.TaskStarted(i)
+	start := time.Now()
+	var rep *c3.VerifyReport
+	var err error
+	for attempt := 1; ; attempt++ {
+		cfg := c.cfg
+		cfg.OnProgress = c.co.progress(i)
+		if c.taskTimeout > 0 {
+			cfg.Deadline = time.Now().Add(c.taskTimeout)
+		}
+		rep, err = recovered(name, cfg)
+		if errors.Is(err, c3.ErrCheckDeadline) && attempt <= c.retries {
+			fmt.Fprintf(os.Stderr, "c3check: %s: attempt %d hit the %v budget, retrying\n",
+				name, attempt, c.taskTimeout)
+			continue
+		}
+		break
+	}
+	c.co.done(i, rep, err)
+	verdict := obs.VerdictPass
+	switch {
+	case err == nil:
+		status := "verified"
+		if rep.Truncated {
+			status = "bounded"
+		}
+		note := ""
+		if rep.ForbiddenSkipped {
+			note = " [forbidden predicate skipped: unsynced]"
+		}
+		if rep.MemSheds > 0 {
+			note += fmt.Sprintf(" [mem pressure: shed x%d, snapshot budget %d]",
+				rep.MemSheds, rep.SnapshotBudgetEnd)
+		}
+		if rep.SymmetryMerges > 0 || rep.PORSkips > 0 || rep.SleepSkips > 0 {
+			note += fmt.Sprintf(" [reduced: %d symmetry merges, %d POR skips, %d sleep skips]",
+				rep.SymmetryMerges, rep.PORSkips, rep.SleepSkips)
+		}
+		fmt.Fprintf(w, "%-8s %s: %d states, %d terminal, %d outcomes, %d builds + %d clones (%.1fs)%s\n",
+			name, status, rep.States, rep.Terminals, rep.Outcomes, rep.Builds, rep.Clones,
+			time.Since(start).Seconds(), note)
+		if c.outcomes {
+			for _, o := range rep.OutcomeList {
+				fmt.Fprintf(w, "outcome: %s | %s\n", name, o)
+			}
+		}
+	case errors.Is(err, c3.ErrCheckInterrupted):
+		verdict = obs.VerdictInterrupted
+		fmt.Fprintf(w, "%-8s INTERRUPTED after %d states (%.1fs): partial, no verdict\n",
+			name, rep.States, time.Since(start).Seconds())
+	case errors.Is(err, c3.ErrCheckDeadline):
+		verdict = obs.VerdictTimeout
+		fmt.Fprintf(w, "%-8s TIMEOUT after %d states: every attempt exceeded the %v budget (%d attempts)\n",
+			name, rep.States, c.taskTimeout, c.retries+1)
+	default:
+		verdict = obs.VerdictViolation
+		fmt.Fprintf(w, "%-8s FAIL: %v\n", name, err)
+		if ve, isVE := err.(*c3.VerifyError); isVE {
+			fmt.Fprintf(w, "witness: %s\n", verif.FormatWitness(ve.Witness))
+			fmt.Fprintf(w, "  (%s; %d steps, minimized from %d; replay with: c3check -test %s%s -replay %s)\n",
+				ve.Kind, len(ve.Witness), ve.OriginalLen, name, replayFlags(c.cfg), verif.FormatWitness(ve.Witness))
+			if c.witness {
+				printSteps(w, name, c.cfg, ve.Witness)
+			}
+		}
+	}
+	return testRun{w.Bytes(), verdict}
+}
+
+// runAll explores tests, up to workers at once, each as one whole
+// exploration on its own goroutine, and writes each test's lines to w
+// in test order. Of the verdicts the tests reach it returns the
+// gravest: a found violation outranks the shutdown that may have
+// followed it, and an interrupt outranks a timeout because its result
+// is deliberately partial, not a budget failure.
+func (c *checker) runAll(tests []string, workers int, w io.Writer) string {
+	seen := map[string]bool{}
+	_, err := parallel.MapOrdered(context.Background(), workers, len(tests),
+		func(i int) (testRun, error) { return c.run(i, tests[i]), nil },
+		func(_ int, r testRun) {
+			w.Write(r.out)
+			seen[r.verdict] = true
+		})
+	if err != nil { // a panic outside the explorations
+		fmt.Fprintln(os.Stderr, "c3check:", err)
+		return obs.VerdictViolation
+	}
+	for _, v := range []string{obs.VerdictViolation, obs.VerdictInterrupted, obs.VerdictTimeout} {
+		if seen[v] {
+			return v
+		}
+	}
+	return obs.VerdictPass
+}
+
+// recovered runs verify, turning a panic into an error that carries the
+// panic value and stack.
+func recovered(name string, cfg c3.VerifyConfig) (rep *c3.VerifyReport, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			rep, err = nil, fmt.Errorf("panic: %v\n%s", p, debug.Stack())
+		}
+	}()
+	return verify(name, cfg)
+}
+
 // checkObserver keeps the checker's progress for the statusz registry,
-// which renders it from HTTP goroutines while the exploration runs.
-// Counters accumulate across the per-test runs (total work this
-// invocation did); frontier and depth are instantaneous.
+// which renders it from HTTP goroutines while the explorations run.
+// Counters accumulate across the tests (total work this invocation
+// did); the frontier gauge sums the running tests' frontiers and the
+// depth gauge is the deepest of them.
 type checkObserver struct {
 	*obs.Tracker
 	registry *trace.Registry
 
 	mu sync.Mutex
-	// total sums the finished tests; cur is the running test's latest
-	// sample, whose counts restart with each Verify call.
+	// total sums the finished tests; cur holds each running test's
+	// latest sample, whose counts restart with each Verify call.
 	total c3.CheckCounts
-	cur   c3.CheckProgress
+	cur   map[int]c3.CheckProgress
 }
 
 func newCheckObserver() *checkObserver {
-	o := &checkObserver{Tracker: obs.NewTracker(), registry: trace.NewRegistry()}
+	o := &checkObserver{Tracker: obs.NewTracker(), registry: trace.NewRegistry(),
+		cur: map[int]c3.CheckProgress{}}
 	for i, c := range o.total.Counters() {
 		o.registry.Counter("check."+c.Name, func() uint64 {
 			total, _ := o.snapshot()
@@ -372,20 +419,28 @@ func newCheckObserver() *checkObserver {
 	return o
 }
 
-func (o *checkObserver) progress(p c3.CheckProgress) {
-	o.mu.Lock()
-	o.cur = p
-	o.mu.Unlock()
+// progress returns test i's OnProgress hook.
+func (o *checkObserver) progress(i int) func(c3.CheckProgress) {
+	return func(p c3.CheckProgress) {
+		o.mu.Lock()
+		o.cur[i] = p
+		o.mu.Unlock()
+	}
 }
 
 // snapshot returns the invocation's counts so far and the running
-// test's latest sample.
+// tests' summed frontier and deepest depth.
 func (o *checkObserver) snapshot() (c3.CheckCounts, c3.CheckProgress) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	total := o.total
-	add(&total, o.cur.Counts)
-	return total, o.cur
+	var cur c3.CheckProgress
+	for _, p := range o.cur {
+		add(&total, p.Counts)
+		cur.Frontier += p.Frontier
+		cur.Depth = max(cur.Depth, p.Depth)
+	}
+	return total, cur
 }
 
 // done folds test i's final counts into the total and marks the task
@@ -394,12 +449,12 @@ func (o *checkObserver) snapshot() (c3.CheckCounts, c3.CheckProgress) {
 // is fresher than the last sample.
 func (o *checkObserver) done(i int, rep *c3.VerifyReport, err error) {
 	o.mu.Lock()
-	last := o.cur.Counts
+	last := o.cur[i].Counts
 	if rep != nil {
 		last = rep.CheckCounts
 	}
 	add(&o.total, last)
-	o.cur = c3.CheckProgress{}
+	delete(o.cur, i)
 	o.mu.Unlock()
 	o.Tracker.TaskDone(i, err)
 }
@@ -413,14 +468,14 @@ func add(a *c3.CheckCounts, b c3.CheckCounts) {
 }
 
 // printSteps decodes a witness by replaying it.
-func printSteps(test string, cfg c3.VerifyConfig, path []uint16) {
+func printSteps(w io.Writer, test string, cfg c3.VerifyConfig, path []uint16) {
 	rr, err := c3.ReplayWitness(test, cfg, path)
 	if err != nil {
-		fmt.Printf("  witness decode failed: %v\n", err)
+		fmt.Fprintf(w, "  witness decode failed: %v\n", err)
 		return
 	}
 	for i, s := range rr.Steps {
-		fmt.Printf("  step %3d  %s\n", i, s)
+		fmt.Fprintf(w, "  step %3d  %s\n", i, s)
 	}
 }
 
@@ -436,6 +491,11 @@ func replayFlags(cfg c3.VerifyConfig) string {
 	}
 	if cfg.Global != "cxl" {
 		fmt.Fprintf(&b, " -global %s", cfg.Global)
+	}
+	for i, m := range cfg.MCMs {
+		if m != c3.ARM {
+			fmt.Fprintf(&b, " -mcm%d %s", i, strings.ToLower(m.String()))
+		}
 	}
 	if cfg.TinyLLC {
 		b.WriteString(" -tiny")

@@ -52,7 +52,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -132,26 +131,12 @@ func main() {
 	// also checkpoints each completed row to the ledger as it finishes.
 	so := newSoakObserver(sweep.Ledger, suffix)
 	cfg.Observer = so
-	var server *obs.Server
-	if *statusz != "" {
-		server, err = obs.StartStatusz(*statusz, "c3soak", so.Tracker)
-		failUsage(err)
-		server.SetRegistry(so.registry)
-		fmt.Fprintf(os.Stderr, "c3soak: statusz on http://%s/statusz\n", server.Addr())
-	}
-	var stopHeartbeat func()
-	if *heartbeat > 0 {
-		stopHeartbeat = obs.Heartbeat(context.Background(), os.Stderr, *heartbeat, "c3soak", so.Tracker)
-	}
+	stopWatch, err := obs.Watch("c3soak", *statusz, *heartbeat, so.Tracker, so.registry)
+	failUsage(err)
 
 	start := time.Now()
 	rep, err := litmus.RunSoak(cfg)
-	if stopHeartbeat != nil {
-		stopHeartbeat()
-	}
-	if server != nil {
-		server.Close()
-	}
+	stopWatch()
 	if err != nil {
 		appendLedger(sweep.Ledger, so, cfg, start, obs.VerdictError, obs.ExitUsage, map[string]any{"error": err.Error()})
 		failUsage(err)

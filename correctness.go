@@ -166,9 +166,6 @@ type VerifyConfig struct {
 	TinyLLC   bool
 	MaxStates uint64
 	MaxDepth  int
-	// Workers parallelizes successor expansion (0 = GOMAXPROCS,
-	// 1 = serial); reports are identical for every worker count.
-	Workers int
 	// Unsynced strips all fences/annotations before checking, exploring
 	// the relaxed executions the paper's control runs exercise. Forbidden
 	// outcomes are then architecturally legal, so the predicate is skipped
@@ -305,7 +302,8 @@ func modelConfig(test string, cfg *VerifyConfig) (verif.ModelConfig, error) {
 // system, checking deadlock freedom, SWMR, Rule I's forbidden compound
 // states, and the absence of forbidden outcomes. Violations come back as
 // a *VerifyError carrying a minimized, replayable witness, alongside the
-// report of the exploration that found it.
+// report of the exploration that found it. The exploration runs on the
+// calling goroutine; independent Verify calls may run concurrently.
 func Verify(test string, cfg VerifyConfig) (*VerifyReport, error) {
 	mcfg, err := modelConfig(test, &cfg)
 	if err != nil {
@@ -314,7 +312,6 @@ func Verify(test string, cfg VerifyConfig) (*VerifyReport, error) {
 	rep, err := verif.Check(mcfg, verif.CheckerConfig{
 		MaxStates:      cfg.MaxStates,
 		MaxDepth:       cfg.MaxDepth,
-		Workers:        cfg.Workers,
 		ReplayFromRoot: cfg.ReplayFromRoot,
 		POROff:         cfg.POROff,
 		CrossCheck:     cfg.CrossCheck,

@@ -19,7 +19,7 @@
 // hashing and retiring a cache cost O(sets it touched), not O(capacity):
 // a litmus iteration touches a handful of lines of two 4 MiB CXL caches.
 //
-// The slab sits behind an atomic reference count and is shared
+// The slab sits behind a reference count and is shared
 // copy-on-write between a cache and its Clones: Clone bumps the count
 // and shares the slab; the first mutating access on either side
 // materializes a private copy. Every
@@ -29,7 +29,9 @@
 // without copying and exist for hash/dump/invariant paths that must stay
 // O(0) on freshly cloned snapshots. Pointers obtained from either kind
 // of accessor are invalidated by the next cache call and must not be
-// retained across calls.
+// retained across calls. The count is a plain integer: a cache, its
+// clones and their slab stay on one goroutine, and goroutines share only
+// the pools.
 //
 // Retired slabs are recycled through per-geometry sync.Pools (Release).
 // A pooled slab is all-zero, frames and bitmap alike: the last reference
@@ -43,7 +45,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"c3/internal/fp"
 	"c3/internal/mem"
@@ -74,13 +75,11 @@ type Entry struct {
 // slab is the refcounted backing store shared copy-on-write between a
 // cache and its clones. refs counts the Cache instances referencing it;
 // writers may touch entries only when refs == 1 (sole owner) — otherwise
-// they copy first (materialize). refs is the only cross-goroutine state:
-// concurrent Clones of one parent share it via atomic increments while
-// each resulting model stays single-goroutine-owned.
+// they copy first (materialize).
 //
 // touched has one bit per set; a frame in an unmarked set is all-zero.
 type slab struct {
-	refs    atomic.Int32
+	refs    int32
 	entries []Entry
 	touched []uint64
 	ways    int
@@ -107,7 +106,7 @@ func getSlab(g geometry) *slab {
 			ways:    g.ways,
 		}
 	}
-	s.refs.Store(1)
+	s.refs = 1
 	return s
 }
 
@@ -171,7 +170,7 @@ func New(sizeBytes, ways int) *Cache {
 // copy-on-write: the clone costs O(1) and the first mutating access on
 // either side materializes a private copy.
 func (c *Cache) Clone() *Cache {
-	c.s.refs.Add(1)
+	c.s.refs++
 	n := *c
 	return &n
 }
@@ -185,7 +184,7 @@ func (c *Cache) Release() {
 	if c.s == nil {
 		return
 	}
-	if c.s.refs.Add(-1) == 0 {
+	if c.s.refs--; c.s.refs == 0 {
 		putSlab(c.s)
 	}
 	c.s = nil
@@ -193,27 +192,24 @@ func (c *Cache) Release() {
 
 // materialize gives the cache a private slab before a write. With a sole
 // reference the slab is already private and writes happen in place — the
-// no-clone fast path (litmus/soak) pays one atomic load. Shared slabs
-// are copied, marked sets only (the pooled target is all-zero); the
-// reference drop may race another clone's release, so the loser of the
-// decrement recycles.
+// no-clone fast path (litmus/soak) pays one compare. Shared slabs are
+// copied, marked sets only (the pooled target is all-zero), and the
+// copy drops its reference to the shared one.
 func (c *Cache) materialize() {
 	s := c.s
-	if s.refs.Load() == 1 {
+	if s.refs == 1 {
 		return
 	}
 	ns := getSlab(geometry{len(s.entries), s.ways})
 	s.eachSet(func(lo, hi int) { copy(ns.entries[lo:hi], s.entries[lo:hi]) })
 	copy(ns.touched, s.touched)
 	c.s = ns
-	if s.refs.Add(-1) == 0 {
-		putSlab(s)
-	}
+	s.refs--
 }
 
 // Shared reports whether the frame slab is currently shared with a clone
 // (ie. a write would copy). For tests.
-func (c *Cache) Shared() bool { return c.s.refs.Load() > 1 }
+func (c *Cache) Shared() bool { return c.s.refs > 1 }
 
 // Sets reports the set count.
 func (c *Cache) Sets() int { return len(c.s.entries) / c.ways }

@@ -24,8 +24,8 @@ func deepCopy(c *Cache) *Cache {
 		entries: append([]Entry(nil), c.s.entries...),
 		touched: append([]uint64(nil), c.s.touched...),
 		ways:    c.s.ways,
+		refs:    1,
 	}
-	n.s.refs.Store(1)
 	return &n
 }
 

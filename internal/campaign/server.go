@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -303,12 +304,22 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v) //nolint:errcheck
 }
 
+// maxRequestBytes caps a request body; the largest request carries one
+// row.
+const maxRequestBytes = 1 << 20
+
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		return false
+	case err != nil:
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return false
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -18,7 +19,7 @@ import (
 
 // testSpec is a small sweep (2 tests x 1 plan x 2 seeds = 4 shards)
 // that runs in well under a second per shard.
-func testSpec(t *testing.T, tests []string, seeds []int64) *Spec {
+func testSpec(t testing.TB, tests []string, seeds []int64) *Spec {
 	t.Helper()
 	m, err := cpu.ParseMCM("arm")
 	if err != nil {
@@ -47,7 +48,7 @@ func singleProcessReport(t *testing.T, spec *Spec) *litmus.SoakReport {
 	return rep
 }
 
-func startTestServer(t *testing.T, cfg ServerConfig) *Server {
+func startTestServer(t testing.TB, cfg ServerConfig) *Server {
 	t.Helper()
 	if cfg.Warnf == nil {
 		cfg.Warnf = t.Logf
@@ -566,4 +567,68 @@ func TestJournalResumesSingleProcess(t *testing.T) {
 	if got, want := rep.Render(), ref.Render(); got != want {
 		t.Errorf("journal-resumed report differs:\n--- want\n%s\n--- got\n%s", want, got)
 	}
+}
+
+// TestOversizedRequestBody: a request body past maxRequestBytes is
+// answered 413 on every POST endpoint, and nothing reaches the queue.
+func TestOversizedRequestBody(t *testing.T) {
+	srv := startTestServer(t, ServerConfig{Spec: testSpec(t, []string{"MP"}, []int64{1})})
+	body := `{"worker":"` + strings.Repeat("w", maxRequestBytes) + `"}`
+	for _, path := range []string{"/lease", "/heartbeat", "/result", "/release"} {
+		resp, err := http.Post("http://"+srv.Addr()+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", path, resp.StatusCode)
+		}
+	}
+	if snap := srv.Queue().Snapshot(); snap.Pending != snap.Total {
+		t.Errorf("snapshot %+v after oversized requests, want every job pending", snap)
+	}
+}
+
+// FuzzCoordinatorRequests posts arbitrary bodies to each POST endpoint
+// of one coordinator: no body panics a handler or gets a 5xx, and the
+// queue's jobs stay accounted for, each in exactly one state.
+func FuzzCoordinatorRequests(f *testing.F) {
+	spec := testSpec(f, []string{"MP"}, []int64{1, 2})
+	srv := startTestServer(f, ServerConfig{Spec: spec, Warnf: func(string, ...any) {}})
+	jobs, err := spec.Jobs()
+	if err != nil {
+		f.Fatal(err)
+	}
+	row := litmus.SoakRun{Test: "MP", Plan: "light", Seed: 1, Iters: 4}
+	failed := row
+	failed.Err = "task deadline"
+	for _, req := range []any{
+		&LeaseRequest{Worker: "w0"},
+		&HeartbeatRequest{Worker: "w0", Leases: []string{"1", "2"}},
+		&ResultRequest{Worker: "w0", Lease: "1", JobID: 0, RowKey: jobs[0].RowKey(srv.Suffix()), Row: row},
+		&ResultRequest{JobID: 0, RowKey: jobs[0].Label() + "|some-other-binary", Row: row},
+		&ResultRequest{JobID: 99, RowKey: "whatever", Row: row},
+		&ReleaseRequest{Worker: "w0", Lease: "2", Failure: &failed},
+		&ReleaseRequest{Worker: "w0", Lease: "1"},
+	} {
+		b, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	h := srv.srv.Handler
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, path := range []string{"/lease", "/heartbeat", "/result", "/release"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			if rec.Code >= 500 {
+				t.Fatalf("%s answered %d: %s", path, rec.Code, rec.Body)
+			}
+		}
+		snap := srv.Queue().Snapshot()
+		if snap.Pending+snap.Leased+snap.Done+snap.Quarantined != snap.Total {
+			t.Fatalf("queue snapshot %+v does not account for every job", snap)
+		}
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // Table holds the per-line records of type V that a coherence
@@ -26,16 +25,16 @@ import (
 //
 // # Copy-on-write
 //
-// The store sits behind an atomic reference count and is shared
+// The store sits behind a reference count and is shared
 // copy-on-write between a table and its Clones, under the rules of the
 // cache slab: Clone bumps the count and shares the store; the first
 // writing access on either side (Get, Put, Delete) materializes a
 // private copy of the occupied slots; Peek, ForEachRO and Lines read
 // the shared store in place, so a clone that is only hashed and
 // dumped never copies it. Retired stores are recycled through per-type,
-// per-size pools (Release); a pooled store is all-zero. The count is
-// the only cross-goroutine state, so clones of one parent may be taken
-// concurrently while each table stays single-goroutine-owned.
+// per-size pools (Release); a pooled store is all-zero. The count is a
+// plain integer: a table, its clones and their store stay on one
+// goroutine, and goroutines share only the pools.
 //
 // # Records
 //
@@ -71,7 +70,7 @@ type slot[V any] struct {
 }
 
 type tableStore[V any] struct {
-	refs  atomic.Int32
+	refs  int32
 	n     int
 	low   int // lowest bitmap word that may have a free bit
 	slots []slot[V]
@@ -107,7 +106,7 @@ func getStore[V any](slots int) *tableStore[V] {
 			s.shift = uint8(64 - bits.Len(uint(2*slots)) + 1)
 		}
 	}
-	s.refs.Store(1)
+	s.refs = 1
 	return s
 }
 
@@ -292,15 +291,15 @@ func (t *Table[V]) grow() {
 }
 
 // materialize gives the table a private store before a write. With a
-// sole reference (the simulator, which never clones) it costs one atomic
-// load. A shared store is copied occupied slot by occupied slot into an
-// all-zero pooled store of the same size, so slot indices, walk order
-// and the index carry over unchanged; records that hold slices are
-// clipped (Clipper). The reference drop may race another clone's
-// release, so the loser of the decrement recycles.
+// sole reference (the simulator, which never clones) it costs one
+// compare. A shared store is copied occupied slot by occupied slot into
+// an all-zero pooled store of the same size, so slot indices, walk
+// order and the index carry over unchanged; records that hold slices
+// are clipped (Clipper), and the copy drops its reference to the
+// shared one.
 func (t *Table[V]) materialize() {
 	s := t.s
-	if s.refs.Load() == 1 {
+	if s.refs == 1 {
 		return
 	}
 	ns := getStore[V](len(s.slots))
@@ -315,9 +314,7 @@ func (t *Table[V]) materialize() {
 	copy(ns.index, s.index)
 	ns.n, ns.low = s.n, s.low
 	t.s = ns
-	if s.refs.Add(-1) == 0 {
-		putStore(s)
-	}
+	s.refs--
 }
 
 // ForEachRO visits every record in slot order without copying a shared
@@ -340,10 +337,10 @@ func (t *Table[V]) Lines(dst []LineAddr) []LineAddr {
 }
 
 // Clone returns a table sharing this one's store copy-on-write; it costs
-// one atomic increment and no allocation.
+// one increment and no allocation.
 func (t *Table[V]) Clone() Table[V] {
 	if t.s != nil {
-		t.s.refs.Add(1)
+		t.s.refs++
 	}
 	return Table[V]{s: t.s}
 }
@@ -355,7 +352,7 @@ func (t *Table[V]) Release() {
 	if t.s == nil {
 		return
 	}
-	if t.s.refs.Add(-1) == 0 {
+	if t.s.refs--; t.s.refs == 0 {
 		putStore(t.s)
 	}
 	t.s = nil
@@ -363,4 +360,4 @@ func (t *Table[V]) Release() {
 
 // Shared reports whether the store is shared with a clone (a write would
 // copy it). For tests.
-func (t *Table[V]) Shared() bool { return t.s != nil && t.s.refs.Load() > 1 }
+func (t *Table[V]) Shared() bool { return t.s != nil && t.s.refs > 1 }

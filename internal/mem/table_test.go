@@ -218,23 +218,25 @@ func TestTableCloneWriteReleaseRecycles(t *testing.T) {
 	}
 }
 
-// TestTableConcurrentClones: the refcount is the only state goroutines
-// share. Several goroutines clone one parent at once, write their clones
+// TestTableConcurrentClones: the pools are the only state goroutines
+// share. Each goroutine owns a parent, clones it, writes the clones
 // (materializing, appending to record slices, growing past the scan
-// size) and release them into the pools; the parent must read as before.
+// size) and releases them into the shared pools, where another
+// goroutine's next store may come from; every parent must read as
+// before.
 func TestTableConcurrentClones(t *testing.T) {
-	var p Table[rec]
-	for i := 0; i < 6; i++ {
-		r := p.Put(ln(i))
-		r.v = i
-		r.list = append(r.list, i, i)
-	}
-	want := contentsOf(&p)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var p Table[rec]
+			for i := 0; i < 6; i++ {
+				r := p.Put(ln(i))
+				r.v = i
+				r.list = append(r.list, i, i)
+			}
+			want := contentsOf(&p)
 			for i := 0; i < 300; i++ {
 				c := p.Clone()
 				r := c.Get(ln(i % 6))
@@ -246,10 +248,11 @@ func TestTableConcurrentClones(t *testing.T) {
 				c.Delete(ln((i + 1) % 6))
 				c.Release()
 			}
+			if !sameContents(contentsOf(&p), want) {
+				t.Errorf("goroutine %d: a clone's writes reached the parent", g)
+			}
+			p.Release()
 		}(g)
 	}
 	wg.Wait()
-	if !sameContents(contentsOf(&p), want) {
-		t.Fatal("a clone's writes reached the parent")
-	}
 }

@@ -100,7 +100,8 @@ func TestRowRecordRoundTrip(t *testing.T) {
 
 // TestShutdownLeaksNoGoroutines is the goroutine-shutdown audit: the
 // statusz server and the heartbeat must terminate on Close / context
-// cancel without leaking goroutines, across repeated start/stop cycles.
+// cancel, and both of Watch's on its stop, without leaking goroutines,
+// across repeated start/stop cycles.
 func TestShutdownLeaksNoGoroutines(t *testing.T) {
 	// One throwaway cycle first so lazily started runtime/http singletons
 	// don't count against the baseline.
@@ -126,6 +127,15 @@ func TestShutdownLeaksNoGoroutines(t *testing.T) {
 		cancel()                         // heartbeat must die on ctx alone...
 		srv.Close()                      // ...and Close must join the serve goroutine
 		stop()                           // idempotent with the cancelled ctx
+
+		stopWatch, err := Watch("leaktest", "127.0.0.1:0", time.Hour, tr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stopWatch()
+		if _, err := Watch("leaktest", "127.0.0.1:-1", time.Hour, tr, nil); err == nil {
+			t.Fatal("Watch on a bad address armed anyway")
+		}
 	}
 	cycle()
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"expvar"
 	"fmt"
@@ -115,6 +116,31 @@ func StartStatusz(addr, tool string, t *Tracker) (*Server, error) {
 		s.srv.Serve(ln) //nolint:errcheck // Serve returns on Close
 	}()
 	return s, nil
+}
+
+// Watch arms a tool's live introspection, both views reading t: statusz
+// on addr (none when empty) with reg served at /metricsz, its address
+// echoed to stderr, and a heartbeat line on stderr every interval (none
+// when 0). stop ends both.
+func Watch(tool, addr string, interval time.Duration, t *Tracker, reg *trace.Registry) (stop func(), err error) {
+	var server *Server
+	if addr != "" {
+		if server, err = StartStatusz(addr, tool, t); err != nil {
+			return nil, err
+		}
+		server.SetRegistry(reg)
+		fmt.Fprintf(os.Stderr, "%s: statusz on http://%s/statusz\n", tool, server.Addr())
+	}
+	stopHeartbeat := func() {}
+	if interval > 0 {
+		stopHeartbeat = Heartbeat(context.Background(), os.Stderr, interval, tool, t)
+	}
+	return func() {
+		stopHeartbeat()
+		if server != nil {
+			server.Close()
+		}
+	}, nil
 }
 
 // Addr reports the bound address ("127.0.0.1:43817"), for tests and for

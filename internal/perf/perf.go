@@ -149,9 +149,7 @@ func Benchmarks() []Benchmark {
 				}
 				mcfg.Test = tc
 				return func() {
-					if _, err := verif.Check(mcfg, verif.CheckerConfig{
-						MaxStates: 20_000, Workers: 1,
-					}); err != nil {
+					if _, err := verif.Check(mcfg, verif.CheckerConfig{MaxStates: 20_000}); err != nil {
 						panic(fmt.Sprintf("perf: checker-reduced: %v", err))
 					}
 				}

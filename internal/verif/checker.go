@@ -2,7 +2,6 @@ package verif
 
 import (
 	"cmp"
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"c3/internal/litmus"
-	"c3/internal/parallel"
 )
 
 // Abort sentinels: Check wraps these when an exploration is cut short by
@@ -114,11 +112,9 @@ const (
 type CheckerConfig struct {
 	MaxStates uint64 // 0 -> 200k
 	MaxDepth  int    // 0 -> 400
-	// Workers parallelizes successor expansion (0 = GOMAXPROCS, 1 =
-	// serial). Successor branches are independent by construction; hashes
-	// and invariant results merge in canonical action order, keeping the
-	// visit order — and therefore the Report — identical to a serial
-	// exploration.
+	// Deprecated: Workers is ignored. An exploration runs on the calling
+	// goroutine; independent explorations run concurrently instead, as
+	// c3check -j does.
 	Workers int
 	// ReplayFromRoot disables snapshotting: every state is reconstructed
 	// by re-executing its delivery prefix on a freshly built model, as the
@@ -186,10 +182,12 @@ type Progress struct {
 // whose Path replays the failure via Replay (witnesses other than
 // livelocks are first minimized by delta-debugging).
 //
-// States are expanded by copy-on-write cloning the frontier snapshot
-// (Model.Clone) and delivering one message to each copy; the delivery
-// prefix is re-executed from the root only for entries whose snapshot
-// was dropped (the snapshot budget) or when ReplayFromRoot is set.
+// States are expanded on the calling goroutine by copy-on-write cloning
+// the frontier snapshot (Model.Clone) and delivering one message to each
+// copy; the delivery prefix is re-executed from the root only for
+// entries whose snapshot was dropped (the snapshot budget) or when
+// ReplayFromRoot is set. Check starts no goroutine, so independent
+// explorations may run concurrently.
 func Check(mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
 	// sym is the admitted renaming group (identity-only for asymmetric
 	// tests); the POR shares its line index and set-conflict gate. It
@@ -211,17 +209,6 @@ func Check(mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
 // returns it as a bounded Report, not as an error.
 var errTruncated = errors.New("verif: state budget reached")
 
-// successor is a state one delivery past a frontier state, measured:
-// its orbit fingerprint, the index of the renaming that attained it (0
-// for the identity), and its invariant verdict. m is its model, which
-// the frontier may keep as a snapshot.
-type successor struct {
-	hash   uint64
-	ren    int
-	invErr error
-	m      *Model
-}
-
 // frontierEntry is one state waiting in the BFS queue: its delivery
 // path, its snapshot when the budget allows, its entry id (admission
 // order), and how many promises it holds at the front of the sleep-set
@@ -231,17 +218,6 @@ type frontierEntry struct {
 	m        *Model
 	id       int
 	promises int
-}
-
-// step delivers a to m, a copy of a frontier state (a clone, or a
-// replay of its prefix), and measures the successor under sym.
-// Invariants are pure functions of the state, so measuring a successor
-// the frontier already holds changes nothing observable.
-func (m *Model) step(sym *symmetry, a Action) successor {
-	m.Step(a)
-	s := successor{m: m, invErr: m.checkInvariants()}
-	s.hash, s.ren = m.fingerprint(sym)
-	return s
 }
 
 // check explores mcfg's state space, merging states whose fingerprints
@@ -320,34 +296,54 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 		frontier = append(frontier, ent)
 	}
 
-	// admit takes successor s, reached by delivering the ai-th enabled
-	// action at path, into the frontier unless its state was visited
-	// before, and reports whether it was new. Either way the sleep sets
-	// learn which entry holds it, and s's model is parked or released.
-	// An error ends the exploration: a counterexample, or errTruncated
-	// at MaxStates.
-	admit := func(path []uint16, ai int, s successor) (bool, error) {
-		if e, seen := visited[s.hash]; seen {
-			s.m.Release()
-			z.cover(ai, z.folded(e, s.ren))
+	// expand makes the successor of delivering acts[ai] at base, the
+	// state at path — a clone of base, or under ReplayFromRoot a fresh
+	// replay of path, so that mode shares no backing — steps it, and
+	// admits it into the frontier unless its state was visited before;
+	// it reports whether the state was new. Either way the sleep sets
+	// learn which entry holds it; a fold through a non-identity renaming
+	// is an observed symmetry merge. An error ends the exploration: a
+	// counterexample, errTruncated at MaxStates, or a failed replay.
+	expand := func(base *Model, path []uint16, acts []Action, ai int) (bool, error) {
+		var m *Model
+		if !ccfg.ReplayFromRoot {
+			m = base.Clone()
+			rep.Clones++
+		} else {
+			var err error
+			if m, err = replay(mcfg, path, nil); err != nil {
+				return false, err
+			}
+			rep.Builds++
+		}
+		m.Step(acts[ai])
+		h, ren := m.fingerprint(sym)
+		if e, seen := visited[h]; seen {
+			m.Release()
+			z.cover(ai, z.folded(e, ren))
+			if ren != 0 {
+				rep.SymmetryMerges++
+			}
 			return false, nil
 		}
-		id := z.admitted(s.ren)
-		visited[s.hash] = id
+		id := z.admitted(ren)
+		visited[h] = id
 		z.cover(ai, id)
 		rep.States++
 		np := make([]uint16, len(path)+1)
 		copy(np, path)
 		np[len(path)] = uint16(ai)
-		if s.invErr != nil {
-			s.m.Release()
-			return true, fail(VInvariant, s.invErr.Error(), np)
+		// Invariants are pure functions of the state, so a visited
+		// state's verdict is already known.
+		if err := m.checkInvariants(); err != nil {
+			m.Release()
+			return true, fail(VInvariant, err.Error(), np)
 		}
 		if rep.States >= ccfg.MaxStates {
-			s.m.Release()
+			m.Release()
 			return true, errTruncated
 		}
-		push(id, np, s.m)
+		push(id, np, m)
 		return true, nil
 	}
 
@@ -469,82 +465,42 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 		// would let a cycle ignore the other deliveries forever (the
 		// cycle proviso), so that case falls through to full expansion,
 		// which reuses the probe; an asleep ample delivery is known to be
-		// visited and is not probed. The probe is serial and
-		// deterministic, so reports stay byte-identical at every worker
-		// count.
-		probeFolded := false
+		// visited and is not probed.
 		if !ccfg.POROff && len(acts) > 1 {
 			// Until the probe, only asleep deliveries are covered.
 			if ample := base.ampleAction(sym, acts); ample >= 0 && !z.slots[ample].covered {
-				rep.Clones++
-				s := base.Clone().step(sym, acts[ample])
-				fresh, err := admit(path, ample, s)
-				if fresh {
-					rep.PORSkips += uint64(len(acts) - 1)
+				if fresh, err := expand(base, path, acts, ample); fresh || err != nil {
 					base.Release()
+					if fresh {
+						rep.PORSkips += uint64(len(acts) - 1)
+					}
 					if err != nil {
 						return rep, err
 					}
 					z.close(ent.id, frontier[len(frontier)-1:])
 					continue
 				}
-				probeFolded = s.ren != 0
 			}
-		}
-		// Expand the remaining successors in parallel: each branch copies
-		// the frontier state — a snapshot clone, or under ReplayFromRoot a
-		// re-execution of the prefix on a fresh model — and delivers one
-		// message. Clone is read-only on the parent, so branches are
-		// independent. The merge below runs serially in canonical action
-		// order, so visited-set updates, state counts, truncation, and
-		// the frontier are byte-identical to a serial exploration — and
-		// identical between the snapshot and replay strategies, which
-		// reach the same states.
-		todo := z.pending()
-		kids, err := parallel.Map(context.Background(), ccfg.Workers, len(todo),
-			func(k int) (successor, error) {
-				a := acts[todo[k]]
-				if !ccfg.ReplayFromRoot {
-					return base.Clone().step(sym, a), nil
-				}
-				m, err := replay(mcfg, path, nil)
-				if err != nil {
-					return successor{}, err
-				}
-				return m.step(sym, a), nil
-			})
-		if err != nil {
-			base.Release()
-			return rep, err
-		}
-		if ccfg.ReplayFromRoot {
-			rep.Builds += uint64(len(todo))
-		} else {
-			rep.Clones += uint64(len(todo))
 		}
 		rep.SleepSkips += uint64(asleep)
-		if probeFolded { // the probe's fold is an observed merge too
-			rep.SymmetryMerges++
-		}
-		// The base is fully expanded: recycle its COW backings. Each kid
-		// holds its own references, so releasing the parent never frees
-		// a slab a successor still shares.
-		base.Release()
+		// Expand every delivery not yet covered (asleep, or the folded
+		// probe) in canonical action order, admitting each successor as
+		// soon as it is stepped, so the snapshot and replay strategies
+		// reach the same states in the same order.
 		pushed := len(frontier)
-		for i, s := range kids {
-			fresh, err := admit(path, todo[i], s)
-			if !fresh && s.ren != 0 {
-				// The fold came from a non-identity renaming: this
-				// successor merged with a symmetric sibling.
-				rep.SymmetryMerges++
+		for ai := range acts {
+			if z.slots[ai].covered {
+				continue
 			}
-			if err != nil {
-				for _, k := range kids[i+1:] {
-					k.m.Release()
-				}
+			if _, err := expand(base, path, acts, ai); err != nil {
+				base.Release()
 				return rep, err
 			}
 		}
+		// The base is fully expanded: recycle its COW backings. Each
+		// successor holds its own references, so releasing the parent
+		// never frees a backing a successor still shares.
+		base.Release()
 		z.close(ent.id, frontier[pushed:])
 	}
 	return rep, nil

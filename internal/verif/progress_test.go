@@ -11,7 +11,7 @@ import (
 // about the exploration's result.
 func TestCheckerProgress(t *testing.T) {
 	mcfg := mpCXL(t, litmus.SyncFull)
-	base, err := Check(mcfg, CheckerConfig{Workers: 1})
+	base, err := Check(mcfg, CheckerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +19,6 @@ func TestCheckerProgress(t *testing.T) {
 	var calls int
 	var last Progress
 	rep, err := Check(mcfg, CheckerConfig{
-		Workers:       1,
 		progressEvery: 64,
 		OnProgress: func(p Progress) {
 			if p.States < last.States {
@@ -52,7 +51,6 @@ func TestCheckerProgressDefaultStride(t *testing.T) {
 	mcfg := mpCXL(t, litmus.SyncFull)
 	var calls int
 	rep, err := Check(mcfg, CheckerConfig{
-		Workers:    1,
 		OnProgress: func(Progress) { calls++ },
 	})
 	if err != nil {

@@ -36,7 +36,7 @@ func TestReductionEquivalenceCorpus(t *testing.T) {
 		lt := lt
 		t.Run(lt.Name, func(t *testing.T) {
 			mcfg := wmoCXL(t, lt.Name, litmus.SyncFull)
-			_, err := Check(mcfg, CheckerConfig{Workers: 1, MaxStates: 100_000, CrossCheck: true})
+			_, err := Check(mcfg, CheckerConfig{MaxStates: 100_000, CrossCheck: true})
 			var cex *Counterexample
 			if err != nil && !errors.As(err, &cex) {
 				t.Fatalf("cross-check failed: %v", err)
@@ -54,8 +54,9 @@ func TestReductionEquivalenceCorpus(t *testing.T) {
 // M copy; SB verifies), a
 // TinyLLC host (variable permutations and POR must disable themselves;
 // thread symmetry stays sound), and unsynchronized runs with forbidden
-// checking on (forbidden verdicts must agree). Both serial and parallel
-// expansions run to pin worker independence of the comparison.
+// checking on (forbidden verdicts must agree). Each runs with snapshots
+// and again under ReplayFromRoot, so the comparison holds however a
+// state is rebuilt.
 func TestReductionEquivalenceVariants(t *testing.T) {
 	type variant struct {
 		name           string
@@ -73,8 +74,7 @@ func TestReductionEquivalenceVariants(t *testing.T) {
 	}
 	for _, v := range variants {
 		for _, name := range []string{"MP", "SB"} {
-			for _, workers := range []int{1, 8} {
-				v, name, workers := v, name, workers
+			for _, replayRoot := range []bool{false, true} {
 				t.Run(v.name+"/"+name, func(t *testing.T) {
 					lt, ok := litmus.ByName(name)
 					if !ok {
@@ -82,12 +82,12 @@ func TestReductionEquivalenceVariants(t *testing.T) {
 					}
 					mcfg := ModelConfig{Test: lt, Locals: v.locals, Global: v.global,
 						MCMs: v.mcms, Sync: v.sync, TinyLLC: v.tiny}
-					ccfg := CheckerConfig{Workers: workers, MaxStates: 100_000,
+					ccfg := CheckerConfig{MaxStates: 100_000, ReplayFromRoot: replayRoot,
 						CheckForbidden: v.checkForbidden, CrossCheck: true}
 					_, err := Check(mcfg, ccfg)
 					var cex *Counterexample
 					if err != nil && !errors.As(err, &cex) {
-						t.Fatalf("cross-check failed (workers=%d): %v", workers, err)
+						t.Fatalf("cross-check failed (replay-from-root %v): %v", replayRoot, err)
 					}
 				})
 			}
@@ -131,7 +131,7 @@ func TestUnreducedReferenceCounts(t *testing.T) {
 		"MP+3W": {22014, 3},
 	}
 	for name, w := range want {
-		rep, err := unreduced(t, wmoCXL(t, name, litmus.SyncFull), CheckerConfig{Workers: 1, MaxStates: 100_000})
+		rep, err := unreduced(t, wmoCXL(t, name, litmus.SyncFull), CheckerConfig{MaxStates: 100_000})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -189,7 +189,7 @@ func TestCorpusGoldens(t *testing.T) {
 			t.Errorf("%s: no golden", lt.Name)
 			continue
 		}
-		rep, err := Check(wmoCXL(t, lt.Name, litmus.SyncFull), CheckerConfig{Workers: 1})
+		rep, err := Check(wmoCXL(t, lt.Name, litmus.SyncFull), CheckerConfig{})
 		if err != nil {
 			t.Fatalf("%s: %v", lt.Name, err)
 		}
@@ -210,7 +210,7 @@ func TestReductionCompletesFormerlyTruncated(t *testing.T) {
 	mcfg := wmoCXL(t, "MP+3W", litmus.SyncFull)
 	const budget = 10_000
 
-	raw, err := unreduced(t, mcfg, CheckerConfig{Workers: 1, MaxStates: budget})
+	raw, err := unreduced(t, mcfg, CheckerConfig{MaxStates: budget})
 	if err != nil {
 		t.Fatalf("unreduced: %v", err)
 	}
@@ -218,7 +218,7 @@ func TestReductionCompletesFormerlyTruncated(t *testing.T) {
 		t.Fatalf("unreduced run was expected to truncate at %d states (visited %d)", budget, raw.States)
 	}
 
-	red, err := Check(mcfg, CheckerConfig{Workers: 1, MaxStates: budget})
+	red, err := Check(mcfg, CheckerConfig{MaxStates: budget})
 	if err != nil {
 		t.Fatalf("reduced: %v", err)
 	}
@@ -240,16 +240,16 @@ func TestReductionCompletesFormerlyTruncated(t *testing.T) {
 		raw.States, red.States, red.SymmetryMerges, red.PORSkips)
 }
 
-// TestReducedCheckerWorkerIndependence: the reduced checker's Report —
-// including the reduction counters and the clone count — must be
-// identical at any worker count, exactly like the unreduced checker's.
+// TestReducedCheckerWorkerIndependence: Workers is deprecated and
+// ignored, so the reduced checker's Report — including the reduction
+// counters and the clone count — is identical whatever it is set to.
 func TestReducedCheckerWorkerIndependence(t *testing.T) {
 	mcfg := wmoCXL(t, "MP+3W", litmus.SyncFull)
-	want, err := Check(mcfg, CheckerConfig{Workers: 1, MaxStates: 100_000})
+	want, err := Check(mcfg, CheckerConfig{MaxStates: 100_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 8} {
+	for _, workers := range []int{1, 2, 8} {
 		got, err := Check(mcfg, CheckerConfig{Workers: workers, MaxStates: 100_000})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -325,7 +325,7 @@ func TestCheckReleasesAllModels(t *testing.T) {
 
 	// Forbidden-outcome counterexample (VForbidden early return).
 	run("forbidden", wmoCXL(t, "MP", litmus.SyncNone),
-		CheckerConfig{Workers: 4, MaxStates: 100_000, CheckForbidden: true})
+		CheckerConfig{MaxStates: 100_000, CheckForbidden: true})
 	// Invariant violation mid-exploration: the hmesi mixed config trips
 	// the H-MESI baseline's open IS^D_I race (finishSubSnoop acks a GInv
 	// nested in a pending GGetS and rolls the frame to I, then
@@ -333,21 +333,22 @@ func TestCheckReleasesAllModels(t *testing.T) {
 	// DataS, leaving an S copy beside the new M).
 	run("invariant", ModelConfig{Test: mustTest(t, "MP"), Locals: [2]string{"moesi", "mesif"},
 		Global: "hmesi", MCMs: [2]cpu.MCM{cpu.TSO, cpu.WMO}, Sync: litmus.SyncFull},
-		CheckerConfig{Workers: 4, MaxStates: 100_000})
+		CheckerConfig{MaxStates: 100_000})
 	// Truncation with a live frontier.
 	run("truncated", wmoCXL(t, "IRIW", litmus.SyncFull),
-		CheckerConfig{Workers: 4, MaxStates: 200})
+		CheckerConfig{MaxStates: 200})
 	// Livelock detector (depth bound).
 	run("livelock", wmoCXL(t, "MP", litmus.SyncFull),
-		CheckerConfig{Workers: 1, MaxStates: 100_000, MaxDepth: 4})
+		CheckerConfig{MaxStates: 100_000, MaxDepth: 4})
 	// Deadline already expired: immediate partial return.
 	run("deadline", wmoCXL(t, "MP", litmus.SyncFull),
-		CheckerConfig{Workers: 1, MaxStates: 100_000, Deadline: time.Now().Add(-time.Second)})
-	// Replay-from-root mode (kids carry rebuilt models that must release).
+		CheckerConfig{MaxStates: 100_000, Deadline: time.Now().Add(-time.Second)})
+	// Replay-from-root mode (every successor is a rebuilt model that must
+	// release).
 	run("replay-from-root", wmoCXL(t, "MP", litmus.SyncFull),
-		CheckerConfig{Workers: 4, MaxStates: 100_000, ReplayFromRoot: true})
+		CheckerConfig{MaxStates: 100_000, ReplayFromRoot: true})
 	run("replay-truncated", wmoCXL(t, "MP", litmus.SyncFull),
-		CheckerConfig{Workers: 4, MaxStates: 50, ReplayFromRoot: true})
+		CheckerConfig{MaxStates: 50, ReplayFromRoot: true})
 }
 
 func mustTest(t *testing.T, name string) litmus.Test {
@@ -382,7 +383,7 @@ func TestOutcomeConflictIsInvariantNotPanic(t *testing.T) {
 		}
 	})
 
-	_, err := Check(mcfg, CheckerConfig{Workers: 1, MaxStates: 1000})
+	_, err := Check(mcfg, CheckerConfig{MaxStates: 1000})
 	cex := asCex(t, err)
 	if cex.Kind != VInvariant {
 		t.Fatalf("kind = %v, want VInvariant", cex.Kind)

@@ -17,7 +17,7 @@ func TestCheckerMemShedEquivalence(t *testing.T) {
 	// The unsynced MP space is wide enough for the frontier to carry real
 	// snapshot weight (the full-sync space is under 200 states).
 	mcfg := mpCXL(t, litmus.SyncNone)
-	base, err := Check(mcfg, CheckerConfig{MaxStates: 3_000, Workers: 1})
+	base, err := Check(mcfg, CheckerConfig{MaxStates: 3_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestCheckerMemShedEquivalence(t *testing.T) {
 
 	// 1 byte: every heap sample is over budget, so the checker sheds at
 	// each sampling stride until the budget bottoms out at zero.
-	shed, err := Check(mcfg, CheckerConfig{MaxStates: 3_000, Workers: 1, MemBudget: 1, memSampleEvery: 16})
+	shed, err := Check(mcfg, CheckerConfig{MaxStates: 3_000, MemBudget: 1, memSampleEvery: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,6 @@ type sleepSets struct {
 	edges []edge
 	queue []promise
 	slots []slot
-	todo  []int
 }
 
 func newSleepSets(on bool, sym *symmetry) *sleepSets {
@@ -160,18 +159,6 @@ func (z *sleepSets) wake(f *ChoiceFabric, acts []Action, ps []promise) int {
 // child (-1 if unknown).
 func (z *sleepSets) cover(ai, child int) {
 	z.slots[ai].covered, z.slots[ai].child = true, child
-}
-
-// pending returns the indices of the deliveries still to generate, in
-// canonical order.
-func (z *sleepSets) pending() []int {
-	z.todo = z.todo[:0]
-	for ai, s := range z.slots {
-		if !s.covered {
-			z.todo = append(z.todo, ai)
-		}
-	}
-	return z.todo
 }
 
 // close records what entry x's expansion covered and hands its new

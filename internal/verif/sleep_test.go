@@ -2,7 +2,6 @@ package verif
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -38,8 +37,8 @@ var sleepConfigs = []sleepConfig{
 // visited set already holds, so a run with them reports exactly what a
 // run without them does — states, terminals, depth, POR skips,
 // truncation, outcomes, and the violation with its minimized witness —
-// while cloning no more. Corpus × every sleepConfigs entry at one and
-// four workers, and replay-from-root on MP and SB. The state budget
+// while cloning no more. Corpus × every sleepConfigs entry, and
+// replay-from-root on MP and SB. The state budget
 // lets every WMO exploration finish and truncates the largest TSO and
 // unsynchronized ones, whose truncation points must agree too.
 func TestSleepSetsPreserveReports(t *testing.T) {
@@ -65,29 +64,22 @@ func TestSleepSetsPreserveReports(t *testing.T) {
 			CheckerConfig{ReplayFromRoot: true}})
 	}
 	for _, r := range runs {
-		// Reports do not depend on the worker count, so one serial run
-		// without sleep sets is the reference for both.
 		ccfg := r.ccfg
-		ccfg.Workers, ccfg.sleepOff = 1, true
+		ccfg.sleepOff = true
 		off, errOff := Check(r.mcfg, ccfg)
 		if off.SleepSkips != 0 {
 			t.Errorf("%s: %d sleep skips with sleep sets off", r.label, off.SleepSkips)
 		}
-		for _, workers := range []int{1, 4} {
-			ccfg := r.ccfg
-			ccfg.Workers = workers
-			on, errOn := Check(r.mcfg, ccfg)
-			label := fmt.Sprintf("%s/j%d", r.label, workers)
-			sameVerdict(t, label, errOn, errOff)
-			if on.States != off.States || on.Terminals != off.Terminals || on.MaxDepth != off.MaxDepth ||
-				on.PORSkips != off.PORSkips || on.Truncated != off.Truncated ||
-				!reflect.DeepEqual(on.Outcomes, off.Outcomes) {
-				t.Errorf("%s: sleep sets changed the report:\n  on  %+v\n  off %+v", label, on, off)
-			}
-			if on.Clones > off.Clones || on.Builds > off.Builds {
-				t.Errorf("%s: sleep sets cost more: %d clones + %d builds, %d + %d without",
-					label, on.Clones, on.Builds, off.Clones, off.Builds)
-			}
+		on, errOn := Check(r.mcfg, r.ccfg)
+		sameVerdict(t, r.label, errOn, errOff)
+		if on.States != off.States || on.Terminals != off.Terminals || on.MaxDepth != off.MaxDepth ||
+			on.PORSkips != off.PORSkips || on.Truncated != off.Truncated ||
+			!reflect.DeepEqual(on.Outcomes, off.Outcomes) {
+			t.Errorf("%s: sleep sets changed the report:\n  on  %+v\n  off %+v", r.label, on, off)
+		}
+		if on.Clones > off.Clones || on.Builds > off.Builds {
+			t.Errorf("%s: sleep sets cost more: %d clones + %d builds, %d + %d without",
+				r.label, on.Clones, on.Builds, off.Clones, off.Builds)
 		}
 	}
 }

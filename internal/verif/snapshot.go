@@ -35,8 +35,8 @@ func ModelsLive() int64 { return modelsLive.Load() }
 // through the L1's core callback, which the clone takes from the cloned
 // core (see cpu.Request.Token and cpu.Core.Callback).
 //
-// Clone is read-only on the receiver except for the COW refcounts, so
-// several successors of the same parent may be cloned concurrently.
+// The COW refcounts are plain counters: a model, its clones and their
+// backings stay on one goroutine, and goroutines share only the pools.
 func (m *Model) Clone() *Model {
 	n := &Model{cfg: m.cfg, K: m.K.Clone(), addrs: m.addrs, addrLines: m.addrLines}
 	n.Fabric = m.Fabric.Clone()

@@ -114,8 +114,8 @@ func reportsEqual(t *testing.T, label string, a, b *Report) {
 // TestSnapshotMatchesReplayFromRoot: the snapshot checker and the
 // replay-from-root checker must produce identical Reports (everything
 // except the Builds/Clones cost counters) on the same configuration —
-// including under truncation, relaxed sync, eviction pressure, a
-// starved snapshot budget, and parallel expansion.
+// including under truncation, relaxed sync, eviction pressure and a
+// starved snapshot budget.
 func TestSnapshotMatchesReplayFromRoot(t *testing.T) {
 	configs := []struct {
 		name string
@@ -135,18 +135,13 @@ func TestSnapshotMatchesReplayFromRoot(t *testing.T) {
 		}{"MP-tinyllc", mcfg, 20_000})
 	}
 	for _, c := range configs {
-		base, err := Check(c.mcfg, CheckerConfig{MaxStates: c.max, Workers: 1})
+		base, err := Check(c.mcfg, CheckerConfig{MaxStates: c.max})
 		if err != nil {
 			t.Fatalf("%s snapshot: %v", c.name, err)
 		}
 		variants := []CheckerConfig{
-			{MaxStates: c.max, Workers: 1, ReplayFromRoot: true},
-			{MaxStates: c.max, Workers: 4, ReplayFromRoot: true},
-			{MaxStates: c.max, Workers: 4},
-			{MaxStates: c.max, Workers: 1, snapshotBudget: 1},
-			// COW under maximum sharing pressure: many workers cloning
-			// the same parent concurrently.
-			{MaxStates: c.max, Workers: 8},
+			{MaxStates: c.max, ReplayFromRoot: true},
+			{MaxStates: c.max, snapshotBudget: 1},
 		}
 		for i, ccfg := range variants {
 			got, err := Check(c.mcfg, ccfg)
@@ -154,6 +149,11 @@ func TestSnapshotMatchesReplayFromRoot(t *testing.T) {
 				t.Fatalf("%s variant %d: %v", c.name, i, err)
 			}
 			reportsEqual(t, c.name, base, got)
+			// Replay-from-root rebuilds every state, POR probes
+			// included, so it shares no backing with another model.
+			if ccfg.ReplayFromRoot && got.Clones != 0 {
+				t.Errorf("%s variant %d: %d clones under ReplayFromRoot", c.name, i, got.Clones)
+			}
 		}
 	}
 }
@@ -187,11 +187,11 @@ func TestSnapshotBuildsFarFewer(t *testing.T) {
 // shape. Compare -bench with ReplayFromRoot (below) for the snapshot
 // speedup; b.ReportMetric exposes the construction cost per state.
 func BenchmarkCheckerExpand(b *testing.B) {
-	benchCheck(b, CheckerConfig{MaxStates: 60_000, Workers: 1})
+	benchCheck(b, CheckerConfig{MaxStates: 60_000})
 }
 
 func BenchmarkCheckerExpandReplayFromRoot(b *testing.B) {
-	benchCheck(b, CheckerConfig{MaxStates: 60_000, Workers: 1, ReplayFromRoot: true})
+	benchCheck(b, CheckerConfig{MaxStates: 60_000, ReplayFromRoot: true})
 }
 
 func benchCheck(b *testing.B, ccfg CheckerConfig) {

@@ -1,7 +1,9 @@
 package verif
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"c3/internal/cpu"
@@ -45,7 +47,7 @@ func TestCheckRejectsRCC(t *testing.T) {
 		Global: "cxl",
 		MCMs:   [2]cpu.MCM{cpu.WMO, cpu.WMO},
 		Sync:   litmus.SyncFull,
-	}, CheckerConfig{Workers: 1})
+	}, CheckerConfig{})
 	if err == nil || !strings.Contains(err.Error(), "MESI family") {
 		t.Fatalf("err = %v, want the MESI-family error", err)
 	}
@@ -63,39 +65,42 @@ func byName(t *testing.T, name string) litmus.Test {
 	return tc
 }
 
-// TestCheckParallelMatchesSerial: the exploration report must be
-// identical for every worker count — the parallel expansion merges
-// successors in canonical action order, so visit order is preserved.
+// TestCheckParallelMatchesSerial: explorations share nothing but the
+// pools, so corpus tests explored on concurrent goroutines, as c3check
+// -j runs them, report exactly what each reports alone.
 func TestCheckParallelMatchesSerial(t *testing.T) {
-	mcfg := ModelConfig{
-		Test:   mp(t),
-		Locals: [2]string{"mesi", "mesi"},
-		Global: "cxl",
-		MCMs:   [2]cpu.MCM{cpu.WMO, cpu.WMO},
-		Sync:   litmus.SyncFull,
-	}
+	names := []string{"MP", "SB", "WRC", "MP+3W"}
 	budget := uint64(20_000)
 	if testing.Short() {
 		budget = 4_000
 	}
-	want, err := Check(mcfg, CheckerConfig{MaxStates: budget, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		got, err := Check(mcfg, CheckerConfig{MaxStates: budget, Workers: workers})
+	ccfg := CheckerConfig{MaxStates: budget}
+	want := make([]*Report, len(names))
+	for i, name := range names {
+		rep, err := Check(wmoCXL(t, name, litmus.SyncFull), ccfg)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if got.States != want.States || got.Terminals != want.Terminals ||
-			got.Truncated != want.Truncated || got.MaxDepth != want.MaxDepth ||
-			len(got.Outcomes) != len(want.Outcomes) {
-			t.Fatalf("workers=%d: report %+v, serial %+v", workers, got, want)
+		want[i] = rep
+	}
+	got := make([]*Report, len(names))
+	errs := make([]error, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		mcfg := wmoCXL(t, name, litmus.SyncFull)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = Check(mcfg, ccfg)
+		}()
+	}
+	wg.Wait()
+	for i, name := range names {
+		if errs[i] != nil {
+			t.Fatalf("%s concurrently: %v", name, errs[i])
 		}
-		for o := range want.Outcomes {
-			if !got.Outcomes[o] {
-				t.Fatalf("workers=%d: outcome %q missing", workers, o)
-			}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s: concurrent report %+v, alone %+v", name, got[i], want[i])
 		}
 	}
 }

@@ -48,7 +48,7 @@ var witnessGoldens = []witnessGolden{
 // was recorded under.
 func goldenConfig(t testing.TB, g witnessGolden) (ModelConfig, CheckerConfig) {
 	mcfg := wmoCXL(t, g.test, litmus.SyncFull)
-	ccfg := CheckerConfig{Workers: 1}
+	ccfg := CheckerConfig{}
 	switch g.config {
 	case "unsynced":
 		mcfg.Sync = litmus.SyncNone
