@@ -46,9 +46,9 @@
 //
 // Resilience: -task-timeout bounds each test's exploration wall clock,
 // with -retries extra attempts before the test is recorded TIMEOUT
-// (partial state counts still print). -mem-budget-mb sets a soft heap
-// budget for the whole process: the Go runtime gets it as a hard GC
-// target (debug.SetMemoryLimit), and every running exploration starts
+// (partial state counts still print). -mem-budget-mb sets the Go
+// runtime's memory limit for the whole process (debug.SetMemoryLimit;
+// GOMEMLIMIT does the same), and every running exploration starts
 // shedding frontier snapshots once the process heap crosses 80% of it —
 // degrading to replay-from-root instead of OOMing, with the degradation
 // reported per test. A panic in one test's exploration is that test's
@@ -56,9 +56,15 @@
 // explorations at their next poll, print the partial results, and exit
 // 3; a second signal kills immediately.
 //
+// c3check drives internal/verif directly: it resolves every -test name
+// to a verif.ModelConfig before any exploration starts, runs verif.Check
+// (or verif.Replay) under one verif.CheckerConfig, and renders
+// verif.Report and *verif.Counterexample.
+//
 // Exit status: 0 no violation (or -replay reproduced one), 1 violation
 // found or a test timed out (or -replay failed to reproduce), 2 usage
-// error, 3 interrupted by SIGINT/SIGTERM (partial results printed).
+// error (an unknown test name included), 3 interrupted by
+// SIGINT/SIGTERM (partial results printed).
 package main
 
 import (
@@ -71,11 +77,13 @@ import (
 	"io"
 	"os"
 	"runtime/debug"
+	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"c3"
+	"c3/internal/cpu"
+	"c3/internal/litmus"
 	"c3/internal/obs"
 	"c3/internal/parallel"
 	"c3/internal/system"
@@ -109,7 +117,7 @@ func main() {
 		"print each test's sorted terminal-outcome set, one 'outcome:' line per outcome (for reduction-soundness diffs)")
 	taskTimeout := flag.Duration("task-timeout", 0, "wall-clock bound per test exploration (0 = none); expired attempts retry, then the test records TIMEOUT")
 	retries := flag.Int("retries", 1, "extra attempts a timed-out test exploration gets")
-	memBudgetMB := flag.Int("mem-budget-mb", 0, "soft heap budget in MiB for the whole process (0 = none): sets the runtime memory limit, and every running exploration sheds snapshots once the heap crosses 80% of it")
+	memBudgetMB := flag.Int("mem-budget-mb", 0, "runtime memory limit in MiB for the whole process (0 = keep GOMEMLIMIT's, else none): every running exploration sheds snapshots once the heap crosses 80% of it")
 	statusz := flag.String("statusz", "", "serve live introspection (/statusz JSON, /metricsz, pprof, expvar) on this address, e.g. :8080 or 127.0.0.1:0")
 	heartbeat := flag.Duration("heartbeat", 0, "print a progress line to stderr at this interval (0 = off)")
 	ledger := flag.String("ledger", obs.DefaultLedgerPath(), "append a JSONL run record to this file (empty = off)")
@@ -139,74 +147,78 @@ func main() {
 		os.Exit(obs.ExitUsage)
 	}
 
-	// Live exploration counters: each test's OnProgress callback stores a
-	// sample under a short lock, the statusz registry reads it — the
-	// checker itself never waits on an HTTP reader.
-	co := newCheckObserver()
-	cfg := c3.VerifyConfig{
-		Locals:         machine.Locals,
-		Global:         machine.Global,
-		MCMs:           machine.MCMs,
-		TinyLLC:        *tiny,
-		MaxStates:      *maxStates,
-		MaxDepth:       *maxDepth,
-		Unsynced:       *unsynced,
-		CheckForbidden: *unsynced,
-		ReplayFromRoot: *replayRoot,
-		POROff:         *por == "off",
-		CrossCheck:     *crossCheck,
+	// Every name resolves before any exploration starts, so a typo is a
+	// usage error, not a FAIL line after the other tests ran.
+	tests := []string{"MP", "SB", "LB", "S", "R", "2_2W"}
+	if *test != "" {
+		tests = strings.Split(*test, ",")
 	}
-
-	// Memory-pressure degradation: the runtime gets the budget as a hard
-	// GC target (it will collect aggressively rather than exceed it), and
-	// the checker starts shedding snapshots at 80% so degradation kicks in
-	// before the GC is forced into a death spiral.
-	if *memBudgetMB > 0 {
-		budget := int64(*memBudgetMB) << 20
-		debug.SetMemoryLimit(budget)
-		cfg.MemBudget = uint64(budget) * 8 / 10
+	if *replay != "" && (*test == "" || len(tests) > 1) {
+		fmt.Fprintln(os.Stderr, "c3check: -replay requires a single -test")
+		os.Exit(obs.ExitUsage)
 	}
-
-	// Graceful shutdown: the first SIGINT/SIGTERM closes the interrupt
-	// channel — the exploration stops at its next poll and the partial
-	// result prints. A second signal kills.
-	cfg.Interrupt = obs.Interrupt("c3check", "stopping gracefully")
+	models := make([]verif.ModelConfig, len(tests))
+	for i, name := range tests {
+		mcfg, err := verif.ModelFor(name, *unsynced)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "c3check:", err)
+			os.Exit(obs.ExitUsage)
+		}
+		mcfg.Locals, mcfg.Global, mcfg.MCMs, mcfg.TinyLLC = machine.Locals, machine.Global, machine.MCMs, *tiny
+		models[i] = mcfg
+	}
 
 	if *replay != "" {
-		if *test == "" {
-			fmt.Fprintln(os.Stderr, "c3check: -replay requires -test")
-			os.Exit(2)
-		}
 		path, err := verif.ParseWitness(*replay)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "c3check: bad -replay path: %v\n", err)
 			os.Exit(2)
 		}
-		rr, err := c3.ReplayWitness(*test, cfg, path)
+		res, err := verif.Replay(models[0], path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "c3check: replay: %v\n", err)
 			os.Exit(1)
 		}
-		for i, s := range rr.Steps {
-			fmt.Printf("  step %3d  %s\n", i, s)
-		}
+		printSteps(os.Stdout, res.Steps)
+		name := tests[0]
 		switch {
-		case rr.Kind != "none":
-			fmt.Printf("%-8s reproduced %s after %d steps: %s\n", rr.Test, rr.Kind, rr.FailedAt, rr.Msg)
+		case res.Kind != verif.VNone:
+			fmt.Printf("%-8s reproduced %s after %d steps: %s\n", name, res.Kind, res.FailedAt, res.Msg)
 			return // exit 0: the witness reproduces a violation
-		case rr.Terminal:
-			fmt.Printf("%-8s no violation: terminal outcome %s\n", rr.Test, rr.Outcome)
+		case res.Terminal:
+			fmt.Printf("%-8s no violation: terminal outcome %s\n", name, res.Outcome)
 		default:
 			fmt.Printf("%-8s no violation: %d actions still enabled after %d steps\n",
-				rr.Test, rr.EnabledAtEnd, rr.FailedAt)
+				name, res.EnabledAtEnd, res.FailedAt)
 		}
 		os.Exit(1)
 	}
 
-	tests := []string{"MP", "SB", "LB", "S", "R", "2_2W"}
-	if *test != "" {
-		tests = strings.Split(*test, ",")
+	// Memory-pressure degradation: the runtime gets the budget as a hard
+	// GC target (it will collect aggressively rather than exceed it), and
+	// verif.Check, which reads that limit, starts shedding snapshots at
+	// 80% so degradation kicks in before the GC is forced into a death
+	// spiral.
+	if *memBudgetMB > 0 {
+		debug.SetMemoryLimit(int64(*memBudgetMB) << 20)
 	}
+	ccfg := verif.CheckerConfig{
+		MaxStates:      *maxStates,
+		MaxDepth:       *maxDepth,
+		ReplayFromRoot: *replayRoot,
+		POROff:         *por == "off",
+		CrossCheck:     *crossCheck,
+		CheckForbidden: *unsynced,
+		// Graceful shutdown: the first SIGINT/SIGTERM closes the interrupt
+		// channel — the explorations stop at their next poll and the
+		// partial results print. A second signal kills.
+		Interrupt: obs.Interrupt("c3check", "stopping gracefully"),
+	}
+
+	// Live exploration counters: each test's OnProgress callback stores a
+	// sample under a short lock, the statusz registry reads it — the
+	// checker itself never waits on an HTTP reader.
+	co := newCheckObserver()
 	co.Plan(tests)
 
 	stopWatch, err := obs.Watch("c3check", *statusz, *heartbeat, co.Tracker, co.registry)
@@ -216,9 +228,9 @@ func main() {
 	}
 
 	sweepStart := time.Now()
-	c := &checker{cfg: cfg, taskTimeout: *taskTimeout, retries: *retries,
+	c := &checker{ccfg: ccfg, taskTimeout: *taskTimeout, retries: *retries,
 		outcomes: *outcomes, witness: *witness, co: co}
-	verdict := c.runAll(tests, *workers, os.Stdout)
+	verdict := c.runAll(models, *workers, os.Stdout)
 	stopWatch()
 	exit := obs.ExitCode(verdict)
 	if *ledger != "" {
@@ -255,7 +267,7 @@ func main() {
 // checker runs c3check's test explorations with the flags' settings and
 // renders each test's lines.
 type checker struct {
-	cfg               c3.VerifyConfig
+	ccfg              verif.CheckerConfig
 	taskTimeout       time.Duration
 	retries           int
 	outcomes, witness bool
@@ -269,32 +281,33 @@ type testRun struct {
 }
 
 // verify is the exploration a test runs; a test seam.
-var verify = c3.Verify
+var verify = verif.Check
 
 // run explores test i, retrying only wall-clock cuts (violations and
 // interrupts are deterministic or deliberate), and renders its lines. A
 // panic in the exploration is the test's FAIL, so the other tests still
 // run.
-func (c *checker) run(i int, name string) testRun {
+func (c *checker) run(i int, mcfg verif.ModelConfig) testRun {
+	name := mcfg.Test.Name
 	w := &bytes.Buffer{}
 	select {
-	case <-c.cfg.Interrupt:
+	case <-c.ccfg.Interrupt:
 		fmt.Fprintf(w, "%-8s INTERRUPTED before start\n", name)
 		return testRun{w.Bytes(), obs.VerdictInterrupted}
 	default:
 	}
 	c.co.TaskStarted(i)
 	start := time.Now()
-	var rep *c3.VerifyReport
+	var rep *verif.Report
 	var err error
 	for attempt := 1; ; attempt++ {
-		cfg := c.cfg
-		cfg.OnProgress = c.co.progress(i)
+		ccfg := c.ccfg
+		ccfg.OnProgress = c.co.progress(i)
 		if c.taskTimeout > 0 {
-			cfg.Deadline = time.Now().Add(c.taskTimeout)
+			ccfg.Deadline = time.Now().Add(c.taskTimeout)
 		}
-		rep, err = recovered(name, cfg)
-		if errors.Is(err, c3.ErrCheckDeadline) && attempt <= c.retries {
+		rep, err = recovered(mcfg, ccfg)
+		if errors.Is(err, verif.ErrCheckDeadline) && attempt <= c.retries {
 			fmt.Fprintf(os.Stderr, "c3check: %s: attempt %d hit the %v budget, retrying\n",
 				name, attempt, c.taskTimeout)
 			continue
@@ -322,46 +335,56 @@ func (c *checker) run(i int, name string) testRun {
 				rep.SymmetryMerges, rep.PORSkips, rep.SleepSkips)
 		}
 		fmt.Fprintf(w, "%-8s %s: %d states, %d terminal, %d outcomes, %d builds + %d clones (%.1fs)%s\n",
-			name, status, rep.States, rep.Terminals, rep.Outcomes, rep.Builds, rep.Clones,
+			name, status, rep.States, rep.Terminals, len(rep.Outcomes), rep.Builds, rep.Clones,
 			time.Since(start).Seconds(), note)
 		if c.outcomes {
-			for _, o := range rep.OutcomeList {
+			outs := make([]string, 0, len(rep.Outcomes))
+			for o := range rep.Outcomes {
+				outs = append(outs, o)
+			}
+			sort.Strings(outs)
+			for _, o := range outs {
 				fmt.Fprintf(w, "outcome: %s | %s\n", name, o)
 			}
 		}
-	case errors.Is(err, c3.ErrCheckInterrupted):
+	case errors.Is(err, verif.ErrCheckInterrupted):
 		verdict = obs.VerdictInterrupted
 		fmt.Fprintf(w, "%-8s INTERRUPTED after %d states (%.1fs): partial, no verdict\n",
 			name, rep.States, time.Since(start).Seconds())
-	case errors.Is(err, c3.ErrCheckDeadline):
+	case errors.Is(err, verif.ErrCheckDeadline):
 		verdict = obs.VerdictTimeout
 		fmt.Fprintf(w, "%-8s TIMEOUT after %d states: every attempt exceeded the %v budget (%d attempts)\n",
 			name, rep.States, c.taskTimeout, c.retries+1)
 	default:
 		verdict = obs.VerdictViolation
 		fmt.Fprintf(w, "%-8s FAIL: %v\n", name, err)
-		if ve, isVE := err.(*c3.VerifyError); isVE {
-			fmt.Fprintf(w, "witness: %s\n", verif.FormatWitness(ve.Witness))
+		var cex *verif.Counterexample
+		if errors.As(err, &cex) {
+			fmt.Fprintf(w, "witness: %s\n", verif.FormatWitness(cex.Path))
 			fmt.Fprintf(w, "  (%s; %d steps, minimized from %d; replay with: c3check -test %s%s -replay %s)\n",
-				ve.Kind, len(ve.Witness), ve.OriginalLen, name, replayFlags(c.cfg), verif.FormatWitness(ve.Witness))
+				cex.Kind, len(cex.Path), cex.OriginalLen, name, replayFlags(mcfg), verif.FormatWitness(cex.Path))
 			if c.witness {
-				printSteps(w, name, c.cfg, ve.Witness)
+				if res, err := verif.Replay(mcfg, cex.Path); err != nil {
+					fmt.Fprintf(w, "  witness decode failed: %v\n", err)
+				} else {
+					printSteps(w, res.Steps)
+				}
 			}
 		}
 	}
 	return testRun{w.Bytes(), verdict}
 }
 
-// runAll explores tests, up to workers at once, each as one whole
+// runAll explores models, up to workers at once, each as one whole
 // exploration on its own goroutine, and writes each test's lines to w
 // in test order. Of the verdicts the tests reach it returns the
 // gravest: a found violation outranks the shutdown that may have
 // followed it, and an interrupt outranks a timeout because its result
 // is deliberately partial, not a budget failure.
-func (c *checker) runAll(tests []string, workers int, w io.Writer) string {
+func (c *checker) runAll(models []verif.ModelConfig, workers int, w io.Writer) string {
 	seen := map[string]bool{}
-	_, err := parallel.MapOrdered(context.Background(), workers, len(tests),
-		func(i int) (testRun, error) { return c.run(i, tests[i]), nil },
+	_, err := parallel.MapOrdered(context.Background(), workers, len(models),
+		func(i int) (testRun, error) { return c.run(i, models[i]), nil },
 		func(_ int, r testRun) {
 			w.Write(r.out)
 			seen[r.verdict] = true
@@ -380,13 +403,13 @@ func (c *checker) runAll(tests []string, workers int, w io.Writer) string {
 
 // recovered runs verify, turning a panic into an error that carries the
 // panic value and stack.
-func recovered(name string, cfg c3.VerifyConfig) (rep *c3.VerifyReport, err error) {
+func recovered(mcfg verif.ModelConfig, ccfg verif.CheckerConfig) (rep *verif.Report, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			rep, err = nil, fmt.Errorf("panic: %v\n%s", p, debug.Stack())
 		}
 	}()
-	return verify(name, cfg)
+	return verify(mcfg, ccfg)
 }
 
 // checkObserver keeps the checker's progress for the statusz registry,
@@ -400,14 +423,14 @@ type checkObserver struct {
 
 	mu sync.Mutex
 	// total sums the finished tests; cur holds each running test's
-	// latest sample, whose counts restart with each Verify call.
-	total c3.CheckCounts
-	cur   map[int]c3.CheckProgress
+	// latest sample, whose counts restart with each attempt.
+	total verif.Counts
+	cur   map[int]verif.Progress
 }
 
 func newCheckObserver() *checkObserver {
 	o := &checkObserver{Tracker: obs.NewTracker(), registry: trace.NewRegistry(),
-		cur: map[int]c3.CheckProgress{}}
+		cur: map[int]verif.Progress{}}
 	for i, c := range o.total.Counters() {
 		o.registry.Counter("check."+c.Name, func() uint64 {
 			total, _ := o.snapshot()
@@ -420,8 +443,8 @@ func newCheckObserver() *checkObserver {
 }
 
 // progress returns test i's OnProgress hook.
-func (o *checkObserver) progress(i int) func(c3.CheckProgress) {
-	return func(p c3.CheckProgress) {
+func (o *checkObserver) progress(i int) func(verif.Progress) {
+	return func(p verif.Progress) {
 		o.mu.Lock()
 		o.cur[i] = p
 		o.mu.Unlock()
@@ -430,11 +453,11 @@ func (o *checkObserver) progress(i int) func(c3.CheckProgress) {
 
 // snapshot returns the invocation's counts so far and the running
 // tests' summed frontier and deepest depth.
-func (o *checkObserver) snapshot() (c3.CheckCounts, c3.CheckProgress) {
+func (o *checkObserver) snapshot() (verif.Counts, verif.Progress) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	total := o.total
-	var cur c3.CheckProgress
+	var cur verif.Progress
 	for _, p := range o.cur {
 		add(&total, p.Counts)
 		cur.Frontier += p.Frontier
@@ -447,11 +470,11 @@ func (o *checkObserver) snapshot() (c3.CheckCounts, c3.CheckProgress) {
 // done. Small explorations finish under the progress stride, and cut or
 // failed ones stop between strides, so the report (when there is one)
 // is fresher than the last sample.
-func (o *checkObserver) done(i int, rep *c3.VerifyReport, err error) {
+func (o *checkObserver) done(i int, rep *verif.Report, err error) {
 	o.mu.Lock()
 	last := o.cur[i].Counts
 	if rep != nil {
-		last = rep.CheckCounts
+		last = rep.Counts
 	}
 	add(&o.total, last)
 	delete(o.cur, i)
@@ -460,47 +483,42 @@ func (o *checkObserver) done(i int, rep *c3.VerifyReport, err error) {
 }
 
 // add folds b into a, counter by counter.
-func add(a *c3.CheckCounts, b c3.CheckCounts) {
+func add(a *verif.Counts, b verif.Counts) {
 	bc := b.Counters()
 	for i, c := range a.Counters() {
 		*c.N += *bc[i].N
 	}
 }
 
-// printSteps decodes a witness by replaying it.
-func printSteps(w io.Writer, test string, cfg c3.VerifyConfig, path []uint16) {
-	rr, err := c3.ReplayWitness(test, cfg, path)
-	if err != nil {
-		fmt.Fprintf(w, "  witness decode failed: %v\n", err)
-		return
-	}
-	for i, s := range rr.Steps {
+// printSteps prints a replay's decoded steps.
+func printSteps(w io.Writer, steps []string) {
+	for i, s := range steps {
 		fmt.Fprintf(w, "  step %3d  %s\n", i, s)
 	}
 }
 
 // replayFlags renders the non-default flags a -replay invocation needs
 // to rebuild the same model.
-func replayFlags(cfg c3.VerifyConfig) string {
+func replayFlags(mcfg verif.ModelConfig) string {
 	var b strings.Builder
-	if cfg.Locals[0] != "mesi" {
-		fmt.Fprintf(&b, " -local0 %s", cfg.Locals[0])
+	if mcfg.Locals[0] != "mesi" {
+		fmt.Fprintf(&b, " -local0 %s", mcfg.Locals[0])
 	}
-	if cfg.Locals[1] != "mesi" {
-		fmt.Fprintf(&b, " -local1 %s", cfg.Locals[1])
+	if mcfg.Locals[1] != "mesi" {
+		fmt.Fprintf(&b, " -local1 %s", mcfg.Locals[1])
 	}
-	if cfg.Global != "cxl" {
-		fmt.Fprintf(&b, " -global %s", cfg.Global)
+	if mcfg.Global != "cxl" {
+		fmt.Fprintf(&b, " -global %s", mcfg.Global)
 	}
-	for i, m := range cfg.MCMs {
-		if m != c3.ARM {
+	for i, m := range mcfg.MCMs {
+		if m != cpu.WMO {
 			fmt.Fprintf(&b, " -mcm%d %s", i, strings.ToLower(m.String()))
 		}
 	}
-	if cfg.TinyLLC {
+	if mcfg.TinyLLC {
 		b.WriteString(" -tiny")
 	}
-	if cfg.Unsynced {
+	if mcfg.Sync == litmus.SyncNone {
 		b.WriteString(" -unsynced")
 	}
 	return b.String()

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"c3"
+	"c3/internal/litmus"
 	"c3/internal/system"
 )
 
@@ -70,6 +71,8 @@ func main() {
 		os.Exit(2)
 	}
 	machine, err := system.ParseMachine(*local0, *local1, *global, *mcm0, *mcm1)
+	failUsage(err)
+	_, err = litmus.ResolveFaults(*faults, *crash)
 	failUsage(err)
 	res, err := c3.RunLitmus(*test, c3.LitmusConfig{
 		Locals:    machine.Locals,

@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"c3"
+	"c3/internal/litmus"
 	"c3/internal/parallel"
 	"c3/internal/sim"
 	"c3/internal/system"
@@ -72,27 +73,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "c3sim: -metrics %q (want text|json)\n", *metrics)
 		os.Exit(2)
 	}
-	var plan *c3.FaultPlan
-	if *faultSpec != "" {
-		p, err := c3.ParseFaultPlan(*faultSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "c3sim: -faults: %v\n", err)
-			os.Exit(2)
-		}
-		plan = &p
-	}
-	if *crash != "" {
-		if plan == nil {
-			plan = &c3.FaultPlan{}
-		}
-		for _, spec := range strings.Split(*crash, ";") {
-			cp, err := c3.ParseFaultPlan("crash=" + strings.TrimSpace(spec))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "c3sim: -crash: %v\n", err)
-				os.Exit(2)
-			}
-			plan.Crashes = append(plan.Crashes, cp.Crashes...)
-		}
+	plan, err := litmus.ResolveFaults(*faultSpec, *crash)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "c3sim:", err)
+		os.Exit(2)
 	}
 
 	names := strings.Split(*w, ",")

@@ -1,15 +1,12 @@
 package c3
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
-	"time"
 
 	"c3/internal/cpu"
-	"c3/internal/faults"
 	"c3/internal/litmus"
 	"c3/internal/trace"
 	"c3/internal/verif"
@@ -105,27 +102,12 @@ func RunLitmus(test string, cfg LitmusConfig) (*LitmusResult, error) {
 		Locals: cfg.Locals, Global: cfg.Global, MCMs: [2]cpu.MCM{cfg.MCMs[0], cfg.MCMs[1]},
 		Iters: cfg.Iters, Sync: mode, BaseSeed: cfg.Seed, Workers: cfg.Workers,
 	}
-	var plan FaultPlan
-	havePlan := false
-	if cfg.Faults != "" {
-		p, err := ParseFaultPlan(cfg.Faults)
-		if err != nil {
-			return nil, err
-		}
-		plan, havePlan = p, true
+	plan, err := litmus.ResolveFaults(cfg.Faults, cfg.Crash)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Crash != "" {
-		for _, spec := range strings.Split(cfg.Crash, ";") {
-			cp, err := faults.ParsePlan("crash=" + strings.TrimSpace(spec))
-			if err != nil {
-				return nil, err
-			}
-			plan.Crashes = append(plan.Crashes, cp.Crashes...)
-		}
-		havePlan = true
-	}
-	if havePlan {
-		rcfg.Faults = &plan
+	if plan != nil {
+		rcfg.Faults = plan
 		rcfg.HangWatch = true
 	}
 	if cfg.Trace {
@@ -156,14 +138,20 @@ func RunLitmus(test string, cfg LitmusConfig) (*LitmusResult, error) {
 	}, nil
 }
 
-// VerifyConfig parameterizes exhaustive model checking.
+// VerifyConfig parameterizes exhaustive model checking. It describes
+// the machine and the bounds; the checker's operational knobs (reduction
+// switches, cross-checking, progress, deadlines, interrupts) are
+// verif.CheckerConfig's, which c3check sets directly.
 type VerifyConfig struct {
 	Locals [2]string // MESI-family protocols (default mesi/mesi); rcc is an error
 	Global string    // "cxl" (default) or "hmesi"
 	MCMs   [2]MCM
 	// TinyLLC forces CXL-cache evictions (Fig. 7 flows) into the
 	// explored space.
-	TinyLLC   bool
+	TinyLLC bool
+	// MaxStates bounds the distinct states visited (0 = 200,000); a run
+	// that reaches it reports Truncated. MaxDepth bounds a delivery path
+	// (0 = 400) before the exploration declares a livelock.
 	MaxStates uint64
 	MaxDepth  int
 	// Unsynced strips all fences/annotations before checking, exploring
@@ -175,45 +163,7 @@ type VerifyConfig struct {
 	// even when Unsynced — the standard way to demonstrate witness
 	// extraction on an outcome that is reachable by design.
 	CheckForbidden bool
-	// ReplayFromRoot reconstructs every state by re-executing its delivery
-	// prefix instead of snapshot cloning (cross-check / low-memory mode).
-	ReplayFromRoot bool
-	// POROff disables the partial-order reduction and the sleep sets
-	// (c3check -por=off): every enabled delivery is expanded at every
-	// state.
-	POROff bool
-	// CrossCheck runs the exploration twice — reduced, then with
-	// symmetry, POR and sleep sets off — and fails unless the violation
-	// verdicts and the outcome sets agree. The returned report is the
-	// reduced run's (with both runs' build/clone costs folded in).
-	// Expensive; a soundness audit, not a normal mode.
-	CrossCheck bool
-	// OnProgress, when non-nil, receives a periodic exploration snapshot
-	// (roughly every couple thousand states) from the checker loop — the
-	// live-introspection feed behind c3check -statusz. It runs serially
-	// on the exploration goroutine and cannot influence the exploration.
-	OnProgress func(CheckProgress)
-	// Deadline bounds the exploration's wall clock (zero = none): when it
-	// passes, Verify returns the partial report so far alongside an error
-	// wrapping ErrCheckDeadline.
-	Deadline time.Time
-	// Interrupt, when non-nil, requests graceful shutdown once closed:
-	// Verify stops at the next poll and returns the partial report
-	// alongside an error wrapping ErrCheckInterrupted.
-	Interrupt <-chan struct{}
-	// MemBudget is a soft heap budget in bytes (0 = none): over budget the
-	// checker degrades — tightening its snapshot budget down to
-	// replay-from-root — instead of OOMing. Degradation is recorded in
-	// VerifyReport.MemSheds and never changes the exploration result.
-	MemBudget uint64
 }
-
-// Abort sentinels Verify wraps when an exploration is cut short; both
-// come back alongside the partial report accumulated so far.
-var (
-	ErrCheckDeadline    = verif.ErrCheckDeadline
-	ErrCheckInterrupted = verif.ErrCheckInterrupted
-)
 
 // CheckCounts are the exploration counters of a Verify run: distinct
 // States visited, Terminals reached, full model Builds and snapshot
@@ -221,32 +171,19 @@ var (
 // counters — SymmetryMerges (observed successors folded onto a visited
 // state by a non-identity host/address renaming), PORSkips (successor
 // expansions the partial-order reduction proved redundant) and
-// SleepSkips (successors the sleep sets proved already visited), all
-// zero when the reduction is disabled. Counters lists them under their
-// registry names.
+// SleepSkips (successors the sleep sets proved already visited).
 type CheckCounts = verif.Counts
-
-// CheckProgress is a mid-exploration snapshot (VerifyConfig.OnProgress):
-// the counts so far, the frontier size, and the deepest expanded path.
-type CheckProgress = verif.Progress
 
 // VerifyReport summarizes an exhaustive exploration.
 type VerifyReport struct {
 	Test string
 	CheckCounts
+	// Outcomes counts the distinct terminal litmus outcomes.
 	Outcomes  int
 	Truncated bool
 	// ForbiddenSkipped records that the shape declares a forbidden-outcome
 	// predicate but it was not evaluated (Unsynced without CheckForbidden).
 	ForbiddenSkipped bool
-	// MemSheds counts memory-pressure degradation events (see
-	// VerifyConfig.MemBudget); SnapshotBudgetEnd is the snapshot budget in
-	// force when exploration ended (0 = the tail ran replay-from-root).
-	MemSheds          uint64
-	SnapshotBudgetEnd int
-	// OutcomeList is the sorted set of terminal litmus outcomes — the
-	// basis of reduction-soundness diffs (c3check -outcomes).
-	OutcomeList []string
 }
 
 // VerifyError is the structured violation Verify returns: the failure
@@ -273,29 +210,19 @@ type VerifyError struct {
 func (e *VerifyError) Error() string { return e.cex.Error() }
 func (e *VerifyError) Unwrap() error { return e.cex }
 
-func modelConfig(test string, cfg *VerifyConfig) (verif.ModelConfig, error) {
-	tc, ok := litmus.ByName(test)
-	if !ok {
-		return verif.ModelConfig{}, fmt.Errorf("c3: unknown litmus test %q", test)
+// modelConfig is the model Verify and ReplayWitness explore: the named
+// test (verif.ModelFor) on cfg's machine, defaults filled in.
+func modelConfig(test string, cfg VerifyConfig) (verif.ModelConfig, error) {
+	mcfg, err := verif.ModelFor(test, cfg.Unsynced)
+	if err != nil {
+		return mcfg, err
 	}
-	if cfg.Locals[0] == "" {
-		cfg.Locals = [2]string{"mesi", "mesi"}
+	mcfg.Locals, mcfg.Global, mcfg.MCMs, mcfg.TinyLLC = cfg.Locals, cfg.Global, cfg.MCMs, cfg.TinyLLC
+	if mcfg.Locals[0] == "" {
+		mcfg.Locals = [2]string{"mesi", "mesi"}
 	}
-	if cfg.Global == "" {
-		cfg.Global = "cxl"
-	}
-	sync := litmus.SyncFull
-	if cfg.Unsynced {
-		sync = litmus.SyncNone
-	}
-	return verif.ModelConfig{
-		Test:    tc,
-		Locals:  cfg.Locals,
-		Global:  cfg.Global,
-		MCMs:    [2]cpu.MCM{cfg.MCMs[0], cfg.MCMs[1]},
-		Sync:    sync,
-		TinyLLC: cfg.TinyLLC,
-	}, nil
+	mcfg.Global = cmp.Or(mcfg.Global, "cxl")
+	return mcfg, nil
 }
 
 // Verify exhaustively model-checks the named litmus shape on a small C3
@@ -305,24 +232,17 @@ func modelConfig(test string, cfg *VerifyConfig) (verif.ModelConfig, error) {
 // report of the exploration that found it. The exploration runs on the
 // calling goroutine; independent Verify calls may run concurrently.
 func Verify(test string, cfg VerifyConfig) (*VerifyReport, error) {
-	mcfg, err := modelConfig(test, &cfg)
+	mcfg, err := modelConfig(test, cfg)
 	if err != nil {
 		return nil, err
 	}
 	rep, err := verif.Check(mcfg, verif.CheckerConfig{
 		MaxStates:      cfg.MaxStates,
 		MaxDepth:       cfg.MaxDepth,
-		ReplayFromRoot: cfg.ReplayFromRoot,
-		POROff:         cfg.POROff,
-		CrossCheck:     cfg.CrossCheck,
 		CheckForbidden: cfg.CheckForbidden,
-		OnProgress:     cfg.OnProgress,
-		Deadline:       cfg.Deadline,
-		Interrupt:      cfg.Interrupt,
-		MemBudget:      cfg.MemBudget,
 	})
-	// Violations, deadline and interrupt aborts carry the exploration so
-	// far, so callers can still account for and render what was covered.
+	// A violation carries the exploration so far, so callers can still
+	// account for what was covered.
 	var cex *verif.Counterexample
 	switch {
 	case errors.As(err, &cex):
@@ -331,28 +251,16 @@ func Verify(test string, cfg VerifyConfig) (*VerifyReport, error) {
 			Witness: cex.Path, OriginalLen: cex.OriginalLen,
 			Minimized: cex.Minimized, cex: cex,
 		}
-	case err != nil && !errors.Is(err, ErrCheckDeadline) && !errors.Is(err, ErrCheckInterrupted):
+	case err != nil:
 		return nil, err
 	}
-	return verifyReport(test, rep), err
-}
-
-func verifyReport(test string, rep *verif.Report) *VerifyReport {
-	outs := make([]string, 0, len(rep.Outcomes))
-	for o := range rep.Outcomes {
-		outs = append(outs, o)
-	}
-	sort.Strings(outs)
 	return &VerifyReport{
-		Test:              test,
-		CheckCounts:       rep.Counts,
-		Outcomes:          len(rep.Outcomes),
-		Truncated:         rep.Truncated,
-		ForbiddenSkipped:  rep.ForbiddenSkipped,
-		MemSheds:          rep.MemSheds,
-		SnapshotBudgetEnd: rep.SnapshotBudgetEnd,
-		OutcomeList:       outs,
-	}
+		Test:             test,
+		CheckCounts:      rep.Counts,
+		Outcomes:         len(rep.Outcomes),
+		Truncated:        rep.Truncated,
+		ForbiddenSkipped: rep.ForbiddenSkipped,
+	}, err
 }
 
 // ReplayReport describes what re-executing a witness did.
@@ -381,7 +289,7 @@ type ReplayReport struct {
 // happens, step by step. Replay is deterministic: the same witness and
 // configuration always reproduce the same failure.
 func ReplayWitness(test string, cfg VerifyConfig, witness []uint16) (*ReplayReport, error) {
-	mcfg, err := modelConfig(test, &cfg)
+	mcfg, err := modelConfig(test, cfg)
 	if err != nil {
 		return nil, err
 	}

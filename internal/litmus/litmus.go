@@ -468,10 +468,3 @@ func Place(t Test, mcms [2]cpu.MCM, sync SyncMode) Layout {
 
 // clusterOf is the round-robin thread -> cluster assignment.
 func clusterOf(thread int) int { return thread % 2 }
-
-// RelaxedObservable reports whether the forbidden outcome of t can be
-// produced once synchronization is stripped, given the MCM of the core
-// each thread runs on.
-func RelaxedObservable(t Test, mcms []cpu.MCM) bool {
-	return t.Observable(mcms)
-}

@@ -193,7 +193,11 @@ func TestControlsShowForbiddenOutcomes(t *testing.T) {
 	}
 	for _, c := range cases {
 		tc, _ := ByName(c.test)
-		if !RelaxedObservable(tc, ThreadMCMs(tc, RunnerConfig{MCMs: c.mcms})) {
+		mcms := make([]cpu.MCM, len(tc.Threads))
+		for i := range mcms {
+			mcms[i] = c.mcms[clusterOf(i)]
+		}
+		if !tc.Observable(mcms) {
 			t.Fatalf("%s: test setup claims unobservable under %v", c.test, c.mcms)
 		}
 		t.Run(c.test, func(t *testing.T) {

@@ -136,15 +136,6 @@ type Result struct {
 // Distinct reports how many distinct outcomes appeared.
 func (r *Result) Distinct() int { return len(r.Outcomes) }
 
-// ThreadMCMs returns the MCM each thread of t runs under in cfg.
-func ThreadMCMs(t Test, cfg RunnerConfig) []cpu.MCM {
-	out := make([]cpu.MCM, len(t.Threads))
-	for i := range t.Threads {
-		out[i] = cfg.MCMs[clusterOf(i)]
-	}
-	return out
-}
-
 // Run executes one litmus campaign, sharding iterations across
 // cfg.Workers goroutines. Iteration seeds are BaseSeed + it*7919 exactly
 // as in a serial run, start offsets come from one shared stream drawn up

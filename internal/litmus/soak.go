@@ -86,6 +86,34 @@ func ResolvePlan(spec string) (NamedPlan, error) {
 	return NamedPlan{Name: spec, Plan: p}, nil
 }
 
+// ResolveFaults resolves the -faults and -crash flags of c3sim and
+// c3litmus into one plan: faultSpec through ResolvePlan, then each
+// ';'-separated host@tick[:rejoin] spec of crash layered on top of it.
+// Both empty is a perfect fabric (nil). An error names its flag.
+func ResolveFaults(faultSpec, crash string) (*faults.Plan, error) {
+	if faultSpec == "" && crash == "" {
+		return nil, nil
+	}
+	var plan faults.Plan
+	if faultSpec != "" {
+		p, err := ResolvePlan(faultSpec)
+		if err != nil {
+			return nil, fmt.Errorf("-faults: %w", err)
+		}
+		plan = p.Plan
+	}
+	if crash != "" {
+		for _, spec := range strings.Split(crash, ";") {
+			p, err := ResolvePlan("crash=" + strings.TrimSpace(spec))
+			if err != nil {
+				return nil, fmt.Errorf("-crash: %w", err)
+			}
+			plan.Crashes = append(plan.Crashes, p.Plan.Crashes...)
+		}
+	}
+	return &plan, nil
+}
+
 // SoakConfig describes one soak campaign: the cross product of litmus
 // tests x fault plans x base seeds, each run as a full (synced) campaign
 // on the unreliable fabric with per-iteration hang watchdogs armed.

@@ -1,6 +1,8 @@
 package litmus
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"c3/internal/faults"
@@ -158,5 +160,36 @@ func TestSoakReportIdenticalForAnyWorkerCount(t *testing.T) {
 func TestSoakUnknownTest(t *testing.T) {
 	if _, err := RunSoak(SoakConfig{Tests: []string{"nope"}, Iters: 1}); err == nil {
 		t.Fatal("unknown test accepted")
+	}
+}
+
+// TestResolveFaults: the -faults and -crash flags resolve to one plan —
+// nil when both are empty, a preset or spec with every ';'-separated
+// crash layered on top — and a bad spec is an error naming its flag.
+func TestResolveFaults(t *testing.T) {
+	if plan, err := ResolveFaults("", ""); plan != nil || err != nil {
+		t.Fatalf("no flags: plan %+v, err %v; want a perfect fabric (nil)", plan, err)
+	}
+	plan, err := ResolveFaults("light", "1@2500; 1@9000:12000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := faults.Plan{Rates: faults.Rates{Drop: 0.01, Dup: 0.01},
+		Crashes: []faults.Crash{{Host: 1, At: 2500}, {Host: 1, At: 9000, Rejoin: 12000}}}
+	if !reflect.DeepEqual(*plan, want) {
+		t.Fatalf("light + two crashes resolved to %+v, want %+v", *plan, want)
+	}
+	plan, err = ResolveFaults("", "1@2500")
+	if want := (faults.Plan{Crashes: []faults.Crash{{Host: 1, At: 2500}}}); err != nil || !reflect.DeepEqual(*plan, want) {
+		t.Fatalf("crash alone: plan %+v, err %v; want %+v", plan, err, want)
+	}
+	for _, tc := range []struct{ faults, crash, flag string }{
+		{"drop=banana", "", "-faults"},
+		{"", "bogus", "-crash"},
+		{"light", "1@2500;1@x", "-crash"},
+	} {
+		if _, err := ResolveFaults(tc.faults, tc.crash); err == nil || !strings.HasPrefix(err.Error(), tc.flag+": ") {
+			t.Errorf("-faults %q -crash %q: err %v, want one naming %s", tc.faults, tc.crash, err, tc.flag)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"time"
 
 	"c3/internal/litmus"
@@ -84,7 +85,8 @@ type Report struct {
 	// CheckerConfig.CheckForbidden to evaluate it anyway.
 	ForbiddenSkipped bool
 	// MemSheds counts memory-pressure degradation events: each time the
-	// sampled heap crossed CheckerConfig.MemBudget the checker halved its
+	// sampled heap crossed the soft budget — 80% of the runtime's memory
+	// limit (debug.SetMemoryLimit, GOMEMLIMIT) — the checker halved its
 	// snapshot budget and released frontier snapshots instead of risking
 	// an OOM kill. Shedding trades CPU (prefix replays) for memory; the
 	// exploration result is unaffected.
@@ -142,14 +144,6 @@ type CheckerConfig struct {
 	// Check stops at the next poll and returns the partial Report with an
 	// error wrapping ErrCheckInterrupted.
 	Interrupt <-chan struct{}
-	// MemBudget is a soft heap budget in bytes (0 = none). The checker
-	// samples the heap every 256 frontier pops; over budget it degrades
-	// instead of OOMing — halving the snapshot budget, releasing frontier
-	// snapshots from the tail, and falling back to replay-from-root when
-	// the budget reaches zero. Degradation is recorded in
-	// Report.MemSheds and never changes States/Terminals/Outcomes, only
-	// the Builds/Clones cost profile.
-	MemBudget uint64
 	// POROff disables the partial-order reduction and the sleep sets,
 	// expanding every enabled delivery at every state.
 	POROff bool
@@ -160,11 +154,13 @@ type CheckerConfig struct {
 	// in full.
 	CrossCheck bool
 
-	// Test seams overriding the defaults above (0 = default), and
+	// Test seams overriding the defaults above and the soft heap budget
+	// Check derives from the runtime's memory limit (0 = default), and
 	// switching the sleep sets off alone.
 	snapshotBudget int
 	progressEvery  uint64
 	memSampleEvery int
+	memBudget      uint64
 	sleepOff       bool
 }
 
@@ -188,7 +184,16 @@ type Progress struct {
 // entries whose snapshot was dropped (the snapshot budget) or when
 // ReplayFromRoot is set. Check starts no goroutine, so independent
 // explorations may run concurrently.
+//
+// Check reads the runtime's memory limit once. Under a limit it samples
+// the heap every 256 frontier pops, and over 80% of the limit it
+// degrades instead of OOMing: it halves the snapshot budget, releases
+// frontier snapshots from the tail, and falls back to replay-from-root
+// when the budget reaches zero. Degradation is recorded in
+// Report.MemSheds and never changes States/Terminals/Outcomes, only the
+// Builds/Clones cost profile. Without a limit the heap is never sampled.
 func Check(mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
+	ccfg.memBudget = cmp.Or(ccfg.memBudget, softMemBudget(debug.SetMemoryLimit(-1)))
 	// sym is the admitted renaming group (identity-only for asymmetric
 	// tests); the POR shares its line index and set-conflict gate. It
 	// reads the L1 node ids off a model, so a config the checker cannot
@@ -203,6 +208,17 @@ func Check(mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
 		return crossCheck(mcfg, ccfg, sym)
 	}
 	return check(mcfg, ccfg, sym)
+}
+
+// softMemBudget is the heap size at which Check starts shedding under
+// the runtime memory limit: 80% of it, so degradation starts before the
+// GC is forced into a death spiral. No limit (math.MaxInt64, the
+// runtime's default) is 0: the heap is never sampled.
+func softMemBudget(limit int64) uint64 {
+	if limit == math.MaxInt64 {
+		return 0
+	}
+	return uint64(0.8 * float64(limit))
 }
 
 // errTruncated ends an exploration that reached MaxStates; check
@@ -376,7 +392,7 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 			return rep, fmt.Errorf("verif: %s: %w after %d states",
 				mcfg.Test.Name, ErrCheckDeadline, rep.States)
 		}
-		if ccfg.MemBudget > 0 {
+		if ccfg.memBudget > 0 {
 			if popsSinceSample++; popsSinceSample >= ccfg.memSampleEvery {
 				popsSinceSample = 0
 				var ms runtime.MemStats
@@ -387,7 +403,7 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 				// snapshots from the tail, where entries wait longest
 				// before being popped. The exploration itself is untouched:
 				// stripped entries rebuild by prefix replay when popped.
-				if ms.HeapAlloc > ccfg.MemBudget && (ccfg.snapshotBudget > 0 || live > 0) {
+				if ms.HeapAlloc > ccfg.memBudget && (ccfg.snapshotBudget > 0 || live > 0) {
 					rep.MemSheds++
 					ccfg.snapshotBudget /= 2
 					if ccfg.snapshotBudget < 32 {

@@ -28,6 +28,22 @@ type ModelConfig struct {
 	TinyLLC bool
 }
 
+// ModelFor resolves a litmus test by name into the ModelConfig that
+// Check and Replay take: its program refined per thread MCM (SyncFull),
+// or stripped of every fence and annotation when unsynced (SyncNone).
+// The caller fills in the machine (Locals, Global, MCMs, TinyLLC).
+func ModelFor(test string, unsynced bool) (ModelConfig, error) {
+	tc, ok := litmus.ByName(test)
+	if !ok {
+		return ModelConfig{}, fmt.Errorf("verif: unknown litmus test %q", test)
+	}
+	sync := litmus.SyncFull
+	if unsynced {
+		sync = litmus.SyncNone
+	}
+	return ModelConfig{Test: tc, Sync: sync}, nil
+}
+
 // thread is one litmus thread's core, program and host cache.
 type thread struct {
 	core *cpu.Core

@@ -2,6 +2,8 @@ package verif
 
 import (
 	"errors"
+	"math"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -30,7 +32,7 @@ func TestCheckerMemShedEquivalence(t *testing.T) {
 
 	// 1 byte: every heap sample is over budget, so the checker sheds at
 	// each sampling stride until the budget bottoms out at zero.
-	shed, err := Check(mcfg, CheckerConfig{MaxStates: 3_000, MemBudget: 1, memSampleEvery: 16})
+	shed, err := Check(mcfg, CheckerConfig{MaxStates: 3_000, memBudget: 1, memSampleEvery: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +47,32 @@ func TestCheckerMemShedEquivalence(t *testing.T) {
 			shed.Builds, base.Builds)
 	}
 	reportsEqual(t, "mem-shed", base, shed)
+}
+
+// TestMemBudgetFollowsRuntimeLimit pins where the soft heap budget
+// comes from: the runtime's memory limit, which c3check -mem-budget-mb
+// and GOMEMLIMIT set. With no limit the budget is 0 and the heap is
+// never sampled; with limit L the checker sheds above 0.8·L, and Check
+// reads the limit from the process itself.
+func TestMemBudgetFollowsRuntimeLimit(t *testing.T) {
+	if got := softMemBudget(math.MaxInt64); got != 0 {
+		t.Fatalf("no runtime limit: soft budget %d, want 0 (never sample the heap)", got)
+	}
+	for _, limit := range []int64{16 << 20, 1 << 30, 3} {
+		if got, want := softMemBudget(limit), uint64(limit)*8/10; got != want {
+			t.Errorf("limit %d: soft budget %d, want %d", limit, got, want)
+		}
+	}
+	// A 1 KiB limit sits below any Go heap, so every sample is over the
+	// derived budget.
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(1 << 10))
+	rep, err := Check(mpCXL(t, litmus.SyncFull), CheckerConfig{memSampleEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.MemSheds == 0 {
+		t.Fatal("Check did not shed under a 1 KiB runtime memory limit")
+	}
 }
 
 // TestCheckerDeadline: a passed deadline aborts the exploration with a
