@@ -70,6 +70,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "c3litmus: -test, -table or -list required")
 		os.Exit(2)
 	}
+	if _, ok := litmus.ByName(*test); !ok {
+		failUsage(fmt.Errorf("unknown litmus test %q (see -list)", *test))
+	}
 	machine, err := system.ParseMachine(*local0, *local1, *global, *mcm0, *mcm1)
 	failUsage(err)
 	_, err = litmus.ResolveFaults(*faults, *crash)

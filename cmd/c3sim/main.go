@@ -65,19 +65,13 @@ func main() {
 
 	// Reject configuration typos before spending a run on them.
 	machine, err := system.ParseMachine(*local0, *local1, *global, *mcm0, *mcm1)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "c3sim:", err)
-		os.Exit(2)
-	}
+	failUsage(err)
 	if *metrics != "text" && *metrics != "json" {
 		fmt.Fprintf(os.Stderr, "c3sim: -metrics %q (want text|json)\n", *metrics)
 		os.Exit(2)
 	}
 	plan, err := litmus.ResolveFaults(*faultSpec, *crash)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "c3sim:", err)
-		os.Exit(2)
-	}
+	failUsage(err)
 
 	names := strings.Split(*w, ",")
 	if *w == "all" {
@@ -98,6 +92,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "c3sim: unknown workload %q\n", n)
 				os.Exit(1)
 			}
+			failUsage(workload.CheckFaults(spec, plan))
 			specs[i] = spec
 		}
 		_, err := parallel.MapOrdered(context.Background(), *workers, len(specs),
@@ -134,6 +129,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "c3sim: unknown workload %q\n", *w)
 		os.Exit(1)
 	}
+	failUsage(workload.CheckFaults(spec, plan))
 
 	cfg := workload.RunConfig{
 		Spec:            spec,
@@ -217,6 +213,15 @@ func main() {
 	}
 	fmt.Println("\nmetrics:")
 	reg.RenderText(os.Stdout)
+}
+
+// failUsage exits 2 for configuration errors, before any run; exit 1
+// stays for run failures.
+func failUsage(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "c3sim:", err)
+		os.Exit(2)
+	}
 }
 
 // stats is the compact per-run summary printed in multi-workload mode.

@@ -9,11 +9,11 @@
 // A Plan describes what goes wrong (drop / duplication / delay-spike
 // probabilities, link-down stall windows, per-link overrides); an
 // Injector turns the plan into per-link deterministic decisions. Each
-// directed (src, dst, vnet) link owns an independent PCG stream seeded
-// from (Plan.Seed, link key), so one link's traffic never perturbs
-// another's fault schedule and a run is reproducible for any event
-// interleaving that keeps per-link send order (which the single-threaded
-// kernel guarantees).
+// directed (src, dst, vnet) link owns an independent Stream, a PCG
+// stream seeded from (Plan.Seed, link key) that the link itself holds,
+// so one link's traffic never perturbs another's fault schedule and a
+// run is reproducible for any event interleaving that keeps per-link
+// send order (which the single-threaded kernel guarantees).
 //
 // Recovery from these faults — sequence numbers, ack/timeout retry, dedup
 // and poison-on-exhaustion — lives in internal/network's reliable
@@ -296,23 +296,15 @@ type Stats struct {
 	AckDrops   uint64 // shim acks lost to the plan
 }
 
-type linkKey struct {
-	src, dst msg.NodeID
-	vnet     msg.VNet
-}
-
-type linkState struct {
-	rng   *rand.Rand
-	rates Rates
-}
-
-// Injector evaluates a Plan, one deterministic stream per directed link.
+// Injector evaluates a Plan. It keeps the plan, the counters and the
+// poison set; the per-link state lives with the links, one Stream each
+// (see Stream).
 type Injector struct {
-	plan  Plan
-	links map[linkKey]*linkState
+	plan Plan
 
 	Stats Stats
 
+	// poisoned is created by the first RecordPoison.
 	poisoned map[mem.LineAddr]struct{}
 }
 
@@ -321,11 +313,7 @@ func NewInjector(p Plan) *Injector {
 	if p.DelayMax == 0 {
 		p.DelayMax = DefaultDelayMax
 	}
-	return &Injector{
-		plan:     p,
-		links:    make(map[linkKey]*linkState),
-		poisoned: make(map[mem.LineAddr]struct{}),
-	}
+	return &Injector{plan: p}
 }
 
 // Plan returns the compiled plan.
@@ -342,13 +330,24 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-func (in *Injector) link(k linkKey) *linkState {
-	if ls := in.links[k]; ls != nil {
-		return ls
-	}
+// Stream is the fault schedule of one directed (src, dst, vnet) link: a
+// PCG stream seeded from (Plan.Seed, link key) and the rates the plan
+// assigns that link. The caller keeps it with the link (the network
+// holds one per faulty link) and passes it to every Decide for that
+// link, so streams of different links never share state.
+type Stream struct {
+	pcg   rand.PCG
+	rng   rand.Rand
+	rates Rates
+}
+
+// Stream compiles the fault stream of the directed link (src, dst,
+// vnet). Two calls for the same link return independent streams that
+// draw the same fates.
+func (in *Injector) Stream(src, dst msg.NodeID, vnet msg.VNet) *Stream {
 	rates := in.plan.Rates
 	for _, o := range in.plan.PerLink {
-		if (o.Src == msg.None || o.Src == k.src) && (o.Dst == msg.None || o.Dst == k.dst) {
+		if (o.Src == msg.None || o.Src == src) && (o.Dst == msg.None || o.Dst == dst) {
 			rates = o.Rates
 			break
 		}
@@ -356,39 +355,48 @@ func (in *Injector) link(k linkKey) *linkState {
 	if rates.DelayMax == 0 {
 		rates.DelayMax = in.plan.DelayMax
 	}
-	stream := splitmix64(uint64(int64(k.src))<<24 ^ uint64(int64(k.dst))<<8 ^ uint64(k.vnet))
-	ls := &linkState{
-		rng:   rand.New(rand.NewPCG(in.plan.Seed, stream)),
-		rates: rates,
-	}
-	in.links[k] = ls
-	return ls
+	s := &Stream{rates: rates}
+	s.pcg.Seed(in.plan.Seed, splitmix64(uint64(int64(src))<<24^uint64(int64(dst))<<8^uint64(vnet)))
+	s.rng = *rand.New(&s.pcg)
+	return s
 }
 
-// roll draws one fate from a link's stream without touching counters.
-func (ls *linkState) roll(now sim.Time) (f Fate, stalled bool) {
-	for _, w := range ls.rates.Stalls {
+// roll draws one fate from the stream without touching counters.
+func (s *Stream) roll(now sim.Time) (f Fate, stalled bool) {
+	for _, w := range s.rates.Stalls {
 		if w.contains(now) {
 			return Fate{Drop: true}, true
 		}
 	}
-	if ls.rates.Drop > 0 && ls.rng.Float64() < ls.rates.Drop {
+	if s.rates.Drop > 0 && s.rng.Float64() < s.rates.Drop {
 		return Fate{Drop: true}, false
 	}
-	if ls.rates.Dup > 0 && ls.rng.Float64() < ls.rates.Dup {
+	if s.rates.Dup > 0 && s.rng.Float64() < s.rates.Dup {
 		f.Dup = true
 	}
-	if ls.rates.Delay > 0 && ls.rng.Float64() < ls.rates.Delay {
-		f.Delay = 1 + sim.Time(ls.rng.Uint64N(uint64(ls.rates.DelayMax)))
+	if s.rates.Delay > 0 && s.rng.Float64() < s.rates.Delay {
+		f.Delay = 1 + sim.Time(s.rng.Uint64N(uint64(s.rates.DelayMax)))
 	}
 	return f, false
 }
 
-// Decide rolls the fate of one message traversal of the directed link
-// (src, dst, vnet) departing at time now.
-func (in *Injector) Decide(src, dst msg.NodeID, vnet msg.VNet, now sim.Time) Fate {
+// Decide rolls the fate of one traversal of s's link at time now and
+// counts it. A reliable-shim ack (ack true) rides the stream of the link
+// it travels, like payload traffic, but is counted under Acks/AckDrops
+// and only drop and delay apply to it (a duplicated ack is harmless and
+// not modelled).
+func (in *Injector) Decide(s *Stream, now sim.Time, ack bool) Fate {
+	f, stalled := s.roll(now)
+	if ack {
+		if f.Drop {
+			in.Stats.AckDrops++
+		} else {
+			in.Stats.Acks++
+		}
+		f.Dup = false
+		return f
+	}
 	in.Stats.Decisions++
-	f, stalled := in.link(linkKey{src, dst, vnet}).roll(now)
 	switch {
 	case stalled:
 		in.Stats.StallDrops++
@@ -405,23 +413,12 @@ func (in *Injector) Decide(src, dst msg.NodeID, vnet msg.VNet, now sim.Time) Fat
 	return f
 }
 
-// DecideAck rolls the fate of a shim ack on the reverse link. Acks ride
-// the same per-link stream as payload traffic; only drop and delay apply
-// (a duplicated ack is harmless and not modelled).
-func (in *Injector) DecideAck(src, dst msg.NodeID, vnet msg.VNet, now sim.Time) Fate {
-	f, _ := in.link(linkKey{src, dst, vnet}).roll(now)
-	if f.Drop {
-		in.Stats.AckDrops++
-	} else {
-		in.Stats.Acks++
-	}
-	f.Dup = false
-	return f
-}
-
 // RecordPoison marks a line as carrying poisoned data.
 func (in *Injector) RecordPoison(a mem.LineAddr) {
 	in.Stats.Poisoned++
+	if in.poisoned == nil {
+		in.poisoned = make(map[mem.LineAddr]struct{})
+	}
 	in.poisoned[a] = struct{}{}
 }
 

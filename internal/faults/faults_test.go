@@ -153,9 +153,10 @@ func FuzzParsePlan(f *testing.F) {
 // fates drains n decisions from one directed link of a fresh injector.
 func fates(p Plan, src, dst msg.NodeID, n int) []Fate {
 	in := NewInjector(p)
+	s := in.Stream(src, dst, msg.VReq)
 	out := make([]Fate, n)
 	for i := range out {
-		out[i] = in.Decide(src, dst, msg.VReq, sim.Time(i))
+		out[i] = in.Decide(s, sim.Time(i), false)
 	}
 	return out
 }
@@ -191,11 +192,12 @@ func TestPerLinkStreamsIndependent(t *testing.T) {
 	solo := fates(p, 1, 2, 500)
 
 	in := NewInjector(p)
+	s12, s34, s21 := in.Stream(1, 2, msg.VReq), in.Stream(3, 4, msg.VReq), in.Stream(2, 1, msg.VReq)
 	var mixed []Fate
 	for i := 0; i < 500; i++ {
-		mixed = append(mixed, in.Decide(1, 2, msg.VReq, sim.Time(i)))
-		in.Decide(3, 4, msg.VReq, sim.Time(i)) // noise on another link
-		in.Decide(2, 1, msg.VReq, sim.Time(i)) // and on the reverse link
+		mixed = append(mixed, in.Decide(s12, sim.Time(i), false))
+		in.Decide(s34, sim.Time(i), false) // noise on another link
+		in.Decide(s21, sim.Time(i), false) // and on the reverse link
 	}
 	for i := range solo {
 		if solo[i] != mixed[i] {
@@ -208,9 +210,10 @@ func TestDropRateBand(t *testing.T) {
 	const n = 20000
 	p := Plan{Seed: 1, Rates: Rates{Drop: 0.1}}
 	in := NewInjector(p)
+	s := in.Stream(1, 2, msg.VReq)
 	drops := 0
 	for i := 0; i < n; i++ {
-		if in.Decide(1, 2, msg.VReq, sim.Time(i)).Drop {
+		if in.Decide(s, sim.Time(i), false).Drop {
 			drops++
 		}
 	}
@@ -226,13 +229,14 @@ func TestDropRateBand(t *testing.T) {
 func TestStallWindow(t *testing.T) {
 	p := Plan{Seed: 1, Rates: Rates{Stalls: []Window{{From: 100, To: 200}}}}
 	in := NewInjector(p)
+	s := in.Stream(1, 2, msg.VReq)
 	for _, now := range []sim.Time{100, 150, 199} {
-		if f := in.Decide(1, 2, msg.VReq, now); !f.Drop {
+		if f := in.Decide(s, now, false); !f.Drop {
 			t.Fatalf("traversal at %d inside stall window survived", now)
 		}
 	}
 	for _, now := range []sim.Time{0, 99, 200, 1000} {
-		if f := in.Decide(1, 2, msg.VReq, now); f.Drop {
+		if f := in.Decide(s, now, false); f.Drop {
 			t.Fatalf("traversal at %d outside stall window dropped", now)
 		}
 	}
@@ -248,23 +252,23 @@ func TestPerLinkOverride(t *testing.T) {
 	// Only the overridden link drops; the default rates are clean.
 	p := Plan{Seed: 1, PerLink: []LinkRates{{Src: 1, Dst: 2, Rates: Rates{Drop: 1}}}}
 	in := NewInjector(p)
-	if f := in.Decide(1, 2, msg.VReq, 0); !f.Drop {
+	if f := in.Decide(in.Stream(1, 2, msg.VReq), 0, false); !f.Drop {
 		t.Fatal("overridden link did not drop at rate 1")
 	}
-	if f := in.Decide(2, 1, msg.VReq, 0); f.Drop {
+	if f := in.Decide(in.Stream(2, 1, msg.VReq), 0, false); f.Drop {
 		t.Fatal("reverse link inherited the override")
 	}
-	if f := in.Decide(3, 4, msg.VReq, 0); f.Drop {
+	if f := in.Decide(in.Stream(3, 4, msg.VReq), 0, false); f.Drop {
 		t.Fatal("unrelated link inherited the override")
 	}
 
 	// msg.None wildcards an endpoint.
 	wp := Plan{Seed: 1, PerLink: []LinkRates{{Src: msg.None, Dst: 2, Rates: Rates{Drop: 1}}}}
 	win := NewInjector(wp)
-	if f := win.Decide(9, 2, msg.VReq, 0); !f.Drop {
+	if f := win.Decide(win.Stream(9, 2, msg.VReq), 0, false); !f.Drop {
 		t.Fatal("wildcard src did not match")
 	}
-	if f := win.Decide(2, 9, msg.VReq, 0); f.Drop {
+	if f := win.Decide(win.Stream(2, 9, msg.VReq), 0, false); f.Drop {
 		t.Fatal("wildcard matched the wrong direction")
 	}
 }
@@ -272,9 +276,10 @@ func TestPerLinkOverride(t *testing.T) {
 func TestDelaySpikeBounds(t *testing.T) {
 	p := Plan{Seed: 3, Rates: Rates{Delay: 1, DelayMax: 50}}
 	in := NewInjector(p)
+	s := in.Stream(1, 2, msg.VReq)
 	seen := false
 	for i := 0; i < 1000; i++ {
-		f := in.Decide(1, 2, msg.VReq, sim.Time(i))
+		f := in.Decide(s, sim.Time(i), false)
 		if f.Delay < 1 || f.Delay > 50 {
 			t.Fatalf("delay %d outside [1, 50]", f.Delay)
 		}
@@ -293,8 +298,9 @@ func TestDelaySpikeBounds(t *testing.T) {
 func TestDecideAckAccounting(t *testing.T) {
 	p := Plan{Seed: 5, Rates: Rates{Drop: 0.5}}
 	in := NewInjector(p)
+	s := in.Stream(2, 1, msg.VReq)
 	for i := 0; i < 1000; i++ {
-		f := in.DecideAck(2, 1, msg.VReq, sim.Time(i))
+		f := in.Decide(s, sim.Time(i), true)
 		if f.Dup {
 			t.Fatal("acks must never duplicate")
 		}

@@ -104,7 +104,12 @@ func ResolveFaults(faultSpec, crash string) (*faults.Plan, error) {
 	}
 	if crash != "" {
 		for _, spec := range strings.Split(crash, ";") {
-			p, err := ResolvePlan("crash=" + strings.TrimSpace(spec))
+			spec = strings.TrimSpace(spec)
+			if strings.Contains(spec, ",") {
+				// Parsed as a plan, the rest would be silently dropped.
+				return nil, fmt.Errorf("-crash: %q: want host@tick or host@tick:rejoin (other fault keys belong in -faults)", spec)
+			}
+			p, err := ResolvePlan("crash=" + spec)
 			if err != nil {
 				return nil, fmt.Errorf("-crash: %w", err)
 			}

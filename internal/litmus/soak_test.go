@@ -187,9 +187,53 @@ func TestResolveFaults(t *testing.T) {
 		{"drop=banana", "", "-faults"},
 		{"", "bogus", "-crash"},
 		{"light", "1@2500;1@x", "-crash"},
+		{"", "1@2500,drop=0.5", "-crash"}, // a fault key in -crash is not dropped silently
 	} {
 		if _, err := ResolveFaults(tc.faults, tc.crash); err == nil || !strings.HasPrefix(err.Error(), tc.flag+": ") {
 			t.Errorf("-faults %q -crash %q: err %v, want one naming %s", tc.faults, tc.crash, err, tc.flag)
 		}
 	}
+}
+
+// FuzzResolveFaults: no (-faults, -crash) pair panics, and every plan
+// ResolveFaults accepts renders (String, the plan's report key) to a
+// spec that resolves back to a structurally equal plan. Seeded from the
+// preset names and, copied from the fault-plan parser's tests, valid
+// and invalid specs, each paired with a -crash value.
+func FuzzResolveFaults(f *testing.F) {
+	specs := []string{
+		"drop=0.01,dup=0.01",
+		"drop=0.05,dup=0.05,delay=0.1,delaymax=200",
+		"drop=1,stall=0:60000",
+		"drop=0.02,stall=2000:12000,retries=4,seed=9",
+		"crash=1@2500",
+		"drop=0.02,crash=1@2500,crash=2@3000:9000",
+		"none",
+		"",
+		"drop=NaN",
+		"stall=10:5",
+		"crash=1@100:50",
+		"warp=0.5",
+	}
+	crashes := []string{"", "1@2500", "1@2500:40000", "1@2500; 2@9000:12000", "bogus", "1@0", "1@x"}
+	for _, p := range append(DefaultPlans(), CrashPlans()...) {
+		f.Add(p.Name, "")
+		f.Add(p.Name, "1@3000")
+	}
+	for i, s := range specs {
+		f.Add(s, crashes[i%len(crashes)])
+	}
+	f.Fuzz(func(t *testing.T, faultSpec, crash string) {
+		p, err := ResolveFaults(faultSpec, crash)
+		if err != nil || p == nil {
+			return
+		}
+		q, err := ResolveFaults(p.String(), "")
+		if err != nil {
+			t.Fatalf("-faults %q -crash %q resolved to %q, which does not resolve: %v", faultSpec, crash, p.String(), err)
+		}
+		if !reflect.DeepEqual(*p, *q) {
+			t.Fatalf("-faults %q -crash %q resolved to %+v, but its String() %q resolves to %+v", faultSpec, crash, *p, p.String(), *q)
+		}
+	})
 }

@@ -26,7 +26,7 @@ package network
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"c3/internal/faults"
 	"c3/internal/msg"
@@ -82,25 +82,19 @@ func CrossCluster() LinkConfig {
 		Unordered: true, JitterMax: 24, Cross: true}
 }
 
-type routeKey struct {
+// link is one directed (src, dst, vnet) channel.
+type link struct {
 	src, dst msg.NodeID
 	vnet     msg.VNet
-}
-
-type pairOrder struct {
-	lastArrival sim.Time
-}
-
-type link struct {
-	key           routeKey
-	cfg           LinkConfig
-	lastDeparture sim.Time
-	lastArrival   sim.Time
-	ordered       bool
+	ordered  bool
 	// down marks a link whose endpoint node crashed: nothing departs,
 	// nothing in flight arrives (the surprise-link-down model — flits on
 	// the wire are lost, not parked).
 	down bool
+	// cfg is shared by every link of the Connect that made this one.
+	cfg           *LinkConfig
+	lastDeparture sim.Time
+	lastArrival   sim.Time
 	// jitter, when non-nil, is this link's private reordering stream
 	// (unordered links only). Per-link streams keep one link's traffic
 	// from perturbing another's schedule and survive link additions.
@@ -108,9 +102,54 @@ type link struct {
 	// pair, when non-nil, carries the shared arrival horizon for
 	// cross-vnet-ordered links.
 	pair *pairOrder
+	// rev is the same vnet in the opposite direction: the shim's acks
+	// for this link travel on it.
+	rev *link
+	// faults is this link's fault stream, taken from the injector at the
+	// link's first fault decision (payload or ack); nil until then.
+	faults *faults.Stream
 	// rel, when non-nil, is the reliable-delivery shim state: armed on
 	// Cross links once EnableFaults has installed an injector.
 	rel *relState
+}
+
+type pairOrder struct {
+	lastArrival sim.Time
+}
+
+// linkBlock is what one Connect allocates: both directions' links for
+// every vnet, their config, and each direction's cross-vnet arrival
+// horizon.
+type linkBlock struct {
+	links [2][msg.NumVNets]link
+	cfg   LinkConfig
+	order [2]pairOrder
+}
+
+// pcgRand is a rand.Rand over its own PCG source, in one allocation.
+// Connect allocates a pair's six together.
+type pcgRand struct {
+	pcg rand.PCG
+	rand.Rand
+}
+
+// seed starts r's stream as rand.New(rand.NewPCG(seed1, seed2)) would.
+func (r *pcgRand) seed(seed1, seed2 uint64) *rand.Rand {
+	r.pcg.Seed(seed1, seed2)
+	r.Rand = *rand.New(&r.pcg)
+	return &r.Rand
+}
+
+// node is one endpoint's row of the fabric tables.
+type node struct {
+	port Port
+	// out holds, per destination id, the links of the directed pair
+	// (this node, destination), one per vnet; nil where none exist.
+	out []*[msg.NumVNets]link
+	// down is set by MarkNodeDown the moment the node dies; declared once
+	// its death escalates to a structured peer-dead declaration (retry
+	// escalation or the declare-delay backstop, whichever first).
+	down, declared bool
 }
 
 // Stats aggregates traffic counters.
@@ -119,12 +158,16 @@ type Stats struct {
 	Bytes [msg.NumVNets]uint64
 }
 
-// Network is the timed fabric.
+// Network is the timed fabric. Its tables are indexed by node id:
+// system.New numbers nodes densely from 1, so a route lookup is a few
+// bounds checks and no hashing, and one slice lists every link for the
+// walks that touch them all (arming faults, crash and rejoin, peer-dead
+// declaration, pending retries, Validate).
 type Network struct {
 	k      *sim.Kernel
 	seed   int64
-	ports  map[msg.NodeID]Port
-	routes map[routeKey]*link
+	nodes  []node
+	links  []*link
 	serial uint64
 
 	// inj, when non-nil, is the armed fault injector (EnableFaults).
@@ -132,14 +175,9 @@ type Network struct {
 	// predictable nil check per send and per delivery.
 	inj *faults.Injector
 
-	// downNodes and declared track crashed endpoints. downNodes is set by
-	// MarkNodeDown the moment a host dies; declared is set once per node
-	// when the death escalates to a structured peer-dead declaration
-	// (retry escalation or the declare-delay backstop, whichever first).
-	// Both are nil until the first crash, so the healthy fabric pays the
-	// usual nil checks.
-	downNodes map[msg.NodeID]bool
-	declared  map[msg.NodeID]bool
+	// downs counts nodes currently down, so the healthy fabric's
+	// delivery path pays one compare for the crash model.
+	downs int
 
 	// OnPeerDead, when non-nil, receives each peer-dead declaration
 	// exactly once. The system layer wires it to the coherence-state
@@ -157,23 +195,34 @@ type Network struct {
 
 	Stats Stats
 
-	// deliverFn is the single long-lived delivery callback shared by
-	// every send (see Send): scheduling it through ScheduleArg keeps the
-	// hot path free of per-message closures.
-	deliverFn func(any)
+	// deliverFn, retryFn and ackFn are the long-lived callbacks every
+	// delivery, shim retry and shim ack is scheduled with (ScheduleArg),
+	// so neither the hot path nor the shim allocates a closure per
+	// message; txs and acks recycle the shim events' payloads.
+	deliverFn, retryFn, ackFn func(any)
+	txs                       freeList[pendingTx]
+	acks                      freeList[ackTx]
 }
+
+// tableNodes sizes a new network's node table: ids 0..15 cover a
+// two-cluster machine of up to six cores per cluster without growing
+// it, and each node's row of destinations is allocated at the table's
+// capacity. Larger machines grow the table as they register.
+const tableNodes = 16
 
 // New returns an empty network on kernel k. Jitter on unordered links is
 // drawn from per-link generators derived from seed, so runs are
 // reproducible and links are independent.
 func New(k *sim.Kernel, seed int64) *Network {
 	n := &Network{
-		k:      k,
-		seed:   seed,
-		ports:  make(map[msg.NodeID]Port),
-		routes: make(map[routeKey]*link),
+		k: k, seed: seed,
+		nodes: make([]node, 0, tableNodes),
+		// One Connect per node covers the cluster trees.
+		links: make([]*link, 0, tableNodes*2*msg.NumVNets),
 	}
 	n.deliverFn = n.deliver
+	n.retryFn = n.retryEvent
+	n.ackFn = n.ackArrive
 	return n
 }
 
@@ -186,9 +235,10 @@ func (n *Network) EnableFaults(p faults.Plan) {
 		return
 	}
 	n.inj = faults.NewInjector(p)
-	for _, l := range n.routes {
+	for _, l := range n.links {
+		l.faults = nil // streams come from the new injector
 		if l.cfg.Cross && l.rel == nil {
-			l.rel = newRelState()
+			l.rel = &relState{}
 		}
 	}
 }
@@ -196,18 +246,47 @@ func (n *Network) EnableFaults(p faults.Plan) {
 // Injector returns the armed fault injector, or nil on a perfect fabric.
 func (n *Network) Injector() *faults.Injector { return n.inj }
 
+// grow extends the node table to hold id, which must not be negative.
+func (n *Network) grow(id msg.NodeID) {
+	if id < 0 {
+		panic(fmt.Sprintf("network: negative node id %d", id))
+	}
+	if int(id) >= len(n.nodes) {
+		n.nodes = append(n.nodes, make([]node, int(id)+1-len(n.nodes))...)
+	}
+}
+
+// pair returns the links of the directed pair (src, dst), or nil.
+func (n *Network) pair(src, dst msg.NodeID) *[msg.NumVNets]link {
+	if uint(src) < uint(len(n.nodes)) {
+		if out := n.nodes[src].out; uint(dst) < uint(len(out)) {
+			return out[dst]
+		}
+	}
+	return nil
+}
+
+// port returns id's registered port, or nil.
+func (n *Network) port(id msg.NodeID) Port {
+	if uint(id) < uint(len(n.nodes)) {
+		return n.nodes[id].port
+	}
+	return nil
+}
+
 // Register attaches the receiver for node id.
 func (n *Network) Register(id msg.NodeID, p Port) {
-	if _, dup := n.ports[id]; dup {
+	n.grow(id)
+	if n.nodes[id].port != nil {
 		panic(fmt.Sprintf("network: duplicate port %d", id))
 	}
-	n.ports[id] = p
+	n.nodes[id].port = p
 }
 
 // linkStream derives the per-link RNG stream id (splitmix64 finalizer,
 // so adjacent node ids land in unrelated streams).
-func linkStream(k routeKey) uint64 {
-	x := uint64(int64(k.src))<<24 ^ uint64(int64(k.dst))<<8 ^ uint64(k.vnet)
+func linkStream(src, dst msg.NodeID, vnet msg.VNet) uint64 {
+	x := uint64(int64(src))<<24 ^ uint64(int64(dst))<<8 ^ uint64(vnet)
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
@@ -215,34 +294,56 @@ func linkStream(k routeKey) uint64 {
 }
 
 // Connect creates the three virtual-network links in both directions
-// between a and b. VRsp is always ordered; VReq/VSnp follow cfg.Unordered.
-// Connecting the same pair twice is a wiring bug and panics (mirroring
-// Register), rather than silently resetting the links' FIFO horizons.
+// between a and b, allocated as one block; a pair whose links reorder
+// gets one more for their jitter streams, and one whose links carry the
+// reliable shim one more for its state. VRsp is always ordered;
+// VReq/VSnp follow cfg.Unordered. Connecting the same pair twice is a
+// wiring bug and panics (mirroring Register), rather than silently
+// resetting the links' FIFO horizons.
 func (n *Network) Connect(a, b msg.NodeID, cfg LinkConfig) {
+	n.grow(a)
+	n.grow(b)
 	for _, p := range [2][2]msg.NodeID{{a, b}, {b, a}} {
-		var shared *pairOrder
-		if cfg.CrossVNetOrder {
-			shared = &pairOrder{}
+		if a == b || n.pair(p[0], p[1]) != nil {
+			panic(fmt.Sprintf("network: duplicate link %d->%d", p[0], p[1]))
 		}
+	}
+	blk := &linkBlock{cfg: cfg}
+	var jitters *[2][msg.NumVNets]pcgRand
+	if cfg.Unordered && cfg.JitterMax > 0 {
+		jitters = new([2][msg.NumVNets]pcgRand)
+	}
+	var rels *[2][msg.NumVNets]relState
+	if n.inj != nil && cfg.Cross {
+		rels = new([2][msg.NumVNets]relState)
+	}
+	for d, p := range [2][2]msg.NodeID{{a, b}, {b, a}} {
 		for v := msg.VNet(0); v < msg.NumVNets; v++ {
-			key := routeKey{p[0], p[1], v}
-			if _, dup := n.routes[key]; dup {
-				panic(fmt.Sprintf("network: duplicate link %d->%d", p[0], p[1]))
-			}
-			l := &link{
-				key:     key,
-				cfg:     cfg,
+			l := &blk.links[d][v]
+			*l = link{
+				src: p[0], dst: p[1], vnet: v,
 				ordered: !cfg.Unordered || v == msg.VRsp,
-				pair:    shared,
+				cfg:     &blk.cfg,
+				rev:     &blk.links[1-d][v],
 			}
-			if !l.ordered && cfg.JitterMax > 0 {
-				l.jitter = rand.New(rand.NewPCG(uint64(n.seed), linkStream(key)))
+			if cfg.CrossVNetOrder {
+				l.pair = &blk.order[d]
 			}
-			if n.inj != nil && cfg.Cross {
-				l.rel = newRelState()
+			if jitters != nil && !l.ordered {
+				l.jitter = jitters[d][v].seed(uint64(n.seed), linkStream(p[0], p[1], v))
 			}
-			n.routes[key] = l
+			if rels != nil {
+				l.rel = &rels[d][v]
+			}
+			n.links = append(n.links, l)
 		}
+		src := &n.nodes[p[0]]
+		if int(p[1]) >= len(src.out) {
+			row := make([]*[msg.NumVNets]link, max(int(p[1])+1, cap(n.nodes)))
+			copy(row, src.out)
+			src.out = row
+		}
+		src.out[p[1]] = &blk.links[d]
 	}
 }
 
@@ -251,12 +352,10 @@ func (n *Network) Connect(a, b msg.NodeID, cfg LinkConfig) {
 // fails at build time with a list of the unregistered nodes instead of
 // panicking mid-run in Send.
 func (n *Network) Validate() error {
-	seen := make(map[msg.NodeID]bool)
 	var missing []msg.NodeID
-	for k := range n.routes {
-		for _, id := range [2]msg.NodeID{k.src, k.dst} {
-			if n.ports[id] == nil && !seen[id] {
-				seen[id] = true
+	for _, l := range n.links {
+		for _, id := range [2]msg.NodeID{l.src, l.dst} {
+			if n.port(id) == nil && !slices.Contains(missing, id) {
 				missing = append(missing, id)
 			}
 		}
@@ -264,16 +363,24 @@ func (n *Network) Validate() error {
 	if len(missing) == 0 {
 		return nil
 	}
-	sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
+	slices.Sort(missing)
 	return fmt.Errorf("network: links reference unregistered ports %v", missing)
 }
 
 func (n *Network) route(m *msg.Msg) *link {
-	l := n.routes[routeKey{m.Src, m.Dst, m.VNet}]
-	if l == nil {
-		panic(fmt.Sprintf("network: no route for %v", m))
+	if p := n.pair(m.Src, m.Dst); p != nil && m.VNet < msg.NumVNets {
+		return &p[m.VNet]
 	}
-	return l
+	panic(fmt.Sprintf("network: no route for %v", m))
+}
+
+// faultStream returns l's fault stream, taking it from the injector at
+// the link's first decision.
+func (n *Network) faultStream(l *link) *faults.Stream {
+	if l.faults == nil {
+		l.faults = n.inj.Stream(l.src, l.dst, l.vnet)
+	}
+	return l.faults
 }
 
 // Send queues m for delivery. The message must not be mutated afterwards
@@ -320,7 +427,7 @@ func (n *Network) transmit(l *link, m *msg.Msg) {
 
 	var fate faults.Fate
 	if l.rel != nil {
-		fate = n.inj.Decide(l.key.src, l.key.dst, l.key.vnet, depart)
+		fate = n.inj.Decide(n.faultStream(l), depart, false)
 		if fate.Drop {
 			// Lost in flight. The flit still occupied the sender (the
 			// departure horizon advanced above); recovery is the retry
@@ -366,13 +473,13 @@ func (n *Network) transmit(l *link, m *msg.Msg) {
 // On shim-protected links the arrival first passes dedup/reorder/ack.
 func (n *Network) deliver(a any) {
 	m := a.(*msg.Msg)
-	if n.downNodes != nil && (n.downNodes[m.Src] || n.downNodes[m.Dst]) {
+	if n.downs > 0 && (n.nodes[m.Src].down || n.nodes[m.Dst].down) {
 		// The link went down while this message was in flight: the flit
 		// dies on the wire (surprise link-down loses, it does not park).
 		return
 	}
 	if n.inj != nil {
-		if l := n.routes[routeKey{m.Src, m.Dst, m.VNet}]; l != nil && l.rel != nil {
+		if l := n.route(m); l.rel != nil {
 			n.relArrive(l, m)
 			return
 		}
@@ -389,7 +496,7 @@ func (n *Network) deliverNow(m *msg.Msg) {
 	if n.Tracer != nil {
 		n.Tracer.MsgDeliver(n.k.Now(), m)
 	}
-	n.ports[m.Dst].Recv(m)
+	n.nodes[m.Dst].port.Recv(m)
 }
 
 // DefaultDeclareDelay is the backstop between a node going down and its
@@ -406,34 +513,27 @@ const DefaultDeclareDelay = sim.Time(600)
 // declaration is scheduled after DefaultDeclareDelay as a backstop; a
 // surviving sender's retry usually escalates sooner.
 func (n *Network) MarkNodeDown(id msg.NodeID) {
-	if n.downNodes == nil {
-		n.downNodes = make(map[msg.NodeID]bool)
-		n.declared = make(map[msg.NodeID]bool)
-	}
-	if n.downNodes[id] {
+	n.grow(id)
+	if n.nodes[id].down {
 		return
 	}
-	n.downNodes[id] = true
+	n.nodes[id].down = true
+	n.downs++
 	cross := false
-	for _, l := range n.routes {
-		if l.key.src != id && l.key.dst != id {
+	for _, l := range n.links {
+		if l.src != id && l.dst != id {
 			continue
 		}
 		l.down = true
 		if l.cfg.Cross {
 			cross = true
 		}
-		if l.rel != nil && l.key.src == id {
+		if l.rel != nil && l.src == id {
 			// The dead node will never retransmit: cancel its timers so
 			// the event queue drains, and drop parked arrivals whose
 			// sequence gaps can now never fill.
-			for seq, p := range l.rel.pending {
-				n.k.Cancel(p.timer)
-				delete(l.rel.pending, seq)
-			}
-			for seq := range l.rel.buf {
-				delete(l.rel.buf, seq)
-			}
+			n.retire(l.rel)
+			clear(l.rel.buf)
 		}
 	}
 	if cross {
@@ -445,21 +545,21 @@ func (n *Network) MarkNodeDown(id msg.NodeID) {
 // rejoin window). Shim state restarts from scratch on both directions —
 // the rejoined endpoint is a cold link partner, not a resumed one.
 func (n *Network) MarkNodeUp(id msg.NodeID) {
-	if n.downNodes == nil || !n.downNodes[id] {
+	if !n.NodeDown(id) {
 		return
 	}
-	delete(n.downNodes, id)
-	delete(n.declared, id)
-	for _, l := range n.routes {
-		if l.key.src != id && l.key.dst != id {
+	n.nodes[id].down, n.nodes[id].declared = false, false
+	n.downs--
+	for _, l := range n.links {
+		if l.src != id && l.dst != id {
 			continue
 		}
-		if n.downNodes[l.key.src] || n.downNodes[l.key.dst] {
+		if n.nodes[l.src].down || n.nodes[l.dst].down {
 			continue // the other endpoint is still dead
 		}
 		l.down = false
-		if n.inj != nil && l.cfg.Cross {
-			l.rel = newRelState()
+		if l.rel != nil {
+			*l.rel = relState{}
 		}
 	}
 }
@@ -470,17 +570,13 @@ func (n *Network) MarkNodeUp(id msg.NodeID) {
 // reclamation. Idempotent — retry escalation and the backstop timer
 // race benignly.
 func (n *Network) declarePeerDead(id msg.NodeID) {
-	if n.declared[id] {
+	if n.nodes[id].declared {
 		return
 	}
-	n.declared[id] = true
-	for _, l := range n.routes {
-		if l.rel == nil || l.key.dst != id {
-			continue
-		}
-		for seq, p := range l.rel.pending {
-			n.k.Cancel(p.timer)
-			delete(l.rel.pending, seq)
+	n.nodes[id].declared = true
+	for _, l := range n.links {
+		if l.rel != nil && l.dst == id {
+			n.retire(l.rel)
 		}
 	}
 	if n.OnPeerDead != nil {
@@ -490,20 +586,18 @@ func (n *Network) declarePeerDead(id msg.NodeID) {
 
 // NodeDown reports whether id has been marked down.
 func (n *Network) NodeDown(id msg.NodeID) bool {
-	return n.downNodes != nil && n.downNodes[id]
+	return uint(id) < uint(len(n.nodes)) && n.nodes[id].down
 }
 
 // DeadPeers returns the nodes declared dead, sorted — the watchdog's
 // "dead-host" classification input.
 func (n *Network) DeadPeers() []msg.NodeID {
-	if len(n.declared) == 0 {
-		return nil
+	var out []msg.NodeID
+	for id := range n.nodes {
+		if n.nodes[id].declared {
+			out = append(out, msg.NodeID(id))
+		}
 	}
-	out := make([]msg.NodeID, 0, len(n.declared))
-	for id := range n.declared {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

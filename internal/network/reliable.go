@@ -24,7 +24,10 @@
 //     system.Metrics as faults.poisoned).
 //
 // All of this state exists only when EnableFaults armed an injector;
-// a perfect fabric never allocates any of it.
+// a perfect fabric never allocates any of it. Even then a link's maps
+// appear only when it first needs them, and retries and acks are
+// scheduled through long-lived callbacks (ScheduleArg), not per-message
+// closures.
 package network
 
 import (
@@ -41,15 +44,47 @@ const ackSlack = sim.Time(32)
 // maxBackoffShift caps the exponential backoff at 16x the base RTO.
 const maxBackoffShift = 4
 
-// pendingTx is one unacknowledged message at the sender.
+// pendingTx is one unacknowledged message at the sender. It is also the
+// payload of its retry event.
 type pendingTx struct {
+	l        *link
 	m        *msg.Msg
 	attempts int // retransmissions performed so far
 	timer    sim.Handle
 }
 
+// ackTx is the payload of one ack event: the acknowledged sequence
+// number of link l.
+type ackTx struct {
+	l   *link
+	seq uint64
+}
+
+// freeList recycles the shim's event payloads. A payload goes back once
+// its event has fired or been cancelled, so nothing refers to it any
+// more; a pendingTx dropped without either (MarkNodeUp's cold restart
+// leaves its retry timer live) is left to the collector instead.
+type freeList[T any] []*T
+
+func (f *freeList[T]) get() *T {
+	if k := len(*f); k > 0 {
+		p := (*f)[k-1]
+		*f = (*f)[:k-1]
+		return p
+	}
+	return new(T)
+}
+
+func (f *freeList[T]) put(p *T) {
+	var zero T
+	*p = zero
+	*f = append(*f, p)
+}
+
 // relState is the shim state of one directed link: the sender's
-// retransmission window and the receiver's dedup/reorder horizon.
+// retransmission window and the receiver's dedup/reorder horizon. Each
+// map is created by its first insert: a link that sends nothing has no
+// window, and one whose arrivals all come in order has no seen or buf.
 type relState struct {
 	// Sender side.
 	nextSeq uint64
@@ -63,14 +98,6 @@ type relState struct {
 	buf    map[uint64]*msg.Msg // ordered links: accepted, awaiting gap fill
 }
 
-func newRelState() *relState {
-	return &relState{
-		pending: make(map[uint64]*pendingTx),
-		seen:    make(map[uint64]bool),
-		buf:     make(map[uint64]*msg.Msg),
-	}
-}
-
 // accepted reports whether seq has already been taken by the receiver.
 func (r *relState) accepted(seq uint64, ordered bool) bool {
 	if seq <= r.contig {
@@ -82,13 +109,26 @@ func (r *relState) accepted(seq uint64, ordered bool) bool {
 	return r.seen[seq]
 }
 
+// retire drops r's whole retransmission window, cancelling its timers.
+func (n *Network) retire(r *relState) {
+	for _, p := range r.pending {
+		n.k.Cancel(p.timer)
+		n.txs.put(p)
+	}
+	clear(r.pending)
+}
+
 // relSend stamps m with the link's next sequence number, registers it in
 // the retransmission window, transmits, and arms the retry timer.
 func (n *Network) relSend(l *link, m *msg.Msg) {
 	r := l.rel
 	r.nextSeq++
 	m.Seq = r.nextSeq
-	p := &pendingTx{m: m}
+	p := n.txs.get()
+	p.l, p.m = l, m
+	if r.pending == nil {
+		r.pending = make(map[uint64]*pendingTx)
+	}
 	r.pending[m.Seq] = p
 	n.transmit(l, m)
 	n.armRetry(l, p)
@@ -108,7 +148,13 @@ func (n *Network) rto(l *link, m *msg.Msg, attempts int) sim.Time {
 }
 
 func (n *Network) armRetry(l *link, p *pendingTx) {
-	p.timer = n.k.After(n.rto(l, p.m, p.attempts), func() { n.retry(l, p) })
+	p.timer = n.k.ScheduleArg(n.k.Now()+n.rto(l, p.m, p.attempts), n.retryFn, p)
+}
+
+// retryEvent is the retry timer's callback (Network.retryFn).
+func (n *Network) retryEvent(a any) {
+	p := a.(*pendingTx)
+	n.retry(p.l, p)
 }
 
 // retry fires when an ack failed to arrive in time: retransmit with
@@ -117,7 +163,7 @@ func (n *Network) armRetry(l *link, p *pendingTx) {
 func (n *Network) retry(l *link, p *pendingTx) {
 	r := l.rel
 	if r.pending[p.m.Seq] != p {
-		return // acked while this event was already queued
+		return // dropped by MarkNodeUp's cold restart while queued
 	}
 	if l.down {
 		// The peer's port is permanently down: retrying out the remaining
@@ -127,13 +173,16 @@ func (n *Network) retry(l *link, p *pendingTx) {
 		// to the structured peer-dead declaration, which retires every
 		// pending message to this peer without per-message poison.
 		delete(r.pending, p.m.Seq)
-		n.declarePeerDead(l.key.dst)
+		n.txs.put(p)
+		n.declarePeerDead(l.dst)
 		return
 	}
 	p.attempts++
 	if p.attempts > n.inj.MaxRetries() {
-		delete(r.pending, p.m.Seq)
-		if r.accepted(p.m.Seq, l.ordered) {
+		m := p.m
+		delete(r.pending, m.Seq)
+		n.txs.put(p)
+		if r.accepted(m.Seq, l.ordered) {
 			// Every ack died but the data made it: the receiver accepted
 			// this sequence number long ago. Retiring the entry without
 			// poison mirrors hardware, where replayed flits are re-acked
@@ -142,13 +191,13 @@ func (n *Network) retry(l *link, p *pendingTx) {
 			// mutate it behind the protocol's back.
 			return
 		}
-		p.m.Poisoned = true
-		n.inj.RecordPoison(p.m.Addr)
+		m.Poisoned = true
+		n.inj.RecordPoison(m.Addr)
 		// Forced completion bypasses the faulty link: hardware poison is
 		// signalled in-band on the still-working side channels. It lands
 		// through the normal arrival path so dedup and (on ordered
 		// links) the reorder buffer still apply.
-		n.k.ScheduleArg(n.k.Now()+l.cfg.Latency+l.cfg.RouterCycles+1, n.deliverFn, p.m)
+		n.k.ScheduleArg(n.k.Now()+l.cfg.Latency+l.cfg.RouterCycles+1, n.deliverFn, m)
 		return
 	}
 	n.inj.Stats.Retries++
@@ -167,26 +216,37 @@ func (n *Network) retry(l *link, p *pendingTx) {
 func (n *Network) relArrive(l *link, m *msg.Msg) {
 	r := l.rel
 	seq := m.Seq
-	if !r.accepted(seq, l.ordered) {
-		if l.ordered {
-			r.buf[seq] = m
-			for {
-				next := r.buf[r.contig+1]
-				if next == nil {
-					break
-				}
-				delete(r.buf, r.contig+1)
-				r.contig++
-				n.deliverNow(next)
+	switch {
+	case r.accepted(seq, l.ordered):
+	case seq == r.contig+1:
+		// In order: deliver at once, then drain whatever the arrival
+		// made contiguous.
+		r.contig++
+		n.deliverNow(m)
+		for l.ordered {
+			next := r.buf[r.contig+1]
+			if next == nil {
+				break
 			}
-		} else {
-			r.seen[seq] = true
-			n.deliverNow(m)
-			for r.seen[r.contig+1] {
-				delete(r.seen, r.contig+1)
-				r.contig++
-			}
+			delete(r.buf, r.contig+1)
+			r.contig++
+			n.deliverNow(next)
 		}
+		for r.seen[r.contig+1] {
+			delete(r.seen, r.contig+1)
+			r.contig++
+		}
+	case l.ordered:
+		if r.buf == nil {
+			r.buf = make(map[uint64]*msg.Msg)
+		}
+		r.buf[seq] = m
+	default:
+		if r.seen == nil {
+			r.seen = make(map[uint64]bool)
+		}
+		r.seen[seq] = true
+		n.deliverNow(m)
 	}
 	n.sendAck(l, seq)
 }
@@ -196,22 +256,28 @@ func (n *Network) relArrive(l *link, m *msg.Msg) {
 // reverse link's fault fate (an unreliable link loses acks too — that is
 // what makes duplicate suppression necessary).
 func (n *Network) sendAck(l *link, seq uint64) {
-	fate := n.inj.DecideAck(l.key.dst, l.key.src, l.key.vnet, n.k.Now())
+	fate := n.inj.Decide(n.faultStream(l.rev), n.k.Now(), true)
 	if fate.Drop {
 		return
 	}
 	delay := l.cfg.Latency + l.cfg.RouterCycles + 1 + fate.Delay
-	n.k.After(delay, func() { n.ackArrive(l, seq) })
+	a := n.acks.get()
+	a.l, a.seq = l, seq
+	n.k.ScheduleArg(n.k.Now()+delay, n.ackFn, a)
 }
 
 // ackArrive retires the acknowledged message from the retransmission
-// window. Stale acks (already retired, or superseded by poison) are
-// no-ops.
-func (n *Network) ackArrive(l *link, seq uint64) {
+// window (the ack event's callback, Network.ackFn). Stale acks (already
+// retired, or superseded by poison) are no-ops.
+func (n *Network) ackArrive(x any) {
+	a := x.(*ackTx)
+	l, seq := a.l, a.seq
+	n.acks.put(a)
 	r := l.rel
 	if p := r.pending[seq]; p != nil {
 		n.k.Cancel(p.timer)
 		delete(r.pending, seq)
+		n.txs.put(p)
 	}
 }
 
@@ -219,7 +285,7 @@ func (n *Network) ackArrive(l *link, seq uint64) {
 // unacknowledged message for line a — the watchdog's "link-retry"
 // classification: the line is not deadlocked, recovery is in progress.
 func (n *Network) PendingRetries(a mem.LineAddr) bool {
-	for _, l := range n.routes {
+	for _, l := range n.links {
 		if l.rel == nil {
 			continue
 		}

@@ -7,6 +7,7 @@ package system
 
 import (
 	"fmt"
+	"strconv"
 
 	"c3/internal/core"
 	"c3/internal/cpu"
@@ -289,9 +290,10 @@ func (s *System) wire(cfg Config, f Fabric) error {
 		c3.Tracer = cfg.Tracer
 		f.Register(c3ID, c3)
 		if cfg.Tracer != nil {
-			cfg.Tracer.Name(c3ID, fmt.Sprintf("C3[%d]", ci))
+			label := "C3[" + strconv.Itoa(ci) + "]"
+			cfg.Tracer.Name(c3ID, label)
 			if dog != nil {
-				dog.AddDumper(fmt.Sprintf("C3[%d]", ci), c3)
+				dog.AddDumper(label, c3)
 			}
 		}
 		f.Connect(c3ID, dirID, cross)
@@ -327,10 +329,11 @@ func (s *System) wire(cfg Config, f Fabric) error {
 			}
 			f.Register(l1ID, l1)
 			if cfg.Tracer != nil {
-				cfg.Tracer.Name(l1ID, fmt.Sprintf("L1[%d.%d]", ci, i))
+				label := "L1[" + strconv.Itoa(ci) + "." + strconv.Itoa(i) + "]"
+				cfg.Tracer.Name(l1ID, label)
 				if dog != nil {
 					if d, ok := l1.(trace.Dumper); ok {
-						dog.AddDumper(fmt.Sprintf("L1[%d.%d]", ci, i), d)
+						dog.AddDumper(label, d)
 					}
 				}
 			}
@@ -367,7 +370,7 @@ func (s *System) AttachSource(cluster, idx int, src cpu.Source) *cpu.Core {
 	id := cluster*1000 + idx
 	c := cpu.New(id, s.K, ccfg, cl.L1s[idx], src, func() { s.finished++ })
 	if s.Tracer != nil {
-		s.Tracer.Name(CoreNode(cluster, idx), fmt.Sprintf("core %d.%d", cluster, idx))
+		s.Tracer.Name(CoreNode(cluster, idx), "core "+strconv.Itoa(cluster)+"."+strconv.Itoa(idx))
 	}
 	s.total++
 	for len(cl.Cores) <= idx {
@@ -393,11 +396,16 @@ func (s *System) Done() bool { return s.finished == s.total }
 
 // Release retires the system, dropping its references to the pooled
 // cache frame slabs and per-line tables so they recycle (see
-// cache.Release and mem.Table.Release). The system must not be used
-// afterwards. The litmus runner releases each iteration's private
-// system, which removes the dominant per-iteration allocation (the
-// multi-MiB CXL-cache arrays).
+// cache.Release and mem.Table.Release), and handing the hang watchdog's
+// history ring to the next watchdog (trace.Watchdog.Release). The
+// system must not be used afterwards. The litmus runner releases each
+// iteration's private system, which removes the dominant per-iteration
+// allocations (the multi-MiB CXL-cache arrays and the watchdog's event
+// history).
 func (s *System) Release() {
+	if s.dog != nil {
+		s.dog.Release()
+	}
 	for _, cl := range s.Clusters {
 		cl.C3.Release()
 		for _, l1 := range cl.L1s {

@@ -12,7 +12,9 @@ import (
 // buffer for post-mortem inspection: cheap enough to leave on for long
 // runs, and the history source for watchdog hang reports. The buffer
 // grows by append up to its capacity, so a short run pays for the
-// events it emits, not for the capacity.
+// events it emits, not for the capacity. A watchdog's ring goes further:
+// Watchdog.Release hands it, cleared, to the next watchdog, which keeps
+// the grown buffer.
 type RingSink struct {
 	buf      []Event
 	capacity int
@@ -24,12 +26,17 @@ type RingSink struct {
 	dropped uint64
 }
 
-// NewRing builds a ring holding the last capacity events.
+// NewRing builds a ring holding the last capacity events (<= 0 for the
+// default, 4096).
 func NewRing(capacity int) *RingSink {
+	return &RingSink{capacity: ringCapacity(capacity)}
+}
+
+func ringCapacity(capacity int) int {
 	if capacity <= 0 {
-		capacity = 4096
+		return 4096
 	}
-	return &RingSink{capacity: capacity}
+	return capacity
 }
 
 // Emit implements Sink.

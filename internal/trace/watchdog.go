@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 
 	"c3/internal/mem"
 	"c3/internal/msg"
@@ -38,8 +39,25 @@ type atxn struct {
 	last       sim.Time
 	// bySrc attributes open transactions to their requestor (the Src of
 	// the opening send; the Dst of the closing delivery), so a host crash
-	// can cancel exactly the dead host's transactions (DropNodes).
-	bySrc map[msg.NodeID]int
+	// can cancel exactly the dead host's transactions (DropNodes). A
+	// line has a handful of requestors at most, so a slice beats a map.
+	bySrc []srcCount
+}
+
+// srcCount is one requestor's open transactions on a line.
+type srcCount struct {
+	id msg.NodeID
+	n  int
+}
+
+// find returns id's entry in bySrc, or nil.
+func (t *atxn) find(id msg.NodeID) *srcCount {
+	for i := range t.bySrc {
+		if t.bySrc[i].id == id {
+			return &t.bySrc[i]
+		}
+	}
+	return nil
 }
 
 // Watchdog maintains the in-flight transaction table and turns protocol
@@ -73,12 +91,17 @@ type Watchdog struct {
 	// "poisoned-line"; everything else is a "protocol-hang".
 	Classify func(line mem.LineAddr) string
 
-	ring  *RingSink
-	open  map[mem.LineAddr]*atxn
-	timer sim.Handle
-	armed bool
-	fired bool
-	rep   string
+	ring *RingSink
+	open map[mem.LineAddr]*atxn
+	// spare holds the records of lines that went idle, for the next line
+	// to open.
+	spare []*atxn
+	// checkFn is check as a long-lived callback for the hang timer.
+	checkFn func()
+	timer   sim.Handle
+	armed   bool
+	fired   bool
+	rep     string
 
 	dumpers []namedDumper
 	names   func(msg.NodeID) string
@@ -89,18 +112,48 @@ type namedDumper struct {
 	d    Dumper
 }
 
+// historyRings recycles the history rings of released watchdogs
+// (Watchdog.Release). A soak arms one watchdog per iteration; each
+// regrowing its ring from empty would be about 40% of the bytes a
+// soak-crash sweep allocates.
+var historyRings sync.Pool
+
 // NewWatchdog builds a watchdog on kernel k. maxAge <= 0 selects
 // DefaultHangAge; historyCap sizes the per-report event ring (<= 0 for
-// the default).
+// the default). The ring is one a released watchdog left behind when
+// there is one: empty, but with its buffer already grown.
 func NewWatchdog(k *sim.Kernel, maxAge sim.Time, historyCap int) *Watchdog {
 	if maxAge <= 0 {
 		maxAge = DefaultHangAge
 	}
-	return &Watchdog{
+	ring, _ := historyRings.Get().(*RingSink)
+	if ring == nil {
+		ring = NewRing(historyCap)
+	} else {
+		ring.capacity = ringCapacity(historyCap)
+	}
+	w := &Watchdog{
 		k: k, MaxAge: maxAge,
-		ring: NewRing(historyCap),
+		ring: ring,
 		open: make(map[mem.LineAddr]*atxn),
 	}
+	w.checkFn = w.check
+	return w
+}
+
+// Release returns the watchdog's history ring to the pool for the next
+// watchdog. The ring is cleared first, so no event outlives its run.
+// System.Release calls it when it retires the machine; the watchdog
+// ignores any event after it (Fired and Report still answer).
+func (w *Watchdog) Release() {
+	r := w.ring
+	if r == nil {
+		return
+	}
+	w.ring = nil
+	clear(r.buf)
+	r.buf, r.next, r.dropped = r.buf[:0], 0, 0
+	historyRings.Put(r)
 }
 
 // AddDumper registers a controller whose DumpState appears in reports.
@@ -116,7 +169,7 @@ func (w *Watchdog) Report() string { return w.rep }
 
 // observe feeds one trace event into the transaction table.
 func (w *Watchdog) observe(ev Event) {
-	if w.fired {
+	if w.fired || w.ring == nil {
 		return
 	}
 	w.ring.Emit(ev)
@@ -130,14 +183,22 @@ func (w *Watchdog) observe(ev Event) {
 			return
 		}
 		if t == nil {
-			t = &atxn{bySrc: make(map[msg.NodeID]int)}
+			if k := len(w.spare); k > 0 {
+				t, w.spare = w.spare[k-1], w.spare[:k-1]
+			} else {
+				t = &atxn{}
+			}
 			w.open[ev.Addr] = t
 		}
 		if t.opens == t.closes {
 			t.oldestOpen = ev.Time
 		}
 		t.opens++
-		t.bySrc[ev.Src]++
+		if c := t.find(ev.Src); c != nil {
+			c.n++
+		} else {
+			t.bySrc = append(t.bySrc, srcCount{ev.Src, 1})
+		}
 		t.last = ev.Time
 		w.arm()
 	case KDeliver:
@@ -146,11 +207,11 @@ func (w *Watchdog) observe(ev Event) {
 			t.last = ev.Time
 			if closes(ev.MsgType) && t.closes < t.opens {
 				t.closes++
-				if t.bySrc[ev.Dst] > 0 {
-					t.bySrc[ev.Dst]--
+				if c := t.find(ev.Dst); c != nil && c.n > 0 {
+					c.n--
 				}
 				if t.closes == t.opens {
-					delete(w.open, ev.Addr)
+					w.drop(ev.Addr, t)
 					if len(w.open) == 0 {
 						w.disarm()
 					}
@@ -160,12 +221,20 @@ func (w *Watchdog) observe(ev Event) {
 	}
 }
 
+// drop removes line addr's record t from the open table and keeps it,
+// emptied, for the next line to open.
+func (w *Watchdog) drop(addr mem.LineAddr, t *atxn) {
+	delete(w.open, addr)
+	*t = atxn{bySrc: t.bySrc[:0]}
+	w.spare = append(w.spare, t)
+}
+
 // arm schedules the hang check if it is not already pending.
 func (w *Watchdog) arm() {
 	if w.armed || w.fired {
 		return
 	}
-	w.timer = w.k.After(w.MaxAge+1, w.check)
+	w.timer = w.k.After(w.MaxAge+1, w.checkFn)
 	w.armed = true
 }
 
@@ -203,7 +272,7 @@ func (w *Watchdog) check() {
 		w.fire(hungAddr, hung)
 		return
 	}
-	w.timer = w.k.Schedule(stalest+w.MaxAge+1, w.check)
+	w.timer = w.k.Schedule(stalest+w.MaxAge+1, w.checkFn)
 	w.armed = true
 }
 
@@ -217,13 +286,13 @@ func (w *Watchdog) DropNodes(ids ...msg.NodeID) {
 	}
 	for addr, t := range w.open {
 		for _, id := range ids {
-			if n := t.bySrc[id]; n > 0 {
-				t.opens -= n
-				delete(t.bySrc, id)
+			if c := t.find(id); c != nil && c.n > 0 {
+				t.opens -= c.n
+				c.n = 0
 			}
 		}
 		if t.closes >= t.opens {
-			delete(w.open, addr)
+			w.drop(addr, t)
 		}
 	}
 	if len(w.open) == 0 {

@@ -70,6 +70,20 @@ func observer(cfg *RunConfig, sys *system.System, cl, idx int, miss *stats.MissB
 	}
 }
 
+// CheckFaults rejects a fault plan spec cannot run under: host crashes
+// on a kernel with barriers. A crash halts the crashed cluster's cores
+// for good (a rejoin restores the machine, not the program), so the
+// survivors would wait at the next barrier until the event limit. Lock
+// kernels are fine: their survivors finish. RunOn calls it before
+// building anything; c3sim calls it before any run, as a usage error.
+func CheckFaults(spec Spec, plan *faults.Plan) error {
+	if plan != nil && len(plan.Crashes) > 0 && spec.BarrierEvery > 0 {
+		return fmt.Errorf("workload %s: cannot run a host crash: it has barriers (every %d ops), which the crashed cluster's halted cores never reach",
+			spec.Name, spec.BarrierEvery)
+	}
+	return nil
+}
+
 // Run executes one workload and returns its datapoint. The machine is
 // released afterwards, so sweeps recycle its cache slabs.
 func Run(cfg RunConfig) (stats.Run, error) {
@@ -85,6 +99,9 @@ func Run(cfg RunConfig) (stats.Run, error) {
 func RunOn(cfg RunConfig) (stats.Run, *system.System, error) {
 	spec := cfg.Spec
 	if err := spec.Validate(); err != nil {
+		return stats.Run{}, nil, err
+	}
+	if err := CheckFaults(spec, cfg.Faults); err != nil {
 		return stats.Run{}, nil, err
 	}
 	if cfg.CoresPerCluster <= 0 {
