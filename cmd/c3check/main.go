@@ -46,9 +46,8 @@
 //
 // Resilience: -task-timeout bounds each test's exploration wall clock,
 // with -retries extra attempts before the test is recorded TIMEOUT
-// (partial state counts still print). -mem-budget-mb sets the Go
-// runtime's memory limit for the whole process (debug.SetMemoryLimit;
-// GOMEMLIMIT does the same), and every running exploration starts
+// (partial state counts still print). Under a Go runtime memory limit
+// (GOMEMLIMIT, e.g. GOMEMLIMIT=2GiB), every running exploration starts
 // shedding frontier snapshots once the process heap crosses 80% of it —
 // degrading to replay-from-root instead of OOMing, with the degradation
 // reported per test. A panic in one test's exploration is that test's
@@ -117,7 +116,6 @@ func main() {
 		"print each test's sorted terminal-outcome set, one 'outcome:' line per outcome (for reduction-soundness diffs)")
 	taskTimeout := flag.Duration("task-timeout", 0, "wall-clock bound per test exploration (0 = none); expired attempts retry, then the test records TIMEOUT")
 	retries := flag.Int("retries", 1, "extra attempts a timed-out test exploration gets")
-	memBudgetMB := flag.Int("mem-budget-mb", 0, "runtime memory limit in MiB for the whole process (0 = keep GOMEMLIMIT's, else none): every running exploration sheds snapshots once the heap crosses 80% of it")
 	statusz := flag.String("statusz", "", "serve live introspection (/statusz JSON, /metricsz, pprof, expvar) on this address, e.g. :8080 or 127.0.0.1:0")
 	heartbeat := flag.Duration("heartbeat", 0, "print a progress line to stderr at this interval (0 = off)")
 	ledger := flag.String("ledger", obs.DefaultLedgerPath(), "append a JSONL run record to this file (empty = off)")
@@ -127,8 +125,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *taskTimeout < 0 || *retries < 0 || *memBudgetMB < 0 {
-		fmt.Fprintln(os.Stderr, "c3check: -task-timeout, -retries and -mem-budget-mb must be non-negative")
+	if *taskTimeout < 0 || *retries < 0 {
+		fmt.Fprintln(os.Stderr, "c3check: -task-timeout and -retries must be non-negative")
 		os.Exit(obs.ExitUsage)
 	}
 	if *por != "on" && *por != "off" {
@@ -194,14 +192,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Memory-pressure degradation: the runtime gets the budget as a hard
-	// GC target (it will collect aggressively rather than exceed it), and
-	// verif.Check, which reads that limit, starts shedding snapshots at
-	// 80% so degradation kicks in before the GC is forced into a death
-	// spiral.
-	if *memBudgetMB > 0 {
-		debug.SetMemoryLimit(int64(*memBudgetMB) << 20)
-	}
 	ccfg := verif.CheckerConfig{
 		MaxStates:      *maxStates,
 		MaxDepth:       *maxDepth,
@@ -307,7 +297,7 @@ func (c *checker) run(i int, mcfg verif.ModelConfig) testRun {
 			ccfg.Deadline = time.Now().Add(c.taskTimeout)
 		}
 		rep, err = recovered(mcfg, ccfg)
-		if errors.Is(err, verif.ErrCheckDeadline) && attempt <= c.retries {
+		if errors.Is(err, litmus.ErrTaskDeadline) && attempt <= c.retries {
 			fmt.Fprintf(os.Stderr, "c3check: %s: attempt %d hit the %v budget, retrying\n",
 				name, attempt, c.taskTimeout)
 			continue
@@ -347,11 +337,11 @@ func (c *checker) run(i int, mcfg verif.ModelConfig) testRun {
 				fmt.Fprintf(w, "outcome: %s | %s\n", name, o)
 			}
 		}
-	case errors.Is(err, verif.ErrCheckInterrupted):
+	case errors.Is(err, litmus.ErrInterrupted):
 		verdict = obs.VerdictInterrupted
 		fmt.Fprintf(w, "%-8s INTERRUPTED after %d states (%.1fs): partial, no verdict\n",
 			name, rep.States, time.Since(start).Seconds())
-	case errors.Is(err, verif.ErrCheckDeadline):
+	case errors.Is(err, litmus.ErrTaskDeadline):
 		verdict = obs.VerdictTimeout
 		fmt.Fprintf(w, "%-8s TIMEOUT after %d states: every attempt exceeded the %v budget (%d attempts)\n",
 			name, rep.States, c.taskTimeout, c.retries+1)

@@ -65,20 +65,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "c3serve: -lease must be positive")
 		os.Exit(obs.ExitUsage)
 	}
-	spec, err := sweep.Spec()
+	cfg, err := sweep.Config()
 	failUsage(err)
 
 	// Journal replay: shards with checkpointed rows (from a previous
-	// coordinator, or from a single-process c3soak of the same spec) are
-	// born done and never leased.
-	completed, err := sweep.Completed("c3serve", spec)
+	// coordinator, or from a single-process c3soak of the same sweep)
+	// are born done and never leased.
+	cfg.Completed, err = sweep.Completed("c3serve", cfg)
 	failUsage(err)
 
 	srv, err := campaign.StartServer(*addr, campaign.ServerConfig{
-		Spec:       spec,
+		Sweep:      cfg,
 		LeaseTTL:   *lease,
 		LedgerPath: sweep.Ledger,
-		Completed:  completed,
 	})
 	failUsage(err)
 	fmt.Fprintf(os.Stderr, "c3serve: coordinating on http://%s (healthz/statusz/results), %d shards, lease %v\n",
@@ -129,7 +128,7 @@ func main() {
 		rec := &obs.Record{
 			Tool:    "c3serve",
 			Spec:    obs.SpecFromFlags("addr", "ledger", "resume", "lease"),
-			Seeds:   spec.Seeds,
+			Seeds:   cfg.Seeds,
 			Version: obs.Version(),
 			Start:   start,
 			WallMS:  time.Since(start).Milliseconds(),

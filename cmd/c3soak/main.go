@@ -32,9 +32,10 @@
 // as TIMEOUT or ERROR. A failing campaign never cancels its siblings.
 //
 // c3soak is c3serve without a listener: both take the same sweep flags
-// into the same campaign spec, schedule it on the same lease queue, and
-// run every attempt through the same executor, so a c3soak ledger and a
-// c3serve journal resume each other.
+// into the same litmus.SoakConfig, schedule it on the same lease queue,
+// and run every attempt through the same executor, so a c3soak ledger
+// and a c3serve journal resume each other. A sweep that names one
+// campaign twice (a repeated test, plan or seed) is a usage error.
 //
 // Observability: -statusz serves a JSON run snapshot (plus pprof and
 // expvar) while the sweep runs, -heartbeat prints a progress line to
@@ -100,9 +101,7 @@ func main() {
 		return
 	}
 
-	spec, err := sweep.Spec()
-	failUsage(err)
-	cfg, err := spec.SoakConfig()
+	cfg, err := sweep.Config()
 	failUsage(err)
 	cfg.Workers = *workers
 	cfg.Timeout = sweep.Timeout
@@ -114,14 +113,13 @@ func main() {
 	// the cache naturally. c3serve computes the same suffix, so
 	// coordinator journals and c3soak checkpoint ledgers resume each
 	// other.
-	suffix, err := spec.Suffix()
-	failUsage(err)
+	suffix := campaign.RowSuffix(cfg)
 
 	// Graceful shutdown: the first SIGINT/SIGTERM closes the interrupt
 	// channel — in-flight campaigns stop at their next poll, the partial
 	// report and checkpoints flush, and the exit code says "resumable".
 	cfg.Interrupt = obs.Interrupt("c3soak", "stopping gracefully, checkpointing completed rows")
-	cfg.Completed, err = sweep.Completed("c3soak", spec)
+	cfg.Completed, err = sweep.Completed("c3soak", cfg)
 	failUsage(err)
 
 	// Live introspection: the tracker follows the campaign slots, the

@@ -17,7 +17,8 @@ import (
 // SweepFlags are the flags c3soak and c3serve share: the sweep (tests ×
 // plans × seeds on one machine), its budgets, and the ledger it
 // checkpoints into and resumes from. Both tools parse them into the
-// same Spec, so one flag line names the same campaign in either.
+// same litmus.SoakConfig, so one flag line names the same campaign in
+// either.
 type SweepFlags struct {
 	tests, plans, seeds                string
 	iters                              int
@@ -50,43 +51,54 @@ func (f *SweepFlags) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.resume, "resume", false, "skip campaigns already checkpointed in the ledger (same spec, seed and code version)")
 }
 
-// Spec validates the flags into the normalized sweep spec; every error
-// is a usage error.
-func (f *SweepFlags) Spec() (*Spec, error) {
+// Config validates the flags into the normalized sweep: defaults from
+// WithDefaults, plans from litmus.ResolvePlan, and test names and
+// repeated rows checked by expanding it once. Every error is a usage
+// error.
+func (f *SweepFlags) Config() (litmus.SoakConfig, error) {
 	if f.Timeout < 0 || f.taskTimeout < 0 || f.retries < 0 {
-		return nil, errors.New("-timeout, -task-timeout and -retries must be non-negative")
+		return litmus.SoakConfig{}, errors.New("-timeout, -task-timeout and -retries must be non-negative")
 	}
 	if f.resume && f.Ledger == "" {
-		return nil, errors.New("-resume needs a ledger (-ledger)")
+		return litmus.SoakConfig{}, errors.New("-resume needs a ledger (-ledger)")
 	}
 	m, err := system.ParseMachine(f.local0, f.local1, f.global, f.mcm0, f.mcm1)
 	if err != nil {
-		return nil, err
+		return litmus.SoakConfig{}, err
 	}
-	var seeds []int64
+	cfg := litmus.SoakConfig{Tests: split(f.tests, ","), Iters: f.iters,
+		Locals: m.Locals, Global: m.Global, MCMs: m.MCMs,
+		TaskTimeout: f.taskTimeout, Retries: f.retries}
 	for _, s := range split(f.seeds, ",") {
 		v, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad seed %q", s)
+			return litmus.SoakConfig{}, fmt.Errorf("bad seed %q", s)
 		}
-		seeds = append(seeds, v)
+		cfg.Seeds = append(cfg.Seeds, v)
 	}
-	return NewSpec(split(f.tests, ","), split(f.plans, ";"), seeds, f.iters,
-		m.Locals, m.Global, m.MCMs, f.taskTimeout, f.retries)
+	for _, s := range split(f.plans, ";") {
+		p, err := litmus.ResolvePlan(s)
+		if err != nil {
+			return litmus.SoakConfig{}, err
+		}
+		cfg.Plans = append(cfg.Plans, p)
+	}
+	cfg = cfg.WithDefaults()
+	if _, err := litmus.Campaigns(cfg); err != nil {
+		return litmus.SoakConfig{}, err
+	}
+	return cfg, nil
 }
 
 // Completed loads the rows -resume skips: every checkpoint in the ledger
-// whose key matches spec (nil without -resume). A missing ledger starts
-// fresh; warnings and the loaded count go to stderr under tool's name.
-func (f *SweepFlags) Completed(tool string, spec *Spec) (map[string]litmus.SoakRun, error) {
+// whose key carries cfg's RowSuffix (nil without -resume). A missing
+// ledger starts fresh; warnings and the loaded count go to stderr under
+// tool's name.
+func (f *SweepFlags) Completed(tool string, cfg litmus.SoakConfig) (map[string]litmus.SoakRun, error) {
 	if !f.resume {
 		return nil, nil
 	}
-	suffix, err := spec.Suffix()
-	if err != nil {
-		return nil, err
-	}
-	completed, stats, err := LoadCheckpoints(f.Ledger, suffix)
+	completed, stats, err := LoadCheckpoints(f.Ledger, RowSuffix(cfg))
 	switch {
 	case os.IsNotExist(err):
 		fmt.Fprintf(os.Stderr, "%s: resume: no ledger at %s, starting fresh\n", tool, f.Ledger)

@@ -18,14 +18,15 @@ import (
 // Wire types of the coordinator protocol (all JSON over HTTP). Workers
 // and coordinator must be built from the same code — the row-key
 // suffix enforces this — so the protocol carries no compatibility
-// machinery beyond the spec handshake.
+// machinery beyond the spec handshake, and the sweep travels as
+// litmus.SoakConfig's own JSON.
 
-// SpecResponse is GET /spec: the normalized sweep, its fingerprint, and
-// the job count.
+// SpecResponse is GET /spec: the normalized sweep, its row-key suffix,
+// and the job count.
 type SpecResponse struct {
-	Spec   Spec   `json:"spec"`
-	Suffix string `json:"suffix"`
-	Jobs   int    `json:"jobs"`
+	Sweep  litmus.SoakConfig `json:"spec"`
+	Suffix string            `json:"suffix"`
+	Jobs   int               `json:"jobs"`
 }
 
 // LeaseRequest is POST /lease.
@@ -33,11 +34,15 @@ type LeaseRequest struct {
 	Worker string `json:"worker"`
 }
 
-// LeaseResponse answers a granted lease. TTLMS is the renewal deadline:
-// heartbeat well before it (the worker uses TTL/3). Attempt numbers the
-// execution the lease is for, from 1.
+// LeaseResponse answers a granted lease. Job is the shard's index into
+// litmus.Campaigns of the sweep — the merge slot its row lands in — and
+// Label its row label, which the worker checks against its own
+// expansion. TTLMS is the renewal deadline: heartbeat well before it
+// (the worker uses TTL/3). Attempt numbers the execution the lease is
+// for, from 1.
 type LeaseResponse struct {
-	Job     Job    `json:"job"`
+	Job     int    `json:"job"`
+	Label   string `json:"label"`
 	Lease   string `json:"lease"`
 	TTLMS   int64  `json:"ttl_ms"`
 	Attempt int    `json:"attempt"`
@@ -101,7 +106,7 @@ type Statusz struct {
 	Start    time.Time            `json:"start"`
 	UptimeMS int64                `json:"uptime_ms"`
 	Suffix   string               `json:"suffix"`
-	Spec     Spec                 `json:"spec"`
+	Sweep    litmus.SoakConfig    `json:"spec"`
 	Jobs     litmus.QueueSnapshot `json:"jobs"`
 	Workers  []WorkerStatus       `json:"workers"`
 	Done     bool                 `json:"done"`
@@ -111,10 +116,14 @@ type Statusz struct {
 const DefaultLeaseTTL = 30 * time.Second
 
 // ServerConfig parameterizes the coordinator. A shard's failure budget
-// is the spec's Retries: lease expiries and failed attempts alike, and
+// is the sweep's Retries: lease expiries and failed attempts alike, and
 // the next failure leaves a loud error row instead of looping forever.
 type ServerConfig struct {
-	Spec *Spec
+	// Sweep is the campaign to coordinate. Its Completed seeds the queue
+	// with rows replayed from the journal (LoadCheckpoints) — the
+	// coordinator-restart path; its other run-time fields (Workers,
+	// Timeout, Interrupt, Observer) are not used.
+	Sweep litmus.SoakConfig
 	// LeaseTTL bounds each lease (default DefaultLeaseTTL): a worker
 	// that neither heartbeats nor submits within it loses the shard.
 	LeaseTTL time.Duration
@@ -122,9 +131,6 @@ type ServerConfig struct {
 	// c3-run/v1 checkpoint record (the resume format) and the run record
 	// on Close.
 	LedgerPath string
-	// Completed seeds the queue with rows replayed from the journal
-	// (LoadCheckpoints) — the coordinator-restart path.
-	Completed map[string]litmus.SoakRun
 	// Now overrides the clock (tests).
 	Now func() time.Time
 	// Warnf sinks human-readable warnings (journal write failures,
@@ -137,9 +143,8 @@ type ServerConfig struct {
 // worker liveness, journaling, and the statusz/healthz endpoints.
 type Server struct {
 	cfg    ServerConfig
-	spec   Spec
 	suffix string
-	jobs   []Job
+	camps  []litmus.Campaign // the sweep's shards, indexed by job ID
 	queue  *litmus.Queue
 	start  time.Time
 
@@ -166,12 +171,14 @@ type workerInfo struct {
 	results  int
 }
 
-// StartServer expands cfg.Spec, builds the queue (seeded with replayed
-// checkpoints), and serves the coordinator API on addr (":0" picks a
-// free port).
+// StartServer expands cfg.Sweep (defaults applied), builds the queue
+// (seeded with replayed checkpoints), and serves the coordinator API on
+// addr (":0" picks a free port).
 func StartServer(addr string, cfg ServerConfig) (*Server, error) {
-	if cfg.Spec == nil {
-		return nil, fmt.Errorf("campaign: ServerConfig.Spec is required")
+	cfg.Sweep = cfg.Sweep.WithDefaults()
+	camps, err := litmus.Campaigns(cfg.Sweep)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Warnf == nil {
 		cfg.Warnf = func(format string, args ...any) {
@@ -181,24 +188,11 @@ func StartServer(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
 	}
-	suffix, err := cfg.Spec.Suffix()
-	if err != nil {
-		return nil, err
-	}
-	jobs, err := cfg.Spec.Jobs()
-	if err != nil {
-		return nil, err
-	}
-	_, camps, err := cfg.Spec.campaigns()
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
 		cfg:         cfg,
-		spec:        *cfg.Spec,
-		suffix:      suffix,
-		jobs:        jobs,
-		queue:       litmus.NewQueue(camps, cfg.Completed, cfg.LeaseTTL, cfg.Spec.Retries, cfg.Now),
+		suffix:      RowSuffix(cfg.Sweep),
+		camps:       camps,
+		queue:       litmus.NewQueue(camps, cfg.Sweep.Completed, cfg.LeaseTTL, cfg.Sweep.Retries, cfg.Now),
 		start:       time.Now(),
 		served:      make(chan struct{}),
 		janitorStop: make(chan struct{}),
@@ -327,7 +321,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 func (s *Server) handleSpec(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, SpecResponse{Spec: s.spec, Suffix: s.suffix, Jobs: len(s.jobs)})
+	writeJSON(w, SpecResponse{Sweep: s.cfg.Sweep, Suffix: s.suffix, Jobs: len(s.camps)})
 }
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -348,7 +342,8 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.touchWorker(req.Worker, func(wi *workerInfo) { wi.leases[lease.ID] = struct{}{} })
-	writeJSON(w, LeaseResponse{Job: s.jobs[id], Lease: lease.ID, TTLMS: lease.TTL.Milliseconds(), Attempt: lease.Attempt})
+	writeJSON(w, LeaseResponse{Job: id, Label: s.camps[id].Label(), Lease: lease.ID,
+		TTLMS: lease.TTL.Milliseconds(), Attempt: lease.Attempt})
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -373,20 +368,20 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if req.JobID < 0 || req.JobID >= len(s.jobs) {
+	if req.JobID < 0 || req.JobID >= len(s.camps) {
 		http.Error(w, fmt.Sprintf("unknown job %d", req.JobID), http.StatusBadRequest)
 		return
 	}
-	job := s.jobs[req.JobID]
+	label := s.camps[req.JobID].Label()
 	// Content-address check: the submitted key must be the one this
 	// coordinator's binary computes. A mismatch means the worker runs
 	// different code — merging its row could silently break the
 	// byte-identical guarantee, so reject loudly and let the lease
 	// expire back into the queue.
-	want := job.RowKey(s.suffix)
+	want := rowKey(label, s.suffix)
 	if req.RowKey != want {
 		s.cfg.Warnf("rejecting result for %s from worker %q: row key %q != %q (mismatched binary?)",
-			job.Label(), req.Worker, req.RowKey, want)
+			label, req.Worker, req.RowKey, want)
 		http.Error(w, "row key mismatch: worker binary differs from coordinator", http.StatusConflict)
 		return
 	}
@@ -400,7 +395,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	first, err := s.queue.Complete(req.JobID, req.Row)
 	if first {
 		s.accepted = append(s.accepted, ResultEvent{
-			JobID: req.JobID, Label: job.Label(), RowKey: want, Row: req.Row,
+			JobID: req.JobID, Label: label, RowKey: want, Row: req.Row,
 		})
 	}
 	s.mu.Unlock()
@@ -507,7 +502,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		Start:    s.start,
 		UptimeMS: now.Sub(s.start).Milliseconds(),
 		Suffix:   s.suffix,
-		Spec:     s.spec,
+		Sweep:    s.cfg.Sweep,
 		Jobs:     s.queue.Snapshot(),
 	}
 	select {

@@ -13,35 +13,36 @@ import (
 	"testing"
 	"time"
 
-	"c3/internal/cpu"
 	"c3/internal/litmus"
 )
 
-// testSpec is a small sweep (2 tests x 1 plan x 2 seeds = 4 shards)
-// that runs in well under a second per shard.
-func testSpec(t testing.TB, tests []string, seeds []int64) *Spec {
+// testSweep is a small sweep (tests x the light plan x seeds, 4
+// iterations each) that runs in well under a second per shard.
+func testSweep(tests []string, seeds []int64) litmus.SoakConfig {
+	light, _ := litmus.PlanByName("light")
+	return litmus.SoakConfig{Tests: tests, Plans: []litmus.NamedPlan{light}, Seeds: seeds,
+		Iters: 4, Retries: 2}.WithDefaults()
+}
+
+// testLabels expands sweep's row labels in job order.
+func testLabels(t testing.TB, sweep litmus.SoakConfig) []string {
 	t.Helper()
-	m, err := cpu.ParseMCM("arm")
+	camps, err := litmus.Campaigns(sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := NewSpec(tests, []string{"light"}, seeds, 4,
-		[2]string{"mesi", "mesi"}, "cxl", [2]cpu.MCM{m, m}, 0, 2)
-	if err != nil {
-		t.Fatal(err)
+	labels := make([]string, len(camps))
+	for i, c := range camps {
+		labels[i] = c.Label()
 	}
-	return spec
+	return labels
 }
 
 // singleProcessReport runs the same sweep through the plain litmus
 // engine — the byte-identity reference.
-func singleProcessReport(t *testing.T, spec *Spec) *litmus.SoakReport {
+func singleProcessReport(t *testing.T, sweep litmus.SoakConfig) *litmus.SoakReport {
 	t.Helper()
-	cfg, err := spec.SoakConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := litmus.RunSoak(cfg)
+	rep, err := litmus.RunSoak(sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +108,12 @@ func postJSON(t *testing.T, url string, req any) (*http.Response, []byte) {
 // worker count the merged coordinator report is byte-identical to an
 // uninterrupted single-process run of the same spec.
 func TestDistributedMatchesSingleProcess(t *testing.T) {
-	spec := testSpec(t, []string{"MP", "SB"}, []int64{1, 2})
-	want := singleProcessReport(t, spec).Render()
+	sweep := testSweep([]string{"MP", "SB"}, []int64{1, 2})
+	want := singleProcessReport(t, sweep).Render()
 
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			srv := startTestServer(t, ServerConfig{Spec: spec})
+			srv := startTestServer(t, ServerConfig{Sweep: sweep})
 			runWorkers(t, "http://"+srv.Addr(), workers)
 			select {
 			case <-srv.Done():
@@ -144,12 +145,12 @@ func TestDistributedMatchesSingleProcess(t *testing.T) {
 // reassigned to a live worker. The report must still match the
 // single-process reference.
 func TestAbandonedLeaseReassignment(t *testing.T) {
-	spec := testSpec(t, []string{"MP"}, []int64{1})
-	want := singleProcessReport(t, spec).Render()
+	sweep := testSweep([]string{"MP"}, []int64{1})
+	want := singleProcessReport(t, sweep).Render()
 
-	spec.Retries = 5
+	sweep.Retries = 5
 	srv := startTestServer(t, ServerConfig{
-		Spec:     spec,
+		Sweep:    sweep,
 		LeaseTTL: 100 * time.Millisecond,
 	})
 	base := "http://" + srv.Addr()
@@ -163,8 +164,8 @@ func TestAbandonedLeaseReassignment(t *testing.T) {
 	if err := json.Unmarshal(body, &lease); err != nil {
 		t.Fatal(err)
 	}
-	if lease.Job.ID != 0 {
-		t.Fatalf("leased job %d, want 0", lease.Job.ID)
+	if lease.Job != 0 || lease.Label != "MP/light/seed1" {
+		t.Fatalf("leased job %d (%s), want 0 (MP/light/seed1)", lease.Job, lease.Label)
 	}
 
 	// A live worker takes over after expiry + backoff.
@@ -186,10 +187,10 @@ func TestAbandonedLeaseReassignment(t *testing.T) {
 // every lease is taken and abandoned until the failure budget runs out
 // and the shard lands in the report as a loud error row.
 func TestQuarantineErrorRow(t *testing.T) {
-	spec := testSpec(t, []string{"MP"}, []int64{1})
-	spec.Retries = 1
+	sweep := testSweep([]string{"MP"}, []int64{1})
+	sweep.Retries = 1
 	srv := startTestServer(t, ServerConfig{
-		Spec:     spec,
+		Sweep:    sweep,
 		LeaseTTL: 50 * time.Millisecond,
 	})
 	base := "http://" + srv.Addr()
@@ -230,25 +231,21 @@ func TestQuarantineErrorRow(t *testing.T) {
 // restart: rows accepted before the crash are not re-run, and the final
 // report is byte-identical to an uninterrupted single-process run.
 func TestCoordinatorRestartResume(t *testing.T) {
-	spec := testSpec(t, []string{"MP", "SB"}, []int64{1, 2})
-	ref := singleProcessReport(t, spec)
+	sweep := testSweep([]string{"MP", "SB"}, []int64{1, 2})
+	ref := singleProcessReport(t, sweep)
 	want := ref.Render()
 	ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
-
-	jobs, err := spec.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
+	labels := testLabels(t, sweep)
 
 	// First coordinator: accepts two rows (journaled), then "crashes"
 	// (Close with the campaign unfinished).
-	srv1 := startTestServer(t, ServerConfig{Spec: spec, LedgerPath: ledger})
+	srv1 := startTestServer(t, ServerConfig{Sweep: sweep, LedgerPath: ledger})
 	base := "http://" + srv1.Addr()
 	for i := 0; i < 2; i++ {
 		resp, body := postJSON(t, base+"/result", &ResultRequest{
 			Worker: "w0",
-			JobID:  jobs[i].ID,
-			RowKey: jobs[i].RowKey(srv1.Suffix()),
+			JobID:  i,
+			RowKey: rowKey(labels[i], srv1.Suffix()),
 			Row:    ref.Runs[i],
 		})
 		if resp.StatusCode != http.StatusOK {
@@ -271,7 +268,8 @@ func TestCoordinatorRestartResume(t *testing.T) {
 		t.Fatalf("journal replay found %d rows, want 2", len(completed))
 	}
 
-	srv2 := startTestServer(t, ServerConfig{Spec: spec, LedgerPath: ledger, Completed: completed})
+	sweep.Completed = completed
+	srv2 := startTestServer(t, ServerConfig{Sweep: sweep, LedgerPath: ledger})
 	if snap := srv2.Queue().Snapshot(); snap.Done != 2 || snap.Pending != 2 {
 		t.Fatalf("restarted queue %+v, want Done=2 Pending=2", snap)
 	}
@@ -290,8 +288,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 // accepted row appears exactly once and the stream ends when the
 // campaign does.
 func TestResultsStream(t *testing.T) {
-	spec := testSpec(t, []string{"MP", "SB"}, []int64{1, 2})
-	srv := startTestServer(t, ServerConfig{Spec: spec})
+	srv := startTestServer(t, ServerConfig{Sweep: testSweep([]string{"MP", "SB"}, []int64{1, 2})})
 	base := "http://" + srv.Addr()
 
 	type streamed struct {
@@ -347,11 +344,11 @@ func TestResultsStream(t *testing.T) {
 // mismatched row keys (a worker built from different code), interrupted
 // rows, and unknown jobs are all rejected.
 func TestResultRejections(t *testing.T) {
-	spec := testSpec(t, []string{"MP"}, []int64{1})
+	sweep := testSweep([]string{"MP"}, []int64{1})
 	var warnings []string
 	var mu sync.Mutex
 	srv := startTestServer(t, ServerConfig{
-		Spec: spec,
+		Sweep: sweep,
 		Warnf: func(format string, args ...any) {
 			mu.Lock()
 			warnings = append(warnings, fmt.Sprintf(format, args...))
@@ -359,14 +356,11 @@ func TestResultRejections(t *testing.T) {
 		},
 	})
 	base := "http://" + srv.Addr()
-	jobs, err := spec.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
+	label := testLabels(t, sweep)[0]
 	row := litmus.SoakRun{Test: "MP", Plan: "light", Seed: 1, Iters: 4}
 
 	resp, _ := postJSON(t, base+"/result", &ResultRequest{
-		JobID: 0, RowKey: jobs[0].Label() + "|some-other-binary", Row: row,
+		JobID: 0, RowKey: rowKey(label, "some-other-binary"), Row: row,
 	})
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("mismatched row key: status %d, want 409", resp.StatusCode)
@@ -381,7 +375,7 @@ func TestResultRejections(t *testing.T) {
 	interrupted := row
 	interrupted.Interrupted = true
 	resp, _ = postJSON(t, base+"/result", &ResultRequest{
-		JobID: 0, RowKey: jobs[0].RowKey(srv.Suffix()), Row: interrupted,
+		JobID: 0, RowKey: rowKey(label, srv.Suffix()), Row: interrupted,
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("interrupted row: status %d, want 400", resp.StatusCode)
@@ -404,9 +398,9 @@ func TestResultRejections(t *testing.T) {
 // leases (no penalty) and reports ErrWorkerInterrupted; a second worker
 // finishes the campaign and the report is still byte-identical.
 func TestWorkerInterrupt(t *testing.T) {
-	spec := testSpec(t, []string{"MP", "SB"}, []int64{1, 2})
-	want := singleProcessReport(t, spec).Render()
-	srv := startTestServer(t, ServerConfig{Spec: spec})
+	sweep := testSweep([]string{"MP", "SB"}, []int64{1, 2})
+	want := singleProcessReport(t, sweep).Render()
+	srv := startTestServer(t, ServerConfig{Sweep: sweep})
 	base := "http://" + srv.Addr()
 
 	interrupt := make(chan struct{})
@@ -437,8 +431,7 @@ func TestWorkerInterrupt(t *testing.T) {
 // TestStatuszWorkers checks the coordinator's liveness registry: a
 // worker that has leased and submitted shows up with its result count.
 func TestStatuszWorkers(t *testing.T) {
-	spec := testSpec(t, []string{"MP"}, []int64{1})
-	srv := startTestServer(t, ServerConfig{Spec: spec})
+	srv := startTestServer(t, ServerConfig{Sweep: testSweep([]string{"MP"}, []int64{1})})
 	base := "http://" + srv.Addr()
 	runWorkers(t, base, 1)
 
@@ -470,9 +463,9 @@ func TestStatuszWorkers(t *testing.T) {
 // out the backoff, and succeeds on another worker. The row reads
 // Attempts 2 and renders byte-identically to a first-try row.
 func TestFailedAttemptRetriesOnAnotherWorker(t *testing.T) {
-	spec := testSpec(t, []string{"MP"}, []int64{1})
-	want := singleProcessReport(t, spec).Render()
-	srv := startTestServer(t, ServerConfig{Spec: spec})
+	sweep := testSweep([]string{"MP"}, []int64{1})
+	want := singleProcessReport(t, sweep).Render()
+	srv := startTestServer(t, ServerConfig{Sweep: sweep})
 	base := "http://" + srv.Addr()
 
 	resp, body := postJSON(t, base+"/lease", &LeaseRequest{Worker: "slow"})
@@ -523,19 +516,16 @@ func TestFailedAttemptRetriesOnAnotherWorker(t *testing.T) {
 // load through LoadCheckpoints into RunSoak's Completed, nothing
 // executes, and the report renders byte-identically.
 func TestJournalResumesSingleProcess(t *testing.T) {
-	spec := testSpec(t, []string{"MP", "SB"}, []int64{1, 2})
-	ref := singleProcessReport(t, spec)
+	sweep := testSweep([]string{"MP", "SB"}, []int64{1, 2})
+	ref := singleProcessReport(t, sweep)
 	ledger := filepath.Join(t.TempDir(), "journal.jsonl")
-	jobs, err := spec.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
+	labels := testLabels(t, sweep)
 
-	srv := startTestServer(t, ServerConfig{Spec: spec, LedgerPath: ledger})
+	srv := startTestServer(t, ServerConfig{Sweep: sweep, LedgerPath: ledger})
 	base := "http://" + srv.Addr()
-	for i, job := range jobs {
+	for i, label := range labels {
 		resp, body := postJSON(t, base+"/result", &ResultRequest{
-			Worker: "w0", JobID: job.ID, RowKey: job.RowKey(srv.Suffix()), Row: ref.Runs[i],
+			Worker: "w0", JobID: i, RowKey: rowKey(label, srv.Suffix()), Row: ref.Runs[i],
 		})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("submit row %d: %d %s", i, resp.StatusCode, body)
@@ -547,15 +537,11 @@ func TestJournalResumesSingleProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Skipped != 0 || len(completed) != len(jobs) {
-		t.Fatalf("journal replay: %d rows, %d skipped; want %d rows", len(completed), stats.Skipped, len(jobs))
+	if stats.Skipped != 0 || len(completed) != len(labels) {
+		t.Fatalf("journal replay: %d rows, %d skipped; want %d rows", len(completed), stats.Skipped, len(labels))
 	}
-	cfg, err := spec.SoakConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Completed = completed
-	rep, err := litmus.RunSoak(cfg)
+	sweep.Completed = completed
+	rep, err := litmus.RunSoak(sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +558,7 @@ func TestJournalResumesSingleProcess(t *testing.T) {
 // TestOversizedRequestBody: a request body past maxRequestBytes is
 // answered 413 on every POST endpoint, and nothing reaches the queue.
 func TestOversizedRequestBody(t *testing.T) {
-	srv := startTestServer(t, ServerConfig{Spec: testSpec(t, []string{"MP"}, []int64{1})})
+	srv := startTestServer(t, ServerConfig{Sweep: testSweep([]string{"MP"}, []int64{1})})
 	body := `{"worker":"` + strings.Repeat("w", maxRequestBytes) + `"}`
 	for _, path := range []string{"/lease", "/heartbeat", "/result", "/release"} {
 		resp, err := http.Post("http://"+srv.Addr()+path, "application/json", strings.NewReader(body))
@@ -593,20 +579,17 @@ func TestOversizedRequestBody(t *testing.T) {
 // of one coordinator: no body panics a handler or gets a 5xx, and the
 // queue's jobs stay accounted for, each in exactly one state.
 func FuzzCoordinatorRequests(f *testing.F) {
-	spec := testSpec(f, []string{"MP"}, []int64{1, 2})
-	srv := startTestServer(f, ServerConfig{Spec: spec, Warnf: func(string, ...any) {}})
-	jobs, err := spec.Jobs()
-	if err != nil {
-		f.Fatal(err)
-	}
+	sweep := testSweep([]string{"MP"}, []int64{1, 2})
+	srv := startTestServer(f, ServerConfig{Sweep: sweep, Warnf: func(string, ...any) {}})
+	label := testLabels(f, sweep)[0]
 	row := litmus.SoakRun{Test: "MP", Plan: "light", Seed: 1, Iters: 4}
 	failed := row
 	failed.Err = "task deadline"
 	for _, req := range []any{
 		&LeaseRequest{Worker: "w0"},
 		&HeartbeatRequest{Worker: "w0", Leases: []string{"1", "2"}},
-		&ResultRequest{Worker: "w0", Lease: "1", JobID: 0, RowKey: jobs[0].RowKey(srv.Suffix()), Row: row},
-		&ResultRequest{JobID: 0, RowKey: jobs[0].Label() + "|some-other-binary", Row: row},
+		&ResultRequest{Worker: "w0", Lease: "1", JobID: 0, RowKey: rowKey(label, srv.Suffix()), Row: row},
+		&ResultRequest{JobID: 0, RowKey: rowKey(label, "some-other-binary"), Row: row},
 		&ResultRequest{JobID: 99, RowKey: "whatever", Row: row},
 		&ReleaseRequest{Worker: "w0", Lease: "2", Failure: &failed},
 		&ReleaseRequest{Worker: "w0", Lease: "1"},

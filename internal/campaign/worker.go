@@ -93,20 +93,16 @@ func RunWorker(cfg WorkerConfig) error {
 	// The handshake: this binary must compute the same row-key
 	// fingerprint the coordinator does, or every result would be
 	// rejected. Fail loudly now instead.
-	localSuffix, err := spec.Spec.Suffix()
-	if err != nil {
-		return err
-	}
-	if localSuffix != spec.Suffix {
+	if local := RowSuffix(spec.Sweep); local != spec.Suffix {
 		return fmt.Errorf("campaign: version mismatch: worker fingerprint %q != coordinator %q (rebuild the worker from the coordinator's code)",
-			localSuffix, spec.Suffix)
+			local, spec.Suffix)
 	}
-	soakCfg, camps, err := spec.Spec.campaigns()
+	camps, err := litmus.Campaigns(spec.Sweep)
 	if err != nil {
 		return err
 	}
-	soakCfg.Interrupt = cfg.Interrupt
-	w.suffix, w.soakCfg, w.camps = spec.Suffix, soakCfg, camps
+	spec.Sweep.Interrupt = cfg.Interrupt
+	w.suffix, w.sweep, w.camps = spec.Suffix, spec.Sweep, camps
 	cfg.Logf("joined %s: %d jobs, suffix %q, %d slot(s)", cfg.Coordinator, spec.Jobs, spec.Suffix, cfg.Slots)
 
 	// One heartbeat loop for all slots. TTL arrives with the first
@@ -135,11 +131,11 @@ func RunWorker(cfg WorkerConfig) error {
 }
 
 type worker struct {
-	cfg     WorkerConfig
-	client  *http.Client
-	suffix  string
-	soakCfg litmus.SoakConfig
-	camps   []litmus.Campaign // the spec's campaigns, indexed by job ID
+	cfg    WorkerConfig
+	client *http.Client
+	suffix string
+	sweep  litmus.SoakConfig
+	camps  []litmus.Campaign // the sweep's shards, indexed by job ID
 
 	mu     sync.Mutex
 	leases map[string]struct{}
@@ -318,7 +314,7 @@ func (w *worker) slotLoop() error {
 			if errors.Is(err, ErrWorkerInterrupted) {
 				return err
 			}
-			w.cfg.Logf("shard %s: %v", lease.Job.Label(), err)
+			w.cfg.Logf("shard %s: %v", lease.Label, err)
 			w.sleep(w.cfg.Poll)
 		}
 	}
@@ -331,14 +327,15 @@ func (w *worker) slotLoop() error {
 // byte-identical to what an uninterrupted c3soak puts in the same
 // report slot.
 func (w *worker) runAndSubmit(lease LeaseResponse) error {
-	job := lease.Job
-	if job.ID < 0 || job.ID >= len(w.camps) || w.camps[job.ID].Label() != job.Label() {
-		failed := litmus.SoakRun{Test: job.Test, Plan: job.Plan.Name, Seed: job.Seed, Attempts: lease.Attempt,
-			Err: fmt.Sprintf("campaign: worker has no job %d (%s)", job.ID, job.Label())}
+	id, label := lease.Job, lease.Label
+	if id < 0 || id >= len(w.camps) || w.camps[id].Label() != label {
+		// The queue names the shard in the row if it becomes final.
+		failed := litmus.SoakRun{Attempts: lease.Attempt,
+			Err: fmt.Sprintf("campaign: worker has no job %d (%s)", id, label)}
 		w.release(lease, &failed)
 		return errors.New(failed.Err)
 	}
-	row, retry := w.camps[job.ID].Attempt(w.soakCfg, lease.Attempt)
+	row, retry := w.camps[id].Attempt(w.sweep, lease.Attempt)
 	switch {
 	case row.Interrupted:
 		// No verdict: hand the shard back untouched and shut down.
@@ -346,7 +343,7 @@ func (w *worker) runAndSubmit(lease LeaseResponse) error {
 		return ErrWorkerInterrupted
 	case retry:
 		w.release(lease, &row)
-		w.cfg.Logf("shard %s: attempt %d failed: %s", job.Label(), lease.Attempt, row.Err)
+		w.cfg.Logf("shard %s: attempt %d failed: %s", label, lease.Attempt, row.Err)
 		return nil
 	}
 	defer w.dropLease(lease.Lease)
@@ -354,13 +351,13 @@ func (w *worker) runAndSubmit(lease LeaseResponse) error {
 	if _, err := w.postJSON("/result", &ResultRequest{
 		Worker: w.cfg.Name,
 		Lease:  lease.Lease,
-		JobID:  job.ID,
-		RowKey: job.RowKey(w.suffix),
+		JobID:  id,
+		RowKey: rowKey(label, w.suffix),
 		Row:    row,
 	}, &resp); err != nil {
-		return fmt.Errorf("campaign: submit %s: %w", job.Label(), err)
+		return fmt.Errorf("campaign: submit %s: %w", label, err)
 	}
-	w.cfg.Logf("shard %s done (%s)", job.Label(), RowVerdict(row))
+	w.cfg.Logf("shard %s done (%s)", label, RowVerdict(row))
 	return nil
 }
 
@@ -370,6 +367,6 @@ func (w *worker) release(lease LeaseResponse, failure *litmus.SoakRun) {
 	if _, err := w.postJSON("/release", &ReleaseRequest{
 		Worker: w.cfg.Name, Lease: lease.Lease, Failure: failure,
 	}, &resp); err != nil {
-		w.cfg.Logf("release %s: %v", lease.Job.Label(), err)
+		w.cfg.Logf("release %s: %v", lease.Label, err)
 	}
 }

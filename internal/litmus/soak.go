@@ -121,7 +121,11 @@ func ResolveFaults(faultSpec, crash string) (*faults.Plan, error) {
 
 // SoakConfig describes one soak campaign: the cross product of litmus
 // tests x fault plans x base seeds, each run as a full (synced) campaign
-// on the unreliable fabric with per-iteration hang watchdogs armed.
+// on the unreliable fabric with per-iteration hang watchdogs armed. It
+// is the one description of a sweep: c3soak runs it, and the
+// distributed coordinator serves it to its workers as JSON. The fields
+// tagged json:"-" belong to one process's run, not to the sweep, and
+// stay off the wire.
 type SoakConfig struct {
 	// Tests to run (default: the Table IV set).
 	Tests []string
@@ -140,7 +144,7 @@ type SoakConfig struct {
 	// Workers is the number of in-process slots draining the sweep's
 	// queue (0 = GOMAXPROCS, 1 = serial). Reports are byte-identical for
 	// every worker count; a failing campaign never cancels its siblings.
-	Workers int
+	Workers int `json:"-"`
 	// Timeout bounds the sweep's wall clock (0 = none). Campaigns that
 	// have not completed when it expires become "timeout" error rows
 	// (attempts already running finish); the cut point depends on the
@@ -150,7 +154,7 @@ type SoakConfig struct {
 	// (completed rows plus timeout rows) and SoakReport.TimedOut flags
 	// the abort, so callers can flush the partial result and record a
 	// "timeout" verdict instead of exiting silently.
-	Timeout time.Duration
+	Timeout time.Duration `json:"-"`
 	// TaskTimeout bounds each campaign attempt's wall clock (0 = none):
 	// a single wedged seed then burns its own budget, not the sweep's.
 	// An expired attempt spends a retry (see Retries); the last one
@@ -168,18 +172,18 @@ type SoakConfig struct {
 	// in-flight campaigns stop at their next poll, unstarted ones never
 	// run, and both become INTERRUPTED rows in the flushed partial
 	// report (which callers can checkpoint and later resume).
-	Interrupt <-chan struct{}
+	Interrupt <-chan struct{} `json:"-"`
 	// Completed seeds the sweep with rows checkpointed by a previous run
 	// (keyed by RowLabel): matching campaigns are not executed — the
 	// cached row lands in the report verbatim, marked Resumed. This is
 	// the -resume path; with every row cached the report is
 	// byte-identical to an uninterrupted run.
-	Completed map[string]SoakRun
+	Completed map[string]SoakRun `json:"-"`
 	// Observer, when non-nil, receives the campaign plan and per-campaign
 	// lifecycle events for live introspection (c3soak -statusz). Start/
 	// done events arrive concurrently from the slots; the observer can
 	// never affect the report.
-	Observer SoakObserver
+	Observer SoakObserver `json:"-"`
 
 	// retryBackoff overrides the queue's retry backoff base (tests; 0 =
 	// RetryBackoffBase).
@@ -417,10 +421,12 @@ func (c Campaign) Label() string { return RowLabel(c.Test.Name, c.Plan.Name, c.S
 // seeds. Every consumer of the sweep — RunSoak's queue, the distributed
 // coordinator's queue, its workers — must share this order; it is what
 // makes a merged distributed report byte-identical to a single-process
-// run.
+// run. A row label may appear once: a repeated test, plan or seed would
+// run one campaign twice and checkpoint it twice under one key.
 func Campaigns(cfg SoakConfig) ([]Campaign, error) {
 	cfg = cfg.WithDefaults()
-	var jobs []Campaign
+	jobs := make([]Campaign, 0, len(cfg.Tests)*len(cfg.Plans)*len(cfg.Seeds))
+	seen := make(map[string]bool, cap(jobs))
 	for _, name := range cfg.Tests {
 		t, ok := ByName(name)
 		if !ok {
@@ -428,7 +434,13 @@ func Campaigns(cfg SoakConfig) ([]Campaign, error) {
 		}
 		for _, p := range cfg.Plans {
 			for _, s := range cfg.Seeds {
-				jobs = append(jobs, Campaign{Test: t, Plan: p, Seed: s})
+				c := Campaign{Test: t, Plan: p, Seed: s}
+				l := c.Label()
+				if seen[l] {
+					return nil, fmt.Errorf("soak: campaign %s appears twice in the sweep", l)
+				}
+				seen[l] = true
+				jobs = append(jobs, c)
 			}
 		}
 	}

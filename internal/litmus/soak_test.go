@@ -163,6 +163,41 @@ func TestSoakUnknownTest(t *testing.T) {
 	}
 }
 
+// TestCampaignsRejectRepeatedRow: a test, plan or seed named twice
+// would run one campaign twice and checkpoint it twice under one row
+// key, so the expansion every sweep runs through rejects it, naming the
+// repeated row, and RunSoak runs nothing.
+func TestCampaignsRejectRepeatedRow(t *testing.T) {
+	light, _ := PlanByName("light")
+	raw, err := ResolvePlan("drop=0.01,dup=0.01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  SoakConfig
+		want string
+	}{
+		{"seeds", SoakConfig{Tests: []string{"MP"}, Plans: []NamedPlan{light}, Seeds: []int64{1, 1}}, "MP/light/seed1"},
+		{"tests", SoakConfig{Tests: []string{"MP", "SB", "MP"}, Plans: []NamedPlan{light}}, "MP/light/seed1"},
+		{"plans", SoakConfig{Tests: []string{"MP"}, Plans: []NamedPlan{light, light}, Seeds: []int64{2}}, "MP/light/seed2"},
+	} {
+		_, err := Campaigns(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want+" appears twice") {
+			t.Errorf("%s: err = %v, want one naming %s", tc.name, err, tc.want)
+		}
+		tc.cfg.Iters = 1
+		if rep, err := RunSoak(tc.cfg); err == nil {
+			t.Errorf("%s: RunSoak ran a repeated row:\n%s", tc.name, rep.Render())
+		}
+	}
+	// The same plan under two names is two rows, each run once.
+	camps, err := Campaigns(SoakConfig{Tests: []string{"MP"}, Plans: []NamedPlan{light, raw}})
+	if err != nil || len(camps) != 2 {
+		t.Fatalf("light and its raw spec: %d campaigns, err %v; want 2", len(camps), err)
+	}
+}
+
 // TestResolveFaults: the -faults and -crash flags resolve to one plan —
 // nil when both are empty, a preset or spec with every ';'-separated
 // crash layered on top — and a bad spec is an error naming its flag.

@@ -65,6 +65,23 @@ func stateName(s int) string {
 	return [...]string{"?", "S", "E", "M", "O", "F", "Pend"}[s]
 }
 
+// Classify reports what an L1 line state grants its holder, for
+// checkers outside the package: valid, a readable copy (S, E, M, O,
+// F); writable, write permission (E, M); owns, the copy is or may
+// silently become the line's authoritative data (E, M, O). An invalid
+// frame and one reserved for a miss grant nothing.
+func Classify(state int) (valid, writable, owns bool) {
+	switch state {
+	case stE, stM:
+		return true, true, true
+	case stO:
+		return true, false, true
+	case stS, stF:
+		return true, false, false
+	}
+	return false, false, false
+}
+
 // pendingOp is a core request queued on a line transaction. done is
 // nil for a tracked request (Token != 0) at an L1: its reply goes to the
 // L1's one core callback, so queued ops hold no closure.

@@ -84,6 +84,30 @@ func TestLoadMissFillHit(t *testing.T) {
 	}
 }
 
+// TestClassify pins what each line state grants: the checker's SWMR
+// invariant counts writable copies as writers and the other valid ones
+// as readers, and its final-value check takes the owners' data.
+func TestClassify(t *testing.T) {
+	for _, tc := range []struct {
+		state                 int
+		valid, writable, owns bool
+	}{
+		{0, false, false, false},
+		{stS, true, false, false},
+		{stE, true, true, true},
+		{stM, true, true, true},
+		{stO, true, false, true},
+		{stF, true, false, false},
+		{stPend, false, false, false},
+	} {
+		valid, writable, owns := Classify(tc.state)
+		if valid != tc.valid || writable != tc.writable || owns != tc.owns {
+			t.Errorf("%s: valid %v, writable %v, owns %v; want %v, %v, %v", stateName(tc.state),
+				valid, writable, owns, tc.valid, tc.writable, tc.owns)
+		}
+	}
+}
+
 func TestSilentEtoMUpgrade(t *testing.T) {
 	l1, dir, k := newTestL1(t, MESI)
 	l1.Access(cpu.Request{Kind: cpu.Load, Addr: addrX}, func(cpu.Response) {})

@@ -10,17 +10,7 @@ import (
 	"time"
 
 	"c3/internal/litmus"
-)
-
-// Abort sentinels: Check wraps these when an exploration is cut short by
-// its wall-clock budget or a graceful shutdown. Both returns carry the
-// partial Report accumulated so far, so callers can render what was
-// explored before the cut.
-var (
-	// ErrCheckDeadline: CheckerConfig.Deadline passed mid-exploration.
-	ErrCheckDeadline = errors.New("check deadline exceeded")
-	// ErrCheckInterrupted: CheckerConfig.Interrupt closed mid-exploration.
-	ErrCheckInterrupted = errors.New("check interrupted")
+	"c3/internal/protocol/hostproto"
 )
 
 // Counts are the exploration counters a Report totals and a Progress
@@ -138,11 +128,11 @@ type CheckerConfig struct {
 	OnProgress func(Progress)
 	// Deadline bounds the exploration's wall clock (zero = none). When it
 	// passes, Check returns the partial Report with an error wrapping
-	// ErrCheckDeadline.
+	// litmus.ErrTaskDeadline, the sentinel a soak attempt's cut wraps.
 	Deadline time.Time
 	// Interrupt, when non-nil, requests graceful shutdown once closed:
 	// Check stops at the next poll and returns the partial Report with an
-	// error wrapping ErrCheckInterrupted.
+	// error wrapping litmus.ErrInterrupted.
 	Interrupt <-chan struct{}
 	// POROff disables the partial-order reduction and the sleep sets,
 	// expanding every enabled delivery at every state.
@@ -384,13 +374,13 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 			select {
 			case <-ccfg.Interrupt:
 				return rep, fmt.Errorf("verif: %s: %w after %d states",
-					mcfg.Test.Name, ErrCheckInterrupted, rep.States)
+					mcfg.Test.Name, litmus.ErrInterrupted, rep.States)
 			default:
 			}
 		}
 		if !ccfg.Deadline.IsZero() && time.Now().After(ccfg.Deadline) {
 			return rep, fmt.Errorf("verif: %s: %w after %d states",
-				mcfg.Test.Name, ErrCheckDeadline, rep.States)
+				mcfg.Test.Name, litmus.ErrTaskDeadline, rep.States)
 		}
 		if ccfg.memBudget > 0 {
 			if popsSinceSample++; popsSinceSample >= ccfg.memSampleEvery {
@@ -544,7 +534,7 @@ func crossCheck(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (*Report, e
 	}
 	// Aborts (deadline/interrupt) are not verdicts; surface them as-is.
 	for _, err := range []error{errR, errU} {
-		if errors.Is(err, ErrCheckDeadline) || errors.Is(err, ErrCheckInterrupted) {
+		if errors.Is(err, litmus.ErrTaskDeadline) || errors.Is(err, litmus.ErrInterrupted) {
 			return repR, err
 		}
 	}
@@ -602,15 +592,11 @@ func (m *Model) checkSWMR() error {
 			if e == nil {
 				continue
 			}
-			switch e.State {
-			case 2, 3, 4: // stE, stM, stO: write permission or dirty
-				if e.State == 4 {
-					// MOESI O: dirty but read-only; counts as reader.
-					readers++
-				} else {
-					writers++
-				}
-			case 1, 5: // stS, stF
+			// MOESI O is dirty but read-only: a reader.
+			switch valid, writable, _ := hostproto.Classify(e.State); {
+			case writable:
+				writers++
+			case valid:
 				readers++
 			}
 		}

@@ -25,7 +25,6 @@ package verif
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"c3/internal/fp"
 	"c3/internal/msg"
@@ -216,25 +215,17 @@ func (f *ChoiceFabric) delivery(a Action, id fp.Renamer) (name uint64, dst msg.N
 		return uint64(k.src)<<32 | uint64(k.dst)<<8 | uint64(k.vnet), k.dst
 	}
 	m := f.bag[a.Index]
-	h := fp.New()
-	fingerprintMsg(&h, m, id)
-	return h.Sum() | 1<<63, m.Dst
+	return msgHash(m, id) | 1<<63, m.Dst
 }
 
-// ActionKey renders the protocol-visible identity of the message action
-// a would deliver. Witness minimization matches delivery choices across
-// different prefixes by this key (indices shift when steps are dropped;
-// the message identity does not).
-func (f *ChoiceFabric) ActionKey(a Action) string {
-	m := f.Peek(a)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d %x %d>%d n%d r%d k%d v%d w%d m%x %v%v",
-		m.Type, uint64(m.Addr), m.Src, m.Dst, m.VNet, m.Req, m.Acks, m.Val,
-		m.Word, m.Mask, m.Acq, m.Rel)
-	if m.Data != nil {
-		fmt.Fprintf(&b, " %v %v", *m.Data, m.Dirty)
-	}
-	return b.String()
+// msgHash hashes every protocol-visible field of m under id, the
+// identity renaming. Witness minimization matches delivery choices
+// across different prefixes by it (indices shift when steps are
+// dropped; the message does not).
+func msgHash(m *msg.Msg, id fp.Renamer) uint64 {
+	h := fp.New()
+	fingerprintMsg(&h, m, id)
+	return h.Sum()
 }
 
 // Deliver executes one action.

@@ -219,15 +219,12 @@ func (m *Model) finalValue(a mem.LineAddr) (mem.Data, error) {
 	var shared []mem.Data
 	for _, t := range m.threads {
 		if e := t.l1.Cache().ProbeRO(a); e != nil {
-			switch e.State {
-			case 3, 4: // stM, stO (hostproto encoding)
+			// E owns too: it may be silently dirty.
+			switch valid, _, owns := hostproto.Classify(e.State); {
+			case owns:
 				owners = append(owners, e.Data)
-			case 1, 2, 5: // stS, stE, stF
-				if e.State == 2 { // E may be silently dirty
-					owners = append(owners, e.Data)
-				} else {
-					shared = append(shared, e.Data)
-				}
+			case valid:
+				shared = append(shared, e.Data)
 			}
 		}
 	}

@@ -315,7 +315,7 @@ func TestCheckReleasesAllModels(t *testing.T) {
 		_, err := Check(mcfg, ccfg)
 		var cex *Counterexample
 		if err != nil && !errors.As(err, &cex) &&
-			!errors.Is(err, ErrCheckDeadline) {
+			!errors.Is(err, litmus.ErrTaskDeadline) {
 			t.Fatalf("%s: unexpected error: %v", name, err)
 		}
 		if n := ModelsLive(); n != base {

@@ -50,10 +50,10 @@ func TestCheckerMemShedEquivalence(t *testing.T) {
 }
 
 // TestMemBudgetFollowsRuntimeLimit pins where the soft heap budget
-// comes from: the runtime's memory limit, which c3check -mem-budget-mb
-// and GOMEMLIMIT set. With no limit the budget is 0 and the heap is
-// never sampled; with limit L the checker sheds above 0.8·L, and Check
-// reads the limit from the process itself.
+// comes from: the runtime's memory limit, which GOMEMLIMIT sets for
+// c3check. With no limit the budget is 0 and the heap is never sampled;
+// with limit L the checker sheds above 0.8·L, and Check reads the limit
+// from the process itself.
 func TestMemBudgetFollowsRuntimeLimit(t *testing.T) {
 	if got := softMemBudget(math.MaxInt64); got != 0 {
 		t.Fatalf("no runtime limit: soft budget %d, want 0 (never sample the heap)", got)
@@ -76,12 +76,12 @@ func TestMemBudgetFollowsRuntimeLimit(t *testing.T) {
 }
 
 // TestCheckerDeadline: a passed deadline aborts the exploration with a
-// partial report and an error wrapping ErrCheckDeadline.
+// partial report and an error wrapping litmus.ErrTaskDeadline.
 func TestCheckerDeadline(t *testing.T) {
 	mcfg := mpCXL(t, litmus.SyncFull)
 	rep, err := Check(mcfg, CheckerConfig{Deadline: time.Now().Add(-time.Second)})
-	if !errors.Is(err, ErrCheckDeadline) {
-		t.Fatalf("err = %v, want ErrCheckDeadline", err)
+	if !errors.Is(err, litmus.ErrTaskDeadline) {
+		t.Fatalf("err = %v, want litmus.ErrTaskDeadline", err)
 	}
 	if rep == nil || rep.States == 0 {
 		t.Fatalf("no partial report alongside the deadline error: %+v", rep)
@@ -96,14 +96,14 @@ func TestCheckerDeadline(t *testing.T) {
 }
 
 // TestCheckerInterrupt: a closed interrupt channel stops the exploration
-// at the next poll with a partial report and ErrCheckInterrupted.
+// at the next poll with a partial report and litmus.ErrInterrupted.
 func TestCheckerInterrupt(t *testing.T) {
 	mcfg := mpCXL(t, litmus.SyncFull)
 	stop := make(chan struct{})
 	close(stop)
 	rep, err := Check(mcfg, CheckerConfig{Interrupt: stop})
-	if !errors.Is(err, ErrCheckInterrupted) {
-		t.Fatalf("err = %v, want ErrCheckInterrupted", err)
+	if !errors.Is(err, litmus.ErrInterrupted) {
+		t.Fatalf("err = %v, want litmus.ErrInterrupted", err)
 	}
 	if rep == nil {
 		t.Fatal("no partial report alongside the interrupt error")

@@ -117,7 +117,7 @@ const minimizeBudget = 600
 // minimizeWitness shrinks cex.Path by delta debugging: greedily drop
 // chunks of delivery steps while the same violation still reproduces.
 // Because dropping a step renumbers every later Enabled() index, steps
-// are matched by message identity (ActionKey) rather than by index, and
+// are matched by message identity (msgHash) rather than by index, and
 // the surviving subsequence is converted back to an index path at the
 // end. Guarantees: the result reproduces the identical failure (same
 // Kind and Msg — for invariants it may fire at a shallower depth along
@@ -129,7 +129,7 @@ func minimizeWitness(mcfg ModelConfig, sym *symmetry, cex *Counterexample, rep *
 		return
 	}
 	budget := minimizeBudget
-	keys, err := pathKeys(mcfg, cex.Path, rep)
+	keys, err := pathKeys(mcfg, sym, cex.Path, rep)
 	if err != nil {
 		return
 	}
@@ -147,7 +147,7 @@ func minimizeWitness(mcfg ModelConfig, sym *symmetry, cex *Counterexample, rep *
 	for budget > 0 {
 		removed := false
 		for start := 0; start+sz <= len(keys) && budget > 0; {
-			cand := make([]string, 0, len(keys)-sz)
+			cand := make([]uint64, 0, len(keys)-sz)
 			cand = append(cand, keys[:start]...)
 			cand = append(cand, keys[start+sz:]...)
 			if p, ok := reproduces(mcfg, sym, cand, cex, rep, &budget); ok {
@@ -168,11 +168,12 @@ func minimizeWitness(mcfg ModelConfig, sym *symmetry, cex *Counterexample, rep *
 	}
 }
 
-// pathKeys renders the message identity of each step of path.
-func pathKeys(mcfg ModelConfig, path []uint16, rep *Report) ([]string, error) {
-	keys := make([]string, 0, len(path))
+// pathKeys hashes the message of each step of path under the identity
+// renaming.
+func pathKeys(mcfg ModelConfig, sym *symmetry, path []uint16, rep *Report) ([]uint64, error) {
+	keys := make([]uint64, 0, len(path))
 	m, err := replay(mcfg, path, func(m *Model, a Action) {
-		keys = append(keys, m.Fabric.ActionKey(a))
+		keys = append(keys, msgHash(m.Fabric.Peek(a), &sym.perms[0]))
 	})
 	if err != nil {
 		return nil, err
@@ -187,7 +188,7 @@ func pathKeys(mcfg ModelConfig, path []uint16, rep *Report) ([]string, error) {
 // the same violation fires, returning the corresponding index path.
 // Invariant violations may fire before all keys are consumed; the
 // shorter prefix is returned.
-func reproduces(mcfg ModelConfig, sym *symmetry, keys []string, cex *Counterexample, rep *Report, budget *int) ([]uint16, bool) {
+func reproduces(mcfg ModelConfig, sym *symmetry, keys []uint64, cex *Counterexample, rep *Report, budget *int) ([]uint16, bool) {
 	if *budget <= 0 {
 		return nil, false
 	}
@@ -203,7 +204,7 @@ func reproduces(mcfg ModelConfig, sym *symmetry, keys []string, cex *Counterexam
 		acts := m.Fabric.Enabled()
 		ai := -1
 		for i, a := range acts {
-			if m.Fabric.ActionKey(a) == key {
+			if msgHash(m.Fabric.Peek(a), &sym.perms[0]) == key {
 				ai = i
 				break
 			}
