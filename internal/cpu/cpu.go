@@ -52,6 +52,27 @@ func (m MCM) String() string {
 	return fmt.Sprintf("MCM(%d)", uint8(m))
 }
 
+// MarshalText renders m as its name (String), so JSON carries "ARM",
+// "TSO" or "SC" rather than the enum number. A value with no name is an
+// error.
+func (m MCM) MarshalText() ([]byte, error) {
+	if m > SC {
+		return nil, fmt.Errorf("cpu: cannot marshal unknown %v", m)
+	}
+	return []byte(m.String()), nil
+}
+
+// UnmarshalText parses a name as ParseMCM does; an unknown name is an
+// error and leaves m unchanged.
+func (m *MCM) UnmarshalText(b []byte) error {
+	v, err := ParseMCM(string(b))
+	if err != nil {
+		return err
+	}
+	*m = v
+	return nil
+}
+
 // ParseMCM converts a config string ("arm"/"weak", "tso", "sc").
 func ParseMCM(s string) (MCM, error) {
 	switch s {

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"encoding/json"
 	"math/rand/v2"
 	"testing"
 
@@ -379,6 +380,31 @@ func TestMCMParsingAndStrings(t *testing.T) {
 	}
 	if WMO.String() != "ARM" || TSO.String() != "TSO" {
 		t.Error("MCM String() mismatch")
+	}
+}
+
+// TestMCMJSONRoundTrip: an MCM travels through JSON as its name, comes
+// back as the same value, and an unknown name or value is an error, not
+// a silent WMO.
+func TestMCMJSONRoundTrip(t *testing.T) {
+	in := [3]MCM{WMO, TSO, SC}
+	b, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != `["ARM","TSO","SC"]` {
+		t.Fatalf("marshaled %s, want [\"ARM\",\"TSO\",\"SC\"]", b)
+	}
+	var out [3]MCM
+	if err := json.Unmarshal(b, &out); err != nil || out != in {
+		t.Fatalf("round trip gave %v, %v; want %v", out, err, in)
+	}
+	got := TSO
+	if err := json.Unmarshal([]byte(`"bogus"`), &got); err == nil || got != TSO {
+		t.Errorf("unmarshaling an unknown name gave %v, %v; want an error and TSO unchanged", got, err)
+	}
+	if _, err := json.Marshal(MCM(7)); err == nil {
+		t.Error("marshaling MCM(7) succeeded")
 	}
 }
 

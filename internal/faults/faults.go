@@ -184,9 +184,9 @@ func (p *Plan) String() string {
 
 // ParsePlan parses the command-line plan syntax: comma-separated k=v
 // pairs among drop, dup, delay (probabilities in [0,1]), delaymax
-// (cycles), stall=from:to (repeatable), crash=host@at or
-// crash=host@at:rejoin (repeatable), retries, seed. "none" or "" yields
-// a zero plan (Enabled() == false).
+// (cycles), stall=from:to (repeatable), crash=host@tick or
+// crash=host@tick:rejoin (repeatable, see ParseCrash), retries, seed.
+// "none" or "" yields a zero plan (Enabled() == false).
 func ParsePlan(s string) (Plan, error) {
 	var p Plan
 	s = strings.TrimSpace(s)
@@ -230,26 +230,9 @@ func ParsePlan(s string) (Plan, error) {
 			}
 			p.Stalls = append(p.Stalls, Window{sim.Time(f), sim.Time(t)})
 		case "crash":
-			host, when, ok := strings.Cut(v, "@")
-			if !ok {
-				return p, fmt.Errorf("faults: crash=%q: want host@at or host@at:rejoin", v)
-			}
-			h, err := strconv.Atoi(host)
-			if err != nil || h < 0 {
-				return p, fmt.Errorf("faults: crash=%q: want non-negative host index", v)
-			}
-			at, rejoin, hasRejoin := strings.Cut(when, ":")
-			a, err := strconv.ParseUint(at, 10, 64)
-			if err != nil || a == 0 {
-				return p, fmt.Errorf("faults: crash=%q: want positive crash tick", v)
-			}
-			c := Crash{Host: h, At: sim.Time(a)}
-			if hasRejoin {
-				r, err := strconv.ParseUint(rejoin, 10, 64)
-				if err != nil || sim.Time(r) <= c.At {
-					return p, fmt.Errorf("faults: crash=%q: want rejoin tick > crash tick", v)
-				}
-				c.Rejoin = sim.Time(r)
+			c, err := ParseCrash(v)
+			if err != nil {
+				return p, fmt.Errorf("faults: crash=%w", err)
 			}
 			p.Crashes = append(p.Crashes, c)
 		case "retries":
@@ -269,6 +252,34 @@ func ParsePlan(s string) (Plan, error) {
 		}
 	}
 	return p, nil
+}
+
+// ParseCrash parses one crash entry, host@tick or host@tick:rejoin: a
+// non-negative host index, a positive crash tick and, when given, a
+// later rejoin tick. An error quotes the entry as given.
+func ParseCrash(s string) (Crash, error) {
+	host, when, ok := strings.Cut(s, "@")
+	if !ok {
+		return Crash{}, fmt.Errorf("%q: want host@tick or host@tick:rejoin", s)
+	}
+	h, err := strconv.Atoi(host)
+	if err != nil || h < 0 {
+		return Crash{}, fmt.Errorf("%q: want non-negative host index", s)
+	}
+	at, rejoin, hasRejoin := strings.Cut(when, ":")
+	a, err := strconv.ParseUint(at, 10, 64)
+	if err != nil || a == 0 {
+		return Crash{}, fmt.Errorf("%q: want positive crash tick", s)
+	}
+	c := Crash{Host: h, At: sim.Time(a)}
+	if hasRejoin {
+		r, err := strconv.ParseUint(rejoin, 10, 64)
+		if err != nil || sim.Time(r) <= c.At {
+			return Crash{}, fmt.Errorf("%q: want rejoin tick > crash tick", s)
+		}
+		c.Rejoin = sim.Time(r)
+	}
+	return c, nil
 }
 
 // Fate is the injector's verdict on one link traversal.

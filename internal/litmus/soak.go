@@ -106,14 +106,13 @@ func ResolveFaults(faultSpec, crash string) (*faults.Plan, error) {
 		for _, spec := range strings.Split(crash, ";") {
 			spec = strings.TrimSpace(spec)
 			if strings.Contains(spec, ",") {
-				// Parsed as a plan, the rest would be silently dropped.
 				return nil, fmt.Errorf("-crash: %q: want host@tick or host@tick:rejoin (other fault keys belong in -faults)", spec)
 			}
-			p, err := ResolvePlan("crash=" + spec)
+			c, err := faults.ParseCrash(spec)
 			if err != nil {
 				return nil, fmt.Errorf("-crash: %w", err)
 			}
-			plan.Crashes = append(plan.Crashes, p.Plan.Crashes...)
+			plan.Crashes = append(plan.Crashes, c)
 		}
 	}
 	return &plan, nil

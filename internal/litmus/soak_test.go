@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -226,6 +227,21 @@ func TestResolveFaults(t *testing.T) {
 	} {
 		if _, err := ResolveFaults(tc.faults, tc.crash); err == nil || !strings.HasPrefix(err.Error(), tc.flag+": ") {
 			t.Errorf("-faults %q -crash %q: err %v, want one naming %s", tc.faults, tc.crash, err, tc.flag)
+		}
+	}
+	// A bad -crash entry is quoted as typed, not as the plan spec it
+	// would make ("crash=..."), in the flag's own host@tick syntax.
+	for _, tc := range []struct{ crash, entry, want string }{
+		{"bogus", "bogus", "want host@tick or host@tick:rejoin"},
+		{"1@2500; 1@x", "1@x", "want positive crash tick"},
+		{"1@9000:100", "1@9000:100", "want rejoin tick > crash tick"},
+	} {
+		_, err := ResolveFaults("", tc.crash)
+		if err == nil {
+			t.Fatalf("-crash %q: no error", tc.crash)
+		}
+		if want := fmt.Sprintf("-crash: %q: %s", tc.entry, tc.want); err.Error() != want || strings.Contains(err.Error(), "crash=") {
+			t.Errorf("-crash %q: err %q, want %q", tc.crash, err, want)
 		}
 	}
 }

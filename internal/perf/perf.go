@@ -228,12 +228,12 @@ func Benchmarks() []Benchmark {
 					panic("perf: no MP litmus test")
 				}
 				plan := faults.Plan{Rates: faults.Rates{Drop: 0.01, Dup: 0.01}}
-				return func() {
+				run := func(iters int) {
 					p := plan
 					res, err := litmus.Run(tc, litmus.RunnerConfig{
 						Locals: [2]string{"mesi", "mesi"}, Global: "cxl",
 						MCMs:  [2]cpu.MCM{cpu.WMO, cpu.WMO},
-						Iters: ops, Sync: litmus.SyncFull, BaseSeed: 1,
+						Iters: iters, Sync: litmus.SyncFull, BaseSeed: 1,
 						Workers: 1, Faults: &p, HangWatch: true,
 					})
 					if err != nil {
@@ -243,6 +243,11 @@ func Benchmarks() []Benchmark {
 						panic("perf: soak-inner-loop saw a forbidden outcome")
 					}
 				}
+				// Fill the slab pools, as system-build does: otherwise the
+				// first timed iteration may allocate a fresh multi-MiB LLC
+				// slab and the micro reads in two modes.
+				run(1)
+				return func() { run(ops) }
 			},
 		},
 	}

@@ -80,7 +80,7 @@ func newSymmetry(m *Model) *symmetry {
 		vars:     t.Vars,
 		lineIdx:  make(map[mem.LineAddr]int, len(t.Vars)),
 	}
-	for _, t := range m.threads {
+	for _, t := range m.threads() {
 		s.l1Of = append(s.l1Of, t.l1.ID())
 	}
 	// Programs exactly as Build instantiates them — symmetry must hold
@@ -287,68 +287,100 @@ func (p *symPerm) Line(a mem.LineAddr) mem.LineAddr {
 // identity. Which renaming attains the minimum depends on the hash
 // function, so the index does too; which states merge does not.
 func (m *Model) fingerprint(s *symmetry) (uint64, int) {
-	best := m.fingerprintAs(s, &s.perms[0])
+	best := m.fingerprintAs(s, 0)
 	ren := 0
 	for i := 1; i < len(s.perms); i++ {
-		if v := m.fingerprintAs(s, &s.perms[i]); v < best {
+		if v := m.fingerprintAs(s, i); v < best {
 			best, ren = v, i
 		}
 	}
 	return best, ren
 }
 
-// fingerprintAs hashes the model under one renaming, in Build's
-// component order:
+// fingerprintAs hashes the model under renaming s.perms[pi]: the hashes
+// of the thread groups in renamed slot order, then of the two clusters
+// and the home (see group.hash), then the fabric's in-flight messages.
+func (m *Model) fingerprintAs(s *symmetry, pi int) uint64 {
+	p := &s.perms[pi]
+	h := fp.New()
+	threads := m.threads()
+	for slot := 0; slot < s.nThreads; slot++ {
+		h.Word(threads[p.threadAt[slot]].hash(s, pi))
+	}
+	for _, g := range m.groups[len(threads):] {
+		h.Word(g.hash(s, pi))
+	}
+	m.Fabric.Fingerprint(&h, p)
+	return h.Sum()
+}
+
+// hash returns the group's state hash under renaming s.perms[pi],
+// cached in the group: a group a clone shares with its parent is hashed
+// once for both, and a step re-hashes only the group its delivery
+// reached. An index names one renaming in every group a configuration
+// gets: newSymmetry is deterministic and identityOnly keeps its prefix.
+func (g *group) hash(s *symmetry, pi int) uint64 {
+	switch n := len(s.perms); {
+	case len(g.hashes) >= n:
+	case n == 1:
+		g.hashes = g.one[:]
+	default:
+		g.hashes = make([]uint64, n)
+	}
+	if v := g.hashes[pi]; v != 0 {
+		return v
+	}
+	// Invalid-frame dropping is per-level: L1s have 16 sets, the LLC 64
+	// unless TinyLLC shrinks it, so each gate needs set conflicts
+	// impossible at that level — for the LLC, exactly porOK.
+	h := fp.New()
+	g.hashAs(&h, &s.perms[pi], len(s.vars) <= 16, s.porOK)
+	v := h.Sum()
+	g.hashes[pi] = v
+	return v
+}
+
+// hashAs writes the group's state under renaming p:
 //
-//   - components hash through the renaming (thread slots, node ids in
-//     sharer vectors and messages, line addresses);
+//   - components hash through the renaming (node ids in sharer vectors,
+//     line addresses);
 //   - pure bookkeeping is left out (default directory entries, invalid
-//     cache frames where set conflicts are impossible, stale payloads of
-//     !DataValid frames, sequence numbers, statistics);
+//     cache frames where skipL1 or skipLLC says set conflicts are
+//     impossible, stale payloads of !DataValid frames, sequence numbers,
+//     statistics);
 //   - register files and fetch positions are in, so states that differ
 //     only in loaded values never merge.
-func (m *Model) fingerprintAs(s *symmetry, p *symPerm) uint64 {
-	// Invalid-frame dropping is per-level: L1s have 16 sets, the LLC 64
-	// (unless TinyLLC shrinks it), so each gate needs set conflicts
-	// impossible at that level.
-	skipL1 := len(s.vars) <= 16
-	skipLLC := !m.cfg.TinyLLC && len(s.vars) <= 16
-	h := fp.New()
-	for slot := 0; slot < s.nThreads; slot++ {
-		ti := p.threadAt[slot]
-		m.threads[ti].core.Fingerprint(&h, p)
-		src := m.threads[ti].src
+func (g *group) hashAs(h *fp.Hasher, p *symPerm, skipL1, skipLLC bool) {
+	switch {
+	case g.l1 != nil:
+		g.core.Fingerprint(h, p)
 		var regs fp.Bag
-		src.EachReg(func(r int, v uint64) {
+		g.src.EachReg(func(r int, v uint64) {
 			e := fp.New()
 			e.Int(r)
 			e.Word(v)
 			regs.Add(e)
 		})
 		h.Bag(regs)
-		h.Int(src.Pos())
+		h.Int(g.src.Pos())
+		g.l1.Fingerprint(h, p, skipL1)
+	case g.c3 != nil:
+		g.c3.Fingerprint(h, p, skipLLC)
+	default:
+		if g.dcoh != nil {
+			g.dcoh.Fingerprint(h, p)
+		} else {
+			g.hdir.Fingerprint(h, p)
+		}
+		// DRAM hashes per canonical variable slot via Peek, which does
+		// not distinguish "line absent" from "line holding zeroes"; reads
+		// cannot either.
+		lines := p.sym.varLines
+		for slot := range lines {
+			d := g.dram.Peek(lines[p.varAt[slot]])
+			h.Data(&d)
+		}
 	}
-	for slot := 0; slot < s.nThreads; slot++ {
-		m.threads[p.threadAt[slot]].l1.Fingerprint(&h, p, skipL1)
-	}
-	for _, c3 := range m.c3s {
-		c3.Fingerprint(&h, p, skipLLC)
-	}
-	if m.dcoh != nil {
-		m.dcoh.Fingerprint(&h, p)
-	}
-	if m.hdir != nil {
-		m.hdir.Fingerprint(&h, p)
-	}
-	// DRAM hashes per canonical variable slot via Peek, which does not
-	// distinguish "line absent" from "line holding zeroes"; reads cannot
-	// either.
-	for slot := range s.varLines {
-		d := m.dram.Peek(s.varLines[p.varAt[slot]])
-		h.Data(&d)
-	}
-	m.Fabric.Fingerprint(&h, p)
-	return h.Sum()
 }
 
 // outcomeOrbit returns o followed by its images under every

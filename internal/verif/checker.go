@@ -587,7 +587,7 @@ func (m *Model) checkInvariants() error {
 func (m *Model) checkSWMR() error {
 	for _, a := range m.lines() {
 		writers, readers := 0, 0
-		for _, t := range m.threads {
+		for _, t := range m.threads() {
 			e := t.l1.Cache().ProbeRO(a)
 			if e == nil {
 				continue
@@ -614,7 +614,8 @@ func (m *Model) checkSWMR() error {
 // in every C3 (checked only for lines with no transaction in flight —
 // transient states are by construction intermediate).
 func (m *Model) checkCompound() error {
-	for _, c3 := range m.c3s {
+	for _, cl := range m.clusters() {
+		c3 := cl.c3
 		tab := c3.Table()
 		for _, a := range m.lines() {
 			l, g, busy := c3.CompoundOf(a)

@@ -16,9 +16,13 @@
 //
 // Exploration is breadth-first with state-fingerprint deduplication. A
 // frontier state is kept as a copy-on-write snapshot (Model.Clone) and
-// expanded by cloning it once per enabled delivery. A state whose
-// snapshot was dropped to bound memory is rebuilt by re-executing its
-// delivery prefix on a fresh model: components are event-driven and
+// expanded by cloning it once per enabled delivery. A clone is a delta
+// of its parent: it shares every ownership group — a thread's core,
+// source and L1, a cluster's C3, or the home directory with DRAM — and
+// a delivery copies only the group it reaches, so a successor hashes
+// and copies one group plus the fabric. A state whose snapshot was
+// dropped to bound memory is rebuilt by re-executing its delivery
+// prefix on a fresh model: components are event-driven and
 // single-threaded, so a prefix determines the state.
 package verif
 
@@ -102,8 +106,9 @@ func (f *ChoiceFabric) findChan(k chKey) *channel {
 
 // Clone returns a copy of the fabric's in-flight messages for
 // model-checker snapshots. Ports are NOT carried over — they reference
-// the original component graph; the caller re-Registers the cloned
-// components. The link table is fixed at Build and shared.
+// the original component graph; Model.Step registers each group's
+// components as it copies them, so only the groups the clone owns have
+// ports. The link table is fixed at Build and shared.
 //
 // Messages are immutable after Send (see msg.Msg), so the *msg.Msg
 // pointers are shared with the original; only the slice backings are
@@ -240,7 +245,13 @@ func (f *ChoiceFabric) Deliver(a Action) {
 		c.q = c.q[1:]
 	}
 	f.Delivered++
-	f.ports[m.Dst].Recv(m)
+	p := f.ports[m.Dst]
+	if p == nil {
+		// Model.Step registers the destination's group before delivering;
+		// a clone's fabric has no port for a group it still shares.
+		panic(fmt.Sprintf("verif: delivery of %v to node %d, which has no port on this fabric", m, m.Dst))
+	}
+	p.Recv(m)
 }
 
 // Empty reports whether nothing is in flight.

@@ -5,12 +5,9 @@ import (
 	"sort"
 	"strings"
 
-	"c3/internal/core"
 	"c3/internal/cpu"
 	"c3/internal/litmus"
 	"c3/internal/mem"
-	"c3/internal/protocol/cxl"
-	"c3/internal/protocol/hmesi"
 	"c3/internal/protocol/hostproto"
 	"c3/internal/sim"
 	"c3/internal/ssp"
@@ -44,25 +41,20 @@ func ModelFor(test string, unsynced bool) (ModelConfig, error) {
 	return ModelConfig{Test: tc, Sync: sync}, nil
 }
 
-// thread is one litmus thread's core, program and host cache.
-type thread struct {
-	core *cpu.Core
-	src  *cpu.SliceSource
-	l1   *hostproto.L1
-}
-
 // Model is one instantiated system plus the handles the explorer needs.
 type Model struct {
 	cfg    ModelConfig
 	K      *sim.Kernel
 	Fabric *ChoiceFabric
 
-	threads []thread
-	c3s     [2]*core.C3 // per cluster
-	dram    *mem.DRAM
-	// one of:
-	dcoh *cxl.DCOH
-	hdir *hmesi.Dir
+	// groups are the model's ownership groups, shared with its clones
+	// until a delivery reaches them (see group): one per thread in thread
+	// order, then one per cluster, then the home.
+	groups []*group
+	// groupOf maps a node id to the index in groups of the group that
+	// owns it (-1 for an id no component has). Computed once at Build
+	// and shared (read-only) by every clone.
+	groupOf []int
 
 	// addrs is each variable's address (Test.Vars order) and addrLines
 	// their sorted lines. Computed once at Build and shared (read-only)
@@ -75,6 +67,15 @@ type Model struct {
 	// accounting exact even if a model reaches two release paths.
 	released bool
 }
+
+// threads returns the thread groups, in thread order.
+func (m *Model) threads() []*group { return m.groups[:len(m.groups)-3] }
+
+// clusters returns the two cluster groups, in cluster order.
+func (m *Model) clusters() []*group { return m.groups[len(m.groups)-3 : len(m.groups)-1] }
+
+// home returns the home group.
+func (m *Model) home() *group { return m.groups[len(m.groups)-1] }
 
 // mesiFamily lists the local protocols the checker builds clusters of.
 // RCC hosts keep intentionally stale copies, which the SWMR invariant
@@ -124,15 +125,22 @@ func Build(cfg ModelConfig) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("verif: %w", err)
 	}
-	m.dram, m.dcoh, m.hdir = sys.DRAM, sys.DCOH, sys.HDir
-	for ci, cl := range sys.Clusters {
-		m.c3s[ci] = cl.C3
-	}
 	for ti, p := range lay.Threads {
 		l1 := sys.Clusters[p.Cluster].L1s[p.Slot].(*hostproto.L1)
 		src := cpu.NewSliceSource(p.Prog)
 		c := cpu.New(ti, m.K, cpu.DefaultConfig(cfg.MCMs[p.Cluster]), l1, src, nil)
-		m.threads = append(m.threads, thread{c, src, l1})
+		m.groups = append(m.groups, &group{core: c, src: src, l1: l1})
+	}
+	for _, cl := range sys.Clusters {
+		m.groups = append(m.groups, &group{c3: cl.C3})
+	}
+	m.groups = append(m.groups, &group{dram: sys.DRAM, dcoh: sys.DCOH, hdir: sys.HDir})
+	for gi, g := range m.groups {
+		g.refs, g.owner = 1, m
+		for int(g.node()) >= len(m.groupOf) {
+			m.groupOf = append(m.groupOf, -1)
+		}
+		m.groupOf[g.node()] = gi
 	}
 	m.addrs = lay.Addrs
 	for _, a := range lay.Addrs {
@@ -145,7 +153,7 @@ func Build(cfg ModelConfig) (*Model, error) {
 
 // Start launches cores and quiesces internal events.
 func (m *Model) Start() {
-	for _, t := range m.threads {
+	for _, t := range m.threads() {
 		t.core.Start()
 	}
 	m.Quiesce()
@@ -160,15 +168,33 @@ func (m *Model) Quiesce() {
 	}
 }
 
-// Step delivers one fabric action and quiesces.
+// Step delivers one fabric action and quiesces. The delivery runs only
+// the group owning its destination node (see group), so Step first makes
+// that group the model's own (Model.own): a group still shared with a
+// parent or a sibling is copied, and the other groups stay shared.
 func (m *Model) Step(a Action) {
+	gi := m.groupOf[m.Fabric.Peek(a).Dst]
+	m.own(gi)
+	var after func()
+	if testStepHook != nil {
+		after = testStepHook(m, gi)
+	}
 	m.Fabric.Deliver(a)
 	m.Quiesce()
+	if after != nil {
+		after()
+	}
 }
+
+// testStepHook, when non-nil, brackets every Step: it runs once the
+// model owns the stepped group gi, before the delivery, and the function
+// it returns runs after the step quiesces. The verif tests install the
+// ownership check here (ownership_test.go).
+var testStepHook func(m *Model, gi int) (after func())
 
 // AllFinished reports whether every core retired its program.
 func (m *Model) AllFinished() bool {
-	for _, t := range m.threads {
+	for _, t := range m.threads() {
 		if !t.core.Finished() {
 			return false
 		}
@@ -197,7 +223,7 @@ func (m *Model) settle() (litmus.Outcome, ViolationKind, string) {
 // it as a VInvariant verdict rather than panicking.
 func (m *Model) Outcome() (litmus.Outcome, error) {
 	o := litmus.Outcome{}
-	for i, t := range m.threads {
+	for i, t := range m.threads() {
 		t.src.EachReg(func(reg int, val uint64) { o[litmus.Key(i, reg)] = val })
 	}
 	for vi, v := range m.cfg.Test.Vars {
@@ -217,7 +243,7 @@ func (m *Model) finalValue(a mem.LineAddr) (mem.Data, error) {
 	// An exclusive host copy is authoritative.
 	var owners []mem.Data
 	var shared []mem.Data
-	for _, t := range m.threads {
+	for _, t := range m.threads() {
 		if e := t.l1.Cache().ProbeRO(a); e != nil {
 			// E owns too: it may be silently dirty.
 			switch valid, _, owns := hostproto.Classify(e.State); {
@@ -235,13 +261,13 @@ func (m *Model) finalValue(a mem.LineAddr) (mem.Data, error) {
 		return owners[0], nil
 	}
 	// Next: a dirty CXL-cache copy.
-	for _, c3 := range m.c3s {
-		_, g, busy := c3.CompoundOf(a)
+	for _, cl := range m.clusters() {
+		_, g, busy := cl.c3.CompoundOf(a)
 		if busy {
 			return mem.Data{}, fmt.Errorf("verif: line %v busy at terminal state", a)
 		}
 		if g == ssp.ClsM || g == ssp.ClsE {
-			if d, ok := c3.LLCData(a); ok {
+			if d, ok := cl.c3.LLCData(a); ok {
 				return d, nil
 			}
 		}
@@ -254,7 +280,7 @@ func (m *Model) finalValue(a mem.LineAddr) (mem.Data, error) {
 		}
 		return shared[0], nil
 	}
-	return m.dram.Peek(a), nil
+	return m.home().dram.Peek(a), nil
 }
 
 // lines returns the sorted line addresses of interest (the test's

@@ -59,9 +59,10 @@ func (m *Model) ampleAction(sym *symmetry, acts []Action) int {
 	}
 	// Per-core future-line masks: window and store-buffer entries plus
 	// unfetched program (nv ≤ 16, so a word of bits suffices).
-	masks := make([]uint32, len(m.threads))
+	threads := m.threads()
+	masks := make([]uint32, len(threads))
 	bad := false
-	for ci, t := range m.threads {
+	for ci, t := range threads {
 		var mask uint32
 		add := func(a mem.LineAddr) {
 			if i, found := sym.lineIdx[a]; found {

@@ -1,6 +1,7 @@
 package verif
 
 import (
+	"strings"
 	"testing"
 
 	"c3/internal/cpu"
@@ -23,40 +24,115 @@ func mpCXL(t testing.TB, sync litmus.SyncMode) ModelConfig {
 }
 
 // fingerprintOf returns the model's state fingerprint under the
-// identity renaming alone, so no symmetric sibling can mask a difference.
+// identity renaming alone, so no symmetric sibling can mask a difference,
+// hashed from the state rather than the group caches, so a write that
+// left a stale cache behind shows too.
 func fingerprintOf(m *Model) uint64 {
+	m.dropHashes()
 	h, _ := m.fingerprint(newSymmetry(m).identityOnly())
 	return h
 }
 
 // TestCloneIsolation: a clone hashes identically to its parent, and
-// stepping either one leaves the other untouched.
+// stepping either one leaves the other untouched — also when the parent
+// steps a group it built but now shares, and when a clone steps groups
+// it holds alone but that are bound to its released parent.
 func TestCloneIsolation(t *testing.T) {
+	t.Run("parent-stepped", func(t *testing.T) {
+		m, err := Build(mpCXL(t, litmus.SyncFull))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Start()
+		h0 := fingerprintOf(m)
+		c := m.Clone()
+		if fingerprintOf(c) != h0 {
+			t.Fatal("clone hash differs from parent")
+		}
+		acts := c.Fabric.Enabled()
+		if len(acts) == 0 {
+			t.Fatal("no enabled actions at root")
+		}
+		c.Step(acts[0])
+		if fingerprintOf(m) != h0 {
+			t.Fatal("stepping the clone mutated the parent")
+		}
+		if fingerprintOf(c) == h0 {
+			t.Fatal("stepping the clone left its fingerprint unchanged")
+		}
+		// The parent owns every group but shares all of them with c (the
+		// one c stepped is c's copy): stepping the parent must copy too.
+		c2 := m.Clone()
+		m.Step(m.Fabric.Enabled()[0])
+		if fingerprintOf(m) != fingerprintOf(c) {
+			t.Fatal("same delivery on parent and clone diverged")
+		}
+		if fingerprintOf(c2) != h0 {
+			t.Fatal("stepping the parent mutated a clone taken before the step")
+		}
+		for _, x := range []*Model{m, c, c2} {
+			x.Release()
+		}
+	})
+	t.Run("parent-released", func(t *testing.T) {
+		mcfg := mpCXL(t, litmus.SyncFull)
+		m, err := Build(mcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Start()
+		// Each generation clones its parent and releases it, so the child
+		// holds every untouched group alone while they stay bound to a
+		// released model's kernel and fabric. Stepping a group must copy
+		// it first, and every state must equal the replay of its path.
+		var path []uint16
+		for step := 0; step < 10; step++ {
+			acts := m.Fabric.Enabled()
+			if len(acts) == 0 {
+				break
+			}
+			ai := (3 * step) % len(acts)
+			c := m.Clone()
+			m.Release()
+			c.Step(c.Fabric.Enabled()[ai])
+			path = append(path, uint16(ai))
+			fresh, err := replay(mcfg, path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fingerprintOf(c) != fingerprintOf(fresh) {
+				t.Fatalf("step %d (path %v): state of a released parent's clone != replay", step, path)
+			}
+			fresh.Release()
+			m = c
+		}
+		m.Release()
+	})
+}
+
+// TestDeliveryToUnownedNodePanics: a clone's fabric has ports only for
+// the groups the clone owns, so a delivery that bypasses Step, and with
+// it the copy of the destination's group, must fail loudly instead of
+// running a component the parent still holds.
+func TestDeliveryToUnownedNodePanics(t *testing.T) {
 	m, err := Build(mpCXL(t, litmus.SyncFull))
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Start()
-	h0 := fingerprintOf(m)
 	c := m.Clone()
-	if fingerprintOf(c) != h0 {
-		t.Fatal("clone hash differs from parent")
-	}
-	acts := c.Fabric.Enabled()
-	if len(acts) == 0 {
-		t.Fatal("no enabled actions at root")
-	}
-	c.Step(acts[0])
-	if fingerprintOf(m) != h0 {
-		t.Fatal("stepping the clone mutated the parent")
-	}
-	if fingerprintOf(c) == h0 {
-		t.Fatal("stepping the clone left its fingerprint unchanged")
-	}
-	m.Step(m.Fabric.Enabled()[0])
-	if fingerprintOf(m) != fingerprintOf(c) {
-		t.Fatal("same delivery on parent and clone diverged")
-	}
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("a delivery to a node the clone does not own did not panic")
+		}
+		if s, _ := r.(string); !strings.Contains(s, "no port on this fabric") {
+			t.Fatalf("panic %v does not name the missing port", r)
+		}
+		c.Release()
+		m.Release()
+	}()
+	c.Fabric.Deliver(c.Fabric.Enabled()[0])
 }
 
 // TestCloneMatchesReplayDeepPath walks one delivery path two ways —
@@ -195,6 +271,7 @@ func BenchmarkCheckerExpandReplayFromRoot(b *testing.B) {
 }
 
 func benchCheck(b *testing.B, ccfg CheckerConfig) {
+	withoutOwnershipCheck(b)
 	mcfg := mpCXL(b, litmus.SyncFull)
 	var rep *Report
 	for i := 0; i < b.N; i++ {
@@ -214,8 +291,11 @@ func benchCheck(b *testing.B, ccfg CheckerConfig) {
 // BenchmarkFingerprint measures the state fingerprint on its own: once
 // per state on a mid-protocol MP model (MP admits only the identity
 // renaming) and once per renaming on a mid-protocol MP+3W model, whose
-// group has two. The fingerprint writes fixed-width words straight into
-// the hasher, so it allocates nothing.
+// group has two. Each op first drops every group's cached hashes, so it
+// times a cold hash of the whole state under every renaming, as a
+// model's first fingerprint pays. The fingerprint writes fixed-width
+// words straight into the hasher and the caches into storage the groups
+// already hold, so it allocates nothing.
 func BenchmarkFingerprint(b *testing.B) {
 	for _, name := range []string{"MP", "MP+3W"} {
 		b.Run(name, func(b *testing.B) {
@@ -233,9 +313,11 @@ func BenchmarkFingerprint(b *testing.B) {
 				}
 				m.Step(acts[0])
 			}
+			m.fingerprint(sym) // size the caches
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				m.dropHashes()
 				fingerprintSink, _ = m.fingerprint(sym)
 			}
 			b.ReportMetric(float64(len(sym.perms)), "renamings")
@@ -246,10 +328,14 @@ func BenchmarkFingerprint(b *testing.B) {
 var fingerprintSink uint64
 
 // BenchmarkCloneSnapshot measures the clone+step+release primitive in
-// isolation (the unit BenchmarkCheckerExpand multiplies). With COW
-// backings a clone is O(dirty): the per-op allocations cover the
-// component graph, never the cache frame slabs or the DRAM store.
+// isolation (the unit BenchmarkCheckerExpand multiplies). A clone copies
+// the kernel and the fabric and shares every ownership group; the step
+// copies the one group its delivery reaches, whose caches and tables
+// are COW in turn. So the per-op allocations cover one group's
+// components and the step's sends, never the other groups, the cache
+// frame slabs or the DRAM store.
 func BenchmarkCloneSnapshot(b *testing.B) {
+	withoutOwnershipCheck(b)
 	m, err := Build(mpCXL(b, litmus.SyncFull))
 	if err != nil {
 		b.Fatal(err)

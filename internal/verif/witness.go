@@ -72,7 +72,8 @@ func (c *Counterexample) Error() string {
 	return c.Msg
 }
 
-// replay builds and starts a fresh model, applies testRootMutate, and
+// replay builds and starts a fresh model, applies testRootMutate (which
+// writes the model outside Step, so its hashes are dropped after), and
 // delivers path, calling each (when non-nil) with every action just
 // before its delivery. Exploration, minimization and witness replay all
 // build their roots here.
@@ -84,6 +85,7 @@ func replay(mcfg ModelConfig, path []uint16, each func(m *Model, a Action)) (*Mo
 	m.Start()
 	if testRootMutate != nil {
 		testRootMutate(m)
+		m.dropHashes()
 	}
 	for i, ai := range path {
 		acts := m.Fabric.Enabled()

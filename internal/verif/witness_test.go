@@ -142,9 +142,9 @@ func TestInvariantWitness(t *testing.T) {
 	line := mem.Addr(0x40000).Line()
 	setRootMutate(t, func(m *Model) {
 		for i := 0; i < 2; i++ {
-			e := m.threads[i].l1.Cache().Probe(line)
+			e := m.threads()[i].l1.Cache().Probe(line)
 			if e == nil {
-				e = m.threads[i].l1.Cache().Install(line)
+				e = m.threads()[i].l1.Cache().Install(line)
 			}
 			e.State = 3 // stM
 		}
