@@ -27,7 +27,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -140,28 +139,15 @@ func main() {
 	// them, appends the ledger record, and exits.
 	finish := func(verdict string, exit int) {
 		stopWatch()
-		if *ledger != "" {
-			var metrics bytes.Buffer
-			if err := registry.RenderJSON(&metrics); err != nil {
-				metrics.Reset()
-			}
-			rec := &obs.Record{
-				Tool:    "c3bench",
-				Spec:    obs.SpecFromFlags("statusz", "heartbeat", "ledger"),
-				Seeds:   []int64{*seed},
-				Workers: *workers,
-				Version: obs.Version(),
-				Start:   start,
-				WallMS:  time.Since(start).Milliseconds(),
-				Verdict: verdict,
-				Exit:    exit,
-				Metrics: json.RawMessage(metrics.Bytes()),
-				Extra:   extra,
-			}
-			if err := obs.AppendLedger(*ledger, rec); err != nil {
-				fmt.Fprintf(os.Stderr, "c3bench: ledger: %v\n", err)
-			}
-		}
+		obs.AppendRun(*ledger, start, registry, obs.Record{
+			Tool:    "c3bench",
+			Spec:    obs.SpecFromFlags("statusz", "heartbeat", "ledger"),
+			Seeds:   []int64{*seed},
+			Workers: *workers,
+			Verdict: verdict,
+			Exit:    exit,
+			Extra:   extra,
+		})
 		os.Exit(exit)
 	}
 

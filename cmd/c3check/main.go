@@ -24,10 +24,10 @@
 //	c3check -outcomes -test MP       # print the terminal-outcome set
 //	c3check -test MP,SB,IRIW -j 2    # explore two tests at a time
 //
-// Parallelism: -test takes a comma-separated list, and -j sets how many
-// of its tests explore at once (0 = GOMAXPROCS). Each exploration runs
-// on one goroutine and each test's lines print in test order, so the
-// output is the same at every -j.
+// Parallelism: -test takes a comma-separated list, each test a job on
+// the lease queue c3soak drains, and -j sets how many explore at once (0
+// = GOMAXPROCS). Each exploration runs on one goroutine and each test's
+// lines print in test order, so the output is the same at every -j.
 //
 // State-space reduction: the checker fingerprints each state with its
 // bookkeeping excluded and interchangeable hosts and addresses renamed
@@ -44,16 +44,18 @@
 // run ledger (-ledger, default $C3_LEDGER or c3runs.jsonl; empty
 // disables). None of these affect exploration or its verdict.
 //
-// Resilience: -task-timeout bounds each test's exploration wall clock,
-// with -retries extra attempts before the test is recorded TIMEOUT
-// (partial state counts still print). Under a Go runtime memory limit
+// Resilience: -task-timeout bounds each test's exploration wall clock;
+// the queue retries a cut attempt after its capped exponential backoff
+// until -retries extra attempts are spent, and then the test is recorded
+// TIMEOUT (partial state counts still print). Under a Go runtime memory limit
 // (GOMEMLIMIT, e.g. GOMEMLIMIT=2GiB), every running exploration starts
 // shedding frontier snapshots once the process heap crosses 80% of it —
 // degrading to replay-from-root instead of OOMing, with the degradation
 // reported per test. A panic in one test's exploration is that test's
 // FAIL; the other tests still run. SIGINT/SIGTERM stop the running
-// explorations at their next poll, print the partial results, and exit
-// 3; a second signal kills immediately.
+// explorations at their next poll, print the partial results (unstarted
+// tests read INTERRUPTED before start), and exit 3; a second signal
+// kills immediately.
 //
 // c3check drives internal/verif directly: it resolves every -test name
 // to a verif.ModelConfig before any exploration starts, runs verif.Check
@@ -68,8 +70,6 @@ package main
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -84,7 +84,6 @@ import (
 	"c3/internal/cpu"
 	"c3/internal/litmus"
 	"c3/internal/obs"
-	"c3/internal/parallel"
 	"c3/internal/system"
 	"c3/internal/trace"
 	"c3/internal/verif"
@@ -92,11 +91,8 @@ import (
 
 func main() {
 	test := flag.String("test", "", "litmus shapes to check, comma-separated (default: MP,SB,LB,S,R,2_2W)")
-	local0 := flag.String("local0", "mesi", "cluster 0 protocol (MESI family)")
-	local1 := flag.String("local1", "mesi", "cluster 1 protocol (MESI family)")
-	global := flag.String("global", "cxl", "global protocol: cxl|hmesi")
-	mcm0 := flag.String("mcm0", "arm", "cluster 0 MCM")
-	mcm1 := flag.String("mcm1", "arm", "cluster 1 MCM")
+	var machineFlags system.MachineFlags
+	machineFlags.Register(flag.CommandLine)
 	tiny := flag.Bool("tiny", false, "tiny CXL cache: explore eviction flows")
 	maxStates := flag.Uint64("max", 500_000, "state budget")
 	maxDepth := flag.Int("max-depth", 0, "depth bound before declaring livelock (0 = default 400)")
@@ -133,13 +129,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "c3check: -por takes on|off")
 		os.Exit(obs.ExitUsage)
 	}
-	for i, name := range [2]string{*local0, *local1} {
+	machine, err := machineFlags.Machine()
+	for i, name := range machine.Locals {
 		if err := verif.CheckLocal(name); err != nil {
 			fmt.Fprintf(os.Stderr, "c3check: -local%d: %v\n", i, err)
 			os.Exit(obs.ExitUsage)
 		}
 	}
-	machine, err := system.ParseMachine(*local0, *local1, *global, *mcm0, *mcm1)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "c3check:", err)
 		os.Exit(obs.ExitUsage)
@@ -223,34 +219,21 @@ func main() {
 	verdict := c.runAll(models, *workers, os.Stdout)
 	stopWatch()
 	exit := obs.ExitCode(verdict)
-	if *ledger != "" {
-		total, _ := co.snapshot()
-		var metrics bytes.Buffer
-		if err := co.registry.RenderJSON(&metrics); err != nil {
-			metrics.Reset()
-		}
-		rec := &obs.Record{
-			Tool:    "c3check",
-			Spec:    obs.SpecFromFlags("statusz", "heartbeat", "ledger"),
-			Workers: *workers,
-			Version: obs.Version(),
-			Start:   sweepStart,
-			WallMS:  time.Since(sweepStart).Milliseconds(),
-			Verdict: verdict,
-			Exit:    exit,
-			Metrics: json.RawMessage(metrics.Bytes()),
-			Extra: map[string]any{
-				"tests":           tests,
-				"states":          total.States,
-				"symmetry_merges": total.SymmetryMerges,
-				"por_skips":       total.PORSkips,
-				"sleep_skips":     total.SleepSkips,
-			},
-		}
-		if err := obs.AppendLedger(*ledger, rec); err != nil {
-			fmt.Fprintf(os.Stderr, "c3check: ledger: %v\n", err)
-		}
-	}
+	total, _ := co.snapshot()
+	obs.AppendRun(*ledger, sweepStart, co.registry, obs.Record{
+		Tool:    "c3check",
+		Spec:    obs.SpecFromFlags("statusz", "heartbeat", "ledger"),
+		Workers: *workers,
+		Verdict: verdict,
+		Exit:    exit,
+		Extra: map[string]any{
+			"tests":           tests,
+			"states":          total.States,
+			"symmetry_merges": total.SymmetryMerges,
+			"por_skips":       total.PORSkips,
+			"sleep_skips":     total.SleepSkips,
+		},
+	})
 	os.Exit(exit)
 }
 
@@ -264,48 +247,51 @@ type checker struct {
 	co                *checkObserver
 }
 
-// testRun is one test's printed lines and its obs.Verdict* verdict.
+// testRun is one test's printed lines, its obs.Verdict* verdict, and
+// the exploration's report and error.
 type testRun struct {
 	out     []byte
 	verdict string
+	rep     *verif.Report
+	err     error
+}
+
+// testModels are the jobs of c3check's queue, whose only self-made row
+// is a test the queue stopped before it started or between attempts.
+type testModels []verif.ModelConfig
+
+// Spent returns the last failed attempt's lines: an in-process lease
+// never expires, so a failure always comes with its row.
+func (testModels) Spent(_ int, failed *testRun, _, _ int, _ string) testRun { return *failed }
+
+func (m testModels) Unfinished(i, failures int, _ time.Duration) testRun {
+	line := fmt.Sprintf("%-8s INTERRUPTED before start\n", m[i].Test.Name)
+	if failures > 0 {
+		line = fmt.Sprintf("%-8s INTERRUPTED between attempts (%d timed out): partial, no verdict\n", m[i].Test.Name, failures)
+	}
+	return testRun{out: []byte(line), verdict: obs.VerdictInterrupted}
 }
 
 // verify is the exploration a test runs; a test seam.
 var verify = verif.Check
 
-// run explores test i, retrying only wall-clock cuts (violations and
-// interrupts are deterministic or deliberate), and renders its lines. A
-// panic in the exploration is the test's FAIL, so the other tests still
-// run.
-func (c *checker) run(i int, mcfg verif.ModelConfig) testRun {
+// attempt runs attempt n of test i's exploration and renders its lines.
+// Only a wall-clock cut is worth another attempt: violations and
+// interrupts are deterministic or deliberate, so their lines are final.
+// A panic in the exploration is the test's FAIL, so the other tests
+// still run.
+func (c *checker) attempt(i, n int, mcfg verif.ModelConfig) (testRun, litmus.AttemptKind) {
 	name := mcfg.Test.Name
-	w := &bytes.Buffer{}
-	select {
-	case <-c.ccfg.Interrupt:
-		fmt.Fprintf(w, "%-8s INTERRUPTED before start\n", name)
-		return testRun{w.Bytes(), obs.VerdictInterrupted}
-	default:
+	ccfg := c.ccfg
+	ccfg.OnProgress = c.co.progress(i)
+	if c.taskTimeout > 0 {
+		ccfg.Deadline = time.Now().Add(c.taskTimeout)
 	}
-	c.co.TaskStarted(i)
 	start := time.Now()
-	var rep *verif.Report
-	var err error
-	for attempt := 1; ; attempt++ {
-		ccfg := c.ccfg
-		ccfg.OnProgress = c.co.progress(i)
-		if c.taskTimeout > 0 {
-			ccfg.Deadline = time.Now().Add(c.taskTimeout)
-		}
-		rep, err = recovered(mcfg, ccfg)
-		if errors.Is(err, litmus.ErrTaskDeadline) && attempt <= c.retries {
-			fmt.Fprintf(os.Stderr, "c3check: %s: attempt %d hit the %v budget, retrying\n",
-				name, attempt, c.taskTimeout)
-			continue
-		}
-		break
-	}
-	c.co.done(i, rep, err)
-	verdict := obs.VerdictPass
+	rep, err := recovered(mcfg, ccfg)
+	w := &bytes.Buffer{}
+	r := testRun{verdict: obs.VerdictPass, rep: rep, err: err}
+	kind := litmus.AttemptFinal
 	switch {
 	case err == nil:
 		status := "verified"
@@ -338,15 +324,15 @@ func (c *checker) run(i int, mcfg verif.ModelConfig) testRun {
 			}
 		}
 	case errors.Is(err, litmus.ErrInterrupted):
-		verdict = obs.VerdictInterrupted
+		r.verdict = obs.VerdictInterrupted
 		fmt.Fprintf(w, "%-8s INTERRUPTED after %d states (%.1fs): partial, no verdict\n",
 			name, rep.States, time.Since(start).Seconds())
 	case errors.Is(err, litmus.ErrTaskDeadline):
-		verdict = obs.VerdictTimeout
+		r.verdict, kind = obs.VerdictTimeout, litmus.AttemptRetry
 		fmt.Fprintf(w, "%-8s TIMEOUT after %d states: every attempt exceeded the %v budget (%d attempts)\n",
-			name, rep.States, c.taskTimeout, c.retries+1)
+			name, rep.States, c.taskTimeout, n)
 	default:
-		verdict = obs.VerdictViolation
+		r.verdict = obs.VerdictViolation
 		fmt.Fprintf(w, "%-8s FAIL: %v\n", name, err)
 		var cex *verif.Counterexample
 		if errors.As(err, &cex) {
@@ -362,26 +348,38 @@ func (c *checker) run(i int, mcfg verif.ModelConfig) testRun {
 			}
 		}
 	}
-	return testRun{w.Bytes(), verdict}
+	r.out = w.Bytes()
+	return r, kind
 }
 
-// runAll explores models, up to workers at once, each as one whole
-// exploration on its own goroutine, and writes each test's lines to w
-// in test order. Of the verdicts the tests reach it returns the
-// gravest: a found violation outranks the shutdown that may have
-// followed it, and an interrupt outranks a timeout because its result
-// is deliberately partial, not a budget failure.
+// runAll explores models as jobs on one litmus.Queue with -retries as
+// its budget, drained by workers slots, and writes each test's lines to
+// w in test order as soon as every earlier test has finished. Of the
+// verdicts the tests reach it returns the gravest: a found violation
+// outranks the shutdown that may have followed it, and an interrupt
+// outranks a timeout because its result is deliberately partial.
 func (c *checker) runAll(models []verif.ModelConfig, workers int, w io.Writer) string {
+	var mu sync.Mutex
+	final := make([]*testRun, len(models))
+	next := 0
+	rows := litmus.Drain[testRun]{
+		Slots:     workers,
+		Attempt:   func(i, n int) (testRun, litmus.AttemptKind) { return c.attempt(i, n, models[i]) },
+		Interrupt: c.ccfg.Interrupt,
+		Started:   c.co.TaskStarted,
+		Done: func(i int, r testRun) {
+			c.co.done(i, r.rep, r.err)
+			mu.Lock()
+			defer mu.Unlock()
+			final[i] = &r
+			for ; next < len(final) && final[next] != nil; next++ {
+				w.Write(final[next].out)
+			}
+		},
+	}.Run(litmus.NewQueue[testRun](testModels(models), len(models), 0, c.retries, nil))
 	seen := map[string]bool{}
-	_, err := parallel.MapOrdered(context.Background(), workers, len(models),
-		func(i int) (testRun, error) { return c.run(i, models[i]), nil },
-		func(_ int, r testRun) {
-			w.Write(r.out)
-			seen[r.verdict] = true
-		})
-	if err != nil { // a panic outside the explorations
-		fmt.Fprintln(os.Stderr, "c3check:", err)
-		return obs.VerdictViolation
+	for _, r := range rows {
+		seen[r.verdict] = true
 	}
 	for _, v := range []string{obs.VerdictViolation, obs.VerdictInterrupted, obs.VerdictTimeout} {
 		if seen[v] {

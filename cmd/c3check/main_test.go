@@ -3,13 +3,16 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"c3/internal/cpu"
 	"c3/internal/litmus"
@@ -159,6 +162,40 @@ func TestReplayFlags(t *testing.T) {
 	}
 }
 
+// corpusModels resolves names to synced models on MESI-CXL-MESI.
+func corpusModels(t *testing.T, names ...string) []verif.ModelConfig {
+	t.Helper()
+	models := make([]verif.ModelConfig, len(names))
+	for i, name := range names {
+		mcfg, err := verif.ModelFor(name, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mcfg.Locals, mcfg.Global = [2]string{"mesi", "mesi"}, "cxl"
+		models[i] = mcfg
+	}
+	return models
+}
+
+// runTests runs models through runAll at workers slots under a
+// one-hour task budget and retries retries, and returns the printed
+// lines and the verdict.
+func runTests(models []verif.ModelConfig, workers, retries int, interrupt <-chan struct{}) (string, string) {
+	c := &checker{ccfg: verif.CheckerConfig{MaxStates: 1_000, Interrupt: interrupt},
+		taskTimeout: time.Hour, retries: retries, co: newCheckObserver()}
+	names := make([]string, len(models))
+	for i, m := range models {
+		names[i] = m.Test.Name
+	}
+	c.co.Plan(names)
+	var out bytes.Buffer
+	v := c.runAll(models, workers, &out)
+	return out.String(), v
+}
+
+// seconds masks the wall-clock readings in c3check's lines.
+var seconds = regexp.MustCompile(`\([0-9]+\.[0-9]+s\)`)
+
 // TestPanicIsTheTestsFail: a panic in one test's exploration becomes
 // that test's FAIL line, with the panic value and stack, while the other
 // tests still run and print, in test order at every -j.
@@ -170,29 +207,123 @@ func TestPanicIsTheTestsFail(t *testing.T) {
 		}
 		return verif.Check(mcfg, ccfg)
 	}
-	tests := []string{"MP", "SB", "LB"}
-	models := make([]verif.ModelConfig, len(tests))
-	for i, name := range tests {
-		mcfg, err := verif.ModelFor(name, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mcfg.Locals, mcfg.Global = [2]string{"mesi", "mesi"}, "cxl"
-		models[i] = mcfg
-	}
+	models := corpusModels(t, "MP", "SB", "LB")
 	for _, workers := range []int{1, 3} {
-		c := &checker{ccfg: verif.CheckerConfig{MaxStates: 1_000}, co: newCheckObserver()}
-		c.co.Plan(tests)
-		var out bytes.Buffer
-		if v := c.runAll(models, workers, &out); v != obs.VerdictViolation {
+		s, v := runTests(models, workers, 0, nil)
+		if v != obs.VerdictViolation {
 			t.Errorf("-j %d: verdict %s, want %s", workers, v, obs.VerdictViolation)
 		}
-		s := out.String()
 		mp := strings.Index(s, "MP       verified: ")
 		sb := strings.Index(s, "SB       FAIL: panic: controller exploded\ngoroutine ")
 		lb := strings.Index(s, "LB       verified: ")
 		if mp != 0 || sb < mp || lb < sb {
 			t.Errorf("-j %d: want MP's line, SB's FAIL with its stack, then LB's line; got\n%s", workers, s)
+		}
+	}
+}
+
+// TestDeadlineCutsSpendTheQueuesRetries: -retries is the queue's budget.
+// An exploration whose first attempt is cut by its deadline prints,
+// after one retry, the line an unretried run prints; with no retry left
+// the cut is its TIMEOUT line, naming its one attempt.
+func TestDeadlineCutsSpendTheQueuesRetries(t *testing.T) {
+	defer func(v func(verif.ModelConfig, verif.CheckerConfig) (*verif.Report, error)) { verify = v }(verify)
+	models := corpusModels(t, "MP", "SB", "LB")
+	var mu sync.Mutex
+	var attempts map[string]int
+	verify = func(mcfg verif.ModelConfig, ccfg verif.CheckerConfig) (*verif.Report, error) {
+		mu.Lock()
+		attempts[mcfg.Test.Name]++
+		n := attempts[mcfg.Test.Name]
+		mu.Unlock()
+		if mcfg.Test.Name == "SB" && n == 1 {
+			return &verif.Report{Counts: verif.Counts{States: 7}},
+				fmt.Errorf("verif: SB: %w after 7 states", litmus.ErrTaskDeadline)
+		}
+		return verif.Check(mcfg, ccfg)
+	}
+	for _, workers := range []int{1, 3} {
+		attempts = map[string]int{"SB": 1} // no cut: the unretried run
+		want, v := runTests(models, workers, 0, nil)
+		if v != obs.VerdictPass {
+			t.Fatalf("-j %d: unretried run: verdict %s, want %s\n%s", workers, v, obs.VerdictPass, want)
+		}
+
+		attempts = map[string]int{}
+		got, v := runTests(models, workers, 1, nil)
+		if v != obs.VerdictPass || seconds.ReplaceAllString(got, "") != seconds.ReplaceAllString(want, "") {
+			t.Errorf("-j %d -retries 1: verdict %s, lines\n%swant %s and the unretried lines\n%s", workers, v, got, obs.VerdictPass, want)
+		}
+		if attempts["SB"] != 2 {
+			t.Errorf("-j %d -retries 1: SB explored %d times, want 2", workers, attempts["SB"])
+		}
+
+		attempts = map[string]int{}
+		got, v = runTests(models, workers, 0, nil)
+		lines := strings.SplitAfter(want, "\n")
+		lines[1] = "SB       TIMEOUT after 7 states: every attempt exceeded the 1h0m0s budget (1 attempts)\n"
+		if v != obs.VerdictTimeout || seconds.ReplaceAllString(got, "") != seconds.ReplaceAllString(strings.Join(lines, ""), "") {
+			t.Errorf("-j %d -retries 0: verdict %s, lines\n%swant %s and SB's TIMEOUT line", workers, v, got, obs.VerdictTimeout)
+		}
+	}
+}
+
+// TestInterruptStopsTheQueue: an exploration the interrupt cuts mid-run
+// prints its INTERRUPTED after N states line, a test waiting out its
+// retry backoff says so, and the tests that had not started print
+// INTERRUPTED before start — every test of them when the interrupt came
+// before the drain. The verdict is interrupted.
+func TestInterruptStopsTheQueue(t *testing.T) {
+	defer func(v func(verif.ModelConfig, verif.CheckerConfig) (*verif.Report, error)) { verify = v }(verify)
+	models := corpusModels(t, "MP", "SB", "LB")
+	for _, workers := range []int{1, 3} {
+		stop := make(chan struct{})
+		close(stop)
+		got, v := runTests(models, workers, 1, stop)
+		want := "MP       INTERRUPTED before start\nSB       INTERRUPTED before start\nLB       INTERRUPTED before start\n"
+		if v != obs.VerdictInterrupted || got != want {
+			t.Errorf("-j %d, interrupted before the drain: verdict %s, lines\n%swant %s and\n%s",
+				workers, v, got, obs.VerdictInterrupted, want)
+		}
+
+		// SB's exploration sees the interrupt arrive and stops at its
+		// next poll, as verif.Check does.
+		stop = make(chan struct{})
+		verify = func(mcfg verif.ModelConfig, ccfg verif.CheckerConfig) (*verif.Report, error) {
+			if mcfg.Test.Name == "SB" {
+				close(stop)
+				return &verif.Report{Counts: verif.Counts{States: 7}},
+					fmt.Errorf("verif: SB: %w after 7 states", litmus.ErrInterrupted)
+			}
+			return verif.Check(mcfg, ccfg)
+		}
+		got, v = runTests(models, workers, 1, stop)
+		mp := strings.Index(got, "MP       ")
+		sb := strings.Index(got, "SB       INTERRUPTED after 7 states (")
+		lb := strings.Index(got, "LB       ")
+		if v != obs.VerdictInterrupted || mp != 0 || sb < mp || lb < sb || !strings.Contains(got, "s): partial, no verdict\n") {
+			t.Errorf("-j %d, interrupted mid-run: verdict %s, lines\n%swant %s and SB's INTERRUPTED after 7 states line",
+				workers, v, got, obs.VerdictInterrupted)
+		}
+		if workers == 1 && (!strings.HasPrefix(got, "MP       verified: ") || !strings.HasSuffix(got, "LB       INTERRUPTED before start\n")) {
+			t.Errorf("-j 1, interrupted mid-run: want MP verified before the cut and LB never started; got\n%s", got)
+		}
+
+		// SB's first attempt hits its deadline as the interrupt arrives,
+		// so the queue stops during SB's retry backoff.
+		stop = make(chan struct{})
+		verify = func(mcfg verif.ModelConfig, ccfg verif.CheckerConfig) (*verif.Report, error) {
+			if mcfg.Test.Name == "SB" {
+				close(stop)
+				return &verif.Report{Counts: verif.Counts{States: 7}},
+					fmt.Errorf("verif: SB: %w after 7 states", litmus.ErrTaskDeadline)
+			}
+			return verif.Check(mcfg, ccfg)
+		}
+		got, v = runTests(models, workers, 1, stop)
+		if want := "\nSB       INTERRUPTED between attempts (1 timed out): partial, no verdict\nLB       "; v != obs.VerdictInterrupted || !strings.Contains(got, want) {
+			t.Errorf("-j %d, interrupted in SB's backoff: verdict %s, lines\n%swant %s and SB's line %q",
+				workers, v, got, obs.VerdictInterrupted, want)
 		}
 	}
 }

@@ -36,11 +36,8 @@ func main() {
 	list := flag.Bool("list", false, "list available tests")
 	table := flag.Bool("table", false, "run the full Table IV matrix")
 	iters := flag.Int("iters", 1000, "iterations per campaign (paper: 100000)")
-	local0 := flag.String("local0", "mesi", "cluster 0 protocol")
-	local1 := flag.String("local1", "mesi", "cluster 1 protocol")
-	global := flag.String("global", "cxl", "global protocol: cxl|hmesi")
-	mcm0 := flag.String("mcm0", "arm", "cluster 0 MCM: arm|tso|sc")
-	mcm1 := flag.String("mcm1", "arm", "cluster 1 MCM: arm|tso|sc")
+	var machineFlags system.MachineFlags
+	machineFlags.Register(flag.CommandLine)
 	unsynced := flag.Bool("unsynced", false, "strip all synchronization (control run)")
 	seed := flag.Int64("seed", 1, "base random seed")
 	trace := flag.Bool("trace", false, "print the coherence-message trace of the first iteration")
@@ -73,7 +70,7 @@ func main() {
 	if _, ok := litmus.ByName(*test); !ok {
 		failUsage(fmt.Errorf("unknown litmus test %q (see -list)", *test))
 	}
-	machine, err := system.ParseMachine(*local0, *local1, *global, *mcm0, *mcm1)
+	machine, err := machineFlags.Machine()
 	failUsage(err)
 	_, err = litmus.ResolveFaults(*faults, *crash)
 	failUsage(err)

@@ -124,22 +124,14 @@ func main() {
 		}
 	}
 	srv.Close()
-	if sweep.Ledger != "" {
-		rec := &obs.Record{
-			Tool:    "c3serve",
-			Spec:    obs.SpecFromFlags("addr", "ledger", "resume", "lease"),
-			Seeds:   cfg.Seeds,
-			Version: obs.Version(),
-			Start:   start,
-			WallMS:  time.Since(start).Milliseconds(),
-			Verdict: verdict,
-			Exit:    exit,
-			Extra:   map[string]any{"shards": len(rep.Runs)},
-		}
-		if err := obs.AppendLedger(sweep.Ledger, rec); err != nil {
-			fmt.Fprintf(os.Stderr, "c3serve: ledger: %v\n", err)
-		}
-	}
+	obs.AppendRun(sweep.Ledger, start, nil, obs.Record{
+		Tool:    "c3serve",
+		Spec:    obs.SpecFromFlags("addr", "ledger", "resume", "lease"),
+		Seeds:   cfg.Seeds,
+		Verdict: verdict,
+		Exit:    exit,
+		Extra:   map[string]any{"shards": len(rep.Runs)},
+	})
 	os.Exit(exit)
 }
 

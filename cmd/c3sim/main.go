@@ -34,11 +34,8 @@ import (
 func main() {
 	w := flag.String("w", "", "workload name, comma-separated list, or \"all\" (see -list)")
 	list := flag.Bool("list", false, "list the 33 kernels")
-	global := flag.String("global", "cxl", "global protocol: cxl|hmesi")
-	local0 := flag.String("local0", "mesi", "cluster 0 protocol")
-	local1 := flag.String("local1", "mesi", "cluster 1 protocol")
-	mcm0 := flag.String("mcm0", "arm", "cluster 0 MCM: arm|tso|sc")
-	mcm1 := flag.String("mcm1", "arm", "cluster 1 MCM")
+	var machineFlags system.MachineFlags
+	machineFlags.Register(flag.CommandLine)
 	cores := flag.Int("cores", 4, "cores per cluster")
 	scale := flag.Float64("scale", 1.0, "op-budget scale")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -64,7 +61,7 @@ func main() {
 	}
 
 	// Reject configuration typos before spending a run on them.
-	machine, err := system.ParseMachine(*local0, *local1, *global, *mcm0, *mcm1)
+	machine, err := machineFlags.Machine()
 	failUsage(err)
 	if *metrics != "text" && *metrics != "json" {
 		fmt.Fprintf(os.Stderr, "c3sim: -metrics %q (want text|json)\n", *metrics)

@@ -52,8 +52,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -220,33 +218,17 @@ func (o *soakObserver) CampaignDone(_ int, row litmus.SoakRun) {
 	}
 }
 
-// appendLedger writes this invocation's run-ledger record; ledger
-// failures warn but never change the exit status (the sweep's verdict
-// must not depend on a full disk).
+// appendLedger writes this invocation's run-ledger record.
 func appendLedger(path string, so *soakObserver, cfg litmus.SoakConfig, start time.Time, verdict string, exit int, extra map[string]any) {
-	if path == "" {
-		return
-	}
-	var metrics bytes.Buffer
-	if err := so.registry.RenderJSON(&metrics); err != nil {
-		metrics.Reset()
-	}
-	rec := &obs.Record{
+	obs.AppendRun(path, start, so.registry, obs.Record{
 		Tool:    "c3soak",
 		Spec:    obs.SpecFromFlags("statusz", "heartbeat", "ledger", "resume"),
 		Seeds:   cfg.Seeds,
 		Workers: cfg.Workers,
-		Version: obs.Version(),
-		Start:   start,
-		WallMS:  time.Since(start).Milliseconds(),
 		Verdict: verdict,
 		Exit:    exit,
-		Metrics: json.RawMessage(metrics.Bytes()),
 		Extra:   extra,
-	}
-	if err := obs.AppendLedger(path, rec); err != nil {
-		fmt.Fprintf(os.Stderr, "c3soak: ledger: %v\n", err)
-	}
+	})
 }
 
 func failUsage(err error) {

@@ -20,12 +20,12 @@ import (
 // same litmus.SoakConfig, so one flag line names the same campaign in
 // either.
 type SweepFlags struct {
-	tests, plans, seeds                string
-	iters                              int
-	local0, local1, global, mcm0, mcm1 string
-	taskTimeout                        time.Duration
-	retries                            int
-	resume                             bool
+	tests, plans, seeds string
+	iters               int
+	machine             system.MachineFlags
+	taskTimeout         time.Duration
+	retries             int
+	resume              bool
 
 	// Timeout bounds the whole sweep's wall clock (0 = none).
 	Timeout time.Duration
@@ -39,11 +39,7 @@ func (f *SweepFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.plans, "plans", "", "fault plans, ';'-separated: preset names and/or drop=..,dup=.. specs (default: all presets)")
 	fs.StringVar(&f.seeds, "seeds", "1", "campaign base seeds, comma-separated")
 	fs.IntVar(&f.iters, "iters", 25, "iterations per campaign")
-	fs.StringVar(&f.local0, "local0", "mesi", "cluster 0 protocol")
-	fs.StringVar(&f.local1, "local1", "mesi", "cluster 1 protocol")
-	fs.StringVar(&f.global, "global", "cxl", "global protocol: cxl|hmesi")
-	fs.StringVar(&f.mcm0, "mcm0", "arm", "cluster 0 MCM: arm|tso|sc")
-	fs.StringVar(&f.mcm1, "mcm1", "arm", "cluster 1 MCM")
+	f.machine.Register(fs)
 	fs.DurationVar(&f.Timeout, "timeout", 0, "wall-clock bound for the whole sweep, e.g. 5m (0 = none); unfinished campaigns record TIMEOUT")
 	fs.DurationVar(&f.taskTimeout, "task-timeout", 0, "wall-clock bound per campaign attempt (0 = none); an expired attempt spends a retry")
 	fs.IntVar(&f.retries, "retries", 2, "failed attempts a campaign may retry — task-deadline cuts, panics, lease expiries and failed hand-backs alike — under capped exponential backoff; the next failure records the row")
@@ -62,7 +58,7 @@ func (f *SweepFlags) Config() (litmus.SoakConfig, error) {
 	if f.resume && f.Ledger == "" {
 		return litmus.SoakConfig{}, errors.New("-resume needs a ledger (-ledger)")
 	}
-	m, err := system.ParseMachine(f.local0, f.local1, f.global, f.mcm0, f.mcm1)
+	m, err := f.machine.Machine()
 	if err != nil {
 		return litmus.SoakConfig{}, err
 	}

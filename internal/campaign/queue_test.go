@@ -50,7 +50,7 @@ func doneRow(j litmus.Campaign) litmus.SoakRun {
 
 func TestQueueLeaseOrder(t *testing.T) {
 	clk := newFakeClock()
-	q := litmus.NewQueue(testJobs(3), nil, time.Minute, 3, clk.Now)
+	q := litmus.NewSoakQueue(testJobs(3), nil, time.Minute, 3, clk.Now)
 
 	for want := 0; want < 3; want++ {
 		id, lease, ok, done := q.Lease("w1")
@@ -73,7 +73,7 @@ func TestQueueLeaseOrder(t *testing.T) {
 func TestQueueExpiryRequeueAndBackoff(t *testing.T) {
 	clk := newFakeClock()
 	ttl := 10 * time.Second
-	q := litmus.NewQueue(testJobs(2), nil, ttl, 3, clk.Now)
+	q := litmus.NewSoakQueue(testJobs(2), nil, ttl, 3, clk.Now)
 
 	id0, _, ok, _ := q.Lease("w1")
 	if !ok || id0 != 0 {
@@ -108,7 +108,7 @@ func TestQueueQuarantine(t *testing.T) {
 	clk := newFakeClock()
 	ttl := 5 * time.Second
 	retries := 2
-	q := litmus.NewQueue(testJobs(1), nil, ttl, retries, clk.Now)
+	q := litmus.NewSoakQueue(testJobs(1), nil, ttl, retries, clk.Now)
 
 	// Burn through the failure budget: each expiry requeues until
 	// failures exceed retries, then the shard quarantines.
@@ -147,7 +147,7 @@ func TestQueueQuarantine(t *testing.T) {
 func TestQueueHeartbeatRenewal(t *testing.T) {
 	clk := newFakeClock()
 	ttl := 10 * time.Second
-	q := litmus.NewQueue(testJobs(1), nil, ttl, 3, clk.Now)
+	q := litmus.NewSoakQueue(testJobs(1), nil, ttl, 3, clk.Now)
 
 	_, lease, ok, _ := q.Lease("w1")
 	if !ok {
@@ -183,7 +183,7 @@ func TestQueueCompleteIdempotentAndLate(t *testing.T) {
 	clk := newFakeClock()
 	ttl := 5 * time.Second
 	jobs := testJobs(2)
-	q := litmus.NewQueue(jobs, nil, ttl, 3, clk.Now)
+	q := litmus.NewSoakQueue(jobs, nil, ttl, 3, clk.Now)
 
 	id, _, _, _ := q.Lease("w1")
 	first, err := q.Complete(id, doneRow(jobs[id]))
@@ -220,7 +220,7 @@ func TestQueueCompleteIdempotentAndLate(t *testing.T) {
 func TestQueueCompleteUnquarantines(t *testing.T) {
 	clk := newFakeClock()
 	ttl := 5 * time.Second
-	q := litmus.NewQueue(testJobs(1), nil, ttl, 1, clk.Now)
+	q := litmus.NewSoakQueue(testJobs(1), nil, ttl, 1, clk.Now)
 
 	for i := 0; i < 2; i++ {
 		clk.Advance(litmus.RetryBackoffCap + time.Second)
@@ -252,7 +252,7 @@ func TestQueueCompleteUnquarantines(t *testing.T) {
 
 func TestQueueReleasePenalty(t *testing.T) {
 	clk := newFakeClock()
-	q := litmus.NewQueue(testJobs(1), nil, time.Minute, 3, clk.Now)
+	q := litmus.NewSoakQueue(testJobs(1), nil, time.Minute, 3, clk.Now)
 
 	// Graceful release: immediate requeue, no gate, no failure count.
 	_, lease, _, _ := q.Lease("w1")
@@ -289,7 +289,7 @@ func TestQueueSeededCompleted(t *testing.T) {
 		jobs[0].Label(): doneRow(jobs[0]),
 	}
 	clk := newFakeClock()
-	q := litmus.NewQueue(jobs, completed, time.Minute, 3, clk.Now)
+	q := litmus.NewSoakQueue(jobs, completed, time.Minute, 3, clk.Now)
 
 	// The replayed shard is born done and never leased.
 	id, _, ok, _ := q.Lease("w1")
@@ -315,7 +315,7 @@ func TestQueueSeededCompleted(t *testing.T) {
 		jobs[0].Label(): doneRow(jobs[0]),
 		jobs[1].Label(): doneRow(jobs[1]),
 	}
-	q2 := litmus.NewQueue(jobs, all, time.Minute, 3, clk.Now)
+	q2 := litmus.NewSoakQueue(jobs, all, time.Minute, 3, clk.Now)
 	select {
 	case <-q2.Done():
 	default:
@@ -326,7 +326,7 @@ func TestQueueSeededCompleted(t *testing.T) {
 func TestQueueRowsInterrupted(t *testing.T) {
 	clk := newFakeClock()
 	jobs := testJobs(2)
-	q := litmus.NewQueue(jobs, nil, time.Minute, 3, clk.Now)
+	q := litmus.NewSoakQueue(jobs, nil, time.Minute, 3, clk.Now)
 	if _, err := q.Complete(0, doneRow(jobs[0])); err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestQueueRowsInterrupted(t *testing.T) {
 
 func TestQueueWaitResultShutdown(t *testing.T) {
 	clk := newFakeClock()
-	q := litmus.NewQueue(testJobs(1), nil, time.Minute, 3, clk.Now)
+	q := litmus.NewSoakQueue(testJobs(1), nil, time.Minute, 3, clk.Now)
 	released := make(chan struct{})
 	go func() {
 		defer close(released)

@@ -145,7 +145,7 @@ type Server struct {
 	cfg    ServerConfig
 	suffix string
 	camps  []litmus.Campaign // the sweep's shards, indexed by job ID
-	queue  *litmus.Queue
+	queue  *litmus.Queue[litmus.SoakRun]
 	start  time.Time
 
 	ln     net.Listener
@@ -192,7 +192,7 @@ func StartServer(addr string, cfg ServerConfig) (*Server, error) {
 		cfg:         cfg,
 		suffix:      RowSuffix(cfg.Sweep),
 		camps:       camps,
-		queue:       litmus.NewQueue(camps, cfg.Sweep.Completed, cfg.LeaseTTL, cfg.Sweep.Retries, cfg.Now),
+		queue:       litmus.NewSoakQueue(camps, cfg.Sweep.Completed, cfg.LeaseTTL, cfg.Sweep.Retries, cfg.Now),
 		start:       time.Now(),
 		served:      make(chan struct{}),
 		janitorStop: make(chan struct{}),
@@ -244,7 +244,7 @@ func StartServer(addr string, cfg ServerConfig) (*Server, error) {
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Queue exposes the underlying queue (tests; Stop on a sweep timeout).
-func (s *Server) Queue() *litmus.Queue { return s.queue }
+func (s *Server) Queue() *litmus.Queue[litmus.SoakRun] { return s.queue }
 
 // Suffix is the coordinator's row-key fingerprint.
 func (s *Server) Suffix() string { return s.suffix }

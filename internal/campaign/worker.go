@@ -335,13 +335,13 @@ func (w *worker) runAndSubmit(lease LeaseResponse) error {
 		w.release(lease, &failed)
 		return errors.New(failed.Err)
 	}
-	row, retry := w.camps[id].Attempt(w.sweep, lease.Attempt)
-	switch {
-	case row.Interrupted:
+	row, kind := w.camps[id].Attempt(w.sweep, lease.Attempt)
+	switch kind {
+	case litmus.AttemptHandback:
 		// No verdict: hand the shard back untouched and shut down.
 		w.release(lease, nil)
 		return ErrWorkerInterrupted
-	case retry:
+	case litmus.AttemptRetry:
 		w.release(lease, &row)
 		w.cfg.Logf("shard %s: attempt %d failed: %s", label, lease.Attempt, row.Err)
 		return nil

@@ -5,14 +5,16 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"c3/internal/parallel"
 )
 
 // One backoff policy gates every retry, wherever the failed attempt ran:
-// a campaign's n-th failure keeps it off the queue for
+// a job's n-th failure keeps it off the queue for
 // RetryBackoffBase << (n-1), capped at RetryBackoffCap. The gate delays
-// only the failing campaign — the queue hands out the lowest eligible
-// job, skipping gated ones — and timing is not part of any row, so the
-// cap can be generous without touching determinism.
+// only the failing job — the queue hands out the lowest eligible job,
+// skipping gated ones — and timing is not part of any row, so the cap
+// can be generous without touching determinism.
 const (
 	RetryBackoffBase = 250 * time.Millisecond
 	RetryBackoffCap  = 30 * time.Second
@@ -33,8 +35,8 @@ const (
 // the one retry budget. A graceful release (an interrupted attempt)
 // requeues at once and costs nothing. Done is absorbing: a late result
 // for an already-Done job (the lease expired but the worker finished
-// anyway — at-least-once) is acknowledged and dropped; seed determinism
-// makes the duplicate row byte-identical, so which submission wins is
+// anyway — at-least-once) is acknowledged and dropped; a deterministic
+// job's duplicate row is byte-identical, so which submission wins is
 // unobservable.
 type jobState uint8
 
@@ -46,7 +48,7 @@ const (
 )
 
 // slot is one job's queue entry.
-type slot struct {
+type slot[R any] struct {
 	state    jobState
 	failures int       // failed attempts handed back + lease expiries
 	gate     time.Time // not leasable before this (retry backoff)
@@ -57,21 +59,34 @@ type slot struct {
 
 	// row is the job's final row once it is terminal: the result (Done)
 	// or the row its spent budget left behind (Quarantined).
-	row        *SoakRun
+	row        *R
 	lastWorker string
 }
 
-// Queue is the soak scheduler: every campaign of a sweep is a job
-// leased from one, wherever it runs. RunSoak drains it with in-process
-// slot loops; the distributed coordinator (internal/campaign) serves
-// the same queue over HTTP to worker processes. Every transition
-// happens under one lock and the queue does no I/O — journaling and
-// transport live with its callers — so the state machine is
-// unit-testable with a fake clock.
-type Queue struct {
+// Shape makes the rows a queue writes itself. Its methods run under the
+// queue's lock, so they must not call back into the queue.
+type Shape[R any] interface {
+	// Spent is job i's final row once its attempt-th failure spends the
+	// last of its `of` attempts: failed is the failed attempt's row, nil
+	// for a lease expiry, and lastWorker held the last lease.
+	Spent(i int, failed *R, attempt, of int, lastWorker string) R
+	// Unfinished is job i's row when Stop(timeout) cut it short after
+	// failures failed attempts.
+	Unfinished(i, failures int, timeout time.Duration) R
+}
+
+// Queue is the job scheduler: every job of a run — a soak sweep's
+// campaigns, a c3check invocation's tests — is leased from one,
+// wherever it runs. Drain empties it with in-process slot loops; the
+// distributed coordinator (internal/campaign) serves a soak queue over
+// HTTP to worker processes. Jobs are indices 0..n-1, and R is the row a
+// job ends in. Every transition happens under one lock and the queue
+// does no I/O — journaling and transport live with its callers — so the
+// state machine is unit-testable with a fake clock.
+type Queue[R any] struct {
 	mu    sync.Mutex
-	jobs  []Campaign
-	slots []slot
+	shape Shape[R]
+	slots []slot[R]
 	now   func() time.Time
 
 	leaseTTL time.Duration // 0: leases never expire
@@ -87,8 +102,8 @@ type Queue struct {
 	doneCh    chan struct{}
 	closeOnce sync.Once
 
-	// stopped ends the campaign early (Stop); stopCh closes with it.
-	// timeout is the sweep bound that stopped it (0: an interrupt).
+	// stopped ends the run early (Stop); stopCh closes with it. timeout
+	// is the bound that stopped it (0: an interrupt).
 	stopped bool
 	stopCh  chan struct{}
 	timeout time.Duration
@@ -99,18 +114,17 @@ type Queue struct {
 	resultSeq uint64
 }
 
-// NewQueue builds the queue for jobs. completed seeds rows checkpointed
-// by an earlier run (keyed by job label); those jobs are born Done,
-// marked Resumed, and never leased. A lease lasts leaseTTL unless
-// renewed (0: leases never expire — in-process slots cannot go silent).
-// Each job may fail retries times; the next failure makes it terminal.
-func NewQueue(jobs []Campaign, completed map[string]SoakRun, leaseTTL time.Duration, retries int, now func() time.Time) *Queue {
+// NewQueue builds the queue for n jobs, whose self-made rows shape
+// renders. A lease lasts leaseTTL unless renewed (0: leases never
+// expire — in-process slots cannot go silent). Each job may fail
+// retries times; the next failure makes it terminal.
+func NewQueue[R any](shape Shape[R], n int, leaseTTL time.Duration, retries int, now func() time.Time) *Queue[R] {
 	if now == nil {
 		now = time.Now
 	}
-	q := &Queue{
-		jobs:     jobs,
-		slots:    make([]slot, len(jobs)),
+	q := &Queue[R]{
+		shape:    shape,
+		slots:    make([]slot[R], n),
 		now:      now,
 		leaseTTL: leaseTTL,
 		retries:  retries,
@@ -119,21 +133,13 @@ func NewQueue(jobs []Campaign, completed map[string]SoakRun, leaseTTL time.Durat
 		stopCh:   make(chan struct{}),
 	}
 	q.cond = sync.NewCond(&q.mu)
-	for i, j := range jobs {
-		if row, ok := completed[j.Label()]; ok {
-			row.Resumed = true
-			q.slots[i].state = stateDone
-			q.slots[i].row = &row
-			q.doneCount++
-		}
-	}
-	if q.doneCount == len(q.slots) {
+	if n == 0 {
 		q.closeDone()
 	}
 	return q
 }
 
-func (q *Queue) closeDone() {
+func (q *Queue[R]) closeDone() {
 	q.closeOnce.Do(func() { close(q.doneCh) })
 	q.cond.Broadcast()
 }
@@ -149,9 +155,9 @@ type Lease struct {
 
 // Lease hands worker the lowest-ID eligible job under a fresh lease, or
 // reports ok false when nothing is leasable right now. done tells "the
-// campaign is over" (every job terminal, or the queue stopped) from
-// "come back later" (backoff gates, everything leased).
-func (q *Queue) Lease(worker string) (id int, lease Lease, ok, done bool) {
+// run is over" (every job terminal, or the queue stopped) from "come
+// back later" (backoff gates, everything leased).
+func (q *Queue[R]) Lease(worker string) (id int, lease Lease, ok, done bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.stopped {
@@ -182,7 +188,7 @@ func (q *Queue) Lease(worker string) (id int, lease Lease, ok, done bool) {
 // another worker) is not resurrected — its absence from the reply tells
 // the worker its result may be redundant, though submitting it anyway
 // is harmless.
-func (q *Queue) Heartbeat(worker string, leaseIDs []string) []string {
+func (q *Queue[R]) Heartbeat(worker string, leaseIDs []string) []string {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.expireLocked()
@@ -210,7 +216,7 @@ func (q *Queue) Heartbeat(worker string, leaseIDs []string) []string {
 // better than an error). The lease need not still be valid:
 // at-least-once means "whoever finishes, finishes". Results still land
 // after Stop.
-func (q *Queue) Complete(id int, row SoakRun) (first bool, err error) {
+func (q *Queue[R]) Complete(id int, row R) (first bool, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if id < 0 || id >= len(q.slots) {
@@ -241,9 +247,9 @@ func (q *Queue) Complete(id int, row SoakRun) (first bool, err error) {
 // and the job requeues at once, costing nothing. Otherwise failed is
 // the failed attempt's row (a task-deadline cut, a panic, a worker-side
 // error): the job spends one retry and requeues under backoff or, with
-// its retries spent, that row becomes its final row, which Release
-// returns. found reports whether leaseID was live.
-func (q *Queue) Release(leaseID string, failed *SoakRun) (final *SoakRun, found bool) {
+// its retries spent, its final row is the shape's Spent row, which
+// Release returns. found reports whether leaseID was live.
+func (q *Queue[R]) Release(leaseID string, failed *R) (final *R, found bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for i := range q.slots {
@@ -266,13 +272,13 @@ func (q *Queue) Release(leaseID string, failed *SoakRun) (final *SoakRun, found 
 // ExpireStale requeues every lease past its deadline (driven by the
 // coordinator's janitor ticker; also run lazily inside Lease and
 // Heartbeat so a quiet queue still makes progress).
-func (q *Queue) ExpireStale() int {
+func (q *Queue[R]) ExpireStale() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.expireLocked()
 }
 
-func (q *Queue) expireLocked() int {
+func (q *Queue[R]) expireLocked() int {
 	now := q.now()
 	n := 0
 	for i := range q.slots {
@@ -289,10 +295,8 @@ func (q *Queue) expireLocked() int {
 // failLocked spends one of job i's retries on a failure — failed is the
 // failed attempt's row, nil for a lease expiry — and requeues the job
 // under backoff, or, past the budget, quarantines it and returns its
-// final row. A spent budget ends in the last failure's row: a TIMEOUT
-// row naming the attempt count, the panic's error row, or for a lease
-// expiry a loud "quarantined" error row.
-func (q *Queue) failLocked(i int, failed *SoakRun) *SoakRun {
+// final row, the shape's Spent row.
+func (q *Queue[R]) failLocked(i int, failed *R) *R {
 	s := &q.slots[i]
 	s.failures++
 	s.lastWorker = s.worker
@@ -307,16 +311,7 @@ func (q *Queue) failLocked(i int, failed *SoakRun) *SoakRun {
 		q.requeues++
 		return nil
 	}
-	row := SoakRun{Attempts: s.failures,
-		Err: fmt.Sprintf("quarantined: %d lease failures (last worker %q)", s.failures, s.lastWorker)}
-	if failed != nil {
-		row = *failed
-		if row.TimedOut {
-			row.Err = fmt.Sprintf("%s (attempt %d of %d)", row.Err, s.failures, q.retries+1)
-		}
-	}
-	c := q.jobs[i]
-	row.Test, row.Plan, row.Seed = c.Test.Name, c.Plan.Name, c.Seed
+	row := q.shape.Spent(i, failed, s.failures, q.retries+1, s.lastWorker)
 	s.state = stateQuarantined
 	s.row = &row
 	q.doneCount++
@@ -331,7 +326,7 @@ func (q *Queue) failLocked(i int, failed *SoakRun) *SoakRun {
 // untilGate reports how long until the earliest backoff gate among
 // pending jobs opens; ok is false when no job is pending (everything
 // unfinished is leased) — an idle slot then has nothing to wait for.
-func (q *Queue) untilGate() (wait time.Duration, ok bool) {
+func (q *Queue[R]) untilGate() (wait time.Duration, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var gate time.Time
@@ -344,12 +339,12 @@ func (q *Queue) untilGate() (wait time.Duration, ok bool) {
 	return gate.Sub(q.now()), ok
 }
 
-// Stop ends the campaign early: nothing more is leased, idle slots and
-// result waiters wake, and Rows renders every unfinished job as an
-// INTERRUPTED row — or, when timeout is non-zero, as a TIMEOUT row
-// naming the sweep bound that ran out. An attempt already running may
-// still Complete and keep its row. Only the first call counts.
-func (q *Queue) Stop(timeout time.Duration) {
+// Stop ends the run early: nothing more is leased, idle slots and
+// result waiters wake, and Rows renders every unfinished job as the
+// shape's Unfinished row for timeout — the bound that ran out, or 0 for
+// an interrupt. An attempt already running may still Complete and keep
+// its row. Only the first call counts.
+func (q *Queue[R]) Stop(timeout time.Duration) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.stopped {
@@ -361,40 +356,41 @@ func (q *Queue) Stop(timeout time.Duration) {
 }
 
 // Done reports the channel closed when every job is terminal.
-func (q *Queue) Done() <-chan struct{} { return q.doneCh }
+func (q *Queue[R]) Done() <-chan struct{} { return q.doneCh }
 
-// Rows assembles the report rows in canonical job order: every
-// terminal job's final row, and — when the campaign was cut short —
-// every unfinished job as an INTERRUPTED row, or a TIMEOUT row if a
-// sweep bound stopped the queue. Both tools' reports come from here.
-func (q *Queue) Rows() []SoakRun {
+// Rows assembles the rows in job order: every terminal job's final row,
+// and every unfinished job's Unfinished row — a run cut short by Stop
+// leaves some. Every report of a queue's run comes from here.
+func (q *Queue[R]) Rows() []R {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	rows := make([]SoakRun, len(q.slots))
+	rows := make([]R, len(q.slots))
 	for i := range q.slots {
 		if r := q.slots[i].row; r != nil {
 			rows[i] = *r
-			continue
-		}
-		c := q.jobs[i]
-		row := SoakRun{Test: c.Test.Name, Plan: c.Plan.Name, Seed: c.Seed}
-		if q.timeout > 0 {
-			row.TimedOut = true
-			row.Err = fmt.Sprintf("timeout: sweep exceeded %v before campaign completed", q.timeout)
 		} else {
-			row.Interrupted = true
-			row.Err = "interrupted before campaign completed"
+			rows[i] = q.shape.Unfinished(i, q.slots[i].failures, q.timeout)
 		}
-		rows[i] = row
+	}
+	return rows
+}
+
+// finals returns each job's final row, nil while it is unfinished.
+func (q *Queue[R]) finals() []*R {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	rows := make([]*R, len(q.slots))
+	for i := range q.slots {
+		rows[i] = q.slots[i].row
 	}
 	return rows
 }
 
 // WaitResult blocks until the terminal-transition sequence number passes
 // seq, the queue is fully terminal, or it stopped, returning the new
-// sequence and whether the campaign is over. The coordinator's /results
+// sequence and whether the run is over. The coordinator's /results
 // stream drives on this.
-func (q *Queue) WaitResult(seq uint64) (uint64, bool) {
+func (q *Queue[R]) WaitResult(seq uint64) (uint64, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.resultSeq <= seq && q.doneCount != len(q.slots) && !q.stopped {
@@ -415,7 +411,7 @@ type QueueSnapshot struct {
 }
 
 // Snapshot captures current queue counts.
-func (q *Queue) Snapshot() QueueSnapshot {
+func (q *Queue[R]) Snapshot() QueueSnapshot {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	snap := QueueSnapshot{Total: len(q.slots), Expiries: q.expiries, Requeues: q.requeues}
@@ -432,4 +428,148 @@ func (q *Queue) Snapshot() QueueSnapshot {
 		}
 	}
 	return snap
+}
+
+// AttemptKind says what the queue does with the row of one attempt.
+type AttemptKind uint8
+
+const (
+	AttemptFinal    AttemptKind = iota // the row is the job's result
+	AttemptRetry                       // a failure a rerun may cure: spend a retry
+	AttemptHandback                    // interrupted, no verdict: requeue at no cost
+)
+
+// Drain runs a queue's jobs in process, the one in-process engine:
+// Slots goroutines (0 = GOMAXPROCS) each lease a job, run Attempt n
+// (from 1) of it and hand the row back, until the queue has nothing left
+// for them. A closed Interrupt stops the queue, and so does Timeout (0 =
+// none) once it runs out; attempts already running finish on their own.
+// Started and Done, when set, see each job once, concurrently from the
+// slots: Started when its first attempt starts, Done when its row is
+// final. Jobs born terminal are reported before any slot starts, and
+// jobs a stop cut short after the slots exit.
+type Drain[R any] struct {
+	Slots     int
+	Attempt   func(i, n int) (R, AttemptKind)
+	Interrupt <-chan struct{}
+	Timeout   time.Duration
+	Started   func(i int)
+	Done      func(i int, row R)
+
+	q        *Queue[R]
+	deadline time.Time // Timeout's (zero: none)
+	// started marks the jobs Started has seen (a job is held by one
+	// slot at a time; the queue's lock orders the hand-off).
+	started []bool
+}
+
+// Run drains q and returns its rows (Queue.Rows).
+func (d Drain[R]) Run(q *Queue[R]) []R {
+	d.q, d.started = q, make([]bool, len(q.slots))
+	if d.Timeout > 0 {
+		d.deadline = time.Now().Add(d.Timeout)
+	}
+	for i, row := range q.finals() {
+		if row != nil {
+			d.report(i, *row)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for range min(parallel.Workers(d.Slots), len(q.slots)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d.slot()
+		}()
+	}
+	wg.Wait()
+
+	// The slots reported every job they finished; the rest were cut
+	// short by an interrupt or the bound.
+	finals, rows := q.finals(), q.Rows()
+	for i, row := range rows {
+		if finals[i] == nil {
+			d.report(i, row)
+		}
+	}
+	return rows
+}
+
+// slot is one in-process lease loop: lease a job, run one attempt, hand
+// the result to the queue, repeat until the queue has nothing left for
+// it. A lease that never expires names no worker in any row.
+func (d *Drain[R]) slot() {
+	for {
+		select {
+		case <-d.Interrupt:
+			d.q.Stop(0)
+		default:
+			if !d.deadline.IsZero() && !time.Now().Before(d.deadline) {
+				d.q.Stop(d.Timeout)
+			}
+		}
+		id, lease, ok, done := d.q.Lease("in-process")
+		if done {
+			return
+		}
+		if !ok {
+			if !d.idle() {
+				return
+			}
+			continue
+		}
+		d.start(id)
+		row, kind := d.Attempt(id, lease.Attempt)
+		switch kind {
+		case AttemptHandback:
+			d.q.Release(lease.ID, nil)
+		case AttemptRetry:
+			if final, _ := d.q.Release(lease.ID, &row); final != nil {
+				d.report(id, *final)
+			}
+		default:
+			d.q.Complete(id, row) //nolint:errcheck // id came from Lease
+			d.report(id, row)
+		}
+	}
+}
+
+// idle parks a slot that found nothing leasable until the earliest
+// backoff gate among pending jobs opens — never on a poll interval —
+// or the drain is interrupted, stopped, or past its bound. It reports
+// false, and the slot exits, when no job is pending: whatever is left
+// is running on other slots, which retry their own failures.
+func (d *Drain[R]) idle() bool {
+	wait, ok := d.q.untilGate()
+	if !ok {
+		return false
+	}
+	if !d.deadline.IsZero() {
+		wait = min(wait, time.Until(d.deadline))
+	}
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-d.Interrupt:
+	case <-d.q.stopCh:
+	}
+	return true
+}
+
+// start hands job i to Started, once.
+func (d *Drain[R]) start(i int) {
+	if !d.started[i] && d.Started != nil {
+		d.Started(i)
+	}
+	d.started[i] = true
+}
+
+// report hands job i's final row to Done, after Started.
+func (d *Drain[R]) report(i int, row R) {
+	d.start(i)
+	if d.Done != nil {
+		d.Done(i, row)
+	}
 }

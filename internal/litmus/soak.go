@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"c3/internal/cpu"
 	"c3/internal/faults"
-	"c3/internal/parallel"
 	"c3/internal/sim"
 )
 
@@ -446,26 +444,65 @@ func Campaigns(cfg SoakConfig) ([]Campaign, error) {
 	return jobs, nil
 }
 
+// NewSoakQueue is NewQueue for a sweep's campaigns. Rows in completed,
+// checkpointed by an earlier run under their RowLabel, are born done,
+// marked Resumed, and never leased.
+func NewSoakQueue(jobs []Campaign, completed map[string]SoakRun, leaseTTL time.Duration, retries int, now func() time.Time) *Queue[SoakRun] {
+	q := NewQueue[SoakRun](soakShape(jobs), len(jobs), leaseTTL, retries, now)
+	for i, j := range jobs {
+		if row, ok := completed[j.Label()]; ok {
+			row.Resumed = true
+			q.Complete(i, row) //nolint:errcheck // i indexes jobs
+		}
+	}
+	return q
+}
+
+// soakShape makes the rows a soak queue writes itself, each naming its
+// campaign.
+type soakShape []Campaign
+
+// Spent ends a campaign in its last failure's row: a TIMEOUT row naming
+// the attempt count, the panic's error row, or for a lease expiry a
+// loud "quarantined" error row.
+func (s soakShape) Spent(i int, failed *SoakRun, attempt, of int, lastWorker string) SoakRun {
+	row := SoakRun{Attempts: attempt,
+		Err: fmt.Sprintf("quarantined: %d lease failures (last worker %q)", attempt, lastWorker)}
+	if failed != nil {
+		row = *failed
+		if row.TimedOut {
+			row.Err = fmt.Sprintf("%s (attempt %d of %d)", row.Err, attempt, of)
+		}
+	}
+	c := s[i]
+	row.Test, row.Plan, row.Seed = c.Test.Name, c.Plan.Name, c.Seed
+	return row
+}
+
+// Unfinished is an INTERRUPTED row, or a TIMEOUT row when the sweep
+// bound stopped the queue.
+func (s soakShape) Unfinished(i, _ int, timeout time.Duration) SoakRun {
+	c := s[i]
+	row := SoakRun{Test: c.Test.Name, Plan: c.Plan.Name, Seed: c.Seed}
+	if timeout > 0 {
+		row.TimedOut = true
+		row.Err = fmt.Sprintf("timeout: sweep exceeded %v before campaign completed", timeout)
+	} else {
+		row.Interrupted = true
+		row.Err = "interrupted before campaign completed"
+	}
+	return row
+}
+
 // RunSoak executes the soak sweep: its campaigns become jobs on a
-// Queue, and Workers in-process slot loops drain it, running every
-// attempt through Campaign.Attempt — the queue and executor the
-// distributed coordinator and its workers use, minus the HTTP. Rows in
+// Queue, and a Drain of Workers in-process slots runs every attempt
+// through Campaign.Attempt — the queue and executor the distributed
+// coordinator and its workers use, minus the HTTP. Rows in
 // cfg.Completed are born done and never run. Campaign-level failures
 // (wedges, spent retries, captured panics) become report rows, never
 // process crashes; the returned error is reserved for configuration
 // mistakes (unknown test names).
 func RunSoak(cfg SoakConfig) (*SoakReport, error) { return runSoak(cfg, time.Now) }
-
-// localRun drains one queue with in-process slots.
-type localRun struct {
-	q        *Queue
-	cfg      SoakConfig
-	deadline time.Time // sweep bound (zero: none)
-	rowObs   SoakRowObserver
-	// started and reported track each job's observer events (a job is
-	// held by one slot at a time; the queue's lock orders the hand-off).
-	started, reported []bool
-}
 
 // runSoak is RunSoak with the queue reading the clock now (tests push a
 // fake one past any lease lifetime).
@@ -477,133 +514,35 @@ func runSoak(cfg SoakConfig, now func() time.Time) (*SoakReport, error) {
 	}
 	// No lease TTL: an in-process slot cannot go silent, so its lease
 	// never expires and nothing runs twice.
-	q := NewQueue(jobs, cfg.Completed, 0, cfg.Retries, now)
+	q := NewSoakQueue(jobs, cfg.Completed, 0, cfg.Retries, now)
 	if cfg.retryBackoff > 0 {
 		q.backoff = cfg.retryBackoff
 	}
-	n := len(jobs)
-	l := &localRun{q: q, cfg: cfg, started: make([]bool, n), reported: make([]bool, n)}
-	if cfg.Timeout > 0 {
-		l.deadline = time.Now().Add(cfg.Timeout)
-	}
-	if cfg.Observer != nil {
-		labels := make([]string, n)
-		for i, j := range jobs {
-			labels[i] = j.Label()
-		}
-		cfg.Observer.Plan(labels)
-		l.rowObs, _ = cfg.Observer.(SoakRowObserver)
-		for i, row := range q.Rows() {
-			if row.Resumed {
-				l.report(i, row)
-			}
-		}
-	}
-
 	// Parallelism lives at the campaign level; each campaign runs its
 	// iterations serially (Workers: 1 in Attempt) so the worker budget
 	// is not oversubscribed and every row is independent of scheduling.
-	var wg sync.WaitGroup
-	for k := range min(parallel.Workers(cfg.Workers), n) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			l.slot(fmt.Sprintf("slot%d", k))
-		}()
+	d := Drain[SoakRun]{
+		Slots:     cfg.Workers,
+		Attempt:   func(i, n int) (SoakRun, AttemptKind) { return jobs[i].Attempt(cfg, n) },
+		Interrupt: cfg.Interrupt,
+		Timeout:   cfg.Timeout,
 	}
-	wg.Wait()
-
-	rows := q.Rows()
-	for i, row := range rows {
-		if !l.reported[i] { // cut short by an interrupt or the sweep bound
-			l.report(i, row)
+	if o := cfg.Observer; o != nil {
+		labels := make([]string, len(jobs))
+		for i, j := range jobs {
+			labels[i] = j.Label()
 		}
-	}
-	return &SoakReport{Runs: rows}, nil
-}
-
-// slot is one in-process lease loop: lease a job, run one attempt, hand
-// the result to the queue, repeat until the queue has nothing left for
-// it.
-func (l *localRun) slot(name string) {
-	for {
-		select {
-		case <-l.cfg.Interrupt:
-			l.q.Stop(0)
-		default:
-			if !l.deadline.IsZero() && !time.Now().Before(l.deadline) {
-				l.q.Stop(l.cfg.Timeout)
+		o.Plan(labels)
+		rowObs, _ := o.(SoakRowObserver)
+		d.Started = o.TaskStarted
+		d.Done = func(i int, row SoakRun) {
+			o.TaskDone(i, nil)
+			if rowObs != nil {
+				rowObs.CampaignDone(i, row)
 			}
 		}
-		id, lease, ok, done := l.q.Lease(name)
-		if done {
-			return
-		}
-		if !ok {
-			if !l.idle() {
-				return
-			}
-			continue
-		}
-		if !l.started[id] {
-			l.started[id] = true
-			if l.cfg.Observer != nil {
-				l.cfg.Observer.TaskStarted(id)
-			}
-		}
-		row, retry := l.q.jobs[id].Attempt(l.cfg, lease.Attempt)
-		switch {
-		case row.Interrupted:
-			l.q.Release(lease.ID, nil)
-		case retry:
-			if final, _ := l.q.Release(lease.ID, &row); final != nil {
-				l.report(id, *final)
-			}
-		default:
-			l.q.Complete(id, row) //nolint:errcheck // id came from Lease
-			l.report(id, row)
-		}
 	}
-}
-
-// idle parks a slot that found nothing leasable until the earliest
-// backoff gate among pending jobs opens — never on a poll interval —
-// or the sweep is interrupted, stopped, or past its bound. It reports
-// false, and the slot exits, when no job is pending: whatever is left
-// is running on other slots, which retry their own failures.
-func (l *localRun) idle() bool {
-	wait, ok := l.q.untilGate()
-	if !ok {
-		return false
-	}
-	if !l.deadline.IsZero() {
-		wait = min(wait, time.Until(l.deadline))
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-l.cfg.Interrupt:
-	case <-l.q.stopCh:
-	}
-	return true
-}
-
-// report hands job i's final row to the observer.
-func (l *localRun) report(i int, row SoakRun) {
-	l.reported[i] = true
-	o := l.cfg.Observer
-	if o == nil {
-		return
-	}
-	if !l.started[i] {
-		l.started[i] = true
-		o.TaskStarted(i)
-	}
-	o.TaskDone(i, nil)
-	if l.rowObs != nil {
-		l.rowObs.CampaignDone(i, row)
-	}
+	return &SoakReport{Runs: d.Run(q)}, nil
 }
 
 // Attempt runs one attempt of campaign c: a full, fresh, seed-determined
@@ -611,14 +550,14 @@ func (l *localRun) report(i int, row SoakRun) {
 // (TaskTimeout, Interrupt), shielded by a recover so one poisoned code
 // path can never take down a sweep. Because every attempt is
 // seed-determined, a success on attempt k is byte-identical to a
-// first-try success. The row carries the verdict; retry reports a
-// failure a rerun may cure — a task-deadline cut or a panic — which the
-// caller hands back to the queue (Queue.Release) instead of recording,
-// so the queue alone decides between another attempt and the final
-// row. An interrupted attempt returns an Interrupted row. RunSoak's
-// slots and the distributed workers both run every attempt through
-// here.
-func (c Campaign) Attempt(cfg SoakConfig, attempt int) (row SoakRun, retry bool) {
+// first-try success. The row carries the verdict; kind AttemptRetry
+// marks a failure a rerun may cure — a task-deadline cut or a panic —
+// which the caller hands back to the queue (Queue.Release) instead of
+// recording, so the queue alone decides between another attempt and the
+// final row. An interrupted attempt returns an Interrupted row, kind
+// AttemptHandback. RunSoak's slots and the distributed workers both run
+// every attempt through here.
+func (c Campaign) Attempt(cfg SoakConfig, attempt int) (row SoakRun, kind AttemptKind) {
 	row = SoakRun{Test: c.Test.Name, Plan: c.Plan.Name, Seed: c.Seed, Attempts: attempt}
 	var res *Result
 	var err error
@@ -654,17 +593,20 @@ func (c Campaign) Attempt(cfg SoakConfig, attempt int) (row SoakRun, retry bool)
 		row.Classes = classesString(res.HangClasses)
 	case errors.Is(err, ErrInterrupted):
 		row.Interrupted, row.Err = true, err.Error()
+		kind = AttemptHandback
 	case errors.Is(err, ErrTaskDeadline):
 		row.TimedOut, row.Err = true, err.Error()
-		retry = true
+		kind = AttemptRetry
 	default:
 		// Only nondeterministic aborts retry: a wall-clock cut or a
 		// panic. Wedges and violations are reproduced exactly by the
 		// same seeds, so rerunning them is pure waste.
 		row.Err = err.Error()
-		retry = errors.Is(err, errCampaignPanic)
+		if errors.Is(err, errCampaignPanic) {
+			kind = AttemptRetry
+		}
 	}
-	return row, retry
+	return row, kind
 }
 
 // errCampaignPanic classifies a panic captured inside a campaign; it is

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -9,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"c3/internal/trace"
 )
 
 // LedgerSchema versions the record format; bump on incompatible change.
@@ -121,6 +124,28 @@ func AppendLedger(path string, rec *Record) error {
 	return f.Close()
 }
 
+// AppendRun appends a tool's whole-run record to the ledger at path, if
+// any: the tool's own fields, plus the code version, start, wall time
+// and reg's final dump (when reg renders). A failed append only warns on
+// stderr: a run's verdict must not depend on a full disk.
+func AppendRun(path string, start time.Time, reg *trace.Registry, rec Record) {
+	if path == "" {
+		return
+	}
+	rec.Version = Version()
+	rec.Start = start
+	rec.WallMS = time.Since(start).Milliseconds()
+	if reg != nil {
+		var metrics bytes.Buffer
+		if reg.RenderJSON(&metrics) == nil {
+			rec.Metrics = metrics.Bytes()
+		}
+	}
+	if err := AppendLedger(path, &rec); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: ledger: %v\n", rec.Tool, err)
+	}
+}
+
 // SpecFromFlags renders the command line's explicitly set flags as a
 // canonical, pasteable spec string ("-tests=MP,SB -iters=50"), in
 // lexicographic flag order with shell-unfriendly values quoted. Flags
@@ -151,14 +176,6 @@ func specFromSet(fs *flag.FlagSet, exclude []string) string {
 	return strings.Join(parts, " ")
 }
 
-// ReadLedger parses every record in the JSONL ledger at path, failing
-// on the first malformed line. Resume paths, which must survive a crash
-// mid-append, use ReadLedgerLenient instead.
-func ReadLedger(path string) ([]Record, error) {
-	recs, _, err := readLedger(path, true)
-	return recs, err
-}
-
 // LedgerStats summarizes a lenient ledger read, so callers (resume,
 // coordinator journal replay) can report what the read dropped rather
 // than silently acting on a subset.
@@ -180,11 +197,7 @@ type LedgerStats struct {
 // parses and drop the tail. The returned stats carry the skipped-line
 // count and a warning per skipped line; callers that resume or replay
 // should print Skipped when it is non-zero.
-func ReadLedgerLenient(path string) (recs []Record, stats LedgerStats, err error) {
-	return readLedger(path, false)
-}
-
-func readLedger(path string, strict bool) ([]Record, LedgerStats, error) {
+func ReadLedgerLenient(path string) ([]Record, LedgerStats, error) {
 	var stats LedgerStats
 	f, err := os.Open(path)
 	if err != nil {
@@ -200,9 +213,6 @@ func readLedger(path string, strict bool) ([]Record, LedgerStats, error) {
 		}
 		var r Record
 		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			if strict {
-				return nil, stats, fmt.Errorf("obs: ledger %s line %d: %w", path, ln, err)
-			}
 			stats.Skipped++
 			stats.Warnings = append(stats.Warnings,
 				fmt.Sprintf("obs: ledger %s line %d: skipping torn/corrupt record: %v", path, ln, err))

@@ -22,10 +22,11 @@
 //
 //   - Ledger: an append-only JSONL manifest, one record per invocation —
 //     spec, seeds, workers, code version, wall time, final metrics dump,
-//     verdict — so sweeps become replayable, diffable artifacts. The
-//     record's (spec, seeds, version) triple is the key format the
-//     planned campaign service's content-addressed result cache will
-//     use.
+//     verdict — so sweeps become replayable, diffable artifacts. Each
+//     tool writes its whole-run record through AppendRun. A sweep's
+//     per-row checkpoint records carry a content-addressed row_key —
+//     the row's spec, seed and code version — which c3soak -resume and
+//     the campaign service's journal (internal/campaign) both replay.
 //
 // Nothing in this package runs on a simulator hot path: the Tracker is
 // touched once per campaign, the server only on demand, the ledger once

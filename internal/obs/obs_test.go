@@ -46,7 +46,6 @@ func TestTrackerSnapshot(t *testing.T) {
 
 func TestTrackerAnonymousLabels(t *testing.T) {
 	tr := NewTracker()
-	tr.SetTotal(10)
 	tr.TaskStarted(7)
 	s := tr.Snapshot()
 	if len(s.InFlight) != 1 || s.InFlight[0].Label != "item 7" {
@@ -54,17 +53,16 @@ func TestTrackerAnonymousLabels(t *testing.T) {
 	}
 }
 
-// Plan and SetTotal must both restart the ETA clock: a tracker built
-// long before the sweep starts (config parsing, model builds) must not
-// report that setup time as elapsed sweep time — it inflates ElapsedMS
-// directly and ETAMS through the per-item extrapolation.
+// Plan must restart the ETA clock: a tracker built long before the
+// sweep starts (config parsing, model builds) must not report that setup
+// time as elapsed sweep time — it inflates ElapsedMS directly and ETAMS
+// through the per-item extrapolation.
 func TestTrackerClockRestart(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		announce func(tr *Tracker)
 	}{
 		{"Plan", func(tr *Tracker) { tr.Plan([]string{"a", "b"}) }},
-		{"SetTotal", func(tr *Tracker) { tr.SetTotal(2) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := NewTracker()
@@ -131,6 +129,17 @@ func TestHeartbeat(t *testing.T) {
 	}
 }
 
+// mustReadLedger reads the ledger at path and fails t unless every line
+// parsed: no torn or interleaved record for the lenient reader to skip.
+func mustReadLedger(t *testing.T, path string) []Record {
+	t.Helper()
+	recs, stats, err := ReadLedgerLenient(path)
+	if err != nil || stats.Skipped != 0 {
+		t.Fatalf("read %s: %v (%d lines skipped: %v)", path, err, stats.Skipped, stats.Warnings)
+	}
+	return recs
+}
+
 func TestLedgerAppendRead(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
 	first := &Record{Tool: "c3soak", Spec: "-iters=50", Verdict: VerdictPass, Workers: 4,
@@ -142,10 +151,7 @@ func TestLedgerAppendRead(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := ReadLedger(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := mustReadLedger(t, path)
 	if len(recs) != 2 {
 		t.Fatalf("read %d records, want 2", len(recs))
 	}
@@ -183,10 +189,7 @@ func TestLedgerConcurrentAppend(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	recs, err := ReadLedger(path)
-	if err != nil {
-		t.Fatalf("concurrent appends corrupted the ledger: %v", err)
-	}
+	recs := mustReadLedger(t, path)
 	if len(recs) != writers*per {
 		t.Fatalf("read %d records, want %d", len(recs), writers*per)
 	}

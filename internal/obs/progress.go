@@ -42,18 +42,6 @@ func (t *Tracker) Plan(labels []string) {
 	t.started = time.Now()
 }
 
-// SetTotal sets the expected item count without labels (for sweeps whose
-// items are anonymous). Like Plan, it restarts the ETA clock: the sweep
-// begins when its size is announced, not when the Tracker was
-// constructed, so a tracker built early must not fold setup wall time
-// into ElapsedMS and the per-item ETA extrapolation.
-func (t *Tracker) SetTotal(n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.total = n
-	t.started = time.Now()
-}
-
 // TaskStarted records item i as in flight.
 func (t *Tracker) TaskStarted(i int) {
 	t.mu.Lock()

@@ -16,7 +16,7 @@ import (
 // TestLedgerTornWriteRecovery pins the crash-mid-append contract: a
 // truncated final line (SIGKILL between the O_APPEND write starting and
 // finishing, or a partial flush at power loss) is skipped with a
-// warning by the lenient reader, while the strict reader still fails.
+// warning by the lenient reader.
 func TestLedgerTornWriteRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
 	if err := AppendLedger(path, &Record{Tool: "c3soak", RowKey: "MP/light/seed1|v1", Verdict: VerdictPass,
@@ -36,9 +36,6 @@ func TestLedgerTornWriteRecovery(t *testing.T) {
 	}
 	f.Close()
 
-	if _, err := ReadLedger(path); err == nil {
-		t.Fatal("strict ReadLedger accepted a torn final line")
-	}
 	recs, stats, err := ReadLedgerLenient(path)
 	if err != nil {
 		t.Fatalf("lenient read failed on a torn final line: %v", err)
@@ -82,9 +79,9 @@ func TestRowRecordRoundTrip(t *testing.T) {
 	if err := AppendLedger(path, rec); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadLedger(path)
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("read: %v (%d records)", err, len(recs))
+	recs := mustReadLedger(t, path)
+	if len(recs) != 1 {
+		t.Fatalf("read %d records, want 1", len(recs))
 	}
 	if recs[0].RowKey != rec.RowKey {
 		t.Fatalf("row key = %q, want %q", recs[0].RowKey, rec.RowKey)

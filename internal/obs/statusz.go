@@ -181,10 +181,11 @@ func (s *Server) metricsJSON() json.RawMessage {
 	return json.RawMessage(b.Bytes())
 }
 
-// CaptureSnapshot builds the current Snapshot (also used for the final
-// ledger record's metrics field).
-func (s *Server) CaptureSnapshot() Snapshot {
-	return Snapshot{
+func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(Snapshot{
 		Tool:     s.tool,
 		PID:      os.Getpid(),
 		Version:  Version(),
@@ -192,14 +193,7 @@ func (s *Server) CaptureSnapshot() Snapshot {
 		UptimeMS: time.Since(s.start).Milliseconds(),
 		Progress: s.tracker.Snapshot(),
 		Metrics:  s.metricsJSON(),
-	}
-}
-
-func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(s.CaptureSnapshot()); err != nil {
+	}); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

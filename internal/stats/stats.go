@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"c3/internal/cpu"
@@ -203,29 +202,4 @@ func (s *Series) GeoMeanTime() float64 {
 		logSum += math.Log(float64(r.Time))
 	}
 	return math.Exp(logSum / float64(len(s.Runs)))
-}
-
-// Normalized returns per-run times normalized to base (matched by Name).
-func (s *Series) Normalized(base *Series) map[string]float64 {
-	bt := map[string]sim.Time{}
-	for _, r := range base.Runs {
-		bt[r.Name] = r.Time
-	}
-	out := map[string]float64{}
-	for _, r := range s.Runs {
-		if b, ok := bt[r.Name]; ok && b > 0 {
-			out[r.Name] = float64(r.Time) / float64(b)
-		}
-	}
-	return out
-}
-
-// SortedNames returns run names in stable order.
-func (s *Series) SortedNames() []string {
-	var names []string
-	for _, r := range s.Runs {
-		names = append(names, r.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -100,23 +100,13 @@ func TestMissBreakdownAccounting(t *testing.T) {
 	}
 }
 
-func TestSeriesGeoMeanAndNormalize(t *testing.T) {
-	var base, s Series
-	base.Add(Run{Name: "a", Time: 100})
-	base.Add(Run{Name: "b", Time: 200})
+func TestSeriesGeoMean(t *testing.T) {
+	var s Series
 	s.Add(Run{Name: "a", Time: 110})
 	s.Add(Run{Name: "b", Time: 240})
-	n := s.Normalized(&base)
-	if n["a"] != 1.1 || n["b"] != 1.2 {
-		t.Fatalf("normalized: %v", n)
-	}
 	gm := s.GeoMeanTime()
 	if gm < 162 || gm > 163 { // sqrt(110*240) ~ 162.5
 		t.Fatalf("geomean = %v", gm)
-	}
-	names := s.SortedNames()
-	if len(names) != 2 || names[0] != "a" {
-		t.Fatalf("names: %v", names)
 	}
 	var empty Series
 	if empty.GeoMeanTime() != 0 {

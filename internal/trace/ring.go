@@ -77,13 +77,6 @@ func (r *RingSink) History(addr mem.LineAddr) []Event {
 	return out
 }
 
-// Dump writes the retained events, one per line. label may be nil.
-func (r *RingSink) Dump(w io.Writer, label func(msg.NodeID) string) {
-	for _, ev := range r.Events() {
-		writeEvent(w, ev, label)
-	}
-}
-
 // writeEvent renders one event in the ring/report format.
 func writeEvent(w io.Writer, ev Event, label func(msg.NodeID) string) {
 	lbl := func(id msg.NodeID) string {

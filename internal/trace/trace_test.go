@@ -63,12 +63,6 @@ func TestRingHistory(t *testing.T) {
 	if hist[0].MsgType != msg.GetS || hist[1].MsgType != msg.DataS {
 		t.Errorf("history = %v/%v, want GetS/DataS", hist[0].MsgType, hist[1].MsgType)
 	}
-
-	var b strings.Builder
-	r.Dump(&b, nil)
-	if !strings.Contains(b.String(), "GetM") || !strings.Contains(b.String(), "0x80") {
-		t.Errorf("Dump missing expected lines:\n%s", b.String())
-	}
 }
 
 // TestChromeJSON checks that the streamed output is valid Chrome

@@ -140,14 +140,3 @@ func Names() []string {
 	}
 	return out
 }
-
-// SuiteOf groups the specs by suite.
-func SuiteOf(s Suite) []Spec {
-	var out []Spec
-	for _, sp := range Specs() {
-		if sp.Suite == s {
-			out = append(out, sp)
-		}
-	}
-	return out
-}
