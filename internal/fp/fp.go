@@ -106,6 +106,14 @@ func (b *Bag) Add(e Hasher) {
 	b.sum += mix(e.h)
 }
 
+// Remove takes the entry hashed by e out of the bag, undoing an Add of
+// an equal entry, so a bag kept current as entries come and go hashes
+// the same as one rebuilt from the entries it holds.
+func (b *Bag) Remove(e Hasher) {
+	b.n--
+	b.sum -= mix(e.h)
+}
+
 // mix is the MurmurHash3 64-bit finalizer.
 func mix(x uint64) uint64 {
 	x ^= x >> 33

@@ -208,15 +208,45 @@ type Kernel struct {
 func (k *Kernel) Now() Time { return k.now }
 
 // Clone returns a new kernel at the same simulated time and schedule
-// sequence. Only a quiescent kernel (no pending events) can be cloned:
-// queued events hold closures over the original component graph and
-// cannot be rebound, so the model checker snapshots states only at
-// quiescent points where the queue has drained.
-func (k *Kernel) Clone() *Kernel {
+// sequence, by value so that the caller can embed it. Only a quiescent
+// kernel (no pending events) can be cloned: queued events hold closures
+// over the original component graph and cannot be rebound, so the model
+// checker snapshots states only at quiescent points where the queue has
+// drained. The clone has no spare storage of its own (see Spares).
+func (k *Kernel) Clone() Kernel {
 	if k.Pending() != 0 {
 		panic("sim: Clone of kernel with pending events")
 	}
-	return &Kernel{now: k.now, nextSq: k.nextSq, Stepped: k.Stepped}
+	return Kernel{now: k.now, nextSq: k.nextSq, Stepped: k.Stepped}
+}
+
+// Spares is the storage a drained kernel keeps for reuse: its event
+// free list and the emptied backings of its heap and next-cycle lane.
+// Kernels cloned from one another can pass one Spares around, each
+// holding it only while it runs (SwapSpares), so that they schedule
+// from one free list instead of growing their own. The kernels sharing
+// one Spares must run on one goroutine.
+type Spares struct {
+	free   []*event
+	events eventHeap
+	lane   FIFO[*event]
+}
+
+// SwapSpares exchanges k's spare storage with s. A kernel that runs on
+// borrowed storage swaps before it runs and again once it drains, which
+// hands the storage, and every event recycled into it, back to s. k
+// must be drained; a cancelled event still parked in its lane is
+// recycled first, so the storage handed over holds no queued event.
+func (k *Kernel) SwapSpares(s *Spares) {
+	if k.Pending() != 0 {
+		panic("sim: SwapSpares on a kernel with pending events")
+	}
+	for k.lane.Len() > 0 {
+		k.recycle(k.lane.Pop())
+	}
+	k.free, s.free = s.free, k.free
+	k.events, s.events = s.events, k.events
+	k.lane, s.lane = s.lane, k.lane
 }
 
 // Pending reports how many events are queued (cancelled ones excluded).

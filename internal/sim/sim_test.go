@@ -400,3 +400,42 @@ func BenchmarkKernelScheduleStep(b *testing.B) {
 		k.Step()
 	}
 }
+
+// TestSwapSpares: kernels that take turns on one Spares schedule from
+// one free list and one pair of queue backings, so once warm a clone
+// that runs on them allocates nothing. A cancelled event parked in a
+// drained kernel's lane never crosses over, and a kernel with pending
+// events cannot hand its storage on.
+func TestSwapSpares(t *testing.T) {
+	var s Spares
+	fn := func() {}
+	run := func(k *Kernel) {
+		k.SwapSpares(&s)
+		for i := 0; i < 8; i++ {
+			k.After(Time(i%3+1), fn)
+		}
+		k.Run(nil)
+		k.Cancel(k.After(1, fn)) // parked, dead, in the drained lane
+		k.SwapSpares(&s)
+		if k.free != nil || cap(k.events) != 0 || k.lane.Len() != 0 || s.lane.Len() != 0 {
+			t.Fatalf("after handing the spares back: kernel free %d, heap cap %d, lane %d; spares lane %d",
+				len(k.free), cap(k.events), k.lane.Len(), s.lane.Len())
+		}
+	}
+	var root Kernel
+	run(&root)
+	var c Kernel
+	if allocs := testing.AllocsPerRun(10, func() {
+		c = root.Clone()
+		run(&c)
+	}); allocs != 0 {
+		t.Fatalf("a clone running on the shared spares allocated %.0f objects per run", allocs)
+	}
+	root.After(1, fn)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SwapSpares on a kernel with a pending event did not panic")
+		}
+	}()
+	root.SwapSpares(&s)
+}

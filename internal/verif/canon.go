@@ -72,7 +72,7 @@ const maxSymCandidates = 4096
 // newSymmetry computes the admitted renaming group for m's config, with
 // the node ids of m's L1s (every build of a config numbers them alike).
 func newSymmetry(m *Model) *symmetry {
-	mcfg := m.cfg
+	mcfg := m.b.cfg
 	t := mcfg.Test
 	n := len(t.Threads)
 	s := &symmetry{
@@ -310,7 +310,7 @@ func (m *Model) fingerprintAs(s *symmetry, pi int) uint64 {
 	for _, g := range m.groups[len(threads):] {
 		h.Word(g.hash(s, pi))
 	}
-	m.Fabric.Fingerprint(&h, p)
+	m.Fabric.fingerprint(&h, s, pi)
 	return h.Sum()
 }
 

@@ -363,6 +363,9 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 	}
 	push(0, nil, m0)
 
+	// acts and pb are per-pop scratch, reused across the pops.
+	var acts []Action
+	var pb porScratch
 	var lastProgress uint64
 	// Memory pressure is sampled on a stride because ReadMemStats stops
 	// the world; deadline and interrupt polls are O(ns) per pop (vDSO
@@ -431,7 +434,7 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 			}
 			rep.Builds++
 		}
-		acts := base.Fabric.Enabled()
+		acts = base.Fabric.appendEnabled(acts[:0])
 		if len(acts) == 0 {
 			o, kind, msg := base.settle()
 			base.Release()
@@ -464,7 +467,7 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 		}
 		// Sleep sets: a delivery a promise proves already visited is
 		// neither cloned nor stepped (see sleep.go).
-		asleep := z.wake(base.Fabric, acts, promises)
+		asleep := z.wake(&base.Fabric, acts, promises)
 		// Partial-order reduction: when one enabled delivery provably
 		// commutes with every other (see ampleAction), expand it alone.
 		// The ample successor must be new — an already-visited successor
@@ -474,7 +477,7 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 		// visited and is not probed.
 		if !ccfg.POROff && len(acts) > 1 {
 			// Until the probe, only asleep deliveries are covered.
-			if ample := base.ampleAction(sym, acts); ample >= 0 && !z.slots[ample].covered {
+			if ample := base.ampleAction(sym, acts, &pb); ample >= 0 && !z.slots[ample].covered {
 				if fresh, err := expand(base, path, acts, ample); fresh || err != nil {
 					base.Release()
 					if fresh {

@@ -19,8 +19,9 @@
 // expanded by cloning it once per enabled delivery. A clone is a delta
 // of its parent: it shares every ownership group — a thread's core,
 // source and L1, a cluster's C3, or the home directory with DRAM — and
-// a delivery copies only the group it reaches, so a successor hashes
-// and copies one group plus the fabric. A state whose snapshot was
+// the in-flight messages, and a delivery copies only the group it
+// reaches and what it writes of the fabric, so a successor hashes and
+// copies no more than its delivery changed. A state whose snapshot was
 // dropped to bound memory is rebuilt by re-executing its delivery
 // prefix on a fresh model: components are event-driven and
 // single-threaded, so a prefix determines the state.
@@ -28,6 +29,7 @@ package verif
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"c3/internal/fp"
@@ -51,13 +53,20 @@ func (k chKey) less(o chKey) bool {
 	return k.vnet < o.vnet
 }
 
-// channel is one ordered FIFO. Channels live in a slice kept sorted by
-// key; a drained channel keeps its slot (the set of channels a litmus
-// system ever uses is tiny and stable), so Enabled walks an
+// channel is one non-empty ordered FIFO. The fabric keeps its channels
+// in a slice sorted by key, inserting one with the send that fills it
+// and removing it with the delivery that drains it, so Enabled walks an
 // already-canonical order with no per-call sort.
+//
+// hash0 caches the channel's entry hash (see fingerprint) under
+// renaming 0, the identity and the only renaming of an asymmetric test,
+// and rest those under renamings 1 and up; a zero Hasher is not cached.
+// A send or delivery on the channel drops both.
 type channel struct {
-	key chKey
-	q   []*msg.Msg
+	key   chKey
+	q     []*msg.Msg
+	hash0 fp.Hasher
+	rest  []fp.Hasher
 }
 
 // ChoiceFabric is a system.Fabric whose delivery order is chosen by the
@@ -65,26 +74,36 @@ type channel struct {
 // head; traffic on a reorderable link's request and snoop vnets waits
 // in one bag that exposes every message, exactly the reordering CXL's
 // conflict handshake exists to survive.
+//
+// A clone shares everything with the fabric it was cloned from (see
+// Clone) and copies a backing only when it writes it, so a checker
+// successor allocates only what its delivery changes.
 type ChoiceFabric struct {
-	// ports is indexed by NodeID (small and dense by construction).
-	ports []network.Port
 	// links maps each directed {src, dst} pair to its link's config.
 	// Connect fills it at Build and it never changes afterwards, so
 	// clones share it.
 	links map[[2]msg.NodeID]network.LinkConfig
 	chans []channel
 	bag   []*msg.Msg
+	// sharedChans marks chans as shared with a clone or with the fabric
+	// it was cloned from: every queue in it is clipped to full capacity,
+	// and the first write copies the array.
+	sharedChans bool
 
-	Delivered uint64
+	// The bag's hash is kept under every renaming of sym, nil until the
+	// first fingerprint: bag0 under renaming 0 and bagRest under the
+	// others, which Send and take keep current message by message.
+	// bagRest is shared with clones while sharedRest is set.
+	sym        *symmetry
+	bag0       fp.Bag
+	bagRest    []fp.Bag
+	sharedRest bool
 }
 
-// Register attaches a receiver.
-func (f *ChoiceFabric) Register(id msg.NodeID, p network.Port) {
-	for int(id) >= len(f.ports) {
-		f.ports = append(f.ports, nil)
-	}
-	f.ports[id] = p
-}
+// Register implements system.Fabric. The fabric keeps no port table:
+// Model.Step hands each message to the receiver of the group it has
+// just made its own (see group.recv).
+func (f *ChoiceFabric) Register(msg.NodeID, network.Port) {}
 
 // Connect links a and b, both directions, ordered as cfg says.
 func (f *ChoiceFabric) Connect(a, b msg.NodeID, cfg network.LinkConfig) {
@@ -95,51 +114,43 @@ func (f *ChoiceFabric) Connect(a, b msg.NodeID, cfg network.LinkConfig) {
 	f.links[[2]msg.NodeID{b, a}] = cfg
 }
 
-// findChan returns the channel for k, or nil if it does not exist.
-func (f *ChoiceFabric) findChan(k chKey) *channel {
+// search returns the index of channel k, or where to insert it.
+func (f *ChoiceFabric) search(k chKey) (int, bool) {
 	i := sort.Search(len(f.chans), func(i int) bool { return !f.chans[i].key.less(k) })
-	if i < len(f.chans) && f.chans[i].key == k {
-		return &f.chans[i]
-	}
-	return nil
+	return i, i < len(f.chans) && f.chans[i].key == k
 }
 
 // Clone returns a copy of the fabric's in-flight messages for
-// model-checker snapshots. Ports are NOT carried over — they reference
-// the original component graph; Model.Step registers each group's
-// components as it copies them, so only the groups the clone owns have
-// ports. The link table is fixed at Build and shared.
-//
-// Messages are immutable after Send (see msg.Msg), so the *msg.Msg
-// pointers are shared with the original; only the slice backings are
-// private. All queue backings come from one slab, full-capacity sliced
-// so a post-clone Send reallocates instead of stomping a neighbour;
-// the bag gets its own backing because Deliver compacts it in place.
-func (f *ChoiceFabric) Clone() *ChoiceFabric {
-	n := &ChoiceFabric{
-		ports:     make([]network.Port, len(f.ports)),
-		links:     f.links,
-		Delivered: f.Delivered,
+// model-checker snapshots. It allocates nothing: the copy shares the
+// channel array, every queue backing, the bag and the bag's kept hashes
+// with f, and each side copies what it writes. So that an append on
+// either side reallocates instead of writing a slot the other still
+// reads, both sides' queues and bags are clipped to full capacity, and
+// a bag delivery leaves the backing it took from as it was (see take).
+// Messages are immutable after Send (see msg.Msg), so *msg.Msg
+// pointers are shared freely. The link table is fixed at Build and
+// shared.
+func (f *ChoiceFabric) Clone() ChoiceFabric {
+	if !f.sharedChans {
+		for i := range f.chans {
+			c := &f.chans[i]
+			c.q = c.q[:len(c.q):len(c.q)]
+		}
+		f.sharedChans = true
 	}
-	total := 0
-	for i := range f.chans {
-		total += len(f.chans[i].q)
+	f.bag = f.bag[:len(f.bag):len(f.bag)]
+	f.sharedRest = true
+	return *f
+}
+
+// ownChans makes chans the fabric's own before a write, copying a
+// shared array with room for the one channel a send may insert. The
+// copied queues stay clipped, so they still reallocate on append.
+func (f *ChoiceFabric) ownChans() {
+	if f.sharedChans {
+		f.chans = append(make([]channel, 0, len(f.chans)+1), f.chans...)
+		f.sharedChans = false
 	}
-	n.chans = make([]channel, len(f.chans))
-	slab := make([]*msg.Msg, total)
-	off := 0
-	for i := range f.chans {
-		c := &f.chans[i]
-		end := off + len(c.q)
-		nq := slab[off:end:end]
-		copy(nq, c.q)
-		off = end
-		n.chans[i] = channel{key: c.key, q: nq}
-	}
-	if len(f.bag) > 0 {
-		n.bag = append([]*msg.Msg(nil), f.bag...)
-	}
-	return n
 }
 
 // Send implements network.Fabric. m's link orders it exactly as the
@@ -157,16 +168,18 @@ func (f *ChoiceFabric) Send(m *msg.Msg) {
 		k.vnet = 0
 	case cfg.Unordered && m.VNet != msg.VRsp:
 		f.bag = append(f.bag, m)
+		f.rehashBag(m, true)
 		return
 	}
-	if c := f.findChan(k); c != nil {
-		c.q = append(c.q, m)
+	f.ownChans()
+	i, found := f.search(k)
+	if !found {
+		f.chans = slices.Insert(f.chans, i, channel{key: k, q: []*msg.Msg{m}})
 		return
 	}
-	i := sort.Search(len(f.chans), func(i int) bool { return !f.chans[i].key.less(k) })
-	f.chans = append(f.chans, channel{})
-	copy(f.chans[i+1:], f.chans[i:])
-	f.chans[i] = channel{key: k, q: []*msg.Msg{m}}
+	c := &f.chans[i]
+	c.q = append(c.q, m)
+	c.hash0, c.rest = fp.Hasher{}, nil
 }
 
 // Action identifies one deliverable message.
@@ -180,17 +193,14 @@ type Action struct {
 // Enabled lists deliverable actions in a canonical order (deterministic
 // across re-executions of the same prefix).
 func (f *ChoiceFabric) Enabled() []Action {
-	nch := 0
+	return f.appendEnabled(make([]Action, 0, len(f.chans)+len(f.bag)))
+}
+
+// appendEnabled appends the deliverable actions to acts in Enabled's
+// order: each channel's head in key order, then every bag entry.
+func (f *ChoiceFabric) appendEnabled(acts []Action) []Action {
 	for i := range f.chans {
-		if len(f.chans[i].q) > 0 {
-			nch++
-		}
-	}
-	acts := make([]Action, 0, nch+len(f.bag))
-	for i := range f.chans {
-		if len(f.chans[i].q) > 0 {
-			acts = append(acts, Action{Channel: f.chans[i].key})
-		}
+		acts = append(acts, Action{Channel: f.chans[i].key})
 	}
 	for i := range f.bag {
 		acts = append(acts, Action{FromBag: true, Index: i})
@@ -204,7 +214,8 @@ func (f *ChoiceFabric) Peek(a Action) *msg.Msg {
 	if a.FromBag {
 		return f.bag[a.Index]
 	}
-	return f.findChan(a.Channel).q[0]
+	i, _ := f.search(a.Channel)
+	return f.chans[i].q[0]
 }
 
 // delivery names the delivery action a makes so that a later state can
@@ -228,75 +239,151 @@ func (f *ChoiceFabric) delivery(a Action, id fp.Renamer) (name uint64, dst msg.N
 // across different prefixes by it (indices shift when steps are
 // dropped; the message does not).
 func msgHash(m *msg.Msg, id fp.Renamer) uint64 {
-	h := fp.New()
-	fingerprintMsg(&h, m, id)
-	return h.Sum()
+	e := msgEntry(m, id)
+	return e.Sum()
 }
 
-// Deliver executes one action.
-func (f *ChoiceFabric) Deliver(a Action) {
-	var m *msg.Msg
+// take removes the message a delivers from the fabric and returns it.
+// It writes nothing the fabric may share: a FIFO pop copies a shared
+// channel array first, and a bag entry taken from the middle leaves the
+// others in a fresh backing instead of compacting the old one in place.
+func (f *ChoiceFabric) take(a Action) *msg.Msg {
 	if a.FromBag {
-		m = f.bag[a.Index]
-		f.bag = append(f.bag[:a.Index], f.bag[a.Index+1:]...)
-	} else {
-		c := f.findChan(a.Channel)
-		m = c.q[0]
-		c.q = c.q[1:]
-	}
-	f.Delivered++
-	p := f.ports[m.Dst]
-	if p == nil {
-		// Model.Step registers the destination's group before delivering;
-		// a clone's fabric has no port for a group it still shares.
-		panic(fmt.Sprintf("verif: delivery of %v to node %d, which has no port on this fabric", m, m.Dst))
-	}
-	p.Recv(m)
-}
-
-// Empty reports whether nothing is in flight.
-func (f *ChoiceFabric) Empty() bool {
-	if len(f.bag) > 0 {
-		return false
-	}
-	for i := range f.chans {
-		if len(f.chans[i].q) > 0 {
-			return false
+		i := a.Index
+		m := f.bag[i]
+		switch i {
+		case 0:
+			f.bag = f.bag[1:]
+		case len(f.bag) - 1:
+			f.bag = f.bag[:i:i]
+		default:
+			f.bag = append(append(make([]*msg.Msg, 0, len(f.bag)-1), f.bag[:i]...), f.bag[i+1:]...)
 		}
+		f.rehashBag(m, false)
+		return m
 	}
-	return true
+	f.ownChans()
+	i, _ := f.search(a.Channel)
+	c := &f.chans[i]
+	m := c.q[0]
+	if len(c.q) == 1 {
+		f.chans = slices.Delete(f.chans, i, i+1)
+		return m
+	}
+	c.q = c.q[1:]
+	c.hash0, c.rest = fp.Hasher{}, nil
+	return m
 }
 
-// Fingerprint writes the in-flight messages into the model checker's
-// state hash, with line addresses and node ids renamed by rn. Drained
-// channels are left out. The non-empty channels hash as a bag keyed by
-// their renamed endpoints, each queue in FIFO order, and the reorderable
-// bag hashes as a bag of messages.
-func (f *ChoiceFabric) Fingerprint(h *fp.Hasher, rn fp.Renamer) {
+// fingerprint writes the in-flight messages into the model checker's
+// state hash under renaming s.perms[pi]. The channels hash as a bag of
+// entries keyed by their renamed endpoints, each queue in FIFO order,
+// and the reorderable bag hashes as a bag of messages. Both are kept
+// incrementally — each channel caches its entry, and the bag's hash is
+// kept current message by message — so a successor re-hashes only the
+// channels and bag entries its delivery changed; the values are those
+// of hashing every message afresh. An index names one renaming in every
+// symmetry a configuration gets (see group.hash), so the caches serve
+// any of them.
+func (f *ChoiceFabric) fingerprint(h *fp.Hasher, s *symmetry, pi int) {
 	var chans fp.Bag
 	for i := range f.chans {
-		c := &f.chans[i]
-		if len(c.q) == 0 {
-			continue
-		}
-		e := fp.New()
-		e.Node(c.key.src, rn)
-		e.Node(c.key.dst, rn)
-		e.Int(int(c.key.vnet))
-		e.Int(len(c.q))
-		for _, m := range c.q {
-			fingerprintMsg(&e, m, rn)
-		}
-		chans.Add(e)
+		chans.Add(f.chans[i].entry(s, pi))
 	}
 	h.Bag(chans)
-	var bag fp.Bag
-	for _, m := range f.bag {
-		e := fp.New()
-		fingerprintMsg(&e, m, rn)
-		bag.Add(e)
+	if f.sym == nil || len(f.sym.perms) < len(s.perms) {
+		f.hashBag(s)
 	}
-	h.Bag(bag)
+	if pi == 0 {
+		h.Bag(f.bag0)
+	} else {
+		h.Bag(f.bagRest[pi-1])
+	}
+}
+
+// entry returns the channel's entry hash under renaming s.perms[pi],
+// from its cache when it can. Filling the cache may write a channel
+// array or cache backing shared with clones, but only with the value
+// each of them would compute: they hold the same messages.
+func (c *channel) entry(s *symmetry, pi int) fp.Hasher {
+	slot := &c.hash0
+	if pi > 0 {
+		if len(c.rest) < len(s.perms)-1 {
+			c.rest = make([]fp.Hasher, len(s.perms)-1)
+		}
+		slot = &c.rest[pi-1]
+	}
+	if *slot == (fp.Hasher{}) {
+		*slot = chanEntry(c, &s.perms[pi])
+	}
+	return *slot
+}
+
+// chanEntry hashes channel c under rn: its renamed endpoints, vnet and
+// length, then its messages in FIFO order.
+func chanEntry(c *channel, rn fp.Renamer) fp.Hasher {
+	e := fp.New()
+	e.Node(c.key.src, rn)
+	e.Node(c.key.dst, rn)
+	e.Int(int(c.key.vnet))
+	e.Int(len(c.q))
+	for _, m := range c.q {
+		fingerprintMsg(&e, m, rn)
+	}
+	return e
+}
+
+// msgEntry hashes one message under rn, as the bag's entry for it.
+func msgEntry(m *msg.Msg, rn fp.Renamer) fp.Hasher {
+	e := fp.New()
+	fingerprintMsg(&e, m, rn)
+	return e
+}
+
+// hashBag hashes the whole bag under every renaming of s, which Send
+// and take then keep current.
+func (f *ChoiceFabric) hashBag(s *symmetry) {
+	f.sym, f.bag0 = s, fp.Bag{}
+	f.bagRest, f.sharedRest = make([]fp.Bag, len(s.perms)-1), false
+	for _, m := range f.bag {
+		f.bag0.Add(msgEntry(m, &s.perms[0]))
+		for pi := range f.bagRest {
+			f.bagRest[pi].Add(msgEntry(m, &s.perms[pi+1]))
+		}
+	}
+}
+
+// rehashBag adds m to the bag's kept hashes, or removes it, under every
+// renaming they are kept under, copying a shared bagRest first.
+func (f *ChoiceFabric) rehashBag(m *msg.Msg, add bool) {
+	if f.sym == nil {
+		return
+	}
+	if f.sharedRest && len(f.bagRest) > 0 {
+		f.bagRest = slices.Clone(f.bagRest)
+	}
+	f.sharedRest = false
+	for pi := range f.sym.perms {
+		b := &f.bag0
+		if pi > 0 {
+			b = &f.bagRest[pi-1]
+		}
+		if e := msgEntry(m, &f.sym.perms[pi]); add {
+			b.Add(e)
+		} else {
+			b.Remove(e)
+		}
+	}
+}
+
+// dropHashes forgets the fabric's cached and kept hashes, for code that
+// writes the fabric outside Send and take.
+func (f *ChoiceFabric) dropHashes() {
+	f.ownChans()
+	for i := range f.chans {
+		f.chans[i].hash0, f.chans[i].rest = fp.Hasher{}, nil
+	}
+	f.sym, f.bag0, f.bagRest = nil, fp.Bag{}, nil
 }
 
 // ForEachInFlight visits every in-flight message (channel entries and

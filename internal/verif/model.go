@@ -42,30 +42,46 @@ func ModelFor(test string, unsynced bool) (ModelConfig, error) {
 }
 
 // Model is one instantiated system plus the handles the explorer needs.
+// It holds its kernel, fabric and group slots by value and shares the
+// rest with every model of its Build, so a clone is one allocation.
 type Model struct {
-	cfg    ModelConfig
-	K      *sim.Kernel
-	Fabric *ChoiceFabric
+	K      sim.Kernel
+	Fabric ChoiceFabric
+
+	// b is what every model of one Build shares.
+	b *build
 
 	// groups are the model's ownership groups, shared with its clones
 	// until a delivery reaches them (see group): one per thread in thread
-	// order, then one per cluster, then the home.
+	// order, then one per cluster, then the home. They live in slots
+	// unless the test has more threads than slots holds.
 	groups []*group
-	// groupOf maps a node id to the index in groups of the group that
-	// owns it (-1 for an id no component has). Computed once at Build
-	// and shared (read-only) by every clone.
-	groupOf []int
-
-	// addrs is each variable's address (Test.Vars order) and addrLines
-	// their sorted lines. Computed once at Build and shared (read-only)
-	// by every clone: the invariant checks walk addrLines for each
-	// expanded state.
-	addrs     []mem.Addr
-	addrLines []mem.LineAddr
+	slots  [8]*group
 
 	// released makes Release idempotent and keeps the modelsLive pool
 	// accounting exact even if a model reaches two release paths.
 	released bool
+}
+
+// build is what Build computes once and every clone of its model
+// shares: read-only but for spares, which the model stepping at the
+// moment holds (see Model.Step).
+type build struct {
+	cfg ModelConfig
+
+	// groupOf maps a node id to the index in groups of the group that
+	// owns it (-1 for an id no component has).
+	groupOf []int
+
+	// addrs is each variable's address (Test.Vars order) and addrLines
+	// their sorted lines: the invariant checks walk addrLines for each
+	// expanded state.
+	addrs     []mem.Addr
+	addrLines []mem.LineAddr
+
+	// spares is the kernel storage — the event free list among it — that
+	// the models of this Build run on in turn.
+	spares sim.Spares
 }
 
 // threads returns the thread groups, in thread order.
@@ -114,49 +130,53 @@ func Build(cfg ModelConfig) (*Model, error) {
 	}
 	l1 := hostproto.DefaultConfig(hostproto.MESI) // system sets each cluster's variant
 	l1.SizeBytes, l1.Ways = 4096, 4
-	m := &Model{cfg: cfg, K: &sim.Kernel{}, Fabric: &ChoiceFabric{}}
+	m := &Model{b: &build{cfg: cfg}}
+	m.groups = m.slots[:0]
 	sys, err := system.Assemble(system.Config{
 		Global: cfg.Global, LLCSize: llcSize, LLCWays: 2,
 		Clusters: []system.ClusterConfig{
 			{Protocol: cfg.Locals[0], MCM: cfg.MCMs[0], Cores: lay.Cores[0], L1: l1},
 			{Protocol: cfg.Locals[1], MCM: cfg.MCMs[1], Cores: lay.Cores[1], L1: l1},
 		},
-	}, m.K, m.Fabric)
+	}, &m.K, &m.Fabric)
 	if err != nil {
 		return nil, fmt.Errorf("verif: %w", err)
 	}
 	for ti, p := range lay.Threads {
 		l1 := sys.Clusters[p.Cluster].L1s[p.Slot].(*hostproto.L1)
 		src := cpu.NewSliceSource(p.Prog)
-		c := cpu.New(ti, m.K, cpu.DefaultConfig(cfg.MCMs[p.Cluster]), l1, src, nil)
+		c := cpu.New(ti, &m.K, cpu.DefaultConfig(cfg.MCMs[p.Cluster]), l1, src, nil)
 		m.groups = append(m.groups, &group{core: c, src: src, l1: l1})
 	}
 	for _, cl := range sys.Clusters {
 		m.groups = append(m.groups, &group{c3: cl.C3})
 	}
 	m.groups = append(m.groups, &group{dram: sys.DRAM, dcoh: sys.DCOH, hdir: sys.HDir})
+	b := m.b
 	for gi, g := range m.groups {
 		g.refs, g.owner = 1, m
-		for int(g.node()) >= len(m.groupOf) {
-			m.groupOf = append(m.groupOf, -1)
+		for int(g.node()) >= len(b.groupOf) {
+			b.groupOf = append(b.groupOf, -1)
 		}
-		m.groupOf[g.node()] = gi
+		b.groupOf[g.node()] = gi
 	}
-	m.addrs = lay.Addrs
+	b.addrs = lay.Addrs
 	for _, a := range lay.Addrs {
-		m.addrLines = append(m.addrLines, a.Line())
+		b.addrLines = append(b.addrLines, a.Line())
 	}
-	sort.Slice(m.addrLines, func(i, j int) bool { return m.addrLines[i] < m.addrLines[j] })
+	sort.Slice(b.addrLines, func(i, j int) bool { return b.addrLines[i] < b.addrLines[j] })
 	modelsLive.Add(1)
 	return m, nil
 }
 
 // Start launches cores and quiesces internal events.
 func (m *Model) Start() {
+	m.K.SwapSpares(&m.b.spares)
 	for _, t := range m.threads() {
 		t.core.Start()
 	}
 	m.Quiesce()
+	m.K.SwapSpares(&m.b.spares)
 }
 
 // Quiesce drains all kernel events (controller latencies, core pumps,
@@ -171,16 +191,21 @@ func (m *Model) Quiesce() {
 // Step delivers one fabric action and quiesces. The delivery runs only
 // the group owning its destination node (see group), so Step first makes
 // that group the model's own (Model.own): a group still shared with a
-// parent or a sibling is copied, and the other groups stay shared.
+// parent or a sibling is copied, and the other groups stay shared. The
+// events the delivery schedules come from the free list every model of
+// the Build runs on in turn: the kernel holds it until it drains.
 func (m *Model) Step(a Action) {
-	gi := m.groupOf[m.Fabric.Peek(a).Dst]
-	m.own(gi)
+	mm := m.Fabric.take(a)
+	gi := m.b.groupOf[mm.Dst]
+	g := m.own(gi)
 	var after func()
 	if testStepHook != nil {
 		after = testStepHook(m, gi)
 	}
-	m.Fabric.Deliver(a)
+	m.K.SwapSpares(&m.b.spares)
+	g.recv(m, mm)
 	m.Quiesce()
+	m.K.SwapSpares(&m.b.spares)
 	if after != nil {
 		after()
 	}
@@ -189,7 +214,7 @@ func (m *Model) Step(a Action) {
 // testStepHook, when non-nil, brackets every Step: it runs once the
 // model owns the stepped group gi, before the delivery, and the function
 // it returns runs after the step quiesces. The verif tests install the
-// ownership check here (ownership_test.go).
+// ownership and fabric hash checks here (ownership_test.go).
 var testStepHook func(m *Model, gi int) (after func())
 
 // AllFinished reports whether every core retired its program.
@@ -226,8 +251,8 @@ func (m *Model) Outcome() (litmus.Outcome, error) {
 	for i, t := range m.threads() {
 		t.src.EachReg(func(reg int, val uint64) { o[litmus.Key(i, reg)] = val })
 	}
-	for vi, v := range m.cfg.Test.Vars {
-		addr := m.addrs[vi]
+	for vi, v := range m.b.cfg.Test.Vars {
+		addr := m.b.addrs[vi]
 		val, err := m.finalValue(addr.Line())
 		if err != nil {
 			return nil, err
@@ -285,4 +310,4 @@ func (m *Model) finalValue(a mem.LineAddr) (mem.Data, error) {
 
 // lines returns the sorted line addresses of interest (the test's
 // variables), cached at Build and shared read-only across clones.
-func (m *Model) lines() []mem.LineAddr { return m.addrLines }
+func (m *Model) lines() []mem.LineAddr { return m.b.addrLines }

@@ -27,17 +27,28 @@ import (
 // that hashes to an already-visited state forces full expansion, so no
 // enabled delivery can be ignored forever around a cycle.
 
+// porScratch holds ampleAction's per-line counts and per-core masks,
+// reused across the frontier pops of one exploration.
+type porScratch struct {
+	counts []int
+	masks  []uint32
+}
+
 // ampleAction returns the index into acts of a delivery valid as a
 // singleton ample set, or -1 to require full expansion. Deterministic:
 // it scans acts in canonical order and depends only on model state.
-func (m *Model) ampleAction(sym *symmetry, acts []Action) int {
+func (m *Model) ampleAction(sym *symmetry, acts []Action, buf *porScratch) int {
 	if !sym.porOK {
 		return -1
 	}
 	// Per-line in-flight message counts. A message on an unknown line or
 	// carrying poison makes every delivery non-ample.
 	nv := len(sym.varLines)
-	counts := make([]int, nv)
+	if cap(buf.counts) < nv {
+		buf.counts = make([]int, nv)
+	}
+	counts := buf.counts[:nv]
+	clear(counts)
 	ok := true
 	m.Fabric.ForEachInFlight(func(mm *msg.Msg) {
 		if !ok {
@@ -60,7 +71,10 @@ func (m *Model) ampleAction(sym *symmetry, acts []Action) int {
 	// Per-core future-line masks: window and store-buffer entries plus
 	// unfetched program (nv ≤ 16, so a word of bits suffices).
 	threads := m.threads()
-	masks := make([]uint32, len(threads))
+	if cap(buf.masks) < len(threads) {
+		buf.masks = make([]uint32, len(threads))
+	}
+	masks := buf.masks[:len(threads)]
 	bad := false
 	for ci, t := range threads {
 		var mask uint32

@@ -1,6 +1,7 @@
 package verif
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"c3/internal/core"
@@ -66,31 +67,47 @@ func (g *group) node() msg.NodeID {
 	return g.hdir.ID()
 }
 
-// copyTo returns a copy of g bound to m's kernel and fabric, its ports
-// registered there, with m as owner and sole holder.
+// copyTo returns a copy of g bound to m's kernel and fabric, with m as
+// owner and sole holder.
 func (g *group) copyTo(m *Model) *group {
 	n := &group{refs: 1, owner: m}
 	switch {
 	case g.l1 != nil:
 		n.src = g.src.Clone()
-		n.core = g.core.Clone(m.K, n.src)
-		n.l1 = g.l1.Clone(m.K, m.Fabric, n.core.Callback())
+		n.core = g.core.Clone(&m.K, n.src)
+		n.l1 = g.l1.Clone(&m.K, &m.Fabric, n.core.Callback())
 		n.core.BindL1(n.l1)
-		m.Fabric.Register(n.l1.ID(), n.l1)
 	case g.c3 != nil:
-		n.c3 = g.c3.Clone(m.K, m.Fabric, m.Fabric)
-		m.Fabric.Register(n.c3.ID(), n.c3)
+		n.c3 = g.c3.Clone(&m.K, &m.Fabric, &m.Fabric)
 	default:
-		n.dram = g.dram.Clone(m.K)
+		n.dram = g.dram.Clone(&m.K)
 		if g.dcoh != nil {
-			n.dcoh = g.dcoh.Clone(m.K, m.Fabric, n.dram)
-			m.Fabric.Register(n.dcoh.ID(), n.dcoh)
+			n.dcoh = g.dcoh.Clone(&m.K, &m.Fabric, n.dram)
 		} else {
-			n.hdir = g.hdir.Clone(m.K, m.Fabric, n.dram)
-			m.Fabric.Register(n.hdir.ID(), n.hdir)
+			n.hdir = g.hdir.Clone(&m.K, &m.Fabric, n.dram)
 		}
 	}
 	return n
+}
+
+// recv delivers mm to the group's receiving node on behalf of m, which
+// must own the group alone (see Model.own): the components of a group m
+// shares are bound to another model's kernel and fabric, and a parent
+// or sibling still holds them, so running one would corrupt that model.
+func (g *group) recv(m *Model, mm *msg.Msg) {
+	if g.owner != m || g.refs != 1 {
+		panic(fmt.Sprintf("verif: delivery of %v to node %d, whose group this model does not own alone", mm, mm.Dst))
+	}
+	switch {
+	case g.l1 != nil:
+		g.l1.Recv(mm)
+	case g.c3 != nil:
+		g.c3.Recv(mm)
+	case g.dcoh != nil:
+		g.dcoh.Recv(mm)
+	default:
+		g.hdir.Recv(mm)
+	}
 }
 
 // drop removes one holder. The last releases the copy-on-write backings
@@ -119,16 +136,19 @@ func (g *group) drop() {
 // The checker uses it to expand a frontier state's successors without
 // re-executing the delivery prefix from the root.
 //
-// A clone copies only the kernel and the in-flight fabric messages. It
-// shares every ownership group with m under the group's refcount, and
-// Step copies a group onto the stepping model's own kernel and fabric
-// the first time a delivery reaches it — unless that model built the
-// group and is its sole holder. A successor therefore owns the one group
-// its delivery ran and shares the rest with its parent. Inside a copied
-// group, all per-line state — cache frame slabs, every controller's line
-// tables and the DRAM line store — is copy-on-write too (see cache.Cache
-// and mem.Table), so a copy allocates once per component and a table
-// the delivery leaves untouched is never copied.
+// A clone is one allocation: the Model itself, holding a copy of the
+// kernel's clock, the fabric (which shares every backing with m until
+// either side writes one; see ChoiceFabric.Clone) and m's group
+// pointers. It shares every ownership group with m under the group's
+// refcount, and Step copies a group onto the stepping model's own
+// kernel and fabric the first time a delivery reaches it — unless that
+// model built the group and is its sole holder. A successor therefore
+// owns the one group its delivery ran and shares the rest with its
+// parent. Inside a copied group, all per-line state — cache frame
+// slabs, every controller's line tables and the DRAM line store — is
+// copy-on-write too (see cache.Cache and mem.Table), so a copy
+// allocates once per component and a table the delivery leaves
+// untouched is never copied.
 //
 // Cloning is only defined at quiescent points (the only states the
 // checker visits): the kernel queue must be empty, which guarantees no
@@ -141,12 +161,10 @@ func (g *group) drop() {
 // their backings stay on one goroutine, and goroutines share only the
 // pools.
 func (m *Model) Clone() *Model {
-	n := &Model{cfg: m.cfg, K: m.K.Clone(), Fabric: m.Fabric.Clone(),
-		groupOf: m.groupOf, addrs: m.addrs, addrLines: m.addrLines}
-	n.groups = make([]*group, len(m.groups))
-	for i, g := range m.groups {
+	n := &Model{K: m.K.Clone(), Fabric: m.Fabric.Clone(), b: m.b}
+	n.groups = append(n.slots[:0], m.groups...)
+	for _, g := range m.groups {
 		g.refs++
-		n.groups[i] = g
 	}
 	modelsLive.Add(1)
 	return n
@@ -168,12 +186,13 @@ func (m *Model) own(gi int) *group {
 	return n
 }
 
-// dropHashes forgets every group's cached hashes, for code that writes
-// a model outside Step.
+// dropHashes forgets every group's cached hashes and the fabric's, for
+// code that writes a model outside Step.
 func (m *Model) dropHashes() {
 	for _, g := range m.groups {
 		clear(g.hashes)
 	}
+	m.Fabric.dropHashes()
 }
 
 // Release retires the model, dropping its reference to every group; the
@@ -194,6 +213,9 @@ func (m *Model) Release() {
 		g.drop()
 	}
 	// A group the model built may outlive it in its clones; they must not
-	// keep the model's other groups reachable through its owner pointer.
+	// keep the model's other groups, or the fabric backings it holds,
+	// reachable through its owner pointer.
+	clear(m.groups)
 	m.groups = nil
+	m.Fabric = ChoiceFabric{}
 }

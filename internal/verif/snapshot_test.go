@@ -110,10 +110,10 @@ func TestCloneIsolation(t *testing.T) {
 	})
 }
 
-// TestDeliveryToUnownedNodePanics: a clone's fabric has ports only for
-// the groups the clone owns, so a delivery that bypasses Step, and with
-// it the copy of the destination's group, must fail loudly instead of
-// running a component the parent still holds.
+// TestDeliveryToUnownedNodePanics: a clone shares every group with its
+// parent until Step copies the one a delivery reaches, so a delivery
+// that bypasses Step, and with it that copy, must fail loudly instead
+// of running a component the parent still holds.
 func TestDeliveryToUnownedNodePanics(t *testing.T) {
 	m, err := Build(mpCXL(t, litmus.SyncFull))
 	if err != nil {
@@ -126,13 +126,14 @@ func TestDeliveryToUnownedNodePanics(t *testing.T) {
 		if r == nil {
 			t.Fatal("a delivery to a node the clone does not own did not panic")
 		}
-		if s, _ := r.(string); !strings.Contains(s, "no port on this fabric") {
-			t.Fatalf("panic %v does not name the missing port", r)
+		if s, _ := r.(string); !strings.Contains(s, "does not own alone") {
+			t.Fatalf("panic %v does not name the unowned group", r)
 		}
 		c.Release()
 		m.Release()
 	}()
-	c.Fabric.Deliver(c.Fabric.Enabled()[0])
+	mm := c.Fabric.take(c.Fabric.Enabled()[0])
+	c.groups[c.b.groupOf[mm.Dst]].recv(c, mm)
 }
 
 // TestCloneMatchesReplayDeepPath walks one delivery path two ways —
@@ -271,7 +272,7 @@ func BenchmarkCheckerExpandReplayFromRoot(b *testing.B) {
 }
 
 func benchCheck(b *testing.B, ccfg CheckerConfig) {
-	withoutOwnershipCheck(b)
+	withoutStepChecks(b)
 	mcfg := mpCXL(b, litmus.SyncFull)
 	var rep *Report
 	for i := 0; i < b.N; i++ {
@@ -335,7 +336,7 @@ var fingerprintSink uint64
 // components and the step's sends, never the other groups, the cache
 // frame slabs or the DRAM store.
 func BenchmarkCloneSnapshot(b *testing.B) {
-	withoutOwnershipCheck(b)
+	withoutStepChecks(b)
 	m, err := Build(mpCXL(b, litmus.SyncFull))
 	if err != nil {
 		b.Fatal(err)
