@@ -134,8 +134,9 @@ func main() {
 	rep, err := litmus.RunSoak(cfg)
 	stopWatch()
 	if err != nil {
-		appendLedger(sweep.Ledger, so, cfg, start, obs.VerdictError, obs.ExitUsage, map[string]any{"error": err.Error()})
-		failUsage(err)
+		// sweep.Config already expanded the sweep with litmus.Campaigns,
+		// RunSoak's only error source, so this is a program bug.
+		panic(err)
 	}
 
 	fmt.Print(rep.Render())

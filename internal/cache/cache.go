@@ -88,16 +88,42 @@ type slab struct {
 // geometry keys the slab pools: different cache geometries never mix.
 type geometry struct{ lines, ways int }
 
-// slabPools recycles retired, all-zero slabs (sync.Map of geometry ->
-// *sync.Pool).
+// slabPool recycles retired, all-zero slabs of one geometry. The first
+// few wait in a mutex-guarded free list, which every P sees and which
+// survives GC; the rest go to a sync.Pool. A sync.Pool alone would miss
+// in steady state: a slab put back on one P sits in that P's private
+// slot, which a Get on another P never looks at, and a miss allocates
+// and zeroes a fresh slab (6.3 MB for a Table III LLC).
+type slabPool struct {
+	mu   sync.Mutex
+	free []*slab // at most maxFreeSlabs
+	pool sync.Pool
+}
+
+// maxFreeSlabs caps each geometry's free list: enough for the machines
+// that two soak workers build and release in turn.
+const maxFreeSlabs = 4
+
+// slabPools maps geometry -> *slabPool.
 var slabPools sync.Map
 
 func getSlab(g geometry) *slab {
 	pi, ok := slabPools.Load(g)
 	if !ok {
-		pi, _ = slabPools.LoadOrStore(g, &sync.Pool{})
+		pi, _ = slabPools.LoadOrStore(g, &slabPool{})
 	}
-	s, _ := pi.(*sync.Pool).Get().(*slab)
+	p := pi.(*slabPool)
+	var s *slab
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		s = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+	}
+	p.mu.Unlock()
+	if s == nil {
+		s, _ = p.pool.Get().(*slab)
+	}
 	if s == nil {
 		nsets := g.lines / g.ways
 		s = &slab{
@@ -110,13 +136,24 @@ func getSlab(g geometry) *slab {
 	return s
 }
 
-// putSlab zeroes the marked sets and the bitmap, restoring the pool's
+// putSlab zeroes the marked sets and the bitmap, restoring the pools'
 // all-zero invariant, and pools the slab.
 func putSlab(s *slab) {
 	s.eachSet(func(lo, hi int) { clear(s.entries[lo:hi]) })
 	clear(s.touched)
-	if pi, ok := slabPools.Load(geometry{len(s.entries), s.ways}); ok {
-		pi.(*sync.Pool).Put(s)
+	pi, ok := slabPools.Load(geometry{len(s.entries), s.ways})
+	if !ok {
+		return
+	}
+	p := pi.(*slabPool)
+	p.mu.Lock()
+	if len(p.free) < maxFreeSlabs {
+		p.free = append(p.free, s)
+		s = nil
+	}
+	p.mu.Unlock()
+	if s != nil {
+		p.pool.Put(s)
 	}
 }
 

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -201,5 +202,45 @@ func TestCOWCloneOfCloneChain(t *testing.T) {
 	c.Probe(addr(1)).State = 3
 	if a.Probe(addr(1)).State != 1 || b.Probe(addr(1)).State != 2 || c.Probe(addr(1)).State != 3 {
 		t.Fatal("clone chain lost isolation")
+	}
+}
+
+// TestReleasedSlabsOutliveGC: the first maxFreeSlabs slabs released for
+// one geometry wait in its free list, which GC does not empty and every
+// P sees, so the next caches of that geometry take them even after two
+// collections (which empty a sync.Pool) and on another goroutine; the
+// slabs they hand out are all-zero. Slabs past the cap still recycle
+// through the pool, and a geometry's free list never grows past it.
+func TestReleasedSlabsOutliveGC(t *testing.T) {
+	const size, ways = 64 * mem.LineBytes, 4 // a geometry no other test uses
+	var cs []*Cache
+	for i := 0; i < maxFreeSlabs+2; i++ {
+		c := New(size, ways)
+		c.Install(addr(i)).State = 1
+		cs = append(cs, c)
+	}
+	released := map[*slab]bool{}
+	for _, c := range cs {
+		released[c.s] = true
+		c.Release()
+	}
+	pi, _ := slabPools.Load(geometry{size / mem.LineBytes, ways})
+	if n := len(pi.(*slabPool).free); n != maxFreeSlabs {
+		t.Fatalf("free list holds %d slabs, want the cap %d", n, maxFreeSlabs)
+	}
+	runtime.GC()
+	runtime.GC()
+	got := make(chan *Cache, maxFreeSlabs)
+	go func() {
+		for i := 0; i < maxFreeSlabs; i++ {
+			got <- New(size, ways)
+		}
+		close(got)
+	}()
+	for c := range got {
+		if !released[c.s] {
+			t.Fatal("a cache built after two collections allocated a fresh slab while released ones waited")
+		}
+		checkZero(t, c)
 	}
 }

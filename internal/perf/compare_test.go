@@ -183,7 +183,7 @@ func TestSummaryRender(t *testing.T) {
 // TestBenchmarksWellFormed pins the suite shape the committed baseline
 // covers, without paying for a full measurement in unit tests.
 func TestBenchmarksWellFormed(t *testing.T) {
-	want := map[string]bool{"kernel": true, "network-send": true, "core-l1-hit": true, "checker-expand": true, "checker-reduced": true, "clone-snapshot": true, "system-build": true, "soak-inner-loop": true}
+	want := map[string]bool{"kernel": true, "kernel-mixed": true, "network-send": true, "core-l1-hit": true, "checker-expand": true, "checker-reduced": true, "clone-snapshot": true, "system-build": true, "soak-inner-loop": true}
 	for _, b := range Benchmarks() {
 		if !want[b.Name] {
 			t.Errorf("unexpected benchmark %q (update BENCH_c3.json and this test together)", b.Name)

@@ -1,6 +1,7 @@
 // Package perf is the self-contained micro-benchmark harness behind the
 // checked-in perf-trajectory baseline (BENCH_c3.json): it re-runs the
-// repo's load-bearing hot paths — the event kernel, the checker's
+// repo's load-bearing hot paths — the event kernel (a delay-1 round
+// trip and the timed workloads' delay mix), the checker's
 // snapshot expansion, the network send path, the core/L1 hit path,
 // machine set-up, and the soak inner loop — from a normal binary
 // (c3bench -exp micro) rather than `go test -bench`, measures wall time
@@ -15,6 +16,7 @@ package perf
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"time"
 
@@ -72,6 +74,28 @@ func Benchmarks() []Benchmark {
 				return func() {
 					for i := 0; i < ops; i++ {
 						k.Schedule(k.Now()+1, fn)
+						k.Step()
+					}
+				}
+			},
+		},
+		{
+			// The kernel under the delay mix of sim-contended (mirrors
+			// internal/sim BenchmarkKernelMixed): 46 events pending, one
+			// scheduled and one fired per op, most due within a few
+			// cycles and a tenth a cross-cluster link traversal (about
+			// 150 cycles) out. Steady state is allocation-free.
+			Name: "kernel-mixed", Ops: 2_000_000, ZeroAlloc: true,
+			Setup: func(ops int) func() {
+				k := &sim.Kernel{}
+				delays := contendedDelays()
+				fn := func(any) {}
+				for i := 0; i < 46; i++ {
+					k.ScheduleArg(k.Now()+delays[i], fn, nil)
+				}
+				return func() {
+					for i := 0; i < ops; i++ {
+						k.ScheduleArg(k.Now()+delays[i&1023], fn, nil)
 						k.Step()
 					}
 				}
@@ -251,6 +275,33 @@ func Benchmarks() []Benchmark {
 			},
 		},
 	}
+}
+
+// contendedDelays draws 1024 event delays from the mix a sim-contended
+// run (histogram on MESI-CXL-MESI and MESI-MESI-MESI, four cores per
+// cluster) schedules, given in events per thousand by delay range; the
+// same table and seed as internal/sim BenchmarkKernelMixed.
+func contendedDelays() []sim.Time {
+	mix := []struct {
+		lo, hi   sim.Time
+		permille int
+	}{
+		{1, 1, 571}, {2, 2, 113}, {4, 4, 49}, {12, 12, 40}, {13, 13, 67},
+		{14, 22, 11}, {23, 23, 18}, {24, 63, 17}, {64, 141, 9},
+		{142, 142, 51}, {143, 166, 52}, {167, 255, 2},
+	}
+	rng := rand.New(rand.NewPCG(7, 7))
+	delays := make([]sim.Time, 1024)
+	for i := range delays {
+		r := rng.IntN(1000)
+		for _, d := range mix {
+			if r -= d.permille; r < 0 {
+				delays[i] = d.lo + sim.Time(rng.IntN(int(d.hi-d.lo)+1))
+				break
+			}
+		}
+	}
+	return delays
 }
 
 // nopPort swallows deliveries without bookkeeping, so receiver cost is

@@ -66,22 +66,39 @@ func BenchmarkKernelScheduleArg(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelMixed keeps about 50 events pending with the delay mix
-// measured on the timed workloads: about two thirds one cycle ahead (the
-// next-cycle lane), the rest 2-255 cycles out (the heap).
+// contendedDelays is the delay mix of the events a sim-contended run
+// (histogram on MESI-CXL-MESI and MESI-MESI-MESI, four cores per
+// cluster) schedules, in events per thousand by delay range: next-cycle
+// pumps and hit replies, controller, cache and DRAM latencies, and the
+// cross-cluster link. None is due 256 or more cycles out.
+var contendedDelays = []struct {
+	lo, hi   Time
+	permille int
+}{
+	{1, 1, 571}, {2, 2, 113}, {4, 4, 49}, {12, 12, 40}, {13, 13, 67},
+	{14, 22, 11}, {23, 23, 18}, {24, 63, 17}, {64, 141, 9},
+	{142, 142, 51}, {143, 166, 52}, {167, 255, 2},
+}
+
+// BenchmarkKernelMixed keeps 46 events pending (sim.pending_mean on
+// sim-contended) and schedules with contendedDelays: one event
+// scheduled and one fired per op. The c3bench kernel-mixed micro
+// mirrors it.
 func BenchmarkKernelMixed(b *testing.B) {
 	var k Kernel
 	rng := rand.New(rand.NewPCG(7, 7))
 	delays := make([]Time, 1024)
 	for i := range delays {
-		if rng.IntN(3) < 2 {
-			delays[i] = 1
-		} else {
-			delays[i] = Time(2 + rng.IntN(254))
+		r := rng.IntN(1000)
+		for _, d := range contendedDelays {
+			if r -= d.permille; r < 0 {
+				delays[i] = d.lo + Time(rng.IntN(int(d.hi-d.lo)+1))
+				break
+			}
 		}
 	}
 	fn := func(any) {}
-	for i := 0; i < 50; i++ {
+	for i := 0; i < 46; i++ {
 		k.ScheduleArg(k.Now()+delays[i], fn, nil)
 	}
 	b.ReportAllocs()

@@ -16,12 +16,23 @@
 // too, via ScheduleArg (see internal/network's delivery path and the
 // cores' pump and local-completion events).
 //
-// Most events in a timed run are scheduled exactly one cycle ahead (core
-// pumps, local completions, L1 hit replies). Those bypass the heap: they
-// queue in a FIFO next-cycle lane, which is already in (time, seq) order
-// because the clock never runs backwards and seq only grows, and Step
-// pops the earlier of the lane head and the heap top.
+// Nearly every event in a timed run is due within a few hundred cycles:
+// core pumps, local completions and L1 hit replies one cycle ahead,
+// controller, cache and DRAM latencies a few to a few dozen, and a
+// cross-cluster link traversal about 140-170. Those bypass the heap: an
+// event due fewer than wheelSlots cycles ahead joins the FIFO chain of a
+// timing-wheel slot for its due time, and a bitmap of occupied slots
+// finds the earliest. Every wheel event is due in [now, now+wheelSlots),
+// so a slot holds one due time, and its chain is in seq order because
+// seq only grows. The heap keeps only the events due wheelSlots or more
+// cycles out, and Step pops the earlier of the wheel's first event and
+// the heap top.
 package sim
+
+import (
+	"math/bits"
+	"sync"
+)
 
 // Time is a simulation timestamp in cycles of the global clock.
 // With the paper's 2 GHz cores, 1 cycle = 0.5 ns.
@@ -45,13 +56,14 @@ type event struct {
 
 	seq   uint64 // tie-break so equal-time events run in schedule order
 	gen   uint32 // bumped on recycle; Handles with an older gen are stale
-	index int32  // heap position, inLane, or -1 when not queued
+	index int32  // heap position, inWheel, or -1 when not queued
+	next  *event // the next event of its wheel slot's circular chain
 }
 
-// inLane marks an event queued in the next-cycle lane. A lane event that
-// is cancelled drops to index -1 but stays in the ring until Step
-// reaches it, so Cancel never has to search the ring.
-const inLane = -2
+// inWheel marks an event queued in the timing wheel. A wheel event that
+// is cancelled drops to index -1 but stays in its slot's chain until
+// Step reaches it, so Cancel never has to search a chain.
+const inWheel = -2
 
 // before reports whether a runs before b: the kernel's total order.
 func before(a, b *event) bool {
@@ -152,10 +164,10 @@ func (h *eventHeap) remove(i int) {
 }
 
 // FIFO is a first-in first-out queue on a power-of-two ring that doubles
-// when full. The kernel's next-cycle lane is one; a component whose
-// events all fire at one fixed delay keeps their payloads in another,
-// since those events fire in the order it scheduled them, so each event
-// pops the head and needs no closure of its own.
+// when full. A component whose events all fire at one fixed delay keeps
+// their payloads in one, since those events fire in the order it
+// scheduled them, so each event pops the head and needs no closure of
+// its own.
 type FIFO[T any] struct {
 	buf     []T
 	head, n int32
@@ -190,16 +202,85 @@ func (q *FIFO[T]) Pop() T {
 	return v
 }
 
+// wheelSlots is the timing wheel's span W: an event due fewer than W
+// cycles ahead queues in the wheel, a later one in the heap. It is a
+// power of two, and covers all of the delays histogram schedules and
+// all but about one in 7,000 of vips' (those are due within 512).
+const (
+	wheelSlots = 256
+	wheelMask  = wheelSlots - 1
+)
+
+// wheel is the kernel's near-event queue. Slot t&wheelMask chains the
+// events due at t in schedule order, circularly through event.next:
+// tails[slot] is the last event and its next the first, so appending and
+// popping each touch one pointer of the slot. occ has one bit per
+// non-empty slot. A wheel is 2 KB, so the kernel holds it by pointer and
+// a kernel value (a checker snapshot embeds one) stays small.
+type wheel struct {
+	tails [wheelSlots]*event
+	occ   [wheelSlots / 64]uint64
+}
+
+// push appends e to the chain of its due time's slot.
+func (w *wheel) push(e *event) {
+	s := e.when & wheelMask
+	if t := w.tails[s]; t != nil {
+		e.next = t.next
+		t.next = e
+	} else {
+		e.next = e
+		w.occ[s>>6] |= 1 << (s & 63)
+	}
+	w.tails[s] = e
+}
+
+// pop unlinks and returns the first event of slot s's chain.
+func (w *wheel) pop(s Time) *event {
+	s &= wheelMask
+	t := w.tails[s]
+	h := t.next
+	if h == t {
+		w.tails[s] = nil
+		w.occ[s>>6] &^= 1 << (s & 63)
+	} else {
+		t.next = h.next
+	}
+	return h
+}
+
+// first returns the earliest non-empty slot at or after slot from,
+// wrapping once around the wheel, or false when every slot is empty.
+func (w *wheel) first(from Time) (Time, bool) {
+	from &= wheelMask
+	i := from >> 6
+	if b := w.occ[i] >> (from & 63); b != 0 {
+		return from + Time(bits.TrailingZeros64(b)), true
+	}
+	for j := Time(1); j <= Time(len(w.occ)); j++ {
+		wi := (i + j) % Time(len(w.occ))
+		if b := w.occ[wi]; b != 0 {
+			return wi<<6 + Time(bits.TrailingZeros64(b)), true
+		}
+	}
+	return 0, false
+}
+
+// wheels hands the wheel of a released kernel to the next kernel that
+// queues a near event (Kernel.Release). Pooled wheels are empty.
+var wheels = sync.Pool{New: func() any { return new(wheel) }}
+
 // Kernel is the event loop. The zero value is ready to use.
 type Kernel struct {
 	now    Time
 	nextSq uint64
 	events eventHeap
-	// lane holds the events scheduled for now+1 at the time they were
-	// scheduled, in schedule order; laneLive counts those not cancelled.
-	lane     FIFO[*event]
-	laneLive int32
-	free     []*event
+	// w holds the events due fewer than wheelSlots cycles ahead of the
+	// time they were scheduled; near counts those not cancelled. A kernel
+	// takes its wheel on its first near event.
+	w    *wheel
+	near int32
+	free []*event
 	// Stepped counts processed events; useful as a progress/limit guard.
 	Stepped uint64
 }
@@ -212,7 +293,8 @@ func (k *Kernel) Now() Time { return k.now }
 // kernel (no pending events) can be cloned: queued events hold closures
 // over the original component graph and cannot be rebound, so the model
 // checker snapshots states only at quiescent points where the queue has
-// drained. The clone has no spare storage of its own (see Spares).
+// drained. The clone has no spare storage of its own, wheel included
+// (see Spares).
 func (k *Kernel) Clone() Kernel {
 	if k.Pending() != 0 {
 		panic("sim: Clone of kernel with pending events")
@@ -221,7 +303,7 @@ func (k *Kernel) Clone() Kernel {
 }
 
 // Spares is the storage a drained kernel keeps for reuse: its event
-// free list and the emptied backings of its heap and next-cycle lane.
+// free list, the emptied backing of its heap and its emptied wheel.
 // Kernels cloned from one another can pass one Spares around, each
 // holding it only while it runs (SwapSpares), so that they schedule
 // from one free list instead of growing their own. The kernels sharing
@@ -229,28 +311,70 @@ func (k *Kernel) Clone() Kernel {
 type Spares struct {
 	free   []*event
 	events eventHeap
-	lane   FIFO[*event]
+	w      *wheel
 }
 
 // SwapSpares exchanges k's spare storage with s. A kernel that runs on
 // borrowed storage swaps before it runs and again once it drains, which
 // hands the storage, and every event recycled into it, back to s. k
-// must be drained; a cancelled event still parked in its lane is
+// must be drained; a cancelled event still chained in its wheel is
 // recycled first, so the storage handed over holds no queued event.
 func (k *Kernel) SwapSpares(s *Spares) {
 	if k.Pending() != 0 {
 		panic("sim: SwapSpares on a kernel with pending events")
 	}
-	for k.lane.Len() > 0 {
-		k.recycle(k.lane.Pop())
-	}
+	k.dropWheel()
 	k.free, s.free = s.free, k.free
 	k.events, s.events = s.events, k.events
-	k.lane, s.lane = s.lane, k.lane
+	k.w, s.w = s.w, k.w
+}
+
+// Release retires the kernel: every queued event is dropped, so its
+// Handle cancels as a no-op and nothing of the run stays reachable from
+// the kernel's wheel, which is emptied and handed to the next kernel
+// that queues a near event. The kernel is left empty at its current
+// time. Releasing is optional (an unreleased wheel is simply garbage
+// collected); system.Release calls it so that a machine built per
+// iteration reuses the previous machine's wheel.
+func (k *Kernel) Release() {
+	for _, e := range k.events {
+		e.index = -1
+		k.recycle(e)
+	}
+	clear(k.events)
+	k.events = k.events[:0]
+	if k.w != nil {
+		k.dropWheel()
+		wheels.Put(k.w)
+		k.w = nil
+	}
+}
+
+// dropWheel unlinks and recycles every event chained in the wheel,
+// cancelled or not.
+func (k *Kernel) dropWheel() {
+	w := k.w
+	if w == nil {
+		return
+	}
+	for i, word := range w.occ {
+		for word != 0 {
+			s := Time(i<<6 + bits.TrailingZeros64(word))
+			word &= word - 1
+			for w.tails[s] != nil {
+				e := w.pop(s)
+				if e.index == inWheel {
+					e.index = -1
+					k.near--
+				}
+				k.recycle(e)
+			}
+		}
+	}
 }
 
 // Pending reports how many events are queued (cancelled ones excluded).
-func (k *Kernel) Pending() int { return len(k.events) + int(k.laneLive) }
+func (k *Kernel) Pending() int { return len(k.events) + int(k.near) }
 
 // alloc takes an event from the freelist, or makes one.
 func (k *Kernel) alloc(t Time) *event {
@@ -279,17 +403,21 @@ func (k *Kernel) recycle(e *event) {
 	k.free = append(k.free, e)
 }
 
-// queue files e in the next-cycle lane or the heap. Lane events carry
-// when = now+1 with now never decreasing and seq always increasing, so
-// appending keeps the lane sorted by (when, seq).
+// queue files e in the wheel or the heap. A wheel event is due in
+// [now, now+wheelSlots) with now never decreasing, so its slot holds no
+// other due time, and seq always increases, so appending keeps the
+// slot's chain sorted by seq.
 func (k *Kernel) queue(e *event) {
-	if e.when == k.now+1 {
-		e.index = inLane
-		k.lane.Push(e)
-		k.laneLive++
+	if e.when-k.now >= wheelSlots {
+		k.events.push(e)
 		return
 	}
-	k.events.push(e)
+	if k.w == nil {
+		k.w = wheels.Get().(*wheel)
+	}
+	e.index = inWheel
+	k.w.push(e)
+	k.near++
 }
 
 // Schedule queues fn to run at absolute time t. Scheduling in the past is
@@ -322,39 +450,70 @@ func (k *Kernel) After(d Time, fn func()) Handle {
 // Cancel removes a queued event. Cancelling an already-fired, cancelled,
 // or zero handle is a no-op — the generation counter makes stale handles
 // safe even though the underlying event may have been recycled for an
-// unrelated schedule. A cancelled lane event is marked dead in place and
+// unrelated schedule. A cancelled wheel event is marked dead in place and
 // recycled when Step reaches it.
 func (k *Kernel) Cancel(h Handle) {
 	e := h.e
 	if e == nil || e.gen != h.gen || e.index == -1 {
 		return
 	}
-	if e.index == inLane {
+	if e.index == inWheel {
 		e.index = -1
 		e.gen++
 		e.fn, e.afn, e.arg = nil, nil, nil
-		k.laneLive--
+		k.near--
 		return
 	}
 	k.events.remove(int(e.index))
 	k.recycle(e)
 }
 
-// next dequeues the earliest live event, or returns nil.
+// next dequeues the earliest live event, or returns nil. Its fast path
+// takes a live event from the first occupied slot of the bitmap word
+// holding now's slot; the rest is nextSlow.
 func (k *Kernel) next() *event {
-	for k.lane.Len() > 0 {
-		l := k.lane.Front()
-		if l.index != inLane { // cancelled
-			k.recycle(k.lane.Pop())
-			continue
+	if w := k.w; w != nil {
+		from := k.now & wheelMask
+		if b := w.occ[from>>6] >> (from & 63); b != 0 {
+			s := from + Time(bits.TrailingZeros64(b))
+			h := w.tails[s&wheelMask].next
+			if h.index == inWheel && (len(k.events) == 0 || !before(k.events[0], h)) {
+				w.pop(s)
+				k.near--
+				h.index = -1
+				return h
+			}
 		}
-		if len(k.events) > 0 && before(k.events[0], l) {
-			break
+	}
+	return k.nextSlow()
+}
+
+// nextSlow is next for every other case: the wheel's earliest event is
+// dead, lies in a later word of the bitmap, or comes after the heap
+// top. The wheel's first event and the heap top compare by (when, seq):
+// an event due at t sits in the heap only if it was scheduled by
+// t-wheelSlots, so before every wheel event due at t, and the heap top
+// wins such a tie.
+func (k *Kernel) nextSlow() *event {
+	if w := k.w; w != nil {
+		for {
+			s, ok := w.first(k.now)
+			if !ok {
+				break
+			}
+			h := w.tails[s].next
+			if h.index != inWheel { // cancelled
+				k.recycle(w.pop(s))
+				continue
+			}
+			if len(k.events) > 0 && before(k.events[0], h) {
+				break
+			}
+			w.pop(s)
+			k.near--
+			h.index = -1
+			return h
 		}
-		k.lane.Pop()
-		k.laneLive--
-		l.index = -1
-		return l
 	}
 	if len(k.events) == 0 {
 		return nil

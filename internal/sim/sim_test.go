@@ -265,19 +265,25 @@ func TestScheduleArg(t *testing.T) {
 }
 
 // TestRandomizedAgainstReference drives Schedule, ScheduleArg, Cancel
-// and Step with the delay mix of a timed run (0, 1 — the next-cycle
-// lane — and 2..300 cycles), including callbacks that schedule, and
-// double and stale cancels of fired and cancelled events. A reference
-// list sorted by (when, seq) must fire in the same order, Pending must
-// be exact after every call, and Clone must panic exactly while an
-// event (lane or heap) is live.
+// and Step with delays on both sides of the wheel/heap boundary (0, 1,
+// W-1, W, W+1, 2W, about 10W, and a spread up to 300 cycles, where W is
+// wheelSlots), including callbacks that schedule, double and stale
+// cancels of fired and cancelled events, and cancels at the head, the
+// middle and the tail of one slot's chain. Each Step must fire the
+// reference queue's earliest event by (when, seq), Pending must be
+// exact after every call, and Clone must panic exactly while an event
+// (wheel or heap) is live. Each seed runs until the clock has wrapped the wheel
+// 40 times.
 func TestRandomizedAgainstReference(t *testing.T) {
 	type refEv struct {
-		when Time
-		seq  uint64
-		id   int
-		lane bool // scheduled one cycle ahead
+		when  Time
+		seq   uint64
+		id    int
+		wheel bool // scheduled fewer than wheelSlots cycles ahead
 	}
+	delays := []Time{0, 1, wheelSlots - 1, wheelSlots, wheelSlots + 1, 2 * wheelSlots, 10*wheelSlots + 3}
+	var chainCancels [3]int // head, middle, tail of a chain of three or more
+	ties := 0               // fires of a heap event due when a wheel event is
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 99))
 		var k Kernel
@@ -286,24 +292,27 @@ func TestRandomizedAgainstReference(t *testing.T) {
 		state := map[int]string{} // id -> live | fired | cancelled
 		var fired []int
 		var seq uint64
-		var sched func()
+		var sched func(d Time)
+		pickDelay := func() Time {
+			switch r := rng.IntN(20); {
+			case r < 3:
+				return 0
+			case r < 11:
+				return 1
+			case r < 15:
+				return delays[2+rng.IntN(len(delays)-2)]
+			default:
+				return Time(2 + rng.IntN(299))
+			}
+		}
 		onFire := func(id int) {
 			fired = append(fired, id)
-			if rng.IntN(3) == 0 {
-				sched() // callbacks schedule too, reusing the freed slot
+			if rng.IntN(4) == 0 {
+				sched(pickDelay()) // callbacks schedule too, reusing the freed slot
 			}
 		}
 		argFn := func(a any) { onFire(*a.(*int)) }
-		sched = func() {
-			var d Time
-			switch r := rng.IntN(10); {
-			case r < 2:
-				d = 0
-			case r < 7:
-				d = 1
-			default:
-				d = Time(2 + rng.IntN(299))
-			}
+		sched = func(d Time) {
 			id := len(handles)
 			var h Handle
 			if rng.IntN(2) == 0 {
@@ -313,9 +322,21 @@ func TestRandomizedAgainstReference(t *testing.T) {
 				h = k.ScheduleArg(k.Now()+d, argFn, &v)
 			}
 			handles = append(handles, h)
-			live = append(live, refEv{when: k.Now() + d, seq: seq, id: id, lane: d == 1})
+			live = append(live, refEv{when: k.Now() + d, seq: seq, id: id, wheel: d < wheelSlots})
 			seq++
 			state[id] = "live"
+		}
+		cancel := func(id int) {
+			k.Cancel(handles[id])
+			if state[id] == "live" {
+				state[id] = "cancelled"
+				for i, e := range live {
+					if e.id == id {
+						live = append(live[:i], live[i+1:]...)
+						break
+					}
+				}
+			}
 		}
 		checkPending := func(op string) {
 			t.Helper()
@@ -323,41 +344,69 @@ func TestRandomizedAgainstReference(t *testing.T) {
 				t.Fatalf("seed %d: after %s Pending() = %d, reference %d", seed, op, k.Pending(), len(live))
 			}
 		}
-		for step := 0; step < 4000; step++ {
-			switch r := rng.IntN(10); {
-			case r < 4:
-				sched()
-				checkPending("schedule")
-			case r < 6 && len(handles) > 0:
-				// Any handle: live, fired or already cancelled (stale and
-				// double cancels must be no-ops).
-				id := rng.IntN(len(handles))
-				k.Cancel(handles[id])
-				if state[id] == "live" {
-					state[id] = "cancelled"
-					for i, e := range live {
-						if e.id == id {
-							live = append(live[:i], live[i+1:]...)
-							break
-						}
+		// At least 6000 operations, and on until the clock has wrapped
+		// the wheel 40 times.
+		for step := 0; step < 6000 || k.Now() < 40*wheelSlots; step++ {
+			if step == 200_000 {
+				t.Fatalf("seed %d: the clock reached only %d in %d operations", seed, k.Now(), step)
+			}
+			switch r := rng.IntN(20); {
+			case r < 5:
+				d := pickDelay()
+				sched(d)
+				if rng.IntN(4) == 0 { // a burst: one slot's chain grows
+					for n := rng.IntN(4); n >= 0; n-- {
+						sched(d)
 					}
 				}
+				checkPending("schedule")
+			case r < 7 && len(handles) > 0:
+				// Any handle: live, fired or already cancelled (stale and
+				// double cancels must be no-ops).
+				cancel(rng.IntN(len(handles)))
 				checkPending("cancel")
-			case r < 9:
+			case r < 8 && len(live) > 0:
+				// The head, a middle event or the tail of the chain of
+				// one wheel slot: every live wheel event due when a
+				// randomly chosen one is, in seq order.
+				pick := live[rng.IntN(len(live))]
+				if !pick.wheel {
+					continue
+				}
+				var chain []refEv
+				for _, e := range live {
+					if e.wheel && e.when == pick.when {
+						chain = append(chain, e)
+					}
+				}
+				sort.Slice(chain, func(i, j int) bool { return chain[i].seq < chain[j].seq })
+				pos := rng.IntN(3)
+				if len(chain) >= 3 {
+					chainCancels[pos]++
+				}
+				cancel(chain[[]int{0, len(chain) / 2, len(chain) - 1}[pos]].id)
+				checkPending("chain cancel")
+			case r < 19:
 				if len(live) == 0 {
 					if k.Step() {
 						t.Fatalf("seed %d: Step fired with an empty reference", seed)
 					}
 					continue
 				}
-				sort.Slice(live, func(i, j int) bool {
-					if live[i].when != live[j].when {
-						return live[i].when < live[j].when
+				m := 0
+				for i, e := range live {
+					if e.when < live[m].when || e.when == live[m].when && e.seq < live[m].seq {
+						m = i
 					}
-					return live[i].seq < live[j].seq
-				})
-				want := live[0]
-				live = live[1:]
+				}
+				want := live[m]
+				live = append(live[:m], live[m+1:]...)
+				for _, e := range live {
+					if !want.wheel && e.wheel && e.when == want.when {
+						ties++
+						break
+					}
+				}
 				state[want.id] = "fired"
 				n := len(fired)
 				if !k.Step() {
@@ -368,9 +417,9 @@ func TestRandomizedAgainstReference(t *testing.T) {
 				}
 				checkPending("step")
 			default:
-				laneLive := false
+				wheelLive := false
 				for _, e := range live {
-					laneLive = laneLive || e.lane
+					wheelLive = wheelLive || e.wheel
 				}
 				panicked := func() (p bool) {
 					defer func() { p = recover() != nil }()
@@ -380,14 +429,22 @@ func TestRandomizedAgainstReference(t *testing.T) {
 					}
 					return false
 				}()
-				if panicked != (len(live) > 0) || (laneLive && !panicked) {
-					t.Fatalf("seed %d: Clone panicked=%v with %d live events (lane live %v)", seed, panicked, len(live), laneLive)
+				if panicked != (len(live) > 0) || (wheelLive && !panicked) {
+					t.Fatalf("seed %d: Clone panicked=%v with %d live events (wheel live %v)", seed, panicked, len(live), wheelLive)
 				}
 			}
 		}
 		k.Run(nil)
 		if k.Pending() != 0 || k.Step() {
 			t.Fatalf("seed %d: kernel not drained", seed)
+		}
+	}
+	if ties == 0 {
+		t.Error("no heap event fired while a wheel event was due at the same time")
+	}
+	for pos, n := range chainCancels {
+		if n == 0 {
+			t.Errorf("no cancel hit position %d (head, middle, tail) of a chain of three or more", pos)
 		}
 	}
 }
@@ -402,10 +459,10 @@ func BenchmarkKernelScheduleStep(b *testing.B) {
 }
 
 // TestSwapSpares: kernels that take turns on one Spares schedule from
-// one free list and one pair of queue backings, so once warm a clone
-// that runs on them allocates nothing. A cancelled event parked in a
-// drained kernel's lane never crosses over, and a kernel with pending
-// events cannot hand its storage on.
+// one free list, one heap backing and one wheel, so once warm a clone
+// that runs on them allocates nothing. A cancelled event still chained
+// in a drained kernel's wheel never crosses over, and a kernel with
+// pending events cannot hand its storage on.
 func TestSwapSpares(t *testing.T) {
 	var s Spares
 	fn := func() {}
@@ -413,13 +470,18 @@ func TestSwapSpares(t *testing.T) {
 		k.SwapSpares(&s)
 		for i := 0; i < 8; i++ {
 			k.After(Time(i%3+1), fn)
+			k.After(Time(i%3+1)*wheelSlots, fn)
 		}
 		k.Run(nil)
-		k.Cancel(k.After(1, fn)) // parked, dead, in the drained lane
+		k.Cancel(k.After(1, fn))            // chained, dead, in the drained wheel
+		k.Cancel(k.After(wheelSlots-1, fn)) // at the far end of the wheel
 		k.SwapSpares(&s)
-		if k.free != nil || cap(k.events) != 0 || k.lane.Len() != 0 || s.lane.Len() != 0 {
-			t.Fatalf("after handing the spares back: kernel free %d, heap cap %d, lane %d; spares lane %d",
-				len(k.free), cap(k.events), k.lane.Len(), s.lane.Len())
+		if k.free != nil || cap(k.events) != 0 || k.w != nil {
+			t.Fatalf("after handing the spares back: kernel free %d, heap cap %d, wheel %v",
+				len(k.free), cap(k.events), k.w != nil)
+		}
+		if s.w == nil || s.w.occ != [len(s.w.occ)]uint64{} || s.w.tails != [wheelSlots]*event{} {
+			t.Fatal("the spares' wheel still chains an event of the drained kernel")
 		}
 	}
 	var root Kernel
@@ -438,4 +500,59 @@ func TestSwapSpares(t *testing.T) {
 		}
 	}()
 	root.SwapSpares(&s)
+}
+
+// TestReleaseEmptiesTheWheel: a kernel released mid-run, with an armed
+// watchdog-style timer in the heap and retries, a cancelled event and
+// next-cycle events in its wheel, hands the pool an empty wheel:
+// nothing of the released run stays reachable from it, its Handles
+// cancel as no-ops, and the next kernel that takes the wheel fires only
+// its own events. sync.Pool may drop what is put back (a GC, or at
+// random under the race detector), so the pair of runs repeats until
+// one reuse is seen.
+func TestReleaseEmptiesTheWheel(t *testing.T) {
+	reused := false
+	for try := 0; try < 32 && !reused; try++ {
+		var k1 Kernel
+		ran := 0
+		stale := func() { t.Fatal("an event of the released kernel fired") }
+		k1.After(3, func() { ran++ })
+		k1.Step()
+		var hs []Handle
+		hs = append(hs,
+			k1.After(10*wheelSlots, stale), // the watchdog's next check
+			k1.After(150, stale),           // a retry timer
+			k1.After(1, stale), k1.After(1, stale), k1.After(0, stale),
+			k1.After(wheelSlots-1, stale))
+		k1.Cancel(k1.After(1, stale))
+		if ran != 1 || k1.Pending() != len(hs) {
+			t.Fatalf("before release: ran %d, pending %d", ran, k1.Pending())
+		}
+		w := k1.w
+		k1.Release()
+		if k1.Pending() != 0 || k1.w != nil || k1.Step() {
+			t.Fatalf("released kernel: pending %d, holds a wheel %v", k1.Pending(), k1.w != nil)
+		}
+		if w.occ != [len(w.occ)]uint64{} || w.tails != [wheelSlots]*event{} {
+			t.Fatal("the released wheel still chains events of its run")
+		}
+		for _, h := range hs {
+			k1.Cancel(h)
+		}
+
+		var k2 Kernel
+		var got []Time
+		for _, d := range []Time{1, 1, 2, wheelSlots - 1, wheelSlots} {
+			k2.After(d, func() { got = append(got, k2.Now()) })
+		}
+		reused = k2.w == w
+		k2.Run(nil)
+		if len(got) != 5 || got[0] != 1 || got[1] != 1 || got[2] != 2 || got[3] != wheelSlots-1 || got[4] != wheelSlots {
+			t.Fatalf("the next kernel fired at %v", got)
+		}
+		k2.Release()
+	}
+	if !reused {
+		t.Fatal("no kernel ever took a released wheel from the pool")
+	}
 }

@@ -396,13 +396,16 @@ func (s *System) Done() bool { return s.finished == s.total }
 
 // Release retires the system, dropping its references to the pooled
 // cache frame slabs and per-line tables so they recycle (see
-// cache.Release and mem.Table.Release), and handing the hang watchdog's
-// history ring to the next watchdog (trace.Watchdog.Release). The
-// system must not be used afterwards. The litmus runner releases each
-// iteration's private system, which removes the dominant per-iteration
-// allocations (the multi-MiB CXL-cache arrays and the watchdog's event
-// history).
+// cache.Release and mem.Table.Release), handing the hang watchdog's
+// history ring to the next watchdog (trace.Watchdog.Release), and
+// handing the kernel's timing wheel, emptied of any events still
+// pending, to the next kernel (sim.Kernel.Release). The system must not
+// be used afterwards. The litmus runner releases each iteration's
+// private system, which removes the dominant per-iteration allocations
+// (the multi-MiB CXL-cache arrays, the watchdog's event history and the
+// wheel).
 func (s *System) Release() {
+	s.K.Release()
 	if s.dog != nil {
 		s.dog.Release()
 	}
