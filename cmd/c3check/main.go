@@ -121,8 +121,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *taskTimeout < 0 || *retries < 0 {
-		fmt.Fprintln(os.Stderr, "c3check: -task-timeout and -retries must be non-negative")
+	if *taskTimeout < 0 || *retries < 0 || *maxDepth < 0 {
+		fmt.Fprintln(os.Stderr, "c3check: -task-timeout, -retries and -max-depth must be non-negative")
 		os.Exit(obs.ExitUsage)
 	}
 	if *por != "on" && *por != "off" {

@@ -37,12 +37,22 @@ func TestMain(m *testing.M) {
 // stderr line, nothing on stdout and no ledger record — and so is a
 // -replay against an unknown name or a comma list.
 func TestUnknownTestIsUsageError(t *testing.T) {
+	usageErrors(t, "-test MP,BOGUS", "-test BOGUS -replay 1,0", "-test MP,SB -replay 1,0")
+}
+
+// TestNegativeMaxDepthIsUsageError: a negative -max-depth is refused
+// before any exploration, instead of reporting a livelock at the root
+// with a witness that cannot replay.
+func TestNegativeMaxDepthIsUsageError(t *testing.T) {
+	usageErrors(t, "-test MP -max-depth -1")
+}
+
+// usageErrors runs main once per argument list and fails t unless each
+// exits 2 with one stderr line, nothing on stdout and no ledger record.
+func usageErrors(t *testing.T, argLists ...string) {
+	t.Helper()
 	ledger := filepath.Join(t.TempDir(), "runs.jsonl")
-	for _, args := range []string{
-		"-test MP,BOGUS",
-		"-test BOGUS -replay 1,0",
-		"-test MP,SB -replay 1,0",
-	} {
+	for _, args := range argLists {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), "C3CHECK_TEST_MAIN="+args+" -ledger "+ledger)
 		var stdout, stderr bytes.Buffer

@@ -151,7 +151,8 @@ type VerifyConfig struct {
 	TinyLLC bool
 	// MaxStates bounds the distinct states visited (0 = 200,000); a run
 	// that reaches it reports Truncated. MaxDepth bounds a delivery path
-	// (0 = 400) before the exploration declares a livelock.
+	// (0 = 400, negative is an error) before the exploration declares a
+	// livelock.
 	MaxStates uint64
 	MaxDepth  int
 	// Unsynced strips all fences/annotations before checking, exploring

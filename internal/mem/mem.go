@@ -3,8 +3,8 @@
 // and the backing DRAM of the CXL memory device.
 //
 // Lines carry real data (8 words of 64 bits). Litmus tests and the
-// model checker verify the data-value invariant on these words, so data
-// is never faked: every coherence message that logically transfers a line
+// model checker's terminal outcomes read these words, so data is never
+// faked: every coherence message that logically transfers a line
 // transfers these bytes.
 package mem
 

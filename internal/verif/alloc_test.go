@@ -11,12 +11,12 @@ import (
 // 5%.
 const (
 	// checkAllocCeiling caps one IRIW exploration under TSO/TSO, Check's
-	// own set-up included: the measured 562,987 plus 5%.
-	checkAllocCeiling = 591_100
+	// own set-up included: the measured 435,388 plus 5%.
+	checkAllocCeiling = 457_100
 	// corpusAllocCeiling caps one pass over the litmus corpus on
 	// MESI-CXL-MESI with Arm cores in both clusters: the measured
-	// 196,385 plus 5%.
-	corpusAllocCeiling = 206_200
+	// 150,136 plus 5%.
+	corpusAllocCeiling = 157_600
 )
 
 // TestCheckAllocCeiling is the counted gate on the checker's successor

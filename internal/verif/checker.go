@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"c3/internal/litmus"
+	"c3/internal/mem"
 	"c3/internal/protocol/hostproto"
 )
 
@@ -19,10 +20,12 @@ type Counts struct {
 	States    uint64 // distinct states visited
 	Terminals uint64 // terminal (all-retired, fabric-empty) states
 	// Builds counts full model constructions (Build + Start + prefix
-	// re-execution); Clones counts snapshot deep copies. Together they
-	// expose the cost profile: snapshot exploration does O(states) cheap
-	// Clones and O(1) Builds, replay-from-root does O(states·depth) work
-	// through Builds.
+	// re-execution); Clones counts snapshot clones (Model.Clone), one per
+	// generated successor except the last of each full expansion, which
+	// steps the frontier state itself. Together they expose the cost
+	// profile: snapshot exploration does fewer Clones than transitions
+	// and O(1) Builds, replay-from-root does O(states·depth) work through
+	// Builds and no Clones.
 	Builds uint64
 	Clones uint64
 	// SymmetryMerges counts successor states that folded onto an
@@ -103,7 +106,7 @@ const (
 // CheckerConfig bounds the exploration.
 type CheckerConfig struct {
 	MaxStates uint64 // 0 -> 200k
-	MaxDepth  int    // 0 -> 400
+	MaxDepth  int    // 0 -> 400; negative is an error
 	// Deprecated: Workers is ignored. An exploration runs on the calling
 	// goroutine; independent explorations run concurrently instead, as
 	// c3check -j does.
@@ -170,9 +173,10 @@ type Progress struct {
 //
 // States are expanded on the calling goroutine by copy-on-write cloning
 // the frontier snapshot (Model.Clone) and delivering one message to each
-// copy; the delivery prefix is re-executed from the root only for
-// entries whose snapshot was dropped (the snapshot budget) or when
-// ReplayFromRoot is set. Check starts no goroutine, so independent
+// copy, the last delivery to the snapshot itself; the delivery prefix is
+// re-executed from the root only for entries whose snapshot was dropped
+// (the snapshot budget) or when ReplayFromRoot is set. A negative
+// MaxDepth is an error. Check starts no goroutine, so independent
 // explorations may run concurrently.
 //
 // Check reads the runtime's memory limit once. Under a limit it samples
@@ -183,6 +187,9 @@ type Progress struct {
 // Report.MemSheds and never changes States/Terminals/Outcomes, only the
 // Builds/Clones cost profile. Without a limit the heap is never sampled.
 func Check(mcfg ModelConfig, ccfg CheckerConfig) (*Report, error) {
+	if ccfg.MaxDepth < 0 {
+		return nil, fmt.Errorf("verif: depth bound %d is negative", ccfg.MaxDepth)
+	}
 	ccfg.memBudget = cmp.Or(ccfg.memBudget, softMemBudget(debug.SetMemoryLimit(-1)))
 	// sym is the admitted renaming group (identity-only for asymmetric
 	// tests); the POR shares its line index and set-conflict gate. It
@@ -215,15 +222,41 @@ func softMemBudget(limit int64) uint64 {
 // returns it as a bounded Report, not as an error.
 var errTruncated = errors.New("verif: state budget reached")
 
-// frontierEntry is one state waiting in the BFS queue: its delivery
-// path, its snapshot when the budget allows, its entry id (admission
-// order), and how many promises it holds at the front of the sleep-set
-// queue.
+// frontierEntry is one state waiting in the BFS queue: its trail link,
+// its depth, its snapshot when the budget allows, its entry id
+// (admission order), and how many promises it holds at the front of the
+// sleep-set queue.
 type frontierEntry struct {
-	path     []uint16
+	trail
+	depth    int
 	m        *Model
 	id       int
 	promises int
+}
+
+// trail is how an admitted state was reached: the entry it was generated
+// from (-1 for the root) and the index of the delivery that made it
+// among that entry's enabled actions. The checker keeps one per entry
+// id, so a frontier entry carries no path: trails.path rebuilds one by
+// walking parents, only to replay a dropped snapshot or for a witness.
+// An int32 parent covers 2^31 entries, far past what the visited set
+// can hold in memory.
+type trail struct {
+	parent int32
+	ai     uint16
+}
+
+type trails []trail
+
+// path writes the delivery path of entry id, depth deliveries from the
+// root, into buf's backing and returns it.
+func (t trails) path(buf []uint16, id, depth int) []uint16 {
+	p := append(buf[:0], make([]uint16, depth)...)
+	for i := depth - 1; i >= 0; i-- {
+		p[i] = t[id].ai
+		id = int(t[id].parent)
+	}
+	return p
 }
 
 // check explores mcfg's state space, merging states whose fingerprints
@@ -246,6 +279,8 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 	// for the memory savings of not retaining whole states.
 	visited := make(map[uint64]int)
 	z := newSleepSets(!ccfg.POROff && !ccfg.sleepOff, sym)
+	// tr holds every admitted entry's trail, by entry id.
+	var tr trails
 
 	checkForbidden := mcfg.Test.Forbidden != nil &&
 		(mcfg.Sync == litmus.SyncFull || ccfg.CheckForbidden)
@@ -253,15 +288,16 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 		rep.ForbiddenSkipped = true
 	}
 
-	// fail wraps a violation into a replayable, minimized witness. The
-	// symmetry group rides along so minimization can match forbidden
-	// outcomes up to renaming (the recorded outcome may be an orbit
-	// image of the one the witness path concretely produces).
-	fail := func(kind ViolationKind, msgStr string, path []uint16) error {
+	// fail wraps a violation at entry id, depth deliveries deep, into a
+	// replayable, minimized witness. The symmetry group rides along so
+	// minimization can match forbidden outcomes up to renaming (the
+	// recorded outcome may be an orbit image of the one the witness path
+	// concretely produces).
+	fail := func(kind ViolationKind, msgStr string, id, depth int) error {
 		cex := &Counterexample{
 			Kind: kind, Msg: msgStr,
-			Path:        append([]uint16(nil), path...),
-			OriginalLen: len(path),
+			Path:        tr.path(nil, id, depth),
+			OriginalLen: depth,
 		}
 		if kind != VLivelock { // a livelock's path length is the failure
 			minimizeWitness(mcfg, sym, cex, rep)
@@ -269,8 +305,8 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 		return cex
 	}
 
-	// The frontier carries each state's path always and its snapshot when
-	// the budget allows; live counts retained snapshots.
+	// The frontier carries each state's trail always and its snapshot
+	// when the budget allows; live counts retained snapshots.
 	var frontier []frontierEntry
 	live := 0
 	// Whatever path check returns on — violation, truncation, deadline,
@@ -288,11 +324,10 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 		}
 	}()
 
-	// push parks entry id, the state at path, in the frontier, keeping m
-	// as its snapshot while the budget allows and releasing it otherwise
-	// (the entry then replays its prefix when popped).
-	push := func(id int, path []uint16, m *Model) {
-		ent := frontierEntry{path: path, id: id}
+	// push parks ent in the frontier, keeping m as its snapshot while the
+	// budget allows and releasing it otherwise (the entry then replays
+	// its path when popped).
+	push := func(ent frontierEntry, m *Model) {
 		if !ccfg.ReplayFromRoot && live < ccfg.snapshotBudget {
 			ent.m = m
 			live++
@@ -303,24 +338,31 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 	}
 
 	// expand makes the successor of delivering acts[ai] at base, the
-	// state at path — a clone of base, or under ReplayFromRoot a fresh
-	// replay of path, so that mode shares no backing — steps it, and
-	// admits it into the frontier unless its state was visited before;
-	// it reports whether the state was new. Either way the sleep sets
-	// learn which entry holds it; a fold through a non-identity renaming
-	// is an observed symmetry merge. An error ends the exploration: a
-	// counterexample, errTruncated at MaxStates, or a failed replay.
-	expand := func(base *Model, path []uint16, acts []Action, ai int) (bool, error) {
+	// state of entry from — a clone of base; base itself when inPlace,
+	// for its last successor; or under ReplayFromRoot a fresh replay of
+	// path, from's path, which that mode rebuilt to replay base, so that
+	// mode shares no backing — steps it, and admits it into the frontier
+	// unless its state was visited before; it reports whether the state
+	// was new.
+	// Either way the sleep sets learn which entry holds it; a fold
+	// through a non-identity renaming is an observed symmetry merge. An
+	// in-place successor consumes base: it is released unless admitted.
+	// An error ends the exploration: a counterexample, errTruncated at
+	// MaxStates, or a failed replay.
+	expand := func(base *Model, from *frontierEntry, path []uint16, acts []Action, ai int, inPlace bool) (bool, error) {
 		var m *Model
-		if !ccfg.ReplayFromRoot {
-			m = base.Clone()
-			rep.Clones++
-		} else {
+		switch {
+		case ccfg.ReplayFromRoot:
 			var err error
 			if m, err = replay(mcfg, path, nil); err != nil {
 				return false, err
 			}
 			rep.Builds++
+		case inPlace:
+			m = base
+		default:
+			m = base.Clone()
+			rep.Clones++
 		}
 		m.Step(acts[ai])
 		h, ren := m.fingerprint(sym)
@@ -334,38 +376,40 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 		}
 		id := z.admitted(ren)
 		visited[h] = id
+		tr = append(tr, trail{parent: int32(from.id), ai: uint16(ai)})
 		z.cover(ai, id)
 		rep.States++
-		np := make([]uint16, len(path)+1)
-		copy(np, path)
-		np[len(path)] = uint16(ai)
 		// Invariants are pure functions of the state, so a visited
 		// state's verdict is already known.
 		if err := m.checkInvariants(); err != nil {
 			m.Release()
-			return true, fail(VInvariant, err.Error(), np)
+			return true, fail(VInvariant, err.Error(), id, from.depth+1)
 		}
 		if rep.States >= ccfg.MaxStates {
 			m.Release()
 			return true, errTruncated
 		}
-		push(id, np, m)
+		push(frontierEntry{trail: tr[id], depth: from.depth + 1, id: id}, m)
 		return true, nil
 	}
 
 	rep.Builds++
 	h0, ren0 := m0.fingerprint(sym)
 	visited[h0] = z.admitted(ren0)
+	tr = append(tr, trail{parent: -1})
 	rep.States++
 	if err := m0.checkInvariants(); err != nil {
 		m0.Release()
-		return rep, fail(VInvariant, err.Error(), nil)
+		return rep, fail(VInvariant, err.Error(), 0, 0)
 	}
-	push(0, nil, m0)
+	push(frontierEntry{trail: tr[0]}, m0)
 
-	// acts and pb are per-pop scratch, reused across the pops.
+	// acts, pb and path are per-pop scratch, reused across the pops;
+	// path holds the popped entry's path only when its base was
+	// replayed.
 	var acts []Action
 	var pb porScratch
+	var path []uint16
 	var lastProgress uint64
 	// Memory pressure is sampled on a stride because ReadMemStats stops
 	// the world; deadline and interrupt polls are O(ns) per pop (vDSO
@@ -421,14 +465,14 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 		frontier[0] = frontierEntry{}
 		frontier = frontier[1:]
 		promises := z.pop(ent.promises)
-		path := ent.path
-		if len(path) > rep.MaxDepth {
-			rep.MaxDepth = len(path)
+		if ent.depth > rep.MaxDepth {
+			rep.MaxDepth = ent.depth
 		}
 		base := ent.m
 		if base != nil {
 			live--
 		} else {
+			path = tr.path(path, ent.id, ent.depth)
 			if base, err = replay(mcfg, path, nil); err != nil {
 				return rep, err
 			}
@@ -442,7 +486,7 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 				rep.Terminals++
 			}
 			if kind != VNone {
-				return rep, fail(kind, msg, path)
+				return rep, fail(kind, msg, ent.id, ent.depth)
 			}
 			// Under symmetry reduction this terminal stands in for every
 			// terminal in its orbit: record the orbit images too, so the
@@ -451,19 +495,19 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 			for _, oo := range sym.outcomeOrbit(o) {
 				rep.Outcomes[oo.String()] = true
 				if checkForbidden && mcfg.Test.Forbidden(oo) {
-					return rep, fail(VForbidden, oo.String(), path)
+					return rep, fail(VForbidden, oo.String(), ent.id, ent.depth)
 				}
 			}
 			continue
 		}
-		if len(path) >= ccfg.MaxDepth {
+		if ent.depth >= ccfg.MaxDepth {
 			base.Release()
-			return rep, fail(VLivelock, fmt.Sprintf("depth bound %d exceeded", ccfg.MaxDepth), path)
+			return rep, fail(VLivelock, fmt.Sprintf("depth bound %d exceeded", ccfg.MaxDepth), ent.id, ent.depth)
 		}
 		if len(acts) > math.MaxUint16+1 {
 			base.Release()
 			return rep, fmt.Errorf("verif: %d enabled actions at depth %d exceed the %d-entry path encoding",
-				len(acts), len(path), math.MaxUint16+1)
+				len(acts), ent.depth, math.MaxUint16+1)
 		}
 		// Sleep sets: a delivery a promise proves already visited is
 		// neither cloned nor stepped (see sleep.go).
@@ -474,11 +518,12 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 		// would let a cycle ignore the other deliveries forever (the
 		// cycle proviso), so that case falls through to full expansion,
 		// which reuses the probe; an asleep ample delivery is known to be
-		// visited and is not probed.
+		// visited and is not probed. The probe is a clone: the full
+		// expansion it may fall through to still needs base.
 		if !ccfg.POROff && len(acts) > 1 {
 			// Until the probe, only asleep deliveries are covered.
 			if ample := base.ampleAction(sym, acts, &pb); ample >= 0 && !z.slots[ample].covered {
-				if fresh, err := expand(base, path, acts, ample); fresh || err != nil {
+				if fresh, err := expand(base, &ent, path, acts, ample, false); fresh || err != nil {
 					base.Release()
 					if fresh {
 						rep.PORSkips += uint64(len(acts) - 1)
@@ -495,21 +540,32 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 		// Expand every delivery not yet covered (asleep, or the folded
 		// probe) in canonical action order, admitting each successor as
 		// soon as it is stepped, so the snapshot and replay strategies
-		// reach the same states in the same order.
+		// reach the same states in the same order. The last one steps
+		// base itself instead of a clone: base has no successor left to
+		// make, so no clone is needed to keep it. Each earlier successor
+		// holds its own references, so writing base never touches a
+		// backing a successor still shares.
+		last := -1
+		for ai := range acts {
+			if !z.slots[ai].covered {
+				last = ai
+			}
+		}
 		pushed := len(frontier)
 		for ai := range acts {
 			if z.slots[ai].covered {
 				continue
 			}
-			if _, err := expand(base, path, acts, ai); err != nil {
-				base.Release()
+			if _, err := expand(base, &ent, path, acts, ai, ai == last); err != nil {
+				base.Release() // a no-op once the in-place successor consumed it
 				return rep, err
 			}
 		}
-		// The base is fully expanded: recycle its COW backings. Each
-		// successor holds its own references, so releasing the parent
-		// never frees a backing a successor still shares.
-		base.Release()
+		// Unless its last successor consumed it, the base is fully
+		// expanded: recycle its COW backings.
+		if last < 0 || ccfg.ReplayFromRoot {
+			base.Release()
+		}
 		z.close(ent.id, frontier[pushed:])
 	}
 	return rep, nil
@@ -577,7 +633,9 @@ func crossCheck(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (*Report, e
 	return repR, nil
 }
 
-// checkInvariants runs the per-state checks.
+// checkInvariants runs the per-state checks. Each group caches its share
+// (group.summary), so a successor re-evaluates only the group its
+// delivery reached.
 func (m *Model) checkInvariants() error {
 	if err := m.checkSWMR(); err != nil {
 		return err
@@ -588,15 +646,12 @@ func (m *Model) checkInvariants() error {
 // checkSWMR: at most one host cache system-wide holds write permission
 // for a line, and never alongside other valid copies.
 func (m *Model) checkSWMR() error {
-	for _, a := range m.lines() {
+	lines := m.lines()
+	for i, a := range lines {
 		writers, readers := 0, 0
 		for _, t := range m.threads() {
-			e := t.l1.Cache().ProbeRO(a)
-			if e == nil {
-				continue
-			}
 			// MOESI O is dirty but read-only: a reader.
-			switch valid, writable, _ := hostproto.Classify(e.State); {
+			switch valid, writable := t.summary(lines).holds(i); {
 			case writable:
 				writers++
 			case valid:
@@ -617,21 +672,89 @@ func (m *Model) checkSWMR() error {
 // in every C3 (checked only for lines with no transaction in flight —
 // transient states are by construction intermediate).
 func (m *Model) checkCompound() error {
+	lines := m.lines()
 	for _, cl := range m.clusters() {
-		c3 := cl.c3
-		tab := c3.Table()
-		for _, a := range m.lines() {
-			l, g, busy := c3.CompoundOf(a)
+		if i := cl.summary(lines).bad; i >= 0 {
+			l, g, _ := cl.c3.CompoundOf(lines[i])
+			return fmt.Errorf("verif: C3 %d reached forbidden compound state (%s,%s) on %v",
+				cl.c3.ID(), l, g, lines[i])
+		}
+	}
+	return nil
+}
+
+// invSummary is one group's share of the per-state invariants over the
+// model's variable lines, a pure function of the group's state: for a
+// thread group, which lines its L1 holds valid and which writable (the
+// SWMR inputs); for a cluster group, its first line in a Rule I
+// forbidden compound state. The home contributes nothing.
+type invSummary struct {
+	ok bool
+	// perm holds a thread's bits, two words per 64 lines: line i is
+	// valid in word 2*(i/64) and writable in the word after, at bit i%64.
+	// It points at one for tests of up to 64 lines.
+	perm []uint64
+	one  [2]uint64
+	// bad is a cluster's first forbidden line, an index into the lines,
+	// or -1.
+	bad int
+}
+
+// holds reports whether a thread's L1 holds line i valid and writable.
+func (s *invSummary) holds(i int) (valid, writable bool) {
+	w, b := 2*(i/64), uint64(1)<<(i%64)
+	return s.perm[w]&b != 0, s.perm[w+1]&b != 0
+}
+
+// summary returns the group's invariant summary over lines, evaluating
+// it unless cached. Like the hashes, it may be filled in a group other
+// models share: each of them would compute the same value.
+func (g *group) summary(lines []mem.LineAddr) *invSummary {
+	s := &g.inv
+	if s.ok {
+		return s
+	}
+	s.ok = true
+	switch {
+	case g.l1 != nil:
+		switch n := 2 * ((len(lines) + 63) / 64); {
+		case n <= len(s.one):
+			s.perm = s.one[:n]
+		case len(s.perm) != n:
+			s.perm = make([]uint64, n)
+		}
+		clear(s.perm)
+		c := g.l1.Cache()
+		for i, a := range lines {
+			e := c.ProbeRO(a)
+			if e == nil {
+				continue
+			}
+			w, b := 2*(i/64), uint64(1)<<(i%64)
+			valid, writable, _ := hostproto.Classify(e.State)
+			if valid {
+				s.perm[w] |= b
+			}
+			if writable {
+				s.perm[w+1] |= b
+			}
+		}
+	case g.c3 != nil:
+		s.bad = -1
+		forbidden := g.c3.Table().Forbidden
+	scan:
+		for i, a := range lines {
+			l, gl, busy := g.c3.CompoundOf(a)
 			if busy {
 				continue
 			}
-			for _, f := range tab.Forbidden {
-				if f.L == l && f.G == g {
-					return fmt.Errorf("verif: C3 %d reached forbidden compound state (%s,%s) on %v",
-						c3.ID(), l, g, a)
+			for _, f := range forbidden {
+				if f.L == l && f.G == gl {
+					s.bad = i
+					break scan
 				}
 			}
 		}
 	}
-	return nil
+	return s
 }

@@ -2,29 +2,37 @@
 // toolchain (Sec. VI-A): an explicit-state model checker in the style of
 // the paper's Murphi methodology. It exhaustively explores the
 // message-delivery interleavings of a small C3 system — the actual
-// controller implementations, not an abstraction — checking at every
-// reachable quiescent state:
+// controller implementations, not an abstraction — and checks, at the
+// reachable quiescent states:
 //
-//   - deadlock freedom (some action is always enabled until all cores
-//     retire);
-//   - the single-writer/multiple-reader invariant across all host caches
-//     in all clusters;
-//   - that no compound state forbidden by Rule I (e.g. (M, I), (S, I))
-//     is ever reachable in any C3 instance;
-//   - data-value agreement among valid copies, and at terminal states the
-//     absence of litmus-forbidden outcomes.
+//   - on every new state, the single-writer/multiple-reader invariant
+//     across all host caches in all clusters, and that no compound state
+//     forbidden by Rule I (e.g. (M, I), (S, I)) is reached in any C3
+//     instance on a line with no transaction in flight;
+//   - at a dead end (no delivery enabled), deadlock freedom: every core
+//     has retired its program;
+//   - at terminal states (every core retired, no message in flight),
+//     that each line has at most one exclusive host owner, no C3
+//     transaction still open and shared copies that agree, and that no
+//     litmus-forbidden outcome is reached.
+//
+// Data values are compared only at terminals, and only shared copies
+// against each other. Inclusion is checked only as Rule I's compound
+// states, which keep each C3's local class within its global class;
+// nothing checks that a host copy is recorded by its C3.
 //
 // Exploration is breadth-first with state-fingerprint deduplication. A
 // frontier state is kept as a copy-on-write snapshot (Model.Clone) and
-// expanded by cloning it once per enabled delivery. A clone is a delta
-// of its parent: it shares every ownership group — a thread's core,
-// source and L1, a cluster's C3, or the home directory with DRAM — and
-// the in-flight messages, and a delivery copies only the group it
-// reaches and what it writes of the fabric, so a successor hashes and
-// copies no more than its delivery changed. A state whose snapshot was
-// dropped to bound memory is rebuilt by re-executing its delivery
-// prefix on a fresh model: components are event-driven and
-// single-threaded, so a prefix determines the state.
+// expanded by cloning it once per enabled delivery but the last, which
+// steps the frontier state itself. A clone is a delta of its parent: it
+// shares every ownership group — a thread's core, source and L1, a
+// cluster's C3, or the home directory with DRAM — and the in-flight
+// messages, and a delivery copies only the group it reaches and what it
+// writes of the fabric, so a successor hashes, copies and re-checks no
+// more than its delivery changed. A state whose snapshot was dropped to
+// bound memory is rebuilt by re-executing its delivery prefix, which its
+// trail of parent links gives, on a fresh model: components are
+// event-driven and single-threaded, so a prefix determines the state.
 package verif
 
 import (
@@ -58,15 +66,17 @@ func (k chKey) less(o chKey) bool {
 // and removing it with the delivery that drains it, so Enabled walks an
 // already-canonical order with no per-call sort.
 //
-// hash0 caches the channel's entry hash (see fingerprint) under
-// renaming 0, the identity and the only renaming of an asymmetric test,
-// and rest those under renamings 1 and up; a zero Hasher is not cached.
-// A send or delivery on the channel drops both.
+// hash caches the channel's entry hash (see fingerprint) under
+// renamings 0 — the identity and the only renaming of an asymmetric
+// test — and 1, and rest those under renamings 2 and up; a zero Hasher
+// is not cached. A send or delivery on the channel drops them all.
+// Keeping renaming 1 inline spares a test with one symmetric pair an
+// allocation per channel a step touches.
 type channel struct {
-	key   chKey
-	q     []*msg.Msg
-	hash0 fp.Hasher
-	rest  []fp.Hasher
+	key  chKey
+	q    []*msg.Msg
+	hash [2]fp.Hasher
+	rest []fp.Hasher
 }
 
 // ChoiceFabric is a system.Fabric whose delivery order is chosen by the
@@ -91,11 +101,11 @@ type ChoiceFabric struct {
 	sharedChans bool
 
 	// The bag's hash is kept under every renaming of sym, nil until the
-	// first fingerprint: bag0 under renaming 0 and bagRest under the
-	// others, which Send and take keep current message by message.
-	// bagRest is shared with clones while sharedRest is set.
+	// first fingerprint: bagHash under renamings 0 and 1 and bagRest
+	// under the others, which Send and take keep current message by
+	// message. bagRest is shared with clones while sharedRest is set.
 	sym        *symmetry
-	bag0       fp.Bag
+	bagHash    [2]fp.Bag
 	bagRest    []fp.Bag
 	sharedRest bool
 }
@@ -179,7 +189,7 @@ func (f *ChoiceFabric) Send(m *msg.Msg) {
 	}
 	c := &f.chans[i]
 	c.q = append(c.q, m)
-	c.hash0, c.rest = fp.Hasher{}, nil
+	c.dropHashes()
 }
 
 // Action identifies one deliverable message.
@@ -271,7 +281,7 @@ func (f *ChoiceFabric) take(a Action) *msg.Msg {
 		return m
 	}
 	c.q = c.q[1:]
-	c.hash0, c.rest = fp.Hasher{}, nil
+	c.dropHashes()
 	return m
 }
 
@@ -294,11 +304,15 @@ func (f *ChoiceFabric) fingerprint(h *fp.Hasher, s *symmetry, pi int) {
 	if f.sym == nil || len(f.sym.perms) < len(s.perms) {
 		f.hashBag(s)
 	}
-	if pi == 0 {
-		h.Bag(f.bag0)
-	} else {
-		h.Bag(f.bagRest[pi-1])
+	h.Bag(*f.bagAt(pi))
+}
+
+// bagAt returns the bag's kept hash under renaming pi.
+func (f *ChoiceFabric) bagAt(pi int) *fp.Bag {
+	if pi < len(f.bagHash) {
+		return &f.bagHash[pi]
 	}
+	return &f.bagRest[pi-len(f.bagHash)]
 }
 
 // entry returns the channel's entry hash under renaming s.perms[pi],
@@ -306,17 +320,24 @@ func (f *ChoiceFabric) fingerprint(h *fp.Hasher, s *symmetry, pi int) {
 // array or cache backing shared with clones, but only with the value
 // each of them would compute: they hold the same messages.
 func (c *channel) entry(s *symmetry, pi int) fp.Hasher {
-	slot := &c.hash0
-	if pi > 0 {
-		if len(c.rest) < len(s.perms)-1 {
-			c.rest = make([]fp.Hasher, len(s.perms)-1)
+	var slot *fp.Hasher
+	if pi < len(c.hash) {
+		slot = &c.hash[pi]
+	} else {
+		if n := len(s.perms) - len(c.hash); len(c.rest) < n {
+			c.rest = make([]fp.Hasher, n)
 		}
-		slot = &c.rest[pi-1]
+		slot = &c.rest[pi-len(c.hash)]
 	}
 	if *slot == (fp.Hasher{}) {
 		*slot = chanEntry(c, &s.perms[pi])
 	}
 	return *slot
+}
+
+// dropHashes forgets the channel's cached entry hashes.
+func (c *channel) dropHashes() {
+	c.hash, c.rest = [2]fp.Hasher{}, nil
 }
 
 // chanEntry hashes channel c under rn: its renamed endpoints, vnet and
@@ -343,12 +364,13 @@ func msgEntry(m *msg.Msg, rn fp.Renamer) fp.Hasher {
 // hashBag hashes the whole bag under every renaming of s, which Send
 // and take then keep current.
 func (f *ChoiceFabric) hashBag(s *symmetry) {
-	f.sym, f.bag0 = s, fp.Bag{}
-	f.bagRest, f.sharedRest = make([]fp.Bag, len(s.perms)-1), false
+	f.sym, f.bagHash, f.bagRest, f.sharedRest = s, [2]fp.Bag{}, nil, false
+	if n := len(s.perms) - len(f.bagHash); n > 0 {
+		f.bagRest = make([]fp.Bag, n)
+	}
 	for _, m := range f.bag {
-		f.bag0.Add(msgEntry(m, &s.perms[0]))
-		for pi := range f.bagRest {
-			f.bagRest[pi].Add(msgEntry(m, &s.perms[pi+1]))
+		for pi := range s.perms {
+			f.bagAt(pi).Add(msgEntry(m, &s.perms[pi]))
 		}
 	}
 }
@@ -364,10 +386,7 @@ func (f *ChoiceFabric) rehashBag(m *msg.Msg, add bool) {
 	}
 	f.sharedRest = false
 	for pi := range f.sym.perms {
-		b := &f.bag0
-		if pi > 0 {
-			b = &f.bagRest[pi-1]
-		}
+		b := f.bagAt(pi)
 		if e := msgEntry(m, &f.sym.perms[pi]); add {
 			b.Add(e)
 		} else {
@@ -381,9 +400,9 @@ func (f *ChoiceFabric) rehashBag(m *msg.Msg, add bool) {
 func (f *ChoiceFabric) dropHashes() {
 	f.ownChans()
 	for i := range f.chans {
-		f.chans[i].hash0, f.chans[i].rest = fp.Hasher{}, nil
+		f.chans[i].dropHashes()
 	}
-	f.sym, f.bag0, f.bagRest = nil, fp.Bag{}, nil
+	f.sym, f.bagHash, f.bagRest = nil, [2]fp.Bag{}, nil
 }
 
 // ForEachInFlight visits every in-flight message (channel entries and

@@ -2,12 +2,13 @@ package verif
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"c3/internal/fp"
 )
 
-// Every Step in the verif tests runs under two checks. The ownership
+// Every Step in the verif tests runs under three checks. The ownership
 // check: the delivery may write only the group that owns its
 // destination node, so every other group — possibly shared with the
 // model's parent and siblings — must hash the same before and after the
@@ -16,7 +17,10 @@ import (
 // fabric hash check: once the step quiesces, the fabric's incremental
 // hash — cached channel entries and the bag's kept hashes — must equal
 // a hash of every in-flight message from scratch, under every renaming
-// the fabric keeps hashes under.
+// the fabric keeps hashes under. The summary check: once the step
+// quiesces, every group with a cached invariant summary must hold what
+// a fresh evaluation of its state gives, so a write that kept a stale
+// summary fails at the step that made it stale.
 func init() { testStepHook = checkStep }
 
 func checkStep(m *Model, gi int) (after func()) {
@@ -24,6 +28,23 @@ func checkStep(m *Model, gi int) (after func()) {
 	return func() {
 		owned()
 		checkFabricHash(m)
+		checkSummaries(m)
+	}
+}
+
+// checkSummaries panics unless every group of m with a cached invariant
+// summary holds exactly what evaluating its state afresh gives.
+func checkSummaries(m *Model) {
+	lines := m.lines()
+	for j, g := range m.groups {
+		if !g.inv.ok {
+			continue
+		}
+		fresh := (&group{l1: g.l1, c3: g.c3}).summary(lines)
+		if fresh.bad != g.inv.bad || !slices.Equal(fresh.perm, g.inv.perm) {
+			panic(fmt.Sprintf("verif: group %d (node %d) caches invariant summary %+v, but its state gives %+v",
+				j, g.node(), g.inv, *fresh))
+		}
 	}
 }
 

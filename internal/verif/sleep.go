@@ -178,7 +178,7 @@ func (z *sleepSets) close(x int, kids []frontierEntry) {
 	n.end = int32(len(z.edges))
 	for i := range kids {
 		k := &kids[i]
-		own := z.slots[k.path[len(k.path)-1]] // the delivery that made k
+		own := z.slots[k.ai] // the delivery that made k, from its trail
 		for _, s := range z.slots {
 			// via must be admitted before k (so BFS expands it first),
 			// and the two deliveries must go to different nodes.

@@ -39,9 +39,11 @@ type group struct {
 	owner *Model
 	// hashes caches the group's state hash per renaming index, 0 meaning
 	// not cached; one backs it when the symmetry admits only the
-	// identity renaming. A delivery to the group drops it.
+	// identity renaming. inv caches its share of the per-state
+	// invariants. A delivery to the group drops both (see forget).
 	hashes []uint64
 	one    [1]uint64
+	inv    invSummary
 
 	// A thread group sets core, src and l1; a cluster group c3; the home
 	// dram and one of dcoh and hdir.
@@ -173,11 +175,12 @@ func (m *Model) Clone() *Model {
 // own makes group gi writable by m and returns it: in place when m is
 // its owner and sole holder, otherwise as a copy bound to m's kernel and
 // fabric that replaces m's reference. Either way the group's cached
-// hashes are gone, since the caller is about to write it.
+// hashes and invariant summary are gone, since the caller is about to
+// write it.
 func (m *Model) own(gi int) *group {
 	g := m.groups[gi]
 	if g.owner == m && g.refs == 1 {
-		clear(g.hashes)
+		g.forget()
 		return g
 	}
 	n := g.copyTo(m)
@@ -186,11 +189,18 @@ func (m *Model) own(gi int) *group {
 	return n
 }
 
-// dropHashes forgets every group's cached hashes and the fabric's, for
-// code that writes a model outside Step.
+// forget drops what the group caches of its state: its hashes and its
+// invariant summary. A copy (copyTo) starts with neither.
+func (g *group) forget() {
+	clear(g.hashes)
+	g.inv.ok = false
+}
+
+// dropHashes forgets every group's cached hashes and invariant summary
+// and the fabric's hashes, for code that writes a model outside Step.
 func (m *Model) dropHashes() {
 	for _, g := range m.groups {
-		clear(g.hashes)
+		g.forget()
 	}
 	m.Fabric.dropHashes()
 }

@@ -33,6 +33,34 @@ func fingerprintOf(m *Model) uint64 {
 	return h
 }
 
+// TestDropHashesForgetsInvariantSummary: code that writes a model
+// outside Step calls dropHashes, which must drop the groups' cached
+// invariant summaries with their hashes, or the next check reads the
+// state before the write.
+func TestDropHashesForgetsInvariantSummary(t *testing.T) {
+	m, err := Build(mpCXL(t, litmus.SyncFull))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	m.Start()
+	if err := m.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	line := m.lines()[0]
+	for _, th := range m.threads()[:2] {
+		e := th.l1.Cache().Probe(line)
+		if e == nil {
+			e = th.l1.Cache().Install(line)
+		}
+		e.State = 3 // stM: two writers
+	}
+	m.dropHashes()
+	if err := m.checkInvariants(); err == nil || !strings.Contains(err.Error(), "2 writers") {
+		t.Fatalf("after two M copies and dropHashes, checkInvariants = %v, want an SWMR violation", err)
+	}
+}
+
 // TestCloneIsolation: a clone hashes identically to its parent, and
 // stepping either one leaves the other untouched — also when the parent
 // steps a group it built but now shares, and when a clone steps groups

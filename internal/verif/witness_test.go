@@ -2,9 +2,11 @@ package verif
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"c3/internal/cpu"
 	"c3/internal/litmus"
 	"c3/internal/mem"
 	"c3/internal/msg"
@@ -170,6 +172,32 @@ func TestInvariantWitness(t *testing.T) {
 	}
 }
 
+// TestSWMRPastSixtyFourLines: the invariant summaries hold every
+// variable line, not just one word's worth. With 70 variables and two
+// modified copies of the 70th, the checker must report SWMR on that
+// line.
+func TestSWMRPastSixtyFourLines(t *testing.T) {
+	lt := litmus.Test{Name: "seventy-vars", Threads: []litmus.Thread{{}, {}}}
+	for i := 0; i < 70; i++ {
+		lt.Vars = append(lt.Vars, litmus.Var(fmt.Sprintf("v%d", i)))
+	}
+	mcfg := ModelConfig{Test: lt, Locals: [2]string{"mesi", "mesi"}, Global: "cxl",
+		MCMs: [2]cpu.MCM{cpu.WMO, cpu.WMO}, Sync: litmus.SyncFull}
+	var line mem.LineAddr
+	setRootMutate(t, func(m *Model) {
+		line = m.lines()[69]
+		for i := 0; i < 2; i++ {
+			e := m.threads()[i].l1.Cache().Install(line)
+			e.State = 3 // stM
+		}
+	})
+	_, err := Check(mcfg, CheckerConfig{MaxStates: 1000})
+	cex := asCex(t, err)
+	if want := fmt.Sprintf("verif: SWMR violated on %v: 2 writers", line); cex.Kind != VInvariant || cex.Msg != want {
+		t.Fatalf("got %v %q, want invariant %q", cex.Kind, cex.Msg, want)
+	}
+}
+
 // TestLivelockDepthBound: a depth bound below the shortest terminal
 // execution must trip the livelock branch with a witness exactly as long
 // as the bound, and replaying it must land in a live (non-deadlocked,
@@ -197,6 +225,21 @@ func TestLivelockDepthBound(t *testing.T) {
 	if res.Kind != VNone || res.Terminal || res.EnabledAtEnd == 0 {
 		t.Fatalf("livelock witness should end live: kind=%v terminal=%v enabled=%d",
 			res.Kind, res.Terminal, res.EnabledAtEnd)
+	}
+}
+
+// TestNegativeDepthBoundIsError: a negative MaxDepth is a configuration
+// error, not a bound the root already exceeds — no Report, no witness,
+// no model left live.
+func TestNegativeDepthBoundIsError(t *testing.T) {
+	base := ModelsLive()
+	rep, err := Check(mpCXL(t, litmus.SyncFull), CheckerConfig{MaxDepth: -1})
+	var cex *Counterexample
+	if err == nil || errors.As(err, &cex) || rep != nil {
+		t.Fatalf("Check with MaxDepth -1 = (%v, %v), want a plain error", rep, err)
+	}
+	if n := ModelsLive(); n != base {
+		t.Errorf("%d models leaked", n-base)
 	}
 }
 
