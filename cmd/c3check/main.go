@@ -232,6 +232,7 @@ func main() {
 			"symmetry_merges": total.SymmetryMerges,
 			"por_skips":       total.PORSkips,
 			"sleep_skips":     total.SleepSkips,
+			"memo_hits":       total.MemoHits,
 		},
 	})
 	os.Exit(exit)

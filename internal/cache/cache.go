@@ -422,12 +422,15 @@ func (c *Cache) forEach(fn func(*Entry)) {
 }
 
 // Fingerprint writes the valid frames into h as a bag of (line under rn,
-// state, data-valid flag, payload if valid). Stale payloads are left
+// state, data-valid and poisoned flags, payload). A frame's payload is
+// hashed when its DataValid flag is set, and for every frame when
+// allData is: a controller that keeps no DataValid flag, whose frames
+// all hold current data, passes it. Otherwise stale payloads are left
 // out, and when skipInvalid is set, so are frames in state 0: the
 // caller has proven set conflicts impossible, so a frame invalidated in
 // place and a frame never installed cannot behave differently.
 // Read-only: it never materializes a shared slab.
-func (c *Cache) Fingerprint(h *fp.Hasher, rn fp.Renamer, skipInvalid bool) {
+func (c *Cache) Fingerprint(h *fp.Hasher, rn fp.Renamer, skipInvalid, allData bool) {
 	var frames fp.Bag
 	c.forEach(func(e *Entry) {
 		if skipInvalid && e.State == 0 {
@@ -436,8 +439,15 @@ func (c *Cache) Fingerprint(h *fp.Hasher, rn fp.Renamer, skipInvalid bool) {
 		f := fp.New()
 		f.Line(e.Addr, rn)
 		f.Int(e.State)
-		f.Bool(e.DataValid)
+		var flags uint64
 		if e.DataValid {
+			flags |= 1
+		}
+		if e.Poisoned {
+			flags |= 2
+		}
+		f.Word(flags)
+		if e.DataValid || allData {
 			f.Data(&e.Data)
 		}
 		frames.Add(f)

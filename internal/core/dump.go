@@ -8,6 +8,7 @@ import (
 
 	"c3/internal/cache"
 	"c3/internal/fp"
+	"c3/internal/gen"
 	"c3/internal/mem"
 	"c3/internal/msg"
 	"c3/internal/ssp"
@@ -52,9 +53,12 @@ func (c *C3) DumpState(w io.Writer) {
 // directory line, or (when skipInvalid allows) an LLC frame invalidated
 // back to state 0, so "absent" and "present but reset" merge. The
 // controller's own id is left out: C3s are per-cluster, never permute,
-// and the checker hashes them in a fixed order.
+// and the checker hashes them in a fixed order. A TBE hashes whole but
+// for what no transition reads: the sub-snoop's table entry outside
+// phSubSnoop (serveSubSnoop sets it afresh) and the eviction data of a
+// TBE that is not an eviction (always zero).
 func (c *C3) Fingerprint(h *fp.Hasher, rn fp.Renamer, skipInvalid bool) {
-	c.llc.Fingerprint(h, rn, skipInvalid)
+	c.llc.Fingerprint(h, rn, skipInvalid, false)
 	initial := c.initialLocal()
 	var dirs fp.Bag
 	c.dirs.ForEachRO(func(a mem.LineAddr, d *ldir) {
@@ -74,18 +78,42 @@ func (c *C3) Fingerprint(h *fp.Hasher, rn fp.Renamer, skipInvalid bool) {
 	c.tbes.ForEachRO(func(a mem.LineAddr, t *tbe) {
 		e := fp.New()
 		e.Line(a, rn)
-		e.Int(int(t.kind))
-		e.Int(int(t.ph))
+		flags := uint64(t.kind) | uint64(t.ph)<<8
+		for i, b := range [...]bool{t.absorbDirty, t.haveData, t.acksKnown, t.grantE, t.evValid} {
+			if b {
+				flags |= 1 << (16 + i)
+			}
+		}
+		e.Word(flags)
 		e.Int(t.pendingRsp)
 		e.Int(t.pendingAcks)
-		e.Bool(t.conflict != nil)
-		e.Bool(t.heldCmp != nil)
-		e.Int(t.haveAcks)
 		e.Int(t.needAcks)
-		e.Int(len(t.stalled))
+		e.Int(t.haveAcks)
+		fingerprintEntry(&e, &t.entry)
+		if t.ph == phSubSnoop {
+			fingerprintEntry(&e, &t.subEntry)
+		}
+		if t.kind == tEvict {
+			e.Data(&t.evData)
+		}
+		e.MaybeMsg(t.req, rn)
+		e.MaybeMsg(t.snp, rn)
+		e.MaybeMsg(t.conflict, rn)
+		e.MaybeMsg(t.heldCmp, rn)
+		e.MaybeMsg(t.resume, rn)
+		e.Msgs(t.stalled, rn)
 		tbes.Add(e)
 	})
 	h.Bag(tbes)
+}
+
+// fingerprintEntry writes a compound-table entry: its operations in one
+// word, then its next compound state. Transient is a display name and
+// stays out.
+func fingerprintEntry(h *fp.Hasher, e *gen.Entry) {
+	h.Word(uint64(e.XAccess) | uint64(e.GlobalOp)<<8 | uint64(e.Plan)<<16 | uint64(e.Grant)<<24)
+	h.String(string(e.Next.L))
+	h.String(string(e.Next.G))
 }
 
 // CompoundOf reports the stable compound state of a line (local class,

@@ -88,6 +88,73 @@ func (h *Hasher) Nodes(s msg.NodeSet, rn Renamer) {
 	h.Word(uint64(out))
 }
 
+// Msg writes every protocol-visible field of m under rn: the small
+// fields packed into one word, the line, the three node ids packed into
+// one word, the scalar, then the payload if there is one. Serial and
+// Seq are transport bookkeeping and stay out, and so does Dirty on a
+// message without data. Should a word index, an ack count or a renamed
+// node id not fit its packed slot, the first word's top bit is set and
+// all five follow as words of their own, so the stream stays
+// unambiguous.
+func (h *Hasher) Msg(m *msg.Msg, rn Renamer) {
+	src, dst, req := rn.Node(m.Src)+1, rn.Node(m.Dst)+1, rn.Node(m.Req)+1
+	w := uint64(m.Type) | uint64(m.VNet)<<8 | uint64(m.Mask)<<16
+	if m.Data != nil {
+		w |= 1 << 24
+		if m.Dirty {
+			w |= 1 << 25
+		}
+	}
+	if m.Acq {
+		w |= 1 << 26
+	}
+	if m.Rel {
+		w |= 1 << 27
+	}
+	if m.Poisoned {
+		w |= 1 << 28
+	}
+	packed := uint(m.Word) < 1<<8 && uint(m.Acks) < 1<<16 &&
+		uint(src) < 1<<21 && uint(dst) < 1<<21 && uint(req) < 1<<21
+	if packed {
+		w |= uint64(m.Word)<<32 | uint64(m.Acks)<<40
+	} else {
+		w |= 1 << 63
+	}
+	h.Word(w)
+	h.Line(m.Addr, rn)
+	if packed {
+		h.Word(uint64(src) | uint64(dst)<<21 | uint64(req)<<42)
+	} else {
+		h.Int(m.Word)
+		h.Int(m.Acks)
+		h.Int(int(src))
+		h.Int(int(dst))
+		h.Int(int(req))
+	}
+	h.Word(m.Val)
+	if m.Data != nil {
+		h.Data(m.Data)
+	}
+}
+
+// MaybeMsg writes whether m is set, then m if it is: for a component's
+// optional held message.
+func (h *Hasher) MaybeMsg(m *msg.Msg, rn Renamer) {
+	h.Bool(m != nil)
+	if m != nil {
+		h.Msg(m, rn)
+	}
+}
+
+// Msgs writes a message list in order: its length, then each message.
+func (h *Hasher) Msgs(ms []*msg.Msg, rn Renamer) {
+	h.Int(len(ms))
+	for _, m := range ms {
+		h.Msg(m, rn)
+	}
+}
+
 // Bag writes an unordered collection: its entry count and its sum.
 func (h *Hasher) Bag(b Bag) {
 	h.Word(b.n)
@@ -131,3 +198,12 @@ type Renamer interface {
 	Node(msg.NodeID) msg.NodeID
 	Line(mem.LineAddr) mem.LineAddr
 }
+
+// Identity is the renaming that moves nothing.
+type Identity struct{}
+
+// Node implements Renamer.
+func (Identity) Node(id msg.NodeID) msg.NodeID { return id }
+
+// Line implements Renamer.
+func (Identity) Line(a mem.LineAddr) mem.LineAddr { return a }

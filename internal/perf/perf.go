@@ -162,7 +162,7 @@ func Benchmarks() []Benchmark {
 			// and independent store lines give the reductions real
 			// structure.
 			// Wall time pins the net win: the reduced run visits ~2k of the
-			// shape's ~22k raw states despite hashing every state up to
+			// shape's ~24k raw states despite hashing every state up to
 			// |group| times.
 			Name: "checker-reduced", Ops: 1,
 			Setup: func(int) func() {

@@ -25,14 +25,19 @@ func (d *DCOH) DumpState(w io.Writer) {
 }
 
 // Fingerprint writes the directory into the model checker's state hash,
-// with line addresses and host ids renamed by rn. Untouched default
-// lines (invalid, unowned, no transaction, empty queue) are left out, so
-// "never referenced" and "referenced then fully released" merge.
+// with line addresses and host ids renamed by rn: each line's state,
+// owner, sharers and poison flag, its open transaction whole (the
+// request, the pending and kept-shared sets, the collected data and its
+// dirty flag, and the abort flag), and its queued requests in order;
+// then the set of isolated hosts. Untouched default lines (invalid,
+// unowned, no transaction, empty queue, not poisoned) are left out, so
+// "never referenced" and "referenced then fully released" merge. A
+// transaction's data is hashed only once a dirty response set it.
 func (d *DCOH) Fingerprint(h *fp.Hasher, rn fp.Renamer) {
 	var lines fp.Bag
 	d.lines.ForEachRO(func(a mem.LineAddr, l *dline) {
 		if l.state == dI && l.owner == msg.None && l.sharers.Empty() && !l.busy() &&
-			len(l.queue) == 0 {
+			len(l.queue) == 0 && !l.poisoned {
 			return
 		}
 		e := fp.New()
@@ -40,14 +45,21 @@ func (d *DCOH) Fingerprint(h *fp.Hasher, rn fp.Renamer) {
 		e.Int(l.state)
 		e.Node(l.owner, rn)
 		e.Nodes(l.sharers, rn)
+		e.Bool(l.poisoned)
 		e.Bool(l.busy())
-		if l.busy() {
-			e.Node(l.cur.req.Src, rn)
-			e.Nodes(l.cur.pending, rn)
-			e.Bool(l.cur.dirty)
+		if cur := &l.cur; l.busy() {
+			e.Msg(cur.req, rn)
+			e.Nodes(cur.pending, rn)
+			e.Nodes(cur.keptS, rn)
+			e.Bool(cur.aborted)
+			e.Bool(cur.dirty)
+			if cur.dirty {
+				e.Data(&cur.data)
+			}
 		}
-		e.Int(len(l.queue))
+		e.Msgs(l.queue, rn)
 		lines.Add(e)
 	})
 	h.Bag(lines)
+	h.Nodes(d.dead, rn)
 }

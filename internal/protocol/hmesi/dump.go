@@ -22,15 +22,18 @@ func (d *Dir) DumpState(w io.Writer) {
 }
 
 // Fingerprint writes the directory into the model checker's state hash,
-// with line addresses and host ids renamed by rn. Untouched default
+// with line addresses and host ids renamed by rn: each line's state,
+// owner, sharers, busy flag, in-flight downgrade, poison flag and queued
+// requests in order, then the set of isolated hosts. Untouched default
 // lines are left out, so "never referenced" and "referenced then fully
 // released" merge. lastFwdFrom stays out too: it is a crash-recovery
-// breadcrumb, not protocol-visible state.
+// breadcrumb that only ReclaimHost reads.
 func (d *Dir) Fingerprint(h *fp.Hasher, rn fp.Renamer) {
 	var lines fp.Bag
 	d.lines.ForEachRO(func(a mem.LineAddr, l *hline) {
 		if l.state == hI && l.owner == msg.None && l.sharers.Empty() && !l.busy &&
-			l.copyBackFrom == msg.None && l.pendingReq == msg.None && len(l.queue) == 0 {
+			l.copyBackFrom == msg.None && l.pendingReq == msg.None && len(l.queue) == 0 &&
+			!l.poisoned {
 			return
 		}
 		e := fp.New()
@@ -39,10 +42,12 @@ func (d *Dir) Fingerprint(h *fp.Hasher, rn fp.Renamer) {
 		e.Node(l.owner, rn)
 		e.Nodes(l.sharers, rn)
 		e.Bool(l.busy)
+		e.Bool(l.poisoned)
 		e.Node(l.copyBackFrom, rn)
 		e.Node(l.pendingReq, rn)
-		e.Int(len(l.queue))
+		e.Msgs(l.queue, rn)
 		lines.Add(e)
 	})
 	h.Bag(lines)
+	h.Nodes(d.dead, rn)
 }

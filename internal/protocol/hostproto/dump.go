@@ -30,23 +30,32 @@ func (l *L1) DumpState(w io.Writer) {
 }
 
 // Fingerprint writes the L1's state into the model checker's state hash,
-// with line addresses renamed by rn. The node id is left out: the
-// checker hashes L1s in canonical slot order. Stale payloads are left
-// out, and when skipInvalid is set (the caller has proven set conflicts
-// impossible) so are frames invalidated back to state I, merging
-// "invalid frame present" with "frame absent": the protocol treats both
-// as a miss.
+// with line addresses renamed by rn: every frame with its payload (the
+// L1 keeps no DataValid flag, and a frame reserved for a miss holds
+// zeroes), the request TBEs with their queued ops and stalled snoops,
+// the eviction TBEs and the deferred ops. The node id is left out: the
+// checker hashes L1s in canonical slot order. So are the bookkeeping
+// fields: start times, the ops' core tokens, and the statistics. When
+// skipInvalid is set (the caller has proven set conflicts impossible),
+// frames invalidated back to state 0 are left out too, merging "invalid
+// frame present" with "frame absent": the protocol treats both as a
+// miss.
 func (l *L1) Fingerprint(h *fp.Hasher, rn fp.Renamer, skipInvalid bool) {
-	l.c.Fingerprint(h, rn, skipInvalid)
+	l.c.Fingerprint(h, rn, skipInvalid, true)
 	var reqs fp.Bag
 	l.reqs.ForEachRO(func(a mem.LineAddr, t *reqTBE) {
 		e := fp.New()
 		e.Line(a, rn)
-		e.Bool(t.wantM)
-		e.Int(len(t.ops))
-		e.Bool(t.invalidated)
-		e.Int(t.opsAtInv)
-		e.Int(len(t.stalledSnps))
+		var flags uint64
+		if t.wantM {
+			flags |= 1
+		}
+		if t.invalidated {
+			flags |= 2
+		}
+		e.Word(flags | uint64(t.opsAtInv)<<2)
+		fingerprintOps(&e, t.ops, rn)
+		e.Msgs(t.stalledSnps, rn)
 		reqs.Add(e)
 	})
 	h.Bag(reqs)
@@ -55,11 +64,31 @@ func (l *L1) Fingerprint(h *fp.Hasher, rn fp.Renamer, skipInvalid bool) {
 		e := fp.New()
 		e.Line(a, rn)
 		e.Int(t.state)
+		e.Bool(t.poisoned)
 		e.Data(&t.data)
 		evs.Add(e)
 	})
 	h.Bag(evs)
-	h.Int(len(l.deferred))
+	fingerprintOps(h, l.deferred, rn)
+}
+
+// fingerprintOps writes a list of queued core ops in order: its length,
+// then each op's kind, annotations, address and value.
+func fingerprintOps(h *fp.Hasher, ops []pendingOp, rn fp.Renamer) {
+	h.Int(len(ops))
+	for i := range ops {
+		r := &ops[i].req
+		w := uint64(r.Kind)
+		if r.Acq {
+			w |= 1 << 8
+		}
+		if r.Rel {
+			w |= 1 << 9
+		}
+		h.Word(w)
+		h.Addr(r.Addr, rn)
+		h.Word(r.Val)
+	}
 }
 
 // DumpState for RCC caches.

@@ -288,6 +288,17 @@ type Kernel struct {
 // Now reports the current simulation time.
 func (k *Kernel) Now() Time { return k.now }
 
+// AdvanceTo moves the clock of a drained kernel forward to t; it does
+// nothing when t is not later than now. The model checker uses it when
+// a state takes over a component stepped on another kernel, whose
+// timestamps (a DRAM channel's busy-until) may be that kernel's.
+func (k *Kernel) AdvanceTo(t Time) {
+	if k.Pending() != 0 {
+		panic("sim: AdvanceTo on a kernel with pending events")
+	}
+	k.now = max(k.now, t)
+}
+
 // Clone returns a new kernel at the same simulated time and schedule
 // sequence, by value so that the caller can embed it. Only a quiescent
 // kernel (no pending events) can be cloned: queued events hold closures

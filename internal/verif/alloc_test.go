@@ -11,20 +11,22 @@ import (
 // 5%.
 const (
 	// checkAllocCeiling caps one IRIW exploration under TSO/TSO, Check's
-	// own set-up included: the measured 435,388 plus 5%.
-	checkAllocCeiling = 457_100
+	// own set-up included: the measured 137,000 (median of five runs,
+	// 134,641–140,060) plus 5%.
+	checkAllocCeiling = 143_900
 	// corpusAllocCeiling caps one pass over the litmus corpus on
 	// MESI-CXL-MESI with Arm cores in both clusters: the measured
-	// 150,136 plus 5%.
-	corpusAllocCeiling = 157_600
+	// 66,900 (median of five runs, 66,032–67,672) plus 5%.
+	corpusAllocCeiling = 70_300
 )
 
 // TestCheckAllocCeiling is the counted gate on the checker's successor
 // cost: one exhaustive IRIW exploration with TSO cores in both clusters,
 // the corpus's largest state space at that machine. A successor
-// allocates its Model, the group its delivery reaches and what the
-// delivery writes of the fabric, so a change that copies more per
-// successor, or hashes with allocations, shows here in a count that
+// allocates its Model and what the delivery writes of the fabric, and
+// the group its delivery reaches only when the transition memo has not
+// seen the delivery, so a change that copies more per successor, hashes
+// with allocations, or misses the memo more shows here in a count that
 // repeats where wall time does not.
 func TestCheckAllocCeiling(t *testing.T) {
 	mcfg := wmoCXL(t, "IRIW", litmus.SyncFull)

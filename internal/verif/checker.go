@@ -43,6 +43,12 @@ type Counts struct {
 	// neither cloned nor stepped. SymmetryMerges counts only the folds
 	// the checker observed, so it falls as SleepSkips rises.
 	SleepSkips uint64
+	// MemoHits counts deliveries the transition memo answered: the
+	// group they reached had already received the same message in the
+	// same state, so the recorded outcome was reused and no controller
+	// code ran (see Model.Step). Replays of a dropped snapshot's prefix
+	// count theirs too.
+	MemoHits uint64
 }
 
 // Counter is one exploration counter under its registry name.
@@ -62,6 +68,7 @@ func (c *Counts) Counters() []Counter {
 		{"symmetry_merges", &c.SymmetryMerges},
 		{"por_skips", &c.PORSkips},
 		{"sleep_skips", &c.SleepSkips},
+		{"memo_hits", &c.MemoHits},
 	}
 }
 
@@ -175,9 +182,12 @@ type Progress struct {
 // the frontier snapshot (Model.Clone) and delivering one message to each
 // copy, the last delivery to the snapshot itself; the delivery prefix is
 // re-executed from the root only for entries whose snapshot was dropped
-// (the snapshot budget) or when ReplayFromRoot is set. A negative
-// MaxDepth is an error. Check starts no goroutine, so independent
-// explorations may run concurrently.
+// (the snapshot budget) or when ReplayFromRoot is set. Outside
+// ReplayFromRoot, and where no cache set can fill (not under TinyLLC),
+// a transition memo answers each delivery the exploration has already
+// run from the same group state (see Model.Step and Report.MemoHits).
+// A negative MaxDepth is an error. Check starts no goroutine, so
+// independent explorations may run concurrently.
 //
 // Check reads the runtime's memory limit once. Under a limit it samples
 // the heap every 256 frontier pops, and over 80% of the limit it
@@ -267,11 +277,18 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 	ccfg.snapshotBudget = cmp.Or(ccfg.snapshotBudget, defaultSnapshotBudget)
 	ccfg.progressEvery = cmp.Or(ccfg.progressEvery, defaultProgressEvery)
 	ccfg.memSampleEvery = cmp.Or(ccfg.memSampleEvery, defaultMemSampleEvery)
-	m0, err := replay(mcfg, nil, nil)
+	rep = &Report{Outcomes: map[string]bool{}}
+	// mo is the exploration's transition memo, where its key is exact
+	// (see memo) and states are not rebuilt from the root each time.
+	var mo *memo
+	if sym.porOK && !ccfg.ReplayFromRoot {
+		mo = newMemo(sym, &rep.MemoHits)
+		defer mo.release()
+	}
+	m0, err := replay(mcfg, nil, mo, nil)
 	if err != nil {
 		return nil, err
 	}
-	rep = &Report{Outcomes: map[string]bool{}}
 	// visited dedups states by their 64-bit fingerprint and maps each to
 	// its entry id. Caveat: two distinct states that collide in 64 bits
 	// would silently merge, pruning part of the space — with ~10^6
@@ -354,7 +371,7 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 		switch {
 		case ccfg.ReplayFromRoot:
 			var err error
-			if m, err = replay(mcfg, path, nil); err != nil {
+			if m, err = replay(mcfg, path, nil, nil); err != nil {
 				return false, err
 			}
 			rep.Builds++
@@ -453,6 +470,8 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 							live--
 						}
 					}
+					// The memo's groups go too, and it stays off.
+					mo.release()
 					runtime.GC()
 				}
 			}
@@ -473,7 +492,7 @@ func check(mcfg ModelConfig, ccfg CheckerConfig, sym *symmetry) (rep *Report, er
 			live--
 		} else {
 			path = tr.path(path, ent.id, ent.depth)
-			if base, err = replay(mcfg, path, nil); err != nil {
+			if base, err = replay(mcfg, path, mo, nil); err != nil {
 				return rep, err
 			}
 			rep.Builds++

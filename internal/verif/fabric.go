@@ -29,10 +29,14 @@
 // cluster's C3, or the home directory with DRAM — and the in-flight
 // messages, and a delivery copies only the group it reaches and what it
 // writes of the fabric, so a successor hashes, copies and re-checks no
-// more than its delivery changed. A state whose snapshot was dropped to
-// bound memory is rebuilt by re-executing its delivery prefix, which its
-// trail of parent links gives, on a fresh model: components are
-// event-driven and single-threaded, so a prefix determines the state.
+// more than its delivery changed. A delivery whose group state and
+// message the exploration has already run costs less still: a
+// transition memo keyed by the group's hash and the message's hands
+// back the group that run left and replays its sends (see memo). A
+// state whose snapshot was dropped to bound memory is rebuilt by
+// re-executing its delivery prefix, which its trail of parent links
+// gives, on a fresh model: components are event-driven and
+// single-threaded, so a prefix determines the state.
 package verif
 
 import (
@@ -108,6 +112,11 @@ type ChoiceFabric struct {
 	bagHash    [2]fp.Bag
 	bagRest    []fp.Bag
 	sharedRest bool
+
+	// rec, while set, receives every message Send takes, in order: the
+	// transition memo records a step's sends through it (see
+	// Model.Step). It is set only within a step, never in a clone.
+	rec *[]*msg.Msg
 }
 
 // Register implements system.Fabric. The fabric keeps no port table:
@@ -169,6 +178,9 @@ func (f *ChoiceFabric) ownChans() {
 // requests and snoops overtake one another (the bag) while responses
 // keep a FIFO per vnet, and any other link is FIFO per vnet.
 func (f *ChoiceFabric) Send(m *msg.Msg) {
+	if f.rec != nil {
+		*f.rec = append(*f.rec, m)
+	}
 	cfg, ok := f.links[[2]msg.NodeID{m.Src, m.Dst}]
 	k := chKey{m.Src, m.Dst, m.VNet}
 	switch {
@@ -349,7 +361,7 @@ func chanEntry(c *channel, rn fp.Renamer) fp.Hasher {
 	e.Int(int(c.key.vnet))
 	e.Int(len(c.q))
 	for _, m := range c.q {
-		fingerprintMsg(&e, m, rn)
+		e.Msg(m, rn)
 	}
 	return e
 }
@@ -357,7 +369,7 @@ func chanEntry(c *channel, rn fp.Renamer) fp.Hasher {
 // msgEntry hashes one message under rn, as the bag's entry for it.
 func msgEntry(m *msg.Msg, rn fp.Renamer) fp.Hasher {
 	e := fp.New()
-	fingerprintMsg(&e, m, rn)
+	e.Msg(m, rn)
 	return e
 }
 
@@ -416,27 +428,4 @@ func (f *ChoiceFabric) ForEachInFlight(fn func(m *msg.Msg)) {
 	for _, m := range f.bag {
 		fn(m)
 	}
-}
-
-// fingerprintMsg writes every protocol-visible field of m under rn.
-// Serial and Seq are transport bookkeeping and stay out.
-func fingerprintMsg(h *fp.Hasher, m *msg.Msg, rn fp.Renamer) {
-	h.Int(int(m.Type))
-	h.Line(m.Addr, rn)
-	h.Node(m.Src, rn)
-	h.Node(m.Dst, rn)
-	h.Int(int(m.VNet))
-	h.Bool(m.Data != nil)
-	if m.Data != nil {
-		h.Data(m.Data)
-		h.Bool(m.Dirty)
-	}
-	h.Node(m.Req, rn)
-	h.Int(m.Acks)
-	h.Word(m.Val)
-	h.Int(m.Word)
-	h.Int(int(m.Mask))
-	h.Bool(m.Acq)
-	h.Bool(m.Rel)
-	h.Bool(m.Poisoned)
 }

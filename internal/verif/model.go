@@ -8,6 +8,7 @@ import (
 	"c3/internal/cpu"
 	"c3/internal/litmus"
 	"c3/internal/mem"
+	"c3/internal/msg"
 	"c3/internal/protocol/hostproto"
 	"c3/internal/sim"
 	"c3/internal/ssp"
@@ -82,6 +83,10 @@ type build struct {
 	// spares is the kernel storage — the event free list among it — that
 	// the models of this Build run on in turn.
 	spares sim.Spares
+
+	// memo is the transition memo of the exploration the models of this
+	// Build belong to, or nil (see Model.Step).
+	memo *memo
 }
 
 // threads returns the thread groups, in thread order.
@@ -194,28 +199,61 @@ func (m *Model) Quiesce() {
 // parent or a sibling is copied, and the other groups stay shared. The
 // events the delivery schedules come from the free list every model of
 // the Build runs on in turn: the kernel holds it until it drains.
+//
+// Under an exploration's transition memo, a delivery whose group state
+// and message the memo has seen runs nothing: the memo swaps in the
+// group that delivery left and replays its sends (memo.reuse). Any other
+// delivery runs as above while the memo records its sends, and the memo
+// keeps the group it leaves.
 func (m *Model) Step(a Action) {
 	mm := m.Fabric.take(a)
 	gi := m.b.groupOf[mm.Dst]
-	g := m.own(gi)
-	var after func()
-	if testStepHook != nil {
-		after = testStepHook(m, gi)
+	mo := m.b.memo
+	var k memoKey
+	if mo.on() {
+		k = mo.key(m, gi, mm)
+		if e, ok := mo.table[k]; ok {
+			after := m.stepHook(gi, mm, true)
+			mo.reuse(m, gi, e)
+			after()
+			return
+		}
 	}
+	g := m.own(gi)
+	after := m.stepHook(gi, mm, false)
+	if mo.on() {
+		mo.record(m)
+	}
+	m.deliver(g, mm)
+	if mo.on() {
+		mo.store(k, m)
+	}
+	after()
+}
+
+// stepHook runs testStepHook, when set, and returns what to run after
+// the step.
+func (m *Model) stepHook(gi int, mm *msg.Msg, hit bool) (after func()) {
+	if testStepHook == nil {
+		return func() {}
+	}
+	return testStepHook(m, gi, mm, hit)
+}
+
+// deliver hands mm to g, a group m owns alone, and quiesces.
+func (m *Model) deliver(g *group, mm *msg.Msg) {
 	m.K.SwapSpares(&m.b.spares)
 	g.recv(m, mm)
 	m.Quiesce()
 	m.K.SwapSpares(&m.b.spares)
-	if after != nil {
-		after()
-	}
 }
 
-// testStepHook, when non-nil, brackets every Step: it runs once the
-// model owns the stepped group gi, before the delivery, and the function
-// it returns runs after the step quiesces. The verif tests install the
-// ownership and fabric hash checks here (ownership_test.go).
-var testStepHook func(m *Model, gi int) (after func())
+// testStepHook, when non-nil, brackets every Step of the delivery mm to
+// group gi. On a memo hit it runs before the recorded entry applies, with
+// hit set; otherwise once the model owns group gi, before the delivery.
+// The function it returns runs after the step. The verif tests install
+// the ownership, fabric hash and memo checks here (ownership_test.go).
+var testStepHook func(m *Model, gi int, mm *msg.Msg, hit bool) (after func())
 
 // AllFinished reports whether every core retired its program.
 func (m *Model) AllFinished() bool {

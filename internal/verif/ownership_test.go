@@ -2,33 +2,104 @@ package verif
 
 import (
 	"fmt"
+	"io"
 	"slices"
+	"strings"
 	"testing"
 
 	"c3/internal/fp"
+	"c3/internal/msg"
 )
 
-// Every Step in the verif tests runs under three checks. The ownership
-// check: the delivery may write only the group that owns its
-// destination node, so every other group — possibly shared with the
-// model's parent and siblings — must hash the same before and after the
-// step. This turns the argument the sleep sets and the shared groups
-// rest on (DESIGN §14) into a check on every step the tests take. The
-// fabric hash check: once the step quiesces, the fabric's incremental
-// hash — cached channel entries and the bag's kept hashes — must equal
-// a hash of every in-flight message from scratch, under every renaming
-// the fabric keeps hashes under. The summary check: once the step
-// quiesces, every group with a cached invariant summary must hold what
-// a fresh evaluation of its state gives, so a write that kept a stale
-// summary fails at the step that made it stale.
+// Every Step in the verif tests runs under three checks, and every memo
+// hit under a fourth. The ownership check: the delivery may write only
+// the group that owns its destination node, so every other group —
+// possibly shared with the model's parent and siblings — must hash the
+// same before and after the step. This turns the argument the sleep
+// sets and the shared groups rest on (DESIGN §14) into a check on every
+// step the tests take. The fabric hash check: once the step quiesces,
+// the fabric's incremental hash — cached channel entries and the bag's
+// kept hashes — must equal a hash of every in-flight message from
+// scratch, under every renaming the fabric keeps hashes under. The
+// summary check: once the step quiesces, every group with a cached
+// invariant summary must hold what a fresh evaluation of its state
+// gives, so a write that kept a stale summary fails at the step that
+// made it stale. The memo oracle: a delivery the transition memo
+// answers is run anyway, on a private clone, and must leave the group
+// the memo recorded and send what it recorded (checkMemoHit).
 func init() { testStepHook = checkStep }
 
-func checkStep(m *Model, gi int) (after func()) {
+func checkStep(m *Model, gi int, mm *msg.Msg, hit bool) (after func()) {
+	if hit {
+		mo := m.b.memo
+		checkMemoHit(m, gi, mm, mo.table[mo.key(m, gi, mm)])
+	}
 	owned := checkOwnership(m, gi)
 	return func() {
 		owned()
 		checkFabricHash(m)
 		checkSummaries(m)
+	}
+}
+
+// checkMemoHit re-executes a memo hit: it delivers mm to group gi of a
+// private clone of m, recording the sends, and panics, printing both
+// groups, unless the group left matches e's in its hash under every
+// renaming and its invariant summary, and the sends match e's in count,
+// order and message hash.
+func checkMemoHit(m *Model, gi int, mm *msg.Msg, e memoEntry) {
+	mo := m.b.memo
+	c := m.Clone()
+	defer c.Release()
+	g := c.own(gi)
+	var sent []*msg.Msg
+	c.Fabric.rec = &sent
+	c.deliver(g, mm)
+	c.Fabric.rec = nil
+	id := &mo.sym.perms[0]
+	fail := func(what string) {
+		var b strings.Builder
+		fmt.Fprintf(&b, "verif: memo hit on %v to group %d: %s\nrecorded: ", mm, gi, what)
+		e.g.dumpState(&b)
+		b.WriteString("re-run:   ")
+		g.dumpState(&b)
+		panic(b.String())
+	}
+	for pi := range mo.sym.perms {
+		if got, want := g.hash(mo.sym, pi), e.g.hash(mo.sym, pi); got != want {
+			fail(fmt.Sprintf("group hash %#x under renaming %d, recorded %#x", got, pi, want))
+		}
+	}
+	lines := m.lines()
+	if got, want := g.summary(lines), e.g.summary(lines); got.bad != want.bad || !slices.Equal(got.perm, want.perm) {
+		fail(fmt.Sprintf("invariant summary %+v, recorded %+v", *got, *want))
+	}
+	rec := mo.sent(e)
+	if len(sent) != len(rec) {
+		fail(fmt.Sprintf("%d sends, recorded %d", len(sent), len(rec)))
+	}
+	for i := range sent {
+		if msgHash(sent[i], id) != msgHash(rec[i], id) {
+			fail(fmt.Sprintf("send %d is %v, recorded %v", i, sent[i], rec[i]))
+		}
+	}
+}
+
+// dumpState writes the group's components' readable state, one line
+// each.
+func (g *group) dumpState(w io.Writer) {
+	switch {
+	case g.l1 != nil:
+		fmt.Fprintf(w, "pos %d", g.src.Pos())
+		g.src.EachReg(func(r int, v uint64) { fmt.Fprintf(w, " r%d=%d", r, v) })
+		fmt.Fprint(w, "; ")
+		g.l1.DumpState(w)
+	case g.c3 != nil:
+		g.c3.DumpState(w)
+	case g.dcoh != nil:
+		g.dcoh.DumpState(w)
+	default:
+		g.hdir.DumpState(w)
 	}
 }
 
@@ -101,7 +172,7 @@ func scratchFingerprint(f *ChoiceFabric, h *fp.Hasher, rn fp.Renamer) {
 		e.Int(int(c.key.vnet))
 		e.Int(len(c.q))
 		for _, m := range c.q {
-			fingerprintMsg(&e, m, rn)
+			e.Msg(m, rn)
 		}
 		chans.Add(e)
 	}
@@ -109,7 +180,7 @@ func scratchFingerprint(f *ChoiceFabric, h *fp.Hasher, rn fp.Renamer) {
 	var bag fp.Bag
 	for _, m := range f.bag {
 		e := fp.New()
-		fingerprintMsg(&e, m, rn)
+		e.Msg(m, rn)
 		bag.Add(e)
 	}
 	h.Bag(bag)

@@ -8,6 +8,7 @@ import (
 	"c3/internal/cpu"
 	"c3/internal/litmus"
 	"c3/internal/mem"
+	"c3/internal/msg"
 )
 
 // wmoCXL builds the canonical reduction-test configuration: mesi hosts,
@@ -125,10 +126,10 @@ func TestUnreducedReferenceCounts(t *testing.T) {
 	}{
 		"MP":    {198, 3},
 		"SB":    {219, 3},
-		"WRC":   {1180, 7},
-		"IRIW":  {6245, 15},
-		"CoRR2": {1599, 18},
-		"MP+3W": {22014, 3},
+		"WRC":   {1184, 7},
+		"IRIW":  {6293, 15},
+		"CoRR2": {1715, 18},
+		"MP+3W": {24262, 3},
 	}
 	for name, w := range want {
 		rep, err := unreduced(t, wmoCXL(t, name, litmus.SyncFull), CheckerConfig{MaxStates: 100_000})
@@ -152,8 +153,9 @@ func TestUnreducedReferenceCounts(t *testing.T) {
 // that merges a different set of states moves these counts, and so does
 // a change of node numbering: POR's singleton ample set is the first
 // eligible delivery in channel order, and channels sort by node id.
-// Clones and SleepSkips are counted costs, deterministic like the rest:
-// a change to the sleep sets or the POR probe moves them.
+// Clones, SleepSkips and MemoHits are counted costs, deterministic like
+// the rest: a change to the sleep sets or the POR probe moves the first
+// two, and a change to what the group hashes keep moves the memo's.
 func TestCorpusGoldens(t *testing.T) {
 	type golden struct {
 		states, terminals  uint64
@@ -161,23 +163,24 @@ func TestCorpusGoldens(t *testing.T) {
 		depth              int
 		porSkips           uint64
 		clones, sleepSkips uint64
+		memoHits           uint64
 	}
 	want := map[string]golden{
-		"MP":     {152, 3, 3, 28, 25, 45, 44},
-		"SB":     {161, 3, 3, 28, 31, 52, 44},
-		"LB":     {148, 3, 3, 26, 22, 42, 44},
-		"R":      {163, 3, 3, 28, 31, 52, 44},
-		"S":      {154, 3, 3, 28, 25, 45, 44},
-		"2_2W":   {165, 3, 3, 28, 31, 52, 44},
-		"IRIW":   {5754, 15, 15, 44, 1666, 3420, 5449},
-		"CoRR":   {46, 2, 2, 14, 0, 9, 15},
-		"CoRR2":  {1599, 18, 18, 34, 0, 507, 1382},
-		"CoWW":   {5, 1, 1, 4, 0, 0, 0},
-		"WRC":    {1078, 7, 7, 36, 183, 502, 733},
-		"RWC":    {1059, 7, 7, 36, 192, 485, 726},
-		"WWC":    {1011, 9, 9, 38, 168, 464, 682},
-		"WRW+2W": {1032, 9, 9, 38, 187, 468, 689},
-		"MP+3W":  {2128, 3, 3, 40, 1222, 1440, 1858},
+		"MP":     {152, 3, 3, 28, 25, 45, 44, 64},
+		"SB":     {161, 3, 3, 28, 31, 52, 44, 74},
+		"LB":     {148, 3, 3, 26, 22, 42, 44, 58},
+		"R":      {163, 3, 3, 28, 31, 52, 44, 69},
+		"S":      {154, 3, 3, 28, 25, 45, 44, 58},
+		"2_2W":   {165, 3, 3, 28, 31, 52, 44, 62},
+		"IRIW":   {5802, 15, 15, 44, 1666, 3440, 5485, 6518},
+		"CoRR":   {46, 2, 2, 14, 0, 9, 15, 17},
+		"CoRR2":  {1715, 18, 18, 34, 0, 541, 1450, 1596},
+		"CoWW":   {5, 1, 1, 4, 0, 0, 0, 0},
+		"WRC":    {1082, 7, 7, 36, 183, 503, 734, 930},
+		"RWC":    {1063, 7, 7, 36, 192, 486, 727, 908},
+		"WWC":    {1077, 9, 9, 38, 186, 493, 692, 909},
+		"WRW+2W": {1094, 9, 9, 38, 204, 495, 699, 889},
+		"MP+3W":  {2128, 3, 3, 40, 1222, 1440, 1858, 2307},
 	}
 	tests := litmus.Tests()
 	if len(tests) != len(want) {
@@ -194,7 +197,7 @@ func TestCorpusGoldens(t *testing.T) {
 			t.Fatalf("%s: %v", lt.Name, err)
 		}
 		got := golden{rep.States, rep.Terminals, len(rep.Outcomes), rep.MaxDepth, rep.PORSkips,
-			rep.Clones, rep.SleepSkips}
+			rep.Clones, rep.SleepSkips, rep.MemoHits}
 		if got != w || rep.Truncated {
 			t.Errorf("%s: got %+v (truncated=%v), want %+v", lt.Name, got, rep.Truncated, w)
 		}
@@ -202,7 +205,7 @@ func TestCorpusGoldens(t *testing.T) {
 }
 
 // TestReductionCompletesFormerlyTruncated: MP+3W under a 10k-state
-// budget truncates unreduced (22014 states exist) but completes
+// budget truncates unreduced (24262 states exist) but completes
 // exhaustively reduced, with both symmetry and POR contributing, and the
 // reduced run still reaches every outcome the truncated unreduced run
 // saw.
@@ -376,8 +379,8 @@ func violationInPlace(explore func()) bool {
 	defer func() { testStepHook = hook }()
 	steps := map[*Model]int{}
 	failed, inPlace := false, false
-	testStepHook = func(m *Model, gi int) func() {
-		after := hook(m, gi)
+	testStepHook = func(m *Model, gi int, mm *msg.Msg, hit bool) func() {
+		after := hook(m, gi, mm, hit)
 		steps[m]++
 		return func() {
 			after()

@@ -32,7 +32,7 @@ func FuzzReplay(f *testing.F) {
 			return
 		}
 		mcfg := cfgs[int(data[0])%len(cfgs)]
-		m, err := replay(mcfg, nil, nil)
+		m, err := replay(mcfg, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

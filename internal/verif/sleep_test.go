@@ -141,7 +141,7 @@ func TestDistinctDestinationDeliveriesCommute(t *testing.T) {
 // on different lines, and how many of the latter did not commute.
 func commutes(t *testing.T, label string, mcfg ModelConfig, max int) (pairs, sameDst, apart int) {
 	t.Helper()
-	root, err := replay(mcfg, nil, nil)
+	root, err := replay(mcfg, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func TestCloneIsolation(t *testing.T) {
 			m.Release()
 			c.Step(c.Fabric.Enabled()[ai])
 			path = append(path, uint16(ai))
-			fresh, err := replay(mcfg, path, nil)
+			fresh, err := replay(mcfg, path, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

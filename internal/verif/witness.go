@@ -72,16 +72,18 @@ func (c *Counterexample) Error() string {
 	return c.Msg
 }
 
-// replay builds and starts a fresh model, applies testRootMutate (which
-// writes the model outside Step, so its hashes are dropped after), and
-// delivers path, calling each (when non-nil) with every action just
-// before its delivery. Exploration, minimization and witness replay all
-// build their roots here.
-func replay(mcfg ModelConfig, path []uint16, each func(m *Model, a Action)) (*Model, error) {
+// replay builds and starts a fresh model under the transition memo mo
+// (nil for none), applies testRootMutate (which writes the model outside
+// Step, so its hashes are dropped after), and delivers path, calling
+// each (when non-nil) with every action just before its delivery.
+// Exploration, minimization and witness replay all build their roots
+// here.
+func replay(mcfg ModelConfig, path []uint16, mo *memo, each func(m *Model, a Action)) (*Model, error) {
 	m, err := Build(mcfg)
 	if err != nil {
 		return nil, err
 	}
+	m.b.memo = mo
 	m.Start()
 	if testRootMutate != nil {
 		testRootMutate(m)
@@ -174,7 +176,7 @@ func minimizeWitness(mcfg ModelConfig, sym *symmetry, cex *Counterexample, rep *
 // renaming.
 func pathKeys(mcfg ModelConfig, sym *symmetry, path []uint16, rep *Report) ([]uint64, error) {
 	keys := make([]uint64, 0, len(path))
-	m, err := replay(mcfg, path, func(m *Model, a Action) {
+	m, err := replay(mcfg, path, nil, func(m *Model, a Action) {
 		keys = append(keys, msgHash(m.Fabric.Peek(a), &sym.perms[0]))
 	})
 	if err != nil {
@@ -195,7 +197,7 @@ func reproduces(mcfg ModelConfig, sym *symmetry, keys []uint64, cex *Counterexam
 		return nil, false
 	}
 	*budget--
-	m, err := replay(mcfg, nil, nil)
+	m, err := replay(mcfg, nil, nil, nil)
 	if err != nil {
 		return nil, false
 	}
@@ -268,7 +270,7 @@ type ReplayResult struct {
 // c3check -replay backend and the reproduction guarantee behind every
 // witness Check returns.
 func Replay(mcfg ModelConfig, path []uint16) (*ReplayResult, error) {
-	m, err := replay(mcfg, nil, nil)
+	m, err := replay(mcfg, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}

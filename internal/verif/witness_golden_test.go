@@ -33,8 +33,8 @@ var witnessGoldens = []witnessGolden{
 	{"unsynced", "IRIW", VForbidden, "2:r0=1 2:r1=0 3:r0=1 3:r1=0 x=1 y=1", "0,0,0,0,0,0,1,0,0,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0", 32},
 	{"unsynced", "WRC", VForbidden, "1:r0=1 2:r0=1 2:r1=0 x=1 y=1", "1,1,0,0,0,1,0,0,0,0,0,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0", 32},
 	{"unsynced", "RWC", VForbidden, "1:r0=1 1:r1=0 2:r0=0 x=1 y=1", "1,0,0,0,0,0,0,0,0,0,0,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0", 30},
-	{"unsynced", "WWC", VForbidden, "1:r0=2 2:r0=1 x=2 y=1", "1,1,1,1,2,0,0,0,0,0,0,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0", 32},
-	{"unsynced", "WRW+2W", VForbidden, "1:r0=1 x=1 y=2", "1,1,1,1,2,0,0,0,0,0,0,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0", 32},
+	{"unsynced", "WWC", VForbidden, "1:r0=2 2:r0=1 x=2 y=1", "1,1,0,0,0,1,0,0,0,0,0,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0", 32},
+	{"unsynced", "WRW+2W", VForbidden, "1:r0=1 x=1 y=2", "1,1,0,0,0,1,0,0,0,0,0,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0", 32},
 	{"unsynced", "MP+3W", VForbidden, "1:r0=1 1:r1=0 w=1 x=1 y=1 z=1", "4,4,0,3,0,0,0,0,3,0,0,0,0,0,0,0,1,0,0,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0", 38},
 	{"hmesi", "IRIW", VInvariant, "verif: SWMR violated on 0x40000: writer with 1 readers", "1,0,1,1,2,1,1,2,2,2,0,0,0,0,0,3,3,0,3,0,0,0,0,0,0", 25},
 	{"hmesi", "CoRR2", VInvariant, "verif: SWMR violated on 0x40000: writer with 1 readers", "1,0,1,1,2,2,0,0,0,0,2,2,0,2,0,0,0,0,0,0", 20},
